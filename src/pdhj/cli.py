@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -146,11 +147,16 @@ def _build_grid(block: dict) -> TimeGrid:
     return TimeGrid(0.0, float(block.get("t_end", 1.0)), int(block.get("n_steps", 32)))
 
 
-def _build_lattice(block: dict) -> StateLattice:
+def _build_lattice(block: dict, dim: int) -> StateLattice:
+    """The value lattice; it must have one axis per coordinate of the game state."""
     block = block or {}
     lo = block.get("lo", [-2.0])
     hi = block.get("hi", [2.0])
     points = block.get("points", [64])
+    for key, entries in (("lo", lo), ("hi", hi), ("points", points)):
+        if len(entries) != dim:
+            raise UsageError(f"lattice.{key} has {len(entries)} entries, but the game "
+                             f"state has dimension {dim}", field_path="lattice." + key)
     return StateLattice(lo=tuple(lo), hi=tuple(hi), shape=tuple(points))
 
 
@@ -190,11 +196,8 @@ def _build_game(block: dict) -> GameSpec:
         if "q_points" not in controls:
             raise UsageError("missing field controls.q_points",
                              field_path="game.controls.q_points")
-        grid = ControlGrid(p_points=tuple(controls["p_points"]),
-                           q_points=tuple(controls["q_points"]))
-        spec = GameSpec(dyn=spec.dyn, running_cost=spec.running_cost,
-                        terminal_cost=spec.terminal_cost, controls=grid,
-                        l_f=spec.l_f, lambda_L=spec.lambda_L, name=spec.name)
+        spec = replace(spec, controls=ControlGrid(p_points=tuple(controls["p_points"]),
+                                                  q_points=tuple(controls["q_points"])))
     return spec
 
 
@@ -245,7 +248,7 @@ def _run_upsilon_check(config: dict, seed: int, artifacts: dict) -> dict:
 def _run_game_value(config: dict, seed: int, artifacts: dict) -> dict:
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"))
+    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
     table = dp_value(spec, grid, lattice)
     artifacts["value_table.csv"] = table.to_csv()
     z = np.asarray(config.get("probe_z", [1.0] * spec.dyn.op.space.dim), dtype=float)
@@ -291,7 +294,7 @@ def _run_isaacs_check(config: dict, seed: int, artifacts: dict) -> dict:
 def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"))
+    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
     table = dp_value(spec, grid, lattice)
     frac = float(config.get("epsilon_fraction", 1.0))
     base = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=grid.t_end)
@@ -329,16 +332,16 @@ def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
         "value_at_start": v_site,
         "tolerance": tol,
         "lyapunov_stats": stats,
-        "passed": (est.value <= v_site + tol
-                   and stats["fraction_within"] >= 0.95
-                   and stats["worst_excess_ratio"] <= 2.0),
+        "passed": bool(est.value <= v_site + tol
+                       and stats["fraction_within"] >= 0.95
+                       and stats["worst_excess_ratio"] <= 2.0),
     }
 
 
 def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"))
+    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
     table = dp_value(spec, grid, lattice)
     rng = np.random.default_rng(seed)
     n_sites = int(config.get("sites", 20))
@@ -400,7 +403,7 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
 def _run_stability(config: dict, seed: int, artifacts: dict) -> dict:
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"))
+    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
     family = config.get("family", "h-shift")
     n_list = tuple(int(n) for n in config.get("n_list", [2, 4, 8, 16]))
     report = stability_experiment(spec, family, n_list, grid, lattice)
@@ -430,7 +433,7 @@ _RUNNERS = {
 # runner and summary
 # ---------------------------------------------------------------------------
 
-def run(config: dict, out_dir: str, seed: int = None, jobs: int = 1) -> int:
+def run(config: dict, out_dir: str, seed: int = None) -> int:
     """Validate, write the manifest, execute, and write results; 0 iff passed."""
     validate_config(config)
     kind = config["kind"]
@@ -441,7 +444,6 @@ def run(config: dict, out_dir: str, seed: int = None, jobs: int = 1) -> int:
     manifest = {
         "config": config,
         "seed": seed,
-        "jobs": jobs,
         "versions": {"pdhj": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -532,7 +534,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory root")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads for inner modules")
     p = sub.add_parser("summary", help="summarize a results directory")
     p.add_argument("results_dir")
     args = parser.parse_args(argv)
@@ -547,7 +548,7 @@ def main(argv=None) -> int:
                     f"config kind {config.get('kind')!r} does not match "
                     f"subcommand {args.command!r}", field_path="kind")
         out = args.out or os.environ.get(ENV_OUT_ROOT, "results")
-        return run(config, out, seed=args.seed, jobs=args.jobs)
+        return run(config, out, seed=args.seed)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

@@ -8,13 +8,12 @@ L * (1 + sup-norm of the stopped path) form the discrete reachable tube.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AuditError, ContractError, DomainError, SolverError
-from .pathcore import Path, StateSpace, sup_norm
+from .pathcore import Path, StateSpace, stopped_at, sup_norm
 
 NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-10
@@ -330,10 +329,7 @@ def solve_delay_evolution(dyn: DelayDynamics, t0: float, x0: Path, forcing=None,
     for k in range(k0, n):
         t_k, t_k1 = nodes[k], nodes[k + 1]
         dt = t_k1 - t_k
-        # stopped path at t_k: history so far, frozen forward
-        held = values.copy()
-        held[k + 1:] = held[k]
-        x_stop = Path(grid, held)
+        x_stop = stopped_at(grid, values, k)
         if forcing is None:
             control = np.zeros(dim)
         elif callable(forcing):
@@ -372,7 +368,7 @@ def _ball_point(rng, dim: int, radius: float) -> np.ndarray:
 
 
 def sample_reachable_set(dyn: DelayDynamics, t0: float, x0: Path, count: int,
-                         seed: int, jobs: int = 1) -> list:
+                         seed: int) -> list:
     """`count` solves under randomized admissible forcings, deterministic per seed.
 
     Each sample draws its forcing piecewise-constant, uniformly in the ball of
@@ -393,7 +389,4 @@ def sample_reachable_set(dyn: DelayDynamics, t0: float, x0: Path, count: int,
         return solve_delay_evolution(identity, t0, x0, forcing=draw,
                                      forcing_algorithm=FORCING_ALGORITHM)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(one, range(count)))
     return [one(i) for i in range(count)]

@@ -13,8 +13,7 @@ the regime of every desk-scale example here.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,8 +25,8 @@ from .errors import (
 )
 from .evolution import DelayDynamics, _implicit_step, make_linear_operator, \
     sample_reachable_set
-from .pathcore import Path, TimeGrid, sup_norm
-from .upsilon import LyapunovParams
+from .pathcore import Path, TimeGrid, extend_history, stopped_at, sup_norm
+from .upsilon import LyapunovParams, surrogate_terms
 
 STEP_SOLVE_TOL = 1e-11
 
@@ -303,22 +302,13 @@ class ValueTable:
         raise DomainError(f"unknown side {side!r}")
 
     def interp(self, side: str, t: float, state) -> float:
-        """Time-linear, state-multilinear interpolation; exact at table nodes."""
-        vals = self.side_values(side)
-        nodes = self.grid.nodes
-        self.grid.require_contains(t)
-        k = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[k] - t) <= 1e-9 * max(1.0, abs(self.grid.t_end)):
-            return self.lattice.interpolate(vals[k], state)
-        k = int(np.searchsorted(nodes, t, side="right")) - 1
-        k = min(max(k, 0), len(nodes) - 2)
-        w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-        a = self.lattice.interpolate(vals[k], state)
-        b = self.lattice.interpolate(vals[k + 1], state)
-        return a + w * (b - a)
+        """interp_batch at a single state."""
+        return float(self.interp_batch(side, t, np.atleast_1d(state)[None, :])[0])
 
     def interp_batch(self, side: str, t: float, states: np.ndarray) -> np.ndarray:
+        """Time-linear, state-multilinear interpolation; exact at table nodes."""
         vals = self.side_values(side)
+        self.grid.require_contains(t)
         nodes = self.grid.nodes
         k = int(np.argmin(np.abs(nodes - t)))
         if abs(nodes[k] - t) <= 1e-9 * max(1.0, abs(self.grid.t_end)):
@@ -532,8 +522,6 @@ class FeedbackStrategy:
                  t0: float, x0: Path, library, side: str = "upper"):
         if value is None:
             raise ConfigurationError("feedback strategy needs a value table")
-        if not library and value.lattice is None:
-            raise ConfigurationError("empty companion library")
         self.spec = spec
         self.params = params
         self.value = value
@@ -542,7 +530,8 @@ class FeedbackStrategy:
         self.x0 = x0
         self.library = list(library)
         self._lattice_points = value.lattice.points()
-        self._library_values = np.stack([y.values for y in self.library]) \
+        # (node, sample, coordinate): a node prefix is one contiguous slice
+        self._library_values = np.stack([y.values for y in self.library], axis=1) \
             if self.library else None
 
     def _probe_offsets(self, t: float, dim: int):
@@ -565,86 +554,59 @@ class FeedbackStrategy:
         return offsets
 
     def _companion_minimum(self, t: float, x: Path):
-        """Approximate argmin of u + nu; returns (total, kind, index, gradient)."""
+        """Approximate argmin of u + nu; returns (total, kind, index, gradient).
+
+        The trace (zero difference, gradient 0) is the first candidate; each
+        further kind is scored by one surrogate_terms call over its difference
+        paths, held as (node, candidate, coordinate) arrays ending at t.  A
+        candidate replaces the best only when strictly smaller, so ties keep
+        the earlier kind and the smaller index.
+        """
         k = x.grid.node_index(t)
         X = x.values[: k + 1]
         alpha = self.params.alpha(t)
         eps4 = self.params.epsilon ** 4
-
-        def shifted(sup_sq, cur_sq, u_vals):
-            live = sup_sq > 1e-28 * (1.0 + cur_sq)
-            denom = np.where(live, sup_sq, 1.0)
-            ups = np.where(live, (denom - cur_sq) ** 2 / denom + 2.0 * cur_sq, 0.0)
-            return u_vals + alpha * np.sqrt(eps4 + ups)
-
         trace_state = X[-1]
-        best_total = float(self.value.interp(self.side, t, trace_state)
-                           + alpha * np.sqrt(eps4))
-        best = (best_total, "trace", 0, np.zeros(x.dim))
+        best = (float(self.value.interp(self.side, t, trace_state) + alpha * np.sqrt(eps4)),
+                "trace", 0, np.zeros(x.dim))
+
+        def consider(kind, indices, diffs, u_vals):
+            nonlocal best
+            sq = np.sum(diffs ** 2, axis=2)
+            ups, factor = surrogate_terms(sq.max(axis=0), sq[-1])
+            beta = np.sqrt(eps4 + ups)
+            total = u_vals + alpha * beta
+            i = int(np.argmin(total))
+            if total[i] < best[0]:
+                best = (float(total[i]), kind, indices[i],
+                        (alpha / (2.0 * beta[i])) * factor[i] * diffs[-1, i])
 
         # probes: trace plus a gradual drift to offset o; the difference path
-        # rises to |o| at time t, so sup = cur = |o| and theta = 4
+        # rises to |o| at time t, so its last row alone carries sup = cur = |o|
+        kept, offsets, u_vals = [], [], []
         for i, o in enumerate(self._probe_offsets(t, x.dim)):
-            state = trace_state - o
             try:
-                u_val = self.value.interp(self.side, t, state)
+                u_vals.append(self.value.interp(self.side, t, trace_state - o))
             except LatticeCoverageError:
                 continue
-            s_sq = float(o @ o)
-            ups = 2.0 * s_sq
-            beta = np.sqrt(eps4 + ups)
-            total = u_val + alpha * beta
-            if total < best[0]:
-                grad = (alpha / (2.0 * beta)) * 4.0 * o
-                best = (float(total), "probe", i, grad)
+            kept.append(i)
+            offsets.append(o)
+        if kept:
+            consider("probe", kept, np.array(offsets)[None, :, :], np.array(u_vals))
 
-        def full_gradient(diff_rows):
-            sq = np.sum(diff_rows ** 2, axis=1)
-            sup_sq, cur_sq = float(np.max(sq)), float(sq[-1])
-            if sup_sq <= 1e-28 * (1.0 + cur_sq):
-                return np.zeros(x.dim)
-            theta = 4.0 * cur_sq / sup_sq
-            beta = self.params.beta((sup_sq - cur_sq) ** 2 / sup_sq + 2.0 * cur_sq)
-            return (alpha / (2.0 * beta)) * theta * diff_rows[-1]
-
-        diffs = X[:, None, :] - self._lattice_points[None, :, :]
-        sq = np.sum(diffs ** 2, axis=2)
-        lat_total = shifted(sq.max(axis=0), sq[-1],
-                            self.value.interp_batch(self.side, t, self._lattice_points))
-        i = int(np.argmin(lat_total))
-        if lat_total[i] < best[0]:
-            best = (float(lat_total[i]), "lattice", i,
-                    full_gradient(X - self._lattice_points[i][None, :]))
+        points = self._lattice_points
+        consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
+                 self.value.interp_batch(self.side, t, points))
 
         if self._library_values is not None:
-            d = X[None, :, :] - self._library_values[:, : k + 1, :]
-            sq = np.sum(d ** 2, axis=2)
-            lib_states = self._library_values[:, k, :]
-            lib_total = shifted(sq.max(axis=1), sq[:, -1],
-                                self.value.interp_batch(self.side, t, lib_states))
-            i = int(np.argmin(lib_total))
-            if lib_total[i] < best[0]:
-                best = (float(lib_total[i]), "library", i,
-                        full_gradient(X - self._library_values[i, : k + 1, :]))
+            lib = self._library_values[: k + 1]
+            consider("library", range(lib.shape[1]), X[:, None, :] - lib,
+                     self.value.interp_batch(self.side, t, lib[-1]))
         return best
 
     def shifted_value(self, t: float, x: Path) -> float:
         """u_a(t, x) = min over companion candidates of u + nu."""
         return self._companion_minimum(t, x)[0]
-
-    def gradient_at(self, t: float, x: Path, companion_state) -> np.ndarray:
-        """Penalty gradient against an explicit constant companion state."""
-        k = x.grid.node_index(t)
-        X = x.values[: k + 1]
-        diff = X - np.atleast_1d(companion_state)[None, :]
-        sq = np.sum(diff ** 2, axis=1)
-        sup_sq, cur_sq = float(np.max(sq)), float(sq[-1])
-        if sup_sq <= 1e-28 * (1.0 + cur_sq):
-            return np.zeros(x.dim)
-        theta = 4.0 * cur_sq / sup_sq
-        ups = (sup_sq - cur_sq) ** 2 / sup_sq + 2.0 * cur_sq
-        beta = self.params.beta(ups)
-        return (self.params.alpha(t) / (2.0 * beta)) * theta * diff[-1]
 
     def select(self, t: float, x: Path) -> StepDecision:
         """Decide the control index at node (t, x); deterministic, smallest-index ties."""
@@ -671,7 +633,7 @@ def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
             abs(partition.t_end - value.grid.t_end) > 1e-9:
         raise DomainError("partition must span [t0, T]")
     inner = simulation_grid(value.grid, partition)
-    hist = _extend_history(x0, inner, t0)
+    hist = extend_history(x0, inner, t0)
     library = []
     if library_size > 0:
         tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
@@ -695,14 +657,6 @@ def simulation_grid(value_grid: TimeGrid, partition: TimeGrid) -> TimeGrid:
         if t - keep[-1] > 1e-12:
             keep.append(t)
     return TimeGrid.from_nodes(keep)
-
-
-def _extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:
-    vals = np.empty((grid.n_steps + 1, x0.dim))
-    xt0 = x0.value_at(min(t0, x0.grid.t_end))
-    for i, t in enumerate(grid.nodes):
-        vals[i] = x0.value_at(t) if t <= t0 + 1e-12 else xt0
-    return Path(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +714,6 @@ def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
     inner = strategy.x0.grid
     nodes = inner.nodes
     values = strategy.x0.values.copy()
-    k0 = inner.node_index(strategy.t0)
     part_nodes = partition.nodes
     p_indices, q_indices, records = [], [], []
     running = 0.0
@@ -768,9 +721,7 @@ def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        held = values.copy()
-        held[ka + 1:] = held[ka]
-        x_now = Path(inner, held)
+        x_now = stopped_at(inner, values, ka)
         decision = strategy.select(t_i, x_now)
         p_idx = decision.p_index
         q_idx = int(adversary(t_i, x_now, p_idx))
@@ -779,9 +730,7 @@ def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
         step_cost = 0.0
         for k in range(ka, kb):
             dt = nodes[k + 1] - nodes[k]
-            held = values.copy()
-            held[k + 1:] = held[k]
-            x_stop = Path(inner, held)
+            x_stop = stopped_at(inner, values, k)
             f = spec.drift(nodes[k], x_stop, p, q)
             step_cost += dt * spec.stage_cost(nodes[k], x_stop, p, q)
             target = values[k] + dt * f
@@ -790,9 +739,7 @@ def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
                                                  target, values[k], tol, k)
         running += step_cost
         u_here = decision.u_shifted if u_prev is None else u_prev
-        held = values.copy()
-        held[kb + 1:] = held[kb]
-        u_next = strategy.shifted_value(t_i1, Path(inner, held))
+        u_next = strategy.shifted_value(t_i1, stopped_at(inner, values, kb))
         records.append({
             "t": float(t_i),
             "dt": float(t_i1 - t_i),
@@ -901,7 +848,7 @@ def lyapunov_violation_stats(traces, m_hat: float) -> dict:
                 worst_ratio = max(worst_ratio, rec["residual"] / bound)
     return {"steps": total, "within_bound": ok,
             "fraction_within": ok / total if total else 1.0,
-            "worst_excess_ratio": worst_ratio}
+            "worst_excess_ratio": float(worst_ratio)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -1018,20 +965,17 @@ def constant_game(cost: float = 1.0, gain: float = 1.0) -> GameSpec:
 
 def scale_costs(spec: GameSpec, factor: float) -> GameSpec:
     """Multiply running and terminal costs jointly by a positive factor."""
-    return GameSpec(dyn=spec.dyn,
-                    running_cost=lambda t, x, p, q: factor * spec.running_cost(t, x, p, q),
-                    terminal_cost=lambda x: factor * spec.terminal_cost(x),
-                    controls=spec.controls, l_f=spec.l_f,
-                    lambda_L=spec.lambda_L * max(factor, 1e-12),
-                    name=f"{spec.name}-x{factor:g}")
+    return replace(spec,
+                   running_cost=lambda t, x, p, q: factor * spec.running_cost(t, x, p, q),
+                   terminal_cost=lambda x: factor * spec.terminal_cost(x),
+                   lambda_L=spec.lambda_L * max(factor, 1e-12),
+                   name=f"{spec.name}-x{factor:g}")
 
 
 def with_terminal_shift(spec: GameSpec, shift: float) -> GameSpec:
     """Add a constant to the terminal cost (stability experiment family)."""
-    return GameSpec(dyn=spec.dyn, running_cost=spec.running_cost,
-                    terminal_cost=lambda x: spec.terminal_cost(x) + shift,
-                    controls=spec.controls, l_f=spec.l_f, lambda_L=spec.lambda_L,
-                    name=f"{spec.name}-hshift")
+    return replace(spec, terminal_cost=lambda x: spec.terminal_cost(x) + shift,
+                   name=f"{spec.name}-hshift")
 
 
 def with_drift_perturbation(spec: GameSpec, magnitude: float) -> GameSpec:
@@ -1044,7 +988,5 @@ def with_drift_perturbation(spec: GameSpec, magnitude: float) -> GameSpec:
 
     dyn = DelayDynamics(op=spec.dyn.op, rhs=rhs,
                         lipschitz_L=spec.dyn.lipschitz_L + abs(magnitude) * np.sqrt(dim))
-    return GameSpec(dyn=dyn, running_cost=spec.running_cost,
-                    terminal_cost=spec.terminal_cost, controls=spec.controls,
-                    l_f=spec.l_f + abs(magnitude) * np.sqrt(dim),
-                    lambda_L=spec.lambda_L, name=f"{spec.name}-fdrift")
+    return replace(spec, dyn=dyn, l_f=spec.l_f + abs(magnitude) * np.sqrt(dim),
+                   name=f"{spec.name}-fdrift")

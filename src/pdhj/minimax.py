@@ -18,7 +18,7 @@ from .errors import DomainError
 from .evolution import DelayDynamics, sample_reachable_set, solve_delay_evolution
 from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, \
     with_drift_perturbation, with_terminal_shift
-from .pathcore import Path, TimeGrid
+from .pathcore import Path, TimeGrid, extend_history, stopped_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
 
@@ -84,14 +84,6 @@ def _window_grid(grid: TimeGrid, t0: float, horizon: float):
     return TimeGrid.from_nodes(nodes[: k_end + 1]), k0, k_end
 
 
-def _history_on(grid: TimeGrid, x0: Path, t0: float) -> Path:
-    vals = np.empty((grid.n_steps + 1, x0.dim))
-    xt0 = x0.value_at(min(t0, x0.grid.t_end))
-    for i, t in enumerate(grid.nodes):
-        vals[i] = x0.value_at(t) if t <= t0 + 1e-12 else xt0
-    return Path(grid, vals)
-
-
 def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
     """Feedback control selector realizing a characteristic trajectory.
 
@@ -152,10 +144,7 @@ def _characteristic_functional(spec: GameSpec, table: ValueTable, side: str,
     acc = 0.0
     for k in range(k0, grid.n_steps):
         dt = nodes[k + 1] - nodes[k]
-        held = values.copy()
-        held[k + 1:] = held[k]
-        x_stop = Path(grid, held)
-        ham = hamiltonian(spec, nodes[k], x_stop, z)
+        ham = hamiltonian(spec, nodes[k], stopped_at(grid, values, k), z)
         F_val = ham.f_plus if side in ("upper", "plus") else ham.f_minus
         f_k = rep.forcing_trace[k - k0]
         acc += dt * (-float(f_k @ z) + F_val)
@@ -176,7 +165,7 @@ def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
         raise DomainError("direction must be 'sub' or 'super'")
     t0, x0, z = site
     win_grid, k0, _ = _window_grid(u.grid, t0, horizon)
-    hist = _history_on(win_grid, x0, t0)
+    hist = extend_history(x0, win_grid, t0)
     u0 = u.interp(side, t0, hist.value_at(t0))
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
@@ -260,7 +249,7 @@ def viscosity_residual(u: ValueTable, spec: GameSpec, site, z, c: float,
     t0, x0 = site
     z = np.atleast_1d(np.asarray(z, dtype=float))
     win_grid, k0, _ = _window_grid(u.grid, t0, horizon)
-    hist = _history_on(win_grid, x0, t0)
+    hist = extend_history(x0, win_grid, t0)
     state0 = hist.value_at(t0)
     u0 = u.interp(side, t0, state0)
     F0 = hamiltonian(spec, t0, hist, z)

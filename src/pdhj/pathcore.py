@@ -135,10 +135,6 @@ class Path:
     def zero(cls, grid: TimeGrid, dim: int = 1) -> "Path":
         return cls(grid, np.zeros((grid.n_steps + 1, dim)))
 
-    @classmethod
-    def from_function(cls, grid: TimeGrid, fn) -> "Path":
-        return cls(grid, np.array([np.atleast_1d(fn(t)) for t in grid.nodes], dtype=float))
-
     # -- basic queries -------------------------------------------------------
 
     @property
@@ -155,17 +151,6 @@ class Path:
         h = nodes[k + 1] - nodes[k]
         w = (t - nodes[k]) / h
         return (1.0 - w) * self.values[k] + w * self.values[k + 1]
-
-    def node_norms(self) -> np.ndarray:
-        """Euclidean |x(t_k)| at every node."""
-        return np.linalg.norm(self.values, axis=1)
-
-    def running_sup_norms(self) -> np.ndarray:
-        """sup_{s <= t_k} |x(s)| at every node (exact for polylines)."""
-        return np.maximum.accumulate(self.node_norms())
-
-    def with_values(self, values) -> "Path":
-        return Path(self.grid, values)
 
     def resample(self, grid: TimeGrid) -> "Path":
         """Interpolate onto another grid covering a subset of this path's span."""
@@ -243,6 +228,26 @@ def stop_path(x: Path, t: float) -> Path:
         return candidate
     grid = TimeGrid.from_nodes(np.sort(np.append(nodes, t)))
     return stop_path(x.resample(grid), t)
+
+
+def stopped_at(grid: TimeGrid, values: np.ndarray, k: int) -> Path:
+    """The path of working node values stopped at node k: rows after k repeat row k.
+
+    Step-by-step integrators fill `values` in place; the stopped path is what
+    the dynamics and costs may see at t_k.
+    """
+    held = values.copy()
+    held[k + 1:] = held[k]
+    return Path(grid, held)
+
+
+def extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:
+    """The history x0 on `grid`: x0 up to t0, frozen at x0(t0) after."""
+    vals = np.empty((grid.n_steps + 1, x0.dim))
+    xt0 = x0.value_at(min(t0, x0.grid.t_end))
+    for i, t in enumerate(grid.nodes):
+        vals[i] = x0.value_at(t) if t <= t0 + 1e-12 else xt0
+    return Path(grid, vals)
 
 
 def sup_norm(x: Path, t: float) -> float:

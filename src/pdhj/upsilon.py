@@ -44,24 +44,32 @@ class PenaltyEval:
     grad: np.ndarray
 
 
-def _surrogate_terms(sup_sq: float, cur_sq: float):
-    """(value, factor) where the x-derivative is factor * x(t); handles the zero branch.
+def surrogate_terms(sup_sq, cur_sq):
+    """(value, factor) of the surrogate, where the x-derivative is factor * x(t).
 
-    Works with squared norms: the running maximum of squares includes the
-    current square, so cur_sq <= sup_sq holds exactly in floating point and
-    the factor (= theta against the zero path) never exceeds 4.
+    The one implementation of (S^2 - c^2)^2 / S^2 + 2 c^2 and 4 c^2 / S^2;
+    both are 0 on the zero branch S <= ZERO_BRANCH_TOL * (1 + c).  Works
+    elementwise on arrays and returns Python floats for scalar input.  Works
+    with squared norms: the running maximum of squares includes the current
+    square, so cur_sq <= sup_sq holds exactly in floating point and the
+    factor (= theta against the zero path) never exceeds 4.
     """
-    if sup_sq <= (ZERO_BRANCH_TOL * (1.0 + math.sqrt(cur_sq))) ** 2:
-        return 0.0, 0.0
-    value = (sup_sq - cur_sq) ** 2 / sup_sq + 2.0 * cur_sq
-    return value, 4.0 * cur_sq / sup_sq
+    sup_sq = np.asarray(sup_sq, dtype=float)
+    cur_sq = np.asarray(cur_sq, dtype=float)
+    live = sup_sq > (ZERO_BRANCH_TOL * (1.0 + np.sqrt(cur_sq))) ** 2
+    denom = np.where(live, sup_sq, 1.0)
+    value = np.where(live, (denom - cur_sq) ** 2 / denom + 2.0 * cur_sq, 0.0)
+    factor = np.where(live, 4.0 * cur_sq / denom, 0.0)
+    if value.ndim == 0:
+        return float(value), float(factor)
+    return value, factor
 
 
 def upsilon(t: float, x: Path) -> UpsilonEval:
     """Evaluate the surrogate at (t, x); dt is identically zero."""
     xt = x.value_at(t)
     cur_sq = float(np.dot(xt, xt))
-    value, factor = _surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
+    value, factor = surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
     return UpsilonEval(value=value, dx=factor * xt, dt=0.0)
 
 
@@ -83,7 +91,7 @@ def penalty_psi(t: float, x: Path, y: Path) -> PenaltyEval:
     diff = x - y
     dt_vec = diff.value_at(t)
     cur_sq = float(np.dot(dt_vec, dt_vec))
-    value, theta = _surrogate_terms(_stopped_sup_sq(diff, t, cur_sq), cur_sq)
+    value, theta = surrogate_terms(_stopped_sup_sq(diff, t, cur_sq), cur_sq)
     return PenaltyEval(value=value, theta=theta, grad=theta * dt_vec)
 
 
@@ -146,7 +154,7 @@ def lyapunov_nu(params: LyapunovParams, t: float, x: Path) -> NuEval:
     """nu(t, x) = alpha(t) * sqrt(eps^4 + surrogate(t, x)) with its derivatives."""
     xt = x.value_at(t)
     cur_sq = float(np.dot(xt, xt))
-    ups, factor = _surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
+    ups, factor = surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
     alpha = params.alpha(t)
     beta = params.beta(ups)
     # factor = theta(t, x, 0); dx = alpha/(2 beta) * theta * x(t)
@@ -200,18 +208,11 @@ def _functional_profile(name: str, x: Path, params: LyapunovParams, companion):
         x = x - Path.constant(x.grid, companion)
         name = "upsilon"
     cur_sq = np.sum(x.values ** 2, axis=1)
-    sup_sq = np.maximum.accumulate(cur_sq)
-    n = len(cur_sq)
-    values = np.zeros(n)
-    factors = np.zeros(n)
-    live = sup_sq > (ZERO_BRANCH_TOL * (1.0 + np.sqrt(cur_sq))) ** 2
-    denom = np.where(live, sup_sq, 1.0)
-    values[live] = ((denom - cur_sq) ** 2 / denom + 2.0 * cur_sq)[live]
-    factors[live] = (4.0 * cur_sq / denom)[live]
+    values, factors = surrogate_terms(np.maximum.accumulate(cur_sq), cur_sq)
     dx = factors[:, None] * x.values
 
     if name == "upsilon":
-        return values, np.zeros(n), dx
+        return values, np.zeros(len(values)), dx
     if name == "nu":
         if params is None:
             raise DomainError("nu needs LyapunovParams")

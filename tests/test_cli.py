@@ -1,5 +1,6 @@
 import io
 import json
+import os
 
 import pytest
 
@@ -7,10 +8,18 @@ from pdhj.cli import emit_summary, main, run, validate_config
 from pdhj.errors import UsageError
 
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
 def base_config(kind, **extra):
     cfg = {"schema_version": 1, "kind": kind, "seed": 3}
     cfg.update(extra)
     return cfg
+
+
+def shipped_config(name):
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        return json.load(fh)
 
 
 class TestValidation:
@@ -101,6 +110,20 @@ class TestRun:
         text_b = (tmp_path / "b" / "game-value" / "result.json").read_bytes()
         assert text_a == text_b
 
+    def test_feedback_run_with_step_bound_excess_writes_result(self, tmp_path):
+        # some steps exceed m-hat here, which once left numpy scalars in the
+        # result and crashed the JSON writer
+        cfg = shipped_config("feedback_run.json")
+        cfg["grid"]["n_steps"] = 8
+        cfg["lattice"]["points"] = [17]
+        cfg.update(partition_steps=[4, 8], budget=6, calibration_budget=4, library_size=4)
+        status = run(cfg, str(tmp_path), seed=0)
+        result = json.loads((tmp_path / cfg["name"] / "result.json").read_text())
+        stats = result["lyapunov_stats"]
+        assert stats["within_bound"] < stats["steps"]
+        assert isinstance(result["passed"], bool)
+        assert status == (0 if result["passed"] else 1)
+
     def test_manifest_written_before_failure(self, tmp_path):
         # an inner computation error still leaves the manifest behind
         cfg = base_config("solve",
@@ -152,6 +175,15 @@ class TestMain:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_config("upsilon-check")))
         assert main(["solve", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+    def test_lattice_dimension_mismatch_is_usage_error(self, tmp_path, capsys):
+        cfg = shipped_config("game_value.json")
+        cfg["lattice"] = {"lo": [-2.0, -2.0], "hi": [2.0, 2.0], "points": [9, 9]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["game-value", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+        assert "lattice.lo" in capsys.readouterr().err
+        assert not (tmp_path / cfg["name"] / "result.json").exists()
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2

@@ -206,14 +206,6 @@ class TestSampleReachableSet:
             assert np.array_equal(a.path.values, b.path.values)
             assert np.array_equal(a.path.values[: k0 + 1], hist.values[: k0 + 1])
 
-    def test_jobs_do_not_change_results(self):
-        grid = TimeGrid(0.0, 1.0, 12)
-        dyn = linear_dynamics(L=0.5)
-        serial = sample_reachable_set(dyn, 0.0, history_path(grid), 6, seed=15)
-        threaded = sample_reachable_set(dyn, 0.0, history_path(grid), 6, seed=15, jobs=3)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.path.values, b.path.values)
-
     def test_report_serializes(self):
         grid = TimeGrid(0.0, 1.0, 8)
         rep = sample_reachable_set(linear_dynamics(L=0.3), 0.0, history_path(grid), 1, seed=16)[0]

@@ -8,6 +8,7 @@ from pdhj.game import (
     FeedbackStrategy,
     GameSpec,
     StateLattice,
+    ValueTable,
     bilinear_game,
     constant_adversary,
     constant_game,
@@ -25,7 +26,7 @@ from pdhj.game import (
     simulation_grid,
 )
 from pdhj.pathcore import Path, TimeGrid
-from pdhj.upsilon import LyapunovParams
+from pdhj.upsilon import LyapunovParams, lyapunov_nu
 
 
 def one_point_path(grid, value=0.0):
@@ -153,6 +154,14 @@ class TestStateLattice:
         table = dp_value(spec, grid, small_lattice(n=5))
         # value is 2(1 - t); between nodes the linear-in-time interpolant is exact
         assert table.interp("upper", 0.375, np.array([0.0])) == pytest.approx(1.25, abs=1e-9)
+
+    def test_value_table_batch_rejects_time_outside_span(self):
+        table = dp_value(constant_game(cost=2.0), TimeGrid(0.0, 1.0, 4), small_lattice(n=5))
+        states = np.array([[0.0], [0.5]])
+        with pytest.raises(DomainError):
+            table.interp_batch("upper", 1.5, states)
+        with pytest.raises(DomainError):
+            table.interp("upper", -0.5, np.array([0.0]))
 
 
 def small_lattice(span=2.0, n=33):
@@ -305,13 +314,39 @@ def desk_setup(n_time=16, lattice_n=33, span=2.0):
 
 class TestFeedbackStrategy:
     def test_zero_difference_gradient_is_zero(self):
+        # x0 sits on the lattice point 0, so the best companion has zero
+        # difference and the gradient is that of nu at the zero path
         spec, grid, lattice, table, params = desk_setup(n_time=8)
         x0 = one_point_path(grid, 0.0)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0,
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=4, seed=0)
-        g = strategy.gradient_at(0.0, strategy.x0, np.array([0.0]))
-        assert np.all(g == 0.0)
+        decision = strategy.select(0.0, strategy.x0)
+        nu = lyapunov_nu(params, 0.0, strategy.x0 - Path.constant(strategy.x0.grid, [0.0]))
+        assert np.all(np.asarray(decision.gradient) == 0.0)
+        assert np.array_equal(np.asarray(decision.gradient), nu.dx)
+
+    def test_companion_gradient_matches_lyapunov_nu(self):
+        # make one random lattice state the cheapest companion by lowering its
+        # value; the strategy's gradient must then be d/dx nu(t, x - c)
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        rng = np.random.default_rng(7)
+        j = int(rng.integers(len(lattice.points())))
+        c = lattice.points()[j]
+        v_plus = table.v_plus.copy()
+        v_plus[:, j] = -1e3
+        rigged = ValueTable(grid=grid, lattice=lattice, v_minus=None, v_plus=v_plus)
+        strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.0),
+                                           TimeGrid(0.0, 1.0, 4),
+                                           value=rigged, library_size=4, seed=0)
+        sim = strategy.x0.grid
+        x = Path(sim, 0.5 * rng.standard_normal((sim.n_steps + 1, 1)))
+        t = 0.5
+        decision = strategy.select(t, x)
+        nu = lyapunov_nu(params, t, x - Path.constant(sim, c))
+        assert (decision.companion_kind, decision.companion_index) == ("lattice", j)
+        assert np.any(nu.dx != 0.0)
+        assert np.asarray(decision.gradient) == pytest.approx(nu.dx, rel=1e-12, abs=0.0)
 
     def test_zero_gradient_selection_is_static_minimax(self):
         # at t0 with x0 on a lattice point the best companion is x0 itself,

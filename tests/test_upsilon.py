@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pdhj.errors import ContractError, ParameterError
 from pdhj.pathcore import Path, TimeGrid, kappa_constant, stop_path, sup_norm
 from pdhj.upsilon import (
+    ZERO_BRANCH_TOL,
     LyapunovParams,
     lyapunov_nu,
     penalty_psi,
+    surrogate_terms,
     upsilon,
     verify_chain_rule,
 )
@@ -22,6 +25,66 @@ def grid(n=16, t_end=1.0):
 
 def random_path(rng, n=16, dim=2):
     return Path(grid(n), rng.standard_normal((n + 1, dim)))
+
+
+def reference_surrogate(sup_sq: float, cur_sq: float):
+    """Scalar form of the surrogate kernel, one (sup_sq, cur_sq) pair at a time.
+
+    Squares by multiplication: on Python floats ``d ** 2`` goes through libm
+    pow, which is not always correctly rounded, while numpy squares exactly
+    like ``d * d``.
+    """
+    tol = ZERO_BRANCH_TOL * (1.0 + math.sqrt(cur_sq))
+    if sup_sq <= tol * tol:
+        return 0.0, 0.0
+    d = sup_sq - cur_sq
+    return d * d / sup_sq + 2.0 * cur_sq, 4.0 * cur_sq / sup_sq
+
+
+# squared norms from the zero branch (tiny, subnormal, 0) up to large
+_SQ = st.one_of(st.floats(min_value=0.0, max_value=1e-26),
+                st.floats(min_value=0.0, max_value=1e8))
+
+
+@st.composite
+def _sq_pairs(draw):
+    """(sup_sq, cur_sq) with cur_sq <= sup_sq, often equal (a path at its peak)."""
+    a, b = draw(_SQ), draw(_SQ)
+    sup_sq, cur_sq = max(a, b), min(a, b)
+    return sup_sq, sup_sq if draw(st.booleans()) else cur_sq
+
+
+class TestSurrogateKernel:
+    @given(st.lists(_sq_pairs(), min_size=1, max_size=20))
+    def test_vectorized_matches_scalar_reference(self, pairs):
+        sup_sq = np.array([p[0] for p in pairs])
+        cur_sq = np.array([p[1] for p in pairs])
+        value, factor = surrogate_terms(sup_sq, cur_sq)
+        expected = [reference_surrogate(s, c) for s, c in pairs]
+        assert value.tolist() == [e[0] for e in expected]
+        assert factor.tolist() == [e[1] for e in expected]
+        assert all(0.0 <= f <= 4.0 for f in factor.tolist())
+
+    @given(_sq_pairs())
+    def test_scalar_input_gives_floats(self, pair):
+        value, factor = surrogate_terms(*pair)
+        assert type(value) is float and type(factor) is float
+        assert (value, factor) == reference_surrogate(*pair)
+
+    def test_branches(self):
+        # zero branch, at the peak (S = c: value 2 c^2, factor 4), below the peak
+        assert surrogate_terms(0.0, 0.0) == (0.0, 0.0)
+        assert surrogate_terms(1e-30, 1e-30) == (0.0, 0.0)
+        assert surrogate_terms(2.25, 2.25) == (4.5, 4.0)
+        assert surrogate_terms(4.0, 1.0) == (9.0 / 4.0 + 2.0, 1.0)
+
+    def test_zero_branch_boundary(self):
+        # the branch is S^2 <= (tol (1 + c))^2, inclusive; at c = 1e-15 this
+        # sits above the looser 1e-28 (1 + c^2) form by a relative 2e-15
+        tol = ZERO_BRANCH_TOL * (1.0 + 1e-15)
+        assert surrogate_terms(tol * tol, 1e-30) == (0.0, 0.0)
+        value, factor = surrogate_terms(np.nextafter(tol * tol, 1.0), 1e-30)
+        assert value > 0.0 and factor > 0.0
 
 
 class TestUpsilonValues:

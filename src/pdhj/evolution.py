@@ -29,7 +29,9 @@ class OperatorSpec:
     pairing).  Declared constants feed the hypothesis audit:
     boundedness  ||A(t,x)||_* <= a1_bound + c1 ||x||^(p-1),
     coercivity   <A(t,x), x>  >= c2 ||x||^p.
-    eval_fn must be reentrant (no hidden mutable state).
+    eval_fn must be reentrant (no hidden mutable state).  The optional
+    eval_batch maps (t, V) with V of shape (N, dim) to the N rows A(t, V[n]),
+    each computed exactly as eval_fn would.
     """
 
     space: StateSpace
@@ -38,6 +40,7 @@ class OperatorSpec:
     c2: float
     a1_bound: float = 0.0
     kind: str = "custom"
+    eval_batch: object = None
 
     def __post_init__(self):
         if self.c1 < 0 or self.a1_bound < 0:
@@ -51,17 +54,35 @@ class OperatorSpec:
             raise DomainError(f"operator returned shape {out.shape}, expected ({self.space.dim},)")
         return out
 
+    def batch(self, t: float, V: np.ndarray) -> np.ndarray:
+        """A(t, .) on each row of V, shape (N, dim); rows go through __call__
+        when no eval_batch is set."""
+        if self.eval_batch is None:
+            out = np.empty(V.shape)
+            for n, row in enumerate(V):
+                out[n] = self(t, row)
+            return out
+        out = np.asarray(self.eval_batch(t, V), dtype=float)
+        if out.shape != V.shape:
+            raise DomainError(f"operator batch returned shape {out.shape}, expected {V.shape}")
+        return out
+
 
 def make_linear_operator(dim: int = 1, gain: float = 1.0) -> OperatorSpec:
     """A(t, x) = gain * x with p = 2; coercive with c2 = gain for gain > 0."""
     space = StateSpace(dim=dim, p_exp=2.0)
+
+    def scaled(t, v):  # elementwise, so one row or a stack of rows alike
+        return gain * v
+
     return OperatorSpec(
         space=space,
-        eval_fn=lambda t, v: gain * v,
+        eval_fn=scaled,
         c1=abs(gain),
         c2=gain if gain > 0 else 1e-30,
         a1_bound=0.0,
         kind="linear",
+        eval_batch=scaled,
     )
 
 
@@ -275,6 +296,87 @@ def _implicit_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarra
             if tau < 1e-12:
                 break
     raise SolverError(f"implicit step failed to converge at step {step_index}", step_index)
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X as the one-row dot product that
+    np.linalg.norm takes, so each entry matches its value for that row
+    (np.linalg.norm(X, axis=1) sums the squares another way)."""
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
+def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np.ndarray,
+                         guesses: np.ndarray, tols: np.ndarray, step_index: int):
+    """_implicit_step on each row of targets and guesses, shape (M, dim).
+
+    Returns (xi, iters, res) with shapes (M, dim), (M,), (M,).  A masked
+    damped Newton repeats _implicit_step's arithmetic lane by lane: the same
+    finite-difference Jacobian and step, one line-search schedule for all
+    lanes with the same acceptance test, and one batched solve; so each lane
+    ends bit-identical to a scalar call.  A lane that stalls (a singular
+    Jacobian, an exhausted line search, or NEWTON_MAX_ITER iterations) is
+    rerun whole by _implicit_step, which owns the bisection and relaxation
+    fallbacks and SolverError.
+    """
+    targets = np.asarray(targets, dtype=float)
+    guesses = np.asarray(guesses, dtype=float)
+    m, dim = targets.shape
+    xi = guesses.copy()
+    tols = np.broadcast_to(np.asarray(tols, dtype=float), (m,))
+    iters = np.zeros(m, dtype=int)
+    res = np.zeros(m)
+    stalled = []
+
+    def g(X, lanes):
+        return X + dt * op.batch(t_next, X) - targets[lanes]
+
+    lanes = np.arange(m)
+    gx = g(xi, lanes)
+    for _ in range(NEWTON_MAX_ITER):
+        r = _row_norms(gx)
+        done = r <= tols[lanes]
+        res[lanes[done]] = r[done]
+        lanes, gx, r = lanes[~done], gx[~done], r[~done]
+        if not lanes.size:
+            break
+        iters[lanes] += 1
+        X = xi[lanes]
+        fd = 1e-7 * (1.0 + _row_norms(X))
+        jac = np.empty((len(lanes), dim, dim))
+        for j in range(dim):
+            e = np.zeros_like(X)
+            e[:, j] = fd
+            jac[:, :, j] = (g(X + e, lanes) - gx) / fd[:, None]
+        ok = np.ones(len(lanes), dtype=bool)
+        try:
+            step = np.linalg.solve(jac, -gx[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:  # find the singular lanes one by one
+            step = np.zeros_like(X)
+            for n in range(len(lanes)):
+                try:
+                    step[n] = np.linalg.solve(jac[n], -gx[n])
+                except np.linalg.LinAlgError:
+                    ok[n] = False
+        pending = ok.copy()
+        lam = 1.0
+        while lam >= 1e-6 and pending.any():
+            idx = np.flatnonzero(pending)
+            trial = X[idx] + lam * step[idx]
+            gt = g(trial, lanes[idx])
+            accept = _row_norms(gt) <= (1.0 - 0.25 * lam) * r[idx]
+            X[idx[accept]] = trial[accept]
+            gx[idx[accept]] = gt[accept]
+            pending[idx[accept]] = False
+            lam *= 0.5
+        xi[lanes] = X
+        moved = ok & ~pending
+        stalled.extend(lanes[~moved])
+        lanes, gx = lanes[moved], gx[moved]
+    stalled.extend(lanes)
+    for n in stalled:
+        xi[n], iters[n], res[n] = _implicit_step(op, t_next, dt, targets[n], guesses[n],
+                                                 float(tols[n]), step_index)
+    return xi, iters, res
 
 
 def _bisect_step(g, target, tol, step_index, iters):

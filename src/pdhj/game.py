@@ -23,12 +23,13 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import DelayDynamics, _implicit_step, make_linear_operator, \
-    sample_reachable_set
+from .evolution import DelayDynamics, _implicit_step, _implicit_step_batch, _row_norms, \
+    make_linear_operator, sample_reachable_set
 from .pathcore import Path, TimeGrid, extend_history, stopped_at, sup_norm
 from .upsilon import LyapunovParams, surrogate_terms
 
 STEP_SOLVE_TOL = 1e-11
+COVERAGE_TOL = 1e-9  # states farther than this outside the lattice box are refused
 
 
 # ---------------------------------------------------------------------------
@@ -223,14 +224,20 @@ class StateLattice:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "shape", shape)
+        # built once and shared read-only; not a field, so eq, hash and repr ignore it
+        axes = tuple(np.linspace(l, h, s) for l, h, s in zip(lo, hi, shape))
+        for axis in axes:
+            axis.setflags(write=False)
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def dim(self) -> int:
         return len(self.shape)
 
     @property
-    def axes(self) -> list:
-        return [np.linspace(l, h, s) for l, h, s in zip(self.lo, self.hi, self.shape)]
+    def axes(self) -> tuple:
+        """One shared read-only coordinate array per dimension."""
+        return self._axes
 
     @property
     def spacing(self) -> tuple:
@@ -241,6 +248,12 @@ class StateLattice:
         mesh = np.meshgrid(*self.axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
 
+    def coverage_margins(self, states: np.ndarray) -> np.ndarray:
+        """How far each row of states lies outside the lattice box (0 inside)."""
+        over = np.maximum(states - np.asarray(self.hi), 0.0)
+        under = np.maximum(np.asarray(self.lo) - states, 0.0)
+        return np.max(over + under, axis=1)
+
     def interpolate_batch(self, values: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of a lattice field at many states.
 
@@ -248,18 +261,14 @@ class StateLattice:
         (silent clamping would corrupt value comparisons).
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        over = np.maximum(states - np.asarray(self.hi), 0.0)
-        under = np.maximum(np.asarray(self.lo) - states, 0.0)
-        worst = float(np.max(over + under))
-        if worst > 1e-9:
-            raise LatticeCoverageError(
-                f"state leaves the lattice by {worst:.6e}; expand bounds by at least that margin",
-                margin=worst)
-        out = np.zeros(len(states))
+        worst = float(np.max(self.coverage_margins(states)))
+        if worst > COVERAGE_TOL:
+            raise _coverage_error(worst)
+        axes = self.axes
         idx = []
         wts = []
         for d in range(self.dim):
-            axis = self.axes[d]
+            axis = axes[d]
             pos = np.clip((states[:, d] - axis[0]) / (axis[1] - axis[0]), 0.0, self.shape[d] - 1)
             base = np.minimum(pos.astype(int), self.shape[d] - 2)
             idx.append(base)
@@ -278,6 +287,12 @@ class StateLattice:
 
     def interpolate(self, values: np.ndarray, state) -> float:
         return float(self.interpolate_batch(values, np.atleast_1d(state)[None, :])[0])
+
+
+def _coverage_error(margin: float) -> LatticeCoverageError:
+    return LatticeCoverageError(
+        f"state leaves the lattice by {margin:.6e}; expand bounds by at least that margin",
+        margin=margin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,41 +383,51 @@ def _lift_paths(lattice: StateLattice, grid: TimeGrid) -> list:
 
 def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
               v_minus_next, v_plus_next, lifts):
-    """One backward step: returns (v_minus_k, v_plus_k) lattice arrays."""
+    """One backward step: returns (v_minus_k, v_plus_k) lattice arrays.
+
+    The slice is one array program over its (point, p, q) cells.  The drift
+    and stage-cost callbacks run per cell, because they take stopped paths;
+    then one batched implicit step, one interpolation per side, and the
+    min/max as axis reductions.  A successor off the lattice raises for the
+    first such cell in (point, p, q) order.  Errors of other kinds come in
+    phase order: every callback runs before any implicit step.
+    """
     nodes = grid.nodes
     t_k, t_k1 = nodes[k], nodes[k + 1]
     dt = t_k1 - t_k
-    n_p, n_q = spec.controls.n_p, spec.controls.n_q
+    controls = spec.controls
     points = lattice.points()
-    out_minus = np.empty(len(points)) if v_minus_next is not None else None
-    out_plus = np.empty(len(points)) if v_plus_next is not None else None
-    op = spec.dyn.op
-    for idx, (point, lift) in enumerate(zip(points, lifts)):
-        obj_minus = np.empty((n_p, n_q)) if out_minus is not None else None
-        obj_plus = np.empty((n_p, n_q)) if out_plus is not None else None
-        for i, p in enumerate(spec.controls.p_points):
-            for j, q in enumerate(spec.controls.q_points):
-                f = spec.drift(t_k, lift, p, q)
-                target = point + dt * f
-                tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(point)))
-                succ, _, _ = _implicit_step(op, t_k1, dt, target, point, tol, k)
-                stage = dt * spec.stage_cost(t_k, lift, p, q)
-                try:
-                    if obj_minus is not None:
-                        obj_minus[i, j] = stage + lattice.interpolate(v_minus_next, succ)
-                    if obj_plus is not None:
-                        obj_plus[i, j] = stage + lattice.interpolate(v_plus_next, succ)
-                except LatticeCoverageError as err:
-                    raise LatticeCoverageError(
-                        f"successor left the lattice at time index {k} "
-                        f"(state {point}, p={p!r}, q={q!r}): {err}", margin=err.margin)
-        if out_minus is not None:
-            out_minus[idx] = np.max(np.min(obj_minus, axis=0))
-        if out_plus is not None:
-            out_plus[idx] = np.min(np.max(obj_plus, axis=1))
-    shape = lattice.shape
-    return (out_minus.reshape(shape) if out_minus is not None else None,
-            out_plus.reshape(shape) if out_plus is not None else None)
+    n_points, dim = points.shape
+    cells = (n_points, controls.n_p, controls.n_q)
+    drift = np.empty(cells + (dim,))
+    cost = np.empty(cells)
+    for idx, lift in enumerate(lifts):
+        for i, p in enumerate(controls.p_points):
+            for j, q in enumerate(controls.q_points):
+                drift[idx, i, j] = spec.drift(t_k, lift, p, q)
+                cost[idx, i, j] = spec.stage_cost(t_k, lift, p, q)
+    starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
+    targets = (points[:, None, None, :] + dt * drift).reshape(-1, dim)
+    tols = np.repeat(STEP_SOLVE_TOL * (1.0 + _row_norms(points)), controls.n_p * controls.n_q)
+    succ, _, _ = _implicit_step_batch(spec.dyn.op, t_k1, dt, targets, starts, tols, k)
+    margins = lattice.coverage_margins(succ)
+    off = np.flatnonzero(margins > COVERAGE_TOL)
+    if off.size:
+        idx, i, j = np.unravel_index(off[0], cells)
+        err = _coverage_error(float(margins[off[0]]))
+        raise LatticeCoverageError(
+            f"successor left the lattice at time index {k} (state {points[idx]}, "
+            f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {err}",
+            margin=err.margin)
+    stage = dt * cost
+    out_minus = out_plus = None
+    if v_minus_next is not None:  # maximizer commits first: max over q of min over p
+        obj = stage + lattice.interpolate_batch(v_minus_next, succ).reshape(cells)
+        out_minus = obj.min(axis=1).max(axis=1).reshape(lattice.shape)
+    if v_plus_next is not None:  # minimizer commits first: min over p of max over q
+        obj = stage + lattice.interpolate_batch(v_plus_next, succ).reshape(cells)
+        out_plus = obj.max(axis=2).min(axis=1).reshape(lattice.shape)
+    return out_minus, out_plus
 
 
 def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
@@ -788,12 +813,13 @@ def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
         dt = lookahead if lookahead is not None else value.grid.mesh
         dt = min(dt, value.grid.t_end - t)
         state = x.value_at(t)
+        k = x.grid.node_index(t)
         best_j, best_val = 0, -np.inf
         for j, q in enumerate(spec.controls.q_points):
             f = spec.drift(t, x, p, q)
             target = state + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
-            succ, _, _ = _implicit_step(spec.dyn.op, t + dt, dt, target, state, tol, 0)
+            succ, _, _ = _implicit_step(spec.dyn.op, t + dt, dt, target, state, tol, k)
             val = dt * spec.stage_cost(t, x, p, q) + value.interp(side, t + dt, succ)
             if val > best_val + 1e-15:
                 best_j, best_val = j, val

@@ -45,13 +45,18 @@ class TimeGrid:
         if self.n_steps < 1:
             raise DomainError(f"need n_steps >= 1, got {self.n_steps}")
         if self.explicit_nodes is not None:
-            nodes = np.asarray(self.explicit_nodes, dtype=float)
+            nodes = np.array(self.explicit_nodes, dtype=float)
             if len(nodes) != self.n_steps + 1:
                 raise DomainError("explicit node count does not match n_steps + 1")
             if not np.all(np.diff(nodes) > 0):
                 raise DomainError("nodes must be strictly increasing")
             if abs(nodes[0] - self.t_start) > _NODE_TOL or abs(nodes[-1] - self.t_end) > _NODE_TOL:
                 raise DomainError("explicit nodes must span [t_start, t_end]")
+        else:
+            nodes = np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+        # built once and shared read-only; not a field, so eq, hash and repr ignore it
+        nodes.setflags(write=False)
+        object.__setattr__(self, "_nodes", nodes)
 
     @classmethod
     def from_nodes(cls, nodes) -> "TimeGrid":
@@ -60,9 +65,8 @@ class TimeGrid:
 
     @property
     def nodes(self) -> np.ndarray:
-        if self.explicit_nodes is not None:
-            return np.asarray(self.explicit_nodes, dtype=float)
-        return np.linspace(self.t_start, self.t_end, self.n_steps + 1)
+        """The node times, one shared read-only array."""
+        return self._nodes
 
     @property
     def mesh(self) -> float:

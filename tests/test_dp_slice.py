@@ -1,0 +1,221 @@
+"""The batched DP slice and implicit step against the scalar loops they replace."""
+
+import numpy as np
+import pytest
+
+from pdhj import evolution
+from pdhj.errors import LatticeCoverageError, SolverError
+from pdhj.evolution import (
+    DelayDynamics,
+    OperatorSpec,
+    _implicit_step,
+    _implicit_step_batch,
+    build_p_laplacian,
+    make_linear_operator,
+)
+from pdhj.game import (
+    STEP_SOLVE_TOL,
+    ControlGrid,
+    GameSpec,
+    StateLattice,
+    _dp_slice,
+    _lift_paths,
+    bilinear_game,
+    constant_game,
+    dp_value,
+    greedy_adversary,
+    isaacs_game,
+)
+from pdhj.pathcore import Path, StateSpace, TimeGrid
+
+
+def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts):
+    """The per-(point, p, q) loop that _dp_slice replaced, kept verbatim."""
+    nodes = grid.nodes
+    t_k, t_k1 = nodes[k], nodes[k + 1]
+    dt = t_k1 - t_k
+    n_p, n_q = spec.controls.n_p, spec.controls.n_q
+    points = lattice.points()
+    out_minus = np.empty(len(points)) if v_minus_next is not None else None
+    out_plus = np.empty(len(points)) if v_plus_next is not None else None
+    op = spec.dyn.op
+    for idx, (point, lift) in enumerate(zip(points, lifts)):
+        obj_minus = np.empty((n_p, n_q)) if out_minus is not None else None
+        obj_plus = np.empty((n_p, n_q)) if out_plus is not None else None
+        for i, p in enumerate(spec.controls.p_points):
+            for j, q in enumerate(spec.controls.q_points):
+                f = spec.drift(t_k, lift, p, q)
+                target = point + dt * f
+                tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(point)))
+                succ, _, _ = _implicit_step(op, t_k1, dt, target, point, tol, k)
+                stage = dt * spec.stage_cost(t_k, lift, p, q)
+                try:
+                    if obj_minus is not None:
+                        obj_minus[i, j] = stage + lattice.interpolate(v_minus_next, succ)
+                    if obj_plus is not None:
+                        obj_plus[i, j] = stage + lattice.interpolate(v_plus_next, succ)
+                except LatticeCoverageError as err:
+                    raise LatticeCoverageError(
+                        f"successor left the lattice at time index {k} "
+                        f"(state {point}, p={p!r}, q={q!r}): {err}", margin=err.margin)
+        if out_minus is not None:
+            out_minus[idx] = np.max(np.min(obj_minus, axis=0))
+        if out_plus is not None:
+            out_plus[idx] = np.min(np.max(obj_plus, axis=1))
+    shape = lattice.shape
+    return (out_minus.reshape(shape) if out_minus is not None else None,
+            out_plus.reshape(shape) if out_plus is not None else None)
+
+
+def planar_game():
+    op = make_linear_operator(dim=2, gain=1.0)
+    dyn = DelayDynamics(op=op, rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
+                        lipschitz_L=0.8)
+    return GameSpec(
+        dyn=dyn,
+        running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
+        terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
+        controls=ControlGrid(p_points=(-1.0, 0.0, 1.0), q_points=(-1.0, 1.0)),
+        l_f=0.8, lambda_L=0.3, name="planar")
+
+
+def both_slices(spec, grid, lattice, k, next_values):
+    """(batched, reference) slices at k from next_values, both sides."""
+    lifts = _lift_paths(lattice, grid)
+    return (_dp_slice(spec, grid, lattice, k, next_values, next_values, lifts),
+            _dp_slice_reference(spec, grid, lattice, k, next_values, next_values, lifts))
+
+
+def random_field(lattice, seed):
+    return np.random.default_rng(seed).standard_normal(lattice.shape)
+
+
+class TestBatchedSlice:
+    @pytest.mark.parametrize("make", [isaacs_game, bilinear_game, constant_game])
+    def test_bit_identical_on_1d_games(self, make):
+        spec = make()
+        grid = TimeGrid(0.0, 1.0, 8)
+        lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,))
+        for k in (0, 3, 7):
+            (m, p), (m_ref, p_ref) = both_slices(spec, grid, lattice, k,
+                                                 random_field(lattice, k))
+            assert np.array_equal(m, m_ref)
+            assert np.array_equal(p, p_ref)
+
+    def test_one_side_only(self):
+        spec = isaacs_game()
+        grid = TimeGrid(0.0, 1.0, 4)
+        lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,))
+        lifts = _lift_paths(lattice, grid)
+        vals = random_field(lattice, 5)
+        m, p = _dp_slice(spec, grid, lattice, 1, vals, None, lifts)
+        assert p is None
+        assert np.array_equal(m, _dp_slice_reference(spec, grid, lattice, 1, vals, None,
+                                                     lifts)[0])
+        m, p = _dp_slice(spec, grid, lattice, 1, None, vals, lifts)
+        assert m is None
+        assert np.array_equal(p, _dp_slice_reference(spec, grid, lattice, 1, None, vals,
+                                                     lifts)[1])
+
+    def test_2d_lattice_agrees(self):
+        spec = planar_game()
+        grid = TimeGrid(0.0, 1.0, 4)
+        lattice = StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(7, 9))
+        for k in (0, 2, 3):
+            (m, p), (m_ref, p_ref) = both_slices(spec, grid, lattice, k,
+                                                 random_field(lattice, k))
+            assert m.shape == p.shape == (7, 9)
+            assert np.max(np.abs(m - m_ref)) <= 1e-12
+            assert np.max(np.abs(p - p_ref)) <= 1e-12
+
+    def test_scalar_fallback_lanes(self, monkeypatch):
+        # no Newton iteration is allowed, so every lane stalls and is rerun by
+        # the scalar step (bisection in one dimension, relaxation in two)
+        monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", 0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        cases = [(isaacs_game(), StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,))),
+                 (planar_game(), StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(5, 5)))]
+        for spec, lattice in cases:
+            (m, p), (m_ref, p_ref) = both_slices(spec, grid, lattice, 2,
+                                                 random_field(lattice, 2))
+            assert np.array_equal(m, m_ref)
+            assert np.array_equal(p, p_ref)
+
+    def test_dp_value_matches_reference_recursion(self):
+        spec = isaacs_game()
+        grid = TimeGrid(0.0, 1.0, 6)
+        lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,))
+        table = dp_value(spec, grid, lattice)
+        lifts = _lift_paths(lattice, grid)
+        for k in range(grid.n_steps):
+            m_ref, p_ref = _dp_slice_reference(spec, grid, lattice, k, table.v_minus[k + 1],
+                                               table.v_plus[k + 1], lifts)
+            assert np.array_equal(table.v_minus[k], m_ref)
+            assert np.array_equal(table.v_plus[k], p_ref)
+
+
+class TestCoverageError:
+    @pytest.mark.parametrize("lo,hi", [(-0.05, 0.05), (-0.2, 0.05)])
+    def test_names_first_offending_cell_like_reference(self, lo, hi):
+        # (-0.2, 0.05): the first offending cell leaves by less than the worst one
+        spec = isaacs_game(scale=4.0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        tight = StateLattice(lo=(lo,), hi=(hi,), shape=(5,))
+        lifts = _lift_paths(tight, grid)
+        terminal = np.zeros(tight.shape)
+        with pytest.raises(LatticeCoverageError) as ref:
+            _dp_slice_reference(spec, grid, tight, 3, terminal, terminal, lifts)
+        with pytest.raises(LatticeCoverageError) as got:
+            _dp_slice(spec, grid, tight, 3, terminal, terminal, lifts)
+        assert str(got.value) == str(ref.value)
+        assert got.value.margin == ref.value.margin
+        with pytest.raises(LatticeCoverageError) as whole:
+            dp_value(spec, grid, tight)
+        assert str(whole.value) == str(ref.value)
+
+
+class TestImplicitStepBatch:
+    @pytest.mark.parametrize("op", [make_linear_operator(1, 1.0),
+                                    make_linear_operator(2, 1.5),
+                                    build_p_laplacian(4, 3.0)],
+                             ids=["linear-1", "linear-2", "p-laplacian"])
+    def test_lanes_match_scalar_step(self, op):
+        rng = np.random.default_rng(7)
+        dim = op.space.dim
+        targets = rng.standard_normal((40, dim)) * rng.choice([0.1, 1.0, 5.0], size=(40, 1))
+        guesses = rng.standard_normal((40, dim))
+        tols = STEP_SOLVE_TOL * (1.0 + np.linalg.norm(guesses, axis=1))
+        xi, iters, res = _implicit_step_batch(op, 0.5, 0.125, targets, guesses, tols, 3)
+        assert (op.eval_batch is None) == (op.kind == "p-laplacian-1d")
+        for n in range(len(targets)):
+            x_ref, it_ref, res_ref = _implicit_step(op, 0.5, 0.125, targets[n], guesses[n],
+                                                    tols[n], 3)
+            assert np.array_equal(xi[n], x_ref)
+            assert iters[n] == it_ref
+            assert res[n] == res_ref
+
+    def test_stalled_lane_raises_scalar_solver_error(self):
+        space = StateSpace(dim=1, p_exp=2.0)
+        broken = OperatorSpec(space=space, eval_fn=lambda t, v: np.full_like(v, np.nan),
+                              c1=1.0, c2=1.0)
+        with pytest.raises(SolverError) as err:
+            _implicit_step_batch(broken, 0.5, 0.125, np.ones((3, 1)), np.zeros((3, 1)),
+                                 np.full(3, 1e-11), 6)
+        assert err.value.step_index == 6
+
+
+def test_greedy_adversary_reports_node_index():
+    spec = isaacs_game()
+    grid = TimeGrid(0.0, 1.0, 8)
+    table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,)))
+    broken = OperatorSpec(space=spec.dyn.op.space, eval_fn=lambda t, v: np.full_like(v, np.nan),
+                          c1=1.0, c2=1.0)
+    bad = GameSpec(dyn=DelayDynamics(op=broken, rhs=spec.dyn.rhs,
+                                     lipschitz_L=spec.dyn.lipschitz_L),
+                   running_cost=spec.running_cost, terminal_cost=spec.terminal_cost,
+                   controls=spec.controls, l_f=spec.l_f, lambda_L=spec.lambda_L)
+    policy = greedy_adversary(bad, table)
+    x = Path.constant(grid, [0.1])
+    with pytest.raises(SolverError) as err:
+        policy(grid.nodes[3], x, 0)
+    assert err.value.step_index == 3

@@ -139,6 +139,15 @@ class TestStateLattice:
             lat.interpolate(np.zeros(5), np.array([1.5]))
         assert err.value.margin == pytest.approx(0.5)
 
+    def test_axes_built_once_and_read_only(self):
+        lat = StateLattice(lo=(-1.0, 0.0), hi=(1.0, 2.0), shape=(5, 3))
+        assert lat.axes is lat.axes
+        assert np.array_equal(lat.axes[1], [0.0, 1.0, 2.0])
+        with pytest.raises(ValueError):
+            lat.axes[0][0] = 3.0
+        assert lat == StateLattice(lo=(-1.0, 0.0), hi=(1.0, 2.0), shape=(5, 3))
+        assert hash(lat) == hash(StateLattice(lo=(-1.0, 0.0), hi=(1.0, 2.0), shape=(5, 3)))
+
     def test_dim_cap(self):
         with pytest.raises(DomainError):
             StateLattice(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0), shape=(3, 3, 3))

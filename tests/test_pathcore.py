@@ -41,6 +41,28 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             TimeGrid.from_nodes([0.0, 0.5, 0.5, 1.0])
 
+    def test_nodes_built_once_and_read_only(self):
+        grid = TimeGrid(0.0, 1.0, 8)
+        assert grid.nodes is grid.nodes
+        assert np.array_equal(grid.nodes, np.linspace(0.0, 1.0, 9))
+        with pytest.raises(ValueError):
+            grid.nodes[0] = 5.0
+        assert grid == TimeGrid(0.0, 1.0, 8)
+        assert hash(grid) == hash(TimeGrid(0.0, 1.0, 8))
+        assert repr(grid) == "TimeGrid(t_start=0.0, t_end=1.0, n_steps=8)"
+
+    def test_explicit_nodes_cached_without_aliasing(self):
+        given = np.array([0.0, 0.1, 0.5, 1.0])
+        grid = TimeGrid(0.0, 1.0, 3, explicit_nodes=given)
+        assert grid.nodes is grid.nodes
+        assert np.array_equal(grid.nodes, given)
+        assert given.flags.writeable  # the caller's array is copied, not frozen
+        with pytest.raises(ValueError):
+            grid.nodes[1] = 0.2
+        listed = TimeGrid.from_nodes([0.0, 0.1, 0.5, 1.0])
+        assert listed == TimeGrid.from_nodes((0.0, 0.1, 0.5, 1.0))
+        assert listed.node_index(0.1) == 1
+
     def test_refine_keeps_nodes(self):
         grid = TimeGrid(0.0, 1.0, 4)
         fine = grid.refine(2)

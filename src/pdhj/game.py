@@ -295,6 +295,15 @@ def _coverage_error(margin: float) -> LatticeCoverageError:
         margin=margin)
 
 
+def is_upper_side(side: str) -> bool:
+    """True for "upper"/"plus", False for "lower"/"minus"; any other name is refused."""
+    if side in ("upper", "plus"):
+        return True
+    if side in ("lower", "minus"):
+        return False
+    raise DomainError(f"unknown side {side!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ValueTable:
     """Lower/upper game values on (time nodes) x (state lattice)."""
@@ -306,15 +315,13 @@ class ValueTable:
     metadata: dict = field(default_factory=dict)
 
     def side_values(self, side: str) -> np.ndarray:
-        if side in ("upper", "plus"):
+        if is_upper_side(side):
             if self.v_plus is None:
                 raise ConfigurationError("table holds no upper values")
             return self.v_plus
-        if side in ("lower", "minus"):
-            if self.v_minus is None:
-                raise ConfigurationError("table holds no lower values")
-            return self.v_minus
-        raise DomainError(f"unknown side {side!r}")
+        if self.v_minus is None:
+            raise ConfigurationError("table holds no lower values")
+        return self.v_minus
 
     def interp(self, side: str, t: float, state) -> float:
         """interp_batch at a single state."""
@@ -476,7 +483,7 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
 def recompute_slice(table: ValueTable, spec: GameSpec, k: int, side: str) -> np.ndarray:
     """Redo the backward step at time index k from slice k+1 (bit-exact check)."""
     lifts = _lift_paths(table.lattice, table.grid)
-    if side in ("upper", "plus"):
+    if is_upper_side(side):
         _, out = _dp_slice(spec, table.grid, table.lattice, k, None,
                            table.v_plus[k + 1], lifts)
     else:
@@ -510,17 +517,6 @@ def measurable_selection(h_grid: np.ndarray, epsilon: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # extremal-shift feedback strategy
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StepDecision:
-    """One feedback decision: chosen control index and companion diagnostics."""
-
-    p_index: int
-    u_shifted: float
-    companion_kind: str
-    companion_index: int
-    gradient: tuple
-
 
 class FeedbackStrategy:
     """Extremal-shift feedback for the minimizing player.
@@ -559,33 +555,40 @@ class FeedbackStrategy:
         self._library_values = np.stack([y.values for y in self.library], axis=1) \
             if self.library else None
 
-    def _probe_offsets(self, t: float, dim: int):
-        """Admissible terminal offsets: +/- scaled eps^2 steps per coordinate,
-        capped by the forcing slack accumulated since t0."""
+    def _probe_offsets(self, t: float, dim: int) -> np.ndarray:
+        """Admissible terminal offsets, shape (n, dim): +/- scaled eps^2 steps per
+        coordinate, capped by the forcing slack accumulated since t0."""
         budget = self.PROBE_BUDGET_RATE * self.spec.l_f * max(t - self.t0, 0.0)
-        if budget <= 0.0:
-            return []
         eps_sq = self.params.epsilon ** 2
-        offsets = []
-        for scale in self.PROBE_SCALES:
-            s = min(scale * eps_sq, budget)
-            if s <= 0.0:
-                continue
-            for d in range(dim):
-                for sign in (1.0, -1.0):
-                    e = np.zeros(dim)
-                    e[d] = sign * s
-                    offsets.append(e)
-        return offsets
+        steps = [min(scale * eps_sq, budget) for scale in self.PROBE_SCALES]
+        steps = np.array([s for s in steps if s > 0.0])
+        offsets = np.zeros((len(steps), dim, 2, dim))  # (scale, coordinate, sign, coordinate)
+        for d in range(dim):
+            offsets[:, d, 0, d] = steps
+            offsets[:, d, 1, d] = -steps
+        return offsets.reshape(-1, dim)
 
-    def _companion_minimum(self, t: float, x: Path):
+    def _probe_candidates(self, t: float, state: np.ndarray):
+        """(kept indices, offsets, values) of the probes state - offset on the lattice.
+
+        A probe is kept where interpolate_batch would accept it; the indices are
+        Python ints into _probe_offsets(t, dim).
+        """
+        offsets = self._probe_offsets(t, len(state))
+        probes = state - offsets
+        kept = np.flatnonzero(self.value.lattice.coverage_margins(probes) <= COVERAGE_TOL)
+        u_vals = self.value.interp_batch(self.side, t, probes[kept]) if kept.size else np.empty(0)
+        return kept.tolist(), offsets[kept], u_vals
+
+    def companion_minimum(self, t: float, x: Path):
         """Approximate argmin of u + nu; returns (total, kind, index, gradient).
 
-        The trace (zero difference, gradient 0) is the first candidate; each
-        further kind is scored by one surrogate_terms call over its difference
-        paths, held as (node, candidate, coordinate) arrays ending at t.  A
-        candidate replaces the best only when strictly smaller, so ties keep
-        the earlier kind and the smaller index.
+        The total is the shifted value u_a(t, x).  The trace (zero difference,
+        gradient 0) is the first candidate; each further kind is scored by one
+        surrogate_terms call over its difference paths, held as (node,
+        candidate, coordinate) arrays ending at t.  A candidate replaces the
+        best only when strictly smaller, so ties keep the earlier kind and the
+        smaller index.
         """
         k = x.grid.node_index(t)
         X = x.values[: k + 1]
@@ -608,16 +611,9 @@ class FeedbackStrategy:
 
         # probes: trace plus a gradual drift to offset o; the difference path
         # rises to |o| at time t, so its last row alone carries sup = cur = |o|
-        kept, offsets, u_vals = [], [], []
-        for i, o in enumerate(self._probe_offsets(t, x.dim)):
-            try:
-                u_vals.append(self.value.interp(self.side, t, trace_state - o))
-            except LatticeCoverageError:
-                continue
-            kept.append(i)
-            offsets.append(o)
+        kept, offsets, u_vals = self._probe_candidates(t, trace_state)
         if kept:
-            consider("probe", kept, np.array(offsets)[None, :, :], np.array(u_vals))
+            consider("probe", kept, offsets[None, :, :], u_vals)
 
         points = self._lattice_points
         consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
@@ -629,17 +625,11 @@ class FeedbackStrategy:
                      self.value.interp_batch(self.side, t, lib[-1]))
         return best
 
-    def shifted_value(self, t: float, x: Path) -> float:
-        """u_a(t, x) = min over companion candidates of u + nu."""
-        return self._companion_minimum(t, x)[0]
-
-    def select(self, t: float, x: Path) -> StepDecision:
-        """Decide the control index at node (t, x); deterministic, smallest-index ties."""
-        best_val, kind, index, g = self._companion_minimum(t, x)
-        M = self.spec.stage_matrix(t, x, g)
-        p_index = int(np.argmin(M.max(axis=1)))
-        return StepDecision(p_index=p_index, u_shifted=best_val, companion_kind=kind,
-                            companion_index=index, gradient=tuple(float(v) for v in g))
+    def select(self, t: float, x: Path, companion) -> int:
+        """Control index at node (t, x) aimed by the companion_minimum(t, x) tuple;
+        deterministic, smallest-index ties."""
+        M = self.spec.stage_matrix(t, x, companion[3])
+        return int(np.argmin(M.max(axis=1)))
 
 
 def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
@@ -734,7 +724,8 @@ def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
     it sees the committed p, consistent with the upper-value commit order.
     Both controls are held on the cell while the state integrates on the finer
     simulation grid.  Per-step records hold the shifted-value increments used
-    by the Lyapunov diagnostic.
+    by the Lyapunov diagnostic.  The companion minimum is found once per
+    partition node: the one found after a step aims the next step's control.
     """
     inner = strategy.x0.grid
     nodes = inner.nodes
@@ -742,13 +733,12 @@ def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
     part_nodes = partition.nodes
     p_indices, q_indices, records = [], [], []
     running = 0.0
-    u_prev = None
+    x_now = stopped_at(inner, values, inner.node_index(part_nodes[0]))
+    companion = strategy.companion_minimum(part_nodes[0], x_now)
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        x_now = stopped_at(inner, values, ka)
-        decision = strategy.select(t_i, x_now)
-        p_idx = decision.p_index
+        p_idx = strategy.select(t_i, x_now, companion)
         q_idx = int(adversary(t_i, x_now, p_idx))
         p = spec.controls.p_points[p_idx]
         q = spec.controls.q_points[q_idx]
@@ -763,19 +753,19 @@ def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
             values[k + 1], _, _ = _implicit_step(spec.dyn.op, nodes[k + 1], dt,
                                                  target, values[k], tol, k)
         running += step_cost
-        u_here = decision.u_shifted if u_prev is None else u_prev
-        u_next = strategy.shifted_value(t_i1, stopped_at(inner, values, kb))
+        x_next = stopped_at(inner, values, kb)
+        after = strategy.companion_minimum(t_i1, x_next)
         records.append({
             "t": float(t_i),
             "dt": float(t_i1 - t_i),
             "step_cost": step_cost,
-            "u_shifted_before": u_here,
-            "u_shifted_after": u_next,
-            "residual": step_cost + u_next - u_here,
-            "companion_kind": decision.companion_kind,
-            "companion_index": decision.companion_index,
+            "u_shifted_before": companion[0],
+            "u_shifted_after": after[0],
+            "residual": step_cost + after[0] - companion[0],
+            "companion_kind": companion[1],
+            "companion_index": companion[2],
         })
-        u_prev = u_next
+        x_now, companion = x_next, after
         p_indices.append(p_idx)
         q_indices.append(q_idx)
     final_path = Path(inner, values)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .evolution import DelayDynamics, sample_reachable_set, solve_delay_evolution
-from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, \
+from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, is_upper_side, \
     with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, extend_history, stopped_at
 
@@ -93,12 +93,13 @@ def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
     The lower Hamiltonian mirrors this with q committing first.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    upper = is_upper_side(side)
 
     def policy(t, x_stop):
         zhat = table.gradient(side, t, x_stop.value_at(t))
         M_test = spec.stage_matrix(t, x_stop, z)
         M_grad = spec.stage_matrix(t, x_stop, zhat)
-        if side in ("upper", "plus"):
+        if upper:
             commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
             i = int(np.argmin(commit.max(axis=1)))
             j = int(np.argmax(answer[i, :]))
@@ -145,7 +146,7 @@ def _characteristic_functional(spec: GameSpec, table: ValueTable, side: str,
     for k in range(k0, grid.n_steps):
         dt = nodes[k + 1] - nodes[k]
         ham = hamiltonian(spec, nodes[k], stopped_at(grid, values, k), z)
-        F_val = ham.f_plus if side in ("upper", "plus") else ham.f_minus
+        F_val = ham.f_plus if is_upper_side(side) else ham.f_minus
         f_k = rep.forcing_trace[k - k0]
         acc += dt * (-float(f_k @ z) + F_val)
         G[k - k0] = acc + table.interp(side, nodes[k + 1], values[k + 1]) - u0
@@ -245,6 +246,24 @@ def viscosity_residual(u: ValueTable, spec: GameSpec, site, z, c: float,
     local max at the site over the sampled window (then the inequality reduces
     to c <= 0), and the subsolution inequality at a local min (c >= 0).
     A failed extremum certificate makes the test vacuous: recorded, not passed.
+    This is viscosity_scan at the single offset c.
+    """
+    scan = viscosity_scan(u, spec, site, z, horizon, c_values=(c,),
+                          search_budget=search_budget, seed=seed, side=side,
+                          tolerance=tolerance)
+    return scan["reports"][0]
+
+
+def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
+                   c_values=None, search_budget: int = 24, seed: int = 0,
+                   side: str = "upper", tolerance: float = None) -> dict:
+    """Scan the canonical test pair (see viscosity_residual) over slope offsets c.
+
+    The candidate trajectories and every term of E = phi + correction - u
+    except (t - t0) c are computed once per site; each c only redoes the sum.
+    For an honest table every c yields pass or vacuous: a certified extremum
+    with |c| beyond tolerance is a witnessed sub/supersolution violation.
+    Returns the per-c reports and whether any violation was found.
     """
     t0, x0 = site
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -253,63 +272,50 @@ def viscosity_residual(u: ValueTable, spec: GameSpec, site, z, c: float,
     state0 = hist.value_at(t0)
     u0 = u.interp(side, t0, state0)
     F0 = hamiltonian(spec, t0, hist, z)
-    F0_val = F0.f_plus if side in ("upper", "plus") else F0.f_minus
+    F0_val = F0.f_plus if is_upper_side(side) else F0.f_minus
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
+    if c_values is None:
+        c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
 
-    sup_gap, inf_gap = 0.0, 0.0  # E(t0, x0) = 0 is always included
+    # one row per candidate and window node t > t0: (t, correction, (x(t) - x0(t0), z), u(t, x(t)))
+    rows = []
     nodes = win_grid.nodes
-    for label, rep in _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed):
+    op = spec.dyn.op
+    for _, rep in _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed):
         values = rep.path.values
-        op = spec.dyn.op
-        a_pair = np.array([float(op(t, values[k]) @ z)
-                           for k, t in enumerate(nodes)])
+        a_pair = {k: float(op(nodes[k], values[k]) @ z) for k in range(k0, win_grid.n_steps + 1)}
         corr = 0.0
         for k in range(k0, win_grid.n_steps):
             dt = nodes[k + 1] - nodes[k]
             corr += 0.5 * dt * (a_pair[k] + a_pair[k + 1])
             t = nodes[k + 1]
-            phi = u0 + (t - t0) * (c - F0_val) + float((values[k + 1] - state0) @ z)
-            E = phi + corr - u.interp(side, t, values[k + 1])
-            sup_gap = max(sup_gap, E)
-            inf_gap = min(inf_gap, E)
+            rows.append((t, corr, float((values[k + 1] - state0) @ z),
+                         u.interp(side, t, values[k + 1])))
+    times, corrs, dzs, u_vals = (np.array(col) for col in zip(*rows))
 
     cert_tol = 1e-9 * (1.0 + abs(u0))
-    super_holds = sup_gap <= cert_tol
-    sub_holds = inf_gap >= -cert_tol
-    super_verdict = ("pass" if c <= tolerance else "fail") if super_holds else "vacuous"
-    sub_verdict = ("pass" if c >= -tolerance else "fail") if sub_holds else "vacuous"
-    return ViscosityReport(
-        site_t0=float(t0), site_state=tuple(float(v) for v in state0),
-        z=tuple(float(v) for v in z), c=float(c), side=side,
-        super_certificate_gap=float(sup_gap), super_certificate_holds=bool(super_holds),
-        super_verdict=super_verdict,
-        sub_certificate_gap=float(inf_gap), sub_certificate_holds=bool(sub_holds),
-        sub_verdict=sub_verdict, tolerance=tolerance,
-        budget=search_budget, seed=seed)
-
-
-def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
-                   c_values=None, search_budget: int = 24, seed: int = 0,
-                   side: str = "upper", tolerance: float = None) -> dict:
-    """Scan the canonical test pair over a grid of slope offsets c.
-
-    For an honest table every c yields pass or vacuous: a certified extremum
-    with |c| beyond tolerance is a witnessed sub/supersolution violation.
-    Returns the per-c reports and whether any violation was found.
-    """
-    if tolerance is None:
-        tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
-    if c_values is None:
-        c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
     reports = []
     violation = False
     for c in c_values:
-        rep = viscosity_residual(u, spec, site, z, float(c), horizon,
-                                 search_budget=search_budget, seed=seed,
-                                 side=side, tolerance=tolerance)
-        reports.append(rep)
-        violation = violation or rep.super_verdict == "fail" or rep.sub_verdict == "fail"
+        c = float(c)
+        E = u0 + (times - t0) * (c - F0_val) + dzs + corrs - u_vals
+        # E(t0, x0) = 0 is always included
+        sup_gap = max(0.0, float(E.max()))
+        inf_gap = min(0.0, float(E.min()))
+        super_holds = sup_gap <= cert_tol
+        sub_holds = inf_gap >= -cert_tol
+        super_verdict = ("pass" if c <= tolerance else "fail") if super_holds else "vacuous"
+        sub_verdict = ("pass" if c >= -tolerance else "fail") if sub_holds else "vacuous"
+        reports.append(ViscosityReport(
+            site_t0=float(t0), site_state=tuple(float(v) for v in state0),
+            z=tuple(float(v) for v in z), c=c, side=side,
+            super_certificate_gap=sup_gap, super_certificate_holds=bool(super_holds),
+            super_verdict=super_verdict,
+            sub_certificate_gap=inf_gap, sub_certificate_holds=bool(sub_holds),
+            sub_verdict=sub_verdict, tolerance=tolerance,
+            budget=search_budget, seed=seed))
+        violation = violation or super_verdict == "fail" or sub_verdict == "fail"
     return {"reports": reports, "violation_found": violation,
             "c_values": [float(c) for c in c_values], "tolerance": tolerance}
 
@@ -379,7 +385,7 @@ def bump_table(table: ValueTable, time_index: int, state_index, amount: float,
     """Corrupt one interior table entry (mutation testing of the residual checks)."""
     v_minus = None if table.v_minus is None else table.v_minus.copy()
     v_plus = None if table.v_plus is None else table.v_plus.copy()
-    target = v_plus if side in ("upper", "plus") else v_minus
+    target = v_plus if is_upper_side(side) else v_minus
     if target is None:
         raise DomainError(f"table holds no {side} values")
     idx = (time_index,) + tuple(np.atleast_1d(state_index))

@@ -25,7 +25,7 @@ from pdhj.game import (
     scale_costs,
     simulation_grid,
 )
-from pdhj.pathcore import Path, TimeGrid
+from pdhj.pathcore import Path, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams, lyapunov_nu
 
 
@@ -238,6 +238,17 @@ class TestDpValue:
             assert np.array_equal(recompute_slice(table, spec, k, "upper"), table.v_plus[k])
             assert np.array_equal(recompute_slice(table, spec, k, "lower"), table.v_minus[k])
 
+    def test_side_aliases_and_unknown_side(self):
+        spec = isaacs_game()
+        table = dp_value(spec, TimeGrid(0.0, 1.0, 4), small_lattice(n=9))
+        assert np.array_equal(recompute_slice(table, spec, 1, "plus"), table.v_plus[1])
+        assert np.array_equal(recompute_slice(table, spec, 1, "minus"), table.v_minus[1])
+        for side in ("both", "uper", "Upper"):
+            with pytest.raises(DomainError, match="unknown side"):
+                recompute_slice(table, spec, 1, side)
+            with pytest.raises(DomainError, match="unknown side"):
+                table.side_values(side)
+
     def test_cost_scaling_linearity(self):
         spec = isaacs_game()
         grid = TimeGrid(0.0, 1.0, 6)
@@ -330,10 +341,10 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0,
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=4, seed=0)
-        decision = strategy.select(0.0, strategy.x0)
+        gradient = strategy.companion_minimum(0.0, strategy.x0)[3]
         nu = lyapunov_nu(params, 0.0, strategy.x0 - Path.constant(strategy.x0.grid, [0.0]))
-        assert np.all(np.asarray(decision.gradient) == 0.0)
-        assert np.array_equal(np.asarray(decision.gradient), nu.dx)
+        assert np.all(gradient == 0.0)
+        assert np.array_equal(gradient, nu.dx)
 
     def test_companion_gradient_matches_lyapunov_nu(self):
         # make one random lattice state the cheapest companion by lowering its
@@ -351,11 +362,11 @@ class TestFeedbackStrategy:
         sim = strategy.x0.grid
         x = Path(sim, 0.5 * rng.standard_normal((sim.n_steps + 1, 1)))
         t = 0.5
-        decision = strategy.select(t, x)
+        _, kind, index, gradient = strategy.companion_minimum(t, x)
         nu = lyapunov_nu(params, t, x - Path.constant(sim, c))
-        assert (decision.companion_kind, decision.companion_index) == ("lattice", j)
+        assert (kind, index) == ("lattice", j)
         assert np.any(nu.dx != 0.0)
-        assert np.asarray(decision.gradient) == pytest.approx(nu.dx, rel=1e-12, abs=0.0)
+        assert gradient == pytest.approx(nu.dx, rel=1e-12, abs=0.0)
 
     def test_zero_gradient_selection_is_static_minimax(self):
         # at t0 with x0 on a lattice point the best companion is x0 itself,
@@ -365,9 +376,10 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0,
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=0, seed=0)
-        decision = strategy.select(0.0, strategy.x0)
+        companion = strategy.companion_minimum(0.0, strategy.x0)
+        p_index = strategy.select(0.0, strategy.x0, companion)
         M = spec.stage_matrix(0.0, strategy.x0, np.zeros(1))
-        assert decision.p_index == int(np.argmin(M.max(axis=1)))
+        assert p_index == int(np.argmin(M.max(axis=1)))
 
     def test_select_agrees_with_hamiltonian_argmin(self):
         spec, grid, lattice, table, params = desk_setup(n_time=8)
@@ -375,9 +387,10 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 8)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=16, seed=1)
-        decision = strategy.select(0.0, strategy.x0)
-        ev = hamiltonian(spec, 0.0, strategy.x0, np.asarray(decision.gradient))
-        assert decision.p_index == ev.plus_p_index
+        companion = strategy.companion_minimum(0.0, strategy.x0)
+        p_index = strategy.select(0.0, strategy.x0, companion)
+        ev = hamiltonian(spec, 0.0, strategy.x0, companion[3])
+        assert p_index == ev.plus_p_index
 
     def test_run_deterministic(self):
         spec, grid, lattice, table, params = desk_setup(n_time=8)
@@ -513,22 +526,23 @@ class TestGuaranteedResult:
                                     TimeGrid(0.0, 1.0, 4), value=table, library_size=2)
 
 
-class TestTwoDimensional:
-    def make_2d_game(self):
-        op = make_linear_operator(dim=2, gain=1.0)
-        dyn = DelayDynamics(
-            op=op,
-            rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-            lipschitz_L=0.8)
-        return GameSpec(
-            dyn=dyn,
-            running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
-            terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
-            controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
-            l_f=0.8, lambda_L=0.3, name="planar")
+def planar_game():
+    op = make_linear_operator(dim=2, gain=1.0)
+    dyn = DelayDynamics(
+        op=op,
+        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
+        lipschitz_L=0.8)
+    return GameSpec(
+        dyn=dyn,
+        running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
+        terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
+        controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
+        l_f=0.8, lambda_L=0.3, name="planar")
 
+
+class TestTwoDimensional:
     def test_dp_value_2d(self):
-        spec = self.make_2d_game()
+        spec = planar_game()
         grid = TimeGrid(0.0, 1.0, 4)
         lattice = StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(9, 9))
         table = dp_value(spec, grid, lattice)
@@ -538,7 +552,7 @@ class TestTwoDimensional:
 
     def test_feedback_run_2d(self):
         from pdhj.upsilon import LyapunovParams
-        spec = self.make_2d_game()
+        spec = planar_game()
         grid = TimeGrid(0.0, 1.0, 8)
         lattice = StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(9, 9))
         table = dp_value(spec, grid, lattice)
@@ -550,3 +564,102 @@ class TestTwoDimensional:
         trace = run_feedback_game(spec, strategy, constant_adversary(1), partition)
         assert np.all(np.isfinite(trace.path.values))
         assert trace.payoff == trace.running_cost + trace.terminal_cost
+
+
+def _probe_offsets_reference(strategy, t, dim):
+    """The probe offsets as a list, built one offset at a time."""
+    budget = strategy.PROBE_BUDGET_RATE * strategy.spec.l_f * max(t - strategy.t0, 0.0)
+    if budget <= 0.0:
+        return []
+    eps_sq = strategy.params.epsilon ** 2
+    offsets = []
+    for scale in strategy.PROBE_SCALES:
+        s = min(scale * eps_sq, budget)
+        if s <= 0.0:
+            continue
+        for d in range(dim):
+            for sign in (1.0, -1.0):
+                e = np.zeros(dim)
+                e[d] = sign * s
+                offsets.append(e)
+    return offsets
+
+
+def _probe_candidates_reference(strategy, t, state):
+    """The per-offset probe loop: one interp call per probe, off-lattice probes skipped."""
+    kept, offsets, u_vals = [], [], []
+    for i, o in enumerate(_probe_offsets_reference(strategy, t, len(state))):
+        try:
+            u_vals.append(strategy.value.interp(strategy.side, t, state - o))
+        except LatticeCoverageError:
+            continue
+        kept.append(i)
+        offsets.append(o)
+    return kept, offsets, u_vals
+
+
+class TestCompanionOncePerNode:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batched_probes_match_per_offset_loop(self, dim):
+        if dim == 1:
+            spec, grid, lattice, table, params = desk_setup(n_time=8)
+        else:
+            spec, grid = planar_game(), TimeGrid(0.0, 1.0, 4)
+            lattice = StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(9, 9))
+            table = dp_value(spec, grid, lattice)
+            params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, np.zeros(dim)),
+                                           TimeGrid(0.0, 1.0, 4), value=table,
+                                           library_size=0, seed=0)
+        hi = np.asarray(lattice.hi)
+        eps_sq = params.epsilon ** 2
+        # interior, on the edge, and just inside it: the edge states drop some probes
+        states = [np.zeros(dim), hi, hi - 1e-10, hi - 2.0 * eps_sq, np.asarray(lattice.lo)]
+        partial = 0
+        for t in (0.0, 0.25, 0.5, 1.0):
+            steps = [abs(o).max() for o in _probe_offsets_reference(strategy, t, dim)]
+            # the smallest probe leaves the box by 5e-10, inside COVERAGE_TOL: kept
+            near = [hi - min(steps) + 5e-10] if steps else []
+            for state in states + near:
+                kept, offsets, u_vals = strategy._probe_candidates(t, state)
+                ref_kept, ref_offsets, ref_u = _probe_candidates_reference(strategy, t, state)
+                assert kept == ref_kept
+                assert all(type(i) is int for i in kept)
+                assert offsets.shape == (len(ref_kept), dim)
+                assert offsets.tobytes() == np.array(ref_offsets, dtype=float).tobytes()
+                assert u_vals.tobytes() == np.array(ref_u, dtype=float).tobytes()
+                n_all = len(_probe_offsets_reference(strategy, t, dim))
+                assert strategy._probe_offsets(t, dim).shape == (n_all, dim)
+                partial += 0 < len(kept) < n_all
+        assert partial > 0
+
+    def test_one_companion_minimum_per_partition_node(self, monkeypatch):
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        partition = TimeGrid(0.0, 1.0, 4)
+        strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
+                                           partition, value=table, library_size=8, seed=2)
+        calls = []
+        original = FeedbackStrategy.companion_minimum
+
+        def counted(self, t, x):
+            calls.append(t)
+            return original(self, t, x)
+
+        monkeypatch.setattr(FeedbackStrategy, "companion_minimum", counted)
+        trace = run_feedback_game(spec, strategy, random_adversary(3, spec.controls.n_q),
+                                  partition)
+        monkeypatch.undo()
+        assert calls == list(partition.nodes)  # n + 1 calls for n steps
+        # each record holds the companion minimum on the path stopped at its nodes
+        sim = trace.path.grid
+        for i, rec in enumerate(trace.step_records):
+            t_i, t_i1 = partition.nodes[i], partition.nodes[i + 1]
+            before = strategy.companion_minimum(
+                t_i, stopped_at(sim, trace.path.values, sim.node_index(t_i)))
+            after = strategy.companion_minimum(
+                t_i1, stopped_at(sim, trace.path.values, sim.node_index(t_i1)))
+            assert (rec["u_shifted_before"], rec["companion_kind"], rec["companion_index"]) \
+                == before[:3]
+            assert rec["u_shifted_after"] == after[0]
+            assert trace.p_indices[i] == strategy.select(
+                t_i, stopped_at(sim, trace.path.values, sim.node_index(t_i)), before)

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pdhj import minimax
 from pdhj.errors import DomainError
-from pdhj.game import StateLattice, constant_game, dp_value, isaacs_game
+from pdhj.game import StateLattice, constant_game, dp_value, hamiltonian, isaacs_game
 from pdhj.minimax import (
+    ViscosityReport,
     bump_table,
     composite_tolerance,
     minimax_residual,
@@ -11,7 +15,7 @@ from pdhj.minimax import (
     viscosity_residual,
     viscosity_scan,
 )
-from pdhj.pathcore import Path, TimeGrid
+from pdhj.pathcore import Path, TimeGrid, extend_history
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +151,17 @@ class TestViscosityResidual:
                               search_budget=16, seed=5)
         assert not scan["violation_found"]
 
+    def test_bump_table_side_aliases_and_unknown_side(self, desk):
+        spec, grid, lattice, table = desk
+        plus = bump_table(table, 8, 16, 0.2, side="plus")
+        minus = bump_table(table, 8, 16, 0.2, side="minus")
+        assert plus.v_plus[8, 16] == table.v_plus[8, 16] + 0.2
+        assert np.array_equal(plus.v_minus, table.v_minus)
+        assert minus.v_minus[8, 16] == table.v_minus[8, 16] + 0.2
+        assert np.array_equal(minus.v_plus, table.v_plus)
+        with pytest.raises(DomainError, match="unknown side"):
+            bump_table(table, 8, 16, 0.2, side="uper")
+
     def test_scan_detects_bumped_table(self, desk):
         spec, grid, lattice, table = desk
         bumped = bump_table(table, 8, 16, 0.2, side="upper")
@@ -154,6 +169,100 @@ class TestViscosityResidual:
         scan = viscosity_scan(bumped, spec, (grid.nodes[8], x0), np.zeros(1), 0.25,
                               search_budget=16, seed=6)
         assert scan["violation_found"]
+
+
+def _viscosity_residual_reference(u, spec, site, z, c, horizon, *, search_budget=32, seed=0,
+                                  side="upper", tolerance=None):
+    """The test pair at one c, solving its own candidate set and E row by row."""
+    t0, x0 = site
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    win_grid, k0, _ = minimax._window_grid(u.grid, t0, horizon)
+    hist = extend_history(x0, win_grid, t0)
+    state0 = hist.value_at(t0)
+    u0 = u.interp(side, t0, state0)
+    F0 = hamiltonian(spec, t0, hist, z)
+    F0_val = F0.f_plus if side in ("upper", "plus") else F0.f_minus
+    if tolerance is None:
+        tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
+
+    sup_gap, inf_gap = 0.0, 0.0
+    nodes = win_grid.nodes
+    for label, rep in minimax._candidate_runs(spec, u, side, t0, hist, z, search_budget, seed):
+        values = rep.path.values
+        op = spec.dyn.op
+        a_pair = np.array([float(op(t, values[k]) @ z)
+                           for k, t in enumerate(nodes)])
+        corr = 0.0
+        for k in range(k0, win_grid.n_steps):
+            dt = nodes[k + 1] - nodes[k]
+            corr += 0.5 * dt * (a_pair[k] + a_pair[k + 1])
+            t = nodes[k + 1]
+            phi = u0 + (t - t0) * (c - F0_val) + float((values[k + 1] - state0) @ z)
+            E = phi + corr - u.interp(side, t, values[k + 1])
+            sup_gap = max(sup_gap, E)
+            inf_gap = min(inf_gap, E)
+
+    cert_tol = 1e-9 * (1.0 + abs(u0))
+    super_holds = sup_gap <= cert_tol
+    sub_holds = inf_gap >= -cert_tol
+    super_verdict = ("pass" if c <= tolerance else "fail") if super_holds else "vacuous"
+    sub_verdict = ("pass" if c >= -tolerance else "fail") if sub_holds else "vacuous"
+    return ViscosityReport(
+        site_t0=float(t0), site_state=tuple(float(v) for v in state0),
+        z=tuple(float(v) for v in z), c=float(c), side=side,
+        super_certificate_gap=float(sup_gap), super_certificate_holds=bool(super_holds),
+        super_verdict=super_verdict,
+        sub_certificate_gap=float(inf_gap), sub_certificate_holds=bool(sub_holds),
+        sub_verdict=sub_verdict, tolerance=tolerance,
+        budget=search_budget, seed=seed)
+
+
+def _assert_reports_identical(got, want):
+    for f in dataclasses.fields(ViscosityReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b and repr(a) == repr(b), f"{f.name}: {a!r} != {b!r}"
+
+
+class TestViscosityScanOnePass:
+    @pytest.mark.parametrize("fixture,bumped,t_index,state,z", [
+        ("desk", False, 2, 0.5, 0.4),
+        ("desk", False, 5, -0.3, -0.7),
+        ("desk", True, 8, 0.0, 0.0),
+        ("const", False, 4, 0.0, 0.0),
+        ("const", False, 0, 0.25, 0.6),
+    ])
+    def test_scan_matches_per_c_reference(self, request, fixture, bumped, t_index, state, z):
+        spec, grid, lattice, table = request.getfixturevalue(fixture)
+        if bumped:
+            table = bump_table(table, 8, 16, 0.2, side="upper")
+        site = (grid.nodes[t_index], Path.constant(grid, [state]))
+        tol = composite_tolerance(max(lattice.spacing), grid.mesh, 8)
+        c_values = (-5.0, -4.0 * tol, -tol, 0.0, tol, 4.0 * tol, 5.0)
+        scan = viscosity_scan(table, spec, site, np.array([z]), 0.25, c_values=c_values,
+                              search_budget=8, seed=3)
+        for c, rep in zip(c_values, scan["reports"]):
+            ref = _viscosity_residual_reference(table, spec, site, np.array([z]), c, 0.25,
+                                                search_budget=8, seed=3)
+            _assert_reports_identical(rep, ref)
+        single = viscosity_residual(table, spec, site, np.array([z]), tol, 0.25,
+                                    search_budget=8, seed=3)
+        _assert_reports_identical(single, _viscosity_residual_reference(
+            table, spec, site, np.array([z]), tol, 0.25, search_budget=8, seed=3))
+
+    def test_scan_solves_candidates_once(self, desk, monkeypatch):
+        spec, grid, lattice, table = desk
+        calls = []
+        original = minimax._candidate_runs
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(minimax, "_candidate_runs", counted)
+        scan = viscosity_scan(table, spec, (grid.nodes[2], Path.constant(grid, [0.5])),
+                              np.array([0.4]), 0.25, search_budget=8, seed=5)
+        assert len(scan["reports"]) == 5
+        assert len(calls) == 1
 
 
 class TestStability:

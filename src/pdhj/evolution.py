@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, ContractError, DomainError, SolverError
-from .pathcore import Path, StateSpace, stopped_at, sup_norm
+from .pathcore import Path, StateSpace, stopped_at
 
 NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-10
@@ -212,8 +212,12 @@ class DelayDynamics:
     @classmethod
     def forced(cls, op: OperatorSpec, lipschitz_L: float) -> "DelayDynamics":
         """Dynamics whose control slot IS the forcing vector."""
-        return cls(op=op, rhs=lambda t, x, u: np.atleast_1d(np.asarray(u, dtype=float)),
-                   lipschitz_L=lipschitz_L)
+        return cls(op=op, rhs=_control_as_forcing, lipschitz_L=lipschitz_L)
+
+
+def _control_as_forcing(t, x, u):
+    """The rhs of DelayDynamics.forced; it never reads the stopped path x."""
+    return np.atleast_1d(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,11 +302,17 @@ def _implicit_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarra
     raise SolverError(f"implicit step failed to converge at step {step_index}", step_index)
 
 
+def _row_dots(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row of X (shape (..., d)) with y (shape (..., d) or
+    (d,)), as the one-row product x @ y computes it: a stack of (1, d) @ (d, 1)
+    products matches it bit for bit, where (X * y).sum(-1) and X @ y need not."""
+    return (X[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of X as the one-row dot product that
-    np.linalg.norm takes, so each entry matches its value for that row
+    """Euclidean norm of each row of X, equal to the one-row np.linalg.norm
     (np.linalg.norm(X, axis=1) sums the squares another way)."""
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+    return np.sqrt(_row_dots(X, X))
 
 
 def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np.ndarray,
@@ -415,48 +425,115 @@ def solve_delay_evolution(dyn: DelayDynamics, t0: float, x0: Path, forcing=None,
     None (zero vector), a sequence indexed by grid interval, or a callable
     (t_k, stopped path) -> control evaluated at the step's left endpoint.
     The applied forcing must respect |f| <= L (1 + sup-norm); violations raise
-    ContractError.
+    ContractError.  This is solve_delay_lanes with one lane.
+    """
+    return solve_delay_lanes(dyn, t0, x0, [forcing], forcing_algorithm)[0]
+
+
+def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
+                      forcing_algorithm: str = None) -> list:
+    """solve_delay_evolution for each of `forcings` in lockstep; one report per lane.
+
+    A forcing is None, a sequence or a callable as in solve_delay_evolution, or
+    a numpy Generator: a reachable-tube draw, uniform in the ball of radius
+    L (1 + sup-norm of the stopped path) at every step.  Each step computes the
+    sup-norms and checks the forcing bound for all lanes at once, builds a
+    lane's stopped path only when its forcing or dyn.rhs takes one, and moves
+    every lane with one _implicit_step_batch call.  Each report is
+    bit-identical to solving its forcing alone.  A failed lane stops at its first error
+    and the lanes after it are dropped; the error of the lowest failed lane is
+    raised, so a lane-by-lane loop would raise the same one.
     """
     grid = x0.grid
     k0 = grid.node_index(t0)
     nodes = grid.nodes
     n = grid.n_steps
-    dim = x0.dim
+    forcings = list(forcings)
+    m, dim = len(forcings), x0.dim
     L = dyn.lipschitz_L
 
-    values = x0.values.copy()
-    trace = np.zeros((n - k0, dim))
-    newton_total, newton_max, worst_res = 0, 0, 0.0
+    values = np.repeat(x0.values[:, None, :], m, axis=1)  # (node, lane, coordinate)
+    trace = np.zeros((n - k0, m, dim))
+    iters = np.zeros((n - k0, m), dtype=int)
+    res = np.zeros((n - k0, m))
+    # running max of the node norms sup_norm takes (np.linalg.norm over axis 1)
+    node_sup = np.full(m, np.max(np.linalg.norm(x0.values[: k0 + 1], axis=1)))
+    live = np.arange(m)
+    failed = {}  # lane -> its first error
 
     for k in range(k0, n):
         t_k, t_k1 = nodes[k], nodes[k + 1]
         dt = t_k1 - t_k
-        x_stop = stopped_at(grid, values, k)
-        if forcing is None:
-            control = np.zeros(dim)
-        elif callable(forcing):
-            control = forcing(t_k, x_stop)
-        else:
-            control = forcing[k]
-        f_k = np.atleast_1d(np.asarray(dyn.rhs(t_k, x_stop, control), dtype=float))
-        bound = L * (1.0 + sup_norm(x_stop, t_k))
-        fmag = float(np.linalg.norm(f_k))
-        if fmag > bound + FORCING_BOUND_TOL * (1.0 + bound):
-            raise ContractError(
-                f"forcing magnitude {fmag:.6e} exceeds L(1+sup) = {bound:.6e} at step {k}")
-        target = values[k] + dt * f_k
-        tol = STEP_TOL * (1.0 + float(np.linalg.norm(values[k])))
-        xi, iters, res = _implicit_step(dyn.op, t_k1, dt, target, values[k], tol, k)
-        values[k + 1] = xi
-        trace[k - k0] = f_k
-        newton_total += iters
-        newton_max = max(newton_max, iters)
-        worst_res = max(worst_res, res)
+        x_k = values[k, live]
+        cur = _row_norms(x_k)  # |x(t_k)|: sup_norm's last term and the step tolerance
+        bound = L * (1.0 + np.maximum(node_sup[live], cur))
+        f = np.empty_like(x_k)
+        cut = len(live)
+        for pos, lane in enumerate(live):
+            try:
+                f[pos] = _lane_forcing(dyn, forcings[lane], grid, values[:, lane], k,
+                                       float(bound[pos]))
+            except Exception as err:
+                failed[lane], cut = err, pos
+                break
+        fmag = _row_norms(f[:cut])
+        over = np.flatnonzero(fmag > bound[:cut] + FORCING_BOUND_TOL * (1.0 + bound[:cut]))
+        if over.size:
+            cut = over[0]
+            failed[live[cut]] = ContractError(
+                f"forcing magnitude {fmag[cut]:.6e} exceeds L(1+sup) = {bound[cut]:.6e} "
+                f"at step {k}")
+        live, x_k, f = live[:cut], x_k[:cut], f[:cut]
+        targets = x_k + dt * f
+        tols = STEP_TOL * (1.0 + cur[:cut])
+        try:
+            xi, it, r = _implicit_step_batch(dyn.op, t_k1, dt, targets, x_k, tols, k)
+        except Exception:  # step lane by lane to find which lane fails first, and how
+            xi, it, r = np.empty_like(x_k), np.zeros(len(live), dtype=int), np.zeros(len(live))
+            for pos, lane in enumerate(live):
+                try:
+                    xi[pos], it[pos], r[pos] = _implicit_step(
+                        dyn.op, t_k1, dt, targets[pos], x_k[pos], float(tols[pos]), k)
+                except Exception as err:
+                    failed[lane] = err
+                    live, xi, it, r, f = live[:pos], xi[:pos], it[:pos], r[:pos], f[:pos]
+                    break
+        values[k + 1, live] = xi
+        node_sup[live] = np.maximum(node_sup[live], np.linalg.norm(xi, axis=1))
+        trace[k - k0, live] = f
+        iters[k - k0, live] = it
+        res[k - k0, live] = r
+        if not live.size:
+            break
+    if failed:
+        raise failed[min(failed)]
 
-    return SolveReport(path=Path(grid, values), forcing_trace=trace, start_index=k0,
-                       step_count=n - k0, residual_estimate=worst_res,
-                       newton_total=newton_total, newton_max=newton_max,
-                       forcing_algorithm=forcing_algorithm)
+    return [SolveReport(path=Path(grid, values[:, lane]), forcing_trace=trace[:, lane].copy(),
+                        start_index=k0, step_count=n - k0,
+                        residual_estimate=float(res[:, lane].max(initial=0.0)),
+                        newton_total=int(iters[:, lane].sum()),
+                        newton_max=int(iters[:, lane].max(initial=0)),
+                        forcing_algorithm=forcing_algorithm)
+            for lane in range(m)]
+
+
+def _lane_forcing(dyn: DelayDynamics, forcing, grid, values: np.ndarray, k: int,
+                  radius: float) -> np.ndarray:
+    """One lane's f at t_k, where values holds the lane's node values and radius
+    is L (1 + sup-norm) of its stopped path."""
+    t_k = grid.nodes[k]
+    x_stop = None
+    if callable(forcing) or dyn.rhs is not _control_as_forcing:
+        x_stop = stopped_at(grid, values, k)
+    if forcing is None:
+        control = np.zeros(values.shape[1])
+    elif isinstance(forcing, np.random.Generator):
+        control = _ball_point(forcing, values.shape[1], radius)
+    elif callable(forcing):
+        control = forcing(t_k, x_stop)
+    else:
+        control = forcing[k]
+    return np.asarray(dyn.rhs(t_k, x_stop, control), dtype=float)
 
 
 def _ball_point(rng, dim: int, radius: float) -> np.ndarray:
@@ -475,20 +552,11 @@ def sample_reachable_set(dyn: DelayDynamics, t0: float, x0: Path, count: int,
 
     Each sample draws its forcing piecewise-constant, uniformly in the ball of
     radius L (1 + sup-norm of the stopped path) at every step, from its own
-    PRNG stream derived from (seed, sample index).
+    PRNG stream derived from (seed, sample index).  The samples are the lanes
+    of one solve_delay_lanes call.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
     identity = DelayDynamics.forced(dyn.op, dyn.lipschitz_L)
-
-    def one(i: int) -> SolveReport:
-        rng = np.random.default_rng([seed, i])
-
-        def draw(t_k, x_stop):
-            radius = dyn.lipschitz_L * (1.0 + sup_norm(x_stop, t_k))
-            return _ball_point(rng, x0.dim, radius)
-
-        return solve_delay_evolution(identity, t0, x0, forcing=draw,
-                                     forcing_algorithm=FORCING_ALGORITHM)
-
-    return [one(i) for i in range(count)]
+    streams = [np.random.default_rng([seed, i]) for i in range(count)]
+    return solve_delay_lanes(identity, t0, x0, streams, FORCING_ALGORITHM)

@@ -13,6 +13,7 @@ the regime of every desk-scale example here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,8 +24,8 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import DelayDynamics, _implicit_step, _implicit_step_batch, _row_norms, \
-    make_linear_operator, sample_reachable_set
+from .evolution import DelayDynamics, _implicit_step, _implicit_step_batch, _row_dots, \
+    _row_norms, make_linear_operator, sample_reachable_set
 from .pathcore import Path, TimeGrid, extend_history, stopped_at, sup_norm
 from .upsilon import LyapunovParams, surrogate_terms
 
@@ -79,16 +80,11 @@ class GameSpec:
     name: str = "game"
 
     def drift(self, t: float, x: Path, p, q) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self.dyn.rhs(t, x, (p, q)), dtype=float))
-        if not np.all(np.isfinite(out)):
-            raise EvaluationError(f"non-finite drift at t={t}, p={p!r}, q={q!r}")
-        return out
+        return _finite_drift(np.atleast_1d(np.asarray(self.dyn.rhs(t, x, (p, q)), dtype=float)),
+                             t, p, q)
 
     def stage_cost(self, t: float, x: Path, p, q) -> float:
-        val = float(self.running_cost(t, x, p, q))
-        if not np.isfinite(val):
-            raise EvaluationError(f"non-finite running cost at t={t}, p={p!r}, q={q!r}")
-        return val
+        return _finite_cost(float(self.running_cost(t, x, p, q)), t, p, q)
 
     def final_cost(self, x: Path) -> float:
         val = float(self.terminal_cost(x))
@@ -96,14 +92,26 @@ class GameSpec:
             raise EvaluationError("non-finite terminal cost")
         return val
 
+    def stage_terms(self, t: float, x: Path):
+        """(drift, cost) over the full control grid, shapes (n_p, n_q, dim) and (n_p, n_q).
+
+        One sweep of the callbacks, the drift before the cost of each (p, q) in
+        grid order; the first non-finite value raises as drift and stage_cost do.
+        """
+        controls = self.controls
+        drift = np.empty((controls.n_p, controls.n_q, self.dyn.op.space.dim))
+        cost = np.empty((controls.n_p, controls.n_q))
+        rhs, running = self.dyn.rhs, self.running_cost
+        for i, p in enumerate(controls.p_points):
+            for j, q in enumerate(controls.q_points):
+                drift[i, j] = _finite_drift(np.asarray(rhs(t, x, (p, q)), dtype=float), t, p, q)
+                cost[i, j] = _finite_cost(float(running(t, x, p, q)), t, p, q)
+        return drift, cost
+
     def stage_matrix(self, t: float, x: Path, z) -> np.ndarray:
         """M[i, j] = cost(p_i, q_j) + (f(p_i, q_j), z) over the full control grid."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        M = np.empty((self.controls.n_p, self.controls.n_q))
-        for i, p in enumerate(self.controls.p_points):
-            for j, q in enumerate(self.controls.q_points):
-                M[i, j] = self.stage_cost(t, x, p, q) + float(self.drift(t, x, p, q) @ z)
-        return M
+        drift, cost = self.stage_terms(t, x)
+        return cost + _row_dots(drift, np.atleast_1d(np.asarray(z, dtype=float)))
 
     def audit(self, samples: int, seed: int) -> dict:
         """Check |f| <= l_f (1 + sup) and finiteness of costs on random inputs."""
@@ -123,6 +131,18 @@ class GameSpec:
             worst = max(worst, float(np.linalg.norm(f)) / (self.l_f * (1.0 + sup_norm(x, t)) + 1e-300))
         return {"samples": samples, "seed": seed, "max_growth_ratio": worst,
                 "passed": worst <= 1.0 + 1e-9}
+
+
+def _finite_drift(f: np.ndarray, t, p, q) -> np.ndarray:
+    if not np.isfinite(f).all():
+        raise EvaluationError(f"non-finite drift at t={t}, p={p!r}, q={q!r}")
+    return f
+
+
+def _finite_cost(c: float, t, p, q) -> float:
+    if not math.isfinite(c):
+        raise EvaluationError(f"non-finite running cost at t={t}, p={p!r}, q={q!r}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +413,9 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     """One backward step: returns (v_minus_k, v_plus_k) lattice arrays.
 
     The slice is one array program over its (point, p, q) cells.  The drift
-    and stage-cost callbacks run per cell, because they take stopped paths;
-    then one batched implicit step, one interpolation per side, and the
-    min/max as axis reductions.  A successor off the lattice raises for the
+    and stage-cost callbacks run per cell, one stage_terms sweep per lift,
+    because they take stopped paths; then one batched implicit step, one
+    interpolation per side, and the min/max as axis reductions.  A successor off the lattice raises for the
     first such cell in (point, p, q) order.  Errors of other kinds come in
     phase order: every callback runs before any implicit step.
     """
@@ -409,10 +429,7 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     drift = np.empty(cells + (dim,))
     cost = np.empty(cells)
     for idx, lift in enumerate(lifts):
-        for i, p in enumerate(controls.p_points):
-            for j, q in enumerate(controls.q_points):
-                drift[idx, i, j] = spec.drift(t_k, lift, p, q)
-                cost[idx, i, j] = spec.stage_cost(t_k, lift, p, q)
+        drift[idx], cost[idx] = spec.stage_terms(t_k, lift)
     starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
     targets = (points[:, None, None, :] + dt * drift).reshape(-1, dim)
     tols = np.repeat(STEP_SOLVE_TOL * (1.0 + _row_norms(points)), controls.n_p * controls.n_q)

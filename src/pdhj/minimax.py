@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DelayDynamics, sample_reachable_set, solve_delay_evolution
-from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, is_upper_side, \
-    with_drift_perturbation, with_terminal_shift
+from .evolution import DelayDynamics, _row_dots, sample_reachable_set, solve_delay_lanes
+from .game import COVERAGE_TOL, GameSpec, StateLattice, ValueTable, _coverage_error, dp_value, \
+    hamiltonian, is_upper_side, with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, extend_history, stopped_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
@@ -97,8 +97,8 @@ def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
 
     def policy(t, x_stop):
         zhat = table.gradient(side, t, x_stop.value_at(t))
-        M_test = spec.stage_matrix(t, x_stop, z)
-        M_grad = spec.stage_matrix(t, x_stop, zhat)
+        drift, cost = spec.stage_terms(t, x_stop)  # both matrices from one callback sweep
+        M_test, M_grad = cost + _row_dots(drift, z), cost + _row_dots(drift, zhat)
         if upper:
             commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
             i = int(np.argmin(commit.max(axis=1)))
@@ -114,17 +114,20 @@ def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
 
 def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
                     hist: Path, z, budget: int, seed: int):
-    """(label, SolveReport) candidates: constant pairs, characteristics, random tube."""
-    runs = []
+    """(label, SolveReport) candidates: constant pairs, characteristics, random tube.
+
+    Two lane solves: the game lanes (the constant pairs, then the two
+    characteristics) and the random tube lanes.
+    """
+    labels, forcings = [], []
     for i, p in enumerate(spec.controls.p_points):
         for j, q in enumerate(spec.controls.q_points):
-            rep = solve_delay_evolution(spec.dyn, t0, hist,
-                                        forcing=lambda t, x, pq=(p, q): pq)
-            runs.append((f"constant[p{i},q{j}]", rep))
+            labels.append(f"constant[p{i},q{j}]")
+            forcings.append(lambda t, x, pq=(p, q): pq)
     for role in ("super", "sub"):
-        rep = solve_delay_evolution(spec.dyn, t0, hist,
-                                    forcing=_char_policy(spec, table, side, role, z))
-        runs.append((f"characteristic[{role}]", rep))
+        labels.append(f"characteristic[{role}]")
+        forcings.append(_char_policy(spec, table, side, role, z))
+    runs = list(zip(labels, solve_delay_lanes(spec.dyn, t0, hist, forcings)))
     n_random = max(0, budget - len(runs))
     if n_random > 0:
         tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
@@ -133,24 +136,49 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
     return runs
 
 
+def _lattice_margins(table: ValueTable, states: np.ndarray) -> np.ndarray:
+    """coverage_margins of states shaped (candidate, node, coordinate), per (candidate, node)."""
+    return table.lattice.coverage_margins(states.reshape(-1, states.shape[-1])) \
+        .reshape(states.shape[:-1])
+
+
+def _window_values(table: ValueTable, side: str, nodes, states: np.ndarray) -> np.ndarray:
+    """u(nodes[m], states[c, m]) for states shaped (candidate, node, coordinate):
+    one interp_batch call per node reads every candidate."""
+    return np.stack([table.interp_batch(side, t, states[:, m]) for m, t in enumerate(nodes)],
+                    axis=1)
+
+
 def _characteristic_functional(spec: GameSpec, table: ValueTable, side: str,
-                               rep, z, t0: float, u0: float):
-    """G(t_m) = int_{t0}^{t_m} ((-f, z) + F(s, x, z)) ds + u(t_m, x(t_m)) - u0 per node."""
+                               runs, z, t0: float, u0: float):
+    """G[c, m] = int_{t0}^{t_m} ((-f, z) + F(s, x, z)) ds + u(t_m, x(t_m)) - u0
+    per candidate c and window node t_m > t0; returns (G, times).
+
+    A state off the lattice raises where a candidate-by-candidate loop would:
+    at the first (candidate, node), after that candidate's earlier Hamiltonians.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    grid = rep.path.grid
+    grid = runs[0][1].path.grid
     nodes = grid.nodes
-    k0 = rep.start_index
-    values = rep.path.values
-    G = np.empty(grid.n_steps - k0)
-    acc = 0.0
-    for k in range(k0, grid.n_steps):
-        dt = nodes[k + 1] - nodes[k]
-        ham = hamiltonian(spec, nodes[k], stopped_at(grid, values, k), z)
-        F_val = ham.f_plus if is_upper_side(side) else ham.f_minus
-        f_k = rep.forcing_trace[k - k0]
-        acc += dt * (-float(f_k @ z) + F_val)
-        G[k - k0] = acc + table.interp(side, nodes[k + 1], values[k + 1]) - u0
-    return G, nodes[k0 + 1:]
+    k0 = runs[0][1].start_index
+    upper = is_upper_side(side)
+    states = np.stack([rep.path.values[k0 + 1:] for _, rep in runs])
+    margins = _lattice_margins(table, states)
+    integral = np.empty(states.shape[:2])
+    for c, (_, rep) in enumerate(runs):
+        values = rep.path.values
+        acc = 0.0
+        for k in range(k0, grid.n_steps):
+            dt = nodes[k + 1] - nodes[k]
+            ham = hamiltonian(spec, nodes[k], stopped_at(grid, values, k), z)
+            F_val = ham.f_plus if upper else ham.f_minus
+            f_k = rep.forcing_trace[k - k0]
+            acc += dt * (-float(f_k @ z) + F_val)
+            integral[c, k - k0] = acc
+            if margins[c, k - k0] > COVERAGE_TOL:
+                raise _coverage_error(float(margins[c, k - k0]))
+    times = nodes[k0 + 1:]
+    return integral + _window_values(table, side, times, states) - u0, times
 
 
 def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
@@ -171,9 +199,10 @@ def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
 
+    runs = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
+    G_all, times = _characteristic_functional(spec, u, side, runs, z, t0, u0)
     best_slack, best_label, best_time = None, "", t0
-    for label, rep in _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed):
-        G, times = _characteristic_functional(spec, u, side, rep, z, t0, u0)
+    for (label, _), G in zip(runs, G_all):
         if direction == "sub":
             m = int(np.argmin(G))
             cand = float(G[m])
@@ -278,21 +307,27 @@ def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
     if c_values is None:
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
 
-    # one row per candidate and window node t > t0: (t, correction, (x(t) - x0(t0), z), u(t, x(t)))
-    rows = []
+    # (candidate, window node t > t0) arrays: the correction, (x(t) - x0(t0), z), u(t, x(t))
+    runs = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
     nodes = win_grid.nodes
+    paths = np.stack([rep.path.values for _, rep in runs])
     op = spec.dyn.op
-    for _, rep in _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed):
-        values = rep.path.values
-        a_pair = {k: float(op(nodes[k], values[k]) @ z) for k in range(k0, win_grid.n_steps + 1)}
-        corr = 0.0
-        for k in range(k0, win_grid.n_steps):
-            dt = nodes[k + 1] - nodes[k]
-            corr += 0.5 * dt * (a_pair[k] + a_pair[k + 1])
-            t = nodes[k + 1]
-            rows.append((t, corr, float((values[k + 1] - state0) @ z),
-                         u.interp(side, t, values[k + 1])))
-    times, corrs, dzs, u_vals = (np.array(col) for col in zip(*rows))
+    a_pair = [_row_dots(op.batch(nodes[k], paths[:, k]), z)
+              for k in range(k0, win_grid.n_steps + 1)]
+    corr = np.zeros(len(runs))
+    corrs = np.empty((len(runs), win_grid.n_steps - k0))
+    for k in range(k0, win_grid.n_steps):
+        dt = nodes[k + 1] - nodes[k]
+        corr = corr + 0.5 * dt * (a_pair[k - k0] + a_pair[k + 1 - k0])
+        corrs[:, k - k0] = corr
+    states = paths[:, k0 + 1:]
+    margins = _lattice_margins(u, states)
+    off = np.argwhere(margins > COVERAGE_TOL)  # the first in (candidate, node) order raises
+    if off.size:
+        raise _coverage_error(float(margins[tuple(off[0])]))
+    times = nodes[k0 + 1:]
+    dzs = _row_dots(states - state0, z)
+    u_vals = _window_values(u, side, times, states)
 
     cert_tol = 1e-9 * (1.0 + abs(u0))
     reports = []

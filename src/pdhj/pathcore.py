@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,9 +55,10 @@ class TimeGrid:
                 raise DomainError("explicit nodes must span [t_start, t_end]")
         else:
             nodes = np.linspace(self.t_start, self.t_end, self.n_steps + 1)
-        # built once and shared read-only; not a field, so eq, hash and repr ignore it
+        # built once and shared read-only; not fields, so eq, hash and repr ignore them
         nodes.setflags(write=False)
         object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_node_list", nodes.tolist())  # for bisect lookups
 
     @classmethod
     def from_nodes(cls, nodes) -> "TimeGrid":
@@ -147,14 +149,17 @@ class Path:
 
     def value_at(self, t: float) -> np.ndarray:
         """Piecewise-linear interpolant at time t (clamped to the span ends)."""
-        self.grid.require_contains(t)
-        nodes = self.grid.nodes
+        grid = self.grid
+        if not grid.t_start - _NODE_TOL <= t <= grid.t_end + _NODE_TOL:
+            grid.require_contains(t)
+        nodes = grid._node_list
         t = min(max(t, nodes[0]), nodes[-1])
-        k = int(np.searchsorted(nodes, t, side="right")) - 1
-        k = min(max(k, 0), len(nodes) - 2)
-        h = nodes[k + 1] - nodes[k]
-        w = (t - nodes[k]) / h
-        return (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        k = min(max(bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
+        w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
+        values = self.values
+        if w == 0.0:  # at a node (1 - w) * x is x; 0.0 * next keeps the blend's zero signs
+            return values[k] + 0.0 * values[k + 1]
+        return (1.0 - w) * values[k] + w * values[k + 1]
 
     def resample(self, grid: TimeGrid) -> "Path":
         """Interpolate onto another grid covering a subset of this path's span."""

@@ -58,7 +58,8 @@ def surrogate_terms(sup_sq, cur_sq):
     cur_sq = np.asarray(cur_sq, dtype=float)
     live = sup_sq > (ZERO_BRANCH_TOL * (1.0 + np.sqrt(cur_sq))) ** 2
     denom = np.where(live, sup_sq, 1.0)
-    value = np.where(live, (denom - cur_sq) ** 2 / denom + 2.0 * cur_sq, 0.0)
+    gap = denom - cur_sq  # squared by multiplication: ** on a numpy scalar calls libm pow
+    value = np.where(live, gap * gap / denom + 2.0 * cur_sq, 0.0)
     factor = np.where(live, 4.0 * cur_sq / denom, 0.0)
     if value.ndim == 0:
         return float(value), float(factor)

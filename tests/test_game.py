@@ -663,3 +663,70 @@ class TestCompanionOncePerNode:
             assert rec["u_shifted_after"] == after[0]
             assert trace.p_indices[i] == strategy.select(
                 t_i, stopped_at(sim, trace.path.values, sim.node_index(t_i)), before)
+
+
+def _stage_matrix_reference(spec, t, x, z):
+    """The per-pair stage matrix loop: one cost and one drift call per (p, q)."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    M = np.empty((spec.controls.n_p, spec.controls.n_q))
+    for i, p in enumerate(spec.controls.p_points):
+        for j, q in enumerate(spec.controls.q_points):
+            M[i, j] = spec.stage_cost(t, x, p, q) + float(spec.drift(t, x, p, q) @ z)
+    return M
+
+
+def _failing_game(bad):
+    """A 2x3 game whose drift or cost is non-finite at each ("drift" | "cost", p, q) in bad."""
+    def rhs(t, x, u):
+        return np.array([np.nan if ("drift",) + tuple(u) in bad else 0.1 * (u[0] - u[1])])
+
+    def running(t, x, p, q):
+        return np.inf if ("cost", p, q) in bad else 0.5 * p * q + float(x.value_at(t)[0])
+
+    return GameSpec(dyn=DelayDynamics(op=make_linear_operator(), rhs=rhs, lipschitz_L=1.0),
+                    running_cost=running, terminal_cost=lambda x: 0.0,
+                    controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0, 2.0)),
+                    l_f=1.0, lambda_L=1.0)
+
+
+class TestStageSweep:
+    @pytest.mark.parametrize("make", [isaacs_game, bilinear_game, planar_game])
+    def test_stage_matrix_matches_per_pair_loop(self, make):
+        spec = make()
+        dim = spec.dyn.op.space.dim
+        rng = np.random.default_rng(12)
+        grid = TimeGrid(0.0, 1.0, 8)
+        for _ in range(40):
+            x = Path(grid, rng.standard_normal((9, dim)) * rng.choice([0.1, 1.0, 30.0]))
+            t = float(rng.choice([grid.nodes[3], rng.uniform(0.0, 1.0)]))
+            z = rng.standard_normal(dim) * rng.choice([1e-3, 1.0, 1e3])
+            got = spec.stage_matrix(t, x, z)
+            assert got.tobytes() == _stage_matrix_reference(spec, t, x, z).tobytes()
+            drift, cost = spec.stage_terms(t, x)
+            assert drift.shape == (spec.controls.n_p, spec.controls.n_q, dim)
+            assert cost.tobytes() == np.array(
+                [[spec.stage_cost(t, x, p, q) for q in spec.controls.q_points]
+                 for p in spec.controls.p_points]).tobytes()
+
+    @pytest.mark.parametrize("bad,message", [
+        ({("cost", 0.0, 2.0), ("drift", 1.0, 0.0)}, "non-finite running cost at t=0.5, p=0.0, q=2.0"),
+        ({("drift", 0.0, 1.0), ("cost", 1.0, 1.0)}, "non-finite drift at t=0.5, p=0.0, q=1.0"),
+    ])
+    def test_first_offending_pair_raises(self, bad, message):
+        spec = _failing_game(bad)
+        x = Path.constant(TimeGrid(0.0, 1.0, 4), [0.3])
+        with pytest.raises(EvaluationError) as ref:
+            _stage_matrix_reference(spec, 0.5, x, [1.0])
+        for call in (lambda: spec.stage_matrix(0.5, x, [1.0]), lambda: spec.stage_terms(0.5, x),
+                     lambda: hamiltonian(spec, 0.5, x, [1.0])):
+            with pytest.raises(EvaluationError) as got:
+                call()
+            assert str(got.value) == str(ref.value) == message
+        with pytest.raises(EvaluationError, match=message.replace("t=0.5", "t=0.75")):
+            dp_value(spec, TimeGrid(0.0, 1.0, 4), StateLattice(lo=(-1.0,), hi=(1.0,), shape=(3,)))
+
+    def test_drift_before_cost_within_a_pair(self):
+        spec = _failing_game({("drift", 1.0, 0.0), ("cost", 1.0, 0.0)})
+        x = Path.constant(TimeGrid(0.0, 1.0, 4), [0.3])
+        with pytest.raises(EvaluationError, match="non-finite drift at t=0.5, p=1.0, q=0.0"):
+            spec.stage_matrix(0.5, x, [1.0])

@@ -1,0 +1,464 @@
+"""The lane solver and the batched residual search against the loops they replace."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from pdhj import evolution, minimax
+from pdhj.errors import ContractError, LatticeCoverageError, SolverError
+from pdhj.evolution import (
+    FORCING_ALGORITHM,
+    FORCING_BOUND_TOL,
+    STEP_TOL,
+    DelayDynamics,
+    OperatorSpec,
+    SolveReport,
+    _ball_point,
+    _implicit_step,
+    build_p_laplacian,
+    make_linear_operator,
+    sample_reachable_set,
+    solve_delay_evolution,
+    solve_delay_lanes,
+)
+from pdhj.game import (
+    ControlGrid,
+    GameSpec,
+    StateLattice,
+    ValueTable,
+    dp_value,
+    hamiltonian,
+    is_upper_side,
+    isaacs_game,
+)
+from pdhj.pathcore import Path, StateSpace, TimeGrid, extend_history, stopped_at, sup_norm
+
+
+def _solve_reference(dyn, t0, x0, forcing=None, forcing_algorithm=None):
+    """The one-lane step loop that solve_delay_lanes replaced, kept verbatim."""
+    grid = x0.grid
+    k0 = grid.node_index(t0)
+    nodes = grid.nodes
+    n = grid.n_steps
+    dim = x0.dim
+    L = dyn.lipschitz_L
+
+    values = x0.values.copy()
+    trace = np.zeros((n - k0, dim))
+    newton_total, newton_max, worst_res = 0, 0, 0.0
+
+    for k in range(k0, n):
+        t_k, t_k1 = nodes[k], nodes[k + 1]
+        dt = t_k1 - t_k
+        x_stop = stopped_at(grid, values, k)
+        if forcing is None:
+            control = np.zeros(dim)
+        elif callable(forcing):
+            control = forcing(t_k, x_stop)
+        else:
+            control = forcing[k]
+        f_k = np.atleast_1d(np.asarray(dyn.rhs(t_k, x_stop, control), dtype=float))
+        bound = L * (1.0 + sup_norm(x_stop, t_k))
+        fmag = float(np.linalg.norm(f_k))
+        if fmag > bound + FORCING_BOUND_TOL * (1.0 + bound):
+            raise ContractError(
+                f"forcing magnitude {fmag:.6e} exceeds L(1+sup) = {bound:.6e} at step {k}")
+        target = values[k] + dt * f_k
+        tol = STEP_TOL * (1.0 + float(np.linalg.norm(values[k])))
+        xi, iters, res = _implicit_step(dyn.op, t_k1, dt, target, values[k], tol, k)
+        values[k + 1] = xi
+        trace[k - k0] = f_k
+        newton_total += iters
+        newton_max = max(newton_max, iters)
+        worst_res = max(worst_res, res)
+
+    return SolveReport(path=Path(grid, values), forcing_trace=trace, start_index=k0,
+                       step_count=n - k0, residual_estimate=worst_res,
+                       newton_total=newton_total, newton_max=newton_max,
+                       forcing_algorithm=forcing_algorithm)
+
+
+def _tube_draw_reference(dyn, x0, seed, i):
+    """The per-sample forcing of the sequential sample_reachable_set."""
+    rng = np.random.default_rng([seed, i])
+
+    def draw(t_k, x_stop):
+        radius = dyn.lipschitz_L * (1.0 + sup_norm(x_stop, t_k))
+        return _ball_point(rng, x0.dim, radius)
+    return draw
+
+
+def _sample_reference(dyn, t0, x0, count, seed):
+    identity = DelayDynamics.forced(dyn.op, dyn.lipschitz_L)
+    return [_solve_reference(identity, t0, x0, _tube_draw_reference(dyn, x0, seed, i),
+                             FORCING_ALGORITHM) for i in range(count)]
+
+
+def _assert_reports_equal(got, want):
+    for f in dataclasses.fields(SolveReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "path":
+            assert a.grid == b.grid
+            a, b = a.values, b.values
+        assert np.array_equal(a, b), f"{f.name}: {a!r} != {b!r}"
+    for name in ("start_index", "step_count", "newton_total", "newton_max"):
+        assert type(getattr(got, name)) is int, name  # JSON-serializable counts
+
+
+def _mixed_forcings(dim, n, rng):
+    """One forcing of each kind the lane solver takes but the tube draw."""
+    return [
+        None,
+        0.2 * rng.standard_normal((n, dim)),
+        lambda t, x: 0.3 * np.sin(3.0 * t) * x.value_at(t),
+        lambda t, x: np.full(dim, 0.1 * t),
+    ]
+
+
+def _history(grid, dim, seed):
+    return Path(grid, 0.5 * np.random.default_rng(seed).standard_normal((grid.n_steps + 1, dim)))
+
+
+class TestLanesMatchSequentialLoop:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_linear(self, dim):
+        grid = TimeGrid(0.0, 1.0, 12)
+        hist = _history(grid, dim, dim)
+        dyn = DelayDynamics.forced(make_linear_operator(dim=dim, gain=1.5), 2.0)
+        forcings = _mixed_forcings(dim, grid.n_steps, np.random.default_rng(4))
+        for t0 in (0.0, grid.nodes[5], grid.nodes[-2], grid.nodes[-1]):
+            reports = solve_delay_lanes(dyn, t0, hist, forcings, "alg")
+            assert len(reports) == len(forcings)
+            for rep, forcing in zip(reports, forcings):
+                _assert_reports_equal(rep, _solve_reference(dyn, t0, hist, forcing, "alg"))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_path_dependent_rhs(self, dim):
+        # a delayed rhs reads the stopped path, so every lane builds it
+        grid = TimeGrid(0.0, 1.0, 10)
+        hist = _history(grid, dim, 7)
+        dyn = DelayDynamics(op=make_linear_operator(dim=dim), lipschitz_L=3.0,
+                            rhs=lambda t, x, u: 0.5 * x.value_at(max(t - 0.25, 0.0)) + u)
+        forcings = _mixed_forcings(dim, grid.n_steps, np.random.default_rng(5))
+        for rep, forcing in zip(solve_delay_lanes(dyn, 0.3, hist, forcings), forcings):
+            _assert_reports_equal(rep, _solve_reference(dyn, 0.3, hist, forcing))
+
+    def test_p_laplacian(self):
+        # no eval_batch: op.batch sends each row through the operator
+        op = build_p_laplacian(5, 3.0)
+        assert op.eval_batch is None
+        grid = TimeGrid(0.0, 0.5, 8)
+        hist = Path.constant(grid, np.sin(np.linspace(0.3, 2.8, 5)))
+        dyn = DelayDynamics.forced(op, 1.0)
+        forcings = _mixed_forcings(5, grid.n_steps, np.random.default_rng(6))
+        forcings += [np.random.default_rng([9, i]) for i in range(3)]
+        reports = solve_delay_lanes(dyn, 0.0, hist, forcings)
+        for rep, forcing in zip(reports[:4], forcings):
+            _assert_reports_equal(rep, _solve_reference(dyn, 0.0, hist, forcing))
+        for i, rep in enumerate(reports[4:]):
+            _assert_reports_equal(rep, _solve_reference(
+                dyn, 0.0, hist, _tube_draw_reference(dyn, hist, 9, i)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_lane_stalled(self, dim, monkeypatch):
+        # no Newton iteration: every lane takes _implicit_step's fallback
+        monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", 0)
+        grid = TimeGrid(0.0, 1.0, 6)
+        hist = _history(grid, dim, 11)
+        dyn = DelayDynamics.forced(make_linear_operator(dim=dim), 1.0)
+        forcings = _mixed_forcings(dim, grid.n_steps, np.random.default_rng(8))
+        for rep, forcing in zip(solve_delay_lanes(dyn, 0.0, hist, forcings), forcings):
+            _assert_reports_equal(rep, _solve_reference(dyn, 0.0, hist, forcing))
+
+    def test_one_lane_is_solve_delay_evolution(self):
+        grid = TimeGrid(0.0, 1.0, 16)
+        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        hist = _history(grid, 1, 3)
+        forcing = lambda t, x: -0.5 * x.value_at(t)  # noqa: E731
+        _assert_reports_equal(solve_delay_evolution(dyn, 0.25, hist, forcing),
+                              _solve_reference(dyn, 0.25, hist, forcing))
+
+
+class TestTubeLanes:
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_tube_matches_sequential_draws(self, dim):
+        grid = TimeGrid(0.0, 1.0, 10)
+        hist = _history(grid, dim, 2)
+        dyn = DelayDynamics.forced(make_linear_operator(dim=dim), 0.8)
+        got = sample_reachable_set(dyn, 0.2, hist, 6, seed=21)
+        for rep, want in zip(got, _sample_reference(dyn, 0.2, hist, 6, 21)):
+            _assert_reports_equal(rep, want)
+
+    def test_sample_i_independent_of_count(self):
+        grid = TimeGrid(0.0, 1.0, 8)
+        hist = _history(grid, 2, 5)
+        dyn = DelayDynamics.forced(make_linear_operator(dim=2), 0.6)
+        few = sample_reachable_set(dyn, 0.0, hist, 3, seed=4)
+        many = sample_reachable_set(dyn, 0.0, hist, 11, seed=4)
+        for a, b in zip(few, many):
+            _assert_reports_equal(a, b)
+
+
+def _error_key(err):
+    return type(err), str(err), getattr(err, "step_index", None)
+
+
+def _sequential_error(dyn, t0, x0, forcings):
+    for forcing in forcings:
+        try:
+            _solve_reference(dyn, t0, x0, forcing)
+        except Exception as err:  # the first failing lane ends the loop
+            return err
+    raise AssertionError("no lane failed")
+
+
+def _lanes_error(dyn, t0, x0, forcings):
+    with pytest.raises(Exception) as info:
+        solve_delay_lanes(dyn, t0, x0, forcings)
+    return info.value
+
+
+def _kick(step, size, dim=1):
+    """Forcing of `size` at grid step `step`, zero elsewhere."""
+    def forcing(t, x):
+        return np.full(dim, size if int(round(t * 8)) == step else 0.0)
+    return forcing
+
+
+def _raise_from(step):
+    """A callback that raises at grid step `step` and at every later one."""
+    def forcing(t, x):
+        k = int(round(t * 8))
+        if k >= step:
+            raise RuntimeError(f"callback failed at step {k}")
+        return np.zeros(1)
+    return forcing
+
+
+class TestLaneErrors:
+    grid = TimeGrid(0.0, 1.0, 8)
+
+    def _check(self, dyn, forcings):
+        hist = Path.constant(self.grid, [0.5])
+        want = _sequential_error(dyn, 0.0, hist, forcings)
+        got = _lanes_error(dyn, 0.0, hist, forcings)
+        assert _error_key(got) == _error_key(want)
+        return got
+
+    def test_contract_error_of_the_lowest_lane(self):
+        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        # lane 3 breaks the bound at step 0, lane 1 only at step 5
+        forcings = [None, _kick(5, 9.0), None, _kick(0, 9.0), None]
+        err = self._check(dyn, forcings)
+        assert isinstance(err, ContractError) and "at step 5" in str(err)
+
+    def test_solver_error_of_the_lowest_lane(self):
+        # the operator has no root beyond |x| > 2: the step fails there
+        op = OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
+                          eval_fn=lambda t, v: np.where(np.abs(v) > 2.0, np.nan, v))
+        dyn = DelayDynamics.forced(op, 100.0)
+        forcings = [None, _kick(6, 40.0), _kick(2, 40.0), None]
+        err = self._check(dyn, forcings)
+        assert isinstance(err, SolverError) and err.step_index == 6
+
+    def test_callback_on_a_later_lane_than_an_earlier_failure(self):
+        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        # lane 1 fails its bound at step 4; lane 2's callback raises at step 1
+        err = self._check(dyn, [None, _kick(4, 9.0), _raise_from(1)])
+        assert isinstance(err, ContractError)
+        # and the other way round: the callback of the lower lane wins
+        err = self._check(dyn, [_raise_from(6), None, _kick(0, 9.0)])
+        assert isinstance(err, RuntimeError) and "step 6" in str(err)
+
+    def test_two_lanes_failing_in_one_step(self):
+        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        err = self._check(dyn, [None, _raise_from(2), None, _raise_from(2)])
+        assert "step 2" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# the residual candidate search
+# ---------------------------------------------------------------------------
+
+def _char_policy_reference(spec, table, side, role, z):
+    """The characteristic selector with one stage_matrix sweep per matrix."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    upper = is_upper_side(side)
+
+    def policy(t, x_stop):
+        zhat = table.gradient(side, t, x_stop.value_at(t))
+        M_test = spec.stage_matrix(t, x_stop, z)
+        M_grad = spec.stage_matrix(t, x_stop, zhat)
+        if upper:
+            commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
+            i = int(np.argmin(commit.max(axis=1)))
+            j = int(np.argmax(answer[i, :]))
+        else:
+            commit, answer = (M_test, M_grad) if role == "super" else (M_grad, M_test)
+            j = int(np.argmax(commit.min(axis=0)))
+            i = int(np.argmin(answer[:, j]))
+        return (spec.controls.p_points[i], spec.controls.q_points[j])
+
+    return policy
+
+
+def _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed):
+    """One sequential solve per candidate, as before the lane solver."""
+    runs = []
+    for i, p in enumerate(spec.controls.p_points):
+        for j, q in enumerate(spec.controls.q_points):
+            rep = _solve_reference(spec.dyn, t0, hist, forcing=lambda t, x, pq=(p, q): pq)
+            runs.append((f"constant[p{i},q{j}]", rep))
+    for role in ("super", "sub"):
+        rep = _solve_reference(spec.dyn, t0, hist,
+                               forcing=_char_policy_reference(spec, table, side, role, z))
+        runs.append((f"characteristic[{role}]", rep))
+    n_random = max(0, budget - len(runs))
+    if n_random > 0:
+        tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
+        for i, rep in enumerate(_sample_reference(tube, t0, hist, n_random, seed)):
+            runs.append((f"random[{i}]", rep))
+    return runs
+
+
+def _characteristic_functional_reference(spec, table, side, rep, z, t0, u0):
+    """The functional of one candidate, one table read per node."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    grid = rep.path.grid
+    nodes = grid.nodes
+    k0 = rep.start_index
+    values = rep.path.values
+    G = np.empty(grid.n_steps - k0)
+    acc = 0.0
+    for k in range(k0, grid.n_steps):
+        dt = nodes[k + 1] - nodes[k]
+        ham = hamiltonian(spec, nodes[k], stopped_at(grid, values, k), z)
+        F_val = ham.f_plus if is_upper_side(side) else ham.f_minus
+        f_k = rep.forcing_trace[k - k0]
+        acc += dt * (-float(f_k @ z) + F_val)
+        G[k - k0] = acc + table.interp(side, nodes[k + 1], values[k + 1]) - u0
+    return G, nodes[k0 + 1:]
+
+
+@pytest.fixture(scope="module")
+def desk():
+    spec = isaacs_game(scale=0.5)
+    grid = TimeGrid(0.0, 1.0, 16)
+    lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+    return spec, grid, dp_value(spec, grid, lattice)
+
+
+def _site(table, t_index, state, horizon=0.25):
+    win_grid, _, _ = minimax._window_grid(table.grid, table.grid.nodes[t_index], horizon)
+    t0 = table.grid.nodes[t_index]
+    return t0, extend_history(Path.constant(table.grid, [state]), win_grid, t0)
+
+
+class TestCandidateSearch:
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    @pytest.mark.parametrize("t_index,state,z,budget", [
+        (2, 0.5, 0.7, 24), (9, -1.2, -0.4, 16), (13, 0.0, 0.0, 8)])
+    def test_runs_and_functional_match_sequential(self, desk, side, t_index, state, z, budget):
+        spec, grid, table = desk
+        t0, hist = _site(table, t_index, state)
+        z = np.array([z])
+        runs = minimax._candidate_runs(spec, table, side, t0, hist, z, budget, 7)
+        want = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, 7)
+        assert [label for label, _ in runs] == [label for label, _ in want]
+        for (_, rep), (_, ref) in zip(runs, want):
+            _assert_reports_equal(rep, ref)
+        u0 = table.interp(side, t0, hist.value_at(t0))
+        G, times = minimax._characteristic_functional(spec, table, side, runs, z, t0, u0)
+        for row, (_, rep) in zip(G, runs):
+            ref_G, ref_times = _characteristic_functional_reference(
+                spec, table, side, rep, z, t0, u0)
+            assert row.tobytes() == ref_G.tobytes()
+            assert times.tobytes() == ref_times.tobytes()
+
+    def test_two_lane_solves_per_site(self, desk, monkeypatch):
+        spec, grid, table = desk
+        calls = []
+        original = evolution.solve_delay_lanes
+
+        def counted(dyn, t0, x0, forcings, forcing_algorithm=None):
+            calls.append(len(forcings))
+            return original(dyn, t0, x0, forcings, forcing_algorithm)
+
+        monkeypatch.setattr(evolution, "solve_delay_lanes", counted)
+        monkeypatch.setattr(minimax, "solve_delay_lanes", counted)
+        t0, hist = _site(table, 3, 0.4)
+        runs = minimax._candidate_runs(spec, table, "upper", t0, hist, np.array([0.3]), 32, 1)
+        assert calls == [9 + 2, 32 - 11]  # game lanes, then tube lanes
+        assert len(runs) == 32
+        calls.clear()
+        minimax_site = (t0, Path.constant(grid, [0.4]), np.array([0.3]))
+        minimax.minimax_residual(table, spec, minimax_site, "sub", 0.25, 16, seed=2)
+        assert calls == [11, 5]
+
+
+def _edge_setup(cost_limit=None):
+    """A 1-D game on a narrow lattice that the constant pushes leave; with
+    cost_limit, the running cost is non-finite beyond that state."""
+    op = make_linear_operator(dim=1, gain=0.1)
+
+    def running(t, x, p, q):
+        xt = float(x.value_at(t)[0])
+        return np.nan if cost_limit is not None and xt > cost_limit else 0.1 * xt * xt
+
+    spec = GameSpec(dyn=DelayDynamics(op=op, rhs=lambda t, x, u: np.array([u[0] + u[1]]),
+                                      lipschitz_L=2.0),
+                    running_cost=running, terminal_cost=lambda x: 0.0,
+                    controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0)),
+                    l_f=2.0, lambda_L=0.2, name="edge")
+    grid = TimeGrid(0.0, 1.0, 16)
+    lattice = StateLattice(lo=(-1.0,), hi=(0.6,), shape=(17,))
+    values = np.add.outer(1.0 - grid.nodes, lattice.axes[0] ** 2)
+    table = ValueTable(grid=grid, lattice=lattice, v_minus=values, v_plus=values)
+    return spec, grid, table
+
+
+class TestOffLatticeOrder:
+    @pytest.mark.parametrize("cost_limit", [None, 0.45, 0.55, 0.59])
+    def test_functional_raises_like_candidate_loop(self, cost_limit):
+        spec, grid, table = _edge_setup(cost_limit)
+        t0, hist = _site(table, 4, 0.4, horizon=0.5)
+        # constant forcings on the forced dynamics: no policy calls the cost
+        forced = DelayDynamics.forced(spec.dyn.op, 2.0)
+        forcings = [np.full((grid.n_steps, 1), s) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
+        runs = [(str(i), rep) for i, rep in
+                enumerate(solve_delay_lanes(forced, t0, hist, forcings))]
+        z, u0 = np.array([0.5]), 0.0
+        want = None
+        for _, rep in runs:
+            try:
+                _characteristic_functional_reference(spec, table, "upper", rep, z, t0, u0)
+            except Exception as err:
+                want = err
+                break
+        assert want is not None
+        with pytest.raises(type(want)) as got:
+            minimax._characteristic_functional(spec, table, "upper", runs, z, t0, u0)
+        assert str(got.value) == str(want)
+        if isinstance(want, LatticeCoverageError):
+            assert got.value.margin == want.margin
+
+    def test_viscosity_scan_names_first_candidate_off_lattice(self):
+        spec, grid, table = _edge_setup()
+        site = (grid.nodes[4], Path.constant(grid, [0.4]))
+        with pytest.raises(LatticeCoverageError) as got:
+            minimax.viscosity_scan(table, spec, site, np.array([0.5]), 0.5,
+                                   search_budget=12, seed=0)
+        t0, hist = _site(table, 4, 0.4, horizon=0.5)
+        want = None
+        for _, rep in _candidate_runs_reference(spec, table, "upper", t0, hist,
+                                                np.array([0.5]), 12, 0):
+            for k in range(rep.start_index + 1, rep.path.grid.n_steps + 1):
+                try:
+                    table.interp("upper", rep.path.grid.nodes[k], rep.path.values[k])
+                except LatticeCoverageError as err:
+                    want = err
+                    break
+            if want is not None:
+                break
+        assert str(got.value) == str(want) and got.value.margin == want.margin

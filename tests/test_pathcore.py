@@ -3,6 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pdhj.errors import DomainError
 from pdhj.pathcore import Path, StateSpace, TimeGrid, d_infinity, stop_path, sup_norm
@@ -68,6 +69,73 @@ class TestTimeGrid:
         fine = grid.refine(2)
         assert fine.n_steps == 8
         assert set(np.round(grid.nodes, 12)) <= set(np.round(fine.nodes, 12))
+
+
+def _value_at_reference(path, t):
+    """Path.value_at before its bisect fast path, kept verbatim."""
+    path.grid.require_contains(t)
+    nodes = path.grid.nodes
+    t = min(max(t, nodes[0]), nodes[-1])
+    k = int(np.searchsorted(nodes, t, side="right")) - 1
+    k = min(max(k, 0), len(nodes) - 2)
+    h = nodes[k + 1] - nodes[k]
+    w = (t - nodes[k]) / h
+    return (1.0 - w) * path.values[k] + w * path.values[k + 1]
+
+
+_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+@st.composite
+def _path_and_time(draw):
+    """A path on a uniform or explicit grid, and a time at a node, between
+    nodes, at or just past an end (clamped), or outside the span."""
+    n, dim = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    t_start = draw(st.floats(min_value=-2.0, max_value=2.0))
+    if draw(st.booleans()):
+        grid = TimeGrid(t_start, t_start + draw(st.floats(min_value=0.1, max_value=5.0)), n)
+    else:
+        gaps = draw(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=n, max_size=n))
+        grid = TimeGrid.from_nodes(t_start + np.concatenate(([0.0], np.cumsum(gaps))))
+    flat = draw(st.lists(_VALUES, min_size=(n + 1) * dim, max_size=(n + 1) * dim))
+    path = Path(grid, np.array(flat).reshape(n + 1, dim))
+    nodes = grid.nodes
+    k = draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["node", "between", "end", "outside"]))
+    if kind == "node":
+        t = float(nodes[draw(st.integers(0, n))])
+    elif kind == "between":
+        t = float(nodes[k] + draw(st.floats(min_value=0.0, max_value=1.0)) * (nodes[k + 1] - nodes[k]))
+    elif kind == "end":
+        t = draw(st.sampled_from([grid.t_start, grid.t_end, grid.t_start - 5e-13,
+                                  grid.t_end + 5e-13]))
+    else:
+        t = draw(st.sampled_from([grid.t_start - 1e-9, grid.t_end + 1e-6, float("nan")]))
+    return path, t
+
+
+class TestValueAt:
+    @given(_path_and_time())
+    def test_matches_blend_formula(self, case):
+        path, t = case
+        try:
+            want = _value_at_reference(path, t)
+        except DomainError as err:
+            with pytest.raises(DomainError) as got:
+                path.value_at(t)
+            assert str(got.value) == str(err)
+            return
+        got = path.value_at(t)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()  # bit for bit, signed zeros included
+
+    def test_node_time_keeps_the_blend_zero_signs(self):
+        # -0.0 + 0.0 * 1.0 is +0.0: returning row k itself would keep -0.0
+        path = Path(TimeGrid(0.0, 1.0, 2), [[-0.0], [1.0], [-0.0]])
+        assert not np.signbit(path.value_at(0.0)[0])
+        out = path.value_at(0.5)
+        assert out.flags.writeable and not np.shares_memory(out, path.values)
 
 
 class TestStopPath:

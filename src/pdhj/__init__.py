@@ -38,6 +38,7 @@ from .game import (
     extremal_shift_strategy,
     hamiltonian,
     measurable_selection,
+    play_feedback_games,
     run_feedback_game,
 )
 from .minimax import (

@@ -43,7 +43,7 @@ from .game import (
     audit_hamiltonian_lipschitz,
     isaacs_game,
     lyapunov_violation_stats,
-    run_feedback_game,
+    play_feedback_games,
 )
 from .minimax import bump_table, minimax_residual, stability_experiment, \
     viscosity_scan
@@ -160,6 +160,23 @@ def _build_lattice(block: dict, dim: int) -> StateLattice:
     return StateLattice(lo=tuple(lo), hi=tuple(hi), shape=tuple(points))
 
 
+def _state_vector(entries: list, dim: int, field: str) -> np.ndarray:
+    """A config vector that needs one number per coordinate of the state."""
+    if len(entries) != dim:
+        raise UsageError(f"{field} has {len(entries)} entries, but the state has "
+                         f"dimension {dim}", field_path=field)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries):
+        raise UsageError(f"{field} entries must be numbers", field_path=field)
+    return np.asarray(entries, dtype=float)
+
+
+def _site_state(rng, lattice: StateLattice, shrink: float) -> np.ndarray:
+    """A site state drawn uniformly in the lattice box shrunk by `shrink`, one
+    draw per coordinate in coordinate order (so dimension 1 draws one scalar)."""
+    return np.array([float(rng.uniform(lo * shrink, hi * shrink))
+                     for lo, hi in zip(lattice.lo, lattice.hi)])
+
+
 def _build_operator(block: dict):
     block = block or {}
     kind = block.get("kind", "linear")
@@ -210,13 +227,14 @@ def _run_solve(config: dict, seed: int, artifacts: dict) -> dict:
     grid = _build_grid(config.get("grid"))
     lipschitz = float(config.get("lipschitz", 1.0))
     dyn = DelayDynamics.forced(op, lipschitz)
-    initial = np.asarray(config.get("initial", [1.0] * op.space.dim), dtype=float)
+    dim = op.space.dim
+    initial = _state_vector(config.get("initial", [1.0] * dim), dim, "initial")
     x0 = Path.constant(grid, initial)
     forcing_block = config.get("forcing", {"kind": "zero"})
     if forcing_block.get("kind", "zero") == "zero":
         forcing = None
     elif forcing_block["kind"] == "constant":
-        vec = np.asarray(forcing_block.get("value", [0.0] * op.space.dim), dtype=float)
+        vec = _state_vector(forcing_block.get("value", [0.0] * dim), dim, "forcing.value")
         forcing = np.tile(vec, (grid.n_steps, 1))
     else:
         raise UsageError("forcing.kind must be 'zero' or 'constant'",
@@ -294,15 +312,20 @@ def _run_isaacs_check(config: dict, seed: int, artifacts: dict) -> dict:
 def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
+    dim = spec.dyn.op.space.dim
+    lattice = _build_lattice(config.get("lattice"), dim)
+    x0_vec = _state_vector(config.get("x0", [0.4] * dim), dim, "x0")
+    steps = config.get("partition_steps", [8, 16, 32])
+    if not steps or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
+                            for n in steps):
+        raise UsageError("partition_steps must be a nonempty list of positive integers",
+                         field_path="partition_steps")
     table = dp_value(spec, grid, lattice)
     frac = float(config.get("epsilon_fraction", 1.0))
     base = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=grid.t_end)
     params = LyapunovParams(epsilon=frac * base.epsilon0, lambda_L=spec.lambda_L,
                             horizon=grid.t_end)
-    x0_vec = np.asarray(config.get("x0", [0.4] * spec.dyn.op.space.dim), dtype=float)
     x0 = Path.constant(grid, x0_vec)
-    steps = [int(n) for n in config.get("partition_steps", [8, 16, 32])]
     partitions = [TimeGrid(0.0, grid.t_end, n) for n in steps]
     strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions[0],
                                        value=table,
@@ -313,9 +336,9 @@ def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
     budget = int(config.get("budget", 50))
     est = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
                                      seed=seed + 2)
-    traces = [run_feedback_game(spec, strategy, adv, part)
-              for part in partitions
-              for adv in adversary_pool(spec, table, min(budget, 16), seed + 2)]
+    traces = [trace for part in partitions
+              for trace in play_feedback_games(
+                  spec, strategy, adversary_pool(spec, table, min(budget, 16), seed + 2), part)]
     stats = lyapunov_violation_stats(traces, m_hat)
     v_site = table.interp("upper", 0.0, x0_vec)
     tol = m_hat * grid.t_end + params.epsilon + max(lattice.spacing)
@@ -351,9 +374,8 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
     all_pass = True
     for i in range(n_sites):
         k = int(rng.integers(0, max(grid.n_steps - 2, 1)))
-        state = float(rng.uniform(lattice.lo[0] * 0.6, lattice.hi[0] * 0.6))
+        x0 = Path.constant(grid, _site_state(rng, lattice, 0.6))
         z = rng.standard_normal(spec.dyn.op.space.dim)
-        x0 = Path.constant(grid, [state] * spec.dyn.op.space.dim)
         site = (grid.nodes[k], x0, z)
         sub = minimax_residual(table, spec, site, "sub", horizon, budget, seed=seed + 10 + i)
         sup = minimax_residual(table, spec, site, "super", horizon, budget, seed=seed + 500 + i)
@@ -362,8 +384,7 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
     viscosity = []
     for j in range(3):
         k = int(rng.integers(0, max(grid.n_steps - 2, 1)))
-        state = float(rng.uniform(lattice.lo[0] * 0.5, lattice.hi[0] * 0.5))
-        x0 = Path.constant(grid, [state] * spec.dyn.op.space.dim)
+        x0 = Path.constant(grid, _site_state(rng, lattice, 0.5))
         z = rng.standard_normal(spec.dyn.op.space.dim) * 0.5
         scan = viscosity_scan(table, spec, (grid.nodes[k], x0), z, horizon,
                               search_budget=budget, seed=seed + 900 + j)

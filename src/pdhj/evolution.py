@@ -389,6 +389,74 @@ def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np
     return xi, iters, res
 
 
+def _sweep(call, n: int):
+    """call(0), call(1), ... up to the first call that raises.
+
+    Returns (results, None) when none raises, else (the results before the
+    failing call, its error): the lanes of a lockstep loop fail as a
+    lane-by-lane loop would, the first failing lane ending the sweep.
+    """
+    out = []
+    for i in range(n):
+        try:
+            out.append(call(i))
+        except Exception as err:
+            return out, err
+    return out, None
+
+
+class _LivePrefix:
+    """Lanes 0..n-1 still in play, and err, the error of lane n when one failed.
+
+    A failed lane drops itself and every lane after it, so the lanes left are
+    always a prefix and err is always the lowest failed lane's first error.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.err = n, None
+
+    def keep(self, results, error):
+        """The results of a sweep over the live lanes; a failure ends the lanes
+        at the failing one, and when none is left its error is raised."""
+        if error is not None:
+            self.n, self.err = len(results), error
+            if not self.n:
+                raise error
+        return results
+
+
+def _batch_or_sweep(batch, one, n: int):
+    """(batch(), None) for lanes 0..n-1; when it raises, _sweep(one, n): the
+    results of the lanes before the first that fails alone, with its error."""
+    try:
+        return batch(), None
+    except Exception:
+        return _sweep(one, n)
+
+
+def _implicit_step_lanes(op: OperatorSpec, t_next: float, dt: float, targets: np.ndarray,
+                         guesses: np.ndarray, tols, step_index: int):
+    """_implicit_step_batch for lanes that may fail; returns (xi, iters, res, err).
+
+    err is None when every row steps.  When the batch raises, the rows step
+    one by one through _implicit_step up to the first that raises: the arrays
+    then hold the rows before it, and err is its error.
+    """
+    try:
+        xi, iters, res = _implicit_step_batch(op, t_next, dt, targets, guesses, tols, step_index)
+        return xi, iters, res, None
+    except Exception:
+        tols = np.broadcast_to(np.asarray(tols, dtype=float), (len(targets),))
+        rows, err = _sweep(lambda n: _implicit_step(op, t_next, dt, targets[n], guesses[n],
+                                                    float(tols[n]), step_index), len(targets))
+        xi = np.empty((len(rows), targets.shape[1]))
+        iters = np.zeros(len(rows), dtype=int)
+        res = np.zeros(len(rows))
+        for n, row in enumerate(rows):
+            xi[n], iters[n], res[n] = row
+        return xi, iters, res, err
+
+
 def _bisect_step(g, target, tol, step_index, iters):
     # g is scalar and strictly increasing (identity plus dt * monotone A)
     lo = hi = float(target[0])
@@ -458,55 +526,39 @@ def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
     res = np.zeros((n - k0, m))
     # running max of the node norms sup_norm takes (np.linalg.norm over axis 1)
     node_sup = np.full(m, np.max(np.linalg.norm(x0.values[: k0 + 1], axis=1)))
-    live = np.arange(m)
-    failed = {}  # lane -> its first error
+    live = _LivePrefix(m)
 
     for k in range(k0, n):
         t_k, t_k1 = nodes[k], nodes[k + 1]
         dt = t_k1 - t_k
-        x_k = values[k, live]
+        x_k = values[k, :live.n]
         cur = _row_norms(x_k)  # |x(t_k)|: sup_norm's last term and the step tolerance
-        bound = L * (1.0 + np.maximum(node_sup[live], cur))
-        f = np.empty_like(x_k)
-        cut = len(live)
-        for pos, lane in enumerate(live):
-            try:
-                f[pos] = _lane_forcing(dyn, forcings[lane], grid, values[:, lane], k,
-                                       float(bound[pos]))
-            except Exception as err:
-                failed[lane], cut = err, pos
-                break
-        fmag = _row_norms(f[:cut])
-        over = np.flatnonzero(fmag > bound[:cut] + FORCING_BOUND_TOL * (1.0 + bound[:cut]))
+        bound = L * (1.0 + np.maximum(node_sup[:live.n], cur))
+        forced = live.keep(*_sweep(lambda lane: _lane_forcing(
+            dyn, forcings[lane], grid, values[:, lane], k, float(bound[lane])), live.n))
+        f = np.empty((live.n, dim))
+        for lane, row in enumerate(forced):
+            f[lane] = row
+        fmag = _row_norms(f)
+        over = np.flatnonzero(fmag > bound[:live.n] + FORCING_BOUND_TOL * (1.0 + bound[:live.n]))
         if over.size:
             cut = over[0]
-            failed[live[cut]] = ContractError(
+            live.keep(f[:cut], ContractError(
                 f"forcing magnitude {fmag[cut]:.6e} exceeds L(1+sup) = {bound[cut]:.6e} "
-                f"at step {k}")
-        live, x_k, f = live[:cut], x_k[:cut], f[:cut]
+                f"at step {k}"))
+        x_k, f = x_k[:live.n], f[:live.n]
         targets = x_k + dt * f
-        tols = STEP_TOL * (1.0 + cur[:cut])
-        try:
-            xi, it, r = _implicit_step_batch(dyn.op, t_k1, dt, targets, x_k, tols, k)
-        except Exception:  # step lane by lane to find which lane fails first, and how
-            xi, it, r = np.empty_like(x_k), np.zeros(len(live), dtype=int), np.zeros(len(live))
-            for pos, lane in enumerate(live):
-                try:
-                    xi[pos], it[pos], r[pos] = _implicit_step(
-                        dyn.op, t_k1, dt, targets[pos], x_k[pos], float(tols[pos]), k)
-                except Exception as err:
-                    failed[lane] = err
-                    live, xi, it, r, f = live[:pos], xi[:pos], it[:pos], r[:pos], f[:pos]
-                    break
-        values[k + 1, live] = xi
-        node_sup[live] = np.maximum(node_sup[live], np.linalg.norm(xi, axis=1))
-        trace[k - k0, live] = f
-        iters[k - k0, live] = it
-        res[k - k0, live] = r
-        if not live.size:
-            break
-    if failed:
-        raise failed[min(failed)]
+        tols = STEP_TOL * (1.0 + cur[:live.n])
+        xi, it, r, err = _implicit_step_lanes(dyn.op, t_k1, dt, targets, x_k, tols, k)
+        xi = live.keep(xi, err)
+        done = live.n
+        values[k + 1, :done] = xi
+        node_sup[:done] = np.maximum(node_sup[:done], np.linalg.norm(xi, axis=1))
+        trace[k - k0, :done] = f[:done]
+        iters[k - k0, :done] = it
+        res[k - k0, :done] = r
+    if live.err is not None:
+        raise live.err
 
     return [SolveReport(path=Path(grid, values[:, lane]), forcing_trace=trace[:, lane].copy(),
                         start_index=k0, step_count=n - k0,

@@ -24,8 +24,9 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import DelayDynamics, _implicit_step, _implicit_step_batch, _row_dots, \
-    _row_norms, make_linear_operator, sample_reachable_set
+from .evolution import DelayDynamics, _batch_or_sweep, _implicit_step_batch, \
+    _implicit_step_lanes, _LivePrefix, _row_dots, _row_norms, _sweep, make_linear_operator, \
+    sample_reachable_set
 from .pathcore import Path, TimeGrid, extend_history, stopped_at, sup_norm
 from .upsilon import LyapunovParams, surrogate_terms
 
@@ -585,62 +586,92 @@ class FeedbackStrategy:
             offsets[:, d, 1, d] = -steps
         return offsets.reshape(-1, dim)
 
-    def _probe_candidates(self, t: float, state: np.ndarray):
-        """(kept indices, offsets, values) of the probes state - offset on the lattice.
+    def _probe_candidates(self, t: float, states: np.ndarray):
+        """(offsets, kept, values) of the probes state - offset for each row of
+        states, shape (game, dim).
 
-        A probe is kept where interpolate_batch would accept it; the indices are
-        Python ints into _probe_offsets(t, dim).
+        offsets is _probe_offsets(t, dim); kept, shape (game, offset), marks the
+        probes interpolate_batch would accept, and values holds theirs, read with
+        one interp_batch call (+inf where a probe is dropped).
         """
-        offsets = self._probe_offsets(t, len(state))
-        probes = state - offsets
-        kept = np.flatnonzero(self.value.lattice.coverage_margins(probes) <= COVERAGE_TOL)
-        u_vals = self.value.interp_batch(self.side, t, probes[kept]) if kept.size else np.empty(0)
-        return kept.tolist(), offsets[kept], u_vals
+        offsets = self._probe_offsets(t, states.shape[1])
+        probes = (states[:, None, :] - offsets[None, :, :]).reshape(-1, states.shape[1])
+        kept = self.value.lattice.coverage_margins(probes) <= COVERAGE_TOL
+        u_vals = np.full(len(probes), np.inf)
+        if kept.any():
+            u_vals[kept] = self.value.interp_batch(self.side, t, probes[kept])
+        shape = (len(states), len(offsets))
+        return offsets, kept.reshape(shape), u_vals.reshape(shape)
 
     def companion_minimum(self, t: float, x: Path):
         """Approximate argmin of u + nu; returns (total, kind, index, gradient).
 
-        The total is the shifted value u_a(t, x).  The trace (zero difference,
-        gradient 0) is the first candidate; each further kind is scored by one
-        surrogate_terms call over its difference paths, held as (node,
-        candidate, coordinate) arrays ending at t.  A candidate replaces the
-        best only when strictly smaller, so ties keep the earlier kind and the
-        smaller index.
+        The total is the shifted value u_a(t, x).  This is companion_minima
+        for the one game x.
         """
         k = x.grid.node_index(t)
-        X = x.values[: k + 1]
+        return self.companion_minima(t, x.values[: k + 1, None, :])[0]
+
+    def companion_minima(self, t: float, X: np.ndarray) -> list:
+        """companion_minimum of many games at one node; one tuple per game.
+
+        X holds each game's node values up to t, shape (node, game,
+        coordinate), on the simulation grid.  The trace (zero difference,
+        gradient 0) is each game's first candidate.  Each further kind is
+        scored by one surrogate_terms call over its (game, candidate) pairs,
+        whose difference paths are (node, game, candidate, coordinate) arrays
+        ending at t.  The traces, the probes kept per game, and the lattice and
+        library candidates shared by all games are each read with one
+        interp_batch call.  A candidate replaces a game's best only when
+        strictly smaller, so ties keep the earlier kind and the smaller index.
+        Each game's tuple is bit-identical to a call with that game alone.  A
+        failed read raises for the batch as a whole; play_feedback_games then
+        asks game by game to find the first game that fails.
+        """
+        n_games, dim = X.shape[1], X.shape[2]
         alpha = self.params.alpha(t)
         eps4 = self.params.epsilon ** 4
-        trace_state = X[-1]
-        best = (float(self.value.interp(self.side, t, trace_state) + alpha * np.sqrt(eps4)),
-                "trace", 0, np.zeros(x.dim))
+        states = X[-1]
+        totals = self.value.interp_batch(self.side, t, states) + alpha * np.sqrt(eps4)
+        kinds = ["trace"] * n_games
+        indices = np.zeros(n_games, dtype=int)
+        gradients = np.zeros((n_games, dim))
+        rows = np.arange(n_games)
 
-        def consider(kind, indices, diffs, u_vals):
-            nonlocal best
-            sq = np.sum(diffs ** 2, axis=2)
+        def consider(kind, diffs, u_vals):
+            sq = np.sum(diffs ** 2, axis=3)
             ups, factor = surrogate_terms(sq.max(axis=0), sq[-1])
             beta = np.sqrt(eps4 + ups)
-            total = u_vals + alpha * beta
-            i = int(np.argmin(total))
-            if total[i] < best[0]:
-                best = (float(total[i]), kind, indices[i],
-                        (alpha / (2.0 * beta[i])) * factor[i] * diffs[-1, i])
+            total = u_vals + alpha * beta  # (game, candidate)
+            i = np.argmin(total, axis=1)
+            better = total[rows, i] < totals
+            if not better.any():
+                return
+            g, i = rows[better], i[better]
+            totals[g] = total[g, i]
+            indices[g] = i
+            beta, factor = (np.broadcast_to(a, total.shape)[g, i] for a in (beta, factor))
+            last = np.broadcast_to(diffs[-1], total.shape + (dim,))[g, i]
+            gradients[g] = ((alpha / (2.0 * beta)) * factor)[:, None] * last
+            for game in g:
+                kinds[game] = kind
 
         # probes: trace plus a gradual drift to offset o; the difference path
         # rises to |o| at time t, so its last row alone carries sup = cur = |o|
-        kept, offsets, u_vals = self._probe_candidates(t, trace_state)
-        if kept:
-            consider("probe", kept, offsets[None, :, :], u_vals)
+        offsets, kept, u_vals = self._probe_candidates(t, states)
+        if kept.any():
+            consider("probe", offsets[None, None, :, :], u_vals)
 
         points = self._lattice_points
-        consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
+        consider("lattice", X[:, :, None, :] - points[None, None, :, :],
                  self.value.interp_batch(self.side, t, points))
 
         if self._library_values is not None:
-            lib = self._library_values[: k + 1]
-            consider("library", range(lib.shape[1]), X[:, None, :] - lib,
+            lib = self._library_values[: X.shape[0]]
+            consider("library", X[:, :, None, :] - lib[:, None, :, :],
                      self.value.interp_batch(self.side, t, lib[-1]))
-        return best
+        return [(float(totals[g]), kinds[g], int(indices[g]), gradients[g])
+                for g in range(n_games)]
 
     def select(self, t: float, x: Path, companion) -> int:
         """Control index at node (t, x) aimed by the companion_minimum(t, x) tuple;
@@ -733,64 +764,110 @@ class StrategyTrace:
         return "\n".join(lines) + "\n"
 
 
-def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
-                      partition: TimeGrid) -> StrategyTrace:
-    """Play one game: strategy commits p per partition cell, adversary answers q.
+def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
+                        partition: TimeGrid) -> list:
+    """Play one game per adversary on one partition, all games in lockstep.
 
-    The adversary is any per-step policy (t, stopped path, p_index) -> q_index;
+    The strategy commits p per partition cell and the adversary answers q.  An
+    adversary is any per-step policy (t, stopped path, p_index) -> q_index;
     it sees the committed p, consistent with the upper-value commit order.
-    Both controls are held on the cell while the state integrates on the finer
-    simulation grid.  Per-step records hold the shifted-value increments used
-    by the Lyapunov diagnostic.  The companion minimum is found once per
-    partition node: the one found after a step aims the next step's control.
+    Both controls are held on the cell while the state integrates on the
+    finer simulation grid.  Per-step records hold the shifted-value
+    increments used by the Lyapunov diagnostic.
+
+    At each partition node every game selects its control and calls its
+    adversary, game by game, so an adversary that keeps state (the generator
+    of a random_adversary) sees the calls it sees when its games are played
+    one at a time.  Each simulation-grid step calls the drift and then the
+    running cost of each game, and moves all games with one batched implicit
+    step.  One companion_minima call per partition node serves every game:
+    the minimum found after a step is that step's u_shifted_after and aims the
+    next control.  Each trace is bit-identical to playing its game alone.  A
+    game stops at its first error and the games after it are dropped; the
+    error of the lowest failed game is raised, which is the one a
+    game-by-game loop raises.
     """
+    adversaries = list(adversaries)
     inner = strategy.x0.grid
     nodes = inner.nodes
-    values = strategy.x0.values.copy()
     part_nodes = partition.nodes
-    p_indices, q_indices, records = [], [], []
-    running = 0.0
-    x_now = stopped_at(inner, values, inner.node_index(part_nodes[0]))
-    companion = strategy.companion_minimum(part_nodes[0], x_now)
+    p_points, q_points = spec.controls.p_points, spec.controls.q_points
+    m = len(adversaries)
+    values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, game, coordinate)
+    live = _LivePrefix(m)
+
+    def companions_at(t, k):
+        X = values[: k + 1, :live.n]
+        return live.keep(*_batch_or_sweep(
+            lambda: strategy.companion_minima(t, X),
+            lambda g: strategy.companion_minima(t, X[:, g:g + 1])[0], live.n))
+
+    companions = companions_at(part_nodes[0], inner.node_index(part_nodes[0]))
+    p_indices, q_indices = [[] for _ in range(m)], [[] for _ in range(m)]
+    records = [[] for _ in range(m)]
+    running = np.zeros(m)
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        p_idx = strategy.select(t_i, x_now, companion)
-        q_idx = int(adversary(t_i, x_now, p_idx))
-        p = spec.controls.p_points[p_idx]
-        q = spec.controls.q_points[q_idx]
-        step_cost = 0.0
+        x_now = [stopped_at(inner, values[:, g], ka) for g in range(live.n)]
+
+        def decide(g):
+            p_idx = strategy.select(t_i, x_now[g], companions[g])
+            return p_idx, int(adversaries[g](t_i, x_now[g], p_idx))
+        picks = live.keep(*_sweep(decide, live.n))
+        controls = [(p_points[p_idx], q_points[q_idx]) for p_idx, q_idx in picks]
+        step_cost = np.zeros(live.n)
         for k in range(ka, kb):
-            dt = nodes[k + 1] - nodes[k]
-            x_stop = stopped_at(inner, values, k)
-            f = spec.drift(nodes[k], x_stop, p, q)
-            step_cost += dt * spec.stage_cost(nodes[k], x_stop, p, q)
-            target = values[k] + dt * f
-            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(values[k])))
-            values[k + 1], _, _ = _implicit_step(spec.dyn.op, nodes[k + 1], dt,
-                                                 target, values[k], tol, k)
-        running += step_cost
-        x_next = stopped_at(inner, values, kb)
-        after = strategy.companion_minimum(t_i1, x_next)
-        records.append({
-            "t": float(t_i),
-            "dt": float(t_i1 - t_i),
-            "step_cost": step_cost,
-            "u_shifted_before": companion[0],
-            "u_shifted_after": after[0],
-            "residual": step_cost + after[0] - companion[0],
-            "companion_kind": companion[1],
-            "companion_index": companion[2],
-        })
-        x_now, companion = x_next, after
-        p_indices.append(p_idx)
-        q_indices.append(q_idx)
-    final_path = Path(inner, values)
-    return StrategyTrace(partition=partition, p_indices=tuple(p_indices),
-                         q_indices=tuple(q_indices), path=final_path,
-                         running_cost=running,
-                         terminal_cost=spec.final_cost(final_path),
-                         step_records=tuple(records))
+            t_k, dt = nodes[k], nodes[k + 1] - nodes[k]
+
+            def stage(g):
+                x_stop = x_now[g] if k == ka else stopped_at(inner, values[:, g], k)
+                p, q = controls[g]
+                return spec.drift(t_k, x_stop, p, q), spec.stage_cost(t_k, x_stop, p, q)
+            terms = live.keep(*_sweep(stage, live.n))
+            n = live.n
+            step_cost[:n] += dt * np.array([cost for _, cost in terms])
+            x_k = values[k, :n]
+            targets = x_k + dt * np.array([f for f, _ in terms])
+            tols = STEP_SOLVE_TOL * (1.0 + _row_norms(x_k))
+            xi, _, _, error = _implicit_step_lanes(spec.dyn.op, nodes[k + 1], dt, targets, x_k,
+                                                   tols, k)
+            xi = live.keep(xi, error)
+            values[k + 1, :live.n] = xi
+        running[:live.n] += step_cost[:live.n]
+        after = companions_at(t_i1, kb)
+        for g in range(live.n):
+            before = companions[g]
+            records[g].append({
+                "t": float(t_i),
+                "dt": float(t_i1 - t_i),
+                "step_cost": step_cost[g],
+                "u_shifted_before": before[0],
+                "u_shifted_after": after[g][0],
+                "residual": step_cost[g] + after[g][0] - before[0],
+                "companion_kind": before[1],
+                "companion_index": before[2],
+            })
+            p_indices[g].append(picks[g][0])
+            q_indices[g].append(picks[g][1])
+        companions = after
+
+    def finish(g):
+        path = Path(inner, values[:, g])
+        return StrategyTrace(partition=partition, p_indices=tuple(p_indices[g]),
+                             q_indices=tuple(q_indices[g]), path=path,
+                             running_cost=running[g], terminal_cost=spec.final_cost(path),
+                             step_records=tuple(records[g]))
+    traces = live.keep(*_sweep(finish, live.n))
+    if live.err is not None:
+        raise live.err
+    return traces
+
+
+def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
+                      partition: TimeGrid) -> StrategyTrace:
+    """Play one game: play_feedback_games with a pool of one adversary."""
+    return play_feedback_games(spec, strategy, [adversary], partition)[0]
 
 
 # -- adversary policies -----------------------------------------------------
@@ -813,7 +890,14 @@ def random_adversary(seed: int, n_q: int):
 
 def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
                      lookahead: float = None):
-    """One-step lookahead maximizer against the committed p."""
+    """One-step lookahead maximizer against the committed p; ties keep the first q.
+
+    The n_q drifts come first, in q order; then one batched implicit step, the
+    costs, and one interpolation of the successors.  An error is the one a
+    per-q loop meets first: that of the first q whose drift, step, cost or
+    successor read fails.
+    """
+    q_points = spec.controls.q_points
 
     def policy(t, x, p_index):
         p = spec.controls.p_points[p_index]
@@ -821,13 +905,20 @@ def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
         dt = min(dt, value.grid.t_end - t)
         state = x.value_at(t)
         k = x.grid.node_index(t)
+        live = _LivePrefix(len(q_points))  # the q indices still in play
+        drifts = live.keep(*_sweep(lambda j: spec.drift(t, x, p, q_points[j]), live.n))
+        tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
+        succ, _, _, error = _implicit_step_lanes(
+            spec.dyn.op, t + dt, dt, state + dt * np.array(drifts),
+            np.broadcast_to(state, (live.n, len(state))), tol, k)
+        succ = live.keep(succ, error)
+        costs = live.keep(*_sweep(lambda j: spec.stage_cost(t, x, p, q_points[j]), live.n))
+        ahead = live.keep(*_batch_or_sweep(lambda: value.interp_batch(side, t + dt, succ[:live.n]),
+                                           lambda j: value.interp(side, t + dt, succ[j]), live.n))
+        if live.err is not None:
+            raise live.err
         best_j, best_val = 0, -np.inf
-        for j, q in enumerate(spec.controls.q_points):
-            f = spec.drift(t, x, p, q)
-            target = state + dt * f
-            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
-            succ, _, _ = _implicit_step(spec.dyn.op, t + dt, dt, target, state, tol, k)
-            val = dt * spec.stage_cost(t, x, p, q) + value.interp(side, t + dt, succ)
+        for j, val in enumerate(dt * np.array(costs) + ahead):
             if val > best_val + 1e-15:
                 best_j, best_val = j, val
         return best_j
@@ -861,8 +952,7 @@ def calibrate_step_bound(spec: GameSpec, strategy: FeedbackStrategy, partitions,
     pool = adversary_pool(spec, strategy.value, calibration_budget, seed)
     worst = floor
     for partition in partitions:
-        for adv in pool:
-            trace = run_feedback_game(spec, strategy, adv, partition)
+        for trace in play_feedback_games(spec, strategy, pool, partition):
             for rec in trace.step_records:
                 worst = max(worst, rec["residual"] / rec["dt"])
     return float(worst)
@@ -919,8 +1009,7 @@ def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
     for partition in partitions:
         worst = -np.inf
         worst_adv = None
-        for adv in pool:
-            trace = run_feedback_game(spec, strategy, adv, partition)
+        for adv, trace in zip(pool, play_feedback_games(spec, strategy, pool, partition)):
             if trace.payoff > worst:
                 worst, worst_adv = trace.payoff, getattr(adv, "describe", "?")
         per_partition.append({"n_steps": partition.n_steps, "mesh": partition.mesh,

@@ -30,8 +30,8 @@ from pdhj.game import (
     isaacs_game,
     lyapunov_violation_stats,
     measurable_selection,
+    play_feedback_games,
     recompute_slice,
-    run_feedback_game,
 )
 from pdhj.minimax import bump_table, composite_tolerance, minimax_residual, \
     stability_experiment
@@ -248,8 +248,8 @@ def test_criterion_08_feedback_efficacy(desk_table):
 
     v_minus_site = table.interp("lower", 0.0, np.array([0.4]))
     pool = adversary_pool(spec, table, budget, 2000)
-    traces = [run_feedback_game(spec, strategy, adv, part)
-              for part in partitions for adv in pool]
+    traces = [trace for part in partitions
+              for trace in play_feedback_games(spec, strategy, pool, part)]
     stats = lyapunov_violation_stats(traces, m_hat)
     ok = (est.value <= v_site + tol
           and est.value >= v_minus_site - tol

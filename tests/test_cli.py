@@ -2,9 +2,11 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
 
-from pdhj.cli import emit_summary, main, run, validate_config
+from pdhj import cli
+from pdhj.cli import _site_state, emit_summary, main, run, validate_config
 from pdhj.errors import UsageError
 
 
@@ -194,3 +196,104 @@ class TestMain:
         cfg_path.write_text(json.dumps(base_config("upsilon-check", samples=60)))
         assert main(["upsilon-check", "--config", str(cfg_path)]) == 0
         assert (tmp_path / "envout" / "upsilon-check" / "result.json").is_file()
+
+
+def _write(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestVectorLengths:
+    """Vectors of the wrong length are refused at config time, naming the field."""
+
+    def _solve(self, **extra):
+        cfg = shipped_config("solve.json")
+        cfg["operator"] = {"kind": "linear", "dim": 2, "gain": 1.0}
+        cfg["initial"] = [1.0, 0.5]
+        cfg.update(extra)
+        return cfg
+
+    def _refused(self, tmp_path, capsys, cfg, field):
+        status = main([cfg["kind"], "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+        assert status == 2
+        assert f"usage error: {field} " in capsys.readouterr().err
+        assert not (tmp_path / cfg["name"] / "result.json").exists()
+        with pytest.raises(UsageError) as err:
+            run(cfg, str(tmp_path / "direct"))
+        assert err.value.field_path == field
+
+    def test_matching_lengths_solve(self, tmp_path):
+        cfg = self._solve(forcing={"kind": "constant", "value": [0.25, -0.25]})
+        assert run(cfg, str(tmp_path)) == 0
+        result = json.loads((tmp_path / cfg["name"] / "result.json").read_text())
+        assert len(result["final_state"]) == 2
+
+    @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0], [1.0, "x"]])
+    def test_solve_initial(self, tmp_path, capsys, initial):
+        self._refused(tmp_path, capsys, self._solve(initial=initial), "initial")
+
+    @pytest.mark.parametrize("value", [[0.5], [0.5, 0.5, 0.5]])
+    def test_solve_forcing_value(self, tmp_path, capsys, value):
+        cfg = self._solve(forcing={"kind": "constant", "value": value})
+        self._refused(tmp_path, capsys, cfg, "forcing.value")
+
+    def test_feedback_x0(self, tmp_path, capsys):
+        cfg = shipped_config("feedback_run.json")
+        cfg["x0"] = [0.4, 0.1]
+        self._refused(tmp_path, capsys, cfg, "x0")
+
+    @pytest.mark.parametrize("steps", [[], [8, 0], [8, 2.5]])
+    def test_feedback_partition_steps(self, tmp_path, capsys, steps):
+        cfg = shipped_config("feedback_run.json")
+        cfg["partition_steps"] = steps
+        self._refused(tmp_path, capsys, cfg, "partition_steps")
+
+
+def _planar_game(block):
+    from pdhj.evolution import DelayDynamics, make_linear_operator
+    from pdhj.game import ControlGrid, GameSpec
+    dyn = DelayDynamics(op=make_linear_operator(dim=2, gain=1.0), lipschitz_L=0.8,
+                        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]))
+    return GameSpec(dyn=dyn,
+                    running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t),
+                                                                        x.value_at(t))),
+                    terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
+                    controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
+                    l_f=0.8, lambda_L=0.3, name="planar")
+
+
+class TestMinimaxSites:
+    def test_dim_one_draw_is_the_scalar_draw(self):
+        from pdhj.game import StateLattice
+        lattice = StateLattice(lo=(-2.0,), hi=(3.0,), shape=(9,))
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for shrink in (0.6, 0.5, 0.6):
+            state = _site_state(a, lattice, shrink)
+            assert state.tobytes() == np.array(
+                [float(b.uniform(lattice.lo[0] * shrink, lattice.hi[0] * shrink))]).tobytes()
+        assert a.standard_normal() == b.standard_normal()
+
+    def test_dim_two_sites_draw_each_coordinate_in_its_own_range(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_build_game", _planar_game)
+        sites = []
+
+        def recording(kind, real):
+            def call(table, spec, site, *args, **kwargs):
+                sites.append((kind, site[1].values[0]))
+                return real(table, spec, site, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(cli, "minimax_residual", recording("residual", cli.minimax_residual))
+        monkeypatch.setattr(cli, "viscosity_scan", recording("viscosity", cli.viscosity_scan))
+        lo, hi = [-2.0, -1.0], [2.0, 3.0]
+        cfg = base_config("minimax-check", grid={"t_end": 1.0, "n_steps": 8},
+                          lattice={"lo": lo, "hi": hi, "points": [9, 9]}, sites=4,
+                          horizon=0.25, budget=4, mutation_control=False)
+        run(cfg, str(tmp_path))
+        for kind, shrink, count in (("residual", 0.6, 8), ("viscosity", 0.5, 3)):
+            states = [state for k, state in sites if k == kind]
+            assert len(states) == count
+            assert not any(state[0] == state[1] for state in states)  # off the diagonal
+            for state in states:
+                assert all(shrink * lo[d] <= state[d] <= shrink * hi[d] for d in range(2))

@@ -1,0 +1,512 @@
+"""The adversary pool played as lanes, against the game-by-game loop it replaced."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from pdhj import evolution
+from pdhj.errors import EvaluationError, LatticeCoverageError, SolverError
+from pdhj.evolution import DelayDynamics, OperatorSpec, _implicit_step, make_linear_operator
+from pdhj.game import (
+    COVERAGE_TOL,
+    STEP_SOLVE_TOL,
+    ControlGrid,
+    FeedbackStrategy,
+    GameSpec,
+    StateLattice,
+    StrategyTrace,
+    ValueTable,
+    adversary_pool,
+    constant_adversary,
+    constant_game,
+    dp_value,
+    extremal_shift_strategy,
+    greedy_adversary,
+    isaacs_game,
+    play_feedback_games,
+    random_adversary,
+    run_feedback_game,
+)
+from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at
+from pdhj.upsilon import LyapunovParams, surrogate_terms
+
+
+# ---------------------------------------------------------------------------
+# references: the one-game loops, kept verbatim
+# ---------------------------------------------------------------------------
+
+def _probe_candidates_reference(strategy, t, state):
+    """The one-state probe read: (kept indices, offsets, values)."""
+    offsets = strategy._probe_offsets(t, len(state))
+    probes = state - offsets
+    kept = np.flatnonzero(strategy.value.lattice.coverage_margins(probes) <= COVERAGE_TOL)
+    u_vals = strategy.value.interp_batch(strategy.side, t, probes[kept]) if kept.size \
+        else np.empty(0)
+    return kept.tolist(), offsets[kept], u_vals
+
+
+def _companion_minimum_reference(strategy, t, x):
+    """The one-game companion minimum that companion_minima replaced."""
+    k = x.grid.node_index(t)
+    X = x.values[: k + 1]
+    alpha = strategy.params.alpha(t)
+    eps4 = strategy.params.epsilon ** 4
+    trace_state = X[-1]
+    best = (float(strategy.value.interp(strategy.side, t, trace_state) + alpha * np.sqrt(eps4)),
+            "trace", 0, np.zeros(x.dim))
+
+    def consider(kind, indices, diffs, u_vals):
+        nonlocal best
+        sq = np.sum(diffs ** 2, axis=2)
+        ups, factor = surrogate_terms(sq.max(axis=0), sq[-1])
+        beta = np.sqrt(eps4 + ups)
+        total = u_vals + alpha * beta
+        i = int(np.argmin(total))
+        if total[i] < best[0]:
+            best = (float(total[i]), kind, indices[i],
+                    (alpha / (2.0 * beta[i])) * factor[i] * diffs[-1, i])
+
+    kept, offsets, u_vals = _probe_candidates_reference(strategy, t, trace_state)
+    if kept:
+        consider("probe", kept, offsets[None, :, :], u_vals)
+    points = strategy._lattice_points
+    consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
+             strategy.value.interp_batch(strategy.side, t, points))
+    if strategy._library_values is not None:
+        lib = strategy._library_values[: k + 1]
+        consider("library", range(lib.shape[1]), X[:, None, :] - lib,
+                 strategy.value.interp_batch(strategy.side, t, lib[-1]))
+    return best
+
+
+def _run_feedback_game_reference(spec, strategy, adversary, partition):
+    """The one-game loop with its own scalar step loop that play_feedback_games replaced."""
+    inner = strategy.x0.grid
+    nodes = inner.nodes
+    values = strategy.x0.values.copy()
+    part_nodes = partition.nodes
+    p_indices, q_indices, records = [], [], []
+    running = 0.0
+    x_now = stopped_at(inner, values, inner.node_index(part_nodes[0]))
+    companion = _companion_minimum_reference(strategy, part_nodes[0], x_now)
+    for i in range(partition.n_steps):
+        t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
+        ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
+        p_idx = strategy.select(t_i, x_now, companion)
+        q_idx = int(adversary(t_i, x_now, p_idx))
+        p = spec.controls.p_points[p_idx]
+        q = spec.controls.q_points[q_idx]
+        step_cost = 0.0
+        for k in range(ka, kb):
+            dt = nodes[k + 1] - nodes[k]
+            x_stop = stopped_at(inner, values, k)
+            f = spec.drift(nodes[k], x_stop, p, q)
+            step_cost += dt * spec.stage_cost(nodes[k], x_stop, p, q)
+            target = values[k] + dt * f
+            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(values[k])))
+            values[k + 1], _, _ = _implicit_step(spec.dyn.op, nodes[k + 1], dt,
+                                                 target, values[k], tol, k)
+        running += step_cost
+        x_next = stopped_at(inner, values, kb)
+        after = _companion_minimum_reference(strategy, t_i1, x_next)
+        records.append({
+            "t": float(t_i),
+            "dt": float(t_i1 - t_i),
+            "step_cost": step_cost,
+            "u_shifted_before": companion[0],
+            "u_shifted_after": after[0],
+            "residual": step_cost + after[0] - companion[0],
+            "companion_kind": companion[1],
+            "companion_index": companion[2],
+        })
+        x_now, companion = x_next, after
+        p_indices.append(p_idx)
+        q_indices.append(q_idx)
+    final_path = Path(inner, values)
+    return StrategyTrace(partition=partition, p_indices=tuple(p_indices),
+                         q_indices=tuple(q_indices), path=final_path,
+                         running_cost=running,
+                         terminal_cost=spec.final_cost(final_path),
+                         step_records=tuple(records))
+
+
+def _greedy_reference(spec, value, side="upper", lookahead=None):
+    """The per-q lookahead loop that the batched greedy adversary replaced."""
+
+    def policy(t, x, p_index):
+        p = spec.controls.p_points[p_index]
+        dt = lookahead if lookahead is not None else value.grid.mesh
+        dt = min(dt, value.grid.t_end - t)
+        state = x.value_at(t)
+        k = x.grid.node_index(t)
+        best_j, best_val = 0, -np.inf
+        for j, q in enumerate(spec.controls.q_points):
+            f = spec.drift(t, x, p, q)
+            target = state + dt * f
+            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
+            succ, _, _ = _implicit_step(spec.dyn.op, t + dt, dt, target, state, tol, k)
+            val = dt * spec.stage_cost(t, x, p, q) + value.interp(side, t + dt, succ)
+            if val > best_val + 1e-15:
+                best_j, best_val = j, val
+        return best_j
+    return policy
+
+
+# ---------------------------------------------------------------------------
+# helpers
+# ---------------------------------------------------------------------------
+
+def _assert_traces_equal(got, want):
+    for f in dataclasses.fields(StrategyTrace):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "path":
+            assert a.grid == b.grid
+            assert np.array_equal(a.values, b.values)
+        elif f.name == "step_records":
+            assert len(a) == len(b)
+            for rec_a, rec_b in zip(a, b):
+                assert rec_a == rec_b
+                assert type(rec_a["companion_index"]) is int
+        else:
+            assert a == b, f"{f.name}: {a!r} != {b!r}"
+    assert all(type(i) is int for i in got.p_indices + got.q_indices)
+
+
+def _planar_game():
+    op = make_linear_operator(dim=2, gain=1.0)
+    dyn = DelayDynamics(op=op, rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
+                        lipschitz_L=0.8)
+    return GameSpec(
+        dyn=dyn,
+        running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
+        terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
+        controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
+        l_f=0.8, lambda_L=0.3, name="planar")
+
+
+def _desk(dim, library_size):
+    if dim == 1:
+        spec, x0 = isaacs_game(scale=0.5), [0.4]
+        lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+    else:
+        spec, x0 = _planar_game(), [0.3, -0.2]
+        lattice = StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(9, 9))
+    grid = TimeGrid(0.0, 1.0, 8)
+    table = dp_value(spec, grid, lattice)
+    params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+    partitions = [TimeGrid(0.0, 1.0, 4), TimeGrid(0.0, 1.0, 8)]
+    strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, x0),
+                                       partitions[0], value=table,
+                                       library_size=library_size, seed=5)
+    return spec, table, strategy, partitions
+
+
+# ---------------------------------------------------------------------------
+# equality with the game-by-game loop
+# ---------------------------------------------------------------------------
+
+class TestPoolMatchesGameByGame:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("library_size", [0, 64])
+    def test_every_adversary_kind(self, dim, library_size):
+        spec, table, strategy, partitions = _desk(dim, library_size)
+        # constants, the greedy lookahead, then random adversaries; one pool for
+        # both partitions, so the random generators carry their state across
+        lanes = adversary_pool(spec, table, spec.controls.n_q + 4, seed=17)
+        ref = adversary_pool(spec, table, spec.controls.n_q + 4, seed=17)
+        kinds = set()
+        for partition in partitions:
+            got = play_feedback_games(spec, strategy, lanes, partition)
+            want = [_run_feedback_game_reference(spec, strategy, adv, partition) for adv in ref]
+            assert len(got) == len(want) == len(lanes)
+            for a, b in zip(got, want):
+                _assert_traces_equal(a, b)
+                kinds.update(rec["companion_kind"] for rec in a.step_records)
+        assert len(kinds) > 1  # the games' minima come from several kinds
+
+    def test_random_generators_carry_across_partitions(self):
+        spec, table, strategy, partitions = _desk(1, 8)
+        n_q = spec.controls.n_q
+        lanes = [random_adversary(s, n_q) for s in (3, 4, 5)]
+        ref = [random_adversary(s, n_q) for s in (3, 4, 5)]
+        first = [play_feedback_games(spec, strategy, lanes, p) for p in partitions]
+        for partition, got in zip(partitions, first):
+            for a, adv in zip(got, ref):
+                _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv,
+                                                                     partition))
+        # a fresh pool replays the first partition's choices, the carried one does not
+        fresh = play_feedback_games(spec, strategy,
+                                    [random_adversary(s, n_q) for s in (3, 4, 5)],
+                                    partitions[1])
+        assert [t.q_indices for t in fresh] != [t.q_indices for t in first[1]]
+
+    def test_run_feedback_game_is_the_one_game_case(self):
+        spec, table, strategy, partitions = _desk(1, 16)
+        adv = greedy_adversary(spec, table)
+        for partition in partitions:
+            _assert_traces_equal(run_feedback_game(spec, strategy, adv, partition),
+                                 _run_feedback_game_reference(spec, strategy, adv, partition))
+
+    def test_mid_horizon_start(self):
+        spec = isaacs_game(scale=0.5)
+        grid = TimeGrid(0.0, 1.0, 8)
+        table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
+        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        x0 = Path(grid, 0.3 * np.sin(np.arange(9.0))[:, None])
+        partition = TimeGrid(0.5, 1.0, 4)
+        strategy = extremal_shift_strategy(spec, params, 0.5, x0, partition, value=table,
+                                           library_size=8, seed=1)
+        pool = adversary_pool(spec, table, 6, seed=2)
+        ref = adversary_pool(spec, table, 6, seed=2)
+        for a, adv in zip(play_feedback_games(spec, strategy, pool, partition), ref):
+            _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv, partition))
+
+    def test_no_scalar_step_on_the_normal_path(self, monkeypatch):
+        spec, table, strategy, partitions = _desk(1, 8)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[-1])
+            return _implicit_step(*args)
+
+        monkeypatch.setattr(evolution, "_implicit_step", counted)
+        play_feedback_games(spec, strategy, adversary_pool(spec, table, 6, seed=1),
+                            partitions[1])
+        assert calls == []
+
+    def test_empty_pool(self):
+        spec, table, strategy, partitions = _desk(1, 0)
+        assert play_feedback_games(spec, strategy, [], partitions[0]) == []
+
+
+# ---------------------------------------------------------------------------
+# ties between candidate kinds
+# ---------------------------------------------------------------------------
+
+class TestCompanionTies:
+    def test_trace_wins_its_ties_with_lattice_and_library(self):
+        # no drift and no operator: the state stays on the lattice point x0, and
+        # every library sample (a tube of radius 0) is the constant path at x0;
+        # the trace, that lattice point and all 64 samples tie exactly
+        spec = constant_game(cost=1.0, gain=0.0)
+        grid = TimeGrid(0.0, 1.0, 8)
+        table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
+        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        partition = TimeGrid(0.0, 1.0, 4)
+        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.5]),
+                                           partition, value=table, library_size=64, seed=0)
+        assert np.all(strategy._library_values == 0.5)
+        pool = [constant_adversary(0), constant_adversary(0)]
+        for a, adv in zip(play_feedback_games(spec, strategy, pool, partition), pool):
+            _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv, partition))
+            assert {rec["companion_kind"] for rec in a.step_records} == {"trace"}
+
+    def test_earlier_kind_and_smaller_index_win(self):
+        # epsilon 1/8 makes every probe offset a binary fraction, so a probe
+        # state - o and a lattice point are the same double
+        spec = isaacs_game(scale=0.5)
+        grid = TimeGrid(0.0, 1.0, 8)
+        lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+        table = dp_value(spec, grid, lattice)
+        points = lattice.points()[:, 0]
+        j, j_hi = 18, 23  # the points 0.25 and 0.875, rigged low
+        v_plus = table.v_plus.copy()
+        v_plus[:, [j, j_hi]] = -1e3
+        v_plus[:, j + 1:j_hi] = 1e3  # high ground between them
+        rigged = ValueTable(grid=grid, lattice=lattice, v_minus=None, v_plus=v_plus)
+        params = LyapunovParams(epsilon=0.125, lambda_L=spec.lambda_L, horizon=1.0)
+        eps_sq = params.epsilon ** 2
+        c, c_hi = points[j], points[j_hi]
+        library = [Path.constant(grid, [v]) for v in (1.3, c, -0.7, c, c_hi, c_hi)]
+        strategy = FeedbackStrategy(spec, params, rigged, 0.0, Path.constant(grid, [0.4]),
+                                    library)
+        assert c + eps_sq - eps_sq == c
+        cases = [
+            # probe 2 (offset +eps^2) reads c: it ties lattice c and library 1 and 3
+            (4, c + eps_sq, ("probe", 2)),
+            # no probes at t0: lattice c ties library 1 and 3
+            (0, c + eps_sq, ("lattice", j)),
+            # halfway between c and c_hi: lattice c ties lattice c_hi and library 1, 3, 4, 5
+            (4, 0.5 * (c + c_hi), ("lattice", j)),
+            (4, 1.1, None),
+        ]
+        for k, state, expect in cases:
+            t = grid.nodes[k]
+            X = np.full((k + 1, 3, 1), state)
+            X[:, 1] = 0.4  # the other games of the batch change nothing
+            X[:, 2] = state - 0.01
+            got = strategy.companion_minima(t, X)
+            for g in range(3):
+                x = Path(grid, np.concatenate([X[:, g], np.repeat(X[-1:, g], 8 - k, axis=0)]))
+                want = _companion_minimum_reference(strategy, t, x)
+                assert got[g][:3] == want[:3]
+                assert type(got[g][0]) is float and type(got[g][2]) is int
+                assert got[g][3].tobytes() == np.asarray(want[3], dtype=float).tobytes()
+                assert strategy.companion_minimum(t, x)[:3] == want[:3]
+            if expect is not None:
+                assert got[0][1:3] == expect
+
+
+# ---------------------------------------------------------------------------
+# error order: the lowest failed game's first error
+# ---------------------------------------------------------------------------
+
+def _error_key(err):
+    return (type(err), str(err), getattr(err, "step_index", None), getattr(err, "margin", None))
+
+
+def _sequential_error(spec, strategy, pool, partition):
+    for adv in pool:
+        try:
+            _run_feedback_game_reference(spec, strategy, adv, partition)
+        except Exception as err:  # the first failing game ends the loop
+            return err
+    raise AssertionError("no game failed")
+
+
+def _kick(node, big=2):
+    """An adversary playing q index `big` at partition node `node` (of 4), else 0."""
+    def policy(t, x, p_index):
+        return big if int(round(t * 4)) == node else 0
+    return policy
+
+
+def _raise_at(node):
+    def policy(t, x, p_index):
+        if int(round(t * 4)) >= node:
+            raise RuntimeError(f"adversary failed at node {node}")
+        return 0
+    return policy
+
+
+def _variant(base, op=None, q_points=None, running_cost=None):
+    """base with its drift q (so each game's q moves its own state), and the given parts."""
+    dyn = DelayDynamics(op=op or base.dyn.op, rhs=lambda t, x, u: np.array([float(u[1])]),
+                        lipschitz_L=100.0)
+    return GameSpec(dyn=dyn, running_cost=running_cost or base.running_cost,
+                    terminal_cost=base.terminal_cost,
+                    controls=ControlGrid(p_points=base.controls.p_points,
+                                         q_points=q_points or base.controls.q_points),
+                    l_f=100.0, lambda_L=base.lambda_L)
+
+
+class TestPoolErrors:
+    partition = TimeGrid(0.0, 1.0, 4)
+
+    def _check(self, spec, strategy, pool_factory):
+        want = _sequential_error(spec, strategy, pool_factory(), self.partition)
+        with pytest.raises(Exception) as info:
+            play_feedback_games(spec, strategy, pool_factory(), self.partition)
+        assert _error_key(info.value) == _error_key(want)
+        return info.value
+
+    def _strategy(self):
+        spec, table, strategy, _ = _desk(1, 8)
+        return spec, strategy
+
+    def test_solver_error_of_the_lower_game(self):
+        base, strategy = self._strategy()
+        op = OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
+                          eval_fn=lambda t, v: np.where(np.abs(v) > 1.0, np.nan, v))
+        spec = _variant(base, op=op, q_points=(0.0, 1.0, 40.0))
+        # game 1 fails at node 3, game 2 earlier, at node 1
+        err = self._check(spec, strategy,
+                          lambda: [constant_adversary(0), _kick(3), _kick(1), constant_adversary(0)])
+        assert isinstance(err, SolverError) and err.step_index == 6
+
+    def test_callback_evaluation_error_of_the_lower_game(self):
+        base, strategy = self._strategy()
+
+        def running(t, x, p, q):
+            return np.inf if x.value_at(t)[0] > 0.8 else 0.1
+
+        spec = _variant(base, q_points=(0.0, 1.5, 3.0), running_cost=running)
+        # game 1 (q = 1.5) crosses 0.8 later than game 2 (q = 3)
+        err = self._check(spec, strategy, lambda: [constant_adversary(j) for j in (0, 1, 2)])
+        assert isinstance(err, EvaluationError) and "q=1.5" in str(err)
+
+    def test_adversary_error_of_the_lower_game(self):
+        base, strategy = self._strategy()
+        err = self._check(base, strategy,
+                          lambda: [constant_adversary(0), _raise_at(3), _raise_at(1)])
+        assert isinstance(err, RuntimeError) and "node 3" in str(err)
+
+    def test_coverage_error_names_the_lower_games_margin(self):
+        base, strategy = self._strategy()
+        spec = _variant(base, q_points=(0.0, 4.0, 8.0))
+        # game 1 leaves [-2, 2] later and by less than game 2
+        err = self._check(spec, strategy, lambda: [constant_adversary(j) for j in (0, 1, 2)])
+        assert isinstance(err, LatticeCoverageError)
+        with pytest.raises(LatticeCoverageError) as other:
+            _run_feedback_game_reference(spec, strategy, constant_adversary(2), self.partition)
+        assert other.value.margin != err.margin
+
+
+# ---------------------------------------------------------------------------
+# the greedy lookahead as one batched step
+# ---------------------------------------------------------------------------
+
+class TestGreedyBatch:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_per_q_loop(self, dim):
+        spec, table, strategy, _ = _desk(dim, 0)
+        rng = np.random.default_rng(dim)
+        sim = strategy.x0.grid
+        for lookahead in (None, 0.05):
+            got = greedy_adversary(spec, table, lookahead=lookahead)
+            want = _greedy_reference(spec, table, lookahead=lookahead)
+            for _ in range(40):
+                x = Path(sim, 0.4 * rng.standard_normal((sim.n_steps + 1, dim)))
+                t = float(sim.nodes[rng.integers(sim.n_steps + 1)])
+                for p in range(spec.controls.n_p):
+                    assert got(t, x, p) == want(t, x, p)
+
+    def test_ties_keep_the_first_q(self):
+        spec = constant_game()
+        grid = TimeGrid(0.0, 1.0, 4)
+        table = dp_value(spec, grid, StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,)))
+        spec = GameSpec(dyn=spec.dyn, running_cost=spec.running_cost,
+                        terminal_cost=spec.terminal_cost,
+                        controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.0, 0.0)),
+                        l_f=0.0, lambda_L=0.1)
+        x = Path.constant(grid, [0.3])
+        assert greedy_adversary(spec, table)(0.25, x, 0) == 0
+
+    def _first_offending_q(self, spec, table, t=0.25, state=0.1):
+        x = Path.constant(table.grid, [state])
+        with pytest.raises(Exception) as want:
+            _greedy_reference(spec, table, lookahead=0.125)(t, x, 0)
+        with pytest.raises(Exception) as got:
+            greedy_adversary(spec, table, lookahead=0.125)(t, x, 0)
+        assert _error_key(got.value) == _error_key(want.value)
+        return got.value
+
+    def test_cost_of_an_earlier_q_before_a_later_drift(self):
+        _, table, _, _ = _desk(1, 0)
+
+        def rhs(t, x, u):
+            return np.array([np.nan if u[1] == 1.0 else 0.1 * u[1]])
+
+        def running(t, x, p, q):
+            return np.inf if q == 0.0 else 0.0
+
+        spec = GameSpec(dyn=DelayDynamics(op=make_linear_operator(), rhs=rhs, lipschitz_L=1.0),
+                        running_cost=running, terminal_cost=lambda x: 0.0,
+                        controls=ControlGrid(p_points=(0.0,), q_points=(-1.0, 0.0, 1.0)),
+                        l_f=1.0, lambda_L=1.0)
+        err = self._first_offending_q(spec, table)
+        assert isinstance(err, EvaluationError) and "running cost" in str(err) \
+            and "q=0.0" in str(err)
+
+    def test_coverage_margin_of_the_first_q_off_the_lattice(self):
+        _, table, _, _ = _desk(1, 0)
+        spec = GameSpec(dyn=DelayDynamics(op=make_linear_operator(),
+                                          rhs=lambda t, x, u: np.array([float(u[1])]),
+                                          lipschitz_L=100.0),
+                        running_cost=lambda t, x, p, q: 0.0, terminal_cost=lambda x: 0.0,
+                        controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 30.0, 60.0)),
+                        l_f=100.0, lambda_L=1.0)
+        err = self._first_offending_q(spec, table)
+        assert isinstance(err, LatticeCoverageError)
+        assert 1.0 < err.margin < 2.0  # q = 30's margin, not q = 60's

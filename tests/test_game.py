@@ -19,6 +19,7 @@ from pdhj.game import (
     audit_hamiltonian_lipschitz,
     isaacs_game,
     measurable_selection,
+    play_feedback_games,
     random_adversary,
     recompute_slice,
     run_feedback_game,
@@ -620,17 +621,20 @@ class TestCompanionOncePerNode:
             steps = [abs(o).max() for o in _probe_offsets_reference(strategy, t, dim)]
             # the smallest probe leaves the box by 5e-10, inside COVERAGE_TOL: kept
             near = [hi - min(steps) + 5e-10] if steps else []
-            for state in states + near:
-                kept, offsets, u_vals = strategy._probe_candidates(t, state)
+            # every state is one game of a single batched call
+            offsets, kept, u_vals = strategy._probe_candidates(t, np.array(states + near))
+            n_all = len(_probe_offsets_reference(strategy, t, dim))
+            assert offsets.shape == (n_all, dim)
+            assert kept.shape == u_vals.shape == (len(states + near), n_all)
+            assert strategy._probe_offsets(t, dim).tobytes() == offsets.tobytes()
+            for g, state in enumerate(states + near):
                 ref_kept, ref_offsets, ref_u = _probe_candidates_reference(strategy, t, state)
-                assert kept == ref_kept
-                assert all(type(i) is int for i in kept)
-                assert offsets.shape == (len(ref_kept), dim)
-                assert offsets.tobytes() == np.array(ref_offsets, dtype=float).tobytes()
-                assert u_vals.tobytes() == np.array(ref_u, dtype=float).tobytes()
-                n_all = len(_probe_offsets_reference(strategy, t, dim))
-                assert strategy._probe_offsets(t, dim).shape == (n_all, dim)
-                partial += 0 < len(kept) < n_all
+                assert np.flatnonzero(kept[g]).tolist() == ref_kept
+                assert offsets[kept[g]].tobytes() == \
+                    np.array(ref_offsets, dtype=float).reshape(-1, dim).tobytes()
+                assert u_vals[g, kept[g]].tobytes() == np.array(ref_u, dtype=float).tobytes()
+                assert np.all(u_vals[g, ~kept[g]] == np.inf)
+                partial += 0 < len(ref_kept) < n_all
         assert partial > 0
 
     def test_one_companion_minimum_per_partition_node(self, monkeypatch):
@@ -638,19 +642,26 @@ class TestCompanionOncePerNode:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=8, seed=2)
+        pool = [random_adversary(3, spec.controls.n_q), constant_adversary(0),
+                random_adversary(4, spec.controls.n_q)]
         calls = []
-        original = FeedbackStrategy.companion_minimum
+        original = FeedbackStrategy.companion_minima
 
-        def counted(self, t, x):
-            calls.append(t)
-            return original(self, t, x)
+        def counted(self, t, X):
+            calls.append((t, X.shape[1]))
+            return original(self, t, X)
 
-        monkeypatch.setattr(FeedbackStrategy, "companion_minimum", counted)
-        trace = run_feedback_game(spec, strategy, random_adversary(3, spec.controls.n_q),
-                                  partition)
+        monkeypatch.setattr(FeedbackStrategy, "companion_minima", counted)
+        traces = play_feedback_games(spec, strategy, pool, partition)
         monkeypatch.undo()
-        assert calls == list(partition.nodes)  # n + 1 calls for n steps
+        # n + 1 batched calls for n steps, each for the whole pool
+        assert calls == [(t, len(pool)) for t in partition.nodes]
         # each record holds the companion minimum on the path stopped at its nodes
+        for trace in traces:
+            self._check_records(strategy, partition, trace)
+
+    @staticmethod
+    def _check_records(strategy, partition, trace):
         sim = trace.path.grid
         for i, rec in enumerate(trace.step_records):
             t_i, t_i1 = partition.nodes[i], partition.nodes[i + 1]

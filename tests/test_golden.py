@@ -1,8 +1,10 @@
 """Every shipped experiment writes the reference result.json, byte for byte.
 
-The references are bench/reference/seed0/<stem>.json.  feedback_run.json is
-left out for its run time (about 20 s); bench/configs/feedback_short.json runs
-the same feedback code on a shorter grid.
+The references are bench/reference/seed<n>/<stem>.json.  Every config runs at
+seed 0.  feedback_run.json is left out for its run time (about 4 s);
+bench/configs/feedback_short.json runs the same feedback code on a shorter
+grid, and also at seeds 1 and 2, whose adversary pools draw other random
+streams.
 """
 
 import json
@@ -19,8 +21,17 @@ CONFIGS.append(ROOT / "bench" / "configs" / "feedback_short.json")
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_result_matches_reference_bytes(config, tmp_path):
+    _check(config, 0, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_feedback_short_other_seeds(seed, tmp_path):
+    _check(CONFIGS[-1], seed, tmp_path)
+
+
+def _check(config, seed, tmp_path):
     cfg = json.loads(config.read_text())
-    cli.run(cfg, str(tmp_path), seed=0)
+    cli.run(cfg, str(tmp_path), seed=seed)
     got = (tmp_path / cfg.get("name", cfg["kind"]) / "result.json").read_bytes()
-    want = (ROOT / "bench" / "reference" / "seed0" / f"{config.stem}.json").read_bytes()
+    want = (ROOT / "bench" / "reference" / f"seed{seed}" / f"{config.stem}.json").read_bytes()
     assert got == want

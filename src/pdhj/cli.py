@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -67,6 +68,11 @@ _OPERATOR_SCHEMA = {"kind": str, "dim": int, "gain": float, "nodes": int, "p": f
 _CONTROLS_SCHEMA = {"p_points": list, "q_points": list}
 _GAME_SCHEMA = {"kind": str, "scale": float, "gain": float, "cost_weight": float,
                 "cost": float, "levels": list, "controls": _CONTROLS_SCHEMA}
+# the fields each operator and game kind reads, besides kind
+_OPERATOR_FIELDS = {"linear": ("dim", "gain"), "p-laplacian-1d": ("nodes", "p")}
+_GAME_FIELDS = {"isaacs-additive": ("scale", "gain", "cost_weight", "levels", "controls"),
+                "bilinear": ("scale", "gain", "levels", "controls"),
+                "constant": ("cost", "gain", "controls")}
 
 _SCHEMAS = {
     "solve": {"operator": _OPERATOR_SCHEMA, "grid": _GRID_SCHEMA, "lipschitz": float,
@@ -104,6 +110,8 @@ def _check_fields(obj: dict, schema: dict, prefix: str):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise UsageError(f"field {prefix}{key} must be a number",
                                  field_path=prefix + key)
+            if not math.isfinite(value):
+                raise UsageError(f"field {prefix}{key} must be finite", field_path=prefix + key)
         elif expected is int:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise UsageError(f"field {prefix}{key} must be an integer",
@@ -111,6 +119,9 @@ def _check_fields(obj: dict, schema: dict, prefix: str):
         elif expected is list:
             if not isinstance(value, list):
                 raise UsageError(f"field {prefix}{key} must be a list",
+                                 field_path=prefix + key)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in value):
+                raise UsageError(f"field {prefix}{key} must hold finite numbers",
                                  field_path=prefix + key)
         elif expected is str:
             if not isinstance(value, str):
@@ -177,20 +188,31 @@ def _site_state(rng, lattice: StateLattice, shrink: float) -> np.ndarray:
                      for lo, hi in zip(lattice.lo, lattice.hi)])
 
 
+def _refuse_unread(block: dict, name: str, kind: str, fields: dict):
+    """Refuse an unknown kind, or a field that the block's kind does not read,
+    naming it."""
+    if kind not in fields:
+        raise UsageError(f"unknown {name} kind {kind!r}", field_path=name + ".kind")
+    for key in block:
+        if key != "kind" and key not in fields[kind]:
+            raise UsageError(f"field {name}.{key} is not read by {name} kind {kind!r}",
+                             field_path=f"{name}.{key}")
+
+
 def _build_operator(block: dict):
     block = block or {}
     kind = block.get("kind", "linear")
+    _refuse_unread(block, "operator", kind, _OPERATOR_FIELDS)
     if kind == "linear":
         return make_linear_operator(dim=int(block.get("dim", 1)),
                                     gain=float(block.get("gain", 1.0)))
-    if kind == "p-laplacian-1d":
-        return build_p_laplacian(int(block.get("nodes", 8)), float(block.get("p", 2.0)))
-    raise UsageError(f"unknown operator kind {kind!r}", field_path="operator.kind")
+    return build_p_laplacian(int(block.get("nodes", 8)), float(block.get("p", 2.0)))
 
 
 def _build_game(block: dict) -> GameSpec:
     block = block or {}
     kind = block.get("kind", "isaacs-additive")
+    _refuse_unread(block, "game", kind, _GAME_FIELDS)
     if kind == "isaacs-additive":
         spec = isaacs_game(scale=float(block.get("scale", 0.5)),
                            gain=float(block.get("gain", 1.0)),
@@ -200,11 +222,9 @@ def _build_game(block: dict) -> GameSpec:
         spec = bilinear_game(scale=float(block.get("scale", 1.0)),
                              gain=float(block.get("gain", 1.0)),
                              levels=tuple(block.get("levels", (-1.0, 1.0))))
-    elif kind == "constant":
+    else:
         spec = constant_game(cost=float(block.get("cost", 1.0)),
                              gain=float(block.get("gain", 1.0)))
-    else:
-        raise UsageError(f"unknown game kind {kind!r}", field_path="game.kind")
     controls = block.get("controls")
     if controls is not None:
         if "p_points" not in controls:
@@ -327,7 +347,7 @@ def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
                             horizon=grid.t_end)
     x0 = Path.constant(grid, x0_vec)
     partitions = [TimeGrid(0.0, grid.t_end, n) for n in steps]
-    strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions[0],
+    strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions,
                                        value=table,
                                        library_size=int(config.get("library_size", 64)),
                                        seed=seed)
@@ -397,9 +417,9 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
     mutation_detected = None
     if config.get("mutation_control", True):
         k_mid = grid.n_steps // 2
-        s_mid = lattice.shape[0] // 2
+        s_mid = tuple(n // 2 for n in lattice.shape)  # the entry at every axis's midpoint
         bumped = bump_table(table, k_mid, s_mid, 0.2, side="upper")
-        x0 = Path.constant(grid, [float(lattice.axes[0][s_mid])] * spec.dyn.op.space.dim)
+        x0 = Path.constant(grid, [float(axis[i]) for axis, i in zip(lattice.axes, s_mid)])
         site = (grid.nodes[k_mid], x0, np.zeros(spec.dyn.op.space.dim))
         mut = minimax_residual(bumped, spec, site, "sub", horizon, budget, seed=seed)
         mutation_detected = not mut.verdict

@@ -4,6 +4,15 @@ Solves x'(t) + A(t, x(t)) = f(t) step by step with implicit (backward) Euler:
 each step is a strongly monotone root-finding problem handled by damped Newton
 with a safeguarded fallback.  Trajectories with forcing bounded by
 L * (1 + sup-norm of the stopped path) form the discrete reachable tube.
+
+Lockstep loops (solve_delay_lanes here; play_feedback_games and
+greedy_adversary in pdhj.game) raise the first error they meet, taking time
+steps in order and the phases of each step in the order their docstrings list.
+A phase of per-lane callbacks runs lane by lane, so it raises its lowest failing
+lane's error.  A batched phase raises for its whole batch: _implicit_step_batch
+the SolverError of its lowest stalled lane, a value-table read the batch's
+largest lattice margin (the one to expand by).  Lanes that succeed do not
+depend on this order.
 """
 
 from __future__ import annotations
@@ -326,7 +335,8 @@ def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np
     ends bit-identical to a scalar call.  A lane that stalls (a singular
     Jacobian, an exhausted line search, or NEWTON_MAX_ITER iterations) is
     rerun whole by _implicit_step, which owns the bisection and relaxation
-    fallbacks and SolverError.
+    fallbacks and SolverError.  Stalled lanes rerun in lane order, so the
+    SolverError a batch raises is its lowest stalled lane's.
     """
     targets = np.asarray(targets, dtype=float)
     guesses = np.asarray(guesses, dtype=float)
@@ -383,78 +393,10 @@ def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np
         stalled.extend(lanes[~moved])
         lanes, gx = lanes[moved], gx[moved]
     stalled.extend(lanes)
-    for n in stalled:
+    for n in sorted(stalled):
         xi[n], iters[n], res[n] = _implicit_step(op, t_next, dt, targets[n], guesses[n],
                                                  float(tols[n]), step_index)
     return xi, iters, res
-
-
-def _sweep(call, n: int):
-    """call(0), call(1), ... up to the first call that raises.
-
-    Returns (results, None) when none raises, else (the results before the
-    failing call, its error): the lanes of a lockstep loop fail as a
-    lane-by-lane loop would, the first failing lane ending the sweep.
-    """
-    out = []
-    for i in range(n):
-        try:
-            out.append(call(i))
-        except Exception as err:
-            return out, err
-    return out, None
-
-
-class _LivePrefix:
-    """Lanes 0..n-1 still in play, and err, the error of lane n when one failed.
-
-    A failed lane drops itself and every lane after it, so the lanes left are
-    always a prefix and err is always the lowest failed lane's first error.
-    """
-
-    def __init__(self, n: int):
-        self.n, self.err = n, None
-
-    def keep(self, results, error):
-        """The results of a sweep over the live lanes; a failure ends the lanes
-        at the failing one, and when none is left its error is raised."""
-        if error is not None:
-            self.n, self.err = len(results), error
-            if not self.n:
-                raise error
-        return results
-
-
-def _batch_or_sweep(batch, one, n: int):
-    """(batch(), None) for lanes 0..n-1; when it raises, _sweep(one, n): the
-    results of the lanes before the first that fails alone, with its error."""
-    try:
-        return batch(), None
-    except Exception:
-        return _sweep(one, n)
-
-
-def _implicit_step_lanes(op: OperatorSpec, t_next: float, dt: float, targets: np.ndarray,
-                         guesses: np.ndarray, tols, step_index: int):
-    """_implicit_step_batch for lanes that may fail; returns (xi, iters, res, err).
-
-    err is None when every row steps.  When the batch raises, the rows step
-    one by one through _implicit_step up to the first that raises: the arrays
-    then hold the rows before it, and err is its error.
-    """
-    try:
-        xi, iters, res = _implicit_step_batch(op, t_next, dt, targets, guesses, tols, step_index)
-        return xi, iters, res, None
-    except Exception:
-        tols = np.broadcast_to(np.asarray(tols, dtype=float), (len(targets),))
-        rows, err = _sweep(lambda n: _implicit_step(op, t_next, dt, targets[n], guesses[n],
-                                                    float(tols[n]), step_index), len(targets))
-        xi = np.empty((len(rows), targets.shape[1]))
-        iters = np.zeros(len(rows), dtype=int)
-        res = np.zeros(len(rows))
-        for n, row in enumerate(rows):
-            xi[n], iters[n], res[n] = row
-        return xi, iters, res, err
 
 
 def _bisect_step(g, target, tol, step_index, iters):
@@ -508,9 +450,9 @@ def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
     sup-norms and checks the forcing bound for all lanes at once, builds a
     lane's stopped path only when its forcing or dyn.rhs takes one, and moves
     every lane with one _implicit_step_batch call.  Each report is
-    bit-identical to solving its forcing alone.  A failed lane stops at its first error
-    and the lanes after it are dropped; the error of the lowest failed lane is
-    raised, so a lane-by-lane loop would raise the same one.
+    bit-identical to solving its forcing alone.  Errors follow the lockstep
+    rule of the module docstring; the phases of a step are the forcings (lane
+    by lane), the forcing-bound check, and the implicit step.
     """
     grid = x0.grid
     k0 = grid.node_index(t0)
@@ -526,39 +468,27 @@ def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
     res = np.zeros((n - k0, m))
     # running max of the node norms sup_norm takes (np.linalg.norm over axis 1)
     node_sup = np.full(m, np.max(np.linalg.norm(x0.values[: k0 + 1], axis=1)))
-    live = _LivePrefix(m)
 
     for k in range(k0, n):
         t_k, t_k1 = nodes[k], nodes[k + 1]
         dt = t_k1 - t_k
-        x_k = values[k, :live.n]
+        x_k = values[k]
         cur = _row_norms(x_k)  # |x(t_k)|: sup_norm's last term and the step tolerance
-        bound = L * (1.0 + np.maximum(node_sup[:live.n], cur))
-        forced = live.keep(*_sweep(lambda lane: _lane_forcing(
-            dyn, forcings[lane], grid, values[:, lane], k, float(bound[lane])), live.n))
-        f = np.empty((live.n, dim))
-        for lane, row in enumerate(forced):
-            f[lane] = row
+        bound = L * (1.0 + np.maximum(node_sup, cur))
+        f = np.empty((m, dim))
+        for lane in range(m):
+            f[lane] = _lane_forcing(dyn, forcings[lane], grid, values[:, lane], k,
+                                    float(bound[lane]))
         fmag = _row_norms(f)
-        over = np.flatnonzero(fmag > bound[:live.n] + FORCING_BOUND_TOL * (1.0 + bound[:live.n]))
+        over = np.flatnonzero(fmag > bound + FORCING_BOUND_TOL * (1.0 + bound))
         if over.size:
-            cut = over[0]
-            live.keep(f[:cut], ContractError(
-                f"forcing magnitude {fmag[cut]:.6e} exceeds L(1+sup) = {bound[cut]:.6e} "
-                f"at step {k}"))
-        x_k, f = x_k[:live.n], f[:live.n]
-        targets = x_k + dt * f
-        tols = STEP_TOL * (1.0 + cur[:live.n])
-        xi, it, r, err = _implicit_step_lanes(dyn.op, t_k1, dt, targets, x_k, tols, k)
-        xi = live.keep(xi, err)
-        done = live.n
-        values[k + 1, :done] = xi
-        node_sup[:done] = np.maximum(node_sup[:done], np.linalg.norm(xi, axis=1))
-        trace[k - k0, :done] = f[:done]
-        iters[k - k0, :done] = it
-        res[k - k0, :done] = r
-    if live.err is not None:
-        raise live.err
+            lane = over[0]
+            raise ContractError(f"forcing magnitude {fmag[lane]:.6e} exceeds L(1+sup) = "
+                                f"{bound[lane]:.6e} at step {k}")
+        values[k + 1], iters[k - k0], res[k - k0] = _implicit_step_batch(
+            dyn.op, t_k1, dt, x_k + dt * f, x_k, STEP_TOL * (1.0 + cur), k)
+        node_sup = np.maximum(node_sup, np.linalg.norm(values[k + 1], axis=1))
+        trace[k - k0] = f
 
     return [SolveReport(path=Path(grid, values[:, lane]), forcing_trace=trace[:, lane].copy(),
                         start_index=k0, step_count=n - k0,

@@ -24,9 +24,8 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import DelayDynamics, _batch_or_sweep, _implicit_step_batch, \
-    _implicit_step_lanes, _LivePrefix, _row_dots, _row_norms, _sweep, make_linear_operator, \
-    sample_reachable_set
+from .evolution import DelayDynamics, _implicit_step_batch, _row_dots, _row_norms, \
+    make_linear_operator, sample_reachable_set
 from .pathcore import Path, TimeGrid, extend_history, stopped_at, sup_norm
 from .upsilon import LyapunovParams, surrogate_terms
 
@@ -625,8 +624,7 @@ class FeedbackStrategy:
         interp_batch call.  A candidate replaces a game's best only when
         strictly smaller, so ties keep the earlier kind and the smaller index.
         Each game's tuple is bit-identical to a call with that game alone.  A
-        failed read raises for the batch as a whole; play_feedback_games then
-        asks game by game to find the first game that fails.
+        failed read raises for the batch as a whole.
         """
         n_games, dim = X.shape[1], X.shape[2]
         alpha = self.params.alpha(t)
@@ -681,21 +679,24 @@ class FeedbackStrategy:
 
 
 def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
-                            x0: Path, partition: TimeGrid, *, value: ValueTable,
+                            x0: Path, partition, *, value: ValueTable,
                             library_size: int = 64, seed: int = 0,
                             side: str = "upper") -> FeedbackStrategy:
     """Build the extremal-shift strategy with its companion library.
 
-    x0 is the history path; it is resampled onto the simulation grid (the value
-    grid refined with the partition nodes).  The library holds reachable-tube
+    partition is the TimeGrid the games are played on, or a sequence of such
+    grids.  x0 is the history path; it is resampled onto the simulation grid
+    (the value grid refined with the nodes of every partition), so the games
+    can be played on each partition.  The library holds reachable-tube
     samples started at (t0, x0).
     """
     if library_size < 0:
         raise ConfigurationError("library_size must be >= 0")
-    if abs(partition.t_start - t0) > 1e-9 or \
-            abs(partition.t_end - value.grid.t_end) > 1e-9:
-        raise DomainError("partition must span [t0, T]")
-    inner = simulation_grid(value.grid, partition)
+    partitions = [partition] if isinstance(partition, TimeGrid) else list(partition)
+    for part in partitions:
+        if abs(part.t_start - t0) > 1e-9 or abs(part.t_end - value.grid.t_end) > 1e-9:
+            raise DomainError("partition must span [t0, T]")
+    inner = simulation_grid(value.grid, *partitions)
     hist = extend_history(x0, inner, t0)
     library = []
     if library_size > 0:
@@ -705,16 +706,17 @@ def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
     return FeedbackStrategy(spec, params, value, t0, hist, library, side=side)
 
 
-def simulation_grid(value_grid: TimeGrid, partition: TimeGrid) -> TimeGrid:
-    """Union of value-grid and partition nodes.
+def simulation_grid(value_grid: TimeGrid, *partitions: TimeGrid) -> TimeGrid:
+    """Union of the value-grid nodes and the nodes of every partition.
 
-    The partition covers [t0, T] for some t0 at or after the value grid's
-    start; both must end at the same horizon.
+    Each partition covers [t0, T] for some t0 at or after the value grid's
+    start; all must end at the same horizon.
     """
-    if partition.t_start < value_grid.t_start - 1e-12 or \
-            abs(value_grid.t_end - partition.t_end) > 1e-12:
-        raise DomainError("partition must lie within the value grid span and end at T")
-    nodes = np.union1d(value_grid.nodes, partition.nodes)
+    for partition in partitions:
+        if partition.t_start < value_grid.t_start - 1e-12 or \
+                abs(value_grid.t_end - partition.t_end) > 1e-12:
+            raise DomainError("partition must lie within the value grid span and end at T")
+    nodes = np.unique(np.concatenate([value_grid.nodes] + [p.nodes for p in partitions]))
     keep = [nodes[0]]
     for t in nodes[1:]:
         if t - keep[-1] > 1e-12:
@@ -782,61 +784,50 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
     running cost of each game, and moves all games with one batched implicit
     step.  One companion_minima call per partition node serves every game:
     the minimum found after a step is that step's u_shifted_after and aims the
-    next control.  Each trace is bit-identical to playing its game alone.  A
-    game stops at its first error and the games after it are dropped; the
-    error of the lowest failed game is raised, which is the one a
-    game-by-game loop raises.
+    next control.  Each trace is bit-identical to playing its game alone.
+    Errors follow the lockstep rule of pdhj.evolution; the phases of a
+    partition cell are the controls and adversaries (game by game), then per
+    simulation-grid step the drift and running cost (game by game) and the
+    implicit step, then the companion minima.
     """
     adversaries = list(adversaries)
+    if not adversaries:
+        return []
     inner = strategy.x0.grid
     nodes = inner.nodes
     part_nodes = partition.nodes
     p_points, q_points = spec.controls.p_points, spec.controls.q_points
     m = len(adversaries)
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, game, coordinate)
-    live = _LivePrefix(m)
-
-    def companions_at(t, k):
-        X = values[: k + 1, :live.n]
-        return live.keep(*_batch_or_sweep(
-            lambda: strategy.companion_minima(t, X),
-            lambda g: strategy.companion_minima(t, X[:, g:g + 1])[0], live.n))
-
-    companions = companions_at(part_nodes[0], inner.node_index(part_nodes[0]))
+    drift = np.empty((m, values.shape[2]))
+    companions = strategy.companion_minima(
+        part_nodes[0], values[: inner.node_index(part_nodes[0]) + 1])
     p_indices, q_indices = [[] for _ in range(m)], [[] for _ in range(m)]
     records = [[] for _ in range(m)]
     running = np.zeros(m)
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        x_now = [stopped_at(inner, values[:, g], ka) for g in range(live.n)]
-
-        def decide(g):
+        x_now = [stopped_at(inner, values[:, g], ka) for g in range(m)]
+        picks = []
+        for g in range(m):
             p_idx = strategy.select(t_i, x_now[g], companions[g])
-            return p_idx, int(adversaries[g](t_i, x_now[g], p_idx))
-        picks = live.keep(*_sweep(decide, live.n))
+            picks.append((p_idx, int(adversaries[g](t_i, x_now[g], p_idx))))
         controls = [(p_points[p_idx], q_points[q_idx]) for p_idx, q_idx in picks]
-        step_cost = np.zeros(live.n)
+        step_cost = np.zeros(m)
         for k in range(ka, kb):
             t_k, dt = nodes[k], nodes[k + 1] - nodes[k]
-
-            def stage(g):
+            for g, (p, q) in enumerate(controls):
                 x_stop = x_now[g] if k == ka else stopped_at(inner, values[:, g], k)
-                p, q = controls[g]
-                return spec.drift(t_k, x_stop, p, q), spec.stage_cost(t_k, x_stop, p, q)
-            terms = live.keep(*_sweep(stage, live.n))
-            n = live.n
-            step_cost[:n] += dt * np.array([cost for _, cost in terms])
-            x_k = values[k, :n]
-            targets = x_k + dt * np.array([f for f, _ in terms])
+                drift[g] = spec.drift(t_k, x_stop, p, q)
+                step_cost[g] += dt * spec.stage_cost(t_k, x_stop, p, q)
+            x_k = values[k]
             tols = STEP_SOLVE_TOL * (1.0 + _row_norms(x_k))
-            xi, _, _, error = _implicit_step_lanes(spec.dyn.op, nodes[k + 1], dt, targets, x_k,
-                                                   tols, k)
-            xi = live.keep(xi, error)
-            values[k + 1, :live.n] = xi
-        running[:live.n] += step_cost[:live.n]
-        after = companions_at(t_i1, kb)
-        for g in range(live.n):
+            values[k + 1], _, _ = _implicit_step_batch(spec.dyn.op, nodes[k + 1], dt,
+                                                       x_k + dt * drift, x_k, tols, k)
+        running += step_cost
+        after = strategy.companion_minima(t_i1, values[: kb + 1])
+        for g in range(m):
             before = companions[g]
             records[g].append({
                 "t": float(t_i),
@@ -852,16 +843,11 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
             q_indices[g].append(picks[g][1])
         companions = after
 
-    def finish(g):
-        path = Path(inner, values[:, g])
-        return StrategyTrace(partition=partition, p_indices=tuple(p_indices[g]),
-                             q_indices=tuple(q_indices[g]), path=path,
-                             running_cost=running[g], terminal_cost=spec.final_cost(path),
-                             step_records=tuple(records[g]))
-    traces = live.keep(*_sweep(finish, live.n))
-    if live.err is not None:
-        raise live.err
-    return traces
+    paths = [Path(inner, values[:, g]) for g in range(m)]
+    return [StrategyTrace(partition=partition, p_indices=tuple(p_indices[g]),
+                          q_indices=tuple(q_indices[g]), path=paths[g], running_cost=running[g],
+                          terminal_cost=spec.final_cost(paths[g]), step_records=tuple(records[g]))
+            for g in range(m)]
 
 
 def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
@@ -892,10 +878,9 @@ def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
                      lookahead: float = None):
     """One-step lookahead maximizer against the committed p; ties keep the first q.
 
-    The n_q drifts come first, in q order; then one batched implicit step, the
-    costs, and one interpolation of the successors.  An error is the one a
-    per-q loop meets first: that of the first q whose drift, step, cost or
-    successor read fails.
+    The q values are the lanes of one lockstep step (errors as pdhj.evolution
+    states), in these phases: the n_q drifts and then the n_q costs, in q
+    order, one batched implicit step, and one read of the successors.
     """
     q_points = spec.controls.q_points
 
@@ -905,20 +890,14 @@ def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
         dt = min(dt, value.grid.t_end - t)
         state = x.value_at(t)
         k = x.grid.node_index(t)
-        live = _LivePrefix(len(q_points))  # the q indices still in play
-        drifts = live.keep(*_sweep(lambda j: spec.drift(t, x, p, q_points[j]), live.n))
+        drifts = np.array([spec.drift(t, x, p, q) for q in q_points])
+        costs = np.array([spec.stage_cost(t, x, p, q) for q in q_points])
         tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
-        succ, _, _, error = _implicit_step_lanes(
-            spec.dyn.op, t + dt, dt, state + dt * np.array(drifts),
-            np.broadcast_to(state, (live.n, len(state))), tol, k)
-        succ = live.keep(succ, error)
-        costs = live.keep(*_sweep(lambda j: spec.stage_cost(t, x, p, q_points[j]), live.n))
-        ahead = live.keep(*_batch_or_sweep(lambda: value.interp_batch(side, t + dt, succ[:live.n]),
-                                           lambda j: value.interp(side, t + dt, succ[j]), live.n))
-        if live.err is not None:
-            raise live.err
+        succ, _, _ = _implicit_step_batch(spec.dyn.op, t + dt, dt, state + dt * drifts,
+                                          np.broadcast_to(state, drifts.shape), tol, k)
+        ahead = value.interp_batch(side, t + dt, succ)
         best_j, best_val = 0, -np.inf
-        for j, val in enumerate(dt * np.array(costs) + ahead):
+        for j, val in enumerate(dt * costs + ahead):
             if val > best_val + 1e-15:
                 best_j, best_val = j, val
         return best_j

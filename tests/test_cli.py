@@ -250,6 +250,76 @@ class TestVectorLengths:
         self._refused(tmp_path, capsys, cfg, "partition_steps")
 
 
+class TestConfigRefusals:
+    """Numbers that are not finite, and fields that the chosen kind does not
+    read, are usage errors that name the field (exit 2)."""
+
+    def _refused(self, tmp_path, capsys, cfg, field):
+        status = main([cfg["kind"], "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+        assert status == 2
+        assert field in capsys.readouterr().err
+        with pytest.raises(UsageError) as err:
+            run(cfg, str(tmp_path / "direct"))
+        assert err.value.field_path == field
+
+    def test_nan_forcing_value(self, tmp_path, capsys):
+        cfg = shipped_config("solve.json")
+        cfg["forcing"] = {"kind": "constant", "value": [float("nan")]}
+        self._refused(tmp_path, capsys, cfg, "forcing.value")
+
+    def test_nan_lattice_bound(self, tmp_path, capsys):
+        cfg = shipped_config("game_value.json")
+        cfg["lattice"]["lo"] = [float("nan")]
+        self._refused(tmp_path, capsys, cfg, "lattice.lo")
+
+    def test_infinite_number_field(self, tmp_path, capsys):
+        cfg = shipped_config("solve.json")
+        cfg["lipschitz"] = float("inf")
+        self._refused(tmp_path, capsys, cfg, "lipschitz")
+
+    @pytest.mark.parametrize("game, field", [
+        ({"kind": "bilinear", "cost_weight": 0.3}, "game.cost_weight"),
+        ({"kind": "bilinear", "cost": 2.0}, "game.cost"),
+        ({"kind": "constant", "scale": 0.5}, "game.scale"),
+        ({"kind": "constant", "levels": [-1.0, 1.0]}, "game.levels"),
+        ({"cost": 2.0}, "game.cost"),  # the default kind, isaacs-additive
+    ])
+    def test_game_field_the_kind_does_not_read(self, tmp_path, capsys, game, field):
+        cfg = shipped_config("isaacs_check.json")
+        cfg["game"] = game
+        self._refused(tmp_path, capsys, cfg, field)
+
+    @pytest.mark.parametrize("operator, field", [
+        ({"kind": "linear", "nodes": 4}, "operator.nodes"),
+        ({"kind": "linear", "p": 3.0}, "operator.p"),
+        ({"kind": "p-laplacian-1d", "gain": 2.0}, "operator.gain"),
+    ])
+    def test_operator_field_the_kind_does_not_read(self, tmp_path, capsys, operator, field):
+        cfg = shipped_config("solve.json")
+        cfg["operator"] = operator
+        self._refused(tmp_path, capsys, cfg, field)
+
+    @pytest.mark.parametrize("kind", ["isaacs-additive", "bilinear", "constant"])
+    def test_controls_are_read_by_every_game_kind(self, tmp_path, kind):
+        cfg = shipped_config("isaacs_check.json")
+        cfg["game"] = {"kind": kind, "controls": {"p_points": [-1.0, 1.0],
+                                                  "q_points": [-1.0, 1.0]}}
+        cfg.update(name="controls", samples=5)
+        run(cfg, str(tmp_path))
+        assert (tmp_path / "controls" / "result.json").is_file()
+
+
+def test_feedback_partitions_off_the_first_partition(tmp_path):
+    # 12 steps of 1/12 on a 16-step value grid: neither grid holds the other's nodes
+    cfg = base_config("feedback-run", name="mixed", grid={"t_end": 1.0, "n_steps": 16},
+                      lattice={"lo": [-2.0], "hi": [2.0], "points": [33]},
+                      partition_steps=[8, 12], budget=5, calibration_budget=4,
+                      library_size=4)
+    run(cfg, str(tmp_path))
+    result = json.loads((tmp_path / "mixed" / "result.json").read_text())
+    assert [p["n_steps"] for p in result["estimate"]["per_partition"]] == [8, 12]
+
+
 def _planar_game(block):
     from pdhj.evolution import DelayDynamics, make_linear_operator
     from pdhj.game import ControlGrid, GameSpec
@@ -297,3 +367,29 @@ class TestMinimaxSites:
             assert not any(state[0] == state[1] for state in states)  # off the diagonal
             for state in states:
                 assert all(shrink * lo[d] <= state[d] <= shrink * hi[d] for d in range(2))
+
+    def test_dim_two_mutation_bumps_one_entry_under_its_site(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_build_game", _planar_game)
+        bumps, sites = [], []
+        real_bump, real_residual = cli.bump_table, cli.minimax_residual
+
+        def bump(table, *args, **kwargs):
+            bumps.append((table, real_bump(table, *args, **kwargs)))
+            return bumps[-1][1]
+
+        def residual(table, spec, site, *args, **kwargs):
+            if "mutation" in table.metadata:
+                sites.append(site)
+            return real_residual(table, spec, site, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "bump_table", bump)
+        monkeypatch.setattr(cli, "minimax_residual", residual)
+        cfg = base_config("minimax-check", grid={"t_end": 1.0, "n_steps": 8},
+                          lattice={"lo": [-2.0, -1.0], "hi": [2.0, 3.0], "points": [9, 9]},
+                          sites=0, horizon=0.25, budget=4, mutation_control=True)
+        run(cfg, str(tmp_path))
+        (table, bumped), = bumps
+        changed = np.argwhere(bumped.v_plus != table.v_plus)
+        assert changed.tolist() == [[4, 4, 4]]  # time index 4, the midpoint of each axis
+        (t, x0, z), = sites
+        assert t == 0.5 and x0.values.tolist() == [[0.0, 1.0]] * 9

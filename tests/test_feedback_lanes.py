@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from pdhj import evolution
-from pdhj.errors import EvaluationError, LatticeCoverageError, SolverError
-from pdhj.evolution import DelayDynamics, OperatorSpec, _implicit_step, make_linear_operator
+from pdhj.errors import DomainError, EvaluationError, LatticeCoverageError, SolverError
+from pdhj.evolution import (
+    DelayDynamics,
+    OperatorSpec,
+    _implicit_step,
+    make_linear_operator,
+    sample_reachable_set,
+    solve_delay_lanes,
+)
 from pdhj.game import (
     COVERAGE_TOL,
     STEP_SOLVE_TOL,
@@ -349,21 +356,8 @@ class TestCompanionTies:
 
 
 # ---------------------------------------------------------------------------
-# error order: the lowest failed game's first error
+# error order: the lockstep rule of pdhj.evolution
 # ---------------------------------------------------------------------------
-
-def _error_key(err):
-    return (type(err), str(err), getattr(err, "step_index", None), getattr(err, "margin", None))
-
-
-def _sequential_error(spec, strategy, pool, partition):
-    for adv in pool:
-        try:
-            _run_feedback_game_reference(spec, strategy, adv, partition)
-        except Exception as err:  # the first failing game ends the loop
-            return err
-    raise AssertionError("no game failed")
-
 
 def _kick(node, big=2):
     """An adversary playing q index `big` at partition node `node` (of 4), else 0."""
@@ -392,13 +386,14 @@ def _variant(base, op=None, q_points=None, running_cost=None):
 
 
 class TestPoolErrors:
+    """The earliest error of the pool: a game that fails at an earlier node
+    raises before a lower game that fails later."""
+
     partition = TimeGrid(0.0, 1.0, 4)
 
-    def _check(self, spec, strategy, pool_factory):
-        want = _sequential_error(spec, strategy, pool_factory(), self.partition)
+    def _error(self, spec, strategy, pool):
         with pytest.raises(Exception) as info:
-            play_feedback_games(spec, strategy, pool_factory(), self.partition)
-        assert _error_key(info.value) == _error_key(want)
+            play_feedback_games(spec, strategy, pool, self.partition)
         return info.value
 
     def _strategy(self):
@@ -410,10 +405,11 @@ class TestPoolErrors:
         op = OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
                           eval_fn=lambda t, v: np.where(np.abs(v) > 1.0, np.nan, v))
         spec = _variant(base, op=op, q_points=(0.0, 1.0, 40.0))
-        # game 1 fails at node 3, game 2 earlier, at node 1
-        err = self._check(spec, strategy,
-                          lambda: [constant_adversary(0), _kick(3), _kick(1), constant_adversary(0)])
-        assert isinstance(err, SolverError) and err.step_index == 6
+        # game 1 fails at node 3 (step 6), game 2 earlier, at node 1 (step 2)
+        err = self._error(spec, strategy,
+                          [constant_adversary(0), _kick(3), _kick(1), constant_adversary(0)])
+        assert type(err) is SolverError
+        assert str(err) == "bisection failed to converge at step 2" and err.step_index == 2
 
     def test_callback_evaluation_error_of_the_lower_game(self):
         base, strategy = self._strategy()
@@ -423,24 +419,29 @@ class TestPoolErrors:
 
         spec = _variant(base, q_points=(0.0, 1.5, 3.0), running_cost=running)
         # game 1 (q = 1.5) crosses 0.8 later than game 2 (q = 3)
-        err = self._check(spec, strategy, lambda: [constant_adversary(j) for j in (0, 1, 2)])
-        assert isinstance(err, EvaluationError) and "q=1.5" in str(err)
+        err = self._error(spec, strategy, [constant_adversary(j) for j in (0, 1, 2)])
+        assert type(err) is EvaluationError
+        assert str(err) == "non-finite running cost at t=0.25, p=-1.0, q=3.0"
 
     def test_adversary_error_of_the_lower_game(self):
         base, strategy = self._strategy()
-        err = self._check(base, strategy,
-                          lambda: [constant_adversary(0), _raise_at(3), _raise_at(1)])
-        assert isinstance(err, RuntimeError) and "node 3" in str(err)
+        err = self._error(base, strategy,
+                          [constant_adversary(0), _raise_at(3), _raise_at(1)])
+        assert type(err) is RuntimeError and str(err) == "adversary failed at node 1"
 
     def test_coverage_error_names_the_lower_games_margin(self):
         base, strategy = self._strategy()
         spec = _variant(base, q_points=(0.0, 4.0, 8.0))
-        # game 1 leaves [-2, 2] later and by less than game 2
-        err = self._check(spec, strategy, lambda: [constant_adversary(j) for j in (0, 1, 2)])
-        assert isinstance(err, LatticeCoverageError)
-        with pytest.raises(LatticeCoverageError) as other:
+        # game 1 leaves [-2, 2] later and by less than game 2; the companion
+        # read after game 2 leaves reports game 2's margin
+        err = self._error(spec, strategy, [constant_adversary(j) for j in (0, 1, 2)])
+        assert type(err) is LatticeCoverageError
+        assert str(err) == ("state leaves the lattice by 1.255357e+00; "
+                            "expand bounds by at least that margin")
+        assert err.margin == 1.2553574150281963
+        with pytest.raises(LatticeCoverageError) as alone:
             _run_feedback_game_reference(spec, strategy, constant_adversary(2), self.partition)
-        assert other.value.margin != err.margin
+        assert alone.value.margin == err.margin
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +474,11 @@ class TestGreedyBatch:
         x = Path.constant(grid, [0.3])
         assert greedy_adversary(spec, table)(0.25, x, 0) == 0
 
-    def _first_offending_q(self, spec, table, t=0.25, state=0.1):
+    def _error(self, spec, table, t=0.25, state=0.1):
         x = Path.constant(table.grid, [state])
-        with pytest.raises(Exception) as want:
-            _greedy_reference(spec, table, lookahead=0.125)(t, x, 0)
-        with pytest.raises(Exception) as got:
+        with pytest.raises(Exception) as info:
             greedy_adversary(spec, table, lookahead=0.125)(t, x, 0)
-        assert _error_key(got.value) == _error_key(want.value)
-        return got.value
+        return info.value
 
     def test_cost_of_an_earlier_q_before_a_later_drift(self):
         _, table, _, _ = _desk(1, 0)
@@ -495,9 +493,10 @@ class TestGreedyBatch:
                         running_cost=running, terminal_cost=lambda x: 0.0,
                         controls=ControlGrid(p_points=(0.0,), q_points=(-1.0, 0.0, 1.0)),
                         l_f=1.0, lambda_L=1.0)
-        err = self._first_offending_q(spec, table)
-        assert isinstance(err, EvaluationError) and "running cost" in str(err) \
-            and "q=0.0" in str(err)
+        # every drift runs before any cost: q = 1's drift, not q = 0's cost
+        err = self._error(spec, table)
+        assert type(err) is EvaluationError
+        assert str(err) == "non-finite drift at t=0.25, p=0.0, q=1.0"
 
     def test_coverage_margin_of_the_first_q_off_the_lattice(self):
         _, table, _, _ = _desk(1, 0)
@@ -507,6 +506,34 @@ class TestGreedyBatch:
                         running_cost=lambda t, x, p, q: 0.0, terminal_cost=lambda x: 0.0,
                         controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 30.0, 60.0)),
                         l_f=100.0, lambda_L=1.0)
-        err = self._first_offending_q(spec, table)
-        assert isinstance(err, LatticeCoverageError)
-        assert 1.0 < err.margin < 2.0  # q = 30's margin, not q = 60's
+        # one read of all successors: the largest margin, q = 60's (q = 30's is 1.42)
+        err = self._error(spec, table)
+        assert type(err) is LatticeCoverageError
+        assert str(err) == ("state leaves the lattice by 4.755556e+00; "
+                            "expand bounds by at least that margin")
+        assert err.margin == 4.7555555555555555
+
+
+# ---------------------------------------------------------------------------
+# a faulty batched operator fails every lockstep loop as it fails the DP
+# ---------------------------------------------------------------------------
+
+def test_wrong_shape_eval_batch_raises_like_dp_value():
+    broken = OperatorSpec(space=StateSpace(dim=1), eval_fn=lambda t, v: v, c1=1.0, c2=1.0,
+                          eval_batch=lambda t, V: V[:, :0])
+    base, _, strategy, partitions = _desk(1, 0)
+    spec = _variant(base, op=broken)
+    grid = TimeGrid(0.0, 1.0, 8)
+    dyn = DelayDynamics.forced(broken, 1.0)
+    hist = Path.constant(grid, [0.5])
+    cases = [
+        (lambda: dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))), 297),
+        (lambda: solve_delay_lanes(dyn, 0.0, hist, [None] * 3), 3),
+        (lambda: sample_reachable_set(dyn, 0.0, hist, 4, seed=0), 4),
+        (lambda: play_feedback_games(spec, strategy, [constant_adversary(0)] * 2,
+                                     partitions[0]), 2),
+    ]
+    for call, rows in cases:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == f"operator batch returned shape ({rows}, 0), expected ({rows}, 1)"

@@ -1,10 +1,9 @@
 """Every shipped experiment writes the reference result.json, byte for byte.
 
 The references are bench/reference/seed<n>/<stem>.json.  Every config runs at
-seed 0.  feedback_run.json is left out for its run time (about 4 s);
-bench/configs/feedback_short.json runs the same feedback code on a shorter
-grid, and also at seeds 1 and 2, whose adversary pools draw other random
-streams.
+seed 0, feedback_run.json included (about 4 s).  bench/configs/feedback_short.json
+runs the same feedback code on a shorter grid, and also at seeds 1 and 2, whose
+adversary pools draw other random streams.
 """
 
 import json
@@ -15,7 +14,7 @@ import pytest
 from pdhj import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-CONFIGS = sorted(p for p in (ROOT / "configs").glob("*.json") if p.name != "feedback_run.json")
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 CONFIGS.append(ROOT / "bench" / "configs" / "feedback_short.json")
 
 

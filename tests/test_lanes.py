@@ -200,25 +200,6 @@ class TestTubeLanes:
             _assert_reports_equal(a, b)
 
 
-def _error_key(err):
-    return type(err), str(err), getattr(err, "step_index", None)
-
-
-def _sequential_error(dyn, t0, x0, forcings):
-    for forcing in forcings:
-        try:
-            _solve_reference(dyn, t0, x0, forcing)
-        except Exception as err:  # the first failing lane ends the loop
-            return err
-    raise AssertionError("no lane failed")
-
-
-def _lanes_error(dyn, t0, x0, forcings):
-    with pytest.raises(Exception) as info:
-        solve_delay_lanes(dyn, t0, x0, forcings)
-    return info.value
-
-
 def _kick(step, size, dim=1):
     """Forcing of `size` at grid step `step`, zero elsewhere."""
     def forcing(t, x):
@@ -226,55 +207,84 @@ def _kick(step, size, dim=1):
     return forcing
 
 
-def _raise_from(step):
+def _raise_from(step, name="callback"):
     """A callback that raises at grid step `step` and at every later one."""
     def forcing(t, x):
         k = int(round(t * 8))
         if k >= step:
-            raise RuntimeError(f"callback failed at step {k}")
+            raise RuntimeError(f"{name} failed at step {k}")
         return np.zeros(1)
     return forcing
 
 
 class TestLaneErrors:
-    grid = TimeGrid(0.0, 1.0, 8)
+    """The lockstep rule: the earliest step's error; within a step, the forcings
+    lane by lane, then the forcing-bound check, then the batched implicit step."""
 
-    def _check(self, dyn, forcings):
-        hist = Path.constant(self.grid, [0.5])
-        want = _sequential_error(dyn, 0.0, hist, forcings)
-        got = _lanes_error(dyn, 0.0, hist, forcings)
-        assert _error_key(got) == _error_key(want)
-        return got
+    grid = TimeGrid(0.0, 1.0, 8)
+    hist = Path.constant(grid, [0.5])
+
+    def _error(self, dyn, forcings):
+        with pytest.raises(Exception) as info:
+            solve_delay_lanes(dyn, 0.0, self.hist, forcings)
+        return info.value
 
     def test_contract_error_of_the_lowest_lane(self):
         dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
         # lane 3 breaks the bound at step 0, lane 1 only at step 5
-        forcings = [None, _kick(5, 9.0), None, _kick(0, 9.0), None]
-        err = self._check(dyn, forcings)
-        assert isinstance(err, ContractError) and "at step 5" in str(err)
+        err = self._error(dyn, [None, _kick(5, 9.0), None, _kick(0, 9.0), None])
+        assert type(err) is ContractError
+        assert str(err) == "forcing magnitude 9.000000e+00 exceeds L(1+sup) = 1.500000e+00 at step 0"
+        # lanes 1 and 2 break it in the same step: the lower lane's magnitude
+        err = self._error(dyn, [None, _kick(2, 7.0), _kick(2, 9.0)])
+        assert type(err) is ContractError
+        assert str(err) == "forcing magnitude 7.000000e+00 exceeds L(1+sup) = 1.500000e+00 at step 2"
 
     def test_solver_error_of_the_lowest_lane(self):
         # the operator has no root beyond |x| > 2: the step fails there
         op = OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
                           eval_fn=lambda t, v: np.where(np.abs(v) > 2.0, np.nan, v))
         dyn = DelayDynamics.forced(op, 100.0)
-        forcings = [None, _kick(6, 40.0), _kick(2, 40.0), None]
-        err = self._check(dyn, forcings)
-        assert isinstance(err, SolverError) and err.step_index == 6
+        # lane 2 fails at step 2, lane 1 only at step 6
+        err = self._error(dyn, [None, _kick(6, 40.0), _kick(2, 40.0), None])
+        assert type(err) is SolverError
+        assert str(err) == "bisection failed to converge at step 2" and err.step_index == 2
+
+    def test_stalled_lanes_rerun_in_lane_order(self, monkeypatch):
+        op = OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
+                          eval_fn=lambda t, v: np.where(np.abs(v) > 2.0, np.nan, v))
+        calls = []
+
+        def spy(op, t_next, dt, target, guess, tol, step_index):
+            calls.append(float(target[0]))
+            return _implicit_step(op, t_next, dt, target, guess, tol, step_index)
+
+        monkeypatch.setattr(evolution, "_implicit_step", spy)
+        # lane 1 starts off the operator's domain and stalls in the first Newton
+        # iteration; lane 0 creeps toward |x| = 2 and stalls later
+        with pytest.raises(SolverError) as err:
+            evolution._implicit_step_batch(op, 0.125, 0.125, np.array([[40.0], [3.0]]),
+                                           np.array([[0.5], [3.0]]), 1e-10, 0)
+        assert err.value.step_index == 0
+        assert calls == [40.0]  # lane 0 reruns first and raises
 
     def test_callback_on_a_later_lane_than_an_earlier_failure(self):
         dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
         # lane 1 fails its bound at step 4; lane 2's callback raises at step 1
-        err = self._check(dyn, [None, _kick(4, 9.0), _raise_from(1)])
-        assert isinstance(err, ContractError)
-        # and the other way round: the callback of the lower lane wins
-        err = self._check(dyn, [_raise_from(6), None, _kick(0, 9.0)])
-        assert isinstance(err, RuntimeError) and "step 6" in str(err)
+        err = self._error(dyn, [None, _kick(4, 9.0), _raise_from(1)])
+        assert type(err) is RuntimeError and str(err) == "callback failed at step 1"
+        # and the other way round: lane 2's bound at step 0 before lane 0's callback
+        err = self._error(dyn, [_raise_from(6), None, _kick(0, 9.0)])
+        assert type(err) is ContractError
+        assert str(err) == "forcing magnitude 9.000000e+00 exceeds L(1+sup) = 1.500000e+00 at step 0"
 
     def test_two_lanes_failing_in_one_step(self):
         dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
-        err = self._check(dyn, [None, _raise_from(2), None, _raise_from(2)])
-        assert "step 2" in str(err)
+        err = self._error(dyn, [None, _raise_from(2, "lane 1"), None, _raise_from(2, "lane 3")])
+        assert type(err) is RuntimeError and str(err) == "lane 1 failed at step 2"
+        # the forcings of a step all run before its bound check
+        err = self._error(dyn, [None, _kick(2, 9.0), None, _raise_from(2, "lane 3")])
+        assert type(err) is RuntimeError and str(err) == "lane 3 failed at step 2"
 
 
 # ---------------------------------------------------------------------------

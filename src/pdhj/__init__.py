@@ -39,7 +39,6 @@ from .game import (
     hamiltonian,
     measurable_selection,
     play_feedback_games,
-    run_feedback_game,
 )
 from .minimax import (
     ResidualReport,
@@ -47,7 +46,6 @@ from .minimax import (
     ViscosityReport,
     minimax_residual,
     stability_experiment,
-    viscosity_residual,
     viscosity_scan,
 )
 from .pathcore import Path, StateSpace, TimeGrid, d_infinity, kappa_constant, stop_path, sup_norm

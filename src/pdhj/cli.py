@@ -63,11 +63,12 @@ KINDS = ("solve", "upsilon-check", "game-value", "feedback-run",
 # ---------------------------------------------------------------------------
 
 _GRID_SCHEMA = {"t_end": float, "n_steps": int}
-_LATTICE_SCHEMA = {"lo": list, "hi": list, "points": list}
+# a list field names the type of its entries: [float] holds numbers, [int] integers
+_LATTICE_SCHEMA = {"lo": [float], "hi": [float], "points": [int]}
 _OPERATOR_SCHEMA = {"kind": str, "dim": int, "gain": float, "nodes": int, "p": float}
-_CONTROLS_SCHEMA = {"p_points": list, "q_points": list}
+_CONTROLS_SCHEMA = {"p_points": [float], "q_points": [float]}
 _GAME_SCHEMA = {"kind": str, "scale": float, "gain": float, "cost_weight": float,
-                "cost": float, "levels": list, "controls": _CONTROLS_SCHEMA}
+                "cost": float, "levels": [float], "controls": _CONTROLS_SCHEMA}
 # the fields each operator and game kind reads, besides kind
 _OPERATOR_FIELDS = {"linear": ("dim", "gain"), "p-laplacian-1d": ("nodes", "p")}
 _GAME_FIELDS = {"isaacs-additive": ("scale", "gain", "cost_weight", "levels", "controls"),
@@ -76,21 +77,21 @@ _GAME_FIELDS = {"isaacs-additive": ("scale", "gain", "cost_weight", "levels", "c
 
 _SCHEMAS = {
     "solve": {"operator": _OPERATOR_SCHEMA, "grid": _GRID_SCHEMA, "lipschitz": float,
-              "t0": float, "initial": list,
-              "forcing": {"kind": str, "value": list}},
+              "t0": float, "initial": [float],
+              "forcing": {"kind": str, "value": [float]}},
     "upsilon-check": {"samples": int},
     "game-value": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
-                   "lattice": _LATTICE_SCHEMA, "probe_z": list},
-    "isaacs-check": {"game": _GAME_SCHEMA, "samples": int, "probe_z": list},
+                   "lattice": _LATTICE_SCHEMA, "probe_z": [float]},
+    "isaacs-check": {"game": _GAME_SCHEMA, "samples": int},
     "feedback-run": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
-                     "lattice": _LATTICE_SCHEMA, "partition_steps": list,
-                     "budget": int, "x0": list, "library_size": int,
+                     "lattice": _LATTICE_SCHEMA, "partition_steps": [int],
+                     "budget": int, "x0": [float], "library_size": int,
                      "epsilon_fraction": float, "calibration_budget": int},
     "minimax-check": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
                       "lattice": _LATTICE_SCHEMA, "sites": int, "horizon": float,
                       "budget": int, "mutation_control": bool},
     "stability-run": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
-                      "lattice": _LATTICE_SCHEMA, "family": str, "n_list": list},
+                      "lattice": _LATTICE_SCHEMA, "family": str, "n_list": [int]},
 }
 
 _COMMON_FIELDS = {"schema_version": int, "kind": str, "name": str, "seed": int}
@@ -116,9 +117,13 @@ def _check_fields(obj: dict, schema: dict, prefix: str):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise UsageError(f"field {prefix}{key} must be an integer",
                                  field_path=prefix + key)
-        elif expected is list:
+        elif isinstance(expected, list):
             if not isinstance(value, list):
                 raise UsageError(f"field {prefix}{key} must be a list",
+                                 field_path=prefix + key)
+            accepted, noun = ((int, float), "numbers") if expected == [float] else (int, "integers")
+            if not all(isinstance(v, accepted) and not isinstance(v, bool) for v in value):
+                raise UsageError(f"{prefix}{key} entries must be {noun}",
                                  field_path=prefix + key)
             if any(isinstance(v, float) and not math.isfinite(v) for v in value):
                 raise UsageError(f"field {prefix}{key} must hold finite numbers",
@@ -176,8 +181,6 @@ def _state_vector(entries: list, dim: int, field: str) -> np.ndarray:
     if len(entries) != dim:
         raise UsageError(f"{field} has {len(entries)} entries, but the state has "
                          f"dimension {dim}", field_path=field)
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries):
-        raise UsageError(f"{field} entries must be numbers", field_path=field)
     return np.asarray(entries, dtype=float)
 
 
@@ -213,6 +216,8 @@ def _build_game(block: dict) -> GameSpec:
     block = block or {}
     kind = block.get("kind", "isaacs-additive")
     _refuse_unread(block, "game", kind, _GAME_FIELDS)
+    if block.get("levels") == []:
+        raise UsageError("game.levels must not be empty", field_path="game.levels")
     if kind == "isaacs-additive":
         spec = isaacs_game(scale=float(block.get("scale", 0.5)),
                            gain=float(block.get("gain", 1.0)),
@@ -227,12 +232,13 @@ def _build_game(block: dict) -> GameSpec:
                              gain=float(block.get("gain", 1.0)))
     controls = block.get("controls")
     if controls is not None:
-        if "p_points" not in controls:
-            raise UsageError("missing field controls.p_points",
-                             field_path="game.controls.p_points")
-        if "q_points" not in controls:
-            raise UsageError("missing field controls.q_points",
-                             field_path="game.controls.q_points")
+        for key in ("p_points", "q_points"):
+            if key not in controls:
+                raise UsageError(f"missing field controls.{key}",
+                                 field_path="game.controls." + key)
+            if not controls[key]:
+                raise UsageError(f"game.controls.{key} must not be empty",
+                                 field_path="game.controls." + key)
         spec = replace(spec, controls=ControlGrid(p_points=tuple(controls["p_points"]),
                                                   q_points=tuple(controls["q_points"])))
     return spec
@@ -240,9 +246,13 @@ def _build_game(block: dict) -> GameSpec:
 
 # ---------------------------------------------------------------------------
 # experiment implementations
+#
+# Each runner is a generator that yields twice: once when it has built its
+# domain objects from the config, so every refusal of the config is raised
+# before run writes anything, and then its result.
 # ---------------------------------------------------------------------------
 
-def _run_solve(config: dict, seed: int, artifacts: dict) -> dict:
+def _run_solve(config: dict, seed: int, artifacts: dict):
     op = _build_operator(config.get("operator"))
     grid = _build_grid(config.get("grid"))
     lipschitz = float(config.get("lipschitz", 1.0))
@@ -259,12 +269,13 @@ def _run_solve(config: dict, seed: int, artifacts: dict) -> dict:
     else:
         raise UsageError("forcing.kind must be 'zero' or 'constant'",
                          field_path="forcing.kind")
+    yield
     report = solve_delay_evolution(dyn, float(config.get("t0", 0.0)), x0, forcing=forcing)
     audit = audit_hypotheses(op, 200, seed)
     artifacts["path.csv"] = report.path.to_csv()
     artifacts["solve_report.json"] = json.dumps(report.to_json_obj(), indent=2,
                                                 sort_keys=True)
-    return {
+    yield {
         "kind": "solve",
         "residual_estimate": report.residual_estimate,
         "newton_total": report.newton_total,
@@ -274,26 +285,30 @@ def _run_solve(config: dict, seed: int, artifacts: dict) -> dict:
     }
 
 
-def _run_upsilon_check(config: dict, seed: int, artifacts: dict) -> dict:
-    battery = property_battery(samples=int(config.get("samples", 500)), seed=seed)
+def _run_upsilon_check(config: dict, seed: int, artifacts: dict):
+    samples = int(config.get("samples", 500))
+    yield
+    battery = property_battery(samples=samples, seed=seed)
     rows = ["name,value,passed"]
     for check in battery["checks"]:
         rows.append(f"{check['name']},{check['value']},{check['passed']}")
     artifacts["upsilon_checks.csv"] = "\n".join(rows) + "\n"
-    return {"kind": "upsilon-check", **battery}
+    yield {"kind": "upsilon-check", **battery}
 
 
-def _run_game_value(config: dict, seed: int, artifacts: dict) -> dict:
+def _run_game_value(config: dict, seed: int, artifacts: dict):
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
+    dim = spec.dyn.op.space.dim
+    lattice = _build_lattice(config.get("lattice"), dim)
+    z = _state_vector(config.get("probe_z", [1.0] * dim), dim, "probe_z")
+    yield
     table = dp_value(spec, grid, lattice)
     artifacts["value_table.csv"] = table.to_csv()
-    z = np.asarray(config.get("probe_z", [1.0] * spec.dyn.op.space.dim), dtype=float)
-    probe = hamiltonian(spec, 0.0, Path.constant(grid, [0.0] * spec.dyn.op.space.dim), z)
+    probe = hamiltonian(spec, 0.0, Path.constant(grid, [0.0] * dim), z)
     gap_max = float(np.max(table.v_plus - table.v_minus))
     monotone = bool(np.all(table.v_minus <= table.v_plus + 1e-12))
-    return {
+    yield {
         "kind": "game-value",
         "game": spec.name,
         "isaacs_gap_at_probe": probe.isaacs_gap,
@@ -304,9 +319,10 @@ def _run_game_value(config: dict, seed: int, artifacts: dict) -> dict:
     }
 
 
-def _run_isaacs_check(config: dict, seed: int, artifacts: dict) -> dict:
+def _run_isaacs_check(config: dict, seed: int, artifacts: dict):
     spec = _build_game(config.get("game"))
     samples = int(config.get("samples", 100))
+    yield
     rng = np.random.default_rng(seed)
     grid = TimeGrid(0.0, 1.0, 8)
     dim = spec.dyn.op.space.dim
@@ -318,7 +334,7 @@ def _run_isaacs_check(config: dict, seed: int, artifacts: dict) -> dict:
         worst_gap = max(worst_gap, ev.isaacs_gap)
         violations += ev.isaacs_gap < -1e-12
     lip = audit_hamiltonian_lipschitz(spec, samples, seed)
-    return {
+    yield {
         "kind": "isaacs-check",
         "game": spec.name,
         "max_isaacs_gap": worst_gap,
@@ -329,17 +345,17 @@ def _run_isaacs_check(config: dict, seed: int, artifacts: dict) -> dict:
     }
 
 
-def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
+def _run_feedback(config: dict, seed: int, artifacts: dict):
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
     dim = spec.dyn.op.space.dim
     lattice = _build_lattice(config.get("lattice"), dim)
     x0_vec = _state_vector(config.get("x0", [0.4] * dim), dim, "x0")
     steps = config.get("partition_steps", [8, 16, 32])
-    if not steps or not all(isinstance(n, int) and not isinstance(n, bool) and n >= 1
-                            for n in steps):
+    if not steps or min(steps) < 1:
         raise UsageError("partition_steps must be a nonempty list of positive integers",
                          field_path="partition_steps")
+    yield
     table = dp_value(spec, grid, lattice)
     frac = float(config.get("epsilon_fraction", 1.0))
     base = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=grid.t_end)
@@ -366,7 +382,7 @@ def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
     for p in est.per_partition:
         rows.append(f"{p['n_steps']},{p['worst_payoff']:.17g}")
     artifacts["guarantee.csv"] = "\n".join(rows) + "\n"
-    return {
+    yield {
         "kind": "feedback-run",
         "game": spec.name,
         "epsilon": params.epsilon,
@@ -381,10 +397,11 @@ def _run_feedback(config: dict, seed: int, artifacts: dict) -> dict:
     }
 
 
-def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
+def _run_minimax_check(config: dict, seed: int, artifacts: dict):
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
     lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
+    yield
     table = dp_value(spec, grid, lattice)
     rng = np.random.default_rng(seed)
     n_sites = int(config.get("sites", 20))
@@ -430,7 +447,7 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
             rows.append(f"{i},{direction},{r['slack']:.6e},{r['tolerance']:.6e},{r['verdict']}")
     artifacts["residuals.csv"] = "\n".join(rows) + "\n"
     passed = all_pass and (mutation_detected is None or mutation_detected)
-    return {
+    yield {
         "kind": "minimax-check",
         "sites": n_sites,
         "all_sites_pass": all_pass,
@@ -441,12 +458,13 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict) -> dict:
     }
 
 
-def _run_stability(config: dict, seed: int, artifacts: dict) -> dict:
+def _run_stability(config: dict, seed: int, artifacts: dict):
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
     lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
     family = config.get("family", "h-shift")
-    n_list = tuple(int(n) for n in config.get("n_list", [2, 4, 8, 16]))
+    n_list = tuple(config.get("n_list", [2, 4, 8, 16]))
+    yield
     report = stability_experiment(spec, family, n_list, grid, lattice)
     rows = ["n,distance"]
     for n, d in zip(report.n_list, report.distances):
@@ -456,7 +474,7 @@ def _run_stability(config: dict, seed: int, artifacts: dict) -> dict:
         passed = all(e <= 1e-12 for e in report.shift_exactness)
     else:
         passed = report.strictly_decreasing
-    return {"kind": "stability-run", **report.to_json_obj(), "passed": passed}
+    yield {"kind": "stability-run", **report.to_json_obj(), "passed": passed}
 
 
 _RUNNERS = {
@@ -475,11 +493,14 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def run(config: dict, out_dir: str, seed: int = None) -> int:
-    """Validate, write the manifest, execute, and write results; 0 iff passed."""
+    """Validate, build, write the manifest, execute, and write results; 0 iff passed."""
     validate_config(config)
     kind = config["kind"]
     name = config.get("name", kind)
     seed = int(config.get("seed", 0)) if seed is None else int(seed)
+    artifacts = {}
+    steps = _RUNNERS[kind](config, seed, artifacts)
+    next(steps)  # a refused config raises here and leaves no run directory
     run_dir = os.path.join(out_dir, name)
     os.makedirs(run_dir, exist_ok=True)
     manifest = {
@@ -492,8 +513,7 @@ def run(config: dict, out_dir: str, seed: int = None) -> int:
     # manifest lands before any computation (crash forensics)
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    artifacts = {}
-    result = _RUNNERS[kind](config, seed, artifacts)
+    result = next(steps)
     result["name"] = name
     with open(os.path.join(run_dir, "result.json"), "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

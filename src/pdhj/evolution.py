@@ -5,14 +5,15 @@ each step is a strongly monotone root-finding problem handled by damped Newton
 with a safeguarded fallback.  Trajectories with forcing bounded by
 L * (1 + sup-norm of the stopped path) form the discrete reachable tube.
 
-Lockstep loops (solve_delay_lanes here; play_feedback_games and
-greedy_adversary in pdhj.game) raise the first error they meet, taking time
-steps in order and the phases of each step in the order their docstrings list.
-A phase of per-lane callbacks runs lane by lane, so it raises its lowest failing
-lane's error.  A batched phase raises for its whole batch: _implicit_step_batch
-the SolverError of its lowest stalled lane, a value-table read the batch's
-largest lattice margin (the one to expand by).  Lanes that succeed do not
-depend on this order.
+Lockstep loops (solve_delay_lanes here; play_feedback_games,
+greedy_adversary and the DP slice in pdhj.game; the characteristic functional
+and viscosity_scan in pdhj.minimax) raise the first error they meet, taking
+time steps in order and the phases of each step in the order their docstrings
+list.  A phase of per-lane callbacks runs lane by lane, so it raises its
+lowest failing lane's error.  A batched phase raises for its whole batch:
+_implicit_step_batch the SolverError of its lowest stalled lane, a value-table
+read the batch's largest lattice margin (the one to expand by).  Lanes that
+succeed do not depend on this order.
 """
 
 from __future__ import annotations
@@ -34,13 +35,14 @@ FORCING_ALGORITHM = "ball-uniform-pcg64/v1"
 class OperatorSpec:
     """A monotone coercive operator A(t, .) with declared constants.
 
-    eval_fn maps (t, v) -> V*-vector (as an H-array through the Euclidean
-    pairing).  Declared constants feed the hypothesis audit:
+    eval_fn maps (t, V) -> A(t, V) (V*-vectors as H-arrays through the
+    Euclidean pairing) for a stack of states V of shape (..., dim), returning
+    the same shape, each row computed as it would be alone; it is the one
+    entry point, used for single states and stacks alike.  Declared
+    constants feed the hypothesis audit:
     boundedness  ||A(t,x)||_* <= a1_bound + c1 ||x||^(p-1),
     coercivity   <A(t,x), x>  >= c2 ||x||^p.
-    eval_fn must be reentrant (no hidden mutable state).  The optional
-    eval_batch maps (t, V) with V of shape (N, dim) to the N rows A(t, V[n]),
-    each computed exactly as eval_fn would.
+    eval_fn must be reentrant (no hidden mutable state).
     """
 
     space: StateSpace
@@ -49,7 +51,6 @@ class OperatorSpec:
     c2: float
     a1_bound: float = 0.0
     kind: str = "custom"
-    eval_batch: object = None
 
     def __post_init__(self):
         if self.c1 < 0 or self.a1_bound < 0:
@@ -58,40 +59,28 @@ class OperatorSpec:
             raise DomainError("c2 must be > 0")
 
     def __call__(self, t: float, v) -> np.ndarray:
-        out = np.atleast_1d(np.asarray(self.eval_fn(t, np.atleast_1d(v)), dtype=float))
-        if out.shape != (self.space.dim,):
-            raise DomainError(f"operator returned shape {out.shape}, expected ({self.space.dim},)")
-        return out
+        """A(t, v) at one state, shape (dim,)."""
+        return self.batch(t, np.atleast_1d(v))
 
     def batch(self, t: float, V: np.ndarray) -> np.ndarray:
-        """A(t, .) on each row of V, shape (N, dim); rows go through __call__
-        when no eval_batch is set."""
-        if self.eval_batch is None:
-            out = np.empty(V.shape)
-            for n, row in enumerate(V):
-                out[n] = self(t, row)
-            return out
-        out = np.asarray(self.eval_batch(t, V), dtype=float)
-        if out.shape != V.shape:
-            raise DomainError(f"operator batch returned shape {out.shape}, expected {V.shape}")
+        """A(t, .) on a stack of states V, shape (..., dim), in one eval_fn call."""
+        out = np.asarray(self.eval_fn(t, V), dtype=float)
+        expected = V.shape[:-1] + (self.space.dim,)
+        if out.shape != expected:
+            raise DomainError(f"operator returned shape {out.shape}, expected {expected}")
         return out
 
 
 def make_linear_operator(dim: int = 1, gain: float = 1.0) -> OperatorSpec:
     """A(t, x) = gain * x with p = 2; coercive with c2 = gain for gain > 0."""
     space = StateSpace(dim=dim, p_exp=2.0)
-
-    def scaled(t, v):  # elementwise, so one row or a stack of rows alike
-        return gain * v
-
     return OperatorSpec(
         space=space,
-        eval_fn=scaled,
+        eval_fn=lambda t, v: gain * v,
         c1=abs(gain),
         c2=gain if gain > 0 else 1e-30,
         a1_bound=0.0,
         kind="linear",
-        eval_batch=scaled,
     )
 
 
@@ -110,11 +99,11 @@ def build_p_laplacian(nodes: int, p_exp: float, audit_samples: int = 200, seed: 
     h = 1.0 / (nodes + 1)
     space = StateSpace(dim=nodes, p_exp=float(p_exp))
 
-    def eval_fn(t, v):
-        padded = np.concatenate(([0.0], v, [0.0]))
-        d = np.diff(padded) / h
+    def eval_fn(t, v):  # along the last axis, so one state or a stack alike
+        zero = np.zeros(v.shape[:-1] + (1,))
+        d = np.diff(np.concatenate((zero, v, zero), axis=-1), axis=-1) / h
         flux = np.abs(d) ** (p_exp - 2.0) * d
-        return -np.diff(flux) / h
+        return -np.diff(flux, axis=-1) / h
 
     probe = OperatorSpec(space=space, eval_fn=eval_fn, c1=1.0, c2=1e-30,
                          a1_bound=0.0, kind="p-laplacian-1d")
@@ -255,62 +244,6 @@ class SolveReport:
         }
 
 
-def _implicit_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarray,
-                   guess: np.ndarray, tol: float, step_index: int):
-    """Solve g(xi) = xi + dt*A(t_next, xi) - target = 0; returns (xi, iterations, |g|)."""
-
-    def g(xi):
-        return xi + dt * op(t_next, xi) - target
-
-    dim = len(target)
-    xi = guess.astype(float).copy()
-    gx = g(xi)
-    iters = 0
-    for _ in range(NEWTON_MAX_ITER):
-        res = float(np.linalg.norm(gx))
-        if res <= tol:
-            return xi, iters, res
-        iters += 1
-        jac = np.eye(dim)
-        fd = 1e-7 * (1.0 + float(np.linalg.norm(xi)))
-        for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = fd
-            jac[:, j] = (g(xi + e) - gx) / fd
-        try:
-            step = np.linalg.solve(jac, -gx)
-        except np.linalg.LinAlgError:
-            break
-        lam = 1.0
-        while lam >= 1e-6:
-            trial = xi + lam * step
-            gt = g(trial)
-            if np.linalg.norm(gt) <= (1.0 - 0.25 * lam) * res:
-                xi, gx = trial, gt
-                break
-            lam *= 0.5
-        else:
-            break
-    # damped Newton stalled; safeguarded fallback
-    if dim == 1:
-        return _bisect_step(g, target, tol, step_index, iters)
-    xi = guess.astype(float).copy()
-    tau = 0.5
-    for _ in range(4000):
-        gx = g(xi)
-        res = float(np.linalg.norm(gx))
-        if res <= tol:
-            return xi, iters, res
-        trial = xi - tau * gx
-        if np.linalg.norm(g(trial)) < res:
-            xi = trial
-        else:
-            tau *= 0.5
-            if tau < 1e-12:
-                break
-    raise SolverError(f"implicit step failed to converge at step {step_index}", step_index)
-
-
 def _row_dots(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot product of each row of X (shape (..., d)) with y (shape (..., d) or
     (d,)), as the one-row product x @ y computes it: a stack of (1, d) @ (d, 1)
@@ -326,16 +259,16 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
 
 def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np.ndarray,
                          guesses: np.ndarray, tols: np.ndarray, step_index: int):
-    """_implicit_step on each row of targets and guesses, shape (M, dim).
+    """Solve g(xi) = xi + dt*A(t_next, xi) - target = 0 for each row of targets
+    and guesses, shape (M, dim); returns (xi, iters, res) with shapes
+    (M, dim), (M,), (M,).
 
-    Returns (xi, iters, res) with shapes (M, dim), (M,), (M,).  A masked
-    damped Newton repeats _implicit_step's arithmetic lane by lane: the same
-    finite-difference Jacobian and step, one line-search schedule for all
-    lanes with the same acceptance test, and one batched solve; so each lane
-    ends bit-identical to a scalar call.  A lane that stalls (a singular
-    Jacobian, an exhausted line search, or NEWTON_MAX_ITER iterations) is
-    rerun whole by _implicit_step, which owns the bisection and relaxation
-    fallbacks and SolverError.  Stalled lanes rerun in lane order, so the
+    A masked damped Newton runs all lanes: a finite-difference Jacobian per
+    lane, one batched solve, and one line-search schedule for all lanes with
+    the same acceptance test, so each lane's arithmetic does not depend on
+    the other lanes.  A lane that stalls (a singular Jacobian, an exhausted
+    line search, or NEWTON_MAX_ITER iterations) keeps its iteration count and
+    goes to _fallback_step.  Stalled lanes fall back in lane order, so the
     SolverError a batch raises is its lowest stalled lane's.
     """
     targets = np.asarray(targets, dtype=float)
@@ -394,9 +327,37 @@ def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np
         lanes, gx = lanes[moved], gx[moved]
     stalled.extend(lanes)
     for n in sorted(stalled):
-        xi[n], iters[n], res[n] = _implicit_step(op, t_next, dt, targets[n], guesses[n],
-                                                 float(tols[n]), step_index)
+        xi[n], iters[n], res[n] = _fallback_step(op, t_next, dt, targets[n], guesses[n],
+                                                 float(tols[n]), step_index, int(iters[n]))
     return xi, iters, res
+
+
+def _fallback_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarray,
+                   guess: np.ndarray, tol: float, step_index: int, iters: int):
+    """The safeguarded root of g for one lane whose damped Newton stalled:
+    bisection in dimension 1, relaxation from the guess otherwise.  Returns
+    (xi, iters, |g|) with iters passed through; raises SolverError."""
+
+    def g(xi):
+        return xi + dt * op(t_next, xi) - target
+
+    if len(target) == 1:
+        return _bisect_step(g, target, tol, step_index, iters)
+    xi = guess.astype(float).copy()
+    tau = 0.5
+    for _ in range(4000):
+        gx = g(xi)
+        res = float(np.linalg.norm(gx))
+        if res <= tol:
+            return xi, iters, res
+        trial = xi - tau * gx
+        if np.linalg.norm(g(trial)) < res:
+            xi = trial
+        else:
+            tau *= 0.5
+            if tau < 1e-12:
+                break
+    raise SolverError(f"implicit step failed to converge at step {step_index}", step_index)
 
 
 def _bisect_step(g, target, tol, step_index, iters):

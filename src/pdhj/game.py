@@ -305,9 +305,6 @@ class StateLattice:
                    + values[b0 + 1, b1 + 1] * w0 * w1)
         return out
 
-    def interpolate(self, values: np.ndarray, state) -> float:
-        return float(self.interpolate_batch(values, np.atleast_1d(state)[None, :])[0])
-
 
 def _coverage_error(margin: float) -> LatticeCoverageError:
     return LatticeCoverageError(
@@ -415,9 +412,10 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     The slice is one array program over its (point, p, q) cells.  The drift
     and stage-cost callbacks run per cell, one stage_terms sweep per lift,
     because they take stopped paths; then one batched implicit step, one
-    interpolation per side, and the min/max as axis reductions.  A successor off the lattice raises for the
-    first such cell in (point, p, q) order.  Errors of other kinds come in
-    phase order: every callback runs before any implicit step.
+    interpolation per side, and the min/max as axis reductions.  Errors follow
+    the lockstep rule of pdhj.evolution; the phases are the callbacks, the
+    implicit step and the table reads, and a successor off the lattice names
+    the cell with the largest margin (the first such cell on ties).
     """
     nodes = grid.nodes
     t_k, t_k1 = nodes[k], nodes[k + 1]
@@ -435,10 +433,10 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     tols = np.repeat(STEP_SOLVE_TOL * (1.0 + _row_norms(points)), controls.n_p * controls.n_q)
     succ, _, _ = _implicit_step_batch(spec.dyn.op, t_k1, dt, targets, starts, tols, k)
     margins = lattice.coverage_margins(succ)
-    off = np.flatnonzero(margins > COVERAGE_TOL)
-    if off.size:
-        idx, i, j = np.unravel_index(off[0], cells)
-        err = _coverage_error(float(margins[off[0]]))
+    worst = int(np.argmax(margins))
+    if margins[worst] > COVERAGE_TOL:
+        idx, i, j = np.unravel_index(worst, cells)
+        err = _coverage_error(float(margins[worst]))
         raise LatticeCoverageError(
             f"successor left the lattice at time index {k} (state {points[idx]}, "
             f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {err}",
@@ -602,17 +600,10 @@ class FeedbackStrategy:
         shape = (len(states), len(offsets))
         return offsets, kept.reshape(shape), u_vals.reshape(shape)
 
-    def companion_minimum(self, t: float, x: Path):
-        """Approximate argmin of u + nu; returns (total, kind, index, gradient).
-
-        The total is the shifted value u_a(t, x).  This is companion_minima
-        for the one game x.
-        """
-        k = x.grid.node_index(t)
-        return self.companion_minima(t, x.values[: k + 1, None, :])[0]
-
     def companion_minima(self, t: float, X: np.ndarray) -> list:
-        """companion_minimum of many games at one node; one tuple per game.
+        """Approximate argmin of u + nu for many games at one node; one tuple
+        (total, kind, index, gradient) per game, whose total is the shifted
+        value u_a(t, x).
 
         X holds each game's node values up to t, shape (node, game,
         coordinate), on the simulation grid.  The trace (zero difference,
@@ -672,7 +663,7 @@ class FeedbackStrategy:
                 for g in range(n_games)]
 
     def select(self, t: float, x: Path, companion) -> int:
-        """Control index at node (t, x) aimed by the companion_minimum(t, x) tuple;
+        """Control index at node (t, x) aimed by its companion_minima tuple;
         deterministic, smallest-index ties."""
         M = self.spec.stage_matrix(t, x, companion[3])
         return int(np.argmin(M.max(axis=1)))
@@ -848,12 +839,6 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
                           q_indices=tuple(q_indices[g]), path=paths[g], running_cost=running[g],
                           terminal_cost=spec.final_cost(paths[g]), step_records=tuple(records[g]))
             for g in range(m)]
-
-
-def run_feedback_game(spec: GameSpec, strategy: FeedbackStrategy, adversary,
-                      partition: TimeGrid) -> StrategyTrace:
-    """Play one game: play_feedback_games with a pool of one adversary."""
-    return play_feedback_games(spec, strategy, [adversary], partition)[0]
 
 
 # -- adversary policies -----------------------------------------------------

@@ -251,16 +251,19 @@ class TestVectorLengths:
 
 
 class TestConfigRefusals:
-    """Numbers that are not finite, and fields that the chosen kind does not
-    read, are usage errors that name the field (exit 2)."""
+    """Numbers that are not finite, list entries of the wrong type or count,
+    empty control grids, and fields that the chosen kind does not read, are
+    usage errors that name the field (exit 2) and leave no run directory."""
 
     def _refused(self, tmp_path, capsys, cfg, field):
         status = main([cfg["kind"], "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
         assert status == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / cfg.get("name", cfg["kind"])).exists()
         with pytest.raises(UsageError) as err:
             run(cfg, str(tmp_path / "direct"))
         assert err.value.field_path == field
+        assert not (tmp_path / "direct").exists()
 
     def test_nan_forcing_value(self, tmp_path, capsys):
         cfg = shipped_config("solve.json")
@@ -298,6 +301,45 @@ class TestConfigRefusals:
         cfg = shipped_config("solve.json")
         cfg["operator"] = operator
         self._refused(tmp_path, capsys, cfg, field)
+
+    def test_probe_z_is_not_read_by_isaacs_check(self, tmp_path, capsys):
+        cfg = shipped_config("isaacs_check.json")
+        cfg["probe_z"] = [1.0]
+        self._refused(tmp_path, capsys, cfg, "probe_z")
+
+    @pytest.mark.parametrize("n_list", [[2.5, 4], ["a"]])
+    def test_n_list_entries_are_integers(self, tmp_path, capsys, n_list):
+        cfg = shipped_config("stability_run.json")
+        cfg["n_list"] = n_list
+        self._refused(tmp_path, capsys, cfg, "n_list")
+
+    def test_lattice_points_are_integers(self, tmp_path, capsys):
+        cfg = shipped_config("game_value.json")
+        cfg["lattice"]["points"] = [33.7]
+        self._refused(tmp_path, capsys, cfg, "lattice.points")
+
+    @pytest.mark.parametrize("probe_z", [["a"], [1.0, 2.0]])
+    def test_probe_z_is_one_number_per_coordinate(self, tmp_path, capsys, probe_z):
+        cfg = shipped_config("game_value.json")
+        cfg["probe_z"] = probe_z
+        self._refused(tmp_path, capsys, cfg, "probe_z")
+
+    @pytest.mark.parametrize("levels", [["a", "b"], []])
+    def test_levels_are_numbers(self, tmp_path, capsys, levels):
+        cfg = shipped_config("game_value.json")
+        cfg["game"]["levels"] = levels
+        self._refused(tmp_path, capsys, cfg, "game.levels")
+
+    @pytest.mark.parametrize("key", ["p_points", "q_points"])
+    def test_control_grids_are_nonempty(self, tmp_path, capsys, key):
+        cfg = shipped_config("game_value.json")
+        cfg["game"]["controls"] = {"p_points": [-1.0, 1.0], "q_points": [-1.0, 1.0], key: []}
+        self._refused(tmp_path, capsys, cfg, "game.controls." + key)
+
+    def test_control_points_are_numbers(self, tmp_path, capsys):
+        cfg = shipped_config("game_value.json")
+        cfg["game"]["controls"] = {"p_points": [-1.0, 1.0], "q_points": [-1.0, "1"]}
+        self._refused(tmp_path, capsys, cfg, "game.controls.q_points")
 
     @pytest.mark.parametrize("kind", ["isaacs-additive", "bilinear", "constant"])
     def test_controls_are_read_by_every_game_kind(self, tmp_path, kind):
@@ -393,3 +435,15 @@ class TestMinimaxSites:
         assert changed.tolist() == [[4, 4, 4]]  # time index 4, the midpoint of each axis
         (t, x0, z), = sites
         assert t == 0.5 and x0.values.tolist() == [[0.0, 1.0]] * 9
+
+
+def test_refused_config_leaves_no_run_directory(tmp_path, capsys):
+    # the builders refuse this game after validate_config has passed it
+    cfg = shipped_config("isaacs_check.json")
+    cfg.update(name="bad", game={"kind": "bilinear", "cost_weight": 0.3})
+    out = tmp_path / "out"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 2
+    assert not (out / "bad").exists()
+    capsys.readouterr()
+    assert main(["summary", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["name,kind,metric,verdict"]

@@ -8,7 +8,6 @@ from pdhj.errors import LatticeCoverageError, SolverError
 from pdhj.evolution import (
     DelayDynamics,
     OperatorSpec,
-    _implicit_step,
     _implicit_step_batch,
     build_p_laplacian,
     make_linear_operator,
@@ -27,6 +26,7 @@ from pdhj.game import (
     isaacs_game,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid
+from scalar_reference import _implicit_step
 
 
 def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts):
@@ -51,9 +51,9 @@ def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts
                 stage = dt * spec.stage_cost(t_k, lift, p, q)
                 try:
                     if obj_minus is not None:
-                        obj_minus[i, j] = stage + lattice.interpolate(v_minus_next, succ)
+                        obj_minus[i, j] = stage + lattice.interpolate_batch(v_minus_next, succ[None])[0]
                     if obj_plus is not None:
-                        obj_plus[i, j] = stage + lattice.interpolate(v_plus_next, succ)
+                        obj_plus[i, j] = stage + lattice.interpolate_batch(v_plus_next, succ[None])[0]
                 except LatticeCoverageError as err:
                     raise LatticeCoverageError(
                         f"successor left the lattice at time index {k} "
@@ -155,23 +155,31 @@ class TestBatchedSlice:
 
 
 class TestCoverageError:
-    @pytest.mark.parametrize("lo,hi", [(-0.05, 0.05), (-0.2, 0.05)])
-    def test_names_first_offending_cell_like_reference(self, lo, hi):
-        # (-0.2, 0.05): the first offending cell leaves by less than the worst one
+    """A successor off the lattice names the cell with the largest margin, the
+    first such cell on ties (the per-cell reference names its first offending
+    cell)."""
+
+    @pytest.mark.parametrize("lo,hi,cell", [
+        # two cells leave by the same largest margin: the first is named
+        (-0.05, 0.05, "state [-0.05], p=-1.0, q=-1.0"),
+        # the first offending cell, (-0.2, p=-1, q=-1), leaves by 1.56 only
+        (-0.2, 0.05, "state [0.05], p=1.0, q=1.0"),
+    ], ids=["-0.05-0.05", "-0.2-0.05"])
+    def test_names_the_largest_margin_cell(self, lo, hi, cell):
         spec = isaacs_game(scale=4.0)
         grid = TimeGrid(0.0, 1.0, 4)
         tight = StateLattice(lo=(lo,), hi=(hi,), shape=(5,))
         lifts = _lift_paths(tight, grid)
         terminal = np.zeros(tight.shape)
-        with pytest.raises(LatticeCoverageError) as ref:
-            _dp_slice_reference(spec, grid, tight, 3, terminal, terminal, lifts)
+        want = (f"successor left the lattice at time index 3 ({cell}): state leaves the "
+                f"lattice by 1.590000e+00; expand bounds by at least that margin")
         with pytest.raises(LatticeCoverageError) as got:
             _dp_slice(spec, grid, tight, 3, terminal, terminal, lifts)
-        assert str(got.value) == str(ref.value)
-        assert got.value.margin == ref.value.margin
+        assert str(got.value) == want
+        assert got.value.margin == 1.5899999999999996
         with pytest.raises(LatticeCoverageError) as whole:
             dp_value(spec, grid, tight)
-        assert str(whole.value) == str(ref.value)
+        assert str(whole.value) == want
 
 
 class TestImplicitStepBatch:
@@ -186,7 +194,6 @@ class TestImplicitStepBatch:
         guesses = rng.standard_normal((40, dim))
         tols = STEP_SOLVE_TOL * (1.0 + np.linalg.norm(guesses, axis=1))
         xi, iters, res = _implicit_step_batch(op, 0.5, 0.125, targets, guesses, tols, 3)
-        assert (op.eval_batch is None) == (op.kind == "p-laplacian-1d")
         for n in range(len(targets)):
             x_ref, it_ref, res_ref = _implicit_step(op, 0.5, 0.125, targets[n], guesses[n],
                                                     tols[n], 3)
@@ -202,6 +209,106 @@ class TestImplicitStepBatch:
             _implicit_step_batch(broken, 0.5, 0.125, np.ones((3, 1)), np.zeros((3, 1)),
                                  np.full(3, 1e-11), 6)
         assert err.value.step_index == 6
+
+
+def _staircase(dim):
+    """At dt = 1, g(x) = x + A(x) - t is 0.8 x - t for x >= 0 and floor(x) - t
+    below, coordinate by coordinate: on a step the finite-difference Jacobian
+    is exactly singular."""
+    return OperatorSpec(space=StateSpace(dim=dim), c1=1.0, c2=1.0,
+                        eval_fn=lambda t, v: np.where(v >= 0.0, -0.2 * v, np.floor(v) - v))
+
+
+def _ledge(dim):
+    """At dt = 1, g(x) = x + A(x) - t jumps up by 1 at x = 0.5: a difference
+    across the jump makes the Newton step tiny, and the line search runs out."""
+    return OperatorSpec(space=StateSpace(dim=dim), c1=1.0, c2=1.0,
+                        eval_fn=lambda t, v: np.where(v < 0.5, v, v + 1.0))
+
+
+def _wall(dim):
+    """A(x) = x for |x| <= 2 and NaN beyond: a target past the wall is crept
+    toward until the line search runs out, and has no root."""
+    return OperatorSpec(space=StateSpace(dim=dim), c1=1.0, c2=1.0,
+                        eval_fn=lambda t, v: np.where(np.abs(v) > 2.0, np.nan, v))
+
+
+# (operator, targets, guesses) per lane; each lane's coordinates are equal
+STALLS = {
+    # lanes 0 and 3 stall after two Newton iterations, lane 2 after one,
+    # lane 1 starts on a root
+    "singular": (_staircase, [-1.0, -1.0, -1.0, 3.0], [0.5, -0.5, -1.5, 1.0]),
+    # lane 0 stalls in its first iteration, lane 2 after creeping up to the
+    # jump; lane 1 converges
+    "line-search": (_ledge, [0.4, 0.4, 1.0], [0.5 - 2e-8, 0.1, 0.9]),
+}
+# the same kinds of stall where lanes 1 and 2 have no root
+FAILING_STALLS = {
+    "singular": (_staircase, [-1.0, -1.5, -1.5, 2.5], [0.5, 0.5, -3.0, 1.0]),
+    "line-search": (_wall, [1.0, 40.0, -40.0, 1.5], [0.5, 0.5, -0.5, 0.0]),
+}
+
+
+def _lanes(table, dim):
+    make, targets, guesses = table
+    return (make(dim), np.repeat(np.array(targets)[:, None], dim, axis=1),
+            np.repeat(np.array(guesses)[:, None], dim, axis=1))
+
+
+class TestStalledLanes:
+    """Lanes whose damped Newton stalls against the scalar reference."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record (target, guess, Newton iterations) of each lane handed to the
+        fallback."""
+        calls = []
+        fallback = evolution._fallback_step
+
+        def spy(op, t_next, dt, target, guess, tol, step_index, iters):
+            calls.append((float(target[0]), float(guess[0]), iters))
+            return fallback(op, t_next, dt, target, guess, tol, step_index, iters)
+
+        monkeypatch.setattr(evolution, "_fallback_step", spy)
+        return calls
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["singular", "line-search"])
+    def test_stalled_lanes_match_scalar_step(self, kind, dim, monkeypatch):
+        op, targets, guesses = _lanes(STALLS[kind], dim)
+        tols = np.full(len(targets), 1e-11)
+        calls = self._spy(monkeypatch)
+        xi, iters, res = _implicit_step_batch(op, 0.5, 1.0, targets, guesses, tols, 3)
+        for n in range(len(targets)):
+            x_ref, it_ref, res_ref = _implicit_step(op, 0.5, 1.0, targets[n], guesses[n],
+                                                    tols[n], 3)
+            assert np.array_equal(xi[n], x_ref)
+            assert iters[n] == it_ref
+            assert res[n] == res_ref
+        stalled = [it for _, _, it in calls]
+        assert len(stalled) == 2 and min(stalled) >= 1 and max(stalled) >= 2
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("kind", ["singular", "line-search"])
+    def test_lowest_stalled_lanes_solver_error(self, kind, dim, monkeypatch):
+        op, targets, guesses = _lanes(FAILING_STALLS[kind], dim)
+        tols = np.full(len(targets), 1e-11)
+        failing = []
+        for n in range(len(targets)):
+            try:
+                _implicit_step(op, 0.5, 1.0, targets[n], guesses[n], tols[n], 5)
+            except SolverError as err:
+                failing.append((n, err))
+        assert [n for n, _ in failing] == [1, 2]
+        calls = self._spy(monkeypatch)
+        with pytest.raises(SolverError) as got:
+            _implicit_step_batch(op, 0.5, 1.0, targets, guesses, tols, 5)
+        want = failing[0][1]
+        assert str(got.value) == str(want) and got.value.step_index == want.step_index == 5
+        # lane 1 raises before lane 2 reaches the fallback
+        lanes = [(target, guess) for target, guess, _ in calls]
+        assert lanes[-1] == (targets[1, 0], guesses[1, 0])
+        assert (targets[2, 0], guesses[2, 0]) not in lanes
 
 
 def test_greedy_adversary_reports_node_index():

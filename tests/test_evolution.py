@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdhj.errors import AuditError, ContractError, DomainError
 from pdhj.evolution import (
@@ -49,6 +50,41 @@ class TestAuditHypotheses:
         with pytest.raises(AuditError) as err:
             audit_hypotheses(bad, 50, seed=4)
         assert err.value.sample is not None
+
+
+def _stack(rng, n, dim):
+    """n states of dim coordinates at mixed scales."""
+    return rng.standard_normal((n, dim)) * rng.choice([0.05, 1.0, 20.0], size=(n, 1))
+
+
+class TestOneEntryPoint:
+    """op.batch on a stack equals op on each of its states, bit for bit."""
+
+    @settings(deadline=None)
+    @given(st.integers(2, 16), st.floats(2.0, 6.0), st.integers(1, 64),
+           st.integers(0, 2 ** 32 - 1))
+    def test_p_laplacian(self, nodes, p, n, seed):
+        op = build_p_laplacian(nodes, p, audit_samples=8, seed=seed)
+        V = _stack(np.random.default_rng(seed), n, nodes)
+        got = op.batch(0.3, V)
+        assert got.tobytes() == np.stack([op(0.3, v) for v in V]).tobytes()
+
+    @settings(deadline=None)
+    @given(st.integers(1, 4), st.floats(0.1, 10.0), st.integers(1, 64),
+           st.integers(0, 2 ** 32 - 1))
+    def test_linear(self, dim, gain, n, seed):
+        op = make_linear_operator(dim=dim, gain=gain)
+        V = _stack(np.random.default_rng(seed), n, dim)
+        got = op.batch(0.3, V)
+        assert got.tobytes() == np.stack([op(0.3, v) for v in V]).tobytes()
+
+    def test_wrong_shape_names_both_shapes(self):
+        op = OperatorSpec(space=StateSpace(dim=2), eval_fn=lambda t, V: V[..., :1],
+                          c1=1.0, c2=1.0)
+        with pytest.raises(DomainError, match=r"returned shape \(3, 1\), expected \(3, 2\)"):
+            op.batch(0.0, np.zeros((3, 2)))
+        with pytest.raises(DomainError, match=r"returned shape \(1,\), expected \(2,\)"):
+            op(0.0, np.zeros(2))
 
 
 class TestPLaplacian:

@@ -22,7 +22,6 @@ from pdhj.game import (
     play_feedback_games,
     random_adversary,
     recompute_slice,
-    run_feedback_game,
     scale_costs,
     simulation_grid,
 )
@@ -131,13 +130,14 @@ class TestStateLattice:
     def test_points_and_interpolation(self):
         lat = StateLattice(lo=(0.0,), hi=(1.0,), shape=(5,))
         vals = lat.points()[:, 0] ** 2
-        assert lat.interpolate(vals, np.array([0.5])) == pytest.approx(0.25, abs=0.05)
-        assert lat.interpolate(vals, np.array([0.25])) == pytest.approx(0.0625, abs=0.05)
+        got = lat.interpolate_batch(vals, np.array([[0.5], [0.25]]))
+        assert got[0] == pytest.approx(0.25, abs=0.05)
+        assert got[1] == pytest.approx(0.0625, abs=0.05)
 
     def test_out_of_lattice_raises_with_margin(self):
         lat = StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,))
         with pytest.raises(LatticeCoverageError) as err:
-            lat.interpolate(np.zeros(5), np.array([1.5]))
+            lat.interpolate_batch(np.zeros(5), np.array([[1.5]]))
         assert err.value.margin == pytest.approx(0.5)
 
     def test_axes_built_once_and_read_only(self):
@@ -156,7 +156,7 @@ class TestStateLattice:
     def test_2d_interpolation(self):
         lat = StateLattice(lo=(0.0, 0.0), hi=(1.0, 1.0), shape=(3, 3))
         field = np.add.outer(lat.axes[0], lat.axes[1])
-        assert lat.interpolate(field, np.array([0.3, 0.7])) == pytest.approx(1.0)
+        assert lat.interpolate_batch(field, np.array([[0.3, 0.7]]))[0] == pytest.approx(1.0)
 
     def test_value_table_time_interpolation(self):
         spec = constant_game(cost=2.0)
@@ -342,7 +342,7 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0,
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=4, seed=0)
-        gradient = strategy.companion_minimum(0.0, strategy.x0)[3]
+        gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0][3]
         nu = lyapunov_nu(params, 0.0, strategy.x0 - Path.constant(strategy.x0.grid, [0.0]))
         assert np.all(gradient == 0.0)
         assert np.array_equal(gradient, nu.dx)
@@ -363,7 +363,8 @@ class TestFeedbackStrategy:
         sim = strategy.x0.grid
         x = Path(sim, 0.5 * rng.standard_normal((sim.n_steps + 1, 1)))
         t = 0.5
-        _, kind, index, gradient = strategy.companion_minimum(t, x)
+        k = sim.node_index(t)
+        _, kind, index, gradient = strategy.companion_minima(t, x.values[: k + 1, None, :])[0]
         nu = lyapunov_nu(params, t, x - Path.constant(sim, c))
         assert (kind, index) == ("lattice", j)
         assert np.any(nu.dx != 0.0)
@@ -377,7 +378,7 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0,
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=0, seed=0)
-        companion = strategy.companion_minimum(0.0, strategy.x0)
+        companion = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0]
         p_index = strategy.select(0.0, strategy.x0, companion)
         M = spec.stage_matrix(0.0, strategy.x0, np.zeros(1))
         assert p_index == int(np.argmin(M.max(axis=1)))
@@ -388,7 +389,7 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 8)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=16, seed=1)
-        companion = strategy.companion_minimum(0.0, strategy.x0)
+        companion = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0]
         p_index = strategy.select(0.0, strategy.x0, companion)
         ev = hamiltonian(spec, 0.0, strategy.x0, companion[3])
         assert p_index == ev.plus_p_index
@@ -400,8 +401,8 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=2)
         adv = constant_adversary(1)
-        t1 = run_feedback_game(spec, strategy, adv, partition)
-        t2 = run_feedback_game(spec, strategy, adv, partition)
+        (t1,) = play_feedback_games(spec, strategy, [adv], partition)
+        (t2,) = play_feedback_games(spec, strategy, [adv], partition)
         assert t1.p_indices == t2.p_indices
         assert np.array_equal(t1.path.values, t2.path.values)
         assert t1.payoff == t2.payoff
@@ -411,8 +412,8 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=8, seed=3)
-        trace = run_feedback_game(spec, strategy, random_adversary(5, spec.controls.n_q),
-                                  partition)
+        (trace,) = play_feedback_games(spec, strategy,
+                                       [random_adversary(5, spec.controls.n_q)], partition)
         assert trace.payoff == trace.running_cost + trace.terminal_cost
 
     def test_zero_cost_game_payoff_zero(self):
@@ -428,7 +429,7 @@ class TestFeedbackStrategy:
                                            partition, value=table, library_size=4, seed=4)
         for adv in (constant_adversary(0), constant_adversary(2),
                     random_adversary(1, 3)):
-            trace = run_feedback_game(spec, strategy, adv, partition)
+            (trace,) = play_feedback_games(spec, strategy, [adv], partition)
             assert trace.payoff == 0.0
 
     def test_simulation_grid_unions_nodes(self):
@@ -442,7 +443,7 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=4, seed=6)
-        trace = run_feedback_game(spec, strategy, constant_adversary(0), partition)
+        (trace,) = play_feedback_games(spec, strategy, [constant_adversary(0)], partition)
         obj = trace.to_json_obj()
         assert len(obj["p_indices"]) == 4
         assert len(obj["step_records"]) == 4
@@ -514,7 +515,7 @@ class TestGuaranteedResult:
         partition = TimeGrid.from_nodes([0.5, 0.75, 1.0])
         strategy = extremal_shift_strategy(spec, params, 0.5, hist, partition,
                                            value=table, library_size=8, seed=10)
-        trace = run_feedback_game(spec, strategy, constant_adversary(2), partition)
+        (trace,) = play_feedback_games(spec, strategy, [constant_adversary(2)], partition)
         k0 = trace.path.grid.node_index(0.5)
         expected = np.array([hist.value_at(t) for t in trace.path.grid.nodes[: k0 + 1]])
         assert np.allclose(trace.path.values[: k0 + 1], expected, atol=1e-12)
@@ -562,7 +563,7 @@ class TestTwoDimensional:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=11)
-        trace = run_feedback_game(spec, strategy, constant_adversary(1), partition)
+        (trace,) = play_feedback_games(spec, strategy, [constant_adversary(1)], partition)
         assert np.all(np.isfinite(trace.path.values))
         assert trace.payoff == trace.running_cost + trace.terminal_cost
 
@@ -665,10 +666,10 @@ class TestCompanionOncePerNode:
         sim = trace.path.grid
         for i, rec in enumerate(trace.step_records):
             t_i, t_i1 = partition.nodes[i], partition.nodes[i + 1]
-            before = strategy.companion_minimum(
-                t_i, stopped_at(sim, trace.path.values, sim.node_index(t_i)))
-            after = strategy.companion_minimum(
-                t_i1, stopped_at(sim, trace.path.values, sim.node_index(t_i1)))
+            before = strategy.companion_minima(
+                t_i, trace.path.values[: sim.node_index(t_i) + 1, None, :])[0]
+            after = strategy.companion_minima(
+                t_i1, trace.path.values[: sim.node_index(t_i1) + 1, None, :])[0]
             assert (rec["u_shifted_before"], rec["companion_kind"], rec["companion_index"]) \
                 == before[:3]
             assert rec["u_shifted_after"] == after[0]

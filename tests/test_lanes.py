@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pdhj import evolution, minimax
-from pdhj.errors import ContractError, LatticeCoverageError, SolverError
+from pdhj.errors import ContractError, EvaluationError, LatticeCoverageError, SolverError
 from pdhj.evolution import (
     FORCING_ALGORITHM,
     FORCING_BOUND_TOL,
@@ -15,7 +15,6 @@ from pdhj.evolution import (
     OperatorSpec,
     SolveReport,
     _ball_point,
-    _implicit_step,
     build_p_laplacian,
     make_linear_operator,
     sample_reachable_set,
@@ -33,6 +32,7 @@ from pdhj.game import (
     isaacs_game,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, extend_history, stopped_at, sup_norm
+from scalar_reference import _implicit_step
 
 
 def _solve_reference(dyn, t0, x0, forcing=None, forcing_algorithm=None):
@@ -145,9 +145,8 @@ class TestLanesMatchSequentialLoop:
             _assert_reports_equal(rep, _solve_reference(dyn, 0.3, hist, forcing))
 
     def test_p_laplacian(self):
-        # no eval_batch: op.batch sends each row through the operator
+        # eval_fn on the last axis: op.batch is one call for all lanes
         op = build_p_laplacian(5, 3.0)
-        assert op.eval_batch is None
         grid = TimeGrid(0.0, 0.5, 8)
         hist = Path.constant(grid, np.sin(np.linspace(0.3, 2.8, 5)))
         dyn = DelayDynamics.forced(op, 1.0)
@@ -162,7 +161,7 @@ class TestLanesMatchSequentialLoop:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_every_lane_stalled(self, dim, monkeypatch):
-        # no Newton iteration: every lane takes _implicit_step's fallback
+        # no Newton iteration: every lane takes the fallback step
         monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", 0)
         grid = TimeGrid(0.0, 1.0, 6)
         hist = _history(grid, dim, 11)
@@ -254,12 +253,13 @@ class TestLaneErrors:
         op = OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
                           eval_fn=lambda t, v: np.where(np.abs(v) > 2.0, np.nan, v))
         calls = []
+        fallback = evolution._fallback_step
 
-        def spy(op, t_next, dt, target, guess, tol, step_index):
+        def spy(op, t_next, dt, target, guess, tol, step_index, iters):
             calls.append(float(target[0]))
-            return _implicit_step(op, t_next, dt, target, guess, tol, step_index)
+            return fallback(op, t_next, dt, target, guess, tol, step_index, iters)
 
-        monkeypatch.setattr(evolution, "_implicit_step", spy)
+        monkeypatch.setattr(evolution, "_fallback_step", spy)
         # lane 1 starts off the operator's domain and stalls in the first Newton
         # iteration; lane 0 creeps toward |x| = 2 and stalls later
         with pytest.raises(SolverError) as err:
@@ -429,6 +429,18 @@ def _edge_setup(cost_limit=None):
 
 
 class TestOffLatticeOrder:
+    """The residual layer's lockstep order: every Hamiltonian, candidate by
+    candidate, before the table reads; a read names the largest margin of the
+    first window node where some candidate leaves the lattice."""
+
+    FUNCTIONAL_ERRORS = {
+        None: (LatticeCoverageError, "state leaves the lattice by 4.272212e-02; "
+                                     "expand bounds by at least that margin"),
+        0.45: (EvaluationError, "non-finite running cost at t=0.3125, p=0.0, q=0.0"),
+        0.55: (EvaluationError, "non-finite running cost at t=0.4375, p=0.0, q=0.0"),
+        0.59: (EvaluationError, "non-finite running cost at t=0.5, p=0.0, q=0.0"),
+    }
+
     @pytest.mark.parametrize("cost_limit", [None, 0.45, 0.55, 0.59])
     def test_functional_raises_like_candidate_loop(self, cost_limit):
         spec, grid, table = _edge_setup(cost_limit)
@@ -438,37 +450,26 @@ class TestOffLatticeOrder:
         forcings = [np.full((grid.n_steps, 1), s) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
         runs = [(str(i), rep) for i, rep in
                 enumerate(solve_delay_lanes(forced, t0, hist, forcings))]
-        z, u0 = np.array([0.5]), 0.0
-        want = None
-        for _, rep in runs:
-            try:
-                _characteristic_functional_reference(spec, table, "upper", rep, z, t0, u0)
-            except Exception as err:
-                want = err
-                break
-        assert want is not None
-        with pytest.raises(type(want)) as got:
-            minimax._characteristic_functional(spec, table, "upper", runs, z, t0, u0)
-        assert str(got.value) == str(want)
-        if isinstance(want, LatticeCoverageError):
-            assert got.value.margin == want.margin
+        error, message = self.FUNCTIONAL_ERRORS[cost_limit]
+        with pytest.raises(error) as got:
+            minimax._characteristic_functional(spec, table, "upper", runs, np.array([0.5]),
+                                               t0, 0.0)
+        assert str(got.value) == message
+        if error is LatticeCoverageError:
+            # candidate 4 alone leaves at the second window node; candidate 1,
+            # the first in candidate order to leave, does so by 1.168216e-02
+            # two nodes later
+            assert got.value.margin == 0.042722117280852845
 
-    def test_viscosity_scan_names_first_candidate_off_lattice(self):
+    def test_viscosity_scan_names_largest_margin_of_first_node(self):
+        # constant[p1,q1] alone leaves at the second window node; constant[p0,q1],
+        # the first in candidate order to leave, does so by 3.629637e-02 two
+        # nodes later
         spec, grid, table = _edge_setup()
         site = (grid.nodes[4], Path.constant(grid, [0.4]))
         with pytest.raises(LatticeCoverageError) as got:
             minimax.viscosity_scan(table, spec, site, np.array([0.5]), 0.5,
                                    search_budget=12, seed=0)
-        t0, hist = _site(table, 4, 0.4, horizon=0.5)
-        want = None
-        for _, rep in _candidate_runs_reference(spec, table, "upper", t0, hist,
-                                                np.array([0.5]), 12, 0):
-            for k in range(rep.start_index + 1, rep.path.grid.n_steps + 1):
-                try:
-                    table.interp("upper", rep.path.grid.nodes[k], rep.path.values[k])
-                except LatticeCoverageError as err:
-                    want = err
-                    break
-            if want is not None:
-                break
-        assert str(got.value) == str(want) and got.value.margin == want.margin
+        assert str(got.value) == ("state leaves the lattice by 4.272212e-02; "
+                                  "expand bounds by at least that margin")
+        assert got.value.margin == 0.042722117280852845

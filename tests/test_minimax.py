@@ -12,7 +12,6 @@ from pdhj.minimax import (
     composite_tolerance,
     minimax_residual,
     stability_experiment,
-    viscosity_residual,
     viscosity_scan,
 )
 from pdhj.pathcore import Path, TimeGrid, extend_history
@@ -109,8 +108,8 @@ class TestViscosityResidual:
     def test_constant_game_zero_c_passes_both(self, const):
         spec, grid, lattice, table = const
         x0 = Path.constant(grid, [0.0])
-        rep = viscosity_residual(table, spec, (0.25, x0), np.zeros(1), 0.0, 0.25,
-                                 search_budget=4, seed=0)
+        (rep,) = viscosity_scan(table, spec, (0.25, x0), np.zeros(1), 0.25, c_values=(0.0,),
+                                search_budget=4, seed=0)["reports"]
         assert rep.super_certificate_holds and rep.sub_certificate_holds
         assert rep.super_verdict == "pass"
         assert rep.sub_verdict == "pass"
@@ -118,8 +117,8 @@ class TestViscosityResidual:
     def test_large_positive_c_is_vacuous_for_super(self, desk):
         spec, grid, lattice, table = desk
         x0 = Path.constant(grid, [0.4])
-        rep = viscosity_residual(table, spec, (0.25, x0), np.array([0.5]), 5.0, 0.25,
-                                 search_budget=16, seed=1)
+        (rep,) = viscosity_scan(table, spec, (0.25, x0), np.array([0.5]), 0.25,
+                                c_values=(5.0,), search_budget=16, seed=1)["reports"]
         # E grows like c*(t - t0) for large c: no local max at the site
         assert not rep.super_certificate_holds
         assert rep.super_verdict == "vacuous"
@@ -131,16 +130,16 @@ class TestViscosityResidual:
             k = int(rng.integers(0, 10))
             x0 = Path.constant(grid, [float(rng.uniform(-0.8, 0.8))])
             z = rng.standard_normal(1) * 0.5
-            rep = viscosity_residual(table, spec, (grid.nodes[k], x0), z, 0.0, 0.25,
-                                     search_budget=16, seed=30 + i)
+            (rep,) = viscosity_scan(table, spec, (grid.nodes[k], x0), z, 0.25, c_values=(0.0,),
+                                    search_budget=16, seed=30 + i)["reports"]
             assert rep.super_verdict in ("pass", "vacuous")
             assert rep.sub_verdict in ("pass", "vacuous")
 
     def test_report_serializes(self, const):
         spec, grid, lattice, table = const
         x0 = Path.constant(grid, [0.0])
-        rep = viscosity_residual(table, spec, (0.0, x0), np.zeros(1), 0.0, 0.25,
-                                 search_budget=4, seed=2)
+        (rep,) = viscosity_scan(table, spec, (0.0, x0), np.zeros(1), 0.25, c_values=(0.0,),
+                                search_budget=4, seed=2)["reports"]
         obj = rep.to_json_obj()
         assert "super" in obj and "sub" in obj
 
@@ -244,8 +243,8 @@ class TestViscosityScanOnePass:
             ref = _viscosity_residual_reference(table, spec, site, np.array([z]), c, 0.25,
                                                 search_budget=8, seed=3)
             _assert_reports_identical(rep, ref)
-        single = viscosity_residual(table, spec, site, np.array([z]), tol, 0.25,
-                                    search_budget=8, seed=3)
+        (single,) = viscosity_scan(table, spec, site, np.array([z]), 0.25, c_values=(tol,),
+                                   search_budget=8, seed=3)["reports"]
         _assert_reports_identical(single, _viscosity_residual_reference(
             table, spec, site, np.array([z]), tol, 0.25, search_budget=8, seed=3))
 

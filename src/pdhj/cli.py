@@ -47,7 +47,7 @@ from .game import (
     play_feedback_games,
 )
 from .minimax import bump_table, minimax_residual, stability_experiment, \
-    viscosity_scan
+    stability_refusal, viscosity_scan
 from .pathcore import Path, TimeGrid
 from .upsilon import LyapunovParams, property_battery
 
@@ -464,6 +464,9 @@ def _run_stability(config: dict, seed: int, artifacts: dict):
     lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
     family = config.get("family", "h-shift")
     n_list = tuple(config.get("n_list", [2, 4, 8, 16]))
+    refusal = stability_refusal(family, n_list)
+    if refusal is not None:
+        raise UsageError(refusal[1], field_path=refusal[0])
     yield
     report = stability_experiment(spec, family, n_list, grid, lattice)
     rows = ["n,distance"]

@@ -9,11 +9,17 @@ Lockstep loops (solve_delay_lanes here; play_feedback_games,
 greedy_adversary and the DP slice in pdhj.game; the characteristic functional
 and viscosity_scan in pdhj.minimax) raise the first error they meet, taking
 time steps in order and the phases of each step in the order their docstrings
-list.  A phase of per-lane callbacks runs lane by lane, so it raises its
-lowest failing lane's error.  A batched phase raises for its whole batch:
-_implicit_step_batch the SolverError of its lowest stalled lane, a value-table
-read the batch's largest lattice margin (the one to expand by).  Lanes that
-succeed do not depend on this order.
+list.  A phase of per-lane callbacks (forcings, adversaries) runs lane by
+lane, so it raises its lowest failing lane's error.  A batched phase raises
+for its whole batch: _implicit_step_batch the SolverError of its lowest
+stalled lane, a value-table read the batch's largest lattice margin (the one
+to expand by), and a game's stage terms (GameSpec.lane_terms, one call for
+all lanes whether the game answers with its Markov form or a callback sweep)
+the first non-finite entry in (lane, p, q) order, the drift before the cost
+of an entry.  So a feedback cell picks every game's control in one batch
+before the adversaries answer game by game, and the characteristic
+functional takes the stage terms node by node, every candidate at a node
+before the next node.  Lanes that succeed do not depend on this order.
 """
 
 from __future__ import annotations

@@ -8,7 +8,10 @@ the decaying Lyapunov function.
 
 The DP oracle treats lattice states as constant-history paths; its values are
 exact for games whose path dependence collapses to the current state, which is
-the regime of every desk-scale example here.
+the regime of every desk-scale example here.  Such a game may declare a Markov
+form (GameSpec.markov_terms) that answers for many states and the whole
+control grid in one call; dp_value probes any other game and refuses one that
+reads its past.
 """
 
 from __future__ import annotations
@@ -69,6 +72,14 @@ class GameSpec:
     dyn.rhs is called as rhs(t, stopped path, (p, q)).  l_f is the growth
     constant of |f| <= l_f (1 + sup-norm); lambda_L the Lipschitz constant of
     (f, running cost) in the path sup-norm over the reachable tube.
+
+    markov_terms, when set, declares that the game reads the path only
+    through x(t): markov_terms(t, states, p_points, q_points) returns the
+    drift, shape (N, n_p, n_q, dim), and the running cost, shape
+    (N, n_p, n_q), of the N states (rows of states, shape (N, dim)) over the
+    control arrays p_points (n_p,) and q_points (n_q,), each entry bit-equal
+    to the path callbacks on a path with that state at t.  The DP oracle is
+    exact only for such games.
     """
 
     dyn: DelayDynamics
@@ -78,6 +89,7 @@ class GameSpec:
     l_f: float
     lambda_L: float
     name: str = "game"
+    markov_terms: object = None
 
     def drift(self, t: float, x: Path, p, q) -> np.ndarray:
         return _finite_drift(np.atleast_1d(np.asarray(self.dyn.rhs(t, x, (p, q)), dtype=float)),
@@ -92,21 +104,65 @@ class GameSpec:
             raise EvaluationError("non-finite terminal cost")
         return val
 
-    def stage_terms(self, t: float, x: Path):
-        """(drift, cost) over the full control grid, shapes (n_p, n_q, dim) and (n_p, n_q).
+    def lane_terms(self, t: float, states: np.ndarray, path_of, played=None):
+        """(drift, cost) of N lanes at time t: the one entry point to the stage terms.
 
-        One sweep of the callbacks, the drift before the cost of each (p, q) in
-        grid order; the first non-finite value raises as drift and stage_cost do.
+        states, shape (N, dim), holds each lane's x(t); path_of(n) returns
+        lane n's stopped path, and only a path-dependent game calls it.
+        Without played the terms cover the full control grid, shapes
+        (N, n_p, n_q, dim) and (N, n_p, n_q).  played = (lanes, p_idx, q_idx),
+        index arrays of equal length E, asks for those entries alone, shapes
+        (E, dim) and (E,).
+
+        A Markov game answers with one markov_terms call on states; a
+        path-dependent game with one sweep of the callbacks over the entries,
+        the drift before the cost of each.  Either way the first non-finite
+        entry, in (lane, p, q) order for the full grid and in the given order
+        for played, raises EvaluationError, the drift before the cost of an
+        entry; entries not returned are not checked.
         """
         controls = self.controls
-        drift = np.empty((controls.n_p, controls.n_q, self.dyn.op.space.dim))
-        cost = np.empty((controls.n_p, controls.n_q))
+        n, dim = len(states), self.dyn.op.space.dim
+        grid_shape = (n, controls.n_p, controls.n_q)
+        if self.markov_terms is not None:
+            drift, cost = self.markov_terms(t, states, np.asarray(controls.p_points, dtype=float),
+                                            np.asarray(controls.q_points, dtype=float))
+            drift, cost = np.asarray(drift, dtype=float), np.asarray(cost, dtype=float)
+            if drift.shape != grid_shape + (dim,) or cost.shape != grid_shape:
+                raise DomainError(f"markov_terms returned shapes {drift.shape} and {cost.shape}, "
+                                  f"expected {grid_shape + (dim,)} and {grid_shape}")
+            if played is not None:
+                drift, cost = drift[played], cost[played]
+            bad_drift = ~np.isfinite(drift).all(axis=-1)
+            bad = bad_drift | ~np.isfinite(cost)
+            if bad.any():
+                first = int(np.argmax(bad.ravel()))
+                entry = np.unravel_index(first, grid_shape) if played is None \
+                    else [index[first] for index in played]
+                raise _nonfinite("drift" if bad_drift.ravel()[first] else "running cost", t,
+                                 controls.p_points[entry[1]], controls.q_points[entry[2]])
+            return drift, cost
+        entries = np.unravel_index(np.arange(math.prod(grid_shape)), grid_shape) \
+            if played is None else played
+        drift = np.empty((len(entries[0]), dim))
+        cost = np.empty(len(entries[0]))
         rhs, running = self.dyn.rhs, self.running_cost
-        for i, p in enumerate(controls.p_points):
-            for j, q in enumerate(controls.q_points):
-                drift[i, j] = _finite_drift(np.asarray(rhs(t, x, (p, q)), dtype=float), t, p, q)
-                cost[i, j] = _finite_cost(float(running(t, x, p, q)), t, p, q)
+        lane, x = None, None
+        for e, (n_e, i, j) in enumerate(zip(*entries)):
+            if n_e != lane:
+                lane, x = n_e, path_of(n_e)
+            p, q = controls.p_points[i], controls.q_points[j]
+            drift[e] = _finite_drift(np.asarray(rhs(t, x, (p, q)), dtype=float), t, p, q)
+            cost[e] = _finite_cost(float(running(t, x, p, q)), t, p, q)
+        if played is None:
+            return drift.reshape(grid_shape + (dim,)), cost.reshape(grid_shape)
         return drift, cost
+
+    def stage_terms(self, t: float, x: Path):
+        """(drift, cost) over the full control grid, shapes (n_p, n_q, dim) and
+        (n_p, n_q): lane_terms with the one lane x."""
+        drift, cost = self.lane_terms(t, x.value_at(t)[None], lambda _: x)
+        return drift[0], cost[0]
 
     def stage_matrix(self, t: float, x: Path, z) -> np.ndarray:
         """M[i, j] = cost(p_i, q_j) + (f(p_i, q_j), z) over the full control grid."""
@@ -133,15 +189,19 @@ class GameSpec:
                 "passed": worst <= 1.0 + 1e-9}
 
 
+def _nonfinite(term: str, t, p, q) -> EvaluationError:
+    return EvaluationError(f"non-finite {term} at t={t}, p={p!r}, q={q!r}")
+
+
 def _finite_drift(f: np.ndarray, t, p, q) -> np.ndarray:
     if not np.isfinite(f).all():
-        raise EvaluationError(f"non-finite drift at t={t}, p={p!r}, q={q!r}")
+        raise _nonfinite("drift", t, p, q)
     return f
 
 
 def _finite_cost(c: float, t, p, q) -> float:
     if not math.isfinite(c):
-        raise EvaluationError(f"non-finite running cost at t={t}, p={p!r}, q={q!r}")
+        raise _nonfinite("running cost", t, p, q)
     return c
 
 
@@ -168,19 +228,33 @@ class HamiltonianEval:
 def hamiltonian(spec: GameSpec, t: float, x: Path, z) -> HamiltonianEval:
     """Exact enumeration of max_q min_p and min_p max_q of cost + (f, z).
 
-    Ties break to the smallest index.
+    Ties break to the smallest index; the one-matrix case of minimax_records.
     """
-    M = spec.stage_matrix(t, x, z)
-    col_mins = M.min(axis=0)
-    jq = int(np.argmax(col_mins))
-    ip_minus = int(np.argmin(M[:, jq]))
-    row_maxes = M.max(axis=1)
-    ip = int(np.argmin(row_maxes))
-    jq_plus = int(np.argmax(M[ip, :]))
+    records = minimax_records(spec.stage_matrix(t, x, z)[None])
+    f_minus, f_plus, minus_q, minus_p, plus_p, plus_q = (r[0] for r in records)
     return HamiltonianEval(
-        f_minus=float(col_mins[jq]), f_plus=float(row_maxes[ip]),
-        minus_q_index=jq, minus_p_index=ip_minus,
-        plus_p_index=ip, plus_q_index=jq_plus)
+        f_minus=float(f_minus), f_plus=float(f_plus),
+        minus_q_index=int(minus_q), minus_p_index=int(minus_p),
+        plus_p_index=int(plus_p), plus_q_index=int(plus_q))
+
+
+def minimax_records(M: np.ndarray):
+    """Lower and upper Hamiltonians of stage matrices M, shape (N, n_p, n_q).
+
+    Returns (f_minus, f_plus, minus_q_index, minus_p_index, plus_p_index,
+    plus_q_index), each of shape (N,): f_minus = max_q min_p M at q index
+    minus_q_index, answered by minus_p_index; f_plus = min_p max_q M at p
+    index plus_p_index, answered by plus_q_index.  Ties break to the
+    smallest index.
+    """
+    rows = np.arange(M.shape[0])
+    col_mins = M.min(axis=1)
+    minus_q = np.argmax(col_mins, axis=1)
+    minus_p = np.argmin(M[rows, :, minus_q], axis=1)
+    row_maxes = M.max(axis=2)
+    plus_p = np.argmin(row_maxes, axis=1)
+    plus_q = np.argmax(M[rows, plus_p, :], axis=1)
+    return (col_mins[rows, minus_q], row_maxes[rows, plus_p], minus_q, minus_p, plus_p, plus_q)
 
 
 @dataclass(frozen=True)
@@ -409,13 +483,14 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
               v_minus_next, v_plus_next, lifts):
     """One backward step: returns (v_minus_k, v_plus_k) lattice arrays.
 
-    The slice is one array program over its (point, p, q) cells.  The drift
-    and stage-cost callbacks run per cell, one stage_terms sweep per lift,
-    because they take stopped paths; then one batched implicit step, one
-    interpolation per side, and the min/max as axis reductions.  Errors follow
-    the lockstep rule of pdhj.evolution; the phases are the callbacks, the
-    implicit step and the table reads, and a successor off the lattice names
-    the cell with the largest margin (the first such cell on ties).
+    The slice is one array program over its (point, p, q) cells: one
+    lane_terms call over every lattice point (lane n's path is lifts[n]),
+    one batched implicit step, one interpolation per side, and the min/max as
+    axis reductions.  A game without a Markov form is probed at node k > 0
+    by _require_markov.  Errors follow the lockstep rule of pdhj.evolution;
+    the phases are the stage terms, the probe, the implicit step and the
+    table reads, and a successor off the lattice names the cell with the
+    largest margin (the first such cell on ties).
     """
     nodes = grid.nodes
     t_k, t_k1 = nodes[k], nodes[k + 1]
@@ -424,10 +499,9 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     points = lattice.points()
     n_points, dim = points.shape
     cells = (n_points, controls.n_p, controls.n_q)
-    drift = np.empty(cells + (dim,))
-    cost = np.empty(cells)
-    for idx, lift in enumerate(lifts):
-        drift[idx], cost[idx] = spec.stage_terms(t_k, lift)
+    drift, cost = spec.lane_terms(t_k, points, lambda n: lifts[n])
+    if spec.markov_terms is None and k > 0:
+        _require_markov(spec, grid, k, points, drift, cost)
     starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
     targets = (points[:, None, None, :] + dt * drift).reshape(-1, dim)
     tols = np.repeat(STEP_SOLVE_TOL * (1.0 + _row_norms(points)), controls.n_p * controls.n_q)
@@ -452,6 +526,35 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     return out_minus, out_plus
 
 
+def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray,
+                    drift: np.ndarray, cost: np.ndarray):
+    """The oracle's probe of a game without a Markov form at node k > 0.
+
+    drift and cost are the stage terms on the constant lifts of the lattice
+    points.  Each point's history before t_k is pushed away from the origin
+    (x -> x + sign(x)(1 + |x|) per coordinate, so every node norm grows) while
+    x(t_k) stays; the stage terms on these histories must equal those on the
+    lifts bit for bit, or the game reads its past and the DP value, which
+    sees only constant lifts, would be wrong: ConfigurationError.
+    """
+    t_k = grid.nodes[k]
+    past = points + np.copysign(1.0 + np.abs(points), points)
+    values = np.repeat(points[None], grid.n_steps + 1, axis=0)
+    values[:k] = past
+
+    def history(n):
+        return Path(grid, values[:, n])
+
+    drift_h, cost_h = spec.lane_terms(t_k, points, history)
+    same = (drift_h == drift).all(axis=(1, 2, 3)) & (cost_h == cost).all(axis=(1, 2))
+    if not same.all():
+        n = int(np.argmin(same))
+        raise ConfigurationError(
+            f"game {spec.name!r} reads its path before t at time node {k} (t={t_k}, lattice "
+            f"state {points[n]}): the DP oracle values only games that read the path "
+            f"through x(t)")
+
+
 def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
              side: str = "both") -> ValueTable:
     """Backward min-max recursion on the lattice.
@@ -461,6 +564,13 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
     slice is the terminal cost evaluated exactly at lattice points.  Successors
     are one implicit-Euler step; leaving the lattice is an error that names the
     margin needed.
+
+    A game that declares markov_terms is valued as it is.  Any other game is
+    probed at each node after the first, inside that node's slice (so
+    recompute_slice probes too): its stage terms on histories perturbed
+    before t must equal those on the constant lifts (_require_markov), or
+    dp_value raises ConfigurationError naming the game and the node, rather
+    than return a value that ignores the past.
     """
     if side not in ("both", "lower", "upper"):
         raise DomainError(f"unknown side {side!r}")
@@ -662,11 +772,15 @@ class FeedbackStrategy:
         return [(float(totals[g]), kinds[g], int(indices[g]), gradients[g])
                 for g in range(n_games)]
 
-    def select(self, t: float, x: Path, companion) -> int:
-        """Control index at node (t, x) aimed by its companion_minima tuple;
-        deterministic, smallest-index ties."""
-        M = self.spec.stage_matrix(t, x, companion[3])
-        return int(np.argmin(M.max(axis=1)))
+    def select_controls(self, t: float, states: np.ndarray, path_of, companions) -> np.ndarray:
+        """Control index of each game at node t, aimed by its companion_minima
+        tuple: the argmin over p of max over q of cost + (f, gradient), smallest
+        index on ties.  states and path_of are the games' lanes as in
+        GameSpec.lane_terms, which is called once for all of them."""
+        drift, cost = self.spec.lane_terms(t, states, path_of)
+        gradients = np.stack([companion[3] for companion in companions])
+        M = cost + _row_dots(drift, gradients[:, None, None, :])
+        return np.argmin(M.max(axis=2), axis=1)
 
 
 def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
@@ -768,18 +882,20 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
     finer simulation grid.  Per-step records hold the shifted-value
     increments used by the Lyapunov diagnostic.
 
-    At each partition node every game selects its control and calls its
-    adversary, game by game, so an adversary that keeps state (the generator
-    of a random_adversary) sees the calls it sees when its games are played
-    one at a time.  Each simulation-grid step calls the drift and then the
-    running cost of each game, and moves all games with one batched implicit
-    step.  One companion_minima call per partition node serves every game:
-    the minimum found after a step is that step's u_shifted_after and aims the
-    next control.  Each trace is bit-identical to playing its game alone.
-    Errors follow the lockstep rule of pdhj.evolution; the phases of a
-    partition cell are the controls and adversaries (game by game), then per
-    simulation-grid step the drift and running cost (game by game) and the
-    implicit step, then the companion minima.
+    At each partition node one strategy.select_controls call (one lane_terms
+    call over the full control grid) picks every game's p, each aimed by its
+    own companion gradient; then the adversaries answer game by game, so an
+    adversary that keeps state (the generator of a random_adversary) sees the
+    calls it sees when its games are played one at a time.  Each
+    simulation-grid step takes every game's drift and running cost at its
+    played pair from one lane_terms call, and moves all games with one
+    batched implicit step.  One companion_minima call per partition node
+    serves every game: the minimum found after a step is that step's
+    u_shifted_after and aims the next control.  Each trace is bit-identical
+    to playing its game alone.  Errors follow the lockstep rule of
+    pdhj.evolution; the phases of a partition cell are the controls (one
+    batch), the adversaries (game by game), then per simulation-grid step
+    the played stage terms and the implicit step, then the companion minima.
     """
     adversaries = list(adversaries)
     if not adversaries:
@@ -787,10 +903,9 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
     inner = strategy.x0.grid
     nodes = inner.nodes
     part_nodes = partition.nodes
-    p_points, q_points = spec.controls.p_points, spec.controls.q_points
     m = len(adversaries)
+    games = np.arange(m)
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, game, coordinate)
-    drift = np.empty((m, values.shape[2]))
     companions = strategy.companion_minima(
         part_nodes[0], values[: inner.node_index(part_nodes[0]) + 1])
     p_indices, q_indices = [[] for _ in range(m)], [[] for _ in range(m)]
@@ -800,18 +915,16 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
         x_now = [stopped_at(inner, values[:, g], ka) for g in range(m)]
-        picks = []
-        for g in range(m):
-            p_idx = strategy.select(t_i, x_now[g], companions[g])
-            picks.append((p_idx, int(adversaries[g](t_i, x_now[g], p_idx))))
-        controls = [(p_points[p_idx], q_points[q_idx]) for p_idx, q_idx in picks]
+        p_picks = strategy.select_controls(t_i, values[ka], lambda g: x_now[g], companions)
+        picks = [(int(p_idx), int(adversary(t_i, x_now[g], int(p_idx))))
+                 for g, (adversary, p_idx) in enumerate(zip(adversaries, p_picks))]
+        played = (games, p_picks, np.array([q_idx for _, q_idx in picks], dtype=int))
         step_cost = np.zeros(m)
         for k in range(ka, kb):
             t_k, dt = nodes[k], nodes[k + 1] - nodes[k]
-            for g, (p, q) in enumerate(controls):
-                x_stop = x_now[g] if k == ka else stopped_at(inner, values[:, g], k)
-                drift[g] = spec.drift(t_k, x_stop, p, q)
-                step_cost[g] += dt * spec.stage_cost(t_k, x_stop, p, q)
+            drift, cost = spec.lane_terms(
+                t_k, values[k], lambda g: stopped_at(inner, values[:, g], k), played)
+            step_cost += dt * cost
             x_k = values[k]
             tols = STEP_SOLVE_TOL * (1.0 + _row_norms(x_k))
             values[k + 1], _, _ = _implicit_step_batch(spec.dyn.op, nodes[k + 1], dt,
@@ -864,19 +977,19 @@ def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
     """One-step lookahead maximizer against the committed p; ties keep the first q.
 
     The q values are the lanes of one lockstep step (errors as pdhj.evolution
-    states), in these phases: the n_q drifts and then the n_q costs, in q
-    order, one batched implicit step, and one read of the successors.
+    states), in these phases: one lane_terms call for the committed p's row
+    (the drift before the cost of each q, in q order), one batched implicit
+    step, and one read of the successors.
     """
-    q_points = spec.controls.q_points
+    n_q = spec.controls.n_q
 
     def policy(t, x, p_index):
-        p = spec.controls.p_points[p_index]
         dt = lookahead if lookahead is not None else value.grid.mesh
         dt = min(dt, value.grid.t_end - t)
         state = x.value_at(t)
         k = x.grid.node_index(t)
-        drifts = np.array([spec.drift(t, x, p, q) for q in q_points])
-        costs = np.array([spec.stage_cost(t, x, p, q) for q in q_points])
+        row = (np.zeros(n_q, dtype=int), np.full(n_q, p_index), np.arange(n_q))
+        drifts, costs = spec.lane_terms(t, state[None], lambda _: x, row)
         tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
         succ, _, _ = _implicit_step_batch(spec.dyn.op, t + dt, dt, state + dt * drifts,
                                           np.broadcast_to(state, drifts.shape), tol, k)
@@ -1002,11 +1115,17 @@ def bilinear_game(scale: float = 1.0, levels=(-1.0, 1.0), gain: float = 1.0,
                         lipschitz_L=abs(scale) * max(abs(v) for v in levels) ** 2)
     h = (lambda x: float(np.linalg.norm(x.values[-1]))) if terminal == "abs" \
         else (lambda x: float(np.dot(x.values[-1], x.values[-1])))
+
+    def markov(t, states, P, Q):
+        drift = (scale * P[:, None]) * Q[None, :]
+        shape = (len(states),) + drift.shape
+        return np.broadcast_to(drift[..., None], shape + (1,)), np.zeros(shape)
+
     return GameSpec(dyn=dyn,
                     running_cost=lambda t, x, p, q: 0.0,
                     terminal_cost=h,
                     controls=ControlGrid(p_points=levels, q_points=levels),
-                    l_f=dyn.lipschitz_L, lambda_L=0.1, name="bilinear")
+                    l_f=dyn.lipschitz_L, lambda_L=0.1, name="bilinear", markov_terms=markov)
 
 
 def isaacs_game(scale: float = 0.5, levels=(-1.0, 0.0, 1.0), gain: float = 1.0,
@@ -1026,6 +1145,13 @@ def isaacs_game(scale: float = 0.5, levels=(-1.0, 0.0, 1.0), gain: float = 1.0,
         xt = x.value_at(t)
         return cost_weight * float(np.dot(xt, xt))
 
+    def markov(t, states, P, Q):
+        drift = scale * (P[:, None] + Q[None, :])
+        shape = (len(states),) + drift.shape
+        cost = cost_weight * _row_dots(states, states)  # the bits of np.dot(xt, xt)
+        return (np.broadcast_to(drift[..., None], shape + (1,)),
+                np.broadcast_to(cost[:, None, None], shape))
+
     def terminal(x):
         return float(np.dot(x.values[-1], x.values[-1]))
 
@@ -1035,27 +1161,38 @@ def isaacs_game(scale: float = 0.5, levels=(-1.0, 0.0, 1.0), gain: float = 1.0,
     lam = max(3.0 * cost_weight, 0.1)
     return GameSpec(dyn=dyn, running_cost=running, terminal_cost=terminal,
                     controls=ControlGrid(p_points=levels, q_points=levels),
-                    l_f=dyn.lipschitz_L, lambda_L=lam, name="isaacs-additive")
+                    l_f=dyn.lipschitz_L, lambda_L=lam, name="isaacs-additive",
+                    markov_terms=markov)
 
 
 def constant_game(cost: float = 1.0, gain: float = 1.0) -> GameSpec:
     """Zero dynamics forcing, constant running cost: value is cost * (T - t)."""
     op = make_linear_operator(dim=1, gain=gain)
     dyn = DelayDynamics(op=op, rhs=lambda t, x, u: np.zeros(1), lipschitz_L=0.0)
+
+    def markov(t, states, P, Q):
+        shape = (len(states), len(P), len(Q))
+        return np.zeros(shape + (1,)), np.full(shape, float(cost))
+
     return GameSpec(dyn=dyn,
                     running_cost=lambda t, x, p, q: cost,
                     terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=(0.0,), q_points=(0.0,)),
-                    l_f=0.0, lambda_L=0.1, name="constant")
+                    l_f=0.0, lambda_L=0.1, name="constant", markov_terms=markov)
 
 
 def scale_costs(spec: GameSpec, factor: float) -> GameSpec:
     """Multiply running and terminal costs jointly by a positive factor."""
+    markov = None
+    if spec.markov_terms is not None:
+        def markov(t, states, P, Q):
+            drift, cost = spec.markov_terms(t, states, P, Q)
+            return drift, factor * cost
     return replace(spec,
                    running_cost=lambda t, x, p, q: factor * spec.running_cost(t, x, p, q),
                    terminal_cost=lambda x: factor * spec.terminal_cost(x),
                    lambda_L=spec.lambda_L * max(factor, 1e-12),
-                   name=f"{spec.name}-x{factor:g}")
+                   name=f"{spec.name}-x{factor:g}", markov_terms=markov)
 
 
 def with_terminal_shift(spec: GameSpec, shift: float) -> GameSpec:
@@ -1072,7 +1209,13 @@ def with_drift_perturbation(spec: GameSpec, magnitude: float) -> GameSpec:
     def rhs(t, x, u):
         return np.atleast_1d(spec.dyn.rhs(t, x, u)) + w
 
+    markov = None
+    if spec.markov_terms is not None:
+        def markov(t, states, P, Q):
+            drift, cost = spec.markov_terms(t, states, P, Q)
+            return drift + w, cost
+
     dyn = DelayDynamics(op=spec.dyn.op, rhs=rhs,
                         lipschitz_L=spec.dyn.lipschitz_L + abs(magnitude) * np.sqrt(dim))
     return replace(spec, dyn=dyn, l_f=spec.l_f + abs(magnitude) * np.sqrt(dim),
-                   name=f"{spec.name}-fdrift")
+                   name=f"{spec.name}-fdrift", markov_terms=markov)

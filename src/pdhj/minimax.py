@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DomainError
 from .evolution import DelayDynamics, _row_dots, sample_reachable_set, solve_delay_lanes
 from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, is_upper_side, \
-    with_drift_perturbation, with_terminal_shift
+    minimax_records, with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, extend_history, stopped_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
@@ -97,7 +97,7 @@ def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
 
     def policy(t, x_stop):
         zhat = table.gradient(side, t, x_stop.value_at(t))
-        drift, cost = spec.stage_terms(t, x_stop)  # both matrices from one callback sweep
+        drift, cost = spec.stage_terms(t, x_stop)  # both matrices from one lane_terms call
         M_test, M_grad = cost + _row_dots(drift, z), cost + _row_dots(drift, zhat)
         if upper:
             commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
@@ -149,28 +149,30 @@ def _characteristic_functional(spec: GameSpec, table: ValueTable, side: str,
     """G[c, m] = int_{t0}^{t_m} ((-f, z) + F(s, x, z)) ds + u(t_m, x(t_m)) - u0
     per candidate c and window node t_m > t0; returns (G, times).
 
-    Errors follow the lockstep rule of pdhj.evolution, in two phases: the
-    Hamiltonians, candidate by candidate and node by node, then the table
-    reads of _window_values.
+    Node by node, one lane_terms call over every candidate gives the stage
+    matrices, and minimax_records their Hamiltonians.  Errors follow the
+    lockstep rule of pdhj.evolution, in two phases: the stage terms, node by
+    node and within a node candidate by candidate, then the table reads of
+    _window_values.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     grid = runs[0][1].path.grid
     nodes = grid.nodes
     k0 = runs[0][1].start_index
     upper = is_upper_side(side)
-    states = np.stack([rep.path.values[k0 + 1:] for _, rep in runs])
-    integral = np.empty(states.shape[:2])
-    for c, (_, rep) in enumerate(runs):
-        values = rep.path.values
-        acc = 0.0
-        for k in range(k0, grid.n_steps):
-            dt = nodes[k + 1] - nodes[k]
-            ham = hamiltonian(spec, nodes[k], stopped_at(grid, values, k), z)
-            F_val = ham.f_plus if upper else ham.f_minus
-            f_k = rep.forcing_trace[k - k0]
-            acc += dt * (-float(f_k @ z) + F_val)
-            integral[c, k - k0] = acc
+    paths = np.stack([rep.path.values for _, rep in runs], axis=1)  # (node, candidate, coordinate)
+    forcing = np.stack([rep.forcing_trace for _, rep in runs], axis=1)
+    integral = np.empty((len(runs), grid.n_steps - k0))
+    acc = np.zeros(len(runs))
+    for k in range(k0, grid.n_steps):
+        dt = nodes[k + 1] - nodes[k]
+        drift, cost = spec.lane_terms(nodes[k], paths[k],
+                                      lambda c: stopped_at(grid, paths[:, c], k))
+        f_minus, f_plus = minimax_records(cost + _row_dots(drift, z))[:2]
+        acc = acc + dt * (-_row_dots(forcing[k - k0], z) + (f_plus if upper else f_minus))
+        integral[:, k - k0] = acc
     times = nodes[k0 + 1:]
+    states = paths[k0 + 1:].transpose(1, 0, 2)
     return integral + _window_values(table, side, times, states) - u0, times
 
 
@@ -360,6 +362,27 @@ class StabilityReport:
         }
 
 
+STABILITY_FAMILIES = {"h-shift": with_terminal_shift, "f-drift": with_drift_perturbation}
+
+
+def stability_refusal(family: str, n_list):
+    """(field, message) of the first stability_experiment input it refuses, or None.
+
+    The family must be one of STABILITY_FAMILIES, and n_list a nonempty,
+    increasing list of n >= 1: an empty list would pass vacuously.
+    """
+    if family not in STABILITY_FAMILIES:
+        return "family", (f"unknown perturbation family {family!r}; expected one of "
+                          f"{sorted(STABILITY_FAMILIES)}")
+    if not n_list:
+        return "n_list", "n_list must not be empty"
+    if min(n_list) < 1:
+        return "n_list", "n_list entries must be >= 1"
+    if sorted(n_list) != list(n_list):
+        return "n_list", "n_list must be increasing (magnitudes 1/n decreasing)"
+    return None
+
+
 def stability_experiment(spec: GameSpec, family: str, n_list, grid: TimeGrid,
                          lattice: StateLattice, side: str = "upper") -> StabilityReport:
     """Compute value tables under a 1/n perturbation family and their distances.
@@ -367,23 +390,18 @@ def stability_experiment(spec: GameSpec, family: str, n_list, grid: TimeGrid,
     'h-shift' adds 1/n to the terminal cost: the backward min/max recursion is
     shift-equivariant, so the distance equals 1/n exactly (up to rounding).
     'f-drift' adds a constant drift of magnitude 1/n, perturbing the
-    Hamiltonian z-dependently.
+    Hamiltonian z-dependently.  Inputs that stability_refusal names raise
+    DomainError before any table is computed.
     """
     n_list = tuple(int(n) for n in n_list)
-    if any(n < 1 for n in n_list):
-        raise DomainError("n_list entries must be >= 1")
-    if sorted(n_list) != list(n_list):
-        raise DomainError("n_list must be increasing (magnitudes 1/n decreasing)")
+    refusal = stability_refusal(family, n_list)
+    if refusal is not None:
+        raise DomainError(refusal[1])
     base = dp_value(spec, grid, lattice, side="both")
     base_vals = base.side_values(side)
     distances, exactness = [], []
     for n in n_list:
-        if family == "h-shift":
-            spec_n = with_terminal_shift(spec, 1.0 / n)
-        elif family == "f-drift":
-            spec_n = with_drift_perturbation(spec, 1.0 / n)
-        else:
-            raise DomainError(f"unknown perturbation family {family!r}")
+        spec_n = STABILITY_FAMILIES[family](spec, 1.0 / n)
         table_n = dp_value(spec_n, grid, lattice, side=side)
         dist = float(np.max(np.abs(table_n.side_values(side) - base_vals)))
         distances.append(dist)

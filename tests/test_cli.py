@@ -313,6 +313,30 @@ class TestConfigRefusals:
         cfg["n_list"] = n_list
         self._refused(tmp_path, capsys, cfg, "n_list")
 
+    @pytest.mark.parametrize("n_list, message", [
+        ([], "n_list must not be empty"),
+        ([0, 2], "n_list entries must be >= 1"),
+        ([4, 2], "n_list must be increasing (magnitudes 1/n decreasing)"),
+    ], ids=["empty", "below-one", "decreasing"])
+    def test_stability_n_list_refused_while_building(self, tmp_path, capsys, n_list, message):
+        # an empty list used to pass vacuously (exit 0, "distances": [])
+        cfg = shipped_config("stability_run.json")
+        cfg["n_list"] = n_list
+        self._refused(tmp_path, capsys, cfg, "n_list")
+        with pytest.raises(UsageError) as err:
+            run(cfg, str(tmp_path / "again"))
+        assert str(err.value) == message
+
+    def test_stability_family_refused_while_building(self, tmp_path, capsys):
+        # used to exit 3 after the base DP, leaving only manifest.json
+        cfg = shipped_config("stability_run.json")
+        cfg["family"] = "bogus"
+        self._refused(tmp_path, capsys, cfg, "family")
+        with pytest.raises(UsageError) as err:
+            run(cfg, str(tmp_path / "again"))
+        assert str(err.value) == ("unknown perturbation family 'bogus'; "
+                                  "expected one of ['f-drift', 'h-shift']")
+
     def test_lattice_points_are_integers(self, tmp_path, capsys):
         cfg = shipped_config("game_value.json")
         cfg["lattice"]["points"] = [33.7]

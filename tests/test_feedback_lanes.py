@@ -99,7 +99,7 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        p_idx = strategy.select(t_i, x_now, companion)
+        p_idx = int(np.argmin(spec.stage_matrix(t_i, x_now, companion[3]).max(axis=1)))
         q_idx = int(adversary(t_i, x_now, p_idx))
         p = spec.controls.p_points[p_idx]
         q = spec.controls.q_points[q_idx]
@@ -493,10 +493,11 @@ class TestGreedyBatch:
                         running_cost=running, terminal_cost=lambda x: 0.0,
                         controls=ControlGrid(p_points=(0.0,), q_points=(-1.0, 0.0, 1.0)),
                         l_f=1.0, lambda_L=1.0)
-        # every drift runs before any cost: q = 1's drift, not q = 0's cost
+        # one sweep of the committed row, the drift before the cost of each q:
+        # q = 0's cost, not q = 1's drift
         err = self._error(spec, table)
         assert type(err) is EvaluationError
-        assert str(err) == "non-finite drift at t=0.25, p=0.0, q=1.0"
+        assert str(err) == "non-finite running cost at t=0.25, p=0.0, q=0.0"
 
     def test_coverage_margin_of_the_first_q_off_the_lattice(self):
         _, table, _, _ = _desk(1, 0)

@@ -379,7 +379,7 @@ class TestFeedbackStrategy:
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=0, seed=0)
         companion = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0]
-        p_index = strategy.select(0.0, strategy.x0, companion)
+        p_index = _select_one(strategy, 0.0, strategy.x0, companion)
         M = spec.stage_matrix(0.0, strategy.x0, np.zeros(1))
         assert p_index == int(np.argmin(M.max(axis=1)))
 
@@ -390,7 +390,7 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=16, seed=1)
         companion = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0]
-        p_index = strategy.select(0.0, strategy.x0, companion)
+        p_index = _select_one(strategy, 0.0, strategy.x0, companion)
         ev = hamiltonian(spec, 0.0, strategy.x0, companion[3])
         assert p_index == ev.plus_p_index
 
@@ -673,8 +673,15 @@ class TestCompanionOncePerNode:
             assert (rec["u_shifted_before"], rec["companion_kind"], rec["companion_index"]) \
                 == before[:3]
             assert rec["u_shifted_after"] == after[0]
-            assert trace.p_indices[i] == strategy.select(
-                t_i, stopped_at(sim, trace.path.values, sim.node_index(t_i)), before)
+            assert trace.p_indices[i] == _select_one(
+                strategy, t_i, stopped_at(sim, trace.path.values, sim.node_index(t_i)), before)
+
+
+def _select_one(strategy, t, x, companion):
+    """FeedbackStrategy.select_controls for the one game at (t, x) aimed by companion."""
+    p_indices = strategy.select_controls(t, x.value_at(t)[None], lambda _: x, [companion])
+    assert p_indices.shape == (1,)
+    return int(p_indices[0])
 
 
 def _stage_matrix_reference(spec, t, x, z):

@@ -1,9 +1,10 @@
 """Every shipped experiment writes the reference result.json, byte for byte.
 
 The references are bench/reference/seed<n>/<stem>.json.  Every config runs at
-seed 0, feedback_run.json included (about 4 s).  bench/configs/feedback_short.json
+seed 0, feedback_run.json included (about 1.5 s).  bench/configs/feedback_short.json
 runs the same feedback code on a shorter grid, and also at seeds 1 and 2, whose
-adversary pools draw other random streams.
+adversary pools draw other random streams.  The DP and residual configs run at
+seeds 1 and 2 too, which draw other residual sites, probes and samples.
 """
 
 import json
@@ -26,6 +27,13 @@ def test_result_matches_reference_bytes(config, tmp_path):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_feedback_short_other_seeds(seed, tmp_path):
     _check(CONFIGS[-1], seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("stem", ["minimax_check", "stability_run", "game_value",
+                                  "isaacs_check"])
+def test_residual_layer_other_seeds(stem, seed, tmp_path):
+    _check(ROOT / "configs" / f"{stem}.json", seed, tmp_path)
 
 
 def _check(config, seed, tmp_path):

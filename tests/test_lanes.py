@@ -26,6 +26,7 @@ from pdhj.game import (
     GameSpec,
     StateLattice,
     ValueTable,
+    bilinear_game,
     dp_value,
     hamiltonian,
     is_upper_side,
@@ -359,6 +360,15 @@ def desk():
     return spec, grid, dp_value(spec, grid, lattice)
 
 
+@pytest.fixture(scope="module")
+def bilinear_desk():
+    """A game with an Isaacs gap, so the upper and lower functionals differ."""
+    spec = bilinear_game(scale=0.5)
+    grid = TimeGrid(0.0, 1.0, 16)
+    lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+    return spec, grid, dp_value(spec, grid, lattice)
+
+
 def _site(table, t_index, state, horizon=0.25):
     win_grid, _, _ = minimax._window_grid(table.grid, table.grid.nodes[t_index], horizon)
     t0 = table.grid.nodes[t_index]
@@ -370,6 +380,15 @@ class TestCandidateSearch:
     @pytest.mark.parametrize("t_index,state,z,budget", [
         (2, 0.5, 0.7, 24), (9, -1.2, -0.4, 16), (13, 0.0, 0.0, 8)])
     def test_runs_and_functional_match_sequential(self, desk, side, t_index, state, z, budget):
+        self._check(desk, side, t_index, state, z, budget)
+
+    @pytest.mark.parametrize("side", ["upper", "lower"])
+    def test_functional_with_an_isaacs_gap(self, bilinear_desk, side):
+        # the upper and lower Hamiltonians differ, so the side picks the functional
+        self._check(bilinear_desk, side, 5, 0.3, -0.8, 16)
+
+    @staticmethod
+    def _check(desk, side, t_index, state, z, budget):
         spec, grid, table = desk
         t0, hist = _site(table, t_index, state)
         z = np.array([z])
@@ -429,16 +448,20 @@ def _edge_setup(cost_limit=None):
 
 
 class TestOffLatticeOrder:
-    """The residual layer's lockstep order: every Hamiltonian, candidate by
-    candidate, before the table reads; a read names the largest margin of the
-    first window node where some candidate leaves the lattice."""
+    """The residual layer's lockstep order: every Hamiltonian, node by node and
+    within a node candidate by candidate, before the table reads; a read names
+    the largest margin of the first window node where some candidate leaves
+    the lattice."""
 
+    # with a cost limit, the first node where some candidate's state passes
+    # it: candidates 2 and 4 (forcings 1.6 and 2.0) pass 0.55 and 0.59 at
+    # t=0.375, before candidate 1 (forcing 0.9) does at 0.4375 and 0.5
     FUNCTIONAL_ERRORS = {
         None: (LatticeCoverageError, "state leaves the lattice by 4.272212e-02; "
                                      "expand bounds by at least that margin"),
         0.45: (EvaluationError, "non-finite running cost at t=0.3125, p=0.0, q=0.0"),
-        0.55: (EvaluationError, "non-finite running cost at t=0.4375, p=0.0, q=0.0"),
-        0.59: (EvaluationError, "non-finite running cost at t=0.5, p=0.0, q=0.0"),
+        0.55: (EvaluationError, "non-finite running cost at t=0.375, p=0.0, q=0.0"),
+        0.59: (EvaluationError, "non-finite running cost at t=0.375, p=0.0, q=0.0"),
     }
 
     @pytest.mark.parametrize("cost_limit", [None, 0.45, 0.55, 0.59])

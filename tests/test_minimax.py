@@ -294,6 +294,18 @@ class TestStability:
             stability_experiment(spec, "weird", (2, 4), TimeGrid(0.0, 1.0, 4),
                                  StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,)))
 
+    @pytest.mark.parametrize("n_list, message", [
+        ((), "n_list must not be empty"),
+        ((0, 2), "n_list entries must be >= 1"),
+        ((4, 2), "n_list must be increasing (magnitudes 1/n decreasing)"),
+    ], ids=["empty", "below-one", "decreasing"])
+    def test_n_list_refused_before_any_table(self, desk, n_list, message, monkeypatch):
+        spec, grid, lattice, _ = desk
+        monkeypatch.setattr(minimax, "dp_value", None)  # any table would fail loudly
+        with pytest.raises(DomainError) as err:
+            stability_experiment(spec, "h-shift", n_list, TimeGrid(0.0, 1.0, 4), lattice)
+        assert str(err.value) == message
+
     def test_terminal_condition_exact(self, desk):
         spec, grid, lattice, table = desk
         lifts = [Path.constant(grid, pt) for pt in lattice.points()]

@@ -42,13 +42,14 @@ from .game import (
     extremal_shift_strategy,
     hamiltonian,
     audit_hamiltonian_lipschitz,
+    sampled_hamiltonians,
     isaacs_game,
     lyapunov_violation_stats,
     play_feedback_games,
 )
 from .minimax import bump_table, minimax_residual, stability_experiment, \
     stability_refusal, viscosity_scan
-from .pathcore import Path, TimeGrid
+from .pathcore import Path, TimeGrid, values_at
 from .upsilon import LyapunovParams, property_battery
 
 ENV_OUT_ROOT = "PDHJ_OUT_ROOT"
@@ -191,6 +192,14 @@ def _site_state(rng, lattice: StateLattice, shrink: float) -> np.ndarray:
                      for lo, hi in zip(lattice.lo, lattice.hi)])
 
 
+def _count(config: dict, key: str, default: int) -> int:
+    """A count field of the config, refused below 1."""
+    value = int(config.get(key, default))
+    if value < 1:
+        raise UsageError(f"{key} must be >= 1, got {value}", field_path=key)
+    return value
+
+
 def _refuse_unread(block: dict, name: str, kind: str, fields: dict):
     """Refuse an unknown kind, or a field that the block's kind does not read,
     naming it."""
@@ -286,7 +295,7 @@ def _run_solve(config: dict, seed: int, artifacts: dict):
 
 
 def _run_upsilon_check(config: dict, seed: int, artifacts: dict):
-    samples = int(config.get("samples", 500))
+    samples = _count(config, "samples", 500)
     yield
     battery = property_battery(samples=samples, seed=seed)
     rows = ["name,value,passed"]
@@ -321,18 +330,23 @@ def _run_game_value(config: dict, seed: int, artifacts: dict):
 
 def _run_isaacs_check(config: dict, seed: int, artifacts: dict):
     spec = _build_game(config.get("game"))
-    samples = int(config.get("samples", 100))
+    samples = _count(config, "samples", 100)
     yield
     rng = np.random.default_rng(seed)
     grid = TimeGrid(0.0, 1.0, 8)
     dim = spec.dyn.op.space.dim
+    values, zs, times = np.empty((samples, 9, dim)), np.empty((samples, 1, dim)), np.empty(samples)
+    for s in range(samples):  # draws in the order of one sample at a time: x, z, t
+        values[s] = rng.standard_normal((9, dim))
+        zs[s, 0] = rng.standard_normal(dim)
+        times[s] = float(rng.choice(grid.nodes))
+    nodes = np.broadcast_to(grid.nodes, (samples, 9))
+    f_minus, f_plus = sampled_hamiltonians(spec, times, values_at(nodes, values, times),
+                                           lambda s: Path(grid, values[s]), zs)
     worst_gap, violations = 0.0, 0
-    for _ in range(samples):
-        x = Path(grid, rng.standard_normal((9, dim)))
-        z = rng.standard_normal(dim)
-        ev = hamiltonian(spec, float(rng.choice(grid.nodes)), x, z)
-        worst_gap = max(worst_gap, ev.isaacs_gap)
-        violations += ev.isaacs_gap < -1e-12
+    for gap in (f_plus - f_minus)[:, 0].tolist():
+        worst_gap = max(worst_gap, gap)
+        violations += gap < -1e-12
     lip = audit_hamiltonian_lipschitz(spec, samples, seed)
     yield {
         "kind": "isaacs-check",
@@ -355,6 +369,8 @@ def _run_feedback(config: dict, seed: int, artifacts: dict):
     if not steps or min(steps) < 1:
         raise UsageError("partition_steps must be a nonempty list of positive integers",
                          field_path="partition_steps")
+    budget = _count(config, "budget", 50)
+    calibration_budget = _count(config, "calibration_budget", 12)
     yield
     table = dp_value(spec, grid, lattice)
     frac = float(config.get("epsilon_fraction", 1.0))
@@ -367,9 +383,7 @@ def _run_feedback(config: dict, seed: int, artifacts: dict):
                                        value=table,
                                        library_size=int(config.get("library_size", 64)),
                                        seed=seed)
-    m_hat = calibrate_step_bound(spec, strategy, partitions,
-                                 int(config.get("calibration_budget", 12)), seed + 1)
-    budget = int(config.get("budget", 50))
+    m_hat = calibrate_step_bound(spec, strategy, partitions, calibration_budget, seed + 1)
     est = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
                                      seed=seed + 2)
     traces = [trace for part in partitions
@@ -401,12 +415,14 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict):
     spec = _build_game(config.get("game"))
     grid = _build_grid(config.get("grid"))
     lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
+    n_sites = _count(config, "sites", 20)
+    horizon = float(config.get("horizon", 4.0 * grid.mesh))
+    if not horizon > 0.0:
+        raise UsageError(f"horizon must be > 0, got {horizon}", field_path="horizon")
+    budget = _count(config, "budget", 32)
     yield
     table = dp_value(spec, grid, lattice)
     rng = np.random.default_rng(seed)
-    n_sites = int(config.get("sites", 20))
-    horizon = float(config.get("horizon", 4.0 * grid.mesh))
-    budget = int(config.get("budget", 32))
     reports = []
     all_pass = True
     for i in range(n_sites):

@@ -19,7 +19,12 @@ the first non-finite entry in (lane, p, q) order, the drift before the cost
 of an entry.  So a feedback cell picks every game's control in one batch
 before the adversaries answer game by game, and the characteristic
 functional takes the stage terms node by node, every candidate at a node
-before the next node.  Lanes that succeed do not depend on this order.
+before the next node.  The sampled Hamiltonians of pdhj.game
+(sampled_hamiltonians, which isaacs-check and the Lipschitz audit use) take
+them one time group at a time: the distinct sample times in order of first
+appearance, every sample at a time in one batch, so they raise the first
+non-finite entry of the first group that has one, not that of the first
+failing sample.  Lanes that succeed do not depend on this order.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, ContractError, DomainError, SolverError
-from .pathcore import Path, StateSpace, stopped_at
+from .pathcore import Path, StateSpace, _row_norms, stopped_at
 
 NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-10
@@ -248,19 +253,6 @@ class SolveReport:
             "newton_max": self.newton_max,
             "forcing_algorithm": self.forcing_algorithm,
         }
-
-
-def _row_dots(X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot product of each row of X (shape (..., d)) with y (shape (..., d) or
-    (d,)), as the one-row product x @ y computes it: a stack of (1, d) @ (d, 1)
-    products matches it bit for bit, where (X * y).sum(-1) and X @ y need not."""
-    return (X[..., None, :] @ y[..., :, None])[..., 0, 0]
-
-
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of X, equal to the one-row np.linalg.norm
-    (np.linalg.norm(X, axis=1) sums the squares another way)."""
-    return np.sqrt(_row_dots(X, X))
 
 
 def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np.ndarray,

@@ -27,9 +27,10 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import DelayDynamics, _implicit_step_batch, _row_dots, _row_norms, \
-    make_linear_operator, sample_reachable_set
-from .pathcore import Path, TimeGrid, extend_history, stopped_at, sup_norm
+from .evolution import DelayDynamics, _implicit_step_batch, make_linear_operator, \
+    sample_reachable_set
+from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
+    stopped_at, sup_norm, sup_norms, values_at
 from .upsilon import LyapunovParams, surrogate_terms
 
 STEP_SOLVE_TOL = 1e-11
@@ -266,29 +267,71 @@ class LipschitzReport:
     flagged: bool
 
 
+def sampled_hamiltonians(spec: GameSpec, times: np.ndarray, states: np.ndarray, path_of,
+                         zs: np.ndarray):
+    """Lower and upper Hamiltonians at S sampled (t, x) and Z covectors each.
+
+    times, shape (S,), and states, shape (S, dim), hold each sample's t and
+    x(t); path_of(s) returns sample s's path, and only a path-dependent game
+    calls it; zs has shape (S, Z, dim).  The stage terms take one lane_terms
+    call per distinct time (equal bits), in order of first appearance, over
+    every sample at that time, so an error is the first non-finite entry in
+    that order; one minimax_records call then reduces all S * Z stage
+    matrices.  Returns (f_minus, f_plus), each of shape (S, Z), entry (s, j)
+    bit-equal to hamiltonian(spec, times[s], path_of(s), zs[s, j]).
+    """
+    controls = spec.controls
+    n_s, n_z, dim = zs.shape
+    drift = np.empty((n_s, controls.n_p, controls.n_q, dim))
+    cost = np.empty((n_s, controls.n_p, controls.n_q))
+    _, first, group = np.unique(times.view(np.int64), return_index=True, return_inverse=True)
+    for g in np.argsort(first):
+        lanes = np.flatnonzero(group == g)
+        drift[lanes], cost[lanes] = spec.lane_terms(float(times[first[g]]), states[lanes],
+                                                    lambda n: path_of(lanes[n]))
+    stage = cost[:, None] + _row_dots(drift[:, None], zs[:, :, None, None, :])
+    f_minus, f_plus = minimax_records(stage.reshape(-1, controls.n_p, controls.n_q))[:2]
+    return f_minus.reshape(n_s, n_z), f_plus.reshape(n_s, n_z)
+
+
 def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> LipschitzReport:
-    """Max of |F(z1) - F(z2)| / ((1 + sup)|z1 - z2|) over both Hamiltonians."""
+    """Max of |F(z1) - F(z2)| / ((1 + sup)|z1 - z2|) over both Hamiltonians.
+
+    The samples are drawn one at a time; a pair with |z1 - z2| < 1e-12 is
+    drawn and skipped.  The kept samples are evaluated at once: one
+    sampled_hamiltonians call takes each sample's stage terms once for both
+    z1 and z2, and the ratios reduce in draw order.
+    """
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     dim = spec.dyn.op.space.dim
-    worst = 0.0
+    grids, kept = {}, []
     for _ in range(samples):
         n = int(rng.integers(4, 10))
-        grid = TimeGrid(0.0, 1.0, n)
-        x = Path(grid, rng.standard_normal((n + 1, dim)) * rng.choice([0.3, 1.0, 2.0]))
+        if n not in grids:
+            grids[n] = TimeGrid(0.0, 1.0, n)
+        grid = grids[n]
+        values = rng.standard_normal((n + 1, dim)) * rng.choice([0.3, 1.0, 2.0])
         t = float(rng.choice(grid.nodes))
         z1 = rng.standard_normal(dim) * rng.choice([0.5, 2.0])
         z2 = rng.standard_normal(dim) * rng.choice([0.5, 2.0])
         dz = float(np.linalg.norm(z1 - z2))
         if dz < 1e-12:
             continue
-        h1 = hamiltonian(spec, t, x, z1)
-        h2 = hamiltonian(spec, t, x, z2)
-        scale = (1.0 + sup_norm(x, t)) * dz
-        worst = max(worst,
-                    abs(h1.f_minus - h2.f_minus) / scale,
-                    abs(h1.f_plus - h2.f_plus) / scale)
+        kept.append((grid, values, t, (z1, z2), dz))
+    worst = 0.0
+    if kept:
+        grid_of, paths, times, zs, dz = (list(column) for column in zip(*kept))
+        nodes, values = pad_paths([grid.nodes for grid in grid_of], paths)
+        times = np.array(times)
+        f_minus, f_plus = sampled_hamiltonians(spec, times, values_at(nodes, values, times),
+                                               lambda s: Path(grid_of[s], paths[s]),
+                                               np.array(zs))
+        scale = (1.0 + sup_norms(nodes, values, times)) * np.array(dz)
+        for ratios in zip((np.abs(f_minus[:, 0] - f_minus[:, 1]) / scale).tolist(),
+                          (np.abs(f_plus[:, 0] - f_plus[:, 1]) / scale).tolist()):
+            worst = max(worst, *ratios)
     return LipschitzReport(samples=samples, seed=seed, max_ratio=worst, bound=spec.l_f,
                            flagged=worst > spec.l_f + 1e-9)
 
@@ -538,14 +581,8 @@ def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray,
     sees only constant lifts, would be wrong: ConfigurationError.
     """
     t_k = grid.nodes[k]
-    past = points + np.copysign(1.0 + np.abs(points), points)
-    values = np.repeat(points[None], grid.n_steps + 1, axis=0)
-    values[:k] = past
-
-    def history(n):
-        return Path(grid, values[:, n])
-
-    drift_h, cost_h = spec.lane_terms(t_k, points, history)
+    values = _pushed_histories(grid, k, points)
+    drift_h, cost_h = spec.lane_terms(t_k, points, lambda n: Path(grid, values[:, n]))
     same = (drift_h == drift).all(axis=(1, 2, 3)) & (cost_h == cost).all(axis=(1, 2))
     if not same.all():
         n = int(np.argmin(same))
@@ -553,6 +590,32 @@ def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray,
             f"game {spec.name!r} reads its path before t at time node {k} (t={t_k}, lattice "
             f"state {points[n]}): the DP oracle values only games that read the path "
             f"through x(t)")
+
+
+def _pushed_histories(grid: TimeGrid, k: int, points: np.ndarray) -> np.ndarray:
+    """Node values, shape (n_steps + 1, N, dim), of the N points' histories
+    pushed away from the origin before t_k (x -> x + sign(x)(1 + |x|) per
+    coordinate) and equal to the point from t_k on."""
+    values = np.repeat(points[None], grid.n_steps + 1, axis=0)
+    values[:k] = points + np.copysign(1.0 + np.abs(points), points)
+    return values
+
+
+def _require_markov_terminal(spec: GameSpec, grid: TimeGrid, points: np.ndarray,
+                             terminal: np.ndarray):
+    """The oracle's probe of the terminal cost of a game without a Markov form.
+
+    terminal holds the terminal cost on the constant lifts of the lattice
+    points; on each point's history pushed away before T (as _require_markov
+    pushes it before t_k) it must be the same, or ConfigurationError.
+    """
+    values = _pushed_histories(grid, grid.n_steps, points)
+    for n, point in enumerate(points):
+        if spec.final_cost(Path(grid, values[:, n])) != terminal[n]:
+            raise ConfigurationError(
+                f"game {spec.name!r} reads its path before T in its terminal cost (lattice "
+                f"state {point}): the DP oracle values only games that read the path "
+                f"through x(T)")
 
 
 def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
@@ -570,7 +633,9 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
     recompute_slice probes too): its stage terms on histories perturbed
     before t must equal those on the constant lifts (_require_markov), or
     dp_value raises ConfigurationError naming the game and the node, rather
-    than return a value that ignores the past.
+    than return a value that ignores the past.  Its terminal cost is probed
+    the same way on histories perturbed before T, before any slice
+    (_require_markov_terminal).
     """
     if side not in ("both", "lower", "upper"):
         raise DomainError(f"unknown side {side!r}")
@@ -579,7 +644,10 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
     lifts = _lift_paths(lattice, grid)
     n_nodes = grid.n_steps + 1
     shape = (n_nodes,) + lattice.shape
-    terminal = np.array([spec.final_cost(lift) for lift in lifts]).reshape(lattice.shape)
+    terminal = np.array([spec.final_cost(lift) for lift in lifts])
+    if spec.markov_terms is None:
+        _require_markov_terminal(spec, grid, lattice.points(), terminal)
+    terminal = terminal.reshape(lattice.shape)
     v_minus = np.empty(shape) if want_minus else None
     v_plus = np.empty(shape) if want_plus else None
     if want_minus:

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DelayDynamics, _row_dots, sample_reachable_set, solve_delay_lanes
+from .evolution import DelayDynamics, sample_reachable_set, solve_delay_lanes
 from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, is_upper_side, \
     minimax_records, with_drift_perturbation, with_terminal_shift
-from .pathcore import Path, TimeGrid, extend_history, stopped_at
+from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
 

@@ -157,8 +157,8 @@ class Path:
         k = min(max(bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
         w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
         values = self.values
-        if w == 0.0:  # at a node (1 - w) * x is x; 0.0 * next keeps the blend's zero signs
-            return values[k] + 0.0 * values[k + 1]
+        if w == 0.0:  # at a node (1 - w) * x is x; w * next keeps the blend's zero signs
+            return values[k] + w * values[k + 1]
         return (1.0 - w) * values[k] + w * values[k + 1]
 
     def resample(self, grid: TimeGrid) -> "Path":
@@ -290,6 +290,100 @@ def d_infinity(pair1, pair2) -> float:
     v1 = np.array([x1.value_at(min(s, t1)) for s in times])
     v2 = np.array([x2.value_at(min(s, t2)) for s in times])
     return abs(t1 - t2) + float(np.max(np.linalg.norm(v1 - v2, axis=1)))
+
+
+# ---------------------------------------------------------------------------
+# many paths at once
+#
+# The padded layout: S paths of one dimension as nodes, shape (S, N), each
+# row a path's grid nodes padded after its last node with +inf, and values,
+# shape (S, N, dim), its node values (padding rows finite and never read as
+# path values).  Paths pad over time, never over coordinates, so every sum
+# over a row's coordinates runs as it does for the one path.
+# ---------------------------------------------------------------------------
+
+def _row_dots(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot product of each row of X (shape (..., d)) with y (shape (..., d) or
+    (d,)), as the one-row product x @ y computes it: a stack of (1, d) @ (d, 1)
+    products matches it bit for bit, where (X * y).sum(-1) and X @ y need not."""
+    return (X[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X, equal to the one-row np.linalg.norm
+    (np.linalg.norm(X, axis=1) sums the squares another way)."""
+    return np.sqrt(_row_dots(X, X))
+
+
+def pad_paths(node_rows, value_rows):
+    """(nodes, values) of paths of one dimension in the padded layout, from
+    each path's node array and (nodes, dim) value array."""
+    width = max(len(nodes) for nodes in node_rows)
+    nodes_out = np.full((len(node_rows), width), np.inf)
+    values_out = np.zeros((len(node_rows), width, value_rows[0].shape[1]))
+    for row, (nodes, values) in enumerate(zip(node_rows, value_rows)):
+        nodes_out[row, :len(nodes)] = nodes
+        values_out[row, :len(nodes)] = values
+    return nodes_out, values_out
+
+
+def values_at(nodes: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """Path.value_at of S padded paths at once, bit for bit.
+
+    t has shape (S,), one time per path, or (S, M), M times per path, each
+    within its path's span; the result has shape t.shape + (dim,).
+    """
+    t = np.asarray(t, dtype=float)
+    one = t.ndim == 1
+    if one:
+        t = t[:, None]
+    rows = np.arange(len(t))[:, None]
+    last = np.isfinite(nodes).sum(axis=1)[:, None] - 1
+    t_first, t_last = nodes[:, :1], nodes[rows, last]
+    t = np.where(t_first > t, t_first, t)  # min(max(t, t_0), t_n), ties as value_at breaks them
+    t = np.where(t_last < t, t_last, t)
+    k = np.clip((nodes[:, None, :] <= t[..., None]).sum(axis=-1) - 1, 0, last - 1)  # bisect_right
+    t_k, t_k1 = nodes[rows, k], nodes[rows, k + 1]
+    w = ((t - t_k) / (t_k1 - t_k))[..., None]
+    out = (1.0 - w) * values[rows, k] + w * values[rows, k + 1]
+    return out[:, 0] if one else out
+
+
+def sup_norms(nodes: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sup_norm of S padded paths at once, one time each, bit for bit."""
+    node_norms = np.where(nodes <= t[:, None] + _NODE_TOL, np.linalg.norm(values, axis=-1),
+                          -np.inf)
+    best = node_norms.max(axis=1)
+    cur = _row_norms(values_at(nodes, values, t))
+    return np.where(cur > best, cur, best)  # max(best, cur) as sup_norm takes it
+
+
+def stop_paths(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):
+    """stop_path of S padded paths at once, one time each, bit for bit.
+
+    Returns the stopped paths' (nodes, values) in the padded layout.  As in
+    stop_path, a path keeps its grid with the rows after t frozen at x(t)
+    when that candidate gives x(t) within _NODE_TOL; otherwise t is inserted
+    as a node, the path is resampled there and stopped again, and the result
+    is one column wider.
+    """
+    xt = values_at(nodes, values, t)
+    frozen = nodes > t[:, None] + _NODE_TOL
+    stopped = np.where(frozen[..., None], xt[:, None, :], values)
+    keep = _row_norms(values_at(nodes, stopped, t) - xt) <= _NODE_TOL * (1.0 + _row_norms(xt))
+    if keep.all():
+        return nodes, stopped
+    miss = ~keep
+    grown = np.sort(np.concatenate([nodes[miss], t[miss, None]], axis=1), axis=1)
+    sub_nodes, sub_values = stop_paths(grown, values_at(nodes[miss], values[miss], grown),
+                                       t[miss])
+    width = sub_nodes.shape[1]
+    nodes_out = np.full((len(t), width), np.inf)
+    values_out = np.zeros((len(t), width, values.shape[2]))
+    nodes_out[keep, :nodes.shape[1]] = nodes[keep]
+    values_out[keep, :nodes.shape[1]] = stopped[keep]
+    nodes_out[miss], values_out[miss] = sub_nodes, sub_values
+    return nodes_out, values_out
 
 
 @dataclass(frozen=True)

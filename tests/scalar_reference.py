@@ -1,15 +1,24 @@
-"""The scalar implicit-Euler step that _implicit_step_batch replaced, kept
-verbatim as the reference its lanes are checked against.
+"""Scalar loops that array programs replaced, kept verbatim as the references
+the batches are checked against.
 
-It reads NEWTON_MAX_ITER from pdhj.evolution at call time, so a test that
-monkeypatches the limit changes the batch and the reference alike.
+- _implicit_step: the implicit-Euler step of _implicit_step_batch.  It reads
+  NEWTON_MAX_ITER from pdhj.evolution at call time, so a test that
+  monkeypatches the limit changes the batch and the reference alike.
+- property_battery_records: the sampled loop of pdhj.upsilon.property_battery
+  (one Path per sample), with its non_anticipativity_gap.
+- isaacs_samples and audit_hamiltonian_lipschitz: the Hamiltonian samples of
+  the isaacs-check runner and the Lipschitz audit of pdhj.game, one
+  hamiltonian call per (sample, z).
 """
 
 import numpy as np
 
 from pdhj import evolution
-from pdhj.errors import SolverError
+from pdhj.errors import DomainError, SolverError
 from pdhj.evolution import OperatorSpec, _bisect_step
+from pdhj.game import GameSpec, LipschitzReport, hamiltonian
+from pdhj.pathcore import Path, TimeGrid, kappa_constant, stop_path, sup_norm
+from pdhj.upsilon import penalty_psi, upsilon
 
 
 def _implicit_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarray,
@@ -66,3 +75,96 @@ def _implicit_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarra
             if tau < 1e-12:
                 break
     raise SolverError(f"implicit step failed to converge at step {step_index}", step_index)
+
+
+def non_anticipativity_gap(t: float, x: Path) -> float:
+    """|surrogate(t, x) - surrogate(t, stopped x)| -- zero by construction."""
+    return abs(upsilon(t, x).value - upsilon(t, stop_path(x, t)).value)
+
+
+def property_battery_records(samples: int = 500, seed: int = 0) -> list:
+    """The sampled records of property_battery: sandwich bounds through
+    non-anticipativity (the chain-rule records are not sampled)."""
+    rng = np.random.default_rng(seed)
+    kappa = kappa_constant()
+    checks = []
+
+    worst_low, worst_high = np.inf, -np.inf
+    theta_min, theta_max = np.inf, -np.inf
+    grad_excess = -np.inf
+    dt_nonzero = 0
+    na_gap = 0.0
+    for _ in range(samples):
+        n = int(rng.integers(4, 20))
+        grid = TimeGrid(0.0, 1.0, n)
+        dim = int(rng.integers(1, 4))
+        x = Path(grid, rng.standard_normal((n + 1, dim)))
+        y = Path(grid, rng.standard_normal((n + 1, dim)))
+        t = rng.uniform(0.0, 1.0)
+        pe = penalty_psi(t, x, y)
+        s2 = sup_norm(x - y, t) ** 2
+        if s2 > 0:
+            worst_low = min(worst_low, pe.value - kappa * s2)
+            worst_high = max(worst_high, pe.value - 3.0 * s2)
+        theta_min = min(theta_min, pe.theta)
+        theta_max = max(theta_max, pe.theta)
+        ev = upsilon(t, x)
+        bound = 4.0 * float(np.linalg.norm(x.value_at(t)))
+        grad_excess = max(grad_excess, float(np.linalg.norm(ev.dx)) - bound * (1.0 + 1e-12))
+        dt_nonzero += ev.dt != 0.0
+        na_gap = max(na_gap, non_anticipativity_gap(t, x))
+
+    checks.append({"name": "sandwich-lower", "value": float(worst_low),
+                   "passed": worst_low >= -1e-10})
+    checks.append({"name": "sandwich-upper", "value": float(worst_high),
+                   "passed": worst_high <= 1e-10})
+    checks.append({"name": "theta-range", "value": [float(theta_min), float(theta_max)],
+                   "passed": 0.0 <= theta_min and theta_max <= 4.0})
+    checks.append({"name": "gradient-bound", "value": float(grad_excess),
+                   "passed": grad_excess <= 0.0})
+    checks.append({"name": "dt-zero", "value": int(dt_nonzero), "passed": dt_nonzero == 0})
+    checks.append({"name": "non-anticipativity", "value": float(na_gap),
+                   "passed": na_gap <= 1e-12})
+    return checks
+
+
+def isaacs_samples(spec: GameSpec, samples: int, seed: int):
+    """(max_isaacs_gap, order_violations) of the isaacs-check runner."""
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(0.0, 1.0, 8)
+    dim = spec.dyn.op.space.dim
+    worst_gap, violations = 0.0, 0
+    for _ in range(samples):
+        x = Path(grid, rng.standard_normal((9, dim)))
+        z = rng.standard_normal(dim)
+        ev = hamiltonian(spec, float(rng.choice(grid.nodes)), x, z)
+        worst_gap = max(worst_gap, ev.isaacs_gap)
+        violations += ev.isaacs_gap < -1e-12
+    return worst_gap, int(violations)
+
+
+def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> LipschitzReport:
+    """Max of |F(z1) - F(z2)| / ((1 + sup)|z1 - z2|) over both Hamiltonians."""
+    if samples < 1:
+        raise DomainError("samples must be >= 1")
+    rng = np.random.default_rng(seed)
+    dim = spec.dyn.op.space.dim
+    worst = 0.0
+    for _ in range(samples):
+        n = int(rng.integers(4, 10))
+        grid = TimeGrid(0.0, 1.0, n)
+        x = Path(grid, rng.standard_normal((n + 1, dim)) * rng.choice([0.3, 1.0, 2.0]))
+        t = float(rng.choice(grid.nodes))
+        z1 = rng.standard_normal(dim) * rng.choice([0.5, 2.0])
+        z2 = rng.standard_normal(dim) * rng.choice([0.5, 2.0])
+        dz = float(np.linalg.norm(z1 - z2))
+        if dz < 1e-12:
+            continue
+        h1 = hamiltonian(spec, t, x, z1)
+        h2 = hamiltonian(spec, t, x, z2)
+        scale = (1.0 + sup_norm(x, t)) * dz
+        worst = max(worst,
+                    abs(h1.f_minus - h2.f_minus) / scale,
+                    abs(h1.f_plus - h2.f_plus) / scale)
+    return LipschitzReport(samples=samples, seed=seed, max_ratio=worst, bound=spec.l_f,
+                           flagged=worst > spec.l_f + 1e-9)

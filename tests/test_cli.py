@@ -337,6 +337,31 @@ class TestConfigRefusals:
         assert str(err.value) == ("unknown perturbation family 'bogus'; "
                                   "expected one of ['f-drift', 'h-shift']")
 
+    @pytest.mark.parametrize("config, field, value, message", [
+        ("upsilon_check.json", "samples", 0, "samples must be >= 1, got 0"),
+        ("upsilon_check.json", "samples", -3, "samples must be >= 1, got -3"),
+        ("isaacs_check.json", "samples", 0, "samples must be >= 1, got 0"),
+        ("feedback_run.json", "budget", 0, "budget must be >= 1, got 0"),
+        ("feedback_run.json", "calibration_budget", 0, "calibration_budget must be >= 1, got 0"),
+        ("minimax_check.json", "sites", 0, "sites must be >= 1, got 0"),
+        ("minimax_check.json", "budget", 0, "budget must be >= 1, got 0"),
+        ("minimax_check.json", "horizon", 0.0, "horizon must be > 0, got 0.0"),
+        ("minimax_check.json", "horizon", -1.0, "horizon must be > 0, got -1.0"),
+    ], ids=["upsilon-samples-0", "upsilon-samples-neg", "isaacs-samples", "feedback-budget",
+            "feedback-calibration-budget", "minimax-sites", "minimax-budget", "minimax-horizon-0",
+            "minimax-horizon-neg"])
+    def test_counts_below_one_refused_while_building(self, tmp_path, capsys, config, field,
+                                                     value, message):
+        # upsilon-check used to pass writing Infinity into result.json, isaacs-check
+        # and feedback-run to exit 3 after the manifest, minimax-check to pass
+        # vacuously (no sites, no tube samples) or run one step
+        cfg = shipped_config(config)
+        cfg[field] = value
+        self._refused(tmp_path, capsys, cfg, field)
+        with pytest.raises(UsageError) as err:
+            run(cfg, str(tmp_path / "again"))
+        assert str(err.value) == message
+
     def test_lattice_points_are_integers(self, tmp_path, capsys):
         cfg = shipped_config("game_value.json")
         cfg["lattice"]["points"] = [33.7]
@@ -452,7 +477,7 @@ class TestMinimaxSites:
         monkeypatch.setattr(cli, "minimax_residual", residual)
         cfg = base_config("minimax-check", grid={"t_end": 1.0, "n_steps": 8},
                           lattice={"lo": [-2.0, -1.0], "hi": [2.0, 3.0], "points": [9, 9]},
-                          sites=0, horizon=0.25, budget=4, mutation_control=True)
+                          sites=1, horizon=0.25, budget=4, mutation_control=True)
         run(cfg, str(tmp_path))
         (table, bumped), = bumps
         changed = np.argwhere(bumped.v_plus != table.v_plus)

@@ -4,7 +4,8 @@ The references are bench/reference/seed<n>/<stem>.json.  Every config runs at
 seed 0, feedback_run.json included (about 1.5 s).  bench/configs/feedback_short.json
 runs the same feedback code on a shorter grid, and also at seeds 1 and 2, whose
 adversary pools draw other random streams.  The DP and residual configs run at
-seeds 1 and 2 too, which draw other residual sites, probes and samples.
+seeds 1 and 2 too, which draw other residual sites, probes and samples, and the
+sampled batteries (upsilon_check, isaacs_check) at seeds 1 to 11.
 """
 
 import json
@@ -33,6 +34,12 @@ def test_feedback_short_other_seeds(seed, tmp_path):
 @pytest.mark.parametrize("stem", ["minimax_check", "stability_run", "game_value",
                                   "isaacs_check"])
 def test_residual_layer_other_seeds(stem, seed, tmp_path):
+    _check(ROOT / "configs" / f"{stem}.json", seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(1, 12))
+@pytest.mark.parametrize("stem", ["upsilon_check", "isaacs_check"])
+def test_sampled_batteries_other_seeds(stem, seed, tmp_path):
     _check(ROOT / "configs" / f"{stem}.json", seed, tmp_path)
 
 

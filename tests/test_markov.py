@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdhj.errors import ConfigurationError, DomainError, EvaluationError
-from pdhj.evolution import DelayDynamics, _row_dots, make_linear_operator
+from pdhj.evolution import DelayDynamics, make_linear_operator
 from pdhj.game import (
     ControlGrid,
     GameSpec,
@@ -34,7 +34,7 @@ from pdhj.game import (
     with_terminal_shift,
 )
 from pdhj.minimax import minimax_residual, viscosity_scan
-from pdhj.pathcore import Path, TimeGrid, stopped_at, sup_norm
+from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at, sup_norm
 from pdhj.upsilon import LyapunovParams
 
 
@@ -331,6 +331,28 @@ class TestOracleProbe:
         with pytest.raises(ConfigurationError, match="game 'sup' reads its path before t "
                                                      r"at time node 3 \(t=0\.75"):
             dp_value(spec, self.grid, self.lattice)
+
+    def test_terminal_cost_reading_the_past_is_refused(self):
+        # the stage terms read x(t) only; the terminal cost reads x(0)
+        spec = dataclasses.replace(isaacs_game(), markov_terms=None,
+                                   terminal_cost=lambda x: float(x.values[0][0] ** 2))
+        with pytest.raises(ConfigurationError) as err:
+            dp_value(spec, self.grid, self.lattice)
+        assert str(err.value) == (
+            "game 'isaacs-additive' reads its path before T in its terminal cost (lattice "
+            "state [-1.]): the DP oracle values only games that read the path through x(T)")
+
+    def test_terminal_running_sup_is_refused(self):
+        spec = dataclasses.replace(_past_reading_game(lambda t, x, p, q: 0.0, "sup-end"),
+                                   terminal_cost=lambda x: sup_norm(x, x.grid.t_end))
+        with pytest.raises(ConfigurationError, match="game 'sup-end' reads its path before T"):
+            dp_value(spec, self.grid, self.lattice)
+
+    def test_terminal_cost_of_x_at_the_horizon_passes(self):
+        spec = dataclasses.replace(isaacs_game(), markov_terms=None)
+        table = dp_value(spec, self.grid, self.lattice)
+        assert np.array_equal(table.v_plus, dp_value(isaacs_game(), self.grid,
+                                                     self.lattice).v_plus)
 
     def test_a_game_reading_x_of_t_passes(self):
         spec = _past_reading_game(lambda t, x, p, q: 0.1 * float(x.value_at(t)[0]) ** 2, "now")

@@ -3,7 +3,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pdhj.errors import DomainError
 from pdhj.pathcore import Path, StateSpace, TimeGrid, d_infinity, stop_path, sup_norm
@@ -117,6 +117,9 @@ def _path_and_time(draw):
 
 class TestValueAt:
     @given(_path_and_time())
+    # linspace makes node 0 +0.0, so w is -0.0 at t = -0.0; the node branch
+    # must add w * next, not 0.0 * next, to keep the blend's -0.0
+    @example((Path(TimeGrid(-0.0, 1.0, 1), [[-0.0], [0.0]]), -0.0))
     def test_matches_blend_formula(self, case):
         path, t = case
         try:

@@ -1,11 +1,16 @@
 """Configuration-driven experiment runner.
 
-One structured JSON config per experiment; the schema is strict (unknown
-fields are errors, every numeric knob has a recorded default).  Each run
-writes its manifest (config echo, versions, seed, timestamp) before any
-computation, then a result JSON (sorted keys, no timestamps: byte-identical
-for identical config and seed) and plot-ready CSV tables.  Exit status 0 iff
-every enabled property check passed.
+One JSON config per experiment.  Each config field's type, default and domain
+live in one table, the fields of each experiment in EXPERIMENTS.
+validate_config resolves a config against it: an unknown field, or a value
+outside its field's domain, is a UsageError naming the dotted field path (exit
+status 2), raised before any run directory is made.  A run writes its manifest
+(the resolved config, versions, seed, timestamp) before any computation, then
+a result JSON (sorted keys, no timestamps: byte-identical for identical config
+and seed; strict JSON, never NaN or Infinity) and plot-ready CSV tables.  The
+computation runs with numpy's floating-point errors raised; those and the
+toolkit's other errors exit with status 3.  Exit status 0 iff every enabled
+property check passed, 1 if one failed.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ import os
 import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import PdhjError, UsageError
+from .errors import DomainError, EvaluationError, PdhjError, UsageError
 from .evolution import (
     DelayDynamics,
     audit_hypotheses,
@@ -55,134 +61,225 @@ from .upsilon import LyapunovParams, property_battery
 ENV_OUT_ROOT = "PDHJ_OUT_ROOT"
 SCHEMA_VERSION = 1
 
-KINDS = ("solve", "upsilon-check", "game-value", "feedback-run",
-         "minimax-check", "stability-run", "isaacs-check")
-
-
 # ---------------------------------------------------------------------------
-# schema validation
+# the config schema
+#
+# Every rule for a config field lives in its Field: its type, its default and
+# its domain.  validate_config resolves a config against the fields of its
+# experiment (EXPERIMENTS, after the runners) in table order, so a default or
+# a rule may read the fields resolved before it.
 # ---------------------------------------------------------------------------
 
-_GRID_SCHEMA = {"t_end": float, "n_steps": int}
-# a list field names the type of its entries: [float] holds numbers, [int] integers
-_LATTICE_SCHEMA = {"lo": [float], "hi": [float], "points": [int]}
-_OPERATOR_SCHEMA = {"kind": str, "dim": int, "gain": float, "nodes": int, "p": float}
-_CONTROLS_SCHEMA = {"p_points": [float], "q_points": [float]}
-_GAME_SCHEMA = {"kind": str, "scale": float, "gain": float, "cost_weight": float,
-                "cost": float, "levels": [float], "controls": _CONTROLS_SCHEMA}
-# the fields each operator and game kind reads, besides kind
-_OPERATOR_FIELDS = {"linear": ("dim", "gain"), "p-laplacian-1d": ("nodes", "p")}
-_GAME_FIELDS = {"isaacs-additive": ("scale", "gain", "cost_weight", "levels", "controls"),
-                "bilinear": ("scale", "gain", "levels", "controls"),
-                "constant": ("cost", "gain", "controls")}
 
-_SCHEMAS = {
-    "solve": {"operator": _OPERATOR_SCHEMA, "grid": _GRID_SCHEMA, "lipschitz": float,
-              "t0": float, "initial": [float],
-              "forcing": {"kind": str, "value": [float]}},
-    "upsilon-check": {"samples": int},
-    "game-value": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
-                   "lattice": _LATTICE_SCHEMA, "probe_z": [float]},
-    "isaacs-check": {"game": _GAME_SCHEMA, "samples": int},
-    "feedback-run": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
-                     "lattice": _LATTICE_SCHEMA, "partition_steps": [int],
-                     "budget": int, "x0": [float], "library_size": int,
-                     "epsilon_fraction": float, "calibration_budget": int},
-    "minimax-check": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
-                      "lattice": _LATTICE_SCHEMA, "sites": int, "horizon": float,
-                      "budget": int, "mutation_control": bool},
-    "stability-run": {"game": _GAME_SCHEMA, "grid": _GRID_SCHEMA,
-                      "lattice": _LATTICE_SCHEMA, "family": str, "n_list": [int]},
-}
+class Field(NamedTuple):
+    """A config field.  type: float, int, bool, str, [float] or [int] (lists),
+    a dict of fields (a block) or Kinds.  default: the value when absent, a
+    function of the config resolved so far, or None when the field must be
+    given; an absent block resolves its own fields.  rules: the domain, each a
+    function (value, config resolved so far) that returns the refusal message,
+    which follows the field's path, or None."""
 
-_COMMON_FIELDS = {"schema_version": int, "kind": str, "name": str, "seed": int}
+    type: object
+    default: object = None
+    rules: tuple = ()
 
 
-def _check_fields(obj: dict, schema: dict, prefix: str):
-    for key, value in obj.items():
-        if key not in schema:
-            raise UsageError(f"unknown config field {prefix}{key}", field_path=prefix + key)
-        expected = schema[key]
-        if isinstance(expected, dict):
-            if not isinstance(value, dict):
-                raise UsageError(f"field {prefix}{key} must be an object",
-                                 field_path=prefix + key)
-            _check_fields(value, expected, prefix + key + ".")
-        elif expected is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise UsageError(f"field {prefix}{key} must be a number",
-                                 field_path=prefix + key)
-            if not math.isfinite(value):
-                raise UsageError(f"field {prefix}{key} must be finite", field_path=prefix + key)
-        elif expected is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise UsageError(f"field {prefix}{key} must be an integer",
-                                 field_path=prefix + key)
-        elif isinstance(expected, list):
-            if not isinstance(value, list):
-                raise UsageError(f"field {prefix}{key} must be a list",
-                                 field_path=prefix + key)
-            accepted, noun = ((int, float), "numbers") if expected == [float] else (int, "integers")
-            if not all(isinstance(v, accepted) and not isinstance(v, bool) for v in value):
-                raise UsageError(f"{prefix}{key} entries must be {noun}",
-                                 field_path=prefix + key)
-            if any(isinstance(v, float) and not math.isfinite(v) for v in value):
-                raise UsageError(f"field {prefix}{key} must hold finite numbers",
-                                 field_path=prefix + key)
-        elif expected is str:
-            if not isinstance(value, str):
-                raise UsageError(f"field {prefix}{key} must be a string",
-                                 field_path=prefix + key)
-        elif expected is bool:
-            if not isinstance(value, bool):
-                raise UsageError(f"field {prefix}{key} must be a boolean",
-                                 field_path=prefix + key)
+class Kinds(dict):
+    """A block whose `kind` picks the fields it reads: kind -> dict of fields.
+    The first kind is the default."""
+
+
+def _at_least(bound):
+    return lambda v, cfg: f"must be >= {bound}, got {v}" if v < bound else None
+
+
+def _entries_at_least(bound):
+    return lambda v, cfg: f"entries must be >= {bound}, got {v}" if min(v) < bound else None
+
+
+def _positive(v, cfg):
+    return f"must be > 0, got {v}" if v <= 0 else None
+
+
+def _nonempty(v, cfg):
+    return None if v else "must not be empty"
+
+
+def _fraction(v, cfg):
+    return None if 0 < v <= 1 else f"must lie in (0, 1], got {v}"
+
+
+def _grid_node(v, cfg):
+    try:
+        _build_grid(cfg["grid"]).node_index(v)
+    except DomainError:
+        return f"must be a node of grid, got {v}"
+
+
+def _above_lo(v, cfg):
+    if not all(h > lo for lo, h in zip(cfg["lattice"]["lo"], v)):
+        return f"must exceed lattice.lo entry by entry, got {v}"
+
+
+def _one_directory(v, cfg):
+    if v in ("", ".", "..") or set(v) & set("/\\\0"):
+        return f"must name one directory, got {v!r}"
+
+
+def _stability(n_list, cfg):
+    """stability_experiment's own rule on family and n_list; it names which."""
+    refusal = stability_refusal(cfg["family"], n_list)
+    if refusal:
+        raise UsageError(refusal[1], field_path=refusal[0])
+
+
+def _dim(cfg: dict) -> int:
+    """The state dimension of the config's game, or of its operator, which is
+    not built here: p-laplacian-1d's build runs a sampled audit."""
+    if "game" in cfg:
+        return _build_game(cfg["game"]).dyn.op.space.dim
+    operator = cfg["operator"]
+    return operator["dim"] if operator["kind"] == "linear" else operator["nodes"]
+
+
+def _coordinates(entry, *rules):
+    """A vector with one entry per state coordinate, each `entry` by default."""
+    def per_coordinate(v, cfg):
+        if len(v) != _dim(cfg):
+            return f"has {len(v)} entries, but the state has dimension {_dim(cfg)}"
+    return Field([type(entry)], lambda cfg: [entry] * _dim(cfg), (per_coordinate,) + rules)
+
+
+def _controls(axis):
+    """The control grid: both axes given, or `axis` on each, the game builder's own grid."""
+    required = Field([float], None, (_nonempty,))
+    return Field({"p_points": required, "q_points": required},
+                 lambda cfg: {"p_points": axis(cfg), "q_points": axis(cfg)})
+
+
+_COUNT = _at_least(1)
+_GAIN = Field(float, 1.0, (_positive,))  # A(x) = gain * x: monotone, coercive iff gain > 0
+_LEVELS = _controls(lambda cfg: cfg["game"]["levels"])
+_GRID = Field({"t_end": Field(float, 1.0, (_positive,)), "n_steps": Field(int, 32, (_COUNT,))},
+              {})
+_LATTICE = Field({"lo": _coordinates(-2.0), "hi": _coordinates(2.0, _above_lo),
+                  "points": _coordinates(64, _entries_at_least(2))}, {})
+_GAME = Field(Kinds({
+    "isaacs-additive": {"scale": Field(float, 0.5), "gain": _GAIN,
+                        "cost_weight": Field(float, 0.1),
+                        "levels": Field([float], [-1.0, 0.0, 1.0], (_nonempty,)),
+                        "controls": _LEVELS},
+    "bilinear": {"scale": Field(float, 1.0), "gain": _GAIN,
+                 "levels": Field([float], [-1.0, 1.0], (_nonempty,)), "controls": _LEVELS},
+    "constant": {"cost": Field(float, 1.0), "gain": _GAIN,
+                 "controls": _controls(lambda cfg: [0.0])},
+}), {})
+_OPERATOR = Field(Kinds({
+    "linear": {"dim": Field(int, 1, (_COUNT,)), "gain": _GAIN},
+    "p-laplacian-1d": {"nodes": Field(int, 8, (_at_least(2),)),
+                       "p": Field(float, 2.0, (_at_least(2),))},
+}), {})
+_GAME_BLOCKS = {"game": _GAME, "grid": _GRID, "lattice": _LATTICE}
+_COMMON = {"schema_version": Field(int), "kind": Field(str),
+           "name": Field(str, lambda cfg: cfg["kind"], (_one_directory,)),
+           "seed": Field(int, 0, (_at_least(0),))}
+
+
+def _refuse_unless(ok: bool, message: str, path: str):
+    if not ok:
+        raise UsageError(message, field_path=path)
+
+
+_NOUNS = {float: "a number", int: "an integer", bool: "a boolean", str: "a string"}
+
+
+def _typed(value, expected, path: str):
+    """`value` checked against a scalar or list type (a bool is no number, a
+    number is finite): numbers as float, lists copied."""
+    is_list = isinstance(expected, list)
+    _refuse_unless(isinstance(value, list) or not is_list, f"field {path} must be a list", path)
+    scalar, must = (expected[0], f"{path} entries must each") if is_list else (
+        expected, f"field {path} must")
+    for v in value if is_list else [value]:
+        _refuse_unless(isinstance(v, (int, float) if scalar is float else scalar)
+                       and isinstance(v, bool) == (scalar is bool),
+                       f"{must} be {_NOUNS[scalar]}", path)
+        _refuse_unless(scalar is not float or math.isfinite(v), f"{must} be finite", path)
+    return list(value) if is_list else float(value) if scalar is float else value
+
+
+def _resolve(fields: dict, given: dict, prefix: str, cfg: dict, out: dict) -> dict:
+    """`out` filled with the block `given` resolved against `fields`, in order;
+    `cfg` is the config resolved so far, `out` already inside it."""
+    if isinstance(fields, Kinds):
+        kind = given.get("kind", next(iter(fields)))
+        _refuse_unless(kind in tuple(fields),
+                       f"{prefix}kind must be one of {tuple(fields)}, got {kind!r}",
+                       prefix + "kind")
+        for key in given:  # a field of another kind is not read by this one
+            _refuse_unless(key == "kind" or key in fields[kind]
+                           or not any(key in block for block in fields.values()),
+                           f"field {prefix}{key} is not read by {prefix[:-1]} kind {kind!r}",
+                           prefix + key)
+        fields = {"kind": Field(str, kind), **fields[kind]}
+    for key in given:
+        _refuse_unless(key in fields, f"unknown config field {prefix}{key}", prefix + key)
+    for key, field in fields.items():
+        path = prefix + key
+        _refuse_unless(key in given or field.default is not None, f"missing field {path}", path)
+        value = given[key] if key in given else (
+            field.default(cfg) if callable(field.default) else field.default)
+        if isinstance(field.type, dict):
+            _refuse_unless(isinstance(value, dict), f"field {path} must be an object", path)
+            out[key] = {}
+            _resolve(field.type, value, path + ".", cfg, out[key])
+        else:
+            out[key] = _typed(value, field.type, path)
+        for rule in field.rules:
+            refusal = rule(out[key], cfg)
+            _refuse_unless(not refusal, f"{path} {refusal}", path)
+    return out
 
 
 def validate_config(config: dict) -> dict:
-    if not isinstance(config, dict):
-        raise UsageError("config must be a JSON object")
-    version = config.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise UsageError(f"schema_version must be {SCHEMA_VERSION}",
-                         field_path="schema_version")
-    kind = config.get("kind")
-    if kind not in KINDS:
-        raise UsageError(f"kind must be one of {KINDS}", field_path="kind")
-    schema = dict(_COMMON_FIELDS)
-    schema.update(_SCHEMAS[kind])
-    _check_fields(config, schema, "")
-    return config
+    """The config resolved against its experiment's fields, every field given
+    or defaulted; a UsageError names the first field it refuses."""
+    _refuse_unless(isinstance(config, dict), "config must be a JSON object", None)
+    _refuse_unless(config.get("schema_version") == SCHEMA_VERSION,
+                   f"schema_version must be {SCHEMA_VERSION}", "schema_version")
+    _refuse_unless(config.get("kind") in KINDS, f"kind must be one of {KINDS}", "kind")
+    resolved = {}
+    return _resolve({**_COMMON, **EXPERIMENTS[config["kind"]].fields}, config, "", resolved,
+                    resolved)
 
 
 # ---------------------------------------------------------------------------
-# config -> domain objects
+# resolved config -> domain objects
 # ---------------------------------------------------------------------------
+
+_GAME_BUILDERS = {"isaacs-additive": isaacs_game, "bilinear": bilinear_game,
+                  "constant": constant_game}
+
 
 def _build_grid(block: dict) -> TimeGrid:
-    block = block or {}
-    return TimeGrid(0.0, float(block.get("t_end", 1.0)), int(block.get("n_steps", 32)))
+    return TimeGrid(0.0, block["t_end"], block["n_steps"])
 
 
-def _build_lattice(block: dict, dim: int) -> StateLattice:
-    """The value lattice; it must have one axis per coordinate of the game state."""
-    block = block or {}
-    lo = block.get("lo", [-2.0])
-    hi = block.get("hi", [2.0])
-    points = block.get("points", [64])
-    for key, entries in (("lo", lo), ("hi", hi), ("points", points)):
-        if len(entries) != dim:
-            raise UsageError(f"lattice.{key} has {len(entries)} entries, but the game "
-                             f"state has dimension {dim}", field_path="lattice." + key)
-    return StateLattice(lo=tuple(lo), hi=tuple(hi), shape=tuple(points))
+def _build_lattice(block: dict) -> StateLattice:
+    return StateLattice(lo=block["lo"], hi=block["hi"], shape=block["points"])
 
 
-def _state_vector(entries: list, dim: int, field: str) -> np.ndarray:
-    """A config vector that needs one number per coordinate of the state."""
-    if len(entries) != dim:
-        raise UsageError(f"{field} has {len(entries)} entries, but the state has "
-                         f"dimension {dim}", field_path=field)
-    return np.asarray(entries, dtype=float)
+def _build_operator(block: dict):
+    if block["kind"] == "linear":
+        return make_linear_operator(dim=block["dim"], gain=block["gain"])
+    return build_p_laplacian(block["nodes"], block["p"])
+
+
+def _build_game(block: dict) -> GameSpec:
+    """The built-in game of the block's kind; its fields are the builder's arguments."""
+    params = {key: value for key, value in block.items() if key not in ("kind", "controls")}
+    return replace(_GAME_BUILDERS[block["kind"]](**params),
+                   controls=ControlGrid(**block["controls"]))
 
 
 def _site_state(rng, lattice: StateLattice, shrink: float) -> np.ndarray:
@@ -192,99 +289,26 @@ def _site_state(rng, lattice: StateLattice, shrink: float) -> np.ndarray:
                      for lo, hi in zip(lattice.lo, lattice.hi)])
 
 
-def _count(config: dict, key: str, default: int) -> int:
-    """A count field of the config, refused below 1."""
-    value = int(config.get(key, default))
-    if value < 1:
-        raise UsageError(f"{key} must be >= 1, got {value}", field_path=key)
-    return value
-
-
-def _refuse_unread(block: dict, name: str, kind: str, fields: dict):
-    """Refuse an unknown kind, or a field that the block's kind does not read,
-    naming it."""
-    if kind not in fields:
-        raise UsageError(f"unknown {name} kind {kind!r}", field_path=name + ".kind")
-    for key in block:
-        if key != "kind" and key not in fields[kind]:
-            raise UsageError(f"field {name}.{key} is not read by {name} kind {kind!r}",
-                             field_path=f"{name}.{key}")
-
-
-def _build_operator(block: dict):
-    block = block or {}
-    kind = block.get("kind", "linear")
-    _refuse_unread(block, "operator", kind, _OPERATOR_FIELDS)
-    if kind == "linear":
-        return make_linear_operator(dim=int(block.get("dim", 1)),
-                                    gain=float(block.get("gain", 1.0)))
-    return build_p_laplacian(int(block.get("nodes", 8)), float(block.get("p", 2.0)))
-
-
-def _build_game(block: dict) -> GameSpec:
-    block = block or {}
-    kind = block.get("kind", "isaacs-additive")
-    _refuse_unread(block, "game", kind, _GAME_FIELDS)
-    if block.get("levels") == []:
-        raise UsageError("game.levels must not be empty", field_path="game.levels")
-    if kind == "isaacs-additive":
-        spec = isaacs_game(scale=float(block.get("scale", 0.5)),
-                           gain=float(block.get("gain", 1.0)),
-                           cost_weight=float(block.get("cost_weight", 0.1)),
-                           levels=tuple(block.get("levels", (-1.0, 0.0, 1.0))))
-    elif kind == "bilinear":
-        spec = bilinear_game(scale=float(block.get("scale", 1.0)),
-                             gain=float(block.get("gain", 1.0)),
-                             levels=tuple(block.get("levels", (-1.0, 1.0))))
-    else:
-        spec = constant_game(cost=float(block.get("cost", 1.0)),
-                             gain=float(block.get("gain", 1.0)))
-    controls = block.get("controls")
-    if controls is not None:
-        for key in ("p_points", "q_points"):
-            if key not in controls:
-                raise UsageError(f"missing field controls.{key}",
-                                 field_path="game.controls." + key)
-            if not controls[key]:
-                raise UsageError(f"game.controls.{key} must not be empty",
-                                 field_path="game.controls." + key)
-        spec = replace(spec, controls=ControlGrid(p_points=tuple(controls["p_points"]),
-                                                  q_points=tuple(controls["q_points"])))
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # experiment implementations
 #
-# Each runner is a generator that yields twice: once when it has built its
-# domain objects from the config, so every refusal of the config is raised
-# before run writes anything, and then its result.
+# Each runner takes the resolved config and returns its result; it adds the
+# text of its other output files to `artifacts`, keyed by file name.
 # ---------------------------------------------------------------------------
 
-def _run_solve(config: dict, seed: int, artifacts: dict):
-    op = _build_operator(config.get("operator"))
-    grid = _build_grid(config.get("grid"))
-    lipschitz = float(config.get("lipschitz", 1.0))
-    dyn = DelayDynamics.forced(op, lipschitz)
-    dim = op.space.dim
-    initial = _state_vector(config.get("initial", [1.0] * dim), dim, "initial")
-    x0 = Path.constant(grid, initial)
-    forcing_block = config.get("forcing", {"kind": "zero"})
-    if forcing_block.get("kind", "zero") == "zero":
-        forcing = None
-    elif forcing_block["kind"] == "constant":
-        vec = _state_vector(forcing_block.get("value", [0.0] * dim), dim, "forcing.value")
-        forcing = np.tile(vec, (grid.n_steps, 1))
-    else:
-        raise UsageError("forcing.kind must be 'zero' or 'constant'",
-                         field_path="forcing.kind")
-    yield
-    report = solve_delay_evolution(dyn, float(config.get("t0", 0.0)), x0, forcing=forcing)
-    audit = audit_hypotheses(op, 200, seed)
+def _run_solve(cfg: dict, artifacts: dict):
+    op = _build_operator(cfg["operator"])
+    grid = _build_grid(cfg["grid"])
+    dyn = DelayDynamics.forced(op, cfg["lipschitz"])
+    x0 = Path.constant(grid, np.asarray(cfg["initial"], dtype=float))
+    forcing = None
+    if cfg["forcing"]["kind"] == "constant":
+        forcing = np.tile(np.asarray(cfg["forcing"]["value"], dtype=float), (grid.n_steps, 1))
+    report = solve_delay_evolution(dyn, cfg["t0"], x0, forcing=forcing)
+    audit = audit_hypotheses(op, 200, cfg["seed"])
     artifacts["path.csv"] = report.path.to_csv()
-    artifacts["solve_report.json"] = json.dumps(report.to_json_obj(), indent=2,
-                                                sort_keys=True)
-    yield {
+    artifacts["solve_report.json"] = _json_text(report.to_json_obj())
+    return {
         "kind": "solve",
         "residual_estimate": report.residual_estimate,
         "newton_total": report.newton_total,
@@ -294,30 +318,26 @@ def _run_solve(config: dict, seed: int, artifacts: dict):
     }
 
 
-def _run_upsilon_check(config: dict, seed: int, artifacts: dict):
-    samples = _count(config, "samples", 500)
-    yield
-    battery = property_battery(samples=samples, seed=seed)
+def _run_upsilon_check(cfg: dict, artifacts: dict):
+    battery = property_battery(samples=cfg["samples"], seed=cfg["seed"])
     rows = ["name,value,passed"]
     for check in battery["checks"]:
         rows.append(f"{check['name']},{check['value']},{check['passed']}")
     artifacts["upsilon_checks.csv"] = "\n".join(rows) + "\n"
-    yield {"kind": "upsilon-check", **battery}
+    return {"kind": "upsilon-check", **battery}
 
 
-def _run_game_value(config: dict, seed: int, artifacts: dict):
-    spec = _build_game(config.get("game"))
-    grid = _build_grid(config.get("grid"))
-    dim = spec.dyn.op.space.dim
-    lattice = _build_lattice(config.get("lattice"), dim)
-    z = _state_vector(config.get("probe_z", [1.0] * dim), dim, "probe_z")
-    yield
+def _run_game_value(cfg: dict, artifacts: dict):
+    spec = _build_game(cfg["game"])
+    grid = _build_grid(cfg["grid"])
+    lattice = _build_lattice(cfg["lattice"])
     table = dp_value(spec, grid, lattice)
     artifacts["value_table.csv"] = table.to_csv()
-    probe = hamiltonian(spec, 0.0, Path.constant(grid, [0.0] * dim), z)
+    probe = hamiltonian(spec, 0.0, Path.constant(grid, [0.0] * spec.dyn.op.space.dim),
+                        np.asarray(cfg["probe_z"], dtype=float))
     gap_max = float(np.max(table.v_plus - table.v_minus))
     monotone = bool(np.all(table.v_minus <= table.v_plus + 1e-12))
-    yield {
+    return {
         "kind": "game-value",
         "game": spec.name,
         "isaacs_gap_at_probe": probe.isaacs_gap,
@@ -328,10 +348,9 @@ def _run_game_value(config: dict, seed: int, artifacts: dict):
     }
 
 
-def _run_isaacs_check(config: dict, seed: int, artifacts: dict):
-    spec = _build_game(config.get("game"))
-    samples = _count(config, "samples", 100)
-    yield
+def _run_isaacs_check(cfg: dict, artifacts: dict):
+    spec = _build_game(cfg["game"])
+    samples, seed = cfg["samples"], cfg["seed"]
     rng = np.random.default_rng(seed)
     grid = TimeGrid(0.0, 1.0, 8)
     dim = spec.dyn.op.space.dim
@@ -348,7 +367,7 @@ def _run_isaacs_check(config: dict, seed: int, artifacts: dict):
         worst_gap = max(worst_gap, gap)
         violations += gap < -1e-12
     lip = audit_hamiltonian_lipschitz(spec, samples, seed)
-    yield {
+    return {
         "kind": "isaacs-check",
         "game": spec.name,
         "max_isaacs_gap": worst_gap,
@@ -359,31 +378,22 @@ def _run_isaacs_check(config: dict, seed: int, artifacts: dict):
     }
 
 
-def _run_feedback(config: dict, seed: int, artifacts: dict):
-    spec = _build_game(config.get("game"))
-    grid = _build_grid(config.get("grid"))
-    dim = spec.dyn.op.space.dim
-    lattice = _build_lattice(config.get("lattice"), dim)
-    x0_vec = _state_vector(config.get("x0", [0.4] * dim), dim, "x0")
-    steps = config.get("partition_steps", [8, 16, 32])
-    if not steps or min(steps) < 1:
-        raise UsageError("partition_steps must be a nonempty list of positive integers",
-                         field_path="partition_steps")
-    budget = _count(config, "budget", 50)
-    calibration_budget = _count(config, "calibration_budget", 12)
-    yield
+def _run_feedback(cfg: dict, artifacts: dict):
+    spec = _build_game(cfg["game"])
+    grid = _build_grid(cfg["grid"])
+    lattice = _build_lattice(cfg["lattice"])
+    budget, seed = cfg["budget"], cfg["seed"]
     table = dp_value(spec, grid, lattice)
-    frac = float(config.get("epsilon_fraction", 1.0))
     base = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=grid.t_end)
-    params = LyapunovParams(epsilon=frac * base.epsilon0, lambda_L=spec.lambda_L,
-                            horizon=grid.t_end)
+    params = LyapunovParams(epsilon=cfg["epsilon_fraction"] * base.epsilon0,
+                            lambda_L=spec.lambda_L, horizon=grid.t_end)
+    x0_vec = np.asarray(cfg["x0"], dtype=float)
     x0 = Path.constant(grid, x0_vec)
-    partitions = [TimeGrid(0.0, grid.t_end, n) for n in steps]
-    strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions,
-                                       value=table,
-                                       library_size=int(config.get("library_size", 64)),
-                                       seed=seed)
-    m_hat = calibrate_step_bound(spec, strategy, partitions, calibration_budget, seed + 1)
+    partitions = [TimeGrid(0.0, grid.t_end, n) for n in cfg["partition_steps"]]
+    strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions, value=table,
+                                       library_size=cfg["library_size"], seed=seed)
+    m_hat = calibrate_step_bound(spec, strategy, partitions, cfg["calibration_budget"],
+                                 seed + 1)
     est = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
                                      seed=seed + 2)
     traces = [trace for part in partitions
@@ -396,7 +406,7 @@ def _run_feedback(config: dict, seed: int, artifacts: dict):
     for p in est.per_partition:
         rows.append(f"{p['n_steps']},{p['worst_payoff']:.17g}")
     artifacts["guarantee.csv"] = "\n".join(rows) + "\n"
-    yield {
+    return {
         "kind": "feedback-run",
         "game": spec.name,
         "epsilon": params.epsilon,
@@ -411,16 +421,11 @@ def _run_feedback(config: dict, seed: int, artifacts: dict):
     }
 
 
-def _run_minimax_check(config: dict, seed: int, artifacts: dict):
-    spec = _build_game(config.get("game"))
-    grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
-    n_sites = _count(config, "sites", 20)
-    horizon = float(config.get("horizon", 4.0 * grid.mesh))
-    if not horizon > 0.0:
-        raise UsageError(f"horizon must be > 0, got {horizon}", field_path="horizon")
-    budget = _count(config, "budget", 32)
-    yield
+def _run_minimax_check(cfg: dict, artifacts: dict):
+    spec = _build_game(cfg["game"])
+    grid = _build_grid(cfg["grid"])
+    lattice = _build_lattice(cfg["lattice"])
+    n_sites, horizon, budget, seed = cfg["sites"], cfg["horizon"], cfg["budget"], cfg["seed"]
     table = dp_value(spec, grid, lattice)
     rng = np.random.default_rng(seed)
     reports = []
@@ -448,7 +453,7 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict):
                                        for r in scan["reports"]]})
         all_pass = all_pass and not scan["violation_found"]
     mutation_detected = None
-    if config.get("mutation_control", True):
+    if cfg["mutation_control"]:
         k_mid = grid.n_steps // 2
         s_mid = tuple(n // 2 for n in lattice.shape)  # the entry at every axis's midpoint
         bumped = bump_table(table, k_mid, s_mid, 0.2, side="upper")
@@ -463,7 +468,7 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict):
             rows.append(f"{i},{direction},{r['slack']:.6e},{r['tolerance']:.6e},{r['verdict']}")
     artifacts["residuals.csv"] = "\n".join(rows) + "\n"
     passed = all_pass and (mutation_detected is None or mutation_detected)
-    yield {
+    return {
         "kind": "minimax-check",
         "sites": n_sites,
         "all_sites_pass": all_pass,
@@ -474,17 +479,12 @@ def _run_minimax_check(config: dict, seed: int, artifacts: dict):
     }
 
 
-def _run_stability(config: dict, seed: int, artifacts: dict):
-    spec = _build_game(config.get("game"))
-    grid = _build_grid(config.get("grid"))
-    lattice = _build_lattice(config.get("lattice"), spec.dyn.op.space.dim)
-    family = config.get("family", "h-shift")
-    n_list = tuple(config.get("n_list", [2, 4, 8, 16]))
-    refusal = stability_refusal(family, n_list)
-    if refusal is not None:
-        raise UsageError(refusal[1], field_path=refusal[0])
-    yield
-    report = stability_experiment(spec, family, n_list, grid, lattice)
+def _run_stability(cfg: dict, artifacts: dict):
+    spec = _build_game(cfg["game"])
+    grid = _build_grid(cfg["grid"])
+    lattice = _build_lattice(cfg["lattice"])
+    family = cfg["family"]
+    report = stability_experiment(spec, family, tuple(cfg["n_list"]), grid, lattice)
     rows = ["n,distance"]
     for n, d in zip(report.n_list, report.distances):
         rows.append(f"{n},{d:.17g}")
@@ -493,50 +493,89 @@ def _run_stability(config: dict, seed: int, artifacts: dict):
         passed = all(e <= 1e-12 for e in report.shift_exactness)
     else:
         passed = report.strictly_decreasing
-    yield {"kind": "stability-run", **report.to_json_obj(), "passed": passed}
+    return {"kind": "stability-run", **report.to_json_obj(), "passed": passed}
 
 
-_RUNNERS = {
-    "solve": _run_solve,
-    "upsilon-check": _run_upsilon_check,
-    "game-value": _run_game_value,
-    "isaacs-check": _run_isaacs_check,
-    "feedback-run": _run_feedback,
-    "minimax-check": _run_minimax_check,
-    "stability-run": _run_stability,
+class Experiment(NamedTuple):
+    """An experiment kind: its runner, the result field that summary prints,
+    and the config fields it reads besides the common ones."""
+
+    runner: object
+    metric: str
+    fields: dict
+
+
+EXPERIMENTS = {
+    "solve": Experiment(_run_solve, "residual_estimate", {
+        "operator": _OPERATOR, "grid": _GRID, "lipschitz": Field(float, 1.0, (_at_least(0),)),
+        "t0": Field(float, 0.0, (_grid_node,)),
+        "initial": _coordinates(1.0),
+        "forcing": Field(Kinds({"zero": {}, "constant": {"value": _coordinates(0.0)}}), {})}),
+    "upsilon-check": Experiment(_run_upsilon_check, "samples",
+                                {"samples": Field(int, 500, (_COUNT,))}),
+    "game-value": Experiment(_run_game_value, "value_gap_max",
+                             {**_GAME_BLOCKS, "probe_z": _coordinates(1.0)}),
+    "feedback-run": Experiment(_run_feedback, "m_hat", {
+        **_GAME_BLOCKS,
+        "partition_steps": Field([int], [8, 16, 32], (_nonempty, _entries_at_least(1))),
+        "budget": Field(int, 50, (_COUNT,)), "x0": _coordinates(0.4),
+        "library_size": Field(int, 64, (_at_least(0),)),
+        "epsilon_fraction": Field(float, 1.0, (_fraction,)),
+        "calibration_budget": Field(int, 12, (_COUNT,))}),
+    "minimax-check": Experiment(_run_minimax_check, "sites", {
+        **_GAME_BLOCKS, "sites": Field(int, 20, (_COUNT,)),
+        "horizon": Field(float, lambda cfg: 4.0 * _build_grid(cfg["grid"]).mesh, (_positive,)),
+        "budget": Field(int, 32, (_COUNT,)), "mutation_control": Field(bool, True)}),
+    "stability-run": Experiment(_run_stability, "family", {
+        **_GAME_BLOCKS, "family": Field(str, "h-shift"),
+        "n_list": Field([int], [2, 4, 8, 16], (_stability,))}),
+    "isaacs-check": Experiment(_run_isaacs_check, "max_isaacs_gap",
+                               {"game": _GAME, "samples": Field(int, 100, (_COUNT,))}),
 }
+KINDS = tuple(EXPERIMENTS)
 
 
 # ---------------------------------------------------------------------------
 # runner and summary
 # ---------------------------------------------------------------------------
 
+def _json_text(obj) -> str:
+    """Strict JSON, sorted and indented: a number that is not finite is an
+    EvaluationError, never NaN or Infinity in the file."""
+    try:
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise EvaluationError(f"a number that is not finite in the output: {err}") from err
+
+
 def run(config: dict, out_dir: str, seed: int = None) -> int:
-    """Validate, build, write the manifest, execute, and write results; 0 iff passed."""
-    validate_config(config)
-    kind = config["kind"]
-    name = config.get("name", kind)
-    seed = int(config.get("seed", 0)) if seed is None else int(seed)
-    artifacts = {}
-    steps = _RUNNERS[kind](config, seed, artifacts)
-    next(steps)  # a refused config raises here and leaves no run directory
-    run_dir = os.path.join(out_dir, name)
+    """Validate, write the manifest, execute, and write results; 0 iff passed.
+
+    `seed` overrides the config's seed and is validated as it.
+    """
+    if seed is not None and isinstance(config, dict):
+        config = {**config, "seed": int(seed)}
+    cfg = validate_config(config)
+    run_dir = os.path.join(out_dir, cfg["name"])
     os.makedirs(run_dir, exist_ok=True)
     manifest = {
-        "config": config,
-        "seed": seed,
+        "config": cfg,
+        "seed": cfg["seed"],
         "versions": {"pdhj": __version__, "numpy": np.__version__,
                      "python": sys.version.split()[0]},
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     # manifest lands before any computation (crash forensics)
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    result = next(steps)
-    result["name"] = name
-    with open(os.path.join(run_dir, "result.json"), "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-    for filename, text in artifacts.items():
+        fh.write(_json_text(manifest))
+    artifacts = {}
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            result = EXPERIMENTS[cfg["kind"]].runner(cfg, artifacts)
+    except FloatingPointError as err:
+        raise EvaluationError(f"floating-point error: {err}") from err
+    result["name"] = cfg["name"]
+    for filename, text in {"result.json": _json_text(result), **artifacts}.items():
         with open(os.path.join(run_dir, filename), "w") as fh:
             fh.write(text)
     return 0 if result.get("passed", False) else 1
@@ -546,17 +585,8 @@ SUMMARY_COLUMNS = ("name", "kind", "metric", "verdict")
 
 
 def _summary_metric(result: dict) -> str:
-    kind = result.get("kind", "?")
-    picks = {
-        "solve": "residual_estimate",
-        "upsilon-check": "samples",
-        "game-value": "value_gap_max",
-        "isaacs-check": "max_isaacs_gap",
-        "feedback-run": "m_hat",
-        "minimax-check": "sites",
-        "stability-run": "family",
-    }
-    value = result.get(picks.get(kind, ""), "")
+    experiment = EXPERIMENTS.get(result.get("kind"))
+    value = result.get(experiment.metric, "") if experiment else ""
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
@@ -622,7 +652,7 @@ def main(argv=None) -> int:
         if args.command == "summary":
             return emit_summary(args.results_dir)
         config = _load_config(args.config)
-        if args.command != "run":
+        if args.command != "run" and isinstance(config, dict):
             if config.get("kind") != args.command:
                 raise UsageError(
                     f"config kind {config.get('kind')!r} does not match "

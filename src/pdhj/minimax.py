@@ -390,7 +390,8 @@ def stability_experiment(spec: GameSpec, family: str, n_list, grid: TimeGrid,
     'h-shift' adds 1/n to the terminal cost: the backward min/max recursion is
     shift-equivariant, so the distance equals 1/n exactly (up to rounding).
     'f-drift' adds a constant drift of magnitude 1/n, perturbing the
-    Hamiltonian z-dependently.  Inputs that stability_refusal names raise
+    Hamiltonian z-dependently.  shift_exactness, |distance - 1/n|, is None
+    for f-drift, where no exact distance is known.  Inputs that stability_refusal names raise
     DomainError before any table is computed.
     """
     n_list = tuple(int(n) for n in n_list)
@@ -405,7 +406,7 @@ def stability_experiment(spec: GameSpec, family: str, n_list, grid: TimeGrid,
         table_n = dp_value(spec_n, grid, lattice, side=side)
         dist = float(np.max(np.abs(table_n.side_values(side) - base_vals)))
         distances.append(dist)
-        exactness.append(abs(dist - 1.0 / n) if family == "h-shift" else float("nan"))
+        exactness.append(abs(dist - 1.0 / n) if family == "h-shift" else None)
     decreasing = all(a > b for a, b in zip(distances[:-1], distances[1:]))
     return StabilityReport(family=family, n_list=n_list, distances=tuple(distances),
                            side=side, strictly_decreasing=decreasing,

@@ -30,6 +30,22 @@ class TestValidation:
                      "stability-run"):
             validate_config(base_config(kind))
 
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_resolved_config_resolves_to_itself(self, name):
+        resolved = validate_config(shipped_config(name))
+        assert validate_config(resolved) == resolved
+
+    def test_resolved_config_fills_in_the_defaults(self):
+        resolved = validate_config(base_config("minimax-check", grid={"n_steps": 16}))
+        assert resolved["name"] == "minimax-check"
+        assert resolved["grid"] == {"t_end": 1.0, "n_steps": 16}
+        assert resolved["horizon"] == 0.25  # 4 steps of the grid
+        assert resolved["lattice"] == {"lo": [-2.0], "hi": [2.0], "points": [64]}
+        assert resolved["game"] == {"kind": "isaacs-additive", "scale": 0.5, "gain": 1.0,
+                                    "cost_weight": 0.1, "levels": [-1.0, 0.0, 1.0],
+                                    "controls": {"p_points": [-1.0, 0.0, 1.0],
+                                                 "q_points": [-1.0, 0.0, 1.0]}}
+
     def test_rejects_unknown_field(self):
         with pytest.raises(UsageError) as err:
             validate_config(base_config("solve", wobble=1))
@@ -59,6 +75,32 @@ class TestValidation:
         with pytest.raises(UsageError) as err:
             run(cfg, str(tmp_path))
         assert "controls.q_points" in str(err.value)
+
+
+def _schema_fields(fields, prefix=""):
+    """(path, whether it is a leaf) of every field of a schema table, in blocks too."""
+    for key, field in fields.items():
+        path = prefix + key
+        if isinstance(field.type, cli.Kinds):
+            blocks = list(field.type.values())
+            yield path + ".kind", True
+        else:
+            blocks = [field.type] if isinstance(field.type, dict) else []
+        yield path, not blocks
+        for block in blocks:
+            yield from _schema_fields(block, path + ".")
+
+
+def test_readme_schema_table_lists_every_field():
+    with open(os.path.join(CONFIG_DIR, os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    table = readme[readme.index("| field | type | default | domain |"):]
+    rows = table[:table.index("\n\n")].splitlines()[2:]
+    cells = [row.split("|")[1].split("(")[0] for row in rows]  # the names before any "(kind)"
+    listed = {name for cell in cells for name in cell.replace("`", " ").replace(",", " ").split()}
+    schema = dict(path_leaf for experiment in cli.EXPERIMENTS.values()
+                  for path_leaf in _schema_fields({**cli._COMMON, **experiment.fields}))
+    assert {path for path, leaf in schema.items() if leaf} <= listed <= set(schema)
 
 
 class TestRun:
@@ -126,6 +168,16 @@ class TestRun:
         assert isinstance(result["passed"], bool)
         assert status == (0 if result["passed"] else 1)
 
+    def test_stability_f_drift_writes_strict_json(self, tmp_path):
+        # f-drift knows no exact distance: its shift_exactness is null, never NaN
+        cfg = shipped_config("stability_run.json")
+        cfg.update(family="f-drift", name="drift")
+        status = run(cfg, str(tmp_path))
+        text = (tmp_path / "drift" / "result.json").read_text()
+        result = json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in result.json"))
+        assert result["shift_exactness"] == [None] * len(result["n_list"])
+        assert status == (0 if result["passed"] else 1)
+
     def test_manifest_written_before_failure(self, tmp_path):
         # an inner computation error still leaves the manifest behind
         cfg = base_config("solve",
@@ -136,6 +188,40 @@ class TestRun:
         with pytest.raises(Exception):
             run(cfg, str(tmp_path))
         assert (tmp_path / "solve" / "manifest.json").is_file()
+
+
+class TestStrictNumerics:
+    """A floating-point error in the computation, or a number that is not finite
+    in the result, is an EvaluationError (exit 3) that leaves no result.json."""
+
+    def _battery(self, value):
+        def battery(samples, seed):
+            return {"samples": samples, "checks": [], "worst": value(), "passed": True}
+        return battery
+
+    @pytest.mark.parametrize("value, message", [
+        (lambda: float(np.log(np.zeros(1))[0]), "floating-point error: divide by zero"),
+        (lambda: float(np.sqrt(-np.ones(1))[0]), "floating-point error: invalid value"),
+        (lambda: float(np.exp(np.full(1, 1e3))[0]), "floating-point error: overflow"),
+        (lambda: float("inf"), "a number that is not finite in the output"),
+        (lambda: 1e308 * 10.0, "a number that is not finite in the output"),
+    ], ids=["divide", "invalid", "overflow", "inf", "python-overflow"])
+    def test_evaluation_error_after_the_manifest(self, tmp_path, capsys, monkeypatch,
+                                                 value, message):
+        monkeypatch.setattr(cli, "property_battery", self._battery(value))
+        cfg = base_config("upsilon-check", samples=5)
+        assert main(["upsilon-check", "--config", _write(tmp_path, cfg),
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"EvaluationError: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out" / "upsilon-check").iterdir()) == [
+            "manifest.json"]
+
+    def test_underflow_is_not_an_error(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "property_battery",
+                            self._battery(lambda: float(np.exp(np.full(1, -1e3))[0])))
+        assert run(base_config("upsilon-check", samples=5), str(tmp_path)) == 0
+        result = json.loads((tmp_path / "upsilon-check" / "result.json").read_text())
+        assert result["worst"] == 0.0
 
 
 class TestSummary:
@@ -229,6 +315,14 @@ class TestVectorLengths:
         result = json.loads((tmp_path / cfg["name"] / "result.json").read_text())
         assert len(result["final_state"]) == 2
 
+    def test_p_laplacian_state_has_one_coordinate_per_node(self, tmp_path, capsys):
+        cfg = base_config("solve", name="plap", operator={"kind": "p-laplacian-1d", "nodes": 4},
+                          grid={"t_end": 1.0, "n_steps": 8})
+        run(cfg, str(tmp_path / "ok"))
+        result = json.loads((tmp_path / "ok" / "plap" / "result.json").read_text())
+        assert len(result["final_state"]) == 4
+        self._refused(tmp_path, capsys, {**cfg, "initial": [1.0] * 3}, "initial")
+
     @pytest.mark.parametrize("initial", [[1.0], [1.0, 2.0, 3.0], [1.0, "x"]])
     def test_solve_initial(self, tmp_path, capsys, initial):
         self._refused(tmp_path, capsys, self._solve(initial=initial), "initial")
@@ -252,18 +346,25 @@ class TestVectorLengths:
 
 class TestConfigRefusals:
     """Numbers that are not finite, list entries of the wrong type or count,
-    empty control grids, and fields that the chosen kind does not read, are
-    usage errors that name the field (exit 2) and leave no run directory."""
+    empty control grids, fields that the chosen kind does not read, and values
+    outside their field's domain, are usage errors that name the field (exit 2)
+    and leave no run directory."""
 
-    def _refused(self, tmp_path, capsys, cfg, field):
-        status = main([cfg["kind"], "--config", _write(tmp_path, cfg), "--out", str(tmp_path)])
+    def _refused(self, tmp_path, capsys, cfg, field, seed=None):
+        # nothing is written but the config itself: no out root, and no run
+        # directory beside it for a name that would climb out of it
+        override = [] if seed is None else ["--seed", str(seed)]
+        out = tmp_path / "out"
+        status = main([cfg["kind"], "--config", _write(tmp_path, cfg), "--out", str(out)]
+                      + override)
         assert status == 2
         assert field in capsys.readouterr().err
-        assert not (tmp_path / cfg.get("name", cfg["kind"])).exists()
+        assert not out.exists()
         with pytest.raises(UsageError) as err:
-            run(cfg, str(tmp_path / "direct"))
+            run(cfg, str(tmp_path / "direct"), seed=seed)
         assert err.value.field_path == field
         assert not (tmp_path / "direct").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_nan_forcing_value(self, tmp_path, capsys):
         cfg = shipped_config("solve.json")
@@ -361,6 +462,58 @@ class TestConfigRefusals:
         with pytest.raises(UsageError) as err:
             run(cfg, str(tmp_path / "again"))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("config, changes, field, seed", [
+        # the operator must be monotone and coercive: isaacs-check passed with these,
+        # stability-run exited 3 after the manifest, solve failed its audit (exit 1)
+        ("isaacs_check.json", {"game": {"gain": -1.0}}, "game.gain", None),
+        ("isaacs_check.json", {"game": {"gain": 0.0}}, "game.gain", None),
+        ("stability_run.json", {"game": {"gain": -1.0}}, "game.gain", None),
+        ("solve.json", {"operator": {"gain": -1.0}}, "operator.gain", None),
+        # these exited 3 after the manifest
+        ("feedback_run.json", {"library_size": -1}, "library_size", None),
+        ("feedback_run.json", {"epsilon_fraction": 0.0}, "epsilon_fraction", None),
+        ("feedback_run.json", {"epsilon_fraction": 2.0}, "epsilon_fraction", None),
+        ("solve.json", {"t0": 5.0}, "t0", None),
+        ("solve.json", {"t0": -1.0}, "t0", None),
+        ("solve.json", {"t0": 0.01}, "t0", None),
+        # these exited 3, naming no field
+        ("solve.json", {"grid": {"n_steps": 0}}, "grid.n_steps", None),
+        ("solve.json", {"grid": {"t_end": 0.0}}, "grid.t_end", None),
+        ("solve.json", {"grid": {"t_end": -1.0}}, "grid.t_end", None),
+        ("game_value.json", {"lattice": {"points": [1]}}, "lattice.points", None),
+        ("game_value.json", {"lattice": {"lo": [1.0], "hi": [1.0]}}, "lattice.hi", None),
+        ("game_value.json", {"lattice": {"lo": [1.0], "hi": [0.5]}}, "lattice.hi", None),
+        ("solve.json", {"operator": {"dim": 0}, "initial": []}, "operator.dim", None),
+        ("solve.json", {"operator": {"kind": "p-laplacian-1d", "nodes": 1}, "initial": [1.0]},
+         "operator.nodes", None),
+        ("solve.json", {"operator": {"kind": "p-laplacian-1d", "nodes": 4, "p": 1.5},
+                        "initial": [1.0] * 4}, "operator.p", None),
+        ("solve.json", {"lipschitz": -1.0}, "lipschitz", None),
+        # a negative seed escaped as a raw ValueError (exit 1) after the manifest
+        ("upsilon_check.json", {"seed": -1}, "seed", None),
+        ("upsilon_check.json", {}, "seed", -1),
+        ("minimax_check.json", {}, "seed", -1),
+        ("solve.json", {}, "seed", -1),
+        # the run directory is one directory under the out root
+        ("upsilon_check.json", {"name": "../escaped"}, "name", None),
+        ("upsilon_check.json", {"name": ""}, "name", None),
+        ("upsilon_check.json", {"name": "."}, "name", None),
+        ("upsilon_check.json", {"name": ".."}, "name", None),
+        ("upsilon_check.json", {"name": "a/b"}, "name", None),
+    ])
+    def test_schema_domains_refused_before_the_run(self, tmp_path, capsys, config, changes,
+                                                   field, seed):
+        cfg = shipped_config(config)
+        cfg.update(changes)
+        self._refused(tmp_path, capsys, cfg, field, seed=seed)
+
+    def test_seed_override_replaces_a_refused_config_seed(self, tmp_path):
+        cfg = base_config("upsilon-check", samples=20)
+        cfg["seed"] = -1
+        assert run(cfg, str(tmp_path), seed=4) == 0
+        manifest = json.loads((tmp_path / "upsilon-check" / "manifest.json").read_text())
+        assert manifest["seed"] == 4 and manifest["config"]["seed"] == 4
 
     def test_lattice_points_are_integers(self, tmp_path, capsys):
         cfg = shipped_config("game_value.json")
@@ -487,7 +640,7 @@ class TestMinimaxSites:
 
 
 def test_refused_config_leaves_no_run_directory(tmp_path, capsys):
-    # the builders refuse this game after validate_config has passed it
+    # bilinear does not read cost_weight: the schema refuses it before the run
     cfg = shipped_config("isaacs_check.json")
     cfg.update(name="bad", game={"kind": "bilinear", "cost_weight": 0.3})
     out = tmp_path / "out"

@@ -5,7 +5,8 @@ seed 0, feedback_run.json included (about 1.5 s).  bench/configs/feedback_short.
 runs the same feedback code on a shorter grid, and also at seeds 1 and 2, whose
 adversary pools draw other random streams.  The DP and residual configs run at
 seeds 1 and 2 too, which draw other residual sites, probes and samples, and the
-sampled batteries (upsilon_check, isaacs_check) at seeds 1 to 11.
+sampled batteries (upsilon_check, isaacs_check) at seeds 1 to 11.  The minimal
+config of each kind, every field defaulted, writes tests/data/defaults/<kind>.json.
 """
 
 import json
@@ -41,6 +42,13 @@ def test_residual_layer_other_seeds(stem, seed, tmp_path):
 @pytest.mark.parametrize("stem", ["upsilon_check", "isaacs_check"])
 def test_sampled_batteries_other_seeds(stem, seed, tmp_path):
     _check(ROOT / "configs" / f"{stem}.json", seed, tmp_path)
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_minimal_config_runs_on_the_defaults(kind, tmp_path):
+    cli.run({"schema_version": 1, "kind": kind}, str(tmp_path), seed=0)
+    got = (tmp_path / kind / "result.json").read_bytes()
+    assert got == (ROOT / "tests" / "data" / "defaults" / f"{kind}.json").read_bytes()
 
 
 def _check(config, seed, tmp_path):

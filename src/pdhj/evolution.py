@@ -5,26 +5,39 @@ each step is a strongly monotone root-finding problem handled by damped Newton
 with a safeguarded fallback.  Trajectories with forcing bounded by
 L * (1 + sup-norm of the stopped path) form the discrete reachable tube.
 
-Lockstep loops (solve_delay_lanes here; play_feedback_games,
-greedy_adversary and the DP slice in pdhj.game; the characteristic functional
-and viscosity_scan in pdhj.minimax) raise the first error they meet, taking
-time steps in order and the phases of each step in the order their docstrings
-list.  A phase of per-lane callbacks (forcings, adversaries) runs lane by
-lane, so it raises its lowest failing lane's error.  A batched phase raises
-for its whole batch: _implicit_step_batch the SolverError of its lowest
-stalled lane, a value-table read the batch's largest lattice margin (the one
-to expand by), and a game's stage terms (GameSpec.lane_terms, one call for
-all lanes whether the game answers with its Markov form or a callback sweep)
-the first non-finite entry in (lane, p, q) order, the drift before the cost
-of an entry.  So a feedback cell picks every game's control in one batch
-before the adversaries answer game by game, and the characteristic
-functional takes the stage terms node by node, every candidate at a node
-before the next node.  The sampled Hamiltonians of pdhj.game
-(sampled_hamiltonians, which isaacs-check and the Lipschitz audit use) take
-them one time group at a time: the distinct sample times in order of first
-appearance, every sample at a time in one batch, so they raise the first
-non-finite entry of the first group that has one, not that of the first
-failing sample.  Lanes that succeed do not depend on this order.
+Every lane solve runs the one step loop _lockstep_solve: at each step one
+batched forcing call gives every lane's f, one check refuses every |f| above
+L (1 + sup-norm) (the lowest failing lane's ContractError), and one
+_implicit_step_batch call moves every lane.  solve_delay_lanes adapts
+per-lane forcings to it; a residual site of pdhj.minimax solves its
+candidates as one lane set, whose forcing phases per step are the
+characteristic picks (one batched gradient and one full-grid stage-terms
+call), the game drift (one stage-terms call at the played pairs) and the
+tube draws (one _ball_points call).
+
+Lockstep loops (_lockstep_solve and its callers here and in
+pdhj.minimax; play_feedback_games, greedy_adversary and the DP slice in
+pdhj.game; the characteristic functional and viscosity_scan in
+pdhj.minimax) raise the first error they meet, taking time steps in order
+and the phases of each step in the order their docstrings list.  A phase of
+per-lane callbacks (forcings, adversaries) runs lane by lane, so it raises
+its lowest failing lane's error.  A batched phase raises for its whole
+batch: the forcing-bound check and _implicit_step_batch the error of their
+lowest failing lane, a value-table read (the gradient's probes included)
+the batch's largest lattice margin (the one to expand by), and a game's
+stage terms (GameSpec.lane_terms, one call for all lanes whether the game
+answers with its Markov form or a callback sweep) the first non-finite entry
+in (lane, p, q) order, the drift before the cost of an entry.  So a
+feedback cell picks every game's control in one batch before the
+adversaries answer game by game; a residual site's tube lanes step with its
+game lanes, so the earlier step's error wins whichever lane it is on; and
+the characteristic functional takes the stage terms node by node, every
+candidate at a node before the next node.  The sampled Hamiltonians of
+pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
+use) take them one time group at a time: the distinct sample times in order
+of first appearance, every sample at a time in one batch, so they raise the
+first non-finite entry of the first group that has one, not that of the
+first failing sample.  Lanes that succeed do not depend on this order.
 """
 
 from __future__ import annotations
@@ -405,21 +418,61 @@ def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
 
     A forcing is None, a sequence or a callable as in solve_delay_evolution, or
     a numpy Generator: a reachable-tube draw, uniform in the ball of radius
-    L (1 + sup-norm of the stopped path) at every step.  Each step computes the
-    sup-norms and checks the forcing bound for all lanes at once, builds a
-    lane's stopped path only when its forcing or dyn.rhs takes one, and moves
-    every lane with one _implicit_step_batch call.  Each report is
-    bit-identical to solving its forcing alone.  Errors follow the lockstep
-    rule of the module docstring; the phases of a step are the forcings (lane
-    by lane), the forcing-bound check, and the implicit step.
+    L (1 + sup-norm of the stopped path) at every step.  This adapts the
+    forcings to _lockstep_solve: each step draws every tube lane with one
+    _ball_points call, then takes the other lanes' forcings lane by lane,
+    building a lane's stopped path only when its forcing or dyn.rhs takes
+    one.  Each report is bit-identical to solving its forcing alone.  Errors
+    follow the lockstep rule of the module docstring; the phases of a step
+    are the forcings (lane by lane), the forcing-bound check, and the
+    implicit step.
+    """
+    grid = x0.grid
+    forcings = list(forcings)
+    m, dim = len(forcings), x0.dim
+    tube = [lane for lane, forcing in enumerate(forcings)
+            if isinstance(forcing, np.random.Generator)]
+    streams = [forcings[lane] for lane in tube]
+
+    def step_forcing(k, values, bound):
+        f = np.empty((m, dim))
+        if tube:
+            f[tube] = _ball_points(streams, dim, bound[tube])
+        for lane in range(m):
+            f[lane] = _lane_forcing(dyn, forcings[lane], grid, values[:, lane], k, f[lane])
+        return f
+
+    values, trace, iters, res = _lockstep_solve(dyn.op, t0, x0, np.full(m, float(dyn.lipschitz_L)),
+                                                step_forcing)
+    k0 = grid.node_index(t0)
+    return [SolveReport(path=Path(grid, values[:, lane]), forcing_trace=trace[:, lane].copy(),
+                        start_index=k0, step_count=grid.n_steps - k0,
+                        residual_estimate=float(res[:, lane].max(initial=0.0)),
+                        newton_total=int(iters[:, lane].sum()),
+                        newton_max=int(iters[:, lane].max(initial=0)),
+                        forcing_algorithm=forcing_algorithm)
+            for lane in range(m)]
+
+
+def _lockstep_solve(op: OperatorSpec, t0: float, x0: Path, L: np.ndarray, step_forcing):
+    """The one step loop of every lane solve: m lanes of x' + A(t, x) = f from
+    the history x0 past t0, lane n with the tube constant L[n], L shape (m,).
+
+    step_forcing(k, values, bound) returns every lane's forcing at t_k, shape
+    (m, dim); values is the (node, lane, coordinate) array, filled through
+    node k, and bound = L (1 + sup-norm of each lane's stopped path), shape
+    (m,).  Each step then checks |f| <= bound for all lanes (a non-finite
+    forcing fails the check; the ContractError names the lowest failing
+    lane) and moves every lane with one _implicit_step_batch call.  Returns
+    (values, trace, iters, res): the node values, shape (node, lane, dim),
+    and per step from t0 on the forcings, shape (step, lane, dim), the Newton
+    iterations and the step residuals, shapes (step, lane).
     """
     grid = x0.grid
     k0 = grid.node_index(t0)
     nodes = grid.nodes
     n = grid.n_steps
-    forcings = list(forcings)
-    m, dim = len(forcings), x0.dim
-    L = dyn.lipschitz_L
+    m, dim = len(L), x0.dim
 
     values = np.repeat(x0.values[:, None, :], m, axis=1)  # (node, lane, coordinate)
     trace = np.zeros((n - k0, m, dim))
@@ -429,39 +482,29 @@ def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
     node_sup = np.full(m, np.max(np.linalg.norm(x0.values[: k0 + 1], axis=1)))
 
     for k in range(k0, n):
-        t_k, t_k1 = nodes[k], nodes[k + 1]
-        dt = t_k1 - t_k
+        t_k1 = nodes[k + 1]
+        dt = t_k1 - nodes[k]
         x_k = values[k]
         cur = _row_norms(x_k)  # |x(t_k)|: sup_norm's last term and the step tolerance
         bound = L * (1.0 + np.maximum(node_sup, cur))
-        f = np.empty((m, dim))
-        for lane in range(m):
-            f[lane] = _lane_forcing(dyn, forcings[lane], grid, values[:, lane], k,
-                                    float(bound[lane]))
+        f = step_forcing(k, values, bound)
         fmag = _row_norms(f)
-        over = np.flatnonzero(fmag > bound + FORCING_BOUND_TOL * (1.0 + bound))
+        over = np.flatnonzero(~(fmag <= bound + FORCING_BOUND_TOL * (1.0 + bound)))
         if over.size:
             lane = over[0]
             raise ContractError(f"forcing magnitude {fmag[lane]:.6e} exceeds L(1+sup) = "
                                 f"{bound[lane]:.6e} at step {k}")
         values[k + 1], iters[k - k0], res[k - k0] = _implicit_step_batch(
-            dyn.op, t_k1, dt, x_k + dt * f, x_k, STEP_TOL * (1.0 + cur), k)
+            op, t_k1, dt, x_k + dt * f, x_k, STEP_TOL * (1.0 + cur), k)
         node_sup = np.maximum(node_sup, np.linalg.norm(values[k + 1], axis=1))
         trace[k - k0] = f
-
-    return [SolveReport(path=Path(grid, values[:, lane]), forcing_trace=trace[:, lane].copy(),
-                        start_index=k0, step_count=n - k0,
-                        residual_estimate=float(res[:, lane].max(initial=0.0)),
-                        newton_total=int(iters[:, lane].sum()),
-                        newton_max=int(iters[:, lane].max(initial=0)),
-                        forcing_algorithm=forcing_algorithm)
-            for lane in range(m)]
+    return values, trace, iters, res
 
 
 def _lane_forcing(dyn: DelayDynamics, forcing, grid, values: np.ndarray, k: int,
-                  radius: float) -> np.ndarray:
-    """One lane's f at t_k, where values holds the lane's node values and radius
-    is L (1 + sup-norm) of its stopped path."""
+                  drawn: np.ndarray) -> np.ndarray:
+    """One lane's f at t_k, where values holds the lane's node values and drawn
+    is the lane's tube draw when the forcing is a Generator."""
     t_k = grid.nodes[k]
     x_stop = None
     if callable(forcing) or dyn.rhs is not _control_as_forcing:
@@ -469,7 +512,7 @@ def _lane_forcing(dyn: DelayDynamics, forcing, grid, values: np.ndarray, k: int,
     if forcing is None:
         control = np.zeros(values.shape[1])
     elif isinstance(forcing, np.random.Generator):
-        control = _ball_point(forcing, values.shape[1], radius)
+        control = drawn
     elif callable(forcing):
         control = forcing(t_k, x_stop)
     else:
@@ -477,14 +520,32 @@ def _lane_forcing(dyn: DelayDynamics, forcing, grid, values: np.ndarray, k: int,
     return np.asarray(dyn.rhs(t_k, x_stop, control), dtype=float)
 
 
-def _ball_point(rng, dim: int, radius: float) -> np.ndarray:
-    if radius <= 0.0:
-        return np.zeros(dim)
-    direction = rng.standard_normal(dim)
-    norm = np.linalg.norm(direction)
-    if norm == 0.0:
-        return np.zeros(dim)
-    return direction / norm * radius * rng.uniform() ** (1.0 / dim)
+def _ball_points(streams, dim: int, radii: np.ndarray) -> np.ndarray:
+    """One point uniform in the ball of radius radii[n] from each stream n,
+    shape (len(streams), dim).
+
+    The streams draw in order, each as a one-point draw does: a radius <= 0
+    draws nothing and gives the zero point; otherwise the stream draws
+    standard_normal(dim), then uniform() only when that direction's norm is
+    not zero (a zero norm gives the zero point).  The drawn directions are
+    scaled in one array step, direction / |direction| * radius * u^(1/dim),
+    bit for bit the one-point arithmetic.
+    """
+    directions = np.zeros((len(streams), dim))
+    shrink = np.zeros(len(streams))
+    drawn = np.zeros(len(streams), dtype=bool)
+    for n, (rng, radius) in enumerate(zip(streams, radii)):
+        if radius <= 0.0:
+            continue
+        direction = directions[n] = rng.standard_normal(dim)
+        if direction @ direction != 0.0:  # the one-point draw's |direction| != 0
+            drawn[n] = True
+            shrink[n] = rng.uniform() ** (1.0 / dim)
+    points = np.zeros((len(streams), dim))
+    rows = np.flatnonzero(drawn)
+    d = directions[rows]
+    points[rows] = d / _row_norms(d)[:, None] * radii[rows, None] * shrink[rows, None]
+    return points
 
 
 def sample_reachable_set(dyn: DelayDynamics, t0: float, x0: Path, count: int,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evolution import DelayDynamics, sample_reachable_set, solve_delay_lanes
+from .evolution import _ball_points, _lockstep_solve
 from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, is_upper_side, \
     minimax_records, with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
@@ -84,56 +84,75 @@ def _window_grid(grid: TimeGrid, t0: float, horizon: float):
     return TimeGrid.from_nodes(nodes[: k_end + 1]), k0, k_end
 
 
-def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
-    """Feedback control selector realizing a characteristic trajectory.
-
-    For the upper Hamiltonian (min over p of max over q), the supersolution
-    characteristic commits p along the value gradient and lets q answer the
-    test direction z; the subsolution characteristic swaps the two roles.
-    The lower Hamiltonian mirrors this with q committing first.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    upper = is_upper_side(side)
-
-    def policy(t, x_stop):
-        zhat = table.gradient(side, t, x_stop.value_at(t))
-        drift, cost = spec.stage_terms(t, x_stop)  # both matrices from one lane_terms call
-        M_test, M_grad = cost + _row_dots(drift, z), cost + _row_dots(drift, zhat)
-        if upper:
-            commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
-            i = int(np.argmin(commit.max(axis=1)))
-            j = int(np.argmax(answer[i, :]))
-        else:
-            commit, answer = (M_test, M_grad) if role == "super" else (M_grad, M_test)
-            j = int(np.argmax(commit.min(axis=0)))
-            i = int(np.argmin(answer[:, j]))
-        return (spec.controls.p_points[i], spec.controls.q_points[j])
-
-    return policy
-
-
 def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
                     hist: Path, z, budget: int, seed: int):
-    """(label, SolveReport) candidates: constant pairs, characteristics, random tube.
+    """(labels, values, forcing) of a site's candidates, solved as one lane set.
 
-    Two lane solves: the game lanes (the constant pairs, then the two
-    characteristics) and the random tube lanes.
+    The lanes are the constant control pairs (fixed p and q index arrays),
+    the two characteristics and max(0, budget - n_p n_q - 2) random tube
+    samples; values has shape (node, lane, dim) on hist.grid and forcing
+    (step, lane, dim) from t0 on.  The game lanes take the tube constant
+    spec.dyn.lipschitz_L and the tube lanes spec.l_f.  Each step has four
+    phases, in this order for the lockstep rule of pdhj.evolution:
+
+    1. the characteristic picks: one ValueTable.gradient call aims both
+       characteristics and one full-grid lane_terms call gives their stage
+       matrices.  For the upper Hamiltonian (min over p of max over q) the
+       supersolution characteristic commits p along the value gradient and
+       lets q answer the test direction z; the subsolution characteristic
+       swaps the two roles, and the lower Hamiltonian mirrors this with q
+       committing first.  Ties break to the smallest index;
+    2. the game drift: one lane_terms call at the played pairs of every game
+       lane;
+    3. the tube draws: one _ball_points call;
+    4. the forcing-bound check and the implicit step of _lockstep_solve.
     """
-    labels, forcings = [], []
-    for i, p in enumerate(spec.controls.p_points):
-        for j, q in enumerate(spec.controls.q_points):
-            labels.append(f"constant[p{i},q{j}]")
-            forcings.append(lambda t, x, pq=(p, q): pq)
-    for role in ("super", "sub"):
-        labels.append(f"characteristic[{role}]")
-        forcings.append(_char_policy(spec, table, side, role, z))
-    runs = list(zip(labels, solve_delay_lanes(spec.dyn, t0, hist, forcings)))
-    n_random = max(0, budget - len(runs))
-    if n_random > 0:
-        tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
-        for i, rep in enumerate(sample_reachable_set(tube, t0, hist, n_random, seed)):
-            runs.append((f"random[{i}]", rep))
-    return runs
+    controls = spec.controls
+    n_pairs = controls.n_p * controls.n_q
+    n_game = n_pairs + 2
+    n_random = max(0, budget - n_game)
+    labels = ([f"constant[p{i},q{j}]" for i in range(controls.n_p) for j in range(controls.n_q)]
+              + ["characteristic[super]", "characteristic[sub]"]
+              + [f"random[{i}]" for i in range(n_random)])
+    game = np.arange(n_game)
+    p_idx = np.append(game[:n_pairs] // controls.n_q, [0, 0])
+    q_idx = np.append(game[:n_pairs] % controls.n_q, [0, 0])
+    chars = slice(n_pairs, n_game)
+    L = np.array([spec.dyn.lipschitz_L] * n_game + [spec.l_f] * n_random, dtype=float)
+    streams = [np.random.default_rng([seed, i]) for i in range(n_random)]
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    upper = is_upper_side(side)
+    # the super lane commits along the gradient on the upper side, the sub lane on the lower
+    grad_commits = np.array([upper, not upper])[:, None, None]
+    rows = np.arange(2)
+    grid = hist.grid
+    nodes = grid.nodes
+
+    def step_forcing(k, values, bound):
+        t_k, x_k = nodes[k], values[k]
+
+        def path_of(lane):
+            return stopped_at(grid, values[:, lane], k)
+
+        zhat = table.gradient(side, t_k, x_k[chars])
+        drift, cost = spec.lane_terms(t_k, x_k[chars], lambda c: path_of(n_pairs + c))
+        M_test = cost + _row_dots(drift, z)
+        M_grad = cost + _row_dots(drift, zhat[:, None, None, :])
+        commit = np.where(grad_commits, M_grad, M_test)
+        answer = np.where(grad_commits, M_test, M_grad)
+        if upper:
+            p_idx[chars] = np.argmin(commit.max(axis=2), axis=1)
+            q_idx[chars] = np.argmax(answer[rows, p_idx[chars], :], axis=1)
+        else:
+            q_idx[chars] = np.argmax(commit.min(axis=1), axis=1)
+            p_idx[chars] = np.argmin(answer[rows, :, q_idx[chars]], axis=1)
+        f = np.empty((len(L), hist.dim))
+        f[:n_game] = spec.lane_terms(t_k, x_k[:n_game], path_of, (game, p_idx, q_idx))[0]
+        f[n_game:] = _ball_points(streams, hist.dim, bound[n_game:])
+        return f
+
+    values, forcing, _, _ = _lockstep_solve(spec.dyn.op, t0, hist, L, step_forcing)
+    return labels, values, forcing
 
 
 def _window_values(table: ValueTable, side: str, nodes, states: np.ndarray) -> np.ndarray:
@@ -144,35 +163,35 @@ def _window_values(table: ValueTable, side: str, nodes, states: np.ndarray) -> n
                     axis=1)
 
 
-def _characteristic_functional(spec: GameSpec, table: ValueTable, side: str,
-                               runs, z, t0: float, u0: float):
+def _characteristic_functional(spec: GameSpec, table: ValueTable, side: str, grid: TimeGrid,
+                               values: np.ndarray, forcing: np.ndarray, z, t0: float,
+                               u0: float):
     """G[c, m] = int_{t0}^{t_m} ((-f, z) + F(s, x, z)) ds + u(t_m, x(t_m)) - u0
     per candidate c and window node t_m > t0; returns (G, times).
 
-    Node by node, one lane_terms call over every candidate gives the stage
+    values, shape (node, candidate, dim) on grid, and forcing, shape (step,
+    candidate, dim) from t0 on, are the candidates of _candidate_runs.  Node
+    by node, one lane_terms call over every candidate gives the stage
     matrices, and minimax_records their Hamiltonians.  Errors follow the
     lockstep rule of pdhj.evolution, in two phases: the stage terms, node by
     node and within a node candidate by candidate, then the table reads of
     _window_values.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    grid = runs[0][1].path.grid
     nodes = grid.nodes
-    k0 = runs[0][1].start_index
+    k0 = grid.node_index(t0)
     upper = is_upper_side(side)
-    paths = np.stack([rep.path.values for _, rep in runs], axis=1)  # (node, candidate, coordinate)
-    forcing = np.stack([rep.forcing_trace for _, rep in runs], axis=1)
-    integral = np.empty((len(runs), grid.n_steps - k0))
-    acc = np.zeros(len(runs))
+    integral = np.empty((values.shape[1], grid.n_steps - k0))
+    acc = np.zeros(values.shape[1])
     for k in range(k0, grid.n_steps):
         dt = nodes[k + 1] - nodes[k]
-        drift, cost = spec.lane_terms(nodes[k], paths[k],
-                                      lambda c: stopped_at(grid, paths[:, c], k))
+        drift, cost = spec.lane_terms(nodes[k], values[k],
+                                      lambda c: stopped_at(grid, values[:, c], k))
         f_minus, f_plus = minimax_records(cost + _row_dots(drift, z))[:2]
         acc = acc + dt * (-_row_dots(forcing[k - k0], z) + (f_plus if upper else f_minus))
         integral[:, k - k0] = acc
     times = nodes[k0 + 1:]
-    states = paths[k0 + 1:].transpose(1, 0, 2)
+    states = values[k0 + 1:].transpose(1, 0, 2)
     return integral + _window_values(table, side, times, states) - u0, times
 
 
@@ -194,10 +213,10 @@ def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
 
-    runs = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
-    G_all, times = _characteristic_functional(spec, u, side, runs, z, t0, u0)
+    labels, values, forcing = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
+    G_all, times = _characteristic_functional(spec, u, side, win_grid, values, forcing, z, t0, u0)
     best_slack, best_label, best_time = None, "", t0
-    for (label, _), G in zip(runs, G_all):
+    for label, G in zip(labels, G_all):
         if direction == "sub":
             m = int(np.argmin(G))
             cand = float(G[m])
@@ -293,14 +312,14 @@ def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
 
     # (candidate, window node t > t0) arrays: the correction, (x(t) - x0(t0), z), u(t, x(t))
-    runs = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
+    _, values, _ = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
     nodes = win_grid.nodes
-    paths = np.stack([rep.path.values for _, rep in runs])
+    paths = np.ascontiguousarray(values.transpose(1, 0, 2))  # (candidate, node, coordinate)
     op = spec.dyn.op
     a_pair = [_row_dots(op.batch(nodes[k], paths[:, k]), z)
               for k in range(k0, win_grid.n_steps + 1)]
-    corr = np.zeros(len(runs))
-    corrs = np.empty((len(runs), win_grid.n_steps - k0))
+    corr = np.zeros(len(paths))
+    corrs = np.empty((len(paths), win_grid.n_steps - k0))
     for k in range(k0, win_grid.n_steps):
         dt = nodes[k + 1] - nodes[k]
         corr = corr + 0.5 * dt * (a_pair[k - k0] + a_pair[k + 1 - k0])

@@ -9,15 +9,24 @@ the batches are checked against.
 - isaacs_samples and audit_hamiltonian_lipschitz: the Hamiltonian samples of
   the isaacs-check runner and the Lipschitz audit of pdhj.game, one
   hamiltonian call per (sample, z).
+- _ball_point: the one-point tube draw of pdhj.evolution._ball_points.
+- value_gradient: the one-state ValueTable.gradient, 2·dim scalar reads.
+- candidate_runs and _char_policy: the residual candidates of
+  pdhj.minimax._candidate_runs as two lane solves with one callable forcing
+  per game lane, a characteristic aimed by value_gradient and picking its
+  pair from one lane's stage terms.
+- game_audit: the growth and finiteness audit of a GameSpec on random
+  paths, which no run calls.
 """
 
 import numpy as np
 
 from pdhj import evolution
 from pdhj.errors import DomainError, SolverError
-from pdhj.evolution import OperatorSpec, _bisect_step
-from pdhj.game import GameSpec, LipschitzReport, hamiltonian
-from pdhj.pathcore import Path, TimeGrid, kappa_constant, stop_path, sup_norm
+from pdhj.evolution import DelayDynamics, OperatorSpec, _bisect_step, sample_reachable_set, \
+    solve_delay_lanes
+from pdhj.game import GameSpec, LipschitzReport, ValueTable, hamiltonian, is_upper_side
+from pdhj.pathcore import Path, TimeGrid, _row_dots, kappa_constant, stop_path, sup_norm
 from pdhj.upsilon import penalty_psi, upsilon
 
 
@@ -168,3 +177,101 @@ def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> Lips
                     abs(h1.f_plus - h2.f_plus) / scale)
     return LipschitzReport(samples=samples, seed=seed, max_ratio=worst, bound=spec.l_f,
                            flagged=worst > spec.l_f + 1e-9)
+
+
+def _ball_point(rng, dim: int, radius: float) -> np.ndarray:
+    if radius <= 0.0:
+        return np.zeros(dim)
+    direction = rng.standard_normal(dim)
+    norm = np.linalg.norm(direction)
+    if norm == 0.0:
+        return np.zeros(dim)
+    return direction / norm * radius * rng.uniform() ** (1.0 / dim)
+
+
+def value_gradient(table: ValueTable, side: str, t: float, state) -> np.ndarray:
+    """Central-difference lattice gradient of the value at (t, state)."""
+    state = np.atleast_1d(np.asarray(state, dtype=float))
+    g = np.zeros(table.lattice.dim)
+    for d in range(table.lattice.dim):
+        h = table.lattice.spacing[d]
+        up = state.copy()
+        dn = state.copy()
+        up[d] = min(up[d] + h, table.lattice.hi[d])
+        dn[d] = max(dn[d] - h, table.lattice.lo[d])
+        if up[d] - dn[d] < 1e-300:
+            continue
+        g[d] = (table.interp(side, t, up) - table.interp(side, t, dn)) / (up[d] - dn[d])
+    return g
+
+
+def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
+    """Feedback control selector realizing a characteristic trajectory.
+
+    For the upper Hamiltonian (min over p of max over q), the supersolution
+    characteristic commits p along the value gradient and lets q answer the
+    test direction z; the subsolution characteristic swaps the two roles.
+    The lower Hamiltonian mirrors this with q committing first.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    upper = is_upper_side(side)
+
+    def policy(t, x_stop):
+        zhat = value_gradient(table, side, t, x_stop.value_at(t))
+        drift, cost = spec.stage_terms(t, x_stop)  # both matrices from one lane_terms call
+        M_test, M_grad = cost + _row_dots(drift, z), cost + _row_dots(drift, zhat)
+        if upper:
+            commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
+            i = int(np.argmin(commit.max(axis=1)))
+            j = int(np.argmax(answer[i, :]))
+        else:
+            commit, answer = (M_test, M_grad) if role == "super" else (M_grad, M_test)
+            j = int(np.argmax(commit.min(axis=0)))
+            i = int(np.argmin(answer[:, j]))
+        return (spec.controls.p_points[i], spec.controls.q_points[j])
+
+    return policy
+
+
+def candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
+                   hist: Path, z, budget: int, seed: int):
+    """(label, SolveReport) candidates: constant pairs, characteristics, random tube.
+
+    Two lane solves: the game lanes (the constant pairs, then the two
+    characteristics) and the random tube lanes.
+    """
+    labels, forcings = [], []
+    for i, p in enumerate(spec.controls.p_points):
+        for j, q in enumerate(spec.controls.q_points):
+            labels.append(f"constant[p{i},q{j}]")
+            forcings.append(lambda t, x, pq=(p, q): pq)
+    for role in ("super", "sub"):
+        labels.append(f"characteristic[{role}]")
+        forcings.append(_char_policy(spec, table, side, role, z))
+    runs = list(zip(labels, solve_delay_lanes(spec.dyn, t0, hist, forcings)))
+    n_random = max(0, budget - len(runs))
+    if n_random > 0:
+        tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
+        for i, rep in enumerate(sample_reachable_set(tube, t0, hist, n_random, seed)):
+            runs.append((f"random[{i}]", rep))
+    return runs
+
+
+def game_audit(spec: GameSpec, samples: int, seed: int) -> dict:
+    """Check |f| <= l_f (1 + sup) and finiteness of costs on random inputs."""
+    rng = np.random.default_rng(seed)
+    dim = spec.dyn.op.space.dim
+    worst = 0.0
+    for _ in range(samples):
+        n = int(rng.integers(4, 12))
+        grid = TimeGrid(0.0, 1.0, n)
+        x = Path(grid, rng.standard_normal((n + 1, dim)) * rng.choice([0.3, 1.0, 3.0]))
+        t = float(rng.choice(grid.nodes))
+        p = spec.controls.p_points[rng.integers(spec.controls.n_p)]
+        q = spec.controls.q_points[rng.integers(spec.controls.n_q)]
+        f = spec.drift(t, x, p, q)
+        spec.stage_cost(t, x, p, q)
+        spec.final_cost(x)
+        worst = max(worst, float(np.linalg.norm(f)) / (spec.l_f * (1.0 + sup_norm(x, t)) + 1e-300))
+    return {"samples": samples, "seed": seed, "max_growth_ratio": worst,
+            "passed": worst <= 1.0 + 1e-9}

@@ -27,6 +27,7 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams, lyapunov_nu
+from scalar_reference import game_audit
 
 
 def one_point_path(grid, value=0.0):
@@ -122,8 +123,8 @@ class TestLipschitzAudit:
         assert report.max_ratio == 0.0
 
     def test_game_spec_audit(self):
-        assert isaacs_game().audit(100, seed=3)["passed"]
-        assert bilinear_game().audit(100, seed=4)["passed"]
+        assert game_audit(isaacs_game(), 100, seed=3)["passed"]
+        assert game_audit(bilinear_game(), 100, seed=4)["passed"]
 
 
 class TestStateLattice:

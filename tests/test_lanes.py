@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdhj import evolution, minimax
 from pdhj.errors import ContractError, EvaluationError, LatticeCoverageError, SolverError
@@ -14,7 +15,6 @@ from pdhj.evolution import (
     DelayDynamics,
     OperatorSpec,
     SolveReport,
-    _ball_point,
     build_p_laplacian,
     make_linear_operator,
     sample_reachable_set,
@@ -33,7 +33,8 @@ from pdhj.game import (
     isaacs_game,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, extend_history, stopped_at, sup_norm
-from scalar_reference import _implicit_step
+from scalar_reference import _ball_point, _char_policy, _implicit_step, candidate_runs, \
+    value_gradient
 
 
 def _solve_reference(dyn, t0, x0, forcing=None, forcing_algorithm=None):
@@ -287,32 +288,27 @@ class TestLaneErrors:
         err = self._error(dyn, [None, _kick(2, 9.0), None, _raise_from(2, "lane 3")])
         assert type(err) is RuntimeError and str(err) == "lane 3 failed at step 2"
 
+    def test_non_finite_forcing_fails_the_bound_at_its_step(self):
+        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        want = "forcing magnitude nan exceeds L(1+sup) = 1.500000e+00 at step 3"
+        sequence = np.zeros((8, 1))
+        sequence[3:] = np.nan
+        for forcings in ([_kick(3, np.nan)], [sequence],
+                         [None, _kick(5, 9.0), _kick(3, np.nan), _kick(3, np.inf)]):
+            err = self._error(dyn, forcings)
+            assert type(err) is ContractError and str(err) == want
+        # a lane with an infinite forcing in the same step is the lower lane
+        err = self._error(dyn, [None, _kick(3, -np.inf), _kick(3, np.nan)])
+        assert type(err) is ContractError
+        assert str(err) == "forcing magnitude inf exceeds L(1+sup) = 1.500000e+00 at step 3"
+        with pytest.raises(ContractError) as info:
+            solve_delay_evolution(dyn, 0.0, Path.zero(self.grid), lambda t, x: np.array([np.nan]))
+        assert str(info.value) == "forcing magnitude nan exceeds L(1+sup) = 1.000000e+00 at step 0"
+
 
 # ---------------------------------------------------------------------------
 # the residual candidate search
 # ---------------------------------------------------------------------------
-
-def _char_policy_reference(spec, table, side, role, z):
-    """The characteristic selector with one stage_matrix sweep per matrix."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    upper = is_upper_side(side)
-
-    def policy(t, x_stop):
-        zhat = table.gradient(side, t, x_stop.value_at(t))
-        M_test = spec.stage_matrix(t, x_stop, z)
-        M_grad = spec.stage_matrix(t, x_stop, zhat)
-        if upper:
-            commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
-            i = int(np.argmin(commit.max(axis=1)))
-            j = int(np.argmax(answer[i, :]))
-        else:
-            commit, answer = (M_test, M_grad) if role == "super" else (M_grad, M_test)
-            j = int(np.argmax(commit.min(axis=0)))
-            i = int(np.argmin(answer[:, j]))
-        return (spec.controls.p_points[i], spec.controls.q_points[j])
-
-    return policy
-
 
 def _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed):
     """One sequential solve per candidate, as before the lane solver."""
@@ -323,7 +319,7 @@ def _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed):
             runs.append((f"constant[p{i},q{j}]", rep))
     for role in ("super", "sub"):
         rep = _solve_reference(spec.dyn, t0, hist,
-                               forcing=_char_policy_reference(spec, table, side, role, z))
+                               forcing=_char_policy(spec, table, side, role, z))
         runs.append((f"characteristic[{role}]", rep))
     n_random = max(0, budget - len(runs))
     if n_random > 0:
@@ -392,38 +388,77 @@ class TestCandidateSearch:
         spec, grid, table = desk
         t0, hist = _site(table, t_index, state)
         z = np.array([z])
-        runs = minimax._candidate_runs(spec, table, side, t0, hist, z, budget, 7)
+        labels, values, forcing = minimax._candidate_runs(spec, table, side, t0, hist, z,
+                                                          budget, 7)
         want = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, 7)
-        assert [label for label, _ in runs] == [label for label, _ in want]
-        for (_, rep), (_, ref) in zip(runs, want):
-            _assert_reports_equal(rep, ref)
+        assert labels == [label for label, _ in want]
+        _assert_lanes_equal(values, forcing, [rep for _, rep in want])
         u0 = table.interp(side, t0, hist.value_at(t0))
-        G, times = minimax._characteristic_functional(spec, table, side, runs, z, t0, u0)
-        for row, (_, rep) in zip(G, runs):
+        G, times = minimax._characteristic_functional(spec, table, side, hist.grid, values,
+                                                      forcing, z, t0, u0)
+        for row, (_, rep) in zip(G, want):
             ref_G, ref_times = _characteristic_functional_reference(
                 spec, table, side, rep, z, t0, u0)
             assert row.tobytes() == ref_G.tobytes()
             assert times.tobytes() == ref_times.tobytes()
 
-    def test_two_lane_solves_per_site(self, desk, monkeypatch):
+    def test_one_lane_set_per_site(self, desk, monkeypatch):
         spec, grid, table = desk
-        calls = []
-        original = evolution.solve_delay_lanes
-
-        def counted(dyn, t0, x0, forcings, forcing_algorithm=None):
-            calls.append(len(forcings))
-            return original(dyn, t0, x0, forcings, forcing_algorithm)
-
-        monkeypatch.setattr(evolution, "solve_delay_lanes", counted)
-        monkeypatch.setattr(minimax, "solve_delay_lanes", counted)
+        calls = _count_lane_sets(monkeypatch)
         t0, hist = _site(table, 3, 0.4)
-        runs = minimax._candidate_runs(spec, table, "upper", t0, hist, np.array([0.3]), 32, 1)
-        assert calls == [9 + 2, 32 - 11]  # game lanes, then tube lanes
-        assert len(runs) == 32
+        labels, values, forcing = minimax._candidate_runs(spec, table, "upper", t0, hist,
+                                                          np.array([0.3]), 32, 1)
+        assert calls == [32]  # the 9 pairs, the 2 characteristics and 21 tube lanes
+        assert len(labels) == values.shape[1] == forcing.shape[1] == 32
         calls.clear()
         minimax_site = (t0, Path.constant(grid, [0.4]), np.array([0.3]))
         minimax.minimax_residual(table, spec, minimax_site, "sub", 0.25, 16, seed=2)
-        assert calls == [11, 5]
+        assert calls == [16]
+
+    def test_markov_site_builds_no_path_report_or_scalar_read(self, desk, monkeypatch):
+        # isaacs_game declares markov_terms: no lane reads a stopped path
+        spec, grid, table = desk
+        t0, hist = _site(table, 3, 0.4)
+        calls = _count_lane_sets(monkeypatch)
+        counts = {"paths": 0, "reports": 0, "interp": 0, "lane_solves": 0}
+
+        def counting(key, original):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return original(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(Path, "__init__", counting("paths", Path.__init__))
+        monkeypatch.setattr(SolveReport, "__init__", counting("reports", SolveReport.__init__))
+        monkeypatch.setattr(ValueTable, "interp", counting("interp", ValueTable.interp))
+        monkeypatch.setattr(evolution, "solve_delay_lanes",
+                            counting("lane_solves", evolution.solve_delay_lanes))
+        minimax._candidate_runs(spec, table, "upper", t0, hist, np.array([0.3]), 32, 1)
+        assert calls == [32]
+        assert counts == {"paths": 0, "reports": 0, "interp": 0, "lane_solves": 0}
+
+
+def _count_lane_sets(monkeypatch):
+    """Record the lane count of every _lockstep_solve call."""
+    calls = []
+    original = evolution._lockstep_solve
+
+    def counted(op, t0, x0, L, step_forcing):
+        calls.append(len(L))
+        return original(op, t0, x0, L, step_forcing)
+
+    monkeypatch.setattr(evolution, "_lockstep_solve", counted)
+    monkeypatch.setattr(minimax, "_lockstep_solve", counted)
+    return calls
+
+
+def _assert_lanes_equal(values, forcing, reports):
+    """The (node, lane, dim) values and (step, lane, dim) forcings of a lane
+    set, bit for bit the paths and forcing traces of the reports."""
+    assert values.shape[1] == forcing.shape[1] == len(reports)
+    for lane, rep in enumerate(reports):
+        assert values[:, lane].tobytes() == rep.path.values.tobytes()
+        assert forcing[:, lane].tobytes() == rep.forcing_trace.tobytes()
 
 
 def _edge_setup(cost_limit=None):
@@ -471,12 +506,13 @@ class TestOffLatticeOrder:
         # constant forcings on the forced dynamics: no policy calls the cost
         forced = DelayDynamics.forced(spec.dyn.op, 2.0)
         forcings = [np.full((grid.n_steps, 1), s) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
-        runs = [(str(i), rep) for i, rep in
-                enumerate(solve_delay_lanes(forced, t0, hist, forcings))]
+        reports = solve_delay_lanes(forced, t0, hist, forcings)
+        values = np.stack([rep.path.values for rep in reports], axis=1)
+        forcing = np.stack([rep.forcing_trace for rep in reports], axis=1)
         error, message = self.FUNCTIONAL_ERRORS[cost_limit]
         with pytest.raises(error) as got:
-            minimax._characteristic_functional(spec, table, "upper", runs, np.array([0.5]),
-                                               t0, 0.0)
+            minimax._characteristic_functional(spec, table, "upper", hist.grid, values, forcing,
+                                               np.array([0.5]), t0, 0.0)
         assert str(got.value) == message
         if error is LatticeCoverageError:
             # candidate 4 alone leaves at the second window node; candidate 1,
@@ -496,3 +532,106 @@ class TestOffLatticeOrder:
         assert str(got.value) == ("state leaves the lattice by 4.272212e-02; "
                                   "expand bounds by at least that margin")
         assert got.value.margin == 0.042722117280852845
+
+
+class TestGradientStack:
+    """ValueTable.gradient on a stack is the one-state gradient row by row."""
+
+    @pytest.mark.parametrize("t", [0.25, 0.28125, 0.3])
+    def test_rows_match_one_state_gradient_past_the_edges(self, t):
+        # spacing 0.1 on [-1, 0.6]: 0.65 and -1.05 lie within one spacing past
+        # an edge, 0.75 and -1.3 beyond it, where the coordinate reads nothing
+        _, _, table = _edge_setup()
+        states = np.array([[0.0], [0.65], [-0.37], [0.75], [0.6], [-1.05], [-1.3], [0.59]])
+        got = table.gradient("upper", t, states)
+        assert got.shape == states.shape
+        for row, state in zip(got, states):
+            assert row.tobytes() == value_gradient(table, "upper", t, state).tobytes()
+        assert got[3, 0] == 0.0 and got[6, 0] == 0.0
+        assert got[1, 0] != 0.0 and got[5, 0] != 0.0
+
+    def test_beyond_the_edge_reads_nothing(self, monkeypatch):
+        _, _, table = _edge_setup()
+        read = []
+        interp_batch = ValueTable.interp_batch
+
+        def spy(self, side, t, states):
+            read.append(states.copy())
+            return interp_batch(self, side, t, states)
+
+        monkeypatch.setattr(ValueTable, "interp_batch", spy)
+        assert table.gradient("upper", 0.25, np.array([[0.75], [-1.3]])).tolist() == [[0.0], [0.0]]
+        assert read == []
+        table.gradient("upper", 0.25, np.array([[0.75], [0.0], [0.65]]))
+        assert len(read) == 1 and read[0][:, 0].tolist() == [0.1, 0.6, -0.1, 0.55]
+
+    def test_two_dimensional_rows(self):
+        grid = TimeGrid(0.0, 1.0, 4)
+        lattice = StateLattice(lo=(-1.0, -0.5), hi=(1.0, 0.5), shape=(9, 5))
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((5, 9, 5))
+        table = ValueTable(grid=grid, lattice=lattice, v_minus=values, v_plus=values)
+        states = np.array([[0.1, 0.2], [1.0, -0.5], [-1.0, 0.5], [0.93, -0.41], [0.0, 0.0]])
+        got = table.gradient("lower", 0.4, states)
+        for row, state in zip(got, states):
+            assert row.tobytes() == value_gradient(table, "lower", 0.4, state).tobytes()
+
+
+@pytest.fixture(scope="module")
+def game_desks():
+    """name -> (spec, table, state range): two Markov games, one game with
+    the isaacs callbacks alone, and the edge game with its narrow lattice."""
+    grid = TimeGrid(0.0, 1.0, 16)
+    lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+    isaacs = isaacs_game(scale=0.5)
+    bilinear = bilinear_game(scale=0.5)
+    isaacs_table = dp_value(isaacs, grid, lattice)
+    edge, _, edge_table = _edge_setup()
+    return {
+        "isaacs": (isaacs, isaacs_table, (-1.5, 1.5)),
+        "bilinear": (bilinear, dp_value(bilinear, grid, lattice), (-1.5, 1.5)),
+        "isaacs-callbacks": (dataclasses.replace(isaacs, markov_terms=None), isaacs_table,
+                             (-1.5, 1.5)),
+        # a tube constant apart from the dynamics' own, as the tube lanes take it
+        "edge": (dataclasses.replace(edge, l_f=2.5), edge_table, (-0.9, 0.5)),
+    }
+
+
+class TestLaneSetAgainstTwoSolves:
+    """The one lane set of _candidate_runs against the two lane solves of the
+    per-lane loop it replaced (scalar_reference.candidate_runs), and against
+    the sequential solves of _candidate_runs_reference, which share neither
+    the step loop nor the batched tube draws."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=st.sampled_from(["isaacs", "bilinear", "isaacs-callbacks", "edge"]),
+           t_index=st.integers(0, 14), place=st.floats(0.0, 1.0), z=st.floats(-1.5, 1.5),
+           side=st.sampled_from(["upper", "lower"]), budget=st.integers(1, 24),
+           seed=st.integers(0, 2 ** 16))
+    def test_lane_set_matches(self, game_desks, name, t_index, place, z, side, budget, seed):
+        spec, table, (lo, hi) = game_desks[name]
+        t0, hist = _site(table, t_index, lo + place * (hi - lo))
+        z = np.array([z])
+        labels, values, forcing = minimax._candidate_runs(spec, table, side, t0, hist, z,
+                                                          budget, seed)
+        want = candidate_runs(spec, table, side, t0, hist, z, budget, seed)
+        assert labels == [label for label, _ in want]
+        assert len(labels) == max(budget, spec.controls.n_p * spec.controls.n_q + 2)
+        _assert_lanes_equal(values, forcing, [rep for _, rep in want])
+        sequential = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed)
+        assert labels == [label for label, _ in sequential]
+        _assert_lanes_equal(values, forcing, [rep for _, rep in sequential])
+        u0 = table.interp(side, t0, hist.value_at(t0))
+        try:
+            G, times = minimax._characteristic_functional(spec, table, side, hist.grid, values,
+                                                          forcing, z, t0, u0)
+        except LatticeCoverageError:  # the edge game's narrow lattice
+            with pytest.raises(LatticeCoverageError):
+                for _, rep in want:
+                    _characteristic_functional_reference(spec, table, side, rep, z, t0, u0)
+            return
+        for row, (_, rep) in zip(G, want):
+            ref_G, ref_times = _characteristic_functional_reference(
+                spec, table, side, rep, z, t0, u0)
+            assert row.tobytes() == ref_G.tobytes()
+            assert times.tobytes() == ref_times.tobytes()

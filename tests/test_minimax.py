@@ -186,8 +186,8 @@ def _viscosity_residual_reference(u, spec, site, z, c, horizon, *, search_budget
 
     sup_gap, inf_gap = 0.0, 0.0
     nodes = win_grid.nodes
-    for label, rep in minimax._candidate_runs(spec, u, side, t0, hist, z, search_budget, seed):
-        values = rep.path.values
+    _, paths, _ = minimax._candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
+    for values in paths.transpose(1, 0, 2):
         op = spec.dyn.op
         a_pair = np.array([float(op(t, values[k]) @ z)
                            for k, t in enumerate(nodes)])

@@ -38,20 +38,20 @@ from .evolution import (
 from .game import (
     ControlGrid,
     GameSpec,
+    GuaranteeEstimate,
     StateLattice,
     adversary_pool,
     bilinear_game,
-    calibrate_step_bound,
     constant_game,
     dp_value,
-    estimate_guaranteed_result,
     extremal_shift_strategy,
     hamiltonian,
     audit_hamiltonian_lipschitz,
     sampled_hamiltonians,
     isaacs_game,
     lyapunov_violation_stats,
-    play_feedback_games,
+    play_pools,
+    step_rate_bound,
 )
 from .minimax import bump_table, minimax_residual, stability_experiment, \
     stability_refusal, viscosity_scan
@@ -379,6 +379,11 @@ def _run_isaacs_check(cfg: dict, artifacts: dict):
 
 
 def _run_feedback(cfg: dict, artifacts: dict):
+    """The extremal-shift strategy against three adversary pools, played as
+    one lane set per partition (play_pools): the calibration pool gives m-hat
+    (step_rate_bound), the estimate pool the guaranteed result
+    (GuaranteeEstimate.from_traces), and a replay pool the Lyapunov
+    statistics against m-hat."""
     spec = _build_game(cfg["game"])
     grid = _build_grid(cfg["grid"])
     lattice = _build_lattice(cfg["lattice"])
@@ -392,14 +397,20 @@ def _run_feedback(cfg: dict, artifacts: dict):
     partitions = [TimeGrid(0.0, grid.t_end, n) for n in cfg["partition_steps"]]
     strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions, value=table,
                                        library_size=cfg["library_size"], seed=seed)
-    m_hat = calibrate_step_bound(spec, strategy, partitions, cfg["calibration_budget"],
-                                 seed + 1)
-    est = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
-                                     seed=seed + 2)
-    traces = [trace for part in partitions
-              for trace in play_feedback_games(
-                  spec, strategy, adversary_pool(spec, table, min(budget, 16), seed + 2), part)]
-    stats = lyapunov_violation_stats(traces, m_hat)
+    # the calibration and estimate pools carry their generators across the
+    # partitions; the replays behind the Lyapunov statistics are a fresh pool
+    # on each partition
+    calibration = adversary_pool(spec, table, cfg["calibration_budget"], seed + 1)
+    pool = adversary_pool(spec, table, budget, seed + 2)
+    played = [play_pools(spec, strategy, [calibration, pool,
+                                          adversary_pool(spec, table, min(budget, 16), seed + 2)],
+                         part)
+              for part in partitions]
+    m_hat = step_rate_bound([trace for traces, _, _ in played for trace in traces])
+    est = GuaranteeEstimate.from_traces(pool, partitions, [traces for _, traces, _ in played],
+                                        budget, seed + 2)
+    stats = lyapunov_violation_stats([trace for _, _, traces in played for trace in traces],
+                                     m_hat)
     v_site = table.interp("upper", 0.0, x0_vec)
     tol = m_hat * grid.t_end + params.epsilon + max(lattice.spacing)
     rows = ["partition_steps,worst_payoff"]

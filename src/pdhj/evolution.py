@@ -16,8 +16,8 @@ call), the game drift (one stage-terms call at the played pairs) and the
 tube draws (one _ball_points call).
 
 Lockstep loops (_lockstep_solve and its callers here and in
-pdhj.minimax; play_feedback_games, greedy_adversary and the DP slice in
-pdhj.game; the characteristic functional and viscosity_scan in
+pdhj.minimax; play_feedback_games, the greedy lookahead and the DP slice
+in pdhj.game; the characteristic functional and viscosity_scan in
 pdhj.minimax) raise the first error they meet, taking time steps in order
 and the phases of each step in the order their docstrings list.  A phase of
 per-lane callbacks (forcings, adversaries) runs lane by lane, so it raises
@@ -28,16 +28,19 @@ the batch's largest lattice margin (the one to expand by), and a game's
 stage terms (GameSpec.lane_terms, one call for all lanes whether the game
 answers with its Markov form or a callback sweep) the first non-finite entry
 in (lane, p, q) order, the drift before the cost of an entry.  So a
-feedback cell picks every game's control in one batch before the
-adversaries answer game by game; a residual site's tube lanes step with its
-game lanes, so the earlier step's error wins whichever lane it is on; and
-the characteristic functional takes the stage terms node by node, every
-candidate at a node before the next node.  The sampled Hamiltonians of
-pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
-use) take them one time group at a time: the distinct sample times in order
-of first appearance, every sample at a time in one batch, so they raise the
-first non-finite entry of the first group that has one, not that of the
-first failing sample.  Lanes that succeed do not depend on this order.
+feedback cell picks every game's control in one batch and answers its
+greedy lanes with one batched lookahead before the other adversaries answer
+game by game; a feedback run plays its three pools as one lane set per
+partition, so an earlier partition's error wins whichever pool it is on; a
+residual site's tube lanes step with its game lanes, so the earlier step's
+error wins whichever lane it is on; and the characteristic functional
+takes the stage terms node by node, every candidate at a node before the
+next node.  The sampled Hamiltonians of pdhj.game (sampled_hamiltonians,
+which isaacs-check and the Lipschitz audit use) take them one time group at
+a time: the distinct sample times in order of first appearance, every
+sample at a time in one batch, so they raise the first non-finite entry of
+the first group that has one, not that of the first failing sample.
+Lanes that succeed do not depend on this order.
 """
 
 from __future__ import annotations

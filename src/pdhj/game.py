@@ -16,6 +16,7 @@ reads its past.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,7 +31,7 @@ from .errors import (
 from .evolution import DelayDynamics, _implicit_step_batch, make_linear_operator, \
     sample_reachable_set
 from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
-    stopped_at, sup_norms, values_at
+    stopped_at, stopped_value_at, sup_norms, values_at
 from .upsilon import LyapunovParams, surrogate_terms
 
 STEP_SOLVE_TOL = 1e-11
@@ -937,26 +938,28 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
     """Play one game per adversary on one partition, all games in lockstep.
 
     The strategy commits p per partition cell and the adversary answers q.  An
-    adversary is any per-step policy (t, stopped path, p_index) -> q_index;
-    it sees the committed p, consistent with the upper-value commit order.
-    Both controls are held on the cell while the state integrates on the
-    finer simulation grid.  Per-step records hold the shifted-value
-    increments used by the Lyapunov diagnostic.
+    adversary is any per-step policy (t, path_of, p_index) -> q_index, where
+    path_of() builds its game's path stopped at t; it sees the committed p,
+    consistent with the upper-value commit order.  Both controls are held on
+    the cell while the state integrates on the finer simulation grid.
+    Per-step records hold the shifted-value increments used by the Lyapunov
+    diagnostic.
 
-    At each partition node one strategy.select_controls call (one lane_terms
-    call over the full control grid) picks every game's p, each aimed by its
-    own companion gradient; then the adversaries answer game by game, so an
-    adversary that keeps state (the generator of a random_adversary) sees the
-    calls it sees when its games are played one at a time.  Each
-    simulation-grid step takes every game's drift and running cost at its
-    played pair from one lane_terms call, and moves all games with one
-    batched implicit step.  One companion_minima call per partition node
-    serves every game: the minimum found after a step is that step's
-    u_shifted_after and aims the next control.  Each trace is bit-identical
-    to playing its game alone.  Errors follow the lockstep rule of
-    pdhj.evolution; the phases of a partition cell are the controls (one
-    batch), the adversaries (game by game), then per simulation-grid step
-    the played stage terms and the implicit step, then the companion minima.
+    The phases of a partition cell, each one batch unless said otherwise:
+    the controls (one strategy.select_controls call, one lane_terms call over
+    the full control grid, each game aimed by its own companion gradient);
+    the greedy adversaries (one lookahead step per group of greedy_adversary
+    lanes with the same game, table, side and lookahead); the other
+    adversaries, game by game, so an adversary that keeps state (the
+    generator of a random_adversary) sees the calls it sees when its games
+    are played one at a time; then per simulation-grid step the stage terms
+    at the played pairs (one lane_terms call) and one implicit step for all
+    games; then the companion minima (one companion_minima call, whose
+    minimum is the step's u_shifted_after and aims the next control).  At a
+    partition node a lane's stopped path is built only if its game or its
+    adversary reads it, and then once.  Each trace is bit-identical to
+    playing its game alone.  Errors follow the lockstep rule of
+    pdhj.evolution over these phases.
     """
     adversaries = list(adversaries)
     if not adversaries:
@@ -966,6 +969,13 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
     part_nodes = partition.nodes
     m = len(adversaries)
     games = np.arange(m)
+    groups, others = {}, []  # greedy lanes by equal adversary, then the rest
+    for g, adversary in enumerate(adversaries):
+        if isinstance(adversary, _GreedyLookahead):
+            groups.setdefault(adversary, []).append(g)
+        else:
+            others.append(g)
+    groups = [np.array(lanes) for lanes in groups.values()]
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, game, coordinate)
     companions = strategy.companion_minima(
         part_nodes[0], values[: inner.node_index(part_nodes[0]) + 1])
@@ -975,11 +985,16 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        x_now = [stopped_at(inner, values[:, g], ka) for g in range(m)]
-        p_picks = strategy.select_controls(t_i, values[ka], lambda g: x_now[g], companions)
-        picks = [(int(p_idx), int(adversary(t_i, x_now[g], int(p_idx))))
-                 for g, (adversary, p_idx) in enumerate(zip(adversaries, p_picks))]
-        played = (games, p_picks, np.array([q_idx for _, q_idx in picks], dtype=int))
+        path_at = functools.cache(lambda g, k=ka: stopped_at(inner, values[:, g], k))
+        p_picks = strategy.select_controls(t_i, values[ka], path_at, companions)
+        q_picks = np.empty(m, dtype=int)
+        states = stopped_value_at(inner, values, ka, t_i)
+        for lanes in groups:
+            q_picks[lanes] = adversaries[lanes[0]].answers(
+                t_i, ka, states[lanes], lambda n: path_at(lanes[n]), p_picks[lanes])
+        for g in others:
+            q_picks[g] = int(adversaries[g](t_i, functools.partial(path_at, g), int(p_picks[g])))
+        played = (games, p_picks, q_picks)
         step_cost = np.zeros(m)
         for k in range(ka, kb):
             t_k, dt = nodes[k], nodes[k + 1] - nodes[k]
@@ -1004,8 +1019,8 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
                 "companion_kind": before[1],
                 "companion_index": before[2],
             })
-            p_indices[g].append(picks[g][0])
-            q_indices[g].append(picks[g][1])
+            p_indices[g].append(int(p_picks[g]))
+            q_indices[g].append(int(q_picks[g]))
         companions = after
 
     paths = [Path(inner, values[:, g]) for g in range(m)]
@@ -1015,53 +1030,88 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
             for g in range(m)]
 
 
+def play_pools(spec: GameSpec, strategy: FeedbackStrategy, pools, partition: TimeGrid) -> list:
+    """Several adversary pools as the lanes of one play_feedback_games call,
+    in pool order; one trace list per pool, each trace the one its game
+    gives played alone."""
+    pools = [list(pool) for pool in pools]
+    traces = iter(play_feedback_games(spec, strategy, [a for pool in pools for a in pool],
+                                      partition))
+    return [[next(traces) for _ in pool] for pool in pools]
+
+
 # -- adversary policies -----------------------------------------------------
 
 def constant_adversary(q_index: int):
-    def policy(t, x, p_index):
+    def policy(t, path_of, p_index):
         return q_index
     policy.describe = f"constant[{q_index}]"
     return policy
 
 
 def random_adversary(seed: int, n_q: int):
+    """A uniform q index per call, drawn from the policy's own generator."""
     rng = np.random.default_rng(seed)
 
-    def policy(t, x, p_index):
+    def policy(t, path_of, p_index):
         return int(rng.integers(n_q))
     policy.describe = f"random[{seed}]"
+    policy.generator = rng
     return policy
+
+
+@dataclass(frozen=True)
+class _GreedyLookahead:
+    """One-step lookahead maximizer against the committed p; ties keep the
+    first q.  Equal ones (the same game and table, side and lookahead)
+    answer as one batch in play_feedback_games."""
+
+    spec: GameSpec
+    value: ValueTable
+    side: str
+    lookahead: float
+    describe = "greedy-lookahead"
+
+    def __call__(self, t, path_of, p_index):
+        x = path_of()
+        return int(self.answers(t, x.grid.node_index(t), x.value_at(t)[None], lambda _: x,
+                                np.array([p_index]))[0])
+
+    def answers(self, t: float, k: int, states: np.ndarray, path_of, p_indices) -> np.ndarray:
+        """The q index of each of N games at node k (time t); states (N, dim)
+        and path_of as in GameSpec.lane_terms, p_indices (N,) the committed p's.
+
+        The (game, q) pairs are the lanes of one lockstep step (errors as
+        pdhj.evolution states): one lane_terms call for the committed rows (in
+        game, then q order), one batched implicit step, one read of the
+        successors.  Each game's pick is the one it gets alone.
+        """
+        spec, value = self.spec, self.value
+        n_q = spec.controls.n_q
+        dt = self.lookahead if self.lookahead is not None else value.grid.mesh
+        dt = min(dt, value.grid.t_end - t)
+        n = len(states)
+        rows = np.repeat(np.arange(n), n_q)
+        played = (rows, np.repeat(p_indices, n_q), np.tile(np.arange(n_q), n))
+        drifts, costs = spec.lane_terms(t, states, path_of, played)
+        x = states[rows]
+        tols = STEP_SOLVE_TOL * (1.0 + _row_norms(x))
+        succ, _, _ = _implicit_step_batch(spec.dyn.op, t + dt, dt, x + dt * drifts, x, tols, k)
+        ahead = value.interp_batch(self.side, t + dt, succ)
+        picks = np.zeros(n, dtype=int)
+        for g, scores in enumerate((dt * costs + ahead).reshape(n, n_q)):
+            best = -np.inf
+            for j, val in enumerate(scores):
+                if val > best + 1e-15:
+                    picks[g], best = j, val
+        return picks
 
 
 def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
                      lookahead: float = None):
-    """One-step lookahead maximizer against the committed p; ties keep the first q.
-
-    The q values are the lanes of one lockstep step (errors as pdhj.evolution
-    states), in these phases: one lane_terms call for the committed p's row
-    (the drift before the cost of each q, in q order), one batched implicit
-    step, and one read of the successors.
-    """
-    n_q = spec.controls.n_q
-
-    def policy(t, x, p_index):
-        dt = lookahead if lookahead is not None else value.grid.mesh
-        dt = min(dt, value.grid.t_end - t)
-        state = x.value_at(t)
-        k = x.grid.node_index(t)
-        row = (np.zeros(n_q, dtype=int), np.full(n_q, p_index), np.arange(n_q))
-        drifts, costs = spec.lane_terms(t, state[None], lambda _: x, row)
-        tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
-        succ, _, _ = _implicit_step_batch(spec.dyn.op, t + dt, dt, state + dt * drifts,
-                                          np.broadcast_to(state, drifts.shape), tol, k)
-        ahead = value.interp_batch(side, t + dt, succ)
-        best_j, best_val = 0, -np.inf
-        for j, val in enumerate(dt * costs + ahead):
-            if val > best_val + 1e-15:
-                best_j, best_val = j, val
-        return best_j
-    policy.describe = "greedy-lookahead"
-    return policy
+    """The greedy lookahead adversary: called alone it reads its game's
+    stopped path; play_feedback_games answers its greedy lanes in batches."""
+    return _GreedyLookahead(spec, value, side, lookahead)
 
 
 def adversary_pool(spec: GameSpec, value: ValueTable, budget: int, seed: int) -> list:
@@ -1077,23 +1127,28 @@ def adversary_pool(spec: GameSpec, value: ValueTable, budget: int, seed: int) ->
     return pool[:budget]
 
 
+# -- reductions over played traces ------------------------------------------
+
+def step_rate_bound(traces, floor: float = 1e-6) -> float:
+    """Empirical Lyapunov step-rate bound m-hat of the traces: the maximum
+    per-step residual rate (cost + shifted-value increment per unit time),
+    floored away from zero.  Test runs are then required to respect m-hat on
+    at least 95% of steps and 2 * m-hat always."""
+    worst = floor
+    for trace in traces:
+        for rec in trace.step_records:
+            worst = max(worst, rec["residual"] / rec["dt"])
+    return float(worst)
+
+
 def calibrate_step_bound(spec: GameSpec, strategy: FeedbackStrategy, partitions,
                          calibration_budget: int, seed: int,
                          floor: float = 1e-6) -> float:
-    """Empirical Lyapunov step-rate bound m-hat for one configuration.
-
-    Runs a calibration adversary pool over the partitions and returns the
-    maximum observed per-step residual rate (cost + shifted-value increment
-    per unit time), floored away from zero.  Test runs are then required to
-    respect m-hat on at least 95% of steps and 2 * m-hat always.
-    """
+    """step_rate_bound of a calibration adversary pool played on each partition."""
     pool = adversary_pool(spec, strategy.value, calibration_budget, seed)
-    worst = floor
-    for partition in partitions:
-        for trace in play_feedback_games(spec, strategy, pool, partition):
-            for rec in trace.step_records:
-                worst = max(worst, rec["residual"] / rec["dt"])
-    return float(worst)
+    return step_rate_bound([trace for partition in partitions
+                            for trace in play_feedback_games(spec, strategy, pool, partition)],
+                           floor)
 
 
 def lyapunov_violation_stats(traces, m_hat: float) -> dict:
@@ -1122,6 +1177,31 @@ class GuaranteeEstimate:
     seed: int
     certificate: dict
 
+    @classmethod
+    def from_traces(cls, pool, partitions, traces, budget: int, seed: int) -> "GuaranteeEstimate":
+        """The worst payoff per partition and overall, with its certificate:
+        traces[i] holds the pool's traces on partitions[i], in pool order, and
+        a tie keeps the earlier adversary."""
+        per_partition = []
+        overall = -np.inf
+        for partition, played in zip(partitions, traces):
+            worst = -np.inf
+            worst_adv = None
+            for adv, trace in zip(pool, played):
+                if trace.payoff > worst:
+                    worst, worst_adv = trace.payoff, getattr(adv, "describe", "?")
+            per_partition.append({"n_steps": partition.n_steps, "mesh": partition.mesh,
+                                  "worst_payoff": worst, "worst_adversary": worst_adv})
+            overall = max(overall, worst)
+        certificate = {
+            "seed": seed,
+            "budget": budget,
+            "pool": [getattr(a, "describe", "?") for a in pool],
+            "partition_meshes": [p.mesh for p in partitions],
+        }
+        return cls(value=float(overall), per_partition=tuple(per_partition),
+                   budget=budget, seed=seed, certificate=certificate)
+
     def to_json_obj(self) -> dict:
         return {
             "value": self.value,
@@ -1135,32 +1215,17 @@ class GuaranteeEstimate:
 def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
                                t0: float, x0: Path, adversary_budget: int,
                                partitions, *, seed: int = 0) -> GuaranteeEstimate:
-    """Max payoff over the sampled adversary pool and the listed partitions."""
+    """Max payoff over the sampled adversary pool and the listed partitions:
+    GuaranteeEstimate.from_traces of the pool played on each partition."""
     if abs(strategy.t0 - t0) > 1e-9:
         raise ConfigurationError(
             f"strategy was built for t0={strategy.t0}, estimate asked for t0={t0}")
     if np.linalg.norm(strategy.x0.value_at(t0) - x0.value_at(min(t0, x0.grid.t_end))) > 1e-9:
         raise ConfigurationError("strategy history does not match the requested start state")
-    per_partition = []
-    overall = -np.inf
     pool = adversary_pool(spec, strategy.value, adversary_budget, seed)
-    for partition in partitions:
-        worst = -np.inf
-        worst_adv = None
-        for adv, trace in zip(pool, play_feedback_games(spec, strategy, pool, partition)):
-            if trace.payoff > worst:
-                worst, worst_adv = trace.payoff, getattr(adv, "describe", "?")
-        per_partition.append({"n_steps": partition.n_steps, "mesh": partition.mesh,
-                              "worst_payoff": worst, "worst_adversary": worst_adv})
-        overall = max(overall, worst)
-    certificate = {
-        "seed": seed,
-        "budget": adversary_budget,
-        "pool": [getattr(a, "describe", "?") for a in pool],
-        "partition_meshes": [p.mesh for p in partitions],
-    }
-    return GuaranteeEstimate(value=float(overall), per_partition=tuple(per_partition),
-                             budget=adversary_budget, seed=seed, certificate=certificate)
+    return GuaranteeEstimate.from_traces(
+        pool, partitions, [play_feedback_games(spec, strategy, pool, p) for p in partitions],
+        adversary_budget, seed)
 
 
 # ---------------------------------------------------------------------------

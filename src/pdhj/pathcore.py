@@ -149,17 +149,7 @@ class Path:
 
     def value_at(self, t: float) -> np.ndarray:
         """Piecewise-linear interpolant at time t (clamped to the span ends)."""
-        grid = self.grid
-        if not grid.t_start - _NODE_TOL <= t <= grid.t_end + _NODE_TOL:
-            grid.require_contains(t)
-        nodes = grid._node_list
-        t = min(max(t, nodes[0]), nodes[-1])
-        k = min(max(bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
-        w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-        values = self.values
-        if w == 0.0:  # at a node (1 - w) * x is x; w * next keeps the blend's zero signs
-            return values[k] + w * values[k + 1]
-        return (1.0 - w) * values[k] + w * values[k + 1]
+        return stopped_value_at(self.grid, self.values, self.grid.n_steps, t)
 
     def resample(self, grid: TimeGrid) -> "Path":
         """Interpolate onto another grid covering a subset of this path's span."""
@@ -248,6 +238,24 @@ def stopped_at(grid: TimeGrid, values: np.ndarray, k: int) -> Path:
     held = values.copy()
     held[k + 1:] = held[k]
     return Path(grid, held)
+
+
+def stopped_value_at(grid: TimeGrid, values: np.ndarray, k: int, t: float) -> np.ndarray:
+    """x(t) of the node values stopped at node k, bit for bit the value_at of
+    stopped_at(grid, values, k), without building that path.
+
+    values has shape (node, ..., dim); any lane axes between are read together.
+    """
+    if not grid.t_start - _NODE_TOL <= t <= grid.t_end + _NODE_TOL:
+        grid.require_contains(t)
+    nodes = grid._node_list
+    t = min(max(t, nodes[0]), nodes[-1])
+    j = min(max(bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
+    w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
+    here, after = values[min(j, k)], values[min(j + 1, k)]
+    if w == 0.0:  # at a node (1 - w) * x is x; w * next keeps the blend's zero signs
+        return here + w * after
+    return (1.0 - w) * here + w * after
 
 
 def extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:

@@ -324,5 +324,5 @@ def test_greedy_adversary_reports_node_index():
     policy = greedy_adversary(bad, table)
     x = Path.constant(grid, [0.1])
     with pytest.raises(SolverError) as err:
-        policy(grid.nodes[3], x, 0)
+        policy(grid.nodes[3], lambda: x, 0)
     assert err.value.step_index == 3

@@ -1,11 +1,13 @@
 """The adversary pool played as lanes, against the game-by-game loop it replaced."""
 
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from pdhj import evolution
+from pdhj import cli, evolution, game
 from pdhj.errors import DomainError, EvaluationError, LatticeCoverageError, SolverError
 from pdhj.evolution import (
     DelayDynamics,
@@ -20,18 +22,24 @@ from pdhj.game import (
     ControlGrid,
     FeedbackStrategy,
     GameSpec,
+    GuaranteeEstimate,
     StateLattice,
     StrategyTrace,
     ValueTable,
     adversary_pool,
+    calibrate_step_bound,
     constant_adversary,
     constant_game,
     dp_value,
+    estimate_guaranteed_result,
     extremal_shift_strategy,
     greedy_adversary,
     isaacs_game,
+    lyapunov_violation_stats,
     play_feedback_games,
+    play_pools,
     random_adversary,
+    step_rate_bound,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
@@ -100,7 +108,7 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
         p_idx = int(np.argmin(spec.stage_matrix(t_i, x_now, companion[3]).max(axis=1)))
-        q_idx = int(adversary(t_i, x_now, p_idx))
+        q_idx = int(adversary(t_i, lambda: x_now, p_idx))
         p = spec.controls.p_points[p_idx]
         q = spec.controls.q_points[q_idx]
         step_cost = 0.0
@@ -288,6 +296,200 @@ class TestPoolMatchesGameByGame:
         assert play_feedback_games(spec, strategy, [], partitions[0]) == []
 
 
+def _isaacs_desk(markov, grid_steps=8, partition_steps=(4, 8)):
+    """The Isaacs game with or without its Markov form, its table, and a
+    strategy for the partitions."""
+    spec = isaacs_game(scale=0.5)
+    if not markov:
+        spec = dataclasses.replace(spec, markov_terms=None)
+    grid = TimeGrid(0.0, 1.0, grid_steps)
+    table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
+    params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+    partitions = [TimeGrid(0.0, 1.0, n) for n in partition_steps]
+    x0 = Path.constant(grid, [0.4])
+    strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions, value=table,
+                                       library_size=16, seed=5)
+    return spec, table, strategy, partitions, x0
+
+
+def _greedy_reference_lane(spec, value, lookahead=None):
+    """_greedy_reference as a lane policy (t, path_of, p_index)."""
+    policy = _greedy_reference(spec, value, lookahead=lookahead)
+    return lambda t, path_of, p_index: policy(t, path_of(), p_index)
+
+
+class TestGreedyLanes:
+    @pytest.mark.parametrize("markov", [True, False])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_groups_match_the_per_q_loop_off_node(self, markov, explicit, monkeypatch):
+        # on a 15-step grid the 5-step partition's node 0.6000000000000001
+        # is a hair past the simulation grid's node 0.6; an explicit
+        # partition puts every inner node up to 7e-13 past the grid's
+        if explicit:
+            spec, table, _, _, x0 = _isaacs_desk(markov)
+            partition = TimeGrid.from_nodes([0.0, 0.25 + 5e-13, 0.5 + 3e-13, 0.75 + 7e-13, 1.0])
+            strategy = extremal_shift_strategy(
+                spec, LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0), 0.0, x0,
+                partition, value=table, library_size=16, seed=5)
+        else:
+            spec, table, strategy, (partition,), _ = _isaacs_desk(markov, 15, (5,))
+        off = [t for t in partition.nodes if t not in strategy.x0.grid.nodes]
+        assert len(off) == (3 if explicit else 1)
+        n_q = spec.controls.n_q
+        # a maximizer of -u picks other q's than one of u
+        flipped = ValueTable(grid=table.grid, lattice=table.lattice, v_minus=None,
+                             v_plus=-table.v_plus)
+        # two equal greedy adversaries answer as one batch, each other one alone
+        pool = [constant_adversary(2), greedy_adversary(spec, table),
+                greedy_adversary(spec, flipped), random_adversary(4, n_q),
+                greedy_adversary(spec, table), greedy_adversary(spec, table, lookahead=0.05)]
+        assert pool[1] == pool[4] and pool[1] != pool[2] and pool[1] != pool[5]
+        ref = [constant_adversary(2), _greedy_reference_lane(spec, table),
+               _greedy_reference_lane(spec, flipped), random_adversary(4, n_q),
+               _greedy_reference_lane(spec, table),
+               _greedy_reference_lane(spec, table, lookahead=0.05)]
+        # each batch reads the x(t) of the stopped path its lanes read alone
+        answers, batches = game._GreedyLookahead.answers, []
+
+        def spy(self, t, k, states, path_of, p_indices):
+            for n, state in enumerate(states):
+                assert state.tobytes() == path_of(n).value_at(t).tobytes()
+            batches.append(len(states))
+            return answers(self, t, k, states, path_of, p_indices)
+
+        monkeypatch.setattr(game._GreedyLookahead, "answers", spy)
+        traces = play_feedback_games(spec, strategy, pool, partition)
+        assert batches == [2, 1, 1] * partition.n_steps
+        for a, adv in zip(traces, ref):
+            _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv, partition))
+        assert traces[2].q_indices != traces[1].q_indices
+
+    @pytest.mark.parametrize("markov", [True, False])
+    def test_stopped_paths_built_only_when_read(self, markov, monkeypatch):
+        spec, table, strategy, partitions, _ = _isaacs_desk(markov)
+        built = []
+
+        def counted(grid, values, k):
+            built.append(k)
+            return stopped_at(grid, values, k)
+
+        monkeypatch.setattr(game, "stopped_at", counted)
+        pool = adversary_pool(spec, table, 6, seed=1)  # constants, greedy, random
+        play_feedback_games(spec, strategy, pool, partitions[0])
+        # a Markov game reads none; a path-dependent one each lane's path once
+        # per partition node (controls and greedy share it) and once per step
+        assert len(built) == (0 if markov else len(pool) * (4 + 8))
+
+
+# ---------------------------------------------------------------------------
+# the feedback run's pools as one lane set per partition
+# ---------------------------------------------------------------------------
+
+def _json_bytes(obj):
+    return json.dumps(obj, sort_keys=True).encode()
+
+
+def _random_states(pools):
+    return [adv.generator.bit_generator.state for pool in pools for adv in pool
+            if hasattr(adv, "generator")]
+
+
+class TestPoolsAsOneLaneSet:
+    """cli._run_feedback's calibration, estimate and replay pools as one lane
+    set per partition, against the pools played in separate calls."""
+
+    @pytest.mark.parametrize("markov", [True, False])
+    def test_matches_separate_passes(self, markov):
+        spec, table, strategy, partitions, x0 = _isaacs_desk(markov)
+        calibration_budget, budget, seed = 6, 9, 3
+
+        def pools():
+            return (adversary_pool(spec, table, calibration_budget, seed + 1),
+                    adversary_pool(spec, table, budget, seed + 2),
+                    [adversary_pool(spec, table, min(budget, 16), seed + 2) for _ in partitions])
+
+        # one lane set per partition, as cli._run_feedback plays them
+        calibration, pool, replays = pools()
+        played = [play_pools(spec, strategy, [calibration, pool, replay], part)
+                  for part, replay in zip(partitions, replays)]
+        # each pool in its own calls: calibration, then estimate, then replays
+        calibration_ref, pool_ref, replays_ref = pools()
+        separate = [[play_feedback_games(spec, strategy, calibration_ref, p) for p in partitions],
+                    [play_feedback_games(spec, strategy, pool_ref, p) for p in partitions],
+                    [play_feedback_games(spec, strategy, r, p)
+                     for r, p in zip(replays_ref, partitions)]]
+        for i in range(len(partitions)):
+            for j in range(3):
+                got, want = played[i][j], separate[j][i]
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert _json_bytes(a.to_json_obj()) == _json_bytes(b.to_json_obj())
+        # the first partition's replays repeat the estimate's first lanes
+        for a, b in zip(played[0][2], played[0][1]):
+            assert _json_bytes(a.to_json_obj()) == _json_bytes(b.to_json_obj())
+
+        m_hat = step_rate_bound([t for traces, _, _ in played for t in traces])
+        assert m_hat == step_rate_bound([t for traces in separate[0] for t in traces])
+        assert m_hat == calibrate_step_bound(spec, strategy, partitions, calibration_budget,
+                                             seed + 1)
+        est = GuaranteeEstimate.from_traces(pool, partitions, [p[1] for p in played],
+                                            budget, seed + 2)
+        want = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
+                                          seed=seed + 2)
+        assert _json_bytes(est.to_json_obj()) == _json_bytes(want.to_json_obj())
+        assert lyapunov_violation_stats([t for _, _, traces in played for t in traces], m_hat) \
+            == lyapunov_violation_stats([t for traces in separate[2] for t in traces], m_hat)
+        states = _random_states([calibration, pool] + replays)
+        assert len(states) == 2 + 5 + 2 * 5
+        assert states == _random_states([calibration_ref, pool_ref] + replays_ref)
+
+
+def _raise_at_time(t_fail, name):
+    def policy(t, path_of, p_index):
+        if abs(t - t_fail) < 1e-12:
+            raise RuntimeError(name)
+        return 0
+    return policy
+
+
+class TestPoolErrorOrder:
+    """With one lane set per partition a partition's error wins whichever
+    pool it is on; played pool by pool, every calibration error came first."""
+
+    @pytest.mark.parametrize("t_calibration, t_estimate", [
+        (0.125, 0.75),  # calibration fails on the finer partition only
+        (0.75, 0.25),   # both fail on the coarser one, the estimate earlier
+    ])
+    def test_the_earlier_error_of_the_lane_set(self, t_calibration, t_estimate):
+        spec, _, strategy, partitions, _ = _isaacs_desk(True)
+        calibration = [constant_adversary(0), _raise_at_time(t_calibration, "calibration")]
+        estimate = [_raise_at_time(t_estimate, "estimate"), constant_adversary(1)]
+        with pytest.raises(RuntimeError, match="^calibration$"):
+            for pool in (calibration, estimate):
+                for part in partitions:
+                    play_feedback_games(spec, strategy, pool, part)
+        with pytest.raises(RuntimeError, match="^estimate$"):
+            for part in partitions:
+                play_pools(spec, strategy, [calibration, estimate], part)
+
+    def test_feedback_run_raises_the_coarser_partitions_error(self, monkeypatch):
+        path = pathlib.Path(__file__).parents[1] / "bench" / "configs" / "feedback_short.json"
+        cfg = cli.validate_config({**json.loads(path.read_text()), "seed": 0, "budget": 20})
+        real = cli.adversary_pool
+
+        def with_raiser(spec, value, budget, seed):
+            pool = real(spec, value, budget, seed)
+            if (budget, seed) == (cfg["calibration_budget"], 1):
+                pool.append(_raise_at_time(0.0625, "calibration"))  # a 16-step node only
+            elif (budget, seed) == (20, 2):
+                pool.append(_raise_at_time(0.75, "estimate"))
+            return pool
+
+        monkeypatch.setattr(cli, "adversary_pool", with_raiser)
+        with pytest.raises(RuntimeError, match="^estimate$"):
+            cli._run_feedback(cfg, {})
+
+
 # ---------------------------------------------------------------------------
 # ties between candidate kinds
 # ---------------------------------------------------------------------------
@@ -361,13 +563,13 @@ class TestCompanionTies:
 
 def _kick(node, big=2):
     """An adversary playing q index `big` at partition node `node` (of 4), else 0."""
-    def policy(t, x, p_index):
+    def policy(t, path_of, p_index):
         return big if int(round(t * 4)) == node else 0
     return policy
 
 
 def _raise_at(node):
-    def policy(t, x, p_index):
+    def policy(t, path_of, p_index):
         if int(round(t * 4)) >= node:
             raise RuntimeError(f"adversary failed at node {node}")
         return 0
@@ -461,7 +663,7 @@ class TestGreedyBatch:
                 x = Path(sim, 0.4 * rng.standard_normal((sim.n_steps + 1, dim)))
                 t = float(sim.nodes[rng.integers(sim.n_steps + 1)])
                 for p in range(spec.controls.n_p):
-                    assert got(t, x, p) == want(t, x, p)
+                    assert got(t, lambda: x, p) == want(t, x, p)
 
     def test_ties_keep_the_first_q(self):
         spec = constant_game()
@@ -472,12 +674,33 @@ class TestGreedyBatch:
                         controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.0, 0.0)),
                         l_f=0.0, lambda_L=0.1)
         x = Path.constant(grid, [0.3])
-        assert greedy_adversary(spec, table)(0.25, x, 0) == 0
+        assert greedy_adversary(spec, table)(0.25, lambda: x, 0) == 0
+
+    @pytest.mark.parametrize("slope, pick", [(8e-16, 0), (1e-14, 2)])
+    def test_scores_within_1e_15_tie(self, slope, pick):
+        # no drift, so every q reaches the same successor and the scores
+        # differ by dt * cost alone (dt = 0.25): 0, slope / 2 and slope
+        base = constant_game()
+        grid = TimeGrid(0.0, 1.0, 4)
+        table = dp_value(base, grid, StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,)))
+        spec = GameSpec(dyn=DelayDynamics(op=base.dyn.op, rhs=lambda t, x, u: np.zeros(1),
+                                          lipschitz_L=1.0),
+                        running_cost=lambda t, x, p, q: 4 * slope * q,
+                        terminal_cost=base.terminal_cost,
+                        controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.5, 1.0)),
+                        l_f=1.0, lambda_L=0.1)
+        adversary = greedy_adversary(spec, table)
+        xs = [Path.constant(grid, [v]) for v in (0.3, -0.2)]
+        assert adversary(0.25, lambda: xs[0], 0) == pick
+        # two games in one batch pick as each does alone
+        picks = adversary.answers(0.25, 1, np.array([[0.3], [-0.2]]), lambda n: xs[n],
+                                  np.array([0, 0]))
+        assert picks.tolist() == [pick, pick]
 
     def _error(self, spec, table, t=0.25, state=0.1):
         x = Path.constant(table.grid, [state])
         with pytest.raises(Exception) as info:
-            greedy_adversary(spec, table, lookahead=0.125)(t, x, 0)
+            greedy_adversary(spec, table, lookahead=0.125)(t, lambda: x, 0)
         return info.value
 
     def test_cost_of_an_earlier_q_before_a_later_drift(self):

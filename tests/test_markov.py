@@ -296,7 +296,8 @@ class TestConsumersMatchThePathForm:
             k = int(rng.integers(self.grid.n_steps))
             x = stopped_at(self.grid, rng.uniform(-1.0, 1.0, (self.grid.n_steps + 1, dim)), k)
             for p in range(spec.controls.n_p):
-                assert got(self.grid.nodes[k], x, p) == want(self.grid.nodes[k], x, p)
+                assert got(self.grid.nodes[k], lambda: x, p) == \
+                    want(self.grid.nodes[k], lambda: x, p)
 
 
 # ---------------------------------------------------------------------------

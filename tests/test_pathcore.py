@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pdhj.errors import DomainError
-from pdhj.pathcore import Path, StateSpace, TimeGrid, d_infinity, stop_path, sup_norm
+from pdhj.pathcore import Path, StateSpace, TimeGrid, d_infinity, stop_path, stopped_at, \
+    stopped_value_at, sup_norm
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_CSV = (DATA / "path_golden.csv").read_text()
@@ -139,6 +140,29 @@ class TestValueAt:
         assert not np.signbit(path.value_at(0.0)[0])
         out = path.value_at(0.5)
         assert out.flags.writeable and not np.shares_memory(out, path.values)
+
+
+class TestStoppedValueAt:
+    @given(_path_and_time(), st.data())
+    def test_matches_value_at_of_the_stopped_path(self, case, data):
+        path, t = case
+        n = path.grid.n_steps
+        k = data.draw(st.integers(0, n))
+        if data.draw(st.booleans()):  # a time a hair off a node, as partition nodes may be
+            t = float(path.grid.nodes[k]) + data.draw(st.sampled_from([-1e-13, 1e-13]))
+        # lanes: the path, its reflection, and its rows reversed
+        lanes = np.stack([path.values, -path.values, path.values[::-1]], axis=1)
+        try:
+            want = [stopped_at(path.grid, lanes[:, g], k).value_at(t) for g in range(3)]
+        except DomainError as err:
+            with pytest.raises(DomainError) as got:
+                stopped_value_at(path.grid, lanes, k, t)
+            assert str(got.value) == str(err)
+            return
+        got = stopped_value_at(path.grid, lanes, k, t)
+        assert got.shape == (3, path.dim)
+        for g in range(3):
+            assert got[g].tobytes() == want[g].tobytes()  # signed zeros included
 
 
 class TestStopPath:

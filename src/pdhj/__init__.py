@@ -34,10 +34,8 @@ from .game import (
     ValueTable,
     audit_hamiltonian_lipschitz,
     dp_value,
-    estimate_guaranteed_result,
     extremal_shift_strategy,
     hamiltonian,
-    measurable_selection,
     play_feedback_games,
 )
 from .minimax import (
@@ -48,17 +46,7 @@ from .minimax import (
     stability_experiment,
     viscosity_scan,
 )
-from .pathcore import Path, StateSpace, TimeGrid, d_infinity, kappa_constant, stop_path, sup_norm
-from .upsilon import (
-    ChainRuleReport,
-    LyapunovParams,
-    NuEval,
-    PenaltyEval,
-    UpsilonEval,
-    lyapunov_nu,
-    penalty_psi,
-    upsilon,
-    verify_chain_rule,
-)
+from .pathcore import Path, StateSpace, TimeGrid, kappa_constant
+from .upsilon import ChainRuleReport, LyapunovParams, verify_chain_rule
 
 __version__ = "0.1.0"

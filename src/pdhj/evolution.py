@@ -346,6 +346,15 @@ def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np
     return xi, iters, res
 
 
+def _drift_step(op: OperatorSpec, t_next: float, dt: float, x: np.ndarray, drift: np.ndarray,
+                rel_tol: float, step_index: int):
+    """One implicit-Euler step of each row of x, shape (M, dim), under its
+    drift: _implicit_step_batch with target x + dt*drift, guess x and
+    tolerance rel_tol (1 + |x|) per row."""
+    return _implicit_step_batch(op, t_next, dt, x + dt * drift, x,
+                                rel_tol * (1.0 + _row_norms(x)), step_index)
+
+
 def _fallback_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarray,
                    guess: np.ndarray, tol: float, step_index: int, iters: int):
     """The safeguarded root of g for one lane whose damped Newton stalled:
@@ -481,14 +490,14 @@ def _lockstep_solve(op: OperatorSpec, t0: float, x0: Path, L: np.ndarray, step_f
     trace = np.zeros((n - k0, m, dim))
     iters = np.zeros((n - k0, m), dtype=int)
     res = np.zeros((n - k0, m))
-    # running max of the node norms sup_norm takes (np.linalg.norm over axis 1)
+    # running max of the node norms up to t_k (np.linalg.norm over axis 1)
     node_sup = np.full(m, np.max(np.linalg.norm(x0.values[: k0 + 1], axis=1)))
 
     for k in range(k0, n):
         t_k1 = nodes[k + 1]
         dt = t_k1 - nodes[k]
         x_k = values[k]
-        cur = _row_norms(x_k)  # |x(t_k)|: sup_norm's last term and the step tolerance
+        cur = _row_norms(x_k)  # |x(t_k)|, the stopped sup-norm's last term
         bound = L * (1.0 + np.maximum(node_sup, cur))
         f = step_forcing(k, values, bound)
         fmag = _row_norms(f)
@@ -497,8 +506,7 @@ def _lockstep_solve(op: OperatorSpec, t0: float, x0: Path, L: np.ndarray, step_f
             lane = over[0]
             raise ContractError(f"forcing magnitude {fmag[lane]:.6e} exceeds L(1+sup) = "
                                 f"{bound[lane]:.6e} at step {k}")
-        values[k + 1], iters[k - k0], res[k - k0] = _implicit_step_batch(
-            op, t_k1, dt, x_k + dt * f, x_k, STEP_TOL * (1.0 + cur), k)
+        values[k + 1], iters[k - k0], res[k - k0] = _drift_step(op, t_k1, dt, x_k, f, STEP_TOL, k)
         node_sup = np.maximum(node_sup, np.linalg.norm(values[k + 1], axis=1))
         trace[k - k0] = f
     return values, trace, iters, res

@@ -2,9 +2,8 @@
 
 Holds the game specification (dynamics, running and terminal costs, control
 grids), the lower/upper Hamiltonians by exact enumeration, a brute-force
-backward dynamic-programming value oracle on a state lattice, the constructive
-measurable selection rule, and the extremal-shift feedback strategy driven by
-the decaying Lyapunov function.
+backward dynamic-programming value oracle on a state lattice, and the
+extremal-shift feedback strategy driven by the decaying Lyapunov function.
 
 The DP oracle treats lattice states as constant-history paths; its values are
 exact for games whose path dependence collapses to the current state, which is
@@ -28,13 +27,12 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import DelayDynamics, _implicit_step_batch, make_linear_operator, \
-    sample_reachable_set
-from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
+from .evolution import DelayDynamics, _drift_step, make_linear_operator, sample_reachable_set
+from .pathcore import Path, TimeGrid, _row_dots, extend_history, pad_paths, \
     stopped_at, stopped_value_at, sup_norms, values_at
 from .upsilon import LyapunovParams, surrogate_terms
 
-STEP_SOLVE_TOL = 1e-11
+STEP_SOLVE_TOL = 1e-11  # kept apart from evolution.STEP_TOL: the shipped results pin both
 COVERAGE_TOL = 1e-9  # states farther than this outside the lattice box are refused
 
 
@@ -540,9 +538,8 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     if spec.markov_terms is None and k > 0:
         _require_markov(spec, grid, k, points, drift, cost)
     starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
-    targets = (points[:, None, None, :] + dt * drift).reshape(-1, dim)
-    tols = np.repeat(STEP_SOLVE_TOL * (1.0 + _row_norms(points)), controls.n_p * controls.n_q)
-    succ, _, _ = _implicit_step_batch(spec.dyn.op, t_k1, dt, targets, starts, tols, k)
+    succ, _, _ = _drift_step(spec.dyn.op, t_k1, dt, starts, drift.reshape(-1, dim),
+                             STEP_SOLVE_TOL, k)
     margins = lattice.coverage_margins(succ)
     worst = int(np.argmax(margins))
     if margins[worst] > COVERAGE_TOL:
@@ -677,28 +674,6 @@ def recompute_slice(table: ValueTable, spec: GameSpec, k: int, side: str) -> np.
         out, _ = _dp_slice(spec, table.grid, table.lattice, k,
                            table.v_minus[k + 1], None, lifts)
     return out
-
-
-# ---------------------------------------------------------------------------
-# measurable selection
-# ---------------------------------------------------------------------------
-
-def measurable_selection(h_grid: np.ndarray, epsilon: float) -> np.ndarray:
-    """Smallest-index selection of a near-maximizing column per row.
-
-    For each row p, picks the first index n with h[p, n] = max_m h[p, m]; on
-    finite grids the epsilon slack is unused (the maximum is attained exactly),
-    but epsilon > 0 is required to match the selection's contract.
-    """
-    if not epsilon > 0:
-        raise DomainError("epsilon must be > 0")
-    H = np.asarray(h_grid, dtype=float)
-    if H.ndim != 2:
-        raise DomainError("h_grid must be a 2-D matrix over P x Q")
-    if not np.all(np.isfinite(H)):
-        raise EvaluationError("h_grid contains non-finite entries")
-    row_max = H.max(axis=1)
-    return np.argmax(H == row_max[:, None], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,10 +976,8 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
             drift, cost = spec.lane_terms(
                 t_k, values[k], lambda g: stopped_at(inner, values[:, g], k), played)
             step_cost += dt * cost
-            x_k = values[k]
-            tols = STEP_SOLVE_TOL * (1.0 + _row_norms(x_k))
-            values[k + 1], _, _ = _implicit_step_batch(spec.dyn.op, nodes[k + 1], dt,
-                                                       x_k + dt * drift, x_k, tols, k)
+            values[k + 1], _, _ = _drift_step(spec.dyn.op, nodes[k + 1], dt, values[k], drift,
+                                              STEP_SOLVE_TOL, k)
         running += step_cost
         after = strategy.companion_minima(t_i1, values[: kb + 1])
         for g in range(m):
@@ -1094,9 +1067,7 @@ class _GreedyLookahead:
         rows = np.repeat(np.arange(n), n_q)
         played = (rows, np.repeat(p_indices, n_q), np.tile(np.arange(n_q), n))
         drifts, costs = spec.lane_terms(t, states, path_of, played)
-        x = states[rows]
-        tols = STEP_SOLVE_TOL * (1.0 + _row_norms(x))
-        succ, _, _ = _implicit_step_batch(spec.dyn.op, t + dt, dt, x + dt * drifts, x, tols, k)
+        succ, _, _ = _drift_step(spec.dyn.op, t + dt, dt, states[rows], drifts, STEP_SOLVE_TOL, k)
         ahead = value.interp_batch(self.side, t + dt, succ)
         picks = np.zeros(n, dtype=int)
         for g, scores in enumerate((dt * costs + ahead).reshape(n, n_q)):
@@ -1139,16 +1110,6 @@ def step_rate_bound(traces, floor: float = 1e-6) -> float:
         for rec in trace.step_records:
             worst = max(worst, rec["residual"] / rec["dt"])
     return float(worst)
-
-
-def calibrate_step_bound(spec: GameSpec, strategy: FeedbackStrategy, partitions,
-                         calibration_budget: int, seed: int,
-                         floor: float = 1e-6) -> float:
-    """step_rate_bound of a calibration adversary pool played on each partition."""
-    pool = adversary_pool(spec, strategy.value, calibration_budget, seed)
-    return step_rate_bound([trace for partition in partitions
-                            for trace in play_feedback_games(spec, strategy, pool, partition)],
-                           floor)
 
 
 def lyapunov_violation_stats(traces, m_hat: float) -> dict:
@@ -1210,22 +1171,6 @@ class GuaranteeEstimate:
             "seed": self.seed,
             "certificate": dict(self.certificate),
         }
-
-
-def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
-                               t0: float, x0: Path, adversary_budget: int,
-                               partitions, *, seed: int = 0) -> GuaranteeEstimate:
-    """Max payoff over the sampled adversary pool and the listed partitions:
-    GuaranteeEstimate.from_traces of the pool played on each partition."""
-    if abs(strategy.t0 - t0) > 1e-9:
-        raise ConfigurationError(
-            f"strategy was built for t0={strategy.t0}, estimate asked for t0={t0}")
-    if np.linalg.norm(strategy.x0.value_at(t0) - x0.value_at(min(t0, x0.grid.t_end))) > 1e-9:
-        raise ConfigurationError("strategy history does not match the requested start state")
-    pool = adversary_pool(spec, strategy.value, adversary_budget, seed)
-    return GuaranteeEstimate.from_traces(
-        pool, partitions, [play_feedback_games(spec, strategy, pool, p) for p in partitions],
-        adversary_budget, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1305,20 +1250,6 @@ def constant_game(cost: float = 1.0, gain: float = 1.0) -> GameSpec:
                     terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=(0.0,), q_points=(0.0,)),
                     l_f=0.0, lambda_L=0.1, name="constant", markov_terms=markov)
-
-
-def scale_costs(spec: GameSpec, factor: float) -> GameSpec:
-    """Multiply running and terminal costs jointly by a positive factor."""
-    markov = None
-    if spec.markov_terms is not None:
-        def markov(t, states, P, Q):
-            drift, cost = spec.markov_terms(t, states, P, Q)
-            return drift, factor * cost
-    return replace(spec,
-                   running_cost=lambda t, x, p, q: factor * spec.running_cost(t, x, p, q),
-                   terminal_cost=lambda x: factor * spec.terminal_cost(x),
-                   lambda_L=spec.lambda_L * max(factor, 1e-12),
-                   name=f"{spec.name}-x{factor:g}", markov_terms=markov)
 
 
 def with_terminal_shift(spec: GameSpec, shift: float) -> GameSpec:

@@ -1,4 +1,4 @@
-"""Discrete paths: time grids, stopped paths, sup norms, and the d-infinity pseudometric.
+"""Discrete paths (time grids, stopped paths, padded batch kernels) and the state space.
 
 A path is a piecewise-linear interpolant of samples on a time grid with values
 in a finite-dimensional state space.  All types are immutable after
@@ -7,9 +7,6 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -157,28 +154,13 @@ class Path:
             raise DomainError("resample target grid exceeds the path span")
         return Path(grid, np.array([self.value_at(t) for t in grid.nodes]))
 
-    def __sub__(self, other: "Path") -> "Path":
-        if self.grid != other.grid:
-            other = other.resample(self.grid)
-        return Path(self.grid, self.values - other.values)
-
     # -- serialization -------------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["t"] + [f"x_{i + 1}" for i in range(self.dim)])
+        lines = [",".join(["t"] + [f"x_{i + 1}" for i in range(self.dim)])]
         for t, row in zip(self.grid.nodes, self.values):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "Path":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0][0] != "t":
-            raise DomainError("path CSV must start with a 't,x_1,...' header")
-        data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
-        return cls(_grid_from_nodes(data[:, 0]), data[:, 1:])
+            lines.append(",".join([f"{t:.17g}"] + [f"{v:.17g}" for v in row]))
+        return "\n".join(lines) + "\n"
 
     def to_json_obj(self) -> dict:
         return {
@@ -186,47 +168,6 @@ class Path:
             "t": [float(t) for t in self.grid.nodes],
             "x": [[float(v) for v in row] for row in self.values],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Path":
-        if obj.get("format") != "path-v1":
-            raise DomainError("not a path-v1 JSON object")
-        return cls(_grid_from_nodes(np.asarray(obj["t"], dtype=float)), obj["x"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "Path":
-        return cls.from_json_obj(json.loads(text))
-
-
-def _grid_from_nodes(nodes: np.ndarray) -> TimeGrid:
-    nodes = np.asarray(nodes, dtype=float)
-    n = len(nodes) - 1
-    uniform = np.linspace(nodes[0], nodes[-1], n + 1)
-    if np.max(np.abs(uniform - nodes)) <= _NODE_TOL * max(1.0, abs(nodes[-1])):
-        return TimeGrid(float(nodes[0]), float(nodes[-1]), n)
-    return TimeGrid.from_nodes(nodes)
-
-
-def stop_path(x: Path, t: float) -> Path:
-    """Freeze the path at time t: agrees with x on [t_start, t], constant x(t) after.
-
-    If t falls strictly between grid nodes, the kink at t is not representable
-    on the original grid, so t is inserted as a node; the result is then exact
-    and stopping is idempotent.
-    """
-    x.grid.require_contains(t)
-    nodes = x.grid.nodes
-    xt = x.value_at(t)
-    vals = x.values.copy()
-    vals[nodes > t + _NODE_TOL] = xt
-    candidate = Path(x.grid, vals)
-    if np.linalg.norm(candidate.value_at(t) - xt) <= _NODE_TOL * (1.0 + np.linalg.norm(xt)):
-        return candidate
-    grid = TimeGrid.from_nodes(np.sort(np.append(nodes, t)))
-    return stop_path(x.resample(grid), t)
 
 
 def stopped_at(grid: TimeGrid, values: np.ndarray, k: int) -> Path:
@@ -265,39 +206,6 @@ def extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:
     for i, t in enumerate(grid.nodes):
         vals[i] = x0.value_at(t) if t <= t0 + 1e-12 else xt0
     return Path(grid, vals)
-
-
-def sup_norm(x: Path, t: float) -> float:
-    """max_{s <= t} |x(s)| over grid nodes plus the interpolated value at t.
-
-    Exact for polylines: |x(s)| is convex on each linear segment, so the
-    running maximum is attained at nodes (or at t itself).
-    """
-    x.grid.require_contains(t)
-    nodes = x.grid.nodes
-    mask = nodes <= t + _NODE_TOL
-    best = float(np.max(np.linalg.norm(x.values[mask], axis=1))) if np.any(mask) else 0.0
-    return max(best, float(np.linalg.norm(x.value_at(t))))
-
-
-def d_infinity(pair1, pair2) -> float:
-    """Pseudometric |t1 - t2| + sup_s |x1(s ^ t1) - x2(s ^ t2)| for (t, path) pairs.
-
-    Paths may live on different grids with the same span; values are compared
-    on the union of both node sets plus the two stop times, which is exact for
-    polylines.
-    """
-    t1, x1 = pair1
-    t2, x2 = pair2
-    g1, g2 = x1.grid, x2.grid
-    if abs(g1.t_start - g2.t_start) > _NODE_TOL or abs(g1.t_end - g2.t_end) > _NODE_TOL:
-        raise DomainError("paths must share the same time span")
-    g1.require_contains(t1, "t1")
-    g2.require_contains(t2, "t2")
-    times = np.union1d(np.union1d(g1.nodes, g2.nodes), [t1, t2])
-    v1 = np.array([x1.value_at(min(s, t1)) for s in times])
-    v2 = np.array([x2.value_at(min(s, t2)) for s in times])
-    return abs(t1 - t2) + float(np.max(np.linalg.norm(v1 - v2, axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +266,25 @@ def values_at(nodes: np.ndarray, values: np.ndarray, t) -> np.ndarray:
 
 
 def sup_norms(nodes: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sup_norm of S padded paths at once, one time each, bit for bit."""
+    """max_{s <= t} |x(s)| of S padded paths at once, one time each: the
+    largest node norm up to t and the norm of x(t), exact for polylines
+    (|x(s)| is convex on each segment)."""
     node_norms = np.where(nodes <= t[:, None] + _NODE_TOL, np.linalg.norm(values, axis=-1),
                           -np.inf)
     best = node_norms.max(axis=1)
     cur = _row_norms(values_at(nodes, values, t))
-    return np.where(cur > best, cur, best)  # max(best, cur) as sup_norm takes it
+    return np.where(cur > best, cur, best)  # max(best, cur)
 
 
 def stop_paths(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):
-    """stop_path of S padded paths at once, one time each, bit for bit.
+    """S padded paths stopped at one time each: x on [t_start, t], x(t) after.
 
-    Returns the stopped paths' (nodes, values) in the padded layout.  As in
-    stop_path, a path keeps its grid with the rows after t frozen at x(t)
-    when that candidate gives x(t) within _NODE_TOL; otherwise t is inserted
-    as a node, the path is resampled there and stopped again, and the result
-    is one column wider.
+    Returns the stopped paths' (nodes, values) in the padded layout.  A path
+    keeps its grid with the rows after t frozen at x(t) when that candidate
+    gives x(t) within _NODE_TOL; otherwise t is inserted as a node (the kink
+    at t is not representable on the grid), the path is resampled there and
+    stopped again, and the result is one column wider.  Stopping is
+    idempotent.
     """
     xt = values_at(nodes, values, t)
     frozen = nodes > t[:, None] + _NODE_TOL
@@ -398,43 +309,28 @@ def stop_paths(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):
 class StateSpace:
     """Finite-dimensional stand-in for the Gelfand triple V in H in V*.
 
-    |.|_H is Euclidean; ||.||_V is the weighted p-norm (sum_i w_i |v_i|^p)^(1/p);
-    the duality pairing is the Euclidean inner product.  Weights default to
-    dim^(p/2 - 1) >= 1, which makes |v|_H <= ||v||_V hold with constant 1.
+    |.|_H is Euclidean; ||.||_V is the weighted p-norm (sum_i w_i |v_i|^p)^(1/p)
+    with every weight w_i = dim^(p/2 - 1) >= 1, which makes |v|_H <= ||v||_V
+    hold with constant 1; the duality pairing is the Euclidean inner product,
+    and V* carries the conjugate exponent q = p/(p - 1).
     """
 
     dim: int
     p_exp: float = 2.0
-    q_exp: float = None
-    v_weights: tuple = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise DomainError("dim must be >= 1")
         if self.p_exp < 2.0:
             raise DomainError("p exponent must be >= 2")
-        q = self.q_exp if self.q_exp is not None else self.p_exp / (self.p_exp - 1.0)
-        if abs(1.0 / self.p_exp + 1.0 / q - 1.0) > 1e-12:
-            raise DomainError("exponents must satisfy 1/p + 1/q = 1")
-        object.__setattr__(self, "q_exp", float(q))
-        w_min = self.dim ** (self.p_exp / 2.0 - 1.0)
-        if self.v_weights is None:
-            w = np.full(self.dim, w_min)
-        else:
-            w = np.asarray(self.v_weights, dtype=float)
-            if w.shape != (self.dim,):
-                raise DomainError("v_weights must have one entry per coordinate")
-            # weights >= dim^(p/2-1) >= 1 keep the V->H embedding constant at 1
-            if np.any(w < w_min - 1e-12):
-                raise DomainError(f"v_weights must be >= dim^(p/2-1) = {w_min:g}")
-        object.__setattr__(self, "v_weights", tuple(float(x) for x in w))
+
+    @property
+    def q_exp(self) -> float:
+        return self.p_exp / (self.p_exp - 1.0)
 
     @property
     def weights(self) -> np.ndarray:
-        return np.asarray(self.v_weights)
-
-    def norm_h(self, v) -> float:
-        return float(np.linalg.norm(np.atleast_1d(v)))
+        return np.full(self.dim, self.dim ** (self.p_exp / 2.0 - 1.0))
 
     def norm_v(self, v) -> float:
         v = np.atleast_1d(np.asarray(v, dtype=float))
@@ -445,9 +341,6 @@ class StateSpace:
         h = np.atleast_1d(np.asarray(h, dtype=float))
         q = self.q_exp
         return float(np.sum(self.weights ** (-q / self.p_exp) * np.abs(h) ** q) ** (1.0 / q))
-
-    def pairing(self, h, v) -> float:
-        return float(np.dot(np.atleast_1d(h), np.atleast_1d(v)))
 
 
 def kappa_constant() -> float:

@@ -13,9 +13,8 @@ comparisons and the decaying Lyapunov function used by feedback strategies.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,24 +24,6 @@ from .pathcore import Path, TimeGrid, _row_dots, _row_norms, kappa_constant, pad
 
 ZERO_BRANCH_TOL = 1e-14
 SMOOTHNESS_RATIO_BOUND = 1.2
-
-
-@dataclass(frozen=True, eq=False)
-class UpsilonEval:
-    """Value and path derivatives of the sup-norm surrogate at one (t, x)."""
-
-    value: float
-    dx: np.ndarray
-    dt: float = 0.0
-
-
-@dataclass(frozen=True, eq=False)
-class PenaltyEval:
-    """Penalty of a path pair: value, the theta ratio in [0, 4], and the gradient."""
-
-    value: float
-    theta: float
-    grad: np.ndarray
 
 
 def surrogate_terms(sup_sq, cur_sq):
@@ -67,69 +48,42 @@ def surrogate_terms(sup_sq, cur_sq):
     return value, factor
 
 
-def upsilon(t: float, x: Path) -> UpsilonEval:
-    """Evaluate the surrogate at (t, x); dt is identically zero."""
-    xt = x.value_at(t)
-    cur_sq = float(np.dot(xt, xt))
-    value, factor = surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
-    return UpsilonEval(value=value, dx=factor * xt, dt=0.0)
-
-
-def _stopped_sup_sq(x: Path, t: float, cur_sq: float) -> float:
-    """max of squared node norms up to t, including the interpolated value at t."""
-    x.grid.require_contains(t)
-    nodes = x.grid.nodes
-    mask = nodes <= t + 1e-12
-    best = float(np.max(np.sum(x.values[mask] ** 2, axis=1))) if np.any(mask) else 0.0
-    return max(best, cur_sq)
-
-
-def penalty_psi(t: float, x: Path, y: Path) -> PenaltyEval:
-    """Penalty of (x, y): surrogate of the difference path.
-
-    theta = 4 |x(t)-y(t)|^2 / sup^2 lies in [0, 4]; the gradient is
-    theta * (x(t) - y(t)).  Satisfies kappa*sup^2 <= value <= 3*sup^2.
-    """
-    diff = x - y
-    dt_vec = diff.value_at(t)
-    cur_sq = float(np.dot(dt_vec, dt_vec))
-    value, theta = surrogate_terms(_stopped_sup_sq(diff, t, cur_sq), cur_sq)
-    return PenaltyEval(value=value, theta=theta, grad=theta * dt_vec)
-
-
 @dataclass(frozen=True)
 class LyapunovParams:
     """Parameters of the decaying Lyapunov function nu.
 
     alpha(t) = (exp(-2*lambda_L*t/kappa) - eps*sqrt(kappa)) / eps stays positive
     on [0, horizon] exactly when eps <= epsilon0, with
-    epsilon0 = exp(-2*lambda_L*horizon/kappa) / (2 sqrt(kappa)).
+    epsilon0 = exp(-2*lambda_L*horizon/kappa) / (2 sqrt(kappa)).  kappa and
+    epsilon0 are derived, not constructor arguments.
     """
 
     epsilon: float
     lambda_L: float
     horizon: float
-    kappa: float = None
-    epsilon0: float = None
+    kappa: float = field(init=False)
+    epsilon0: float = field(init=False)
 
     def __post_init__(self):
         if not self.lambda_L > 0:
             raise ParameterError("lambda_L must be > 0")
         if not self.horizon > 0:
             raise ParameterError("horizon must be > 0")
-        kappa = kappa_constant()
-        eps0 = math.exp(-2.0 * self.lambda_L * self.horizon / kappa) / (2.0 * math.sqrt(kappa))
-        object.__setattr__(self, "kappa", kappa)
+        eps0 = self._epsilon0(self.lambda_L, self.horizon)
+        object.__setattr__(self, "kappa", kappa_constant())
         object.__setattr__(self, "epsilon0", eps0)
         if not (0.0 < self.epsilon <= eps0 * (1.0 + 1e-12)):
             raise ParameterError(
                 f"epsilon must lie in (0, {eps0:.6e}], got {self.epsilon:.6e}")
 
+    @staticmethod
+    def _epsilon0(lambda_L: float, horizon: float) -> float:
+        kappa = kappa_constant()
+        return math.exp(-2.0 * lambda_L * horizon / kappa) / (2.0 * math.sqrt(kappa))
+
     @classmethod
     def at_epsilon0(cls, lambda_L: float, horizon: float) -> "LyapunovParams":
-        kappa = kappa_constant()
-        eps0 = math.exp(-2.0 * lambda_L * horizon / kappa) / (2.0 * math.sqrt(kappa))
-        return cls(epsilon=eps0, lambda_L=lambda_L, horizon=horizon)
+        return cls(epsilon=cls._epsilon0(lambda_L, horizon), lambda_L=lambda_L, horizon=horizon)
 
     def alpha(self, t: float) -> float:
         return (math.exp(-2.0 * self.lambda_L * t / self.kappa)
@@ -138,30 +92,6 @@ class LyapunovParams:
     def alpha_prime(self, t: float) -> float:
         return -(2.0 * self.lambda_L / self.kappa) \
             * math.exp(-2.0 * self.lambda_L * t / self.kappa) / self.epsilon
-
-    def beta(self, upsilon_value: float) -> float:
-        return math.sqrt(self.epsilon ** 4 + upsilon_value)
-
-
-@dataclass(frozen=True, eq=False)
-class NuEval:
-    """Value and path derivatives of the Lyapunov function at one (t, x)."""
-
-    value: float
-    dt: float
-    dx: np.ndarray
-
-
-def lyapunov_nu(params: LyapunovParams, t: float, x: Path) -> NuEval:
-    """nu(t, x) = alpha(t) * sqrt(eps^4 + surrogate(t, x)) with its derivatives."""
-    xt = x.value_at(t)
-    cur_sq = float(np.dot(xt, xt))
-    ups, factor = surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
-    alpha = params.alpha(t)
-    beta = params.beta(ups)
-    # factor = theta(t, x, 0); dx = alpha/(2 beta) * theta * x(t)
-    return NuEval(value=alpha * beta, dt=params.alpha_prime(t) * beta,
-                  dx=(alpha / (2.0 * beta)) * factor * xt)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +128,9 @@ class ChainRuleReport:
             "exact": self.exact,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
 
-
-def _functional_profile(name: str, x: Path, params: LyapunovParams, companion):
+def _functional_profile(name: str, x: Path, params: LyapunovParams):
     """Per-node (phi, d/dt phi, d/dx phi) arrays along the whole path."""
-    if name == "psi-slice":
-        if companion is None:
-            raise DomainError("psi-slice needs a constant companion point")
-        x = x - Path.constant(x.grid, companion)
-        name = "upsilon"
     cur_sq = np.sum(x.values ** 2, axis=1)
     values, factors = surrogate_terms(np.maximum.accumulate(cur_sq), cur_sq)
     dx = factors[:, None] * x.values
@@ -242,8 +164,7 @@ def _check_smooth_segment(x: Path, k0: int, k1: int, ratio_bound: float):
 
 
 def verify_chain_rule(functional: str, x: Path, t0: float, t1: float, *,
-                      params: LyapunovParams = None, companion=None,
-                      refinements: int = 3,
+                      params: LyapunovParams = None, refinements: int = 3,
                       smoothness_bound: float = SMOOTHNESS_RATIO_BOUND) -> ChainRuleReport:
     """Compare phi(t1,x) - phi(t0,x) against the chain-rule quadrature under refinement.
 
@@ -265,7 +186,7 @@ def verify_chain_rule(functional: str, x: Path, t0: float, t1: float, *,
     current = x
     c0, c1 = k0, k1
     for _ in range(refinements + 1):
-        phi, dphi_dt, dphi_dx = _functional_profile(functional, current, params, companion)
+        phi, dphi_dt, dphi_dx = _functional_profile(functional, current, params)
         nodes = current.grid.nodes
         lhs = phi[c1] - phi[c0]
         dt = np.diff(nodes[c0:c1 + 1])
@@ -306,10 +227,11 @@ def _count_kinks(x: Path, k0: int, k1: int) -> int:
 
 def _surrogate_batch(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):
     """(value, factor, x(t)) of the surrogate on S paths in the padded layout of
-    pathcore.values_at, one time each: upsilon's terms, bit for bit.
+    pathcore.values_at, one time each.
 
     The stopped sup is the maximum of the squared node norms up to t and of
-    |x(t)|^2, as _stopped_sup_sq takes it.
+    |x(t)|^2.  On the difference x - y it gives the penalty Psi(t, x, y):
+    value, theta = factor, and gradient theta * (x(t) - y(t)).
     """
     xt = values_at(nodes, values, t)
     cur_sq = _row_dots(xt, xt)  # the bits of np.dot(xt, xt)

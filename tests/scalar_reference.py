@@ -17,17 +17,228 @@ the batches are checked against.
   pair from one lane's stage terms.
 - game_audit: the growth and finiteness audit of a GameSpec on random
   paths, which no run calls.
+- stop_path, sup_norm and d_infinity: the one-path forms of the padded
+  kernels pdhj.pathcore.stop_paths and sup_norms, and the pseudometric on
+  (t, path) pairs; path_difference, the pointwise x - y of two paths.
+- path_from_csv, path_from_json_obj, path_from_json and to_json: reading
+  Path.to_csv and Path.to_json_obj back, and the sorted-key JSON text of any
+  object with a to_json_obj; csv_text, Path.to_csv as the csv module writes
+  it.
+- norm_h and pairing: the Euclidean norm of H and the Euclidean pairing of
+  V* with V that StateSpace stands for.
+- upsilon, penalty_psi and lyapunov_nu: the one-path surrogate, penalty and
+  Lyapunov function that pdhj.upsilon._surrogate_batch, the property
+  battery and FeedbackStrategy.companion_minima evaluate in batches.
+- measurable_selection: the smallest-index selection rule that
+  pdhj.game.minimax_records applies to every control pick.
+- calibrate_step_bound and estimate_guaranteed_result: one adversary pool
+  played on each partition, then reduced as the feedback-run runner reduces
+  its lane set (step_rate_bound, GuaranteeEstimate.from_traces).
+- scale_costs: a game with its running and terminal costs scaled jointly.
 """
+
+import csv
+import io
+import json
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from pdhj import evolution
-from pdhj.errors import DomainError, SolverError
+from pdhj.errors import ConfigurationError, DomainError, EvaluationError, SolverError
 from pdhj.evolution import DelayDynamics, OperatorSpec, _bisect_step, sample_reachable_set, \
     solve_delay_lanes
-from pdhj.game import GameSpec, LipschitzReport, ValueTable, hamiltonian, is_upper_side
-from pdhj.pathcore import Path, TimeGrid, _row_dots, kappa_constant, stop_path, sup_norm
-from pdhj.upsilon import penalty_psi, upsilon
+from pdhj.game import FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, ValueTable, \
+    adversary_pool, hamiltonian, is_upper_side, play_feedback_games, step_rate_bound
+from pdhj.pathcore import _NODE_TOL, Path, TimeGrid, _row_dots, kappa_constant
+from pdhj.upsilon import LyapunovParams, surrogate_terms
+
+
+# -- paths --------------------------------------------------------------------
+
+def stop_path(x: Path, t: float) -> Path:
+    """Freeze the path at time t: agrees with x on [t_start, t], constant x(t) after.
+
+    If t falls strictly between grid nodes, the kink at t is not representable
+    on the original grid, so t is inserted as a node; the result is then exact
+    and stopping is idempotent.
+    """
+    x.grid.require_contains(t)
+    nodes = x.grid.nodes
+    xt = x.value_at(t)
+    vals = x.values.copy()
+    vals[nodes > t + _NODE_TOL] = xt
+    candidate = Path(x.grid, vals)
+    if np.linalg.norm(candidate.value_at(t) - xt) <= _NODE_TOL * (1.0 + np.linalg.norm(xt)):
+        return candidate
+    grid = TimeGrid.from_nodes(np.sort(np.append(nodes, t)))
+    return stop_path(x.resample(grid), t)
+
+
+def sup_norm(x: Path, t: float) -> float:
+    """max_{s <= t} |x(s)| over grid nodes plus the interpolated value at t.
+
+    Exact for polylines: |x(s)| is convex on each linear segment, so the
+    running maximum is attained at nodes (or at t itself).
+    """
+    x.grid.require_contains(t)
+    nodes = x.grid.nodes
+    mask = nodes <= t + _NODE_TOL
+    best = float(np.max(np.linalg.norm(x.values[mask], axis=1))) if np.any(mask) else 0.0
+    return max(best, float(np.linalg.norm(x.value_at(t))))
+
+
+def d_infinity(pair1, pair2) -> float:
+    """Pseudometric |t1 - t2| + sup_s |x1(s ^ t1) - x2(s ^ t2)| for (t, path) pairs.
+
+    Paths may live on different grids with the same span; values are compared
+    on the union of both node sets plus the two stop times, which is exact for
+    polylines.
+    """
+    t1, x1 = pair1
+    t2, x2 = pair2
+    g1, g2 = x1.grid, x2.grid
+    if abs(g1.t_start - g2.t_start) > _NODE_TOL or abs(g1.t_end - g2.t_end) > _NODE_TOL:
+        raise DomainError("paths must share the same time span")
+    g1.require_contains(t1, "t1")
+    g2.require_contains(t2, "t2")
+    times = np.union1d(np.union1d(g1.nodes, g2.nodes), [t1, t2])
+    v1 = np.array([x1.value_at(min(s, t1)) for s in times])
+    v2 = np.array([x2.value_at(min(s, t2)) for s in times])
+    return abs(t1 - t2) + float(np.max(np.linalg.norm(v1 - v2, axis=1)))
+
+
+def path_difference(x: Path, y: Path) -> Path:
+    """x - y on x's grid (y resampled there if its grid differs)."""
+    if x.grid != y.grid:
+        y = y.resample(x.grid)
+    return Path(x.grid, x.values - y.values)
+
+
+def _grid_from_nodes(nodes: np.ndarray) -> TimeGrid:
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes) - 1
+    uniform = np.linspace(nodes[0], nodes[-1], n + 1)
+    if np.max(np.abs(uniform - nodes)) <= _NODE_TOL * max(1.0, abs(nodes[-1])):
+        return TimeGrid(float(nodes[0]), float(nodes[-1]), n)
+    return TimeGrid.from_nodes(nodes)
+
+
+def path_from_csv(text: str) -> Path:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0][0] != "t":
+        raise DomainError("path CSV must start with a 't,x_1,...' header")
+    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+    return Path(_grid_from_nodes(data[:, 0]), data[:, 1:])
+
+
+def path_from_json_obj(obj: dict) -> Path:
+    if obj.get("format") != "path-v1":
+        raise DomainError("not a path-v1 JSON object")
+    return Path(_grid_from_nodes(np.asarray(obj["t"], dtype=float)), obj["x"])
+
+
+def path_from_json(text: str) -> Path:
+    return path_from_json_obj(json.loads(text))
+
+
+def csv_text(x: Path) -> str:
+    """Path.to_csv as the csv module writes the same rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"x_{i + 1}" for i in range(x.dim)])
+    for t, row in zip(x.grid.nodes, x.values):
+        writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
+    return buf.getvalue()
+
+
+def to_json(obj) -> str:
+    """obj.to_json_obj() as sorted-key JSON text."""
+    return json.dumps(obj.to_json_obj(), sort_keys=True)
+
+
+def norm_h(v) -> float:
+    return float(np.linalg.norm(np.atleast_1d(v)))
+
+
+def pairing(h, v) -> float:
+    return float(np.dot(np.atleast_1d(h), np.atleast_1d(v)))
+
+
+# -- the surrogate, the penalty and the Lyapunov function on one path ---------
+
+@dataclass(frozen=True, eq=False)
+class UpsilonEval:
+    """Value and path derivatives of the sup-norm surrogate at one (t, x)."""
+
+    value: float
+    dx: np.ndarray
+    dt: float = 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class PenaltyEval:
+    """Penalty of a path pair: value, the theta ratio in [0, 4], and the gradient."""
+
+    value: float
+    theta: float
+    grad: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class NuEval:
+    """Value and path derivatives of the Lyapunov function at one (t, x)."""
+
+    value: float
+    dt: float
+    dx: np.ndarray
+
+
+def _stopped_sup_sq(x: Path, t: float, cur_sq: float) -> float:
+    """max of squared node norms up to t, including the interpolated value at t."""
+    x.grid.require_contains(t)
+    nodes = x.grid.nodes
+    mask = nodes <= t + 1e-12
+    best = float(np.max(np.sum(x.values[mask] ** 2, axis=1))) if np.any(mask) else 0.0
+    return max(best, cur_sq)
+
+
+def upsilon(t: float, x: Path) -> UpsilonEval:
+    """Evaluate the surrogate at (t, x); dt is identically zero."""
+    xt = x.value_at(t)
+    cur_sq = float(np.dot(xt, xt))
+    value, factor = surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
+    return UpsilonEval(value=value, dx=factor * xt, dt=0.0)
+
+
+def penalty_psi(t: float, x: Path, y: Path) -> PenaltyEval:
+    """Penalty of (x, y): surrogate of the difference path.
+
+    theta = 4 |x(t)-y(t)|^2 / sup^2 lies in [0, 4]; the gradient is
+    theta * (x(t) - y(t)).  Satisfies kappa*sup^2 <= value <= 3*sup^2.
+    """
+    diff = path_difference(x, y)
+    dt_vec = diff.value_at(t)
+    cur_sq = float(np.dot(dt_vec, dt_vec))
+    value, theta = surrogate_terms(_stopped_sup_sq(diff, t, cur_sq), cur_sq)
+    return PenaltyEval(value=value, theta=theta, grad=theta * dt_vec)
+
+
+def lyapunov_beta(params: LyapunovParams, upsilon_value: float) -> float:
+    return math.sqrt(params.epsilon ** 4 + upsilon_value)
+
+
+def lyapunov_nu(params: LyapunovParams, t: float, x: Path) -> NuEval:
+    """nu(t, x) = alpha(t) * sqrt(eps^4 + surrogate(t, x)) with its derivatives."""
+    xt = x.value_at(t)
+    cur_sq = float(np.dot(xt, xt))
+    ups, factor = surrogate_terms(_stopped_sup_sq(x, t, cur_sq), cur_sq)
+    alpha = params.alpha(t)
+    beta = lyapunov_beta(params, ups)
+    # factor = theta(t, x, 0); dx = alpha/(2 beta) * theta * x(t)
+    return NuEval(value=alpha * beta, dt=params.alpha_prime(t) * beta,
+                  dx=(alpha / (2.0 * beta)) * factor * xt)
 
 
 def _implicit_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarray,
@@ -111,7 +322,7 @@ def property_battery_records(samples: int = 500, seed: int = 0) -> list:
         y = Path(grid, rng.standard_normal((n + 1, dim)))
         t = rng.uniform(0.0, 1.0)
         pe = penalty_psi(t, x, y)
-        s2 = sup_norm(x - y, t) ** 2
+        s2 = sup_norm(path_difference(x, y), t) ** 2
         if s2 > 0:
             worst_low = min(worst_low, pe.value - kappa * s2)
             worst_high = max(worst_high, pe.value - 3.0 * s2)
@@ -275,3 +486,64 @@ def game_audit(spec: GameSpec, samples: int, seed: int) -> dict:
         worst = max(worst, float(np.linalg.norm(f)) / (spec.l_f * (1.0 + sup_norm(x, t)) + 1e-300))
     return {"samples": samples, "seed": seed, "max_growth_ratio": worst,
             "passed": worst <= 1.0 + 1e-9}
+
+
+# -- games ----------------------------------------------------------------------
+
+def measurable_selection(h_grid: np.ndarray, epsilon: float) -> np.ndarray:
+    """Smallest-index selection of a near-maximizing column per row.
+
+    For each row p, picks the first index n with h[p, n] = max_m h[p, m]; on
+    finite grids the epsilon slack is unused (the maximum is attained exactly),
+    but epsilon > 0 is required to match the selection's contract.  A
+    minimizing pick is the selection on the negated rows.
+    """
+    if not epsilon > 0:
+        raise DomainError("epsilon must be > 0")
+    H = np.asarray(h_grid, dtype=float)
+    if H.ndim != 2:
+        raise DomainError("h_grid must be a 2-D matrix over P x Q")
+    if not np.all(np.isfinite(H)):
+        raise EvaluationError("h_grid contains non-finite entries")
+    row_max = H.max(axis=1)
+    return np.argmax(H == row_max[:, None], axis=1)
+
+
+def calibrate_step_bound(spec: GameSpec, strategy: FeedbackStrategy, partitions,
+                         calibration_budget: int, seed: int,
+                         floor: float = 1e-6) -> float:
+    """step_rate_bound of a calibration adversary pool played on each partition."""
+    pool = adversary_pool(spec, strategy.value, calibration_budget, seed)
+    return step_rate_bound([trace for partition in partitions
+                            for trace in play_feedback_games(spec, strategy, pool, partition)],
+                           floor)
+
+
+def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
+                               t0: float, x0: Path, adversary_budget: int,
+                               partitions, *, seed: int = 0) -> GuaranteeEstimate:
+    """Max payoff over the sampled adversary pool and the listed partitions:
+    GuaranteeEstimate.from_traces of the pool played on each partition."""
+    if abs(strategy.t0 - t0) > 1e-9:
+        raise ConfigurationError(
+            f"strategy was built for t0={strategy.t0}, estimate asked for t0={t0}")
+    if np.linalg.norm(strategy.x0.value_at(t0) - x0.value_at(min(t0, x0.grid.t_end))) > 1e-9:
+        raise ConfigurationError("strategy history does not match the requested start state")
+    pool = adversary_pool(spec, strategy.value, adversary_budget, seed)
+    return GuaranteeEstimate.from_traces(
+        pool, partitions, [play_feedback_games(spec, strategy, pool, p) for p in partitions],
+        adversary_budget, seed)
+
+
+def scale_costs(spec: GameSpec, factor: float) -> GameSpec:
+    """Multiply running and terminal costs jointly by a positive factor."""
+    markov = None
+    if spec.markov_terms is not None:
+        def markov(t, states, P, Q):
+            drift, cost = spec.markov_terms(t, states, P, Q)
+            return drift, factor * cost
+    return replace(spec,
+                   running_cost=lambda t, x, p, q: factor * spec.running_cost(t, x, p, q),
+                   terminal_cost=lambda x: factor * spec.terminal_cost(x),
+                   lambda_L=spec.lambda_L * max(factor, 1e-12),
+                   name=f"{spec.name}-x{factor:g}", markov_terms=markov)

@@ -3,9 +3,9 @@
 The upsilon property battery and the isaacs-check Hamiltonian samples and
 Lipschitz audit draw their samples one at a time and evaluate them as array
 programs.  These tests hold every per-sample quantity to the public scalar
-functions bit for bit (signed zeros included), the padded path kernels of
-pdhj.pathcore to Path.value_at, stop_path and sup_norm, and each battery's
-records to the verbatim loop in scalar_reference.py.
+functions of scalar_reference.py bit for bit (signed zeros included), the
+padded path kernels of pdhj.pathcore to Path.value_at and to stop_path and
+sup_norm there, and each battery's records to the verbatim loop there.
 """
 
 import dataclasses
@@ -33,15 +33,14 @@ from pdhj.pathcore import (
     TimeGrid,
     _row_dots,
     pad_paths,
-    stop_path,
     stop_paths,
-    sup_norm,
     sup_norms,
     values_at,
 )
-from pdhj.upsilon import _battery_terms, _surrogate_batch, penalty_psi, property_battery, upsilon
+from pdhj.upsilon import _battery_terms, _surrogate_batch, property_battery
 
 import scalar_reference
+from scalar_reference import path_difference, penalty_psi, stop_path, sup_norm, upsilon
 
 _VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -159,7 +158,7 @@ class TestUpsilonBattery:
             pe = penalty_psi(ts, px, py)
             assert _bits(terms["penalty"][s]) == _bits(pe.value)
             assert _bits(terms["theta"][s]) == _bits(pe.theta)
-            assert _bits(float(terms["sup"][s]) ** 2) == _bits(sup_norm(px - py, ts) ** 2)
+            assert _bits(float(terms["sup"][s]) ** 2) == _bits(sup_norm(path_difference(px, py), ts) ** 2)
             ev = upsilon(ts, px)
             assert _bits(value[s]) == _bits(ev.value)
             assert _bits(dx[s]) == _bits(ev.dx)

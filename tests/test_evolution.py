@@ -14,7 +14,8 @@ from pdhj.evolution import (
     sample_reachable_set,
     solve_delay_evolution,
 )
-from pdhj.pathcore import Path, StateSpace, TimeGrid, sup_norm
+from pdhj.pathcore import Path, StateSpace, TimeGrid
+from scalar_reference import sup_norm
 
 
 def linear_dynamics(L=0.0, dim=1, gain=1.0):

@@ -27,11 +27,9 @@ from pdhj.game import (
     StrategyTrace,
     ValueTable,
     adversary_pool,
-    calibrate_step_bound,
     constant_adversary,
     constant_game,
     dp_value,
-    estimate_guaranteed_result,
     extremal_shift_strategy,
     greedy_adversary,
     isaacs_game,
@@ -43,7 +41,7 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
-from scalar_reference import _implicit_step
+from scalar_reference import _implicit_step, calibrate_step_bound, estimate_guaranteed_result
 
 
 # ---------------------------------------------------------------------------

@@ -13,21 +13,19 @@ from pdhj.game import (
     constant_adversary,
     constant_game,
     dp_value,
-    estimate_guaranteed_result,
     extremal_shift_strategy,
     hamiltonian,
     audit_hamiltonian_lipschitz,
     isaacs_game,
-    measurable_selection,
     play_feedback_games,
     random_adversary,
     recompute_slice,
-    scale_costs,
     simulation_grid,
 )
 from pdhj.pathcore import Path, TimeGrid, stopped_at
-from pdhj.upsilon import LyapunovParams, lyapunov_nu
-from scalar_reference import game_audit
+from pdhj.upsilon import LyapunovParams
+from scalar_reference import estimate_guaranteed_result, game_audit, lyapunov_nu, \
+    measurable_selection, path_difference, scale_costs
 
 
 def one_point_path(grid, value=0.0):
@@ -344,7 +342,8 @@ class TestFeedbackStrategy:
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=4, seed=0)
         gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0][3]
-        nu = lyapunov_nu(params, 0.0, strategy.x0 - Path.constant(strategy.x0.grid, [0.0]))
+        nu = lyapunov_nu(params, 0.0,
+                         path_difference(strategy.x0, Path.constant(strategy.x0.grid, [0.0])))
         assert np.all(gradient == 0.0)
         assert np.array_equal(gradient, nu.dx)
 
@@ -366,7 +365,7 @@ class TestFeedbackStrategy:
         t = 0.5
         k = sim.node_index(t)
         _, kind, index, gradient = strategy.companion_minima(t, x.values[: k + 1, None, :])[0]
-        nu = lyapunov_nu(params, t, x - Path.constant(sim, c))
+        nu = lyapunov_nu(params, t, path_difference(x, Path.constant(sim, c)))
         assert (kind, index) == ("lattice", j)
         assert np.any(nu.dx != 0.0)
         assert gradient == pytest.approx(nu.dx, rel=1e-12, abs=0.0)

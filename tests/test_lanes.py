@@ -32,9 +32,9 @@ from pdhj.game import (
     is_upper_side,
     isaacs_game,
 )
-from pdhj.pathcore import Path, StateSpace, TimeGrid, extend_history, stopped_at, sup_norm
+from pdhj.pathcore import Path, StateSpace, TimeGrid, extend_history, stopped_at
 from scalar_reference import _ball_point, _char_policy, _implicit_step, candidate_runs, \
-    value_gradient
+    sup_norm, value_gradient
 
 
 def _solve_reference(dyn, t0, x0, forcing=None, forcing_algorithm=None):

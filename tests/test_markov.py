@@ -29,13 +29,13 @@ from pdhj.game import (
     greedy_adversary,
     isaacs_game,
     play_feedback_games,
-    scale_costs,
     with_drift_perturbation,
     with_terminal_shift,
 )
 from pdhj.minimax import minimax_residual, viscosity_scan
-from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at, sup_norm
+from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at
 from pdhj.upsilon import LyapunovParams
+from scalar_reference import scale_costs, sup_norm
 
 
 def _planar_game():

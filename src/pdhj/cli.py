@@ -50,7 +50,7 @@ from .game import (
     sampled_hamiltonians,
     isaacs_game,
     lyapunov_violation_stats,
-    play_pools,
+    play_feedback_games,
     step_rate_bound,
 )
 from .minimax import bump_table, minimax_residual, stability_experiment, \
@@ -380,9 +380,10 @@ def _run_isaacs_check(cfg: dict, artifacts: dict):
 
 def _run_feedback(cfg: dict, artifacts: dict):
     """The extremal-shift strategy against three adversary pools, played as
-    one lane set per partition (play_pools): the calibration pool gives m-hat
-    (step_rate_bound), the estimate pool the guaranteed result
-    (GuaranteeEstimate.from_traces), and a replay pool the Lyapunov
+    one lane set per partition (one play_feedback_games call), whose record
+    is sliced by pool: the calibration lanes give m-hat (step_rate_bound),
+    the estimate lanes' payoffs the guaranteed result
+    (GuaranteeEstimate.from_payoffs), and the replay lanes the Lyapunov
     statistics against m-hat."""
     spec = _build_game(cfg["game"])
     grid = _build_grid(cfg["grid"])
@@ -402,14 +403,15 @@ def _run_feedback(cfg: dict, artifacts: dict):
     # on each partition
     calibration = adversary_pool(spec, table, cfg["calibration_budget"], seed + 1)
     pool = adversary_pool(spec, table, budget, seed + 2)
-    played = [play_pools(spec, strategy, [calibration, pool,
-                                          adversary_pool(spec, table, min(budget, 16), seed + 2)],
-                         part)
-              for part in partitions]
-    m_hat = step_rate_bound([trace for traces, _, _ in played for trace in traces])
-    est = GuaranteeEstimate.from_traces(pool, partitions, [traces for _, traces, _ in played],
-                                        budget, seed + 2)
-    stats = lyapunov_violation_stats([trace for _, _, traces in played for trace in traces],
+    plays = [play_feedback_games(spec, strategy, calibration + pool
+                                 + adversary_pool(spec, table, min(budget, 16), seed + 2), part)
+             for part in partitions]
+    n_cal, n_est = len(calibration), len(pool)
+    m_hat = step_rate_bound([play.lanes(slice(n_cal)) for play in plays])
+    est = GuaranteeEstimate.from_payoffs(pool, partitions,
+                                         [play.payoff[n_cal:n_cal + n_est] for play in plays],
+                                         budget, seed + 2)
+    stats = lyapunov_violation_stats([play.lanes(slice(n_cal + n_est, None)) for play in plays],
                                      m_hat)
     v_site = table.interp("upper", 0.0, x0_vec)
     tol = m_hat * grid.t_end + params.epsilon + max(lattice.spacing)
@@ -613,12 +615,15 @@ def emit_summary(results_dir: str, stream=None) -> int:
                 continue
             manifest = os.path.join(run_dir, "manifest.json")
             result_path = os.path.join(run_dir, "result.json")
-            if not os.path.isfile(manifest) or not os.path.isfile(result_path):
+            try:
+                with open(result_path) as fh:
+                    result = json.load(fh)
+            except (OSError, ValueError):  # missing, or cut off while writing
+                result = None
+            if not os.path.isfile(manifest) or not isinstance(result, dict):
                 rows.append((entry, "?", "", "INCOMPLETE"))
                 status = 1
                 continue
-            with open(result_path) as fh:
-                result = json.load(fh)
             verdict = "PASS" if result.get("passed") else "FAIL"
             if verdict == "FAIL":
                 status = 1

@@ -99,13 +99,14 @@ class OperatorSpec:
 
 
 def make_linear_operator(dim: int = 1, gain: float = 1.0) -> OperatorSpec:
-    """A(t, x) = gain * x with p = 2; coercive with c2 = gain for gain > 0."""
+    """A(t, x) = gain * x with p = 2, coercive with c2 = gain; a gain not
+    above 0 is refused (DomainError), since A is then not coercive."""
     space = StateSpace(dim=dim, p_exp=2.0)
     return OperatorSpec(
         space=space,
         eval_fn=lambda t, v: gain * v,
         c1=abs(gain),
-        c2=gain if gain > 0 else 1e-30,
+        c2=gain,
         a1_bound=0.0,
         kind="linear",
     )

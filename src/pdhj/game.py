@@ -34,6 +34,8 @@ from .upsilon import LyapunovParams, surrogate_terms
 
 STEP_SOLVE_TOL = 1e-11  # kept apart from evolution.STEP_TOL: the shipped results pin both
 COVERAGE_TOL = 1e-9  # states farther than this outside the lattice box are refused
+STEP_RATE_FLOOR = 1e-6  # the step-rate bound m-hat is floored away from zero
+COMPANION_KINDS = ("trace", "probe", "lattice", "library")  # in the order they are tried
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ class StateLattice:
         (silent clamping would corrupt value comparisons).
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        worst = float(np.max(self.coverage_margins(states)))
+        worst = float(np.max(self.coverage_margins(states), initial=0.0))
         if worst > COVERAGE_TOL:
             raise _coverage_error(worst)
         axes = self.axes
@@ -702,13 +704,12 @@ class FeedbackStrategy:
     PROBE_SCALES = (0.25, 1.0, 4.0)  # in units of epsilon^2
 
     def __init__(self, spec: GameSpec, params: LyapunovParams, value: ValueTable,
-                 t0: float, x0: Path, library, side: str = "upper"):
+                 t0: float, x0: Path, library):
         if value is None:
             raise ConfigurationError("feedback strategy needs a value table")
         self.spec = spec
         self.params = params
         self.value = value
-        self.side = side
         self.t0 = t0
         self.x0 = x0
         self.library = list(library)
@@ -743,14 +744,16 @@ class FeedbackStrategy:
         kept = self.value.lattice.coverage_margins(probes) <= COVERAGE_TOL
         u_vals = np.full(len(probes), np.inf)
         if kept.any():
-            u_vals[kept] = self.value.interp_batch(self.side, t, probes[kept])
+            u_vals[kept] = self.value.interp_batch("upper", t, probes[kept])
         shape = (len(states), len(offsets))
         return offsets, kept.reshape(shape), u_vals.reshape(shape)
 
-    def companion_minima(self, t: float, X: np.ndarray) -> list:
-        """Approximate argmin of u + nu for many games at one node; one tuple
-        (total, kind, index, gradient) per game, whose total is the shifted
-        value u_a(t, x).
+    def companion_minima(self, t: float, X: np.ndarray):
+        """Approximate argmin of u + nu for many games at one node, as arrays
+        (totals, kinds, indices, gradients) of shapes (game,), (game,), (game,)
+        and (game, dim): the shifted value u_a(t, x), the winning kind as a
+        code into COMPANION_KINDS, the candidate's index within its kind, and
+        the gradient d/dx nu(t, x - companion) that aims the control.
 
         X holds each game's node values up to t, shape (node, game,
         coordinate), on the simulation grid.  The trace (zero difference,
@@ -761,15 +764,15 @@ class FeedbackStrategy:
         library candidates shared by all games are each read with one
         interp_batch call.  A candidate replaces a game's best only when
         strictly smaller, so ties keep the earlier kind and the smaller index.
-        Each game's tuple is bit-identical to a call with that game alone.  A
-        failed read raises for the batch as a whole.
+        Each game's entries are bit-identical to a call with that game alone.
+        A failed read raises for the batch as a whole.
         """
         n_games, dim = X.shape[1], X.shape[2]
         alpha = self.params.alpha(t)
         eps4 = self.params.epsilon ** 4
         states = X[-1]
-        totals = self.value.interp_batch(self.side, t, states) + alpha * np.sqrt(eps4)
-        kinds = ["trace"] * n_games
+        totals = self.value.interp_batch("upper", t, states) + alpha * np.sqrt(eps4)
+        kinds = np.zeros(n_games, dtype=int)  # the trace
         indices = np.zeros(n_games, dtype=int)
         gradients = np.zeros((n_games, dim))
         rows = np.arange(n_games)
@@ -785,12 +788,11 @@ class FeedbackStrategy:
                 return
             g, i = rows[better], i[better]
             totals[g] = total[g, i]
+            kinds[g] = COMPANION_KINDS.index(kind)
             indices[g] = i
             beta, factor = (np.broadcast_to(a, total.shape)[g, i] for a in (beta, factor))
             last = np.broadcast_to(diffs[-1], total.shape + (dim,))[g, i]
             gradients[g] = ((alpha / (2.0 * beta)) * factor)[:, None] * last
-            for game in g:
-                kinds[game] = kind
 
         # probes: trace plus a gradual drift to offset o; the difference path
         # rises to |o| at time t, so its last row alone carries sup = cur = |o|
@@ -800,30 +802,28 @@ class FeedbackStrategy:
 
         points = self._lattice_points
         consider("lattice", X[:, :, None, :] - points[None, None, :, :],
-                 self.value.interp_batch(self.side, t, points))
+                 self.value.interp_batch("upper", t, points))
 
         if self._library_values is not None:
             lib = self._library_values[: X.shape[0]]
             consider("library", X[:, :, None, :] - lib[:, None, :, :],
-                     self.value.interp_batch(self.side, t, lib[-1]))
-        return [(float(totals[g]), kinds[g], int(indices[g]), gradients[g])
-                for g in range(n_games)]
+                     self.value.interp_batch("upper", t, lib[-1]))
+        return totals, kinds, indices, gradients
 
-    def select_controls(self, t: float, states: np.ndarray, path_of, companions) -> np.ndarray:
-        """Control index of each game at node t, aimed by its companion_minima
-        tuple: the argmin over p of max over q of cost + (f, gradient), smallest
-        index on ties.  states and path_of are the games' lanes as in
-        GameSpec.lane_terms, which is called once for all of them."""
+    def select_controls(self, t: float, states: np.ndarray, path_of, gradients) -> np.ndarray:
+        """Control index of each game at node t, aimed by its companion
+        gradient (a row of gradients, shape (game, dim)): the argmin over p of
+        max over q of cost + (f, gradient), smallest index on ties.  states and
+        path_of are the games' lanes as in GameSpec.lane_terms, which is called
+        once for all of them."""
         drift, cost = self.spec.lane_terms(t, states, path_of)
-        gradients = np.stack([companion[3] for companion in companions])
         M = cost + _row_dots(drift, gradients[:, None, None, :])
         return np.argmin(M.max(axis=2), axis=1)
 
 
 def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
                             x0: Path, partition, *, value: ValueTable,
-                            library_size: int = 64, seed: int = 0,
-                            side: str = "upper") -> FeedbackStrategy:
+                            library_size: int = 64, seed: int = 0) -> FeedbackStrategy:
     """Build the extremal-shift strategy with its companion library.
 
     partition is the TimeGrid the games are played on, or a sequence of such
@@ -845,7 +845,7 @@ def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
         tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
         library = [rep.path for rep in
                    sample_reachable_set(tube, t0, hist, library_size, seed)]
-    return FeedbackStrategy(spec, params, value, t0, hist, library, side=side)
+    return FeedbackStrategy(spec, params, value, t0, hist, library)
 
 
 def simulation_grid(value_grid: TimeGrid, *partitions: TimeGrid) -> TimeGrid:
@@ -871,74 +871,74 @@ def simulation_grid(value_grid: TimeGrid, *partitions: TimeGrid) -> TimeGrid:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class StrategyTrace:
-    """Full record of one feedback-controlled run."""
+class FeedbackPlay:
+    """The record of N games played in lockstep on one partition.
+
+    Shaped (step, game), one row per partition cell: p and q, the control
+    indices played; step_cost, the running cost of the cell; u_before and
+    u_after, the shifted value (the companion minimum) at the cell's two
+    nodes; kind, a code into COMPANION_KINDS, and index, the companion that
+    aimed the cell's control.  values, shaped (node, game, dim), holds the
+    states on the simulation grid (the strategy's x0.grid); running and
+    terminal, shaped (game,), each game's running and terminal cost.
+    """
 
     partition: TimeGrid
-    p_indices: tuple
-    q_indices: tuple
-    path: Path
-    running_cost: float
-    terminal_cost: float
-    step_records: tuple
+    p: np.ndarray
+    q: np.ndarray
+    step_cost: np.ndarray
+    u_before: np.ndarray
+    u_after: np.ndarray
+    kind: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
+    running: np.ndarray
+    terminal: np.ndarray
 
     @property
-    def payoff(self) -> float:
-        return self.running_cost + self.terminal_cost
+    def residual(self) -> np.ndarray:
+        """Cost plus shifted-value increment of each cell, shape (step, game)."""
+        return self.step_cost + self.u_after - self.u_before
 
-    def to_json_obj(self) -> dict:
-        return {
-            "partition": [float(t) for t in self.partition.nodes],
-            "p_indices": list(self.p_indices),
-            "q_indices": list(self.q_indices),
-            "path": self.path.to_json_obj(),
-            "running_cost": self.running_cost,
-            "terminal_cost": self.terminal_cost,
-            "payoff": self.payoff,
-            "step_records": [dict(r) for r in self.step_records],
-        }
+    @property
+    def payoff(self) -> np.ndarray:
+        return self.running + self.terminal
 
-    def to_csv(self) -> str:
-        """Per-step table: time, controls, cost, and Lyapunov diagnostic pieces."""
-        lines = ["t,dt,p_index,q_index,step_cost,u_shifted_before,u_shifted_after,residual"]
-        for p_idx, q_idx, rec in zip(self.p_indices, self.q_indices, self.step_records):
-            lines.append(f"{rec['t']:.17g},{rec['dt']:.17g},{p_idx},{q_idx},"
-                         f"{rec['step_cost']:.17g},{rec['u_shifted_before']:.17g},"
-                         f"{rec['u_shifted_after']:.17g},{rec['residual']:.17g}")
-        return "\n".join(lines) + "\n"
+    def lanes(self, games) -> "FeedbackPlay":
+        """The record of the games that games (a slice or index array) selects."""
+        columns = ("p", "q", "step_cost", "u_before", "u_after", "kind", "index", "values")
+        return replace(self, running=self.running[games], terminal=self.terminal[games],
+                       **{name: getattr(self, name)[:, games] for name in columns})
 
 
 def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
-                        partition: TimeGrid) -> list:
-    """Play one game per adversary on one partition, all games in lockstep.
+                        partition: TimeGrid) -> FeedbackPlay:
+    """Play one game per adversary on one partition, all games in lockstep,
+    and return their FeedbackPlay record, games in adversary order.
 
     The strategy commits p per partition cell and the adversary answers q.  An
     adversary is any per-step policy (t, path_of, p_index) -> q_index, where
     path_of() builds its game's path stopped at t; it sees the committed p,
     consistent with the upper-value commit order.  Both controls are held on
     the cell while the state integrates on the finer simulation grid.
-    Per-step records hold the shifted-value increments used by the Lyapunov
-    diagnostic.
 
     The phases of a partition cell, each one batch unless said otherwise:
     the controls (one strategy.select_controls call, one lane_terms call over
     the full control grid, each game aimed by its own companion gradient);
     the greedy adversaries (one lookahead step per group of greedy_adversary
-    lanes with the same game, table, side and lookahead); the other
-    adversaries, game by game, so an adversary that keeps state (the
-    generator of a random_adversary) sees the calls it sees when its games
-    are played one at a time; then per simulation-grid step the stage terms
-    at the played pairs (one lane_terms call) and one implicit step for all
-    games; then the companion minima (one companion_minima call, whose
-    minimum is the step's u_shifted_after and aims the next control).  At a
-    partition node a lane's stopped path is built only if its game or its
-    adversary reads it, and then once.  Each trace is bit-identical to
-    playing its game alone.  Errors follow the lockstep rule of
-    pdhj.evolution over these phases.
+    lanes with the same game and table); the other adversaries, game by
+    game, so an adversary that keeps state (the generator of a
+    random_adversary) sees the calls it sees when its games are played one
+    at a time; then per simulation-grid step the stage terms at the played
+    pairs (one lane_terms call) and one implicit step for all games; then the
+    companion minima (one companion_minima call, whose minimum is the cell's
+    u_after and aims the next control).  At a partition node a lane's stopped
+    path is built only if its game or its adversary reads it, and then once;
+    the full paths are built only for the terminal cost.  Each game's columns
+    of the record are bit-identical to playing it alone.  Errors follow the
+    lockstep rule of pdhj.evolution over these phases.
     """
     adversaries = list(adversaries)
-    if not adversaries:
-        return []
     inner = strategy.x0.grid
     nodes = inner.nodes
     part_nodes = partition.nodes
@@ -952,16 +952,15 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
             others.append(g)
     groups = [np.array(lanes) for lanes in groups.values()]
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, game, coordinate)
-    companions = strategy.companion_minima(
+    totals, kinds, indices, gradients = strategy.companion_minima(
         part_nodes[0], values[: inner.node_index(part_nodes[0]) + 1])
-    p_indices, q_indices = [[] for _ in range(m)], [[] for _ in range(m)]
-    records = [[] for _ in range(m)]
+    cells = []
     running = np.zeros(m)
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
         path_at = functools.cache(lambda g, k=ka: stopped_at(inner, values[:, g], k))
-        p_picks = strategy.select_controls(t_i, values[ka], path_at, companions)
+        p_picks = strategy.select_controls(t_i, values[ka], path_at, gradients)
         q_picks = np.empty(m, dtype=int)
         states = stopped_value_at(inner, values, ka, t_i)
         for lanes in groups:
@@ -980,37 +979,13 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
                                               STEP_SOLVE_TOL, k)
         running += step_cost
         after = strategy.companion_minima(t_i1, values[: kb + 1])
-        for g in range(m):
-            before = companions[g]
-            records[g].append({
-                "t": float(t_i),
-                "dt": float(t_i1 - t_i),
-                "step_cost": step_cost[g],
-                "u_shifted_before": before[0],
-                "u_shifted_after": after[g][0],
-                "residual": step_cost[g] + after[g][0] - before[0],
-                "companion_kind": before[1],
-                "companion_index": before[2],
-            })
-            p_indices[g].append(int(p_picks[g]))
-            q_indices[g].append(int(q_picks[g]))
-        companions = after
+        cells.append((p_picks, q_picks, step_cost, totals, after[0], kinds, indices))
+        totals, kinds, indices, gradients = after
 
-    paths = [Path(inner, values[:, g]) for g in range(m)]
-    return [StrategyTrace(partition=partition, p_indices=tuple(p_indices[g]),
-                          q_indices=tuple(q_indices[g]), path=paths[g], running_cost=running[g],
-                          terminal_cost=spec.final_cost(paths[g]), step_records=tuple(records[g]))
-            for g in range(m)]
-
-
-def play_pools(spec: GameSpec, strategy: FeedbackStrategy, pools, partition: TimeGrid) -> list:
-    """Several adversary pools as the lanes of one play_feedback_games call,
-    in pool order; one trace list per pool, each trace the one its game
-    gives played alone."""
-    pools = [list(pool) for pool in pools]
-    traces = iter(play_feedback_games(spec, strategy, [a for pool in pools for a in pool],
-                                      partition))
-    return [[next(traces) for _ in pool] for pool in pools]
+    p, q, step_cost, u_before, u_after, kind, index = (np.array(column) for column in zip(*cells))
+    terminal = np.array([spec.final_cost(Path(inner, values[:, g])) for g in range(m)])
+    return FeedbackPlay(partition, p, q, step_cost, u_before, u_after, kind, index, values,
+                        running, terminal)
 
 
 # -- adversary policies -----------------------------------------------------
@@ -1035,14 +1010,12 @@ def random_adversary(seed: int, n_q: int):
 
 @dataclass(frozen=True)
 class _GreedyLookahead:
-    """One-step lookahead maximizer against the committed p; ties keep the
-    first q.  Equal ones (the same game and table, side and lookahead)
-    answer as one batch in play_feedback_games."""
+    """One-step lookahead maximizer of the upper value against the committed
+    p, one value-grid mesh ahead; ties keep the first q.  Equal ones (the same
+    game and table) answer as one batch in play_feedback_games."""
 
     spec: GameSpec
     value: ValueTable
-    side: str
-    lookahead: float
     describe = "greedy-lookahead"
 
     def __call__(self, t, path_of, p_index):
@@ -1061,14 +1034,13 @@ class _GreedyLookahead:
         """
         spec, value = self.spec, self.value
         n_q = spec.controls.n_q
-        dt = self.lookahead if self.lookahead is not None else value.grid.mesh
-        dt = min(dt, value.grid.t_end - t)
+        dt = min(value.grid.mesh, value.grid.t_end - t)
         n = len(states)
         rows = np.repeat(np.arange(n), n_q)
         played = (rows, np.repeat(p_indices, n_q), np.tile(np.arange(n_q), n))
         drifts, costs = spec.lane_terms(t, states, path_of, played)
         succ, _, _ = _drift_step(spec.dyn.op, t + dt, dt, states[rows], drifts, STEP_SOLVE_TOL, k)
-        ahead = value.interp_batch(self.side, t + dt, succ)
+        ahead = value.interp_batch("upper", t + dt, succ)
         picks = np.zeros(n, dtype=int)
         for g, scores in enumerate((dt * costs + ahead).reshape(n, n_q)):
             best = -np.inf
@@ -1078,11 +1050,10 @@ class _GreedyLookahead:
         return picks
 
 
-def greedy_adversary(spec: GameSpec, value: ValueTable, side: str = "upper",
-                     lookahead: float = None):
+def greedy_adversary(spec: GameSpec, value: ValueTable):
     """The greedy lookahead adversary: called alone it reads its game's
     stopped path; play_feedback_games answers its greedy lanes in batches."""
-    return _GreedyLookahead(spec, value, side, lookahead)
+    return _GreedyLookahead(spec, value)
 
 
 def adversary_pool(spec: GameSpec, value: ValueTable, budget: int, seed: int) -> list:
@@ -1098,31 +1069,30 @@ def adversary_pool(spec: GameSpec, value: ValueTable, budget: int, seed: int) ->
     return pool[:budget]
 
 
-# -- reductions over played traces ------------------------------------------
+# -- reductions over feedback plays -----------------------------------------
 
-def step_rate_bound(traces, floor: float = 1e-6) -> float:
-    """Empirical Lyapunov step-rate bound m-hat of the traces: the maximum
-    per-step residual rate (cost + shifted-value increment per unit time),
-    floored away from zero.  Test runs are then required to respect m-hat on
-    at least 95% of steps and 2 * m-hat always."""
-    worst = floor
-    for trace in traces:
-        for rec in trace.step_records:
-            worst = max(worst, rec["residual"] / rec["dt"])
+def step_rate_bound(plays) -> float:
+    """Empirical Lyapunov step-rate bound m-hat of the plays' games: the
+    maximum per-cell residual rate (cost + shifted-value increment per unit
+    time), floored at STEP_RATE_FLOOR.  Test runs are then required to respect
+    m-hat on at least 95% of steps and 2 * m-hat always."""
+    worst = STEP_RATE_FLOOR
+    for play in plays:
+        worst = (play.residual / np.diff(play.partition.nodes)[:, None]).max(initial=worst)
     return float(worst)
 
 
-def lyapunov_violation_stats(traces, m_hat: float) -> dict:
-    """Fraction of steps respecting residual <= m_hat * dt, and the worst excess ratio."""
+def lyapunov_violation_stats(plays, m_hat: float) -> dict:
+    """Fraction of the plays' cells respecting residual <= m_hat * dt, and the
+    worst excess ratio residual / (m_hat * dt) of the others."""
     total, ok, worst_ratio = 0, 0, 0.0
-    for trace in traces:
-        for rec in trace.step_records:
-            total += 1
-            bound = m_hat * rec["dt"]
-            if rec["residual"] <= bound:
-                ok += 1
-            else:
-                worst_ratio = max(worst_ratio, rec["residual"] / bound)
+    for play in plays:
+        residual = play.residual
+        bound = m_hat * np.diff(play.partition.nodes)[:, None]
+        within = residual <= bound
+        total += within.size
+        ok += int(within.sum())
+        worst_ratio = (residual / bound)[~within].max(initial=worst_ratio)
     return {"steps": total, "within_bound": ok,
             "fraction_within": ok / total if total else 1.0,
             "worst_excess_ratio": float(worst_ratio)}
@@ -1139,29 +1109,25 @@ class GuaranteeEstimate:
     certificate: dict
 
     @classmethod
-    def from_traces(cls, pool, partitions, traces, budget: int, seed: int) -> "GuaranteeEstimate":
+    def from_payoffs(cls, pool, partitions, payoffs, budget: int, seed: int) -> "GuaranteeEstimate":
         """The worst payoff per partition and overall, with its certificate:
-        traces[i] holds the pool's traces on partitions[i], in pool order, and
-        a tie keeps the earlier adversary."""
+        payoffs[i] holds the payoff of each of the pool's games on
+        partitions[i], in pool order, and a tie keeps the earlier adversary."""
         per_partition = []
-        overall = -np.inf
-        for partition, played in zip(partitions, traces):
-            worst = -np.inf
-            worst_adv = None
-            for adv, trace in zip(pool, played):
-                if trace.payoff > worst:
-                    worst, worst_adv = trace.payoff, getattr(adv, "describe", "?")
+        for partition, payoff in zip(partitions, payoffs):
+            worst = int(np.argmax(payoff))
             per_partition.append({"n_steps": partition.n_steps, "mesh": partition.mesh,
-                                  "worst_payoff": worst, "worst_adversary": worst_adv})
-            overall = max(overall, worst)
+                                  "worst_payoff": payoff[worst],
+                                  "worst_adversary": getattr(pool[worst], "describe", "?")})
         certificate = {
             "seed": seed,
             "budget": budget,
             "pool": [getattr(a, "describe", "?") for a in pool],
             "partition_meshes": [p.mesh for p in partitions],
         }
-        return cls(value=float(overall), per_partition=tuple(per_partition),
-                   budget=budget, seed=seed, certificate=certificate)
+        return cls(value=float(max(p["worst_payoff"] for p in per_partition)),
+                   per_partition=tuple(per_partition), budget=budget, seed=seed,
+                   certificate=certificate)
 
     def to_json_obj(self) -> dict:
         return {

@@ -33,7 +33,7 @@ the batches are checked against.
   pdhj.game.minimax_records applies to every control pick.
 - calibrate_step_bound and estimate_guaranteed_result: one adversary pool
   played on each partition, then reduced as the feedback-run runner reduces
-  its lane set (step_rate_bound, GuaranteeEstimate.from_traces).
+  the slices of its lane set (step_rate_bound, GuaranteeEstimate.from_payoffs).
 - scale_costs: a game with its running and terminal costs scaled jointly.
 """
 
@@ -510,28 +510,26 @@ def measurable_selection(h_grid: np.ndarray, epsilon: float) -> np.ndarray:
 
 
 def calibrate_step_bound(spec: GameSpec, strategy: FeedbackStrategy, partitions,
-                         calibration_budget: int, seed: int,
-                         floor: float = 1e-6) -> float:
+                         calibration_budget: int, seed: int) -> float:
     """step_rate_bound of a calibration adversary pool played on each partition."""
     pool = adversary_pool(spec, strategy.value, calibration_budget, seed)
-    return step_rate_bound([trace for partition in partitions
-                            for trace in play_feedback_games(spec, strategy, pool, partition)],
-                           floor)
+    return step_rate_bound([play_feedback_games(spec, strategy, pool, partition)
+                            for partition in partitions])
 
 
 def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
                                t0: float, x0: Path, adversary_budget: int,
                                partitions, *, seed: int = 0) -> GuaranteeEstimate:
     """Max payoff over the sampled adversary pool and the listed partitions:
-    GuaranteeEstimate.from_traces of the pool played on each partition."""
+    GuaranteeEstimate.from_payoffs of the pool played on each partition."""
     if abs(strategy.t0 - t0) > 1e-9:
         raise ConfigurationError(
             f"strategy was built for t0={strategy.t0}, estimate asked for t0={t0}")
     if np.linalg.norm(strategy.x0.value_at(t0) - x0.value_at(min(t0, x0.grid.t_end))) > 1e-9:
         raise ConfigurationError("strategy history does not match the requested start state")
     pool = adversary_pool(spec, strategy.value, adversary_budget, seed)
-    return GuaranteeEstimate.from_traces(
-        pool, partitions, [play_feedback_games(spec, strategy, pool, p) for p in partitions],
+    return GuaranteeEstimate.from_payoffs(
+        pool, partitions, [play_feedback_games(spec, strategy, pool, p).payoff for p in partitions],
         adversary_budget, seed)
 
 

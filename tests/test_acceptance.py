@@ -248,9 +248,8 @@ def test_criterion_08_feedback_efficacy(desk_table):
 
     v_minus_site = table.interp("lower", 0.0, np.array([0.4]))
     pool = adversary_pool(spec, table, budget, 2000)
-    traces = [trace for part in partitions
-              for trace in play_feedback_games(spec, strategy, pool, part)]
-    stats = lyapunov_violation_stats(traces, m_hat)
+    plays = [play_feedback_games(spec, strategy, pool, part) for part in partitions]
+    stats = lyapunov_violation_stats(plays, m_hat)
     ok = (est.value <= v_site + tol
           and est.value >= v_minus_site - tol
           and weakly_decreasing

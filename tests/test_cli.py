@@ -242,6 +242,19 @@ class TestSummary:
         assert any("INCOMPLETE" in line for line in lines)
         assert any("PASS" in line for line in lines)
 
+    @pytest.mark.parametrize("text", ['{"kind": "solve", "pass', "[1, 2]", "", "\xff"])
+    def test_unreadable_result_is_incomplete(self, tmp_path, capsys, text):
+        # a result.json cut off while writing, or one that is not an object
+        run(base_config("upsilon-check", name="good", samples=60), str(tmp_path))
+        bad_dir = tmp_path / "cut"
+        bad_dir.mkdir()
+        (bad_dir / "manifest.json").write_text("{}")
+        (bad_dir / "result.json").write_bytes(text.encode("latin-1"))
+        assert main(["summary", str(tmp_path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].startswith("cut,?,,INCOMPLETE")
+        assert lines[2].endswith(",PASS")
+
     def test_columns_stable_golden(self, tmp_path):
         run(base_config("upsilon-check", name="u1", samples=60), str(tmp_path))
         buf = io.StringIO()

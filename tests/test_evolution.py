@@ -29,6 +29,12 @@ class TestAuditHypotheses:
         assert report.monotonicity_min >= -1e-12
         assert report.coercivity_min >= 1.0 - 1e-9
 
+    @pytest.mark.parametrize("gain", [0.0, -1.0])
+    def test_linear_operator_without_coercivity_refused(self, gain):
+        # c2 = gain: the zero and the negated operator are not coercive
+        with pytest.raises(DomainError, match="c2 must be > 0"):
+            make_linear_operator(dim=2, gain=gain)
+
     def test_negated_identity_flagged(self):
         bad = OperatorSpec(space=StateSpace(dim=2), eval_fn=lambda t, v: -v,
                            c1=1.0, c2=1.0, kind="custom")

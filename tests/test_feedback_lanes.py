@@ -17,14 +17,15 @@ from pdhj.evolution import (
     solve_delay_lanes,
 )
 from pdhj.game import (
+    COMPANION_KINDS,
     COVERAGE_TOL,
     STEP_SOLVE_TOL,
     ControlGrid,
+    FeedbackPlay,
     FeedbackStrategy,
     GameSpec,
     GuaranteeEstimate,
     StateLattice,
-    StrategyTrace,
     ValueTable,
     adversary_pool,
     constant_adversary,
@@ -35,7 +36,6 @@ from pdhj.game import (
     isaacs_game,
     lyapunov_violation_stats,
     play_feedback_games,
-    play_pools,
     random_adversary,
     step_rate_bound,
 )
@@ -53,7 +53,7 @@ def _probe_candidates_reference(strategy, t, state):
     offsets = strategy._probe_offsets(t, len(state))
     probes = state - offsets
     kept = np.flatnonzero(strategy.value.lattice.coverage_margins(probes) <= COVERAGE_TOL)
-    u_vals = strategy.value.interp_batch(strategy.side, t, probes[kept]) if kept.size \
+    u_vals = strategy.value.interp_batch("upper", t, probes[kept]) if kept.size \
         else np.empty(0)
     return kept.tolist(), offsets[kept], u_vals
 
@@ -65,7 +65,7 @@ def _companion_minimum_reference(strategy, t, x):
     alpha = strategy.params.alpha(t)
     eps4 = strategy.params.epsilon ** 4
     trace_state = X[-1]
-    best = (float(strategy.value.interp(strategy.side, t, trace_state) + alpha * np.sqrt(eps4)),
+    best = (float(strategy.value.interp("upper", t, trace_state) + alpha * np.sqrt(eps4)),
             "trace", 0, np.zeros(x.dim))
 
     def consider(kind, indices, diffs, u_vals):
@@ -84,16 +84,17 @@ def _companion_minimum_reference(strategy, t, x):
         consider("probe", kept, offsets[None, :, :], u_vals)
     points = strategy._lattice_points
     consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
-             strategy.value.interp_batch(strategy.side, t, points))
+             strategy.value.interp_batch("upper", t, points))
     if strategy._library_values is not None:
         lib = strategy._library_values[: k + 1]
         consider("library", range(lib.shape[1]), X[:, None, :] - lib,
-                 strategy.value.interp_batch(strategy.side, t, lib[-1]))
+                 strategy.value.interp_batch("upper", t, lib[-1]))
     return best
 
 
 def _run_feedback_game_reference(spec, strategy, adversary, partition):
-    """The one-game loop with its own scalar step loop that play_feedback_games replaced."""
+    """The one-game loop with its own scalar step loop that play_feedback_games
+    replaced, its per-step records stacked into a one-game FeedbackPlay."""
     inner = strategy.x0.grid
     nodes = inner.nodes
     values = strategy.x0.values.copy()
@@ -136,20 +137,26 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
         p_indices.append(p_idx)
         q_indices.append(q_idx)
     final_path = Path(inner, values)
-    return StrategyTrace(partition=partition, p_indices=tuple(p_indices),
-                         q_indices=tuple(q_indices), path=final_path,
-                         running_cost=running,
-                         terminal_cost=spec.final_cost(final_path),
-                         step_records=tuple(records))
+
+    def column(key):
+        return np.array([rec[key] for rec in records])[:, None]
+
+    return FeedbackPlay(partition=partition, p=np.array(p_indices)[:, None],
+                        q=np.array(q_indices)[:, None], step_cost=column("step_cost"),
+                        u_before=column("u_shifted_before"), u_after=column("u_shifted_after"),
+                        kind=np.array([COMPANION_KINDS.index(rec["companion_kind"])
+                                       for rec in records])[:, None],
+                        index=column("companion_index"), values=values[:, None, :],
+                        running=np.array([running]),
+                        terminal=np.array([spec.final_cost(final_path)]))
 
 
-def _greedy_reference(spec, value, side="upper", lookahead=None):
+def _greedy_reference(spec, value):
     """The per-q lookahead loop that the batched greedy adversary replaced."""
 
     def policy(t, x, p_index):
         p = spec.controls.p_points[p_index]
-        dt = lookahead if lookahead is not None else value.grid.mesh
-        dt = min(dt, value.grid.t_end - t)
+        dt = min(value.grid.mesh, value.grid.t_end - t)
         state = x.value_at(t)
         k = x.grid.node_index(t)
         best_j, best_val = 0, -np.inf
@@ -158,7 +165,7 @@ def _greedy_reference(spec, value, side="upper", lookahead=None):
             target = state + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
             succ, _, _ = _implicit_step(spec.dyn.op, t + dt, dt, target, state, tol, k)
-            val = dt * spec.stage_cost(t, x, p, q) + value.interp(side, t + dt, succ)
+            val = dt * spec.stage_cost(t, x, p, q) + value.interp("upper", t + dt, succ)
             if val > best_val + 1e-15:
                 best_j, best_val = j, val
         return best_j
@@ -169,20 +176,19 @@ def _greedy_reference(spec, value, side="upper", lookahead=None):
 # helpers
 # ---------------------------------------------------------------------------
 
-def _assert_traces_equal(got, want):
-    for f in dataclasses.fields(StrategyTrace):
+def _assert_plays_equal(got, want):
+    """Two records bit for bit: the same partition, and every array of the
+    same dtype, shape and bytes."""
+    assert got.partition == want.partition
+    for f in dataclasses.fields(FeedbackPlay)[1:]:
         a, b = getattr(got, f.name), getattr(want, f.name)
-        if f.name == "path":
-            assert a.grid == b.grid
-            assert np.array_equal(a.values, b.values)
-        elif f.name == "step_records":
-            assert len(a) == len(b)
-            for rec_a, rec_b in zip(a, b):
-                assert rec_a == rec_b
-                assert type(rec_a["companion_index"]) is int
-        else:
-            assert a == b, f"{f.name}: {a!r} != {b!r}"
-    assert all(type(i) is int for i in got.p_indices + got.q_indices)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+def _assert_game_equal(play, g, want):
+    """Game g's columns of play against the one-game record want."""
+    _assert_plays_equal(play.lanes([g]), want)
 
 
 def _planar_game():
@@ -229,12 +235,12 @@ class TestPoolMatchesGameByGame:
         ref = adversary_pool(spec, table, spec.controls.n_q + 4, seed=17)
         kinds = set()
         for partition in partitions:
-            got = play_feedback_games(spec, strategy, lanes, partition)
-            want = [_run_feedback_game_reference(spec, strategy, adv, partition) for adv in ref]
-            assert len(got) == len(want) == len(lanes)
-            for a, b in zip(got, want):
-                _assert_traces_equal(a, b)
-                kinds.update(rec["companion_kind"] for rec in a.step_records)
+            play = play_feedback_games(spec, strategy, lanes, partition)
+            assert play.p.shape == (partition.n_steps, len(lanes))
+            for g, adv in enumerate(ref):
+                _assert_game_equal(play, g,
+                                   _run_feedback_game_reference(spec, strategy, adv, partition))
+            kinds.update(play.kind.ravel().tolist())
         assert len(kinds) > 1  # the games' minima come from several kinds
 
     def test_random_generators_carry_across_partitions(self):
@@ -243,23 +249,22 @@ class TestPoolMatchesGameByGame:
         lanes = [random_adversary(s, n_q) for s in (3, 4, 5)]
         ref = [random_adversary(s, n_q) for s in (3, 4, 5)]
         first = [play_feedback_games(spec, strategy, lanes, p) for p in partitions]
-        for partition, got in zip(partitions, first):
-            for a, adv in zip(got, ref):
-                _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv,
-                                                                     partition))
+        for partition, play in zip(partitions, first):
+            for g, adv in enumerate(ref):
+                _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
+                                                                         partition))
         # a fresh pool replays the first partition's choices, the carried one does not
         fresh = play_feedback_games(spec, strategy,
                                     [random_adversary(s, n_q) for s in (3, 4, 5)],
                                     partitions[1])
-        assert [t.q_indices for t in fresh] != [t.q_indices for t in first[1]]
+        assert not np.array_equal(fresh.q, first[1].q)
 
     def test_pool_of_one_is_the_one_game_case(self):
         spec, table, strategy, partitions = _desk(1, 16)
         adv = greedy_adversary(spec, table)
         for partition in partitions:
-            (trace,) = play_feedback_games(spec, strategy, [adv], partition)
-            _assert_traces_equal(trace,
-                                 _run_feedback_game_reference(spec, strategy, adv, partition))
+            _assert_plays_equal(play_feedback_games(spec, strategy, [adv], partition),
+                                _run_feedback_game_reference(spec, strategy, adv, partition))
 
     def test_mid_horizon_start(self):
         spec = isaacs_game(scale=0.5)
@@ -272,8 +277,10 @@ class TestPoolMatchesGameByGame:
                                            library_size=8, seed=1)
         pool = adversary_pool(spec, table, 6, seed=2)
         ref = adversary_pool(spec, table, 6, seed=2)
-        for a, adv in zip(play_feedback_games(spec, strategy, pool, partition), ref):
-            _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv, partition))
+        play = play_feedback_games(spec, strategy, pool, partition)
+        for g, adv in enumerate(ref):
+            _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
+                                                                     partition))
 
     def test_no_scalar_step_on_the_normal_path(self, monkeypatch):
         spec, table, strategy, partitions = _desk(1, 8)
@@ -291,7 +298,10 @@ class TestPoolMatchesGameByGame:
 
     def test_empty_pool(self):
         spec, table, strategy, partitions = _desk(1, 0)
-        assert play_feedback_games(spec, strategy, [], partitions[0]) == []
+        play = play_feedback_games(spec, strategy, [], partitions[0])
+        assert play.p.shape == play.residual.shape == (partitions[0].n_steps, 0)
+        assert play.values.shape == (len(strategy.x0.grid.nodes), 0, 1)
+        assert play.payoff.shape == (0,)
 
 
 def _isaacs_desk(markov, grid_steps=8, partition_steps=(4, 8)):
@@ -310,9 +320,9 @@ def _isaacs_desk(markov, grid_steps=8, partition_steps=(4, 8)):
     return spec, table, strategy, partitions, x0
 
 
-def _greedy_reference_lane(spec, value, lookahead=None):
+def _greedy_reference_lane(spec, value):
     """_greedy_reference as a lane policy (t, path_of, p_index)."""
-    policy = _greedy_reference(spec, value, lookahead=lookahead)
+    policy = _greedy_reference(spec, value)
     return lambda t, path_of, p_index: policy(t, path_of(), p_index)
 
 
@@ -340,12 +350,11 @@ class TestGreedyLanes:
         # two equal greedy adversaries answer as one batch, each other one alone
         pool = [constant_adversary(2), greedy_adversary(spec, table),
                 greedy_adversary(spec, flipped), random_adversary(4, n_q),
-                greedy_adversary(spec, table), greedy_adversary(spec, table, lookahead=0.05)]
-        assert pool[1] == pool[4] and pool[1] != pool[2] and pool[1] != pool[5]
+                greedy_adversary(spec, table)]
+        assert pool[1] == pool[4] and pool[1] != pool[2]
         ref = [constant_adversary(2), _greedy_reference_lane(spec, table),
                _greedy_reference_lane(spec, flipped), random_adversary(4, n_q),
-               _greedy_reference_lane(spec, table),
-               _greedy_reference_lane(spec, table, lookahead=0.05)]
+               _greedy_reference_lane(spec, table)]
         # each batch reads the x(t) of the stopped path its lanes read alone
         answers, batches = game._GreedyLookahead.answers, []
 
@@ -356,11 +365,12 @@ class TestGreedyLanes:
             return answers(self, t, k, states, path_of, p_indices)
 
         monkeypatch.setattr(game._GreedyLookahead, "answers", spy)
-        traces = play_feedback_games(spec, strategy, pool, partition)
-        assert batches == [2, 1, 1] * partition.n_steps
-        for a, adv in zip(traces, ref):
-            _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv, partition))
-        assert traces[2].q_indices != traces[1].q_indices
+        play = play_feedback_games(spec, strategy, pool, partition)
+        assert batches == [2, 1] * partition.n_steps
+        for g, adv in enumerate(ref):
+            _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
+                                                                     partition))
+        assert not np.array_equal(play.q[:, 2], play.q[:, 1])
 
     @pytest.mark.parametrize("markov", [True, False])
     def test_stopped_paths_built_only_when_read(self, markov, monkeypatch):
@@ -394,7 +404,8 @@ def _random_states(pools):
 
 class TestPoolsAsOneLaneSet:
     """cli._run_feedback's calibration, estimate and replay pools as one lane
-    set per partition, against the pools played in separate calls."""
+    set per partition, sliced by pool, against the pools played in separate
+    calls."""
 
     @pytest.mark.parametrize("markov", [True, False])
     def test_matches_separate_passes(self, markov):
@@ -408,8 +419,11 @@ class TestPoolsAsOneLaneSet:
 
         # one lane set per partition, as cli._run_feedback plays them
         calibration, pool, replays = pools()
-        played = [play_pools(spec, strategy, [calibration, pool, replay], part)
+        played = [play_feedback_games(spec, strategy, calibration + pool + replay, part)
                   for part, replay in zip(partitions, replays)]
+        pool_lanes = [slice(0, calibration_budget), slice(calibration_budget,
+                                                          calibration_budget + budget),
+                      slice(calibration_budget + budget, None)]
         # each pool in its own calls: calibration, then estimate, then replays
         calibration_ref, pool_ref, replays_ref = pools()
         separate = [[play_feedback_games(spec, strategy, calibration_ref, p) for p in partitions],
@@ -418,25 +432,24 @@ class TestPoolsAsOneLaneSet:
                      for r, p in zip(replays_ref, partitions)]]
         for i in range(len(partitions)):
             for j in range(3):
-                got, want = played[i][j], separate[j][i]
-                assert len(got) == len(want)
-                for a, b in zip(got, want):
-                    assert _json_bytes(a.to_json_obj()) == _json_bytes(b.to_json_obj())
+                _assert_plays_equal(played[i].lanes(pool_lanes[j]), separate[j][i])
         # the first partition's replays repeat the estimate's first lanes
-        for a, b in zip(played[0][2], played[0][1]):
-            assert _json_bytes(a.to_json_obj()) == _json_bytes(b.to_json_obj())
+        _assert_plays_equal(played[0].lanes(pool_lanes[2]),
+                            played[0].lanes(slice(calibration_budget,
+                                                  calibration_budget + len(replays[0]))))
 
-        m_hat = step_rate_bound([t for traces, _, _ in played for t in traces])
-        assert m_hat == step_rate_bound([t for traces in separate[0] for t in traces])
+        m_hat = step_rate_bound([play.lanes(pool_lanes[0]) for play in played])
+        assert m_hat == step_rate_bound(separate[0])
         assert m_hat == calibrate_step_bound(spec, strategy, partitions, calibration_budget,
                                              seed + 1)
-        est = GuaranteeEstimate.from_traces(pool, partitions, [p[1] for p in played],
-                                            budget, seed + 2)
+        est = GuaranteeEstimate.from_payoffs(pool, partitions,
+                                             [play.payoff[pool_lanes[1]] for play in played],
+                                             budget, seed + 2)
         want = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
                                           seed=seed + 2)
         assert _json_bytes(est.to_json_obj()) == _json_bytes(want.to_json_obj())
-        assert lyapunov_violation_stats([t for _, _, traces in played for t in traces], m_hat) \
-            == lyapunov_violation_stats([t for traces in separate[2] for t in traces], m_hat)
+        assert lyapunov_violation_stats([play.lanes(pool_lanes[2]) for play in played], m_hat) \
+            == lyapunov_violation_stats(separate[2], m_hat)
         states = _random_states([calibration, pool] + replays)
         assert len(states) == 2 + 5 + 2 * 5
         assert states == _random_states([calibration_ref, pool_ref] + replays_ref)
@@ -468,7 +481,7 @@ class TestPoolErrorOrder:
                     play_feedback_games(spec, strategy, pool, part)
         with pytest.raises(RuntimeError, match="^estimate$"):
             for part in partitions:
-                play_pools(spec, strategy, [calibration, estimate], part)
+                play_feedback_games(spec, strategy, calibration + estimate, part)
 
     def test_feedback_run_raises_the_coarser_partitions_error(self, monkeypatch):
         path = pathlib.Path(__file__).parents[1] / "bench" / "configs" / "feedback_short.json"
@@ -494,21 +507,25 @@ class TestPoolErrorOrder:
 
 class TestCompanionTies:
     def test_trace_wins_its_ties_with_lattice_and_library(self):
-        # no drift and no operator: the state stays on the lattice point x0, and
-        # every library sample (a tube of radius 0) is the constant path at x0;
-        # the trace, that lattice point and all 64 samples tie exactly
-        spec = constant_game(cost=1.0, gain=0.0)
+        # no drift, and x0 = 0 is a rest point of A: the state stays on the
+        # lattice point 0, and every library sample (a tube of radius 0) is the
+        # constant path at 0; the trace, that lattice point and all 64 samples
+        # tie exactly
+        spec = constant_game(cost=1.0)
         grid = TimeGrid(0.0, 1.0, 8)
         table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
         params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
         partition = TimeGrid(0.0, 1.0, 4)
-        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.5]),
+        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.0]),
                                            partition, value=table, library_size=64, seed=0)
-        assert np.all(strategy._library_values == 0.5)
+        assert np.all(strategy._library_values == 0.0)
         pool = [constant_adversary(0), constant_adversary(0)]
-        for a, adv in zip(play_feedback_games(spec, strategy, pool, partition), pool):
-            _assert_traces_equal(a, _run_feedback_game_reference(spec, strategy, adv, partition))
-            assert {rec["companion_kind"] for rec in a.step_records} == {"trace"}
+        play = play_feedback_games(spec, strategy, pool, partition)
+        assert np.all(play.values == 0.0)
+        for g, adv in enumerate(pool):
+            _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
+                                                                     partition))
+        assert np.all(play.kind == COMPANION_KINDS.index("trace"))
 
     def test_earlier_kind_and_smaller_index_win(self):
         # epsilon 1/8 makes every probe offset a binary fraction, so a probe
@@ -544,15 +561,16 @@ class TestCompanionTies:
             X = np.full((k + 1, 3, 1), state)
             X[:, 1] = 0.4  # the other games of the batch change nothing
             X[:, 2] = state - 0.01
-            got = strategy.companion_minima(t, X)
+            totals, kinds, indices, gradients = strategy.companion_minima(t, X)
+            assert (totals.dtype, kinds.dtype, indices.dtype, gradients.shape) == \
+                (float, int, int, (3, 1))
             for g in range(3):
                 x = Path(grid, np.concatenate([X[:, g], np.repeat(X[-1:, g], 8 - k, axis=0)]))
                 want = _companion_minimum_reference(strategy, t, x)
-                assert got[g][:3] == want[:3]
-                assert type(got[g][0]) is float and type(got[g][2]) is int
-                assert got[g][3].tobytes() == np.asarray(want[3], dtype=float).tobytes()
+                assert (totals[g], COMPANION_KINDS[kinds[g]], indices[g]) == want[:3]
+                assert gradients[g].tobytes() == np.asarray(want[3], dtype=float).tobytes()
             if expect is not None:
-                assert got[0][1:3] == expect
+                assert (COMPANION_KINDS[kinds[0]], indices[0]) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -654,14 +672,13 @@ class TestGreedyBatch:
         spec, table, strategy, _ = _desk(dim, 0)
         rng = np.random.default_rng(dim)
         sim = strategy.x0.grid
-        for lookahead in (None, 0.05):
-            got = greedy_adversary(spec, table, lookahead=lookahead)
-            want = _greedy_reference(spec, table, lookahead=lookahead)
-            for _ in range(40):
-                x = Path(sim, 0.4 * rng.standard_normal((sim.n_steps + 1, dim)))
-                t = float(sim.nodes[rng.integers(sim.n_steps + 1)])
-                for p in range(spec.controls.n_p):
-                    assert got(t, lambda: x, p) == want(t, x, p)
+        got = greedy_adversary(spec, table)
+        want = _greedy_reference(spec, table)
+        for _ in range(40):
+            x = Path(sim, 0.4 * rng.standard_normal((sim.n_steps + 1, dim)))
+            t = float(sim.nodes[rng.integers(sim.n_steps + 1)])
+            for p in range(spec.controls.n_p):
+                assert got(t, lambda: x, p) == want(t, x, p)
 
     def test_ties_keep_the_first_q(self):
         spec = constant_game()
@@ -696,9 +713,10 @@ class TestGreedyBatch:
         assert picks.tolist() == [pick, pick]
 
     def _error(self, spec, table, t=0.25, state=0.1):
+        # the table's grid has mesh 0.125, the lookahead step
         x = Path.constant(table.grid, [state])
         with pytest.raises(Exception) as info:
-            greedy_adversary(spec, table, lookahead=0.125)(t, lambda: x, 0)
+            greedy_adversary(spec, table)(t, lambda: x, 0)
         return info.value
 
     def test_cost_of_an_earlier_q_before_a_later_drift(self):

@@ -4,9 +4,13 @@ import pytest
 from pdhj.errors import DomainError, EvaluationError, LatticeCoverageError
 from pdhj.evolution import DelayDynamics, make_linear_operator
 from pdhj.game import (
+    COMPANION_KINDS,
+    STEP_RATE_FLOOR,
     ControlGrid,
+    FeedbackPlay,
     FeedbackStrategy,
     GameSpec,
+    GuaranteeEstimate,
     StateLattice,
     ValueTable,
     bilinear_game,
@@ -17,10 +21,12 @@ from pdhj.game import (
     hamiltonian,
     audit_hamiltonian_lipschitz,
     isaacs_game,
+    lyapunov_violation_stats,
     play_feedback_games,
     random_adversary,
     recompute_slice,
     simulation_grid,
+    step_rate_bound,
 )
 from pdhj.pathcore import Path, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams
@@ -341,7 +347,7 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0,
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=4, seed=0)
-        gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0][3]
+        gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[3][0]
         nu = lyapunov_nu(params, 0.0,
                          path_difference(strategy.x0, Path.constant(strategy.x0.grid, [0.0])))
         assert np.all(gradient == 0.0)
@@ -364,11 +370,11 @@ class TestFeedbackStrategy:
         x = Path(sim, 0.5 * rng.standard_normal((sim.n_steps + 1, 1)))
         t = 0.5
         k = sim.node_index(t)
-        _, kind, index, gradient = strategy.companion_minima(t, x.values[: k + 1, None, :])[0]
+        _, kinds, indices, gradients = strategy.companion_minima(t, x.values[: k + 1, None, :])
         nu = lyapunov_nu(params, t, path_difference(x, Path.constant(sim, c)))
-        assert (kind, index) == ("lattice", j)
+        assert (COMPANION_KINDS[kinds[0]], indices[0]) == ("lattice", j)
         assert np.any(nu.dx != 0.0)
-        assert gradient == pytest.approx(nu.dx, rel=1e-12, abs=0.0)
+        assert gradients[0] == pytest.approx(nu.dx, rel=1e-12, abs=0.0)
 
     def test_zero_gradient_selection_is_static_minimax(self):
         # at t0 with x0 on a lattice point the best companion is x0 itself,
@@ -378,8 +384,8 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0,
                                            TimeGrid(0.0, 1.0, 4),
                                            value=table, library_size=0, seed=0)
-        companion = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0]
-        p_index = _select_one(strategy, 0.0, strategy.x0, companion)
+        gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[3][0]
+        p_index = _select_one(strategy, 0.0, strategy.x0, gradient)
         M = spec.stage_matrix(0.0, strategy.x0, np.zeros(1))
         assert p_index == int(np.argmin(M.max(axis=1)))
 
@@ -389,9 +395,9 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 8)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=16, seed=1)
-        companion = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[0]
-        p_index = _select_one(strategy, 0.0, strategy.x0, companion)
-        ev = hamiltonian(spec, 0.0, strategy.x0, companion[3])
+        gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[3][0]
+        p_index = _select_one(strategy, 0.0, strategy.x0, gradient)
+        ev = hamiltonian(spec, 0.0, strategy.x0, gradient)
         assert p_index == ev.plus_p_index
 
     def test_run_deterministic(self):
@@ -401,20 +407,24 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=2)
         adv = constant_adversary(1)
-        (t1,) = play_feedback_games(spec, strategy, [adv], partition)
-        (t2,) = play_feedback_games(spec, strategy, [adv], partition)
-        assert t1.p_indices == t2.p_indices
-        assert np.array_equal(t1.path.values, t2.path.values)
-        assert t1.payoff == t2.payoff
+        first = play_feedback_games(spec, strategy, [adv], partition)
+        second = play_feedback_games(spec, strategy, [adv], partition)
+        assert np.array_equal(first.p, second.p)
+        assert np.array_equal(first.values, second.values)
+        assert first.payoff == second.payoff
 
     def test_payoff_is_exact_sum(self):
         spec, grid, lattice, table, params = desk_setup(n_time=8)
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=8, seed=3)
-        (trace,) = play_feedback_games(spec, strategy,
-                                       [random_adversary(5, spec.controls.n_q)], partition)
-        assert trace.payoff == trace.running_cost + trace.terminal_cost
+        play = play_feedback_games(spec, strategy, [random_adversary(5, spec.controls.n_q)],
+                                   partition)
+        running = 0.0
+        for cost in play.step_cost[:, 0]:  # the cells' costs, added in cell order
+            running += cost
+        assert play.running[0] == running
+        assert play.payoff[0] == play.running[0] + play.terminal[0]
 
     def test_zero_cost_game_payoff_zero(self):
         spec = isaacs_game(cost_weight=0.0)
@@ -429,8 +439,7 @@ class TestFeedbackStrategy:
                                            partition, value=table, library_size=4, seed=4)
         for adv in (constant_adversary(0), constant_adversary(2),
                     random_adversary(1, 3)):
-            (trace,) = play_feedback_games(spec, strategy, [adv], partition)
-            assert trace.payoff == 0.0
+            assert play_feedback_games(spec, strategy, [adv], partition).payoff[0] == 0.0
 
     def test_simulation_grid_unions_nodes(self):
         value_grid = TimeGrid(0.0, 1.0, 32)
@@ -438,19 +447,27 @@ class TestFeedbackStrategy:
         inner = simulation_grid(value_grid, partition)
         assert inner.n_steps == 32  # partition nodes already included
 
-    def test_trace_serializes(self):
+    def test_play_record_shapes(self):
         spec, grid, lattice, table, params = desk_setup(n_time=8)
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=4, seed=6)
-        (trace,) = play_feedback_games(spec, strategy, [constant_adversary(0)], partition)
-        obj = trace.to_json_obj()
-        assert len(obj["p_indices"]) == 4
-        assert len(obj["step_records"]) == 4
-        assert obj["payoff"] == pytest.approx(trace.payoff)
-        csv_text = trace.to_csv()
-        assert csv_text.startswith("t,dt,p_index,q_index,")
-        assert len(csv_text.strip().splitlines()) == 5
+        play = play_feedback_games(spec, strategy, [constant_adversary(0), random_adversary(1, 3)],
+                                   partition)
+        for name in ("p", "q", "step_cost", "u_before", "u_after", "kind", "index", "residual"):
+            assert getattr(play, name).shape == (4, 2), name
+        assert play.values.shape == (len(strategy.x0.grid.nodes), 2, 1)
+        assert play.running.shape == play.terminal.shape == play.payoff.shape == (2,)
+        assert np.all(play.q[:, 0] == 0)
+        # each cell starts at the shifted value the one before it ended at
+        assert np.array_equal(play.u_before[1:], play.u_after[:-1])
+        assert np.array_equal(play.residual, play.step_cost + play.u_after - play.u_before)
+        assert set(play.kind.ravel().tolist()) <= set(range(len(COMPANION_KINDS)))
+        # one game's record is a lane slice, its arrays copied out
+        second = play.lanes(slice(1, 2))
+        assert second.values.shape == (len(strategy.x0.grid.nodes), 1, 1)
+        assert np.array_equal(second.p[:, 0], play.p[:, 1])
+        assert second.payoff.tolist() == play.payoff[1:].tolist()
 
 
 class TestGuaranteedResult:
@@ -515,17 +532,59 @@ class TestGuaranteedResult:
         partition = TimeGrid.from_nodes([0.5, 0.75, 1.0])
         strategy = extremal_shift_strategy(spec, params, 0.5, hist, partition,
                                            value=table, library_size=8, seed=10)
-        (trace,) = play_feedback_games(spec, strategy, [constant_adversary(2)], partition)
-        k0 = trace.path.grid.node_index(0.5)
-        expected = np.array([hist.value_at(t) for t in trace.path.grid.nodes[: k0 + 1]])
-        assert np.allclose(trace.path.values[: k0 + 1], expected, atol=1e-12)
-        assert len(trace.p_indices) == 2
+        play = play_feedback_games(spec, strategy, [constant_adversary(2)], partition)
+        sim = strategy.x0.grid
+        k0 = sim.node_index(0.5)
+        expected = np.array([hist.value_at(t) for t in sim.nodes[: k0 + 1]])
+        assert np.allclose(play.values[: k0 + 1, 0], expected, atol=1e-12)
+        assert play.p.shape == (2, 1)
 
     def test_partition_must_match_t0(self):
         spec, grid, lattice, table, params = desk_setup(n_time=8)
         with pytest.raises(DomainError):
             extremal_shift_strategy(spec, params, 0.5, one_point_path(grid, 0.0),
                                     TimeGrid(0.0, 1.0, 4), value=table, library_size=2)
+
+
+def _play_of_residuals(residual):
+    """A hand-built record on the 4-cell partition of [0, 1] (dt = 0.25) whose
+    residual is the given (step, game) array."""
+    residual = np.asarray(residual, dtype=float)
+    zeros, codes, n = np.zeros_like(residual), np.zeros(residual.shape, dtype=int), \
+        residual.shape[1]
+    return FeedbackPlay(partition=TimeGrid(0.0, 1.0, 4), p=codes, q=codes, step_cost=residual,
+                        u_before=zeros, u_after=zeros, kind=codes, index=codes,
+                        values=np.zeros((5, n, 1)), running=np.zeros(n), terminal=np.zeros(n))
+
+
+class TestPlayReductions:
+    residual = [[0.5, -1.0], [0.6, 0.25], [0.25, 1.5], [0.0, 0.1]]
+
+    def test_step_rate_bound_is_the_largest_rate_floored(self):
+        assert step_rate_bound([_play_of_residuals(self.residual)]) == 1.5 / 0.25
+        assert step_rate_bound([_play_of_residuals(-np.ones((4, 2)))]) == STEP_RATE_FLOOR
+        assert step_rate_bound([]) == STEP_RATE_FLOOR
+
+    def test_violation_stats_count_the_bound_itself_within(self):
+        play = _play_of_residuals(self.residual)
+        # m_hat * dt = 0.5: the residual 0.5 is within, 0.6 and 1.5 exceed it
+        # by the ratios 1.2 and 3; the second record is game 1 again
+        stats = lyapunov_violation_stats([play, play.lanes([1])], 2.0)
+        assert stats == {"steps": 12, "within_bound": 9, "fraction_within": 0.75,
+                         "worst_excess_ratio": 3.0}
+        assert type(stats["steps"]) is int and type(stats["within_bound"]) is int
+        assert lyapunov_violation_stats([], 2.0)["fraction_within"] == 1.0
+
+    def test_worst_payoff_tie_keeps_the_earlier_adversary(self):
+        pool = [constant_adversary(j) for j in range(4)]
+        partitions = [TimeGrid(0.0, 1.0, 4), TimeGrid(0.0, 1.0, 8)]
+        est = GuaranteeEstimate.from_payoffs(
+            pool, partitions, [np.array([1.0, 3.0, 3.0, 2.0]), np.array([0.5, 0.5, 0.0, 0.5])],
+            budget=4, seed=0)
+        assert [(p["worst_payoff"], p["worst_adversary"]) for p in est.per_partition] == \
+            [(3.0, "constant[1]"), (0.5, "constant[0]")]
+        assert est.value == 3.0
+        assert est.certificate["pool"] == [f"constant[{j}]" for j in range(4)]
 
 
 def planar_game():
@@ -563,9 +622,9 @@ class TestTwoDimensional:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=11)
-        (trace,) = play_feedback_games(spec, strategy, [constant_adversary(1)], partition)
-        assert np.all(np.isfinite(trace.path.values))
-        assert trace.payoff == trace.running_cost + trace.terminal_cost
+        play = play_feedback_games(spec, strategy, [constant_adversary(1)], partition)
+        assert np.all(np.isfinite(play.values))
+        assert play.payoff[0] == play.running[0] + play.terminal[0]
 
 
 def _probe_offsets_reference(strategy, t, dim):
@@ -592,7 +651,7 @@ def _probe_candidates_reference(strategy, t, state):
     kept, offsets, u_vals = [], [], []
     for i, o in enumerate(_probe_offsets_reference(strategy, t, len(state))):
         try:
-            u_vals.append(strategy.value.interp(strategy.side, t, state - o))
+            u_vals.append(strategy.value.interp("upper", t, state - o))
         except LatticeCoverageError:
             continue
         kept.append(i)
@@ -653,33 +712,31 @@ class TestCompanionOncePerNode:
             return original(self, t, X)
 
         monkeypatch.setattr(FeedbackStrategy, "companion_minima", counted)
-        traces = play_feedback_games(spec, strategy, pool, partition)
+        play = play_feedback_games(spec, strategy, pool, partition)
         monkeypatch.undo()
         # n + 1 batched calls for n steps, each for the whole pool
         assert calls == [(t, len(pool)) for t in partition.nodes]
-        # each record holds the companion minimum on the path stopped at its nodes
-        for trace in traces:
-            self._check_records(strategy, partition, trace)
+        # each cell holds the companion minimum on the path stopped at its nodes
+        for g in range(len(pool)):
+            self._check_cells(strategy, partition, play, g)
 
     @staticmethod
-    def _check_records(strategy, partition, trace):
-        sim = trace.path.grid
-        for i, rec in enumerate(trace.step_records):
+    def _check_cells(strategy, partition, play, g):
+        sim, values = strategy.x0.grid, play.values[:, g]
+        for i in range(partition.n_steps):
             t_i, t_i1 = partition.nodes[i], partition.nodes[i + 1]
-            before = strategy.companion_minima(
-                t_i, trace.path.values[: sim.node_index(t_i) + 1, None, :])[0]
-            after = strategy.companion_minima(
-                t_i1, trace.path.values[: sim.node_index(t_i1) + 1, None, :])[0]
-            assert (rec["u_shifted_before"], rec["companion_kind"], rec["companion_index"]) \
-                == before[:3]
-            assert rec["u_shifted_after"] == after[0]
-            assert trace.p_indices[i] == _select_one(
-                strategy, t_i, stopped_at(sim, trace.path.values, sim.node_index(t_i)), before)
+            before = strategy.companion_minima(t_i, values[: sim.node_index(t_i) + 1, None, :])
+            after = strategy.companion_minima(t_i1, values[: sim.node_index(t_i1) + 1, None, :])
+            assert (play.u_before[i, g], play.kind[i, g], play.index[i, g]) \
+                == tuple(a[0] for a in before[:3])
+            assert play.u_after[i, g] == after[0][0]
+            assert play.p[i, g] == _select_one(
+                strategy, t_i, stopped_at(sim, values, sim.node_index(t_i)), before[3][0])
 
 
-def _select_one(strategy, t, x, companion):
-    """FeedbackStrategy.select_controls for the one game at (t, x) aimed by companion."""
-    p_indices = strategy.select_controls(t, x.value_at(t)[None], lambda _: x, [companion])
+def _select_one(strategy, t, x, gradient):
+    """FeedbackStrategy.select_controls for the one game at (t, x) aimed by gradient."""
+    p_indices = strategy.select_controls(t, x.value_at(t)[None], lambda _: x, gradient[None])
     assert p_indices.shape == (1,)
     return int(p_indices[0])
 

@@ -1,8 +1,10 @@
-"""The package namespace: submodules resolve to modules, and the scalar
+"""The package namespace: submodules resolve to modules, the scalar
 references that live in tests/scalar_reference.py are names of neither the
-package nor the modules they came from."""
+package nor the modules they came from, and the names and parameters that
+were deleted stay deleted."""
 
 import importlib
+import inspect
 import types
 
 import pytest
@@ -21,6 +23,16 @@ MOVED_METHODS = {
     ("pathcore", "StateSpace"): ("norm_h", "pairing"),
     ("upsilon", "LyapunovParams"): ("beta",),
     ("upsilon", "ChainRuleReport"): ("to_json",),
+}
+# the per-game feedback records and the knobs no caller set, deleted outright
+DELETED = {"game": ("StrategyTrace", "play_pools")}
+DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces",)}
+DELETED_PARAMETERS = {
+    ("game", "FeedbackStrategy"): ("side",),
+    ("game", "extremal_shift_strategy"): ("side",),
+    ("game", "greedy_adversary"): ("side", "lookahead"),
+    ("game", "_GreedyLookahead"): ("side", "lookahead"),
+    ("game", "step_rate_bound"): ("floor",),
 }
 
 
@@ -41,3 +53,24 @@ def test_scalar_references_left_the_library(module, name):
                                              for n in names])
 def test_scalar_reference_methods_left_the_library(module, cls, name):
     assert name not in vars(getattr(importlib.import_module(f"pdhj.{module}"), cls))
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in DELETED.items() for n in names])
+def test_deleted_names_are_gone(module, name):
+    assert not hasattr(importlib.import_module(f"pdhj.{module}"), name)
+    assert not hasattr(pdhj, name)
+
+
+@pytest.mark.parametrize("module,cls,name", [(m, c, n) for (m, c), names in DELETED_METHODS.items()
+                                             for n in names])
+def test_deleted_methods_are_gone(module, cls, name):
+    assert not hasattr(getattr(importlib.import_module(f"pdhj.{module}"), cls), name)
+
+
+@pytest.mark.parametrize("module,owner,name", [(m, o, n)
+                                               for (m, o), names in DELETED_PARAMETERS.items()
+                                               for n in names])
+def test_deleted_parameters_are_gone(module, owner, name):
+    params = inspect.signature(getattr(importlib.import_module(f"pdhj.{module}"), owner)).parameters
+    assert params  # the owner still takes its other parameters
+    assert name not in params

@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, EvaluationError, PdhjError, UsageError
 from .evolution import (
-    DelayDynamics,
     audit_hypotheses,
     build_p_laplacian,
     make_linear_operator,
@@ -299,12 +298,11 @@ def _site_state(rng, lattice: StateLattice, shrink: float) -> np.ndarray:
 def _run_solve(cfg: dict, artifacts: dict):
     op = _build_operator(cfg["operator"])
     grid = _build_grid(cfg["grid"])
-    dyn = DelayDynamics.forced(op, cfg["lipschitz"])
     x0 = Path.constant(grid, np.asarray(cfg["initial"], dtype=float))
     forcing = None
     if cfg["forcing"]["kind"] == "constant":
         forcing = np.tile(np.asarray(cfg["forcing"]["value"], dtype=float), (grid.n_steps, 1))
-    report = solve_delay_evolution(dyn, cfg["t0"], x0, forcing=forcing)
+    report = solve_delay_evolution(op, cfg["t0"], x0, forcing, lipschitz_L=cfg["lipschitz"])
     audit = audit_hypotheses(op, 200, cfg["seed"])
     artifacts["path.csv"] = report.path.to_csv()
     artifacts["solve_report.json"] = _json_text(report.to_json_obj())

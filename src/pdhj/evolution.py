@@ -8,20 +8,22 @@ L * (1 + sup-norm of the stopped path) form the discrete reachable tube.
 Every lane solve runs the one step loop _lockstep_solve: at each step one
 batched forcing call gives every lane's f, one check refuses every |f| above
 L (1 + sup-norm) (the lowest failing lane's ContractError), and one
-_implicit_step_batch call moves every lane.  solve_delay_lanes adapts
-per-lane forcings to it; a residual site of pdhj.minimax solves its
-candidates as one lane set, whose forcing phases per step are the
-characteristic picks (one batched gradient and one full-grid stage-terms
-call), the game drift (one stage-terms call at the played pairs) and the
-tube draws (one _ball_points call).
+_implicit_step_batch call moves every lane.  The forced solves call it
+directly: solve_delay_evolution with one lane whose f is a row of its forcing
+array, sample_reachable_set with one lane per tube draw and one _ball_points
+call per step.  A residual site of pdhj.minimax solves its candidates as one
+lane set, whose forcing phases per step are the characteristic picks (one
+batched gradient and one full-grid stage-terms call), the game drift (one
+stage-terms call at the played pairs) and the tube draws (one _ball_points
+call).
 
 Lockstep loops (_lockstep_solve and its callers here and in
 pdhj.minimax; play_feedback_games, the greedy lookahead and the DP slice
 in pdhj.game; the characteristic functional and viscosity_scan in
 pdhj.minimax) raise the first error they meet, taking time steps in order
 and the phases of each step in the order their docstrings list.  A phase of
-per-lane callbacks (forcings, adversaries) runs lane by lane, so it raises
-its lowest failing lane's error.  A batched phase raises for its whole
+per-lane callbacks (a feedback run's adversaries) runs lane by lane, so it
+raises its lowest failing lane's error.  A batched phase raises for its whole
 batch: the forcing-bound check and _implicit_step_batch the error of their
 lowest failing lane, a value-table read (the gradient's probes included)
 the batch's largest lattice margin (the one to expand by), and a game's
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, ContractError, DomainError, SolverError
-from .pathcore import Path, StateSpace, _row_norms, stopped_at
+from .pathcore import Path, StateSpace, _row_norms
 
 NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-10
@@ -220,11 +222,12 @@ def audit_hypotheses(op: OperatorSpec, samples: int, seed: int,
 
 @dataclass(frozen=True, eq=False)
 class DelayDynamics:
-    """Right-hand side f(t, stopped path, control) for x' + A(t, x) = f.
+    """A game's dynamics x' + A(t, x) = rhs(t, stopped path, (p, q)).
 
-    The control slot carries either a game control pair or an explicit forcing
-    vector, depending on `rhs`.  lipschitz_L is the L of the reachable-tube
-    bound |f| <= L (1 + sup-norm of the stopped path).
+    rhs maps a time, the stopped path and a control pair to the drift f;
+    lipschitz_L is the L of the reachable-tube bound |f| <= L (1 + sup-norm
+    of the stopped path).  The forced solves (solve_delay_evolution and
+    sample_reachable_set) take the operator and L without it.
     """
 
     op: OperatorSpec
@@ -234,16 +237,6 @@ class DelayDynamics:
     def __post_init__(self):
         if self.lipschitz_L < 0:
             raise DomainError("lipschitz_L must be >= 0")
-
-    @classmethod
-    def forced(cls, op: OperatorSpec, lipschitz_L: float) -> "DelayDynamics":
-        """Dynamics whose control slot IS the forcing vector."""
-        return cls(op=op, rhs=_control_as_forcing, lipschitz_L=lipschitz_L)
-
-
-def _control_as_forcing(t, x, u):
-    """The rhs of DelayDynamics.forced; it never reads the stopped path x."""
-    return np.atleast_1d(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,52 +404,30 @@ def _bisect_step(g, target, tol, step_index, iters):
     raise SolverError(f"bisection failed to converge at step {step_index}", step_index)
 
 
-def solve_delay_evolution(dyn: DelayDynamics, t0: float, x0: Path, forcing=None,
-                          forcing_algorithm: str = None) -> SolveReport:
+def solve_delay_evolution(op: OperatorSpec, t0: float, x0: Path, forcing=None, *,
+                          lipschitz_L: float) -> SolveReport:
     """Extend the history x0 past t0 by implicit Euler on x' + A(t, x) = f.
 
     x0 must live on the full solver grid with t0 at a grid node; node values at
-    times <= t0 are kept verbatim.  `forcing` supplies the control per step:
-    None (zero vector), a sequence indexed by grid interval, or a callable
-    (t_k, stopped path) -> control evaluated at the step's left endpoint.
-    The applied forcing must respect |f| <= L (1 + sup-norm); violations raise
-    ContractError.  This is solve_delay_lanes with one lane.
-    """
-    return solve_delay_lanes(dyn, t0, x0, [forcing], forcing_algorithm)[0]
-
-
-def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
-                      forcing_algorithm: str = None) -> list:
-    """solve_delay_evolution for each of `forcings` in lockstep; one report per lane.
-
-    A forcing is None, a sequence or a callable as in solve_delay_evolution, or
-    a numpy Generator: a reachable-tube draw, uniform in the ball of radius
-    L (1 + sup-norm of the stopped path) at every step.  This adapts the
-    forcings to _lockstep_solve: each step draws every tube lane with one
-    _ball_points call, then takes the other lanes' forcings lane by lane,
-    building a lane's stopped path only when its forcing or dyn.rhs takes
-    one.  Each report is bit-identical to solving its forcing alone.  Errors
-    follow the lockstep rule of the module docstring; the phases of a step
-    are the forcings (lane by lane), the forcing-bound check, and the
-    implicit step.
+    times <= t0 are kept verbatim.  `forcing` is None (f = 0) or an array of
+    shape (n_steps, dim) whose row k is f on the grid interval [t_k, t_k+1],
+    indexed from the grid's start whatever t0 is.  The applied forcing must
+    respect |f| <= lipschitz_L (1 + sup-norm); violations raise ContractError.
     """
     grid = x0.grid
-    forcings = list(forcings)
-    m, dim = len(forcings), x0.dim
-    tube = [lane for lane, forcing in enumerate(forcings)
-            if isinstance(forcing, np.random.Generator)]
-    streams = [forcings[lane] for lane in tube]
+    shape = (grid.n_steps, x0.dim)
+    forcing = np.zeros(shape) if forcing is None else np.asarray(forcing, dtype=float)
+    if forcing.shape != shape:
+        raise DomainError(f"forcing has shape {forcing.shape}, expected {shape}")
+    solved = _lockstep_solve(op, t0, x0, np.array([float(lipschitz_L)]),
+                             lambda k, values, bound: forcing[k][None])
+    return _reports(x0, t0, solved)[0]
 
-    def step_forcing(k, values, bound):
-        f = np.empty((m, dim))
-        if tube:
-            f[tube] = _ball_points(streams, dim, bound[tube])
-        for lane in range(m):
-            f[lane] = _lane_forcing(dyn, forcings[lane], grid, values[:, lane], k, f[lane])
-        return f
 
-    values, trace, iters, res = _lockstep_solve(dyn.op, t0, x0, np.full(m, float(dyn.lipschitz_L)),
-                                                step_forcing)
+def _reports(x0: Path, t0: float, solved, forcing_algorithm: str = None) -> list:
+    """One SolveReport per lane of a _lockstep_solve result `solved`."""
+    values, trace, iters, res = solved
+    grid = x0.grid
     k0 = grid.node_index(t0)
     return [SolveReport(path=Path(grid, values[:, lane]), forcing_trace=trace[:, lane].copy(),
                         start_index=k0, step_count=grid.n_steps - k0,
@@ -464,7 +435,7 @@ def solve_delay_lanes(dyn: DelayDynamics, t0: float, x0: Path, forcings,
                         newton_total=int(iters[:, lane].sum()),
                         newton_max=int(iters[:, lane].max(initial=0)),
                         forcing_algorithm=forcing_algorithm)
-            for lane in range(m)]
+            for lane in range(values.shape[1])]
 
 
 def _lockstep_solve(op: OperatorSpec, t0: float, x0: Path, L: np.ndarray, step_forcing):
@@ -476,11 +447,14 @@ def _lockstep_solve(op: OperatorSpec, t0: float, x0: Path, L: np.ndarray, step_f
     node k, and bound = L (1 + sup-norm of each lane's stopped path), shape
     (m,).  Each step then checks |f| <= bound for all lanes (a non-finite
     forcing fails the check; the ContractError names the lowest failing
-    lane) and moves every lane with one _implicit_step_batch call.  Returns
+    lane) and moves every lane with one _implicit_step_batch call; an L below
+    0 is refused (DomainError) before the first step.  Returns
     (values, trace, iters, res): the node values, shape (node, lane, dim),
     and per step from t0 on the forcings, shape (step, lane, dim), the Newton
     iterations and the step residuals, shapes (step, lane).
     """
+    if not np.all(L >= 0):
+        raise DomainError("lipschitz_L must be >= 0")
     grid = x0.grid
     k0 = grid.node_index(t0)
     nodes = grid.nodes
@@ -513,25 +487,6 @@ def _lockstep_solve(op: OperatorSpec, t0: float, x0: Path, L: np.ndarray, step_f
     return values, trace, iters, res
 
 
-def _lane_forcing(dyn: DelayDynamics, forcing, grid, values: np.ndarray, k: int,
-                  drawn: np.ndarray) -> np.ndarray:
-    """One lane's f at t_k, where values holds the lane's node values and drawn
-    is the lane's tube draw when the forcing is a Generator."""
-    t_k = grid.nodes[k]
-    x_stop = None
-    if callable(forcing) or dyn.rhs is not _control_as_forcing:
-        x_stop = stopped_at(grid, values, k)
-    if forcing is None:
-        control = np.zeros(values.shape[1])
-    elif isinstance(forcing, np.random.Generator):
-        control = drawn
-    elif callable(forcing):
-        control = forcing(t_k, x_stop)
-    else:
-        control = forcing[k]
-    return np.asarray(dyn.rhs(t_k, x_stop, control), dtype=float)
-
-
 def _ball_points(streams, dim: int, radii: np.ndarray) -> np.ndarray:
     """One point uniform in the ball of radius radii[n] from each stream n,
     shape (len(streams), dim).
@@ -560,17 +515,19 @@ def _ball_points(streams, dim: int, radii: np.ndarray) -> np.ndarray:
     return points
 
 
-def sample_reachable_set(dyn: DelayDynamics, t0: float, x0: Path, count: int,
-                         seed: int) -> list:
+def sample_reachable_set(op: OperatorSpec, t0: float, x0: Path, count: int, seed: int, *,
+                         lipschitz_L: float) -> list:
     """`count` solves under randomized admissible forcings, deterministic per seed.
 
     Each sample draws its forcing piecewise-constant, uniformly in the ball of
-    radius L (1 + sup-norm of the stopped path) at every step, from its own
-    PRNG stream derived from (seed, sample index).  The samples are the lanes
-    of one solve_delay_lanes call.
+    radius lipschitz_L (1 + sup-norm of the stopped path) at every step, from
+    its own PRNG stream derived from (seed, sample index).  The samples are
+    the lanes of one _lockstep_solve call, each step's draws one _ball_points
+    call.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    identity = DelayDynamics.forced(dyn.op, dyn.lipschitz_L)
     streams = [np.random.default_rng([seed, i]) for i in range(count)]
-    return solve_delay_lanes(identity, t0, x0, streams, FORCING_ALGORITHM)
+    solved = _lockstep_solve(op, t0, x0, np.full(count, float(lipschitz_L)),
+                             lambda k, values, bound: _ball_points(streams, x0.dim, bound))
+    return _reports(x0, t0, solved, FORCING_ALGORITHM)

@@ -93,13 +93,6 @@ class GameSpec:
     name: str = "game"
     markov_terms: object = None
 
-    def drift(self, t: float, x: Path, p, q) -> np.ndarray:
-        return _finite_drift(np.atleast_1d(np.asarray(self.dyn.rhs(t, x, (p, q)), dtype=float)),
-                             t, p, q)
-
-    def stage_cost(self, t: float, x: Path, p, q) -> float:
-        return _finite_cost(float(self.running_cost(t, x, p, q)), t, p, q)
-
     def final_cost(self, x: Path) -> float:
         val = float(self.terminal_cost(x))
         if not np.isfinite(val):
@@ -368,10 +361,13 @@ class StateLattice:
         return np.stack([m.ravel() for m in mesh], axis=1)
 
     def coverage_margins(self, states: np.ndarray) -> np.ndarray:
-        """How far each row of states lies outside the lattice box (0 inside)."""
-        over = np.maximum(states - np.asarray(self.hi), 0.0)
-        under = np.maximum(np.asarray(self.lo) - states, 0.0)
-        return np.max(over + under, axis=1)
+        """How far each row of states lies outside the lattice box (0 inside);
+        +inf for a row with a non-finite entry, which no lattice covers."""
+        # a coordinate lies past at most one bound; NaN propagates to its row
+        margins = np.maximum(np.max(np.maximum(states - np.asarray(self.hi),
+                                               np.asarray(self.lo) - states), axis=1), 0.0)
+        margins[np.isnan(margins)] = np.inf
+        return margins
 
     def interpolate_batch(self, values: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of a lattice field at many states.
@@ -412,10 +408,10 @@ def _coverage_error(margin: float) -> LatticeCoverageError:
 
 
 def is_upper_side(side: str) -> bool:
-    """True for "upper"/"plus", False for "lower"/"minus"; any other name is refused."""
-    if side in ("upper", "plus"):
+    """True for "upper", False for "lower"; any other name is refused."""
+    if side == "upper":
         return True
-    if side in ("lower", "minus"):
+    if side == "lower":
         return False
     raise DomainError(f"unknown side {side!r}")
 
@@ -842,9 +838,8 @@ def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
     hist = extend_history(x0, inner, t0)
     library = []
     if library_size > 0:
-        tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
-        library = [rep.path for rep in
-                   sample_reachable_set(tube, t0, hist, library_size, seed)]
+        library = [rep.path for rep in sample_reachable_set(spec.dyn.op, t0, hist, library_size,
+                                                            seed, lipschitz_L=spec.l_f)]
     return FeedbackStrategy(spec, params, value, t0, hist, library)
 
 

@@ -134,10 +134,6 @@ class Path:
         point = np.atleast_1d(np.asarray(point, dtype=float))
         return cls(grid, np.tile(point, (grid.n_steps + 1, 1)))
 
-    @classmethod
-    def zero(cls, grid: TimeGrid, dim: int = 1) -> "Path":
-        return cls(grid, np.zeros((grid.n_steps + 1, dim)))
-
     # -- basic queries -------------------------------------------------------
 
     @property

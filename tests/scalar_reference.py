@@ -9,12 +9,19 @@ the batches are checked against.
 - isaacs_samples and audit_hamiltonian_lipschitz: the Hamiltonian samples of
   the isaacs-check runner and the Lipschitz audit of pdhj.game, one
   hamiltonian call per (sample, z).
+- _solve_reference, _tube_draw_reference and _sample_reference: the
+  one-lane step loop of pdhj.evolution._lockstep_solve, with a forcing that
+  is None, an array indexed by grid interval or a callable (t_k, stopped
+  path) -> control fed through an optional game rhs; one ball draw per step
+  for a tube sample; sample_reachable_set as one such solve per sample.
 - _ball_point: the one-point tube draw of pdhj.evolution._ball_points.
 - value_gradient: the one-state ValueTable.gradient, 2·dim scalar reads.
-- candidate_runs and _char_policy: the residual candidates of
-  pdhj.minimax._candidate_runs as two lane solves with one callable forcing
-  per game lane, a characteristic aimed by value_gradient and picking its
-  pair from one lane's stage terms.
+- _candidate_runs_reference and _char_policy: the residual candidates of
+  pdhj.minimax._candidate_runs as one sequential solve per candidate, a
+  characteristic aimed by value_gradient and picking its pair from one
+  lane's stage terms.
+- drift and stage_cost: one (p, q) entry of GameSpec.lane_terms through the
+  path callbacks, with its finiteness check.
 - game_audit: the growth and finiteness audit of a GameSpec on random
   paths, which no run calls.
 - stop_path, sup_norm and d_infinity: the one-path forms of the padded
@@ -46,12 +53,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from pdhj import evolution
-from pdhj.errors import ConfigurationError, DomainError, EvaluationError, SolverError
-from pdhj.evolution import DelayDynamics, OperatorSpec, _bisect_step, sample_reachable_set, \
-    solve_delay_lanes
+from pdhj.errors import ConfigurationError, ContractError, DomainError, EvaluationError, \
+    SolverError
+from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_TOL, OperatorSpec, \
+    SolveReport, _bisect_step
 from pdhj.game import FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, ValueTable, \
-    adversary_pool, hamiltonian, is_upper_side, play_feedback_games, step_rate_bound
-from pdhj.pathcore import _NODE_TOL, Path, TimeGrid, _row_dots, kappa_constant
+    _finite_cost, _finite_drift, adversary_pool, hamiltonian, is_upper_side, \
+    play_feedback_games, step_rate_bound
+from pdhj.pathcore import _NODE_TOL, Path, TimeGrid, _row_dots, kappa_constant, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
 
 
@@ -297,6 +306,71 @@ def _implicit_step(op: OperatorSpec, t_next: float, dt: float, target: np.ndarra
     raise SolverError(f"implicit step failed to converge at step {step_index}", step_index)
 
 
+def _solve_reference(op: OperatorSpec, t0: float, x0: Path, forcing=None, *, lipschitz_L: float,
+                     rhs=None, forcing_algorithm: str = None) -> SolveReport:
+    """The one-lane step loop of solve_delay_evolution: f is rhs(t_k, stopped
+    path, control), or the control itself without rhs, where the control is
+    zero for forcing None, forcing[k] for an array and forcing(t_k, stopped
+    path) for a callable."""
+    grid = x0.grid
+    k0 = grid.node_index(t0)
+    nodes = grid.nodes
+    n = grid.n_steps
+    dim = x0.dim
+
+    values = x0.values.copy()
+    trace = np.zeros((n - k0, dim))
+    newton_total, newton_max, worst_res = 0, 0, 0.0
+
+    for k in range(k0, n):
+        t_k, t_k1 = nodes[k], nodes[k + 1]
+        dt = t_k1 - t_k
+        x_stop = stopped_at(grid, values, k)
+        if forcing is None:
+            control = np.zeros(dim)
+        elif callable(forcing):
+            control = forcing(t_k, x_stop)
+        else:
+            control = forcing[k]
+        f_k = control if rhs is None else rhs(t_k, x_stop, control)
+        f_k = np.atleast_1d(np.asarray(f_k, dtype=float))
+        bound = lipschitz_L * (1.0 + sup_norm(x_stop, t_k))
+        fmag = float(np.linalg.norm(f_k))
+        if fmag > bound + FORCING_BOUND_TOL * (1.0 + bound):
+            raise ContractError(
+                f"forcing magnitude {fmag:.6e} exceeds L(1+sup) = {bound:.6e} at step {k}")
+        target = values[k] + dt * f_k
+        tol = STEP_TOL * (1.0 + float(np.linalg.norm(values[k])))
+        xi, iters, res = _implicit_step(op, t_k1, dt, target, values[k], tol, k)
+        values[k + 1] = xi
+        trace[k - k0] = f_k
+        newton_total += iters
+        newton_max = max(newton_max, iters)
+        worst_res = max(worst_res, res)
+
+    return SolveReport(path=Path(grid, values), forcing_trace=trace, start_index=k0,
+                       step_count=n - k0, residual_estimate=worst_res,
+                       newton_total=newton_total, newton_max=newton_max,
+                       forcing_algorithm=forcing_algorithm)
+
+
+def _tube_draw_reference(lipschitz_L: float, dim: int, seed: int, i: int):
+    """The per-sample forcing of the sequential sample_reachable_set."""
+    rng = np.random.default_rng([seed, i])
+
+    def draw(t_k, x_stop):
+        return _ball_point(rng, dim, lipschitz_L * (1.0 + sup_norm(x_stop, t_k)))
+    return draw
+
+
+def _sample_reference(op: OperatorSpec, t0: float, x0: Path, count: int, seed: int, *,
+                      lipschitz_L: float) -> list:
+    """sample_reachable_set as one sequential solve per sample."""
+    return [_solve_reference(op, t0, x0, _tube_draw_reference(lipschitz_L, x0.dim, seed, i),
+                             lipschitz_L=lipschitz_L, forcing_algorithm=FORCING_ALGORITHM)
+            for i in range(count)]
+
+
 def non_anticipativity_gap(t: float, x: Path) -> float:
     """|surrogate(t, x) - surrogate(t, stopped x)| -- zero by construction."""
     return abs(upsilon(t, x).value - upsilon(t, stop_path(x, t)).value)
@@ -444,28 +518,38 @@ def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
     return policy
 
 
-def candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
-                   hist: Path, z, budget: int, seed: int):
-    """(label, SolveReport) candidates: constant pairs, characteristics, random tube.
-
-    Two lane solves: the game lanes (the constant pairs, then the two
-    characteristics) and the random tube lanes.
-    """
-    labels, forcings = [], []
+def _candidate_runs_reference(spec: GameSpec, table: ValueTable, side: str, t0: float,
+                              hist: Path, z, budget: int, seed: int) -> list:
+    """(label, SolveReport) candidates, one sequential solve each: the constant
+    pairs, the two characteristics and the random tube draws."""
+    dyn = spec.dyn
+    runs = []
     for i, p in enumerate(spec.controls.p_points):
         for j, q in enumerate(spec.controls.q_points):
-            labels.append(f"constant[p{i},q{j}]")
-            forcings.append(lambda t, x, pq=(p, q): pq)
+            rep = _solve_reference(dyn.op, t0, hist, lambda t, x, pq=(p, q): pq,
+                                   lipschitz_L=dyn.lipschitz_L, rhs=dyn.rhs)
+            runs.append((f"constant[p{i},q{j}]", rep))
     for role in ("super", "sub"):
-        labels.append(f"characteristic[{role}]")
-        forcings.append(_char_policy(spec, table, side, role, z))
-    runs = list(zip(labels, solve_delay_lanes(spec.dyn, t0, hist, forcings)))
+        rep = _solve_reference(dyn.op, t0, hist, _char_policy(spec, table, side, role, z),
+                               lipschitz_L=dyn.lipschitz_L, rhs=dyn.rhs)
+        runs.append((f"characteristic[{role}]", rep))
     n_random = max(0, budget - len(runs))
     if n_random > 0:
-        tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
-        for i, rep in enumerate(sample_reachable_set(tube, t0, hist, n_random, seed)):
+        for i, rep in enumerate(_sample_reference(dyn.op, t0, hist, n_random, seed,
+                                                  lipschitz_L=spec.l_f)):
             runs.append((f"random[{i}]", rep))
     return runs
+
+
+def drift(spec: GameSpec, t: float, x: Path, p, q) -> np.ndarray:
+    """The drift of the control pair (p, q) at (t, x) from the game's rhs."""
+    return _finite_drift(np.atleast_1d(np.asarray(spec.dyn.rhs(t, x, (p, q)), dtype=float)),
+                         t, p, q)
+
+
+def stage_cost(spec: GameSpec, t: float, x: Path, p, q) -> float:
+    """The running cost of the control pair (p, q) at (t, x)."""
+    return _finite_cost(float(spec.running_cost(t, x, p, q)), t, p, q)
 
 
 def game_audit(spec: GameSpec, samples: int, seed: int) -> dict:
@@ -480,8 +564,8 @@ def game_audit(spec: GameSpec, samples: int, seed: int) -> dict:
         t = float(rng.choice(grid.nodes))
         p = spec.controls.p_points[rng.integers(spec.controls.n_p)]
         q = spec.controls.q_points[rng.integers(spec.controls.n_q)]
-        f = spec.drift(t, x, p, q)
-        spec.stage_cost(t, x, p, q)
+        f = drift(spec, t, x, p, q)
+        stage_cost(spec, t, x, p, q)
         spec.final_cost(x)
         worst = max(worst, float(np.linalg.norm(f)) / (spec.l_f * (1.0 + sup_norm(x, t)) + 1e-300))
     return {"samples": samples, "seed": seed, "max_growth_ratio": worst,

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pdhj.evolution import (
-    DelayDynamics,
     audit_hypotheses,
     build_p_laplacian,
     make_linear_operator,
@@ -155,13 +154,11 @@ def test_criterion_04_solver_first_order_window():
         for n in (8, 16, 32, 64, 128):
             grid = TimeGrid(0.0, 1.0, n)
             if forced:
-                dyn = DelayDynamics.forced(op, 2.0)
-                rep = solve_delay_evolution(dyn, 0.0, Path.zero(grid),
-                                            forcing=np.ones((n, 1)))
+                rep = solve_delay_evolution(op, 0.0, Path.constant(grid, [0.0]), np.ones((n, 1)),
+                                            lipschitz_L=2.0)
                 exact = 1.0 - math.exp(-1.0)
             else:
-                dyn = DelayDynamics.forced(op, 0.0)
-                rep = solve_delay_evolution(dyn, 0.0, Path.constant(grid, [1.0]))
+                rep = solve_delay_evolution(op, 0.0, Path.constant(grid, [1.0]), lipschitz_L=0.0)
                 exact = math.exp(-1.0)
             errors.append(abs(rep.path.values[-1, 0] - exact))
         ratios = [a / b for a, b in zip(errors[:-1], errors[1:])]

@@ -8,6 +8,9 @@ import pytest
 from pdhj import cli
 from pdhj.cli import _site_state, emit_summary, main, run, validate_config
 from pdhj.errors import UsageError
+from pdhj.evolution import make_linear_operator
+from pdhj.pathcore import Path, TimeGrid
+from scalar_reference import _solve_reference
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -118,6 +121,21 @@ class TestRun:
         result = json.loads((run_dir / "result.json").read_text())
         assert result["passed"] is True
         assert result["final_state"][0] == pytest.approx(0.3678794, abs=0.02)
+
+    def test_solve_constant_forcing_from_a_later_node(self, tmp_path):
+        # the forcing row of each step is its absolute grid interval, so a
+        # solve from t0 = 0.375 reads rows 3.. of the tiled constant
+        cfg = base_config("solve", name="pushed", grid={"t_end": 1.0, "n_steps": 8},
+                          t0=0.375, initial=[1.0], forcing={"kind": "constant", "value": [0.5]})
+        assert run(cfg, str(tmp_path)) == 0
+        grid = TimeGrid(0.0, 1.0, 8)
+        want = _solve_reference(make_linear_operator(), 0.375, Path.constant(grid, [1.0]),
+                                np.full((8, 1), 0.5), lipschitz_L=1.0)
+        run_dir = tmp_path / "pushed"
+        assert (run_dir / "path.csv").read_text() == want.path.to_csv()
+        result = json.loads((run_dir / "result.json").read_text())
+        assert result["final_state"] == [float(want.path.values[-1, 0])]
+        assert result["newton_total"] == want.newton_total
 
     def test_upsilon_check_passes(self, tmp_path):
         cfg = base_config("upsilon-check", samples=120)

@@ -26,7 +26,7 @@ from pdhj.game import (
     isaacs_game,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid
-from scalar_reference import _implicit_step
+from scalar_reference import _implicit_step, drift, stage_cost
 
 
 def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts):
@@ -44,11 +44,11 @@ def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts
         obj_plus = np.empty((n_p, n_q)) if out_plus is not None else None
         for i, p in enumerate(spec.controls.p_points):
             for j, q in enumerate(spec.controls.q_points):
-                f = spec.drift(t_k, lift, p, q)
+                f = drift(spec, t_k, lift, p, q)
                 target = point + dt * f
                 tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(point)))
                 succ, _, _ = _implicit_step(op, t_k1, dt, target, point, tol, k)
-                stage = dt * spec.stage_cost(t_k, lift, p, q)
+                stage = dt * stage_cost(spec, t_k, lift, p, q)
                 try:
                     if obj_minus is not None:
                         obj_minus[i, j] = stage + lattice.interpolate_batch(v_minus_next, succ[None])[0]

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from pdhj.errors import AuditError, ContractError, DomainError
 from pdhj.evolution import (
-    DelayDynamics,
     OperatorSpec,
     audit_hypotheses,
     build_p_laplacian,
@@ -18,8 +17,6 @@ from pdhj.pathcore import Path, StateSpace, TimeGrid
 from scalar_reference import sup_norm
 
 
-def linear_dynamics(L=0.0, dim=1, gain=1.0):
-    return DelayDynamics.forced(make_linear_operator(dim=dim, gain=gain), L)
 
 
 class TestAuditHypotheses:
@@ -134,31 +131,31 @@ class TestSolveDelayEvolution:
     def test_linear_decay_matches_closed_form(self):
         # x' + x = 0, x(0) = 1  ->  x(1) = exp(-1)
         grid = TimeGrid(0.0, 1.0, 64)
-        report = solve_delay_evolution(linear_dynamics(), 0.0, history_path(grid))
+        report = solve_delay_evolution(make_linear_operator(), 0.0, history_path(grid),
+                                       lipschitz_L=0.0)
         err = abs(report.path.values[-1, 0] - math.exp(-1.0))
         assert err <= 2.0 * grid.mesh
 
     def test_forced_saturation_matches_closed_form(self):
         # x' + x = 1, x(0) = 0  ->  x(t) = 1 - exp(-t)
         grid = TimeGrid(0.0, 1.0, 64)
-        dyn = linear_dynamics(L=2.0)
-        forcing = np.ones((64, 1))
-        report = solve_delay_evolution(dyn, 0.0, Path.zero(grid), forcing=forcing)
+        report = solve_delay_evolution(make_linear_operator(), 0.0, Path.constant(grid, [0.0]),
+                                       np.ones((64, 1)), lipschitz_L=2.0)
         expected = 1.0 - np.exp(-grid.nodes)
         assert np.max(np.abs(report.path.values[:, 0] - expected)) <= 2.0 * grid.mesh
 
     def test_zero_fixed_point(self):
         grid = TimeGrid(0.0, 1.0, 32)
         op = build_p_laplacian(4, 3.0)
-        dyn = DelayDynamics.forced(op, 0.0)
-        report = solve_delay_evolution(dyn, 0.0, Path.zero(grid, dim=4))
+        report = solve_delay_evolution(op, 0.0, Path.constant(grid, np.zeros(4)), lipschitz_L=0.0)
         assert np.allclose(report.path.values, 0.0, atol=1e-12)
 
     def test_first_order_convergence_window(self):
         errors = []
         for n in (8, 16, 32, 64, 128):
             grid = TimeGrid(0.0, 1.0, n)
-            report = solve_delay_evolution(linear_dynamics(), 0.0, history_path(grid))
+            report = solve_delay_evolution(make_linear_operator(), 0.0, history_path(grid),
+                                           lipschitz_L=0.0)
             errors.append(abs(report.path.values[-1, 0] - math.exp(-1.0)))
         ratios = [a / b for a, b in zip(errors[:-1], errors[1:])]
         assert all(1.7 <= r <= 2.3 for r in ratios)
@@ -167,10 +164,10 @@ class TestSolveDelayEvolution:
         grid = TimeGrid(0.0, 1.0, 16)
         rng = np.random.default_rng(7)
         hist = Path(grid, rng.standard_normal((17, 1)))
-        dyn = linear_dynamics(L=1.0)
+        op = make_linear_operator()
         forcing = 0.3 * np.ones((16, 1))
-        a = solve_delay_evolution(dyn, 0.5, hist, forcing=forcing)
-        b = solve_delay_evolution(dyn, 0.5, hist, forcing=forcing)
+        a = solve_delay_evolution(op, 0.5, hist, forcing, lipschitz_L=1.0)
+        b = solve_delay_evolution(op, 0.5, hist, forcing, lipschitz_L=1.0)
         k0 = grid.node_index(0.5)
         assert np.array_equal(a.path.values[: k0 + 1], hist.values[: k0 + 1])
         assert np.array_equal(a.path.values, b.path.values)
@@ -181,20 +178,33 @@ class TestSolveDelayEvolution:
         op = build_p_laplacian(6, 3.0)
         rng = np.random.default_rng(8)
         x0 = Path.constant(grid, rng.standard_normal(6))
-        report = solve_delay_evolution(DelayDynamics.forced(op, 0.0), 0.0, x0)
+        report = solve_delay_evolution(op, 0.0, x0, lipschitz_L=0.0)
         norms = np.linalg.norm(report.path.values, axis=1)
         assert np.all(np.diff(norms) <= 1e-9)
 
     def test_forcing_bound_violation_raises(self):
         grid = TimeGrid(0.0, 1.0, 8)
-        dyn = linear_dynamics(L=0.1)
         with pytest.raises(ContractError):
-            solve_delay_evolution(dyn, 0.0, Path.zero(grid), forcing=np.ones((8, 1)))
+            solve_delay_evolution(make_linear_operator(), 0.0, Path.constant(grid, [0.0]),
+                                  np.ones((8, 1)), lipschitz_L=0.1)
+
+    def test_forcing_of_another_shape_or_negative_l_is_refused(self):
+        grid = TimeGrid(0.0, 1.0, 8)
+        x0 = Path.constant(grid, [0.0, 0.0])
+        op = make_linear_operator(dim=2)
+        for forcing in (np.zeros((12, 2)), np.zeros((8, 1)), np.zeros(8)):
+            with pytest.raises(DomainError, match="forcing has shape"):
+                solve_delay_evolution(op, 0.0, x0, forcing, lipschitz_L=1.0)
+        with pytest.raises(DomainError, match="lipschitz_L must be >= 0"):
+            solve_delay_evolution(op, 0.0, x0, lipschitz_L=-0.5)
+        with pytest.raises(DomainError, match="lipschitz_L must be >= 0"):
+            sample_reachable_set(op, 0.0, x0, 2, 0, lipschitz_L=-0.5)
 
     def test_t0_must_be_grid_node(self):
         grid = TimeGrid(0.0, 1.0, 8)
         with pytest.raises(DomainError):
-            solve_delay_evolution(linear_dynamics(), 0.3, Path.zero(grid))
+            solve_delay_evolution(make_linear_operator(), 0.3, Path.constant(grid, [0.0]),
+                                  lipschitz_L=0.0)
 
     def test_unsolvable_step_raises_with_index(self):
         from pdhj.errors import SolverError
@@ -204,16 +214,15 @@ class TestSolveDelayEvolution:
         bad = OperatorSpec(space=StateSpace(dim=2),
                            eval_fn=lambda t, v: -v / dt + np.array([1.0, 0.0]) / dt,
                            c1=1.0, c2=1.0, kind="custom")
-        dyn = DelayDynamics.forced(bad, 0.0)
         with pytest.raises(SolverError) as err:
-            solve_delay_evolution(dyn, 0.0, Path.zero(grid, dim=2))
+            solve_delay_evolution(bad, 0.0, Path.constant(grid, np.zeros(2)), lipschitz_L=0.0)
         assert err.value.step_index == 0
 
     def test_stiff_p_laplacian_step(self):
         grid = TimeGrid(0.0, 0.5, 16)
         op = build_p_laplacian(12, 4.0)
         x0 = Path.constant(grid, np.sin(np.linspace(0.1, 3.0, 12)))
-        report = solve_delay_evolution(DelayDynamics.forced(op, 0.0), 0.0, x0)
+        report = solve_delay_evolution(op, 0.0, x0, lipschitz_L=0.0)
         assert report.residual_estimate <= 1e-8
         assert np.all(np.isfinite(report.path.values))
 
@@ -221,17 +230,17 @@ class TestSolveDelayEvolution:
 class TestSampleReachableSet:
     def test_zero_l_gives_unforced_trajectory(self):
         grid = TimeGrid(0.0, 1.0, 16)
-        dyn = linear_dynamics(L=0.0)
-        reports = sample_reachable_set(dyn, 0.0, history_path(grid), 3, seed=11)
-        baseline = solve_delay_evolution(dyn, 0.0, history_path(grid))
+        op = make_linear_operator()
+        reports = sample_reachable_set(op, 0.0, history_path(grid), 3, 11, lipschitz_L=0.0)
+        baseline = solve_delay_evolution(op, 0.0, history_path(grid), lipschitz_L=0.0)
         for rep in reports:
             assert np.array_equal(rep.path.values, baseline.path.values)
             assert np.allclose(rep.forcing_trace, 0.0)
 
     def test_forcing_bound_replay_check(self):
         grid = TimeGrid(0.0, 1.0, 20)
-        dyn = linear_dynamics(L=0.7)
-        reports = sample_reachable_set(dyn, 0.0, history_path(grid), 8, seed=12)
+        reports = sample_reachable_set(make_linear_operator(), 0.0, history_path(grid), 8, 12,
+                                       lipschitz_L=0.7)
         for rep in reports:
             for k, f_k in enumerate(rep.forcing_trace):
                 limit = 0.7 * (1.0 + sup_norm(rep.path, grid.nodes[k]))
@@ -241,9 +250,9 @@ class TestSampleReachableSet:
         grid = TimeGrid(0.0, 1.0, 16)
         rng = np.random.default_rng(13)
         hist = Path(grid, rng.standard_normal((17, 2)))
-        dyn = DelayDynamics.forced(make_linear_operator(dim=2), 0.5)
-        runs_a = sample_reachable_set(dyn, 0.25, hist, 4, seed=14)
-        runs_b = sample_reachable_set(dyn, 0.25, hist, 4, seed=14)
+        op = make_linear_operator(dim=2)
+        runs_a = sample_reachable_set(op, 0.25, hist, 4, 14, lipschitz_L=0.5)
+        runs_b = sample_reachable_set(op, 0.25, hist, 4, 14, lipschitz_L=0.5)
         k0 = grid.node_index(0.25)
         for a, b in zip(runs_a, runs_b):
             assert np.array_equal(a.path.values, b.path.values)
@@ -251,7 +260,8 @@ class TestSampleReachableSet:
 
     def test_report_serializes(self):
         grid = TimeGrid(0.0, 1.0, 8)
-        rep = sample_reachable_set(linear_dynamics(L=0.3), 0.0, history_path(grid), 1, seed=16)[0]
+        rep = sample_reachable_set(make_linear_operator(), 0.0, history_path(grid), 1, 16,
+                                   lipschitz_L=0.3)[0]
         obj = rep.to_json_obj()
         assert obj["forcing_algorithm"] == "ball-uniform-pcg64/v1"
         assert obj["step_count"] == 8

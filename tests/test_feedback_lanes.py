@@ -14,7 +14,7 @@ from pdhj.evolution import (
     OperatorSpec,
     make_linear_operator,
     sample_reachable_set,
-    solve_delay_lanes,
+    solve_delay_evolution,
 )
 from pdhj.game import (
     COMPANION_KINDS,
@@ -41,7 +41,8 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
-from scalar_reference import _implicit_step, calibrate_step_bound, estimate_guaranteed_result
+from scalar_reference import _implicit_step, calibrate_step_bound, drift, estimate_guaranteed_result, \
+    stage_cost
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +115,8 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
         for k in range(ka, kb):
             dt = nodes[k + 1] - nodes[k]
             x_stop = stopped_at(inner, values, k)
-            f = spec.drift(nodes[k], x_stop, p, q)
-            step_cost += dt * spec.stage_cost(nodes[k], x_stop, p, q)
+            f = drift(spec, nodes[k], x_stop, p, q)
+            step_cost += dt * stage_cost(spec, nodes[k], x_stop, p, q)
             target = values[k] + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(values[k])))
             values[k + 1], _, _ = _implicit_step(spec.dyn.op, nodes[k + 1], dt,
@@ -161,11 +162,11 @@ def _greedy_reference(spec, value):
         k = x.grid.node_index(t)
         best_j, best_val = 0, -np.inf
         for j, q in enumerate(spec.controls.q_points):
-            f = spec.drift(t, x, p, q)
+            f = drift(spec, t, x, p, q)
             target = state + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
             succ, _, _ = _implicit_step(spec.dyn.op, t + dt, dt, target, state, tol, k)
-            val = dt * spec.stage_cost(t, x, p, q) + value.interp("upper", t + dt, succ)
+            val = dt * stage_cost(spec, t, x, p, q) + value.interp("upper", t + dt, succ)
             if val > best_val + 1e-15:
                 best_j, best_val = j, val
         return best_j
@@ -764,12 +765,11 @@ def test_wrong_shape_operator_raises_like_dp_value():
     base, _, strategy, partitions = _desk(1, 0)
     spec = _variant(base, op=broken)
     grid = TimeGrid(0.0, 1.0, 8)
-    dyn = DelayDynamics.forced(broken, 1.0)
     hist = Path.constant(grid, [0.5])
     cases = [
         (lambda: dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))), 297),
-        (lambda: solve_delay_lanes(dyn, 0.0, hist, [None] * 3), 3),
-        (lambda: sample_reachable_set(dyn, 0.0, hist, 4, seed=0), 4),
+        (lambda: solve_delay_evolution(broken, 0.0, hist, lipschitz_L=1.0), 1),
+        (lambda: sample_reachable_set(broken, 0.0, hist, 4, 0, lipschitz_L=1.0), 4),
         (lambda: play_feedback_games(spec, strategy, [constant_adversary(0)] * 2,
                                      partitions[0]), 2),
     ]

@@ -30,8 +30,8 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams
-from scalar_reference import estimate_guaranteed_result, game_audit, lyapunov_nu, \
-    measurable_selection, path_difference, scale_costs
+from scalar_reference import drift, estimate_guaranteed_result, game_audit, lyapunov_nu, \
+    measurable_selection, path_difference, scale_costs, stage_cost
 
 
 def one_point_path(grid, value=0.0):
@@ -44,7 +44,7 @@ def brute_hamiltonians(spec, t, x, z):
     for p in spec.controls.p_points:
         row = []
         for q in spec.controls.q_points:
-            row.append(spec.stage_cost(t, x, p, q) + float(spec.drift(t, x, p, q) @ np.atleast_1d(z)))
+            row.append(stage_cost(spec, t, x, p, q) + float(drift(spec, t, x, p, q) @ np.atleast_1d(z)))
         rows.append(row)
     f_minus = max(min(rows[i][j] for i in range(len(rows))) for j in range(len(rows[0])))
     f_plus = min(max(row) for row in rows)
@@ -145,6 +145,18 @@ class TestStateLattice:
             lat.interpolate_batch(np.zeros(5), np.array([[1.5]]))
         assert err.value.margin == pytest.approx(0.5)
 
+    def test_non_finite_state_is_off_the_lattice(self):
+        # a NaN compares false with every bound, so its margin is +inf rather
+        # than an index read at int(NaN)
+        lat = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+        states = np.array([[np.nan], [0.0], [np.inf], [-np.inf], [2.5]])
+        assert lat.coverage_margins(states).tolist() == [np.inf, 0.0, np.inf, np.inf, 0.5]
+        with pytest.raises(LatticeCoverageError) as err:
+            lat.interpolate_batch(np.arange(33.0), np.array([[np.nan], [0.0]]))
+        assert err.value.margin == np.inf
+        plane = StateLattice(lo=(0.0, 0.0), hi=(1.0, 1.0), shape=(3, 3))
+        assert plane.coverage_margins(np.array([[0.5, np.nan], [0.5, 0.5]])).tolist() == [np.inf, 0.0]
+
     def test_axes_built_once_and_read_only(self):
         lat = StateLattice(lo=(-1.0, 0.0), hi=(1.0, 2.0), shape=(5, 3))
         assert lat.axes is lat.axes
@@ -230,9 +242,9 @@ class TestDpValue:
             for p in spec.controls.p_points:
                 worst = -np.inf
                 for q in spec.controls.q_points:
-                    f = spec.drift(0.0, lift, p, q)[0]
+                    f = drift(spec, 0.0, lift, p, q)[0]
                     succ = (xi + dt * f) / (1.0 + dt)  # closed-form implicit step, gain 1
-                    val = dt * spec.stage_cost(0.0, lift, p, q) + np.interp(succ, axis, h_slice)
+                    val = dt * stage_cost(spec, 0.0, lift, p, q) + np.interp(succ, axis, h_slice)
                     worst = max(worst, val)
                 best_plus = min(best_plus, worst)
             assert table.v_plus[0, idx] == pytest.approx(best_plus, abs=1e-9)
@@ -245,11 +257,12 @@ class TestDpValue:
             assert np.array_equal(recompute_slice(table, spec, k, "lower"), table.v_minus[k])
 
     def test_side_aliases_and_unknown_side(self):
+        # "upper" and "lower" are the only side names; the old aliases are refused
         spec = isaacs_game()
         table = dp_value(spec, TimeGrid(0.0, 1.0, 4), small_lattice(n=9))
-        assert np.array_equal(recompute_slice(table, spec, 1, "plus"), table.v_plus[1])
-        assert np.array_equal(recompute_slice(table, spec, 1, "minus"), table.v_minus[1])
-        for side in ("both", "uper", "Upper"):
+        assert np.array_equal(recompute_slice(table, spec, 1, "upper"), table.v_plus[1])
+        assert np.array_equal(recompute_slice(table, spec, 1, "lower"), table.v_minus[1])
+        for side in ("plus", "minus", "both", "uper", "Upper"):
             with pytest.raises(DomainError, match="unknown side"):
                 recompute_slice(table, spec, 1, side)
             with pytest.raises(DomainError, match="unknown side"):
@@ -747,7 +760,7 @@ def _stage_matrix_reference(spec, t, x, z):
     M = np.empty((spec.controls.n_p, spec.controls.n_q))
     for i, p in enumerate(spec.controls.p_points):
         for j, q in enumerate(spec.controls.q_points):
-            M[i, j] = spec.stage_cost(t, x, p, q) + float(spec.drift(t, x, p, q) @ z)
+            M[i, j] = stage_cost(spec, t, x, p, q) + float(drift(spec, t, x, p, q) @ z)
     return M
 
 
@@ -781,7 +794,7 @@ class TestStageSweep:
             drift, cost = spec.stage_terms(t, x)
             assert drift.shape == (spec.controls.n_p, spec.controls.n_q, dim)
             assert cost.tobytes() == np.array(
-                [[spec.stage_cost(t, x, p, q) for q in spec.controls.q_points]
+                [[stage_cost(spec, t, x, p, q) for q in spec.controls.q_points]
                  for p in spec.controls.p_points]).tobytes()
 
     @pytest.mark.parametrize("bad,message", [

@@ -1,4 +1,4 @@
-"""The lane solver and the batched residual search against the loops they replace."""
+"""The forced solves and the batched residual search against the loops they replace."""
 
 import dataclasses
 
@@ -9,9 +9,6 @@ from hypothesis import given, settings, strategies as st
 from pdhj import evolution, minimax
 from pdhj.errors import ContractError, EvaluationError, LatticeCoverageError, SolverError
 from pdhj.evolution import (
-    FORCING_ALGORITHM,
-    FORCING_BOUND_TOL,
-    STEP_TOL,
     DelayDynamics,
     OperatorSpec,
     SolveReport,
@@ -19,7 +16,6 @@ from pdhj.evolution import (
     make_linear_operator,
     sample_reachable_set,
     solve_delay_evolution,
-    solve_delay_lanes,
 )
 from pdhj.game import (
     ControlGrid,
@@ -33,68 +29,8 @@ from pdhj.game import (
     isaacs_game,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, extend_history, stopped_at
-from scalar_reference import _ball_point, _char_policy, _implicit_step, candidate_runs, \
-    sup_norm, value_gradient
-
-
-def _solve_reference(dyn, t0, x0, forcing=None, forcing_algorithm=None):
-    """The one-lane step loop that solve_delay_lanes replaced, kept verbatim."""
-    grid = x0.grid
-    k0 = grid.node_index(t0)
-    nodes = grid.nodes
-    n = grid.n_steps
-    dim = x0.dim
-    L = dyn.lipschitz_L
-
-    values = x0.values.copy()
-    trace = np.zeros((n - k0, dim))
-    newton_total, newton_max, worst_res = 0, 0, 0.0
-
-    for k in range(k0, n):
-        t_k, t_k1 = nodes[k], nodes[k + 1]
-        dt = t_k1 - t_k
-        x_stop = stopped_at(grid, values, k)
-        if forcing is None:
-            control = np.zeros(dim)
-        elif callable(forcing):
-            control = forcing(t_k, x_stop)
-        else:
-            control = forcing[k]
-        f_k = np.atleast_1d(np.asarray(dyn.rhs(t_k, x_stop, control), dtype=float))
-        bound = L * (1.0 + sup_norm(x_stop, t_k))
-        fmag = float(np.linalg.norm(f_k))
-        if fmag > bound + FORCING_BOUND_TOL * (1.0 + bound):
-            raise ContractError(
-                f"forcing magnitude {fmag:.6e} exceeds L(1+sup) = {bound:.6e} at step {k}")
-        target = values[k] + dt * f_k
-        tol = STEP_TOL * (1.0 + float(np.linalg.norm(values[k])))
-        xi, iters, res = _implicit_step(dyn.op, t_k1, dt, target, values[k], tol, k)
-        values[k + 1] = xi
-        trace[k - k0] = f_k
-        newton_total += iters
-        newton_max = max(newton_max, iters)
-        worst_res = max(worst_res, res)
-
-    return SolveReport(path=Path(grid, values), forcing_trace=trace, start_index=k0,
-                       step_count=n - k0, residual_estimate=worst_res,
-                       newton_total=newton_total, newton_max=newton_max,
-                       forcing_algorithm=forcing_algorithm)
-
-
-def _tube_draw_reference(dyn, x0, seed, i):
-    """The per-sample forcing of the sequential sample_reachable_set."""
-    rng = np.random.default_rng([seed, i])
-
-    def draw(t_k, x_stop):
-        radius = dyn.lipschitz_L * (1.0 + sup_norm(x_stop, t_k))
-        return _ball_point(rng, x0.dim, radius)
-    return draw
-
-
-def _sample_reference(dyn, t0, x0, count, seed):
-    identity = DelayDynamics.forced(dyn.op, dyn.lipschitz_L)
-    return [_solve_reference(identity, t0, x0, _tube_draw_reference(dyn, x0, seed, i),
-                             FORCING_ALGORITHM) for i in range(count)]
+from scalar_reference import _candidate_runs_reference, _sample_reference, _solve_reference, \
+    value_gradient
 
 
 def _assert_reports_equal(got, want):
@@ -108,14 +44,9 @@ def _assert_reports_equal(got, want):
         assert type(getattr(got, name)) is int, name  # JSON-serializable counts
 
 
-def _mixed_forcings(dim, n, rng):
-    """One forcing of each kind the lane solver takes but the tube draw."""
-    return [
-        None,
-        0.2 * rng.standard_normal((n, dim)),
-        lambda t, x: 0.3 * np.sin(3.0 * t) * x.value_at(t),
-        lambda t, x: np.full(dim, 0.1 * t),
-    ]
+def _forcings(dim, n, rng):
+    """No forcing, and two forcing arrays of shape (n, dim)."""
+    return [None, 0.2 * rng.standard_normal((n, dim)), np.full((n, dim), -0.15)]
 
 
 def _history(grid, dim, seed):
@@ -123,43 +54,30 @@ def _history(grid, dim, seed):
 
 
 class TestLanesMatchSequentialLoop:
+    """solve_delay_evolution and sample_reachable_set, each one _lockstep_solve
+    call, against the one-lane step loop of scalar_reference."""
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_linear(self, dim):
         grid = TimeGrid(0.0, 1.0, 12)
         hist = _history(grid, dim, dim)
-        dyn = DelayDynamics.forced(make_linear_operator(dim=dim, gain=1.5), 2.0)
-        forcings = _mixed_forcings(dim, grid.n_steps, np.random.default_rng(4))
+        op = make_linear_operator(dim=dim, gain=1.5)
         for t0 in (0.0, grid.nodes[5], grid.nodes[-2], grid.nodes[-1]):
-            reports = solve_delay_lanes(dyn, t0, hist, forcings, "alg")
-            assert len(reports) == len(forcings)
-            for rep, forcing in zip(reports, forcings):
-                _assert_reports_equal(rep, _solve_reference(dyn, t0, hist, forcing, "alg"))
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_path_dependent_rhs(self, dim):
-        # a delayed rhs reads the stopped path, so every lane builds it
-        grid = TimeGrid(0.0, 1.0, 10)
-        hist = _history(grid, dim, 7)
-        dyn = DelayDynamics(op=make_linear_operator(dim=dim), lipschitz_L=3.0,
-                            rhs=lambda t, x, u: 0.5 * x.value_at(max(t - 0.25, 0.0)) + u)
-        forcings = _mixed_forcings(dim, grid.n_steps, np.random.default_rng(5))
-        for rep, forcing in zip(solve_delay_lanes(dyn, 0.3, hist, forcings), forcings):
-            _assert_reports_equal(rep, _solve_reference(dyn, 0.3, hist, forcing))
+            for forcing in _forcings(dim, grid.n_steps, np.random.default_rng(4)):
+                _assert_reports_equal(solve_delay_evolution(op, t0, hist, forcing, lipschitz_L=2.0),
+                                      _solve_reference(op, t0, hist, forcing, lipschitz_L=2.0))
 
     def test_p_laplacian(self):
         # eval_fn on the last axis: op.batch is one call for all lanes
         op = build_p_laplacian(5, 3.0)
         grid = TimeGrid(0.0, 0.5, 8)
         hist = Path.constant(grid, np.sin(np.linspace(0.3, 2.8, 5)))
-        dyn = DelayDynamics.forced(op, 1.0)
-        forcings = _mixed_forcings(5, grid.n_steps, np.random.default_rng(6))
-        forcings += [np.random.default_rng([9, i]) for i in range(3)]
-        reports = solve_delay_lanes(dyn, 0.0, hist, forcings)
-        for rep, forcing in zip(reports[:4], forcings):
-            _assert_reports_equal(rep, _solve_reference(dyn, 0.0, hist, forcing))
-        for i, rep in enumerate(reports[4:]):
-            _assert_reports_equal(rep, _solve_reference(
-                dyn, 0.0, hist, _tube_draw_reference(dyn, hist, 9, i)))
+        for forcing in _forcings(5, grid.n_steps, np.random.default_rng(6)):
+            _assert_reports_equal(solve_delay_evolution(op, 0.0, hist, forcing, lipschitz_L=1.0),
+                                  _solve_reference(op, 0.0, hist, forcing, lipschitz_L=1.0))
+        for rep, want in zip(sample_reachable_set(op, 0.0, hist, 3, 9, lipschitz_L=1.0),
+                             _sample_reference(op, 0.0, hist, 3, 9, lipschitz_L=1.0)):
+            _assert_reports_equal(rep, want)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_every_lane_stalled(self, dim, monkeypatch):
@@ -167,18 +85,23 @@ class TestLanesMatchSequentialLoop:
         monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", 0)
         grid = TimeGrid(0.0, 1.0, 6)
         hist = _history(grid, dim, 11)
-        dyn = DelayDynamics.forced(make_linear_operator(dim=dim), 1.0)
-        forcings = _mixed_forcings(dim, grid.n_steps, np.random.default_rng(8))
-        for rep, forcing in zip(solve_delay_lanes(dyn, 0.0, hist, forcings), forcings):
-            _assert_reports_equal(rep, _solve_reference(dyn, 0.0, hist, forcing))
+        op = make_linear_operator(dim=dim)
+        for forcing in _forcings(dim, grid.n_steps, np.random.default_rng(8)):
+            _assert_reports_equal(solve_delay_evolution(op, 0.0, hist, forcing, lipschitz_L=1.0),
+                                  _solve_reference(op, 0.0, hist, forcing, lipschitz_L=1.0))
+        for rep, want in zip(sample_reachable_set(op, 0.0, hist, 4, 3, lipschitz_L=1.0),
+                             _sample_reference(op, 0.0, hist, 4, 3, lipschitz_L=1.0)):
+            _assert_reports_equal(rep, want)
 
     def test_one_lane_is_solve_delay_evolution(self):
+        # the forcing is indexed by absolute grid interval: rows before t0 are never read
         grid = TimeGrid(0.0, 1.0, 16)
-        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        op = make_linear_operator()
         hist = _history(grid, 1, 3)
-        forcing = lambda t, x: -0.5 * x.value_at(t)  # noqa: E731
-        _assert_reports_equal(solve_delay_evolution(dyn, 0.25, hist, forcing),
-                              _solve_reference(dyn, 0.25, hist, forcing))
+        forcing = np.full((16, 1), np.nan)
+        forcing[4:, 0] = -0.5 * np.linspace(0.0, 1.0, 12)
+        _assert_reports_equal(solve_delay_evolution(op, 0.25, hist, forcing, lipschitz_L=1.0),
+                              _solve_reference(op, 0.25, hist, forcing, lipschitz_L=1.0))
 
 
 class TestTubeLanes:
@@ -186,58 +109,52 @@ class TestTubeLanes:
     def test_tube_matches_sequential_draws(self, dim):
         grid = TimeGrid(0.0, 1.0, 10)
         hist = _history(grid, dim, 2)
-        dyn = DelayDynamics.forced(make_linear_operator(dim=dim), 0.8)
-        got = sample_reachable_set(dyn, 0.2, hist, 6, seed=21)
-        for rep, want in zip(got, _sample_reference(dyn, 0.2, hist, 6, 21)):
+        op = make_linear_operator(dim=dim)
+        got = sample_reachable_set(op, 0.2, hist, 6, 21, lipschitz_L=0.8)
+        for rep, want in zip(got, _sample_reference(op, 0.2, hist, 6, 21, lipschitz_L=0.8)):
             _assert_reports_equal(rep, want)
 
     def test_sample_i_independent_of_count(self):
         grid = TimeGrid(0.0, 1.0, 8)
         hist = _history(grid, 2, 5)
-        dyn = DelayDynamics.forced(make_linear_operator(dim=2), 0.6)
-        few = sample_reachable_set(dyn, 0.0, hist, 3, seed=4)
-        many = sample_reachable_set(dyn, 0.0, hist, 11, seed=4)
+        op = make_linear_operator(dim=2)
+        few = sample_reachable_set(op, 0.0, hist, 3, 4, lipschitz_L=0.6)
+        many = sample_reachable_set(op, 0.0, hist, 11, 4, lipschitz_L=0.6)
         for a, b in zip(few, many):
             _assert_reports_equal(a, b)
 
 
-def _kick(step, size, dim=1):
-    """Forcing of `size` at grid step `step`, zero elsewhere."""
-    def forcing(t, x):
-        return np.full(dim, size if int(round(t * 8)) == step else 0.0)
-    return forcing
-
-
-def _raise_from(step, name="callback"):
-    """A callback that raises at grid step `step` and at every later one."""
-    def forcing(t, x):
-        k = int(round(t * 8))
-        if k >= step:
-            raise RuntimeError(f"{name} failed at step {k}")
-        return np.zeros(1)
+def _kicks(lanes, *kicks, steps=8):
+    """A (step, lane, 1) forcing array, zero but for each (lane, step, size)
+    kick at its one step."""
+    forcing = np.zeros((steps, lanes, 1))
+    for lane, step, size in kicks:
+        forcing[step, lane] = size
     return forcing
 
 
 class TestLaneErrors:
-    """The lockstep rule: the earliest step's error; within a step, the forcings
-    lane by lane, then the forcing-bound check, then the batched implicit step."""
+    """The lockstep rule of _lockstep_solve: the earliest step's error; within
+    a step, the forcing-bound check, then the batched implicit step, each
+    naming its lowest failing lane."""
 
     grid = TimeGrid(0.0, 1.0, 8)
     hist = Path.constant(grid, [0.5])
 
-    def _error(self, dyn, forcings):
+    def _error(self, op, L, forcing):
         with pytest.raises(Exception) as info:
-            solve_delay_lanes(dyn, 0.0, self.hist, forcings)
+            evolution._lockstep_solve(op, 0.0, self.hist, np.full(forcing.shape[1], L),
+                                      lambda k, values, bound: forcing[k])
         return info.value
 
     def test_contract_error_of_the_lowest_lane(self):
-        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        op = make_linear_operator()
         # lane 3 breaks the bound at step 0, lane 1 only at step 5
-        err = self._error(dyn, [None, _kick(5, 9.0), None, _kick(0, 9.0), None])
+        err = self._error(op, 1.0, _kicks(5, (1, 5, 9.0), (3, 0, 9.0)))
         assert type(err) is ContractError
         assert str(err) == "forcing magnitude 9.000000e+00 exceeds L(1+sup) = 1.500000e+00 at step 0"
         # lanes 1 and 2 break it in the same step: the lower lane's magnitude
-        err = self._error(dyn, [None, _kick(2, 7.0), _kick(2, 9.0)])
+        err = self._error(op, 1.0, _kicks(3, (1, 2, 7.0), (2, 2, 9.0)))
         assert type(err) is ContractError
         assert str(err) == "forcing magnitude 7.000000e+00 exceeds L(1+sup) = 1.500000e+00 at step 2"
 
@@ -245,9 +162,8 @@ class TestLaneErrors:
         # the operator has no root beyond |x| > 2: the step fails there
         op = OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
                           eval_fn=lambda t, v: np.where(np.abs(v) > 2.0, np.nan, v))
-        dyn = DelayDynamics.forced(op, 100.0)
         # lane 2 fails at step 2, lane 1 only at step 6
-        err = self._error(dyn, [None, _kick(6, 40.0), _kick(2, 40.0), None])
+        err = self._error(op, 100.0, _kicks(4, (1, 6, 40.0), (2, 2, 40.0)))
         assert type(err) is SolverError
         assert str(err) == "bisection failed to converge at step 2" and err.step_index == 2
 
@@ -270,64 +186,29 @@ class TestLaneErrors:
         assert err.value.step_index == 0
         assert calls == [40.0]  # lane 0 reruns first and raises
 
-    def test_callback_on_a_later_lane_than_an_earlier_failure(self):
-        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
-        # lane 1 fails its bound at step 4; lane 2's callback raises at step 1
-        err = self._error(dyn, [None, _kick(4, 9.0), _raise_from(1)])
-        assert type(err) is RuntimeError and str(err) == "callback failed at step 1"
-        # and the other way round: lane 2's bound at step 0 before lane 0's callback
-        err = self._error(dyn, [_raise_from(6), None, _kick(0, 9.0)])
-        assert type(err) is ContractError
-        assert str(err) == "forcing magnitude 9.000000e+00 exceeds L(1+sup) = 1.500000e+00 at step 0"
-
-    def test_two_lanes_failing_in_one_step(self):
-        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
-        err = self._error(dyn, [None, _raise_from(2, "lane 1"), None, _raise_from(2, "lane 3")])
-        assert type(err) is RuntimeError and str(err) == "lane 1 failed at step 2"
-        # the forcings of a step all run before its bound check
-        err = self._error(dyn, [None, _kick(2, 9.0), None, _raise_from(2, "lane 3")])
-        assert type(err) is RuntimeError and str(err) == "lane 3 failed at step 2"
-
     def test_non_finite_forcing_fails_the_bound_at_its_step(self):
-        dyn = DelayDynamics.forced(make_linear_operator(), 1.0)
+        op = make_linear_operator()
         want = "forcing magnitude nan exceeds L(1+sup) = 1.500000e+00 at step 3"
-        sequence = np.zeros((8, 1))
-        sequence[3:] = np.nan
-        for forcings in ([_kick(3, np.nan)], [sequence],
-                         [None, _kick(5, 9.0), _kick(3, np.nan), _kick(3, np.inf)]):
-            err = self._error(dyn, forcings)
+        for forcing in (_kicks(1, (0, 3, np.nan)),
+                        _kicks(4, (1, 5, 9.0), (2, 3, np.nan), (3, 3, np.inf))):
+            err = self._error(op, 1.0, forcing)
             assert type(err) is ContractError and str(err) == want
         # a lane with an infinite forcing in the same step is the lower lane
-        err = self._error(dyn, [None, _kick(3, -np.inf), _kick(3, np.nan)])
+        err = self._error(op, 1.0, _kicks(3, (1, 3, -np.inf), (2, 3, np.nan)))
         assert type(err) is ContractError
         assert str(err) == "forcing magnitude inf exceeds L(1+sup) = 1.500000e+00 at step 3"
+        # the one-lane solve checks its forcing array the same way
+        forcing = np.zeros((8, 1))
+        forcing[0] = np.nan
         with pytest.raises(ContractError) as info:
-            solve_delay_evolution(dyn, 0.0, Path.zero(self.grid), lambda t, x: np.array([np.nan]))
+            solve_delay_evolution(op, 0.0, Path.constant(self.grid, [0.0]), forcing,
+                                  lipschitz_L=1.0)
         assert str(info.value) == "forcing magnitude nan exceeds L(1+sup) = 1.000000e+00 at step 0"
 
 
 # ---------------------------------------------------------------------------
 # the residual candidate search
 # ---------------------------------------------------------------------------
-
-def _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed):
-    """One sequential solve per candidate, as before the lane solver."""
-    runs = []
-    for i, p in enumerate(spec.controls.p_points):
-        for j, q in enumerate(spec.controls.q_points):
-            rep = _solve_reference(spec.dyn, t0, hist, forcing=lambda t, x, pq=(p, q): pq)
-            runs.append((f"constant[p{i},q{j}]", rep))
-    for role in ("super", "sub"):
-        rep = _solve_reference(spec.dyn, t0, hist,
-                               forcing=_char_policy(spec, table, side, role, z))
-        runs.append((f"characteristic[{role}]", rep))
-    n_random = max(0, budget - len(runs))
-    if n_random > 0:
-        tube = DelayDynamics.forced(spec.dyn.op, spec.l_f)
-        for i, rep in enumerate(_sample_reference(tube, t0, hist, n_random, seed)):
-            runs.append((f"random[{i}]", rep))
-    return runs
-
 
 def _characteristic_functional_reference(spec, table, side, rep, z, t0, u0):
     """The functional of one candidate, one table read per node."""
@@ -420,7 +301,7 @@ class TestCandidateSearch:
         spec, grid, table = desk
         t0, hist = _site(table, 3, 0.4)
         calls = _count_lane_sets(monkeypatch)
-        counts = {"paths": 0, "reports": 0, "interp": 0, "lane_solves": 0}
+        counts = {"paths": 0, "reports": 0, "interp": 0, "forced_solves": 0}
 
         def counting(key, original):
             def wrapped(*args, **kwargs):
@@ -431,11 +312,11 @@ class TestCandidateSearch:
         monkeypatch.setattr(Path, "__init__", counting("paths", Path.__init__))
         monkeypatch.setattr(SolveReport, "__init__", counting("reports", SolveReport.__init__))
         monkeypatch.setattr(ValueTable, "interp", counting("interp", ValueTable.interp))
-        monkeypatch.setattr(evolution, "solve_delay_lanes",
-                            counting("lane_solves", evolution.solve_delay_lanes))
+        for name in ("solve_delay_evolution", "sample_reachable_set"):
+            monkeypatch.setattr(evolution, name, counting("forced_solves", getattr(evolution, name)))
         minimax._candidate_runs(spec, table, "upper", t0, hist, np.array([0.3]), 32, 1)
         assert calls == [32]
-        assert counts == {"paths": 0, "reports": 0, "interp": 0, "lane_solves": 0}
+        assert counts == {"paths": 0, "reports": 0, "interp": 0, "forced_solves": 0}
 
 
 def _count_lane_sets(monkeypatch):
@@ -501,12 +382,12 @@ class TestOffLatticeOrder:
 
     @pytest.mark.parametrize("cost_limit", [None, 0.45, 0.55, 0.59])
     def test_functional_raises_like_candidate_loop(self, cost_limit):
-        spec, grid, table = _edge_setup(cost_limit)
+        spec, _, table = _edge_setup(cost_limit)
         t0, hist = _site(table, 4, 0.4, horizon=0.5)
-        # constant forcings on the forced dynamics: no policy calls the cost
-        forced = DelayDynamics.forced(spec.dyn.op, 2.0)
-        forcings = [np.full((grid.n_steps, 1), s) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
-        reports = solve_delay_lanes(forced, t0, hist, forcings)
+        # constant forcings on the game's operator: no policy calls the cost
+        steps = hist.grid.n_steps
+        reports = [solve_delay_evolution(spec.dyn.op, t0, hist, np.full((steps, 1), s),
+                                         lipschitz_L=2.0) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
         values = np.stack([rep.path.values for rep in reports], axis=1)
         forcing = np.stack([rep.forcing_trace for rep in reports], axis=1)
         error, message = self.FUNCTIONAL_ERRORS[cost_limit]
@@ -598,10 +479,9 @@ def game_desks():
 
 
 class TestLaneSetAgainstTwoSolves:
-    """The one lane set of _candidate_runs against the two lane solves of the
-    per-lane loop it replaced (scalar_reference.candidate_runs), and against
-    the sequential solves of _candidate_runs_reference, which share neither
-    the step loop nor the batched tube draws."""
+    """The one lane set of _candidate_runs against the sequential solves of
+    _candidate_runs_reference, which share neither the step loop nor the
+    batched tube draws."""
 
     @settings(max_examples=40, deadline=None)
     @given(name=st.sampled_from(["isaacs", "bilinear", "isaacs-callbacks", "edge"]),
@@ -614,13 +494,10 @@ class TestLaneSetAgainstTwoSolves:
         z = np.array([z])
         labels, values, forcing = minimax._candidate_runs(spec, table, side, t0, hist, z,
                                                           budget, seed)
-        want = candidate_runs(spec, table, side, t0, hist, z, budget, seed)
+        want = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed)
         assert labels == [label for label, _ in want]
         assert len(labels) == max(budget, spec.controls.n_p * spec.controls.n_q + 2)
         _assert_lanes_equal(values, forcing, [rep for _, rep in want])
-        sequential = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed)
-        assert labels == [label for label, _ in sequential]
-        _assert_lanes_equal(values, forcing, [rep for _, rep in sequential])
         u0 = table.interp(side, t0, hist.value_at(t0))
         try:
             G, times = minimax._characteristic_functional(spec, table, side, hist.grid, values,

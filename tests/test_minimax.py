@@ -151,15 +151,17 @@ class TestViscosityResidual:
         assert not scan["violation_found"]
 
     def test_bump_table_side_aliases_and_unknown_side(self, desk):
+        # "upper" and "lower" are the only side names; the old aliases are refused
         spec, grid, lattice, table = desk
-        plus = bump_table(table, 8, 16, 0.2, side="plus")
-        minus = bump_table(table, 8, 16, 0.2, side="minus")
+        plus = bump_table(table, 8, 16, 0.2, side="upper")
+        minus = bump_table(table, 8, 16, 0.2, side="lower")
         assert plus.v_plus[8, 16] == table.v_plus[8, 16] + 0.2
         assert np.array_equal(plus.v_minus, table.v_minus)
         assert minus.v_minus[8, 16] == table.v_minus[8, 16] + 0.2
         assert np.array_equal(minus.v_plus, table.v_plus)
-        with pytest.raises(DomainError, match="unknown side"):
-            bump_table(table, 8, 16, 0.2, side="uper")
+        for side in ("plus", "minus", "uper"):
+            with pytest.raises(DomainError, match="unknown side"):
+                bump_table(table, 8, 16, 0.2, side=side)
 
     def test_scan_detects_bumped_table(self, desk):
         spec, grid, lattice, table = desk
@@ -180,7 +182,7 @@ def _viscosity_residual_reference(u, spec, site, z, c, horizon, *, search_budget
     state0 = hist.value_at(t0)
     u0 = u.interp(side, t0, state0)
     F0 = hamiltonian(spec, t0, hist, z)
-    F0_val = F0.f_plus if side in ("upper", "plus") else F0.f_minus
+    F0_val = F0.f_plus if side == "upper" else F0.f_minus
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
 

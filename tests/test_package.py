@@ -23,11 +23,18 @@ MOVED_METHODS = {
     ("pathcore", "StateSpace"): ("norm_h", "pairing"),
     ("upsilon", "LyapunovParams"): ("beta",),
     ("upsilon", "ChainRuleReport"): ("to_json",),
+    ("game", "GameSpec"): ("drift", "stage_cost"),
 }
-# the per-game feedback records and the knobs no caller set, deleted outright
-DELETED = {"game": ("StrategyTrace", "play_pools")}
-DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces",)}
+# the per-game feedback records, the general-forcing adapter and the knobs
+# no caller set, deleted outright
+DELETED = {"game": ("StrategyTrace", "play_pools"),
+           "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing")}
+DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces",),
+                   ("evolution", "DelayDynamics"): ("forced",),
+                   ("pathcore", "Path"): ("zero",)}
 DELETED_PARAMETERS = {
+    ("evolution", "solve_delay_evolution"): ("dyn", "forcing_algorithm"),
+    ("evolution", "sample_reachable_set"): ("dyn",),
     ("game", "FeedbackStrategy"): ("side",),
     ("game", "extremal_shift_strategy"): ("side",),
     ("game", "greedy_adversary"): ("side", "lookahead"),

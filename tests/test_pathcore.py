@@ -196,7 +196,7 @@ class TestStopPath:
 class TestSupNorm:
     def test_zero_path(self):
         grid = TimeGrid(0.0, 1.0, 4)
-        assert sup_norm(Path.zero(grid, 3), 1.0) == 0.0
+        assert sup_norm(Path.constant(grid, np.zeros(3)), 1.0) == 0.0
 
     def test_decreasing_ramp_max_at_start(self):
         grid = TimeGrid(0.0, 1.0, 10)
@@ -239,7 +239,7 @@ class TestDInfinity:
 
     def test_time_term_only(self):
         grid = TimeGrid(0.0, 1.0, 4)
-        z = Path.zero(grid, 1)
+        z = Path.constant(grid, np.zeros(1))
         assert d_infinity((0.0, z), (1.0, z)) == pytest.approx(1.0)
 
     def test_symmetry_and_triangle(self):
@@ -258,8 +258,8 @@ class TestDInfinity:
             assert d13 <= d12 + d23 + 1e-12
 
     def test_incompatible_spans(self):
-        a = Path.zero(TimeGrid(0.0, 1.0, 4), 1)
-        b = Path.zero(TimeGrid(0.0, 2.0, 4), 1)
+        a = Path.constant(TimeGrid(0.0, 1.0, 4), np.zeros(1))
+        b = Path.constant(TimeGrid(0.0, 2.0, 4), np.zeros(1))
         with pytest.raises(DomainError):
             d_infinity((0.5, a), (0.5, b))
 

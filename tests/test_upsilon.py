@@ -85,7 +85,7 @@ class TestSurrogateKernel:
 
 class TestUpsilonValues:
     def test_zero_path(self):
-        ev = upsilon(0.7, Path.zero(grid(), 2))
+        ev = upsilon(0.7, Path.constant(grid(), np.zeros(2)))
         assert ev.value == 0.0
         assert np.all(ev.dx == 0.0)
         assert ev.dt == 0.0
@@ -189,7 +189,7 @@ class TestLyapunov:
 
     def test_zero_path_values(self):
         params = LyapunovParams.at_epsilon0(lambda_L=0.5, horizon=1.0)
-        ev = lyapunov_nu(params, 0.4, Path.zero(grid(), 1))
+        ev = lyapunov_nu(params, 0.4, Path.constant(grid(), np.zeros(1)))
         beta = params.epsilon ** 2
         assert ev.value == pytest.approx(params.alpha(0.4) * beta)
         assert np.all(ev.dx == 0.0)

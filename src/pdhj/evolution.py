@@ -12,10 +12,10 @@ _implicit_step_batch call moves every lane.  The forced solves call it
 directly: solve_delay_evolution with one lane whose f is a row of its forcing
 array, sample_reachable_set with one lane per tube draw and one _ball_points
 call per step.  A residual site of pdhj.minimax solves its candidates as one
-lane set, whose forcing phases per step are the characteristic picks (one
-batched gradient and one full-grid stage-terms call), the game drift (one
-stage-terms call at the played pairs) and the tube draws (one _ball_points
-call).
+lane set, whose forcing phases per step are the characteristic aims (one
+batched gradient), the stage terms (one full-grid call over every lane,
+which gives the characteristic picks, the game drift and every lane's
+Hamiltonian) and the tube draws (one _ball_points call).
 
 Lockstep loops (_lockstep_solve and its callers here and in
 pdhj.minimax; play_feedback_games, the greedy lookahead and the DP slice
@@ -35,13 +35,15 @@ greedy lanes with one batched lookahead before the other adversaries answer
 game by game; a feedback run plays its three pools as one lane set per
 partition, so an earlier partition's error wins whichever pool it is on; a
 residual site's tube lanes step with its game lanes, so the earlier step's
-error wins whichever lane it is on; and the characteristic functional
-takes the stage terms node by node, every candidate at a node before the
-next node.  The sampled Hamiltonians of pdhj.game (sampled_hamiltonians,
-which isaacs-check and the Lipschitz audit use) take them one time group at
-a time: the distinct sample times in order of first appearance, every
-sample at a time in one batch, so they raise the first non-finite entry of
-the first group that has one, not that of the first failing sample.
+error wins whichever lane it is on, and a non-finite stage term of any lane
+raises during the solve, at its step, in (lane, p, q) order (viscosity_scan
+too checks every lane's full control grid); the characteristic functional
+then has only its table-read phase.  The sampled Hamiltonians of
+pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
+use) take them one time group at a time: the distinct sample times in order
+of first appearance, every sample at a time in one batch, so they raise the
+first non-finite entry of the first group that has one, not that of the
+first failing sample.
 Lanes that succeed do not depend on this order.
 """
 

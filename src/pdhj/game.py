@@ -402,6 +402,10 @@ class StateLattice:
 
 
 def _coverage_error(margin: float) -> LatticeCoverageError:
+    """The error for a state past the lattice by margin; margin +inf marks a
+    state that is not finite, which no bounds can cover."""
+    if margin == math.inf:
+        return LatticeCoverageError("state is not finite; no lattice covers it", margin=margin)
     return LatticeCoverageError(
         f"state leaves the lattice by {margin:.6e}; expand bounds by at least that margin",
         margin=margin)
@@ -480,19 +484,6 @@ class ValueTable:
                 self.interp_batch(side, t, np.concatenate([up[read], dn[read]])), 2)
             g[read] = (up_vals - dn_vals) / width[read]
         return g
-
-    def to_json_obj(self) -> dict:
-        obj = {
-            "t": [float(v) for v in self.grid.nodes],
-            "lattice": {"lo": list(self.lattice.lo), "hi": list(self.lattice.hi),
-                        "shape": list(self.lattice.shape)},
-            "metadata": dict(self.metadata),
-        }
-        if self.v_minus is not None:
-            obj["v_minus"] = self.v_minus.tolist()
-        if self.v_plus is not None:
-            obj["v_plus"] = self.v_plus.tolist()
-        return obj
 
     def to_csv(self) -> str:
         """Long-form rows: t, state coordinates, v_minus, v_plus."""

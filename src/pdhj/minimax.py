@@ -86,24 +86,26 @@ def _window_grid(grid: TimeGrid, t0: float, horizon: float):
 
 def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
                     hist: Path, z, budget: int, seed: int):
-    """(labels, values, forcing) of a site's candidates, solved as one lane set.
+    """(labels, values, forcing, hams) of a site's candidates, solved as one lane set.
 
     The lanes are the constant control pairs (fixed p and q index arrays),
     the two characteristics and max(0, budget - n_p n_q - 2) random tube
-    samples; values has shape (node, lane, dim) on hist.grid and forcing
-    (step, lane, dim) from t0 on.  The game lanes take the tube constant
+    samples; values has shape (node, lane, dim) on hist.grid, and forcing
+    (step, lane, dim) and hams, the side's Hamiltonian of (t_k, x(t_k), z),
+    (step, lane) from t0 on.  The game lanes take the tube constant
     spec.dyn.lipschitz_L and the tube lanes spec.l_f.  Each step has four
     phases, in this order for the lockstep rule of pdhj.evolution:
 
-    1. the characteristic picks: one ValueTable.gradient call aims both
-       characteristics and one full-grid lane_terms call gives their stage
-       matrices.  For the upper Hamiltonian (min over p of max over q) the
-       supersolution characteristic commits p along the value gradient and
-       lets q answer the test direction z; the subsolution characteristic
-       swaps the two roles, and the lower Hamiltonian mirrors this with q
-       committing first.  Ties break to the smallest index;
-    2. the game drift: one lane_terms call at the played pairs of every game
-       lane;
+    1. the characteristic aims: one ValueTable.gradient call;
+    2. the stage terms: one full-grid lane_terms call over every lane, so a
+       non-finite entry of any lane raises here, at its step, in (lane, p, q)
+       order.  It gives the characteristics' stage matrices, the game lanes'
+       drift at their played pairs and every lane's Hamiltonian.  For the
+       upper Hamiltonian (min over p of max over q) the supersolution
+       characteristic commits p along the value gradient and lets q answer
+       the test direction z; the subsolution characteristic swaps the two
+       roles, and the lower Hamiltonian mirrors this with q committing
+       first.  Ties break to the smallest index;
     3. the tube draws: one _ball_points call;
     4. the forcing-bound check and the implicit step of _lockstep_solve.
     """
@@ -127,19 +129,19 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
     rows = np.arange(2)
     grid = hist.grid
     nodes = grid.nodes
+    k0 = grid.node_index(t0)
+    hams = np.empty((grid.n_steps - k0, len(L)))
 
     def step_forcing(k, values, bound):
         t_k, x_k = nodes[k], values[k]
-
-        def path_of(lane):
-            return stopped_at(grid, values[:, lane], k)
-
         zhat = table.gradient(side, t_k, x_k[chars])
-        drift, cost = spec.lane_terms(t_k, x_k[chars], lambda c: path_of(n_pairs + c))
+        drift, cost = spec.lane_terms(t_k, x_k, lambda lane: stopped_at(grid, values[:, lane], k))
         M_test = cost + _row_dots(drift, z)
-        M_grad = cost + _row_dots(drift, zhat[:, None, None, :])
-        commit = np.where(grad_commits, M_grad, M_test)
-        answer = np.where(grad_commits, M_test, M_grad)
+        f_minus, f_plus = minimax_records(M_test)[:2]
+        hams[k - k0] = f_plus if upper else f_minus
+        M_grad = cost[chars] + _row_dots(drift[chars], zhat[:, None, None, :])
+        commit = np.where(grad_commits, M_grad, M_test[chars])
+        answer = np.where(grad_commits, M_test[chars], M_grad)
         if upper:
             p_idx[chars] = np.argmin(commit.max(axis=2), axis=1)
             q_idx[chars] = np.argmax(answer[rows, p_idx[chars], :], axis=1)
@@ -147,12 +149,12 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
             q_idx[chars] = np.argmax(commit.min(axis=1), axis=1)
             p_idx[chars] = np.argmin(answer[rows, :, q_idx[chars]], axis=1)
         f = np.empty((len(L), hist.dim))
-        f[:n_game] = spec.lane_terms(t_k, x_k[:n_game], path_of, (game, p_idx, q_idx))[0]
+        f[:n_game] = drift[game, p_idx, q_idx]
         f[n_game:] = _ball_points(streams, hist.dim, bound[n_game:])
         return f
 
     values, forcing, _, _ = _lockstep_solve(spec.dyn.op, t0, hist, L, step_forcing)
-    return labels, values, forcing
+    return labels, values, forcing, hams
 
 
 def _window_values(table: ValueTable, side: str, nodes, states: np.ndarray) -> np.ndarray:
@@ -163,32 +165,24 @@ def _window_values(table: ValueTable, side: str, nodes, states: np.ndarray) -> n
                     axis=1)
 
 
-def _characteristic_functional(spec: GameSpec, table: ValueTable, side: str, grid: TimeGrid,
-                               values: np.ndarray, forcing: np.ndarray, z, t0: float,
-                               u0: float):
+def _characteristic_functional(table: ValueTable, side: str, grid: TimeGrid, values: np.ndarray,
+                               forcing: np.ndarray, hams: np.ndarray, z, t0: float, u0: float):
     """G[c, m] = int_{t0}^{t_m} ((-f, z) + F(s, x, z)) ds + u(t_m, x(t_m)) - u0
     per candidate c and window node t_m > t0; returns (G, times).
 
-    values, shape (node, candidate, dim) on grid, and forcing, shape (step,
-    candidate, dim) from t0 on, are the candidates of _candidate_runs.  Node
-    by node, one lane_terms call over every candidate gives the stage
-    matrices, and minimax_records their Hamiltonians.  Errors follow the
-    lockstep rule of pdhj.evolution, in two phases: the stage terms, node by
-    node and within a node candidate by candidate, then the table reads of
-    _window_values.
+    values, forcing and hams are the candidates of _candidate_runs, which
+    took the stage terms; the only phase here is the table reads of
+    _window_values.  The integral is summed node by node from zeros, not
+    with np.cumsum: the loop turns a leading -0.0 into +0.0, and that sign
+    can reach a printed slack.
     """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     nodes = grid.nodes
     k0 = grid.node_index(t0)
-    upper = is_upper_side(side)
     integral = np.empty((values.shape[1], grid.n_steps - k0))
     acc = np.zeros(values.shape[1])
     for k in range(k0, grid.n_steps):
-        dt = nodes[k + 1] - nodes[k]
-        drift, cost = spec.lane_terms(nodes[k], values[k],
-                                      lambda c: stopped_at(grid, values[:, c], k))
-        f_minus, f_plus = minimax_records(cost + _row_dots(drift, z))[:2]
-        acc = acc + dt * (-_row_dots(forcing[k - k0], z) + (f_plus if upper else f_minus))
+        acc = acc + (nodes[k + 1] - nodes[k]) * (-_row_dots(forcing[k - k0], z) + hams[k - k0])
         integral[:, k - k0] = acc
     times = nodes[k0 + 1:]
     states = values[k0 + 1:].transpose(1, 0, 2)
@@ -213,20 +207,16 @@ def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
 
-    labels, values, forcing = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
-    G_all, times = _characteristic_functional(spec, u, side, win_grid, values, forcing, z, t0, u0)
-    best_slack, best_label, best_time = None, "", t0
-    for label, G in zip(labels, G_all):
-        if direction == "sub":
-            m = int(np.argmin(G))
-            cand = float(G[m])
-            if best_slack is None or cand > best_slack:
-                best_slack, best_label, best_time = cand, label, float(times[m])
-        else:
-            m = int(np.argmax(G))
-            cand = float(G[m])
-            if best_slack is None or cand < best_slack:
-                best_slack, best_label, best_time = cand, label, float(times[m])
+    labels, values, forcing, hams = _candidate_runs(spec, u, side, t0, hist, z, search_budget,
+                                                    seed)
+    G, times = _characteristic_functional(u, side, win_grid, values, forcing, hams, z, t0, u0)
+    # each candidate's first extremum over time, then the first best candidate
+    over_time, over_candidates = (np.argmin, np.argmax) if direction == "sub" \
+        else (np.argmax, np.argmin)
+    m = over_time(G, axis=1)
+    extremes = G[np.arange(len(G)), m]
+    c = int(over_candidates(extremes))
+    best_slack, best_label, best_time = float(extremes[c]), labels[c], float(times[m[c]])
 
     verdict = best_slack >= -tolerance if direction == "sub" else best_slack <= tolerance
     return ResidualReport(
@@ -260,23 +250,6 @@ class ViscosityReport:
     budget: int
     seed: int
     certification: str = CERTIFICATION_NOTE
-
-    def to_json_obj(self) -> dict:
-        return {
-            "site": {"t0": self.site_t0, "state": list(self.site_state), "z": list(self.z)},
-            "c": self.c,
-            "side": self.side,
-            "super": {"certificate_gap": self.super_certificate_gap,
-                      "certificate_holds": self.super_certificate_holds,
-                      "verdict": self.super_verdict},
-            "sub": {"certificate_gap": self.sub_certificate_gap,
-                    "certificate_holds": self.sub_certificate_holds,
-                    "verdict": self.sub_verdict},
-            "tolerance": self.tolerance,
-            "budget": self.budget,
-            "seed": self.seed,
-            "certification": self.certification,
-        }
 
 
 def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
@@ -312,7 +285,7 @@ def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
 
     # (candidate, window node t > t0) arrays: the correction, (x(t) - x0(t0), z), u(t, x(t))
-    _, values, _ = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
+    values = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)[1]
     nodes = win_grid.nodes
     paths = np.ascontiguousarray(values.transpose(1, 0, 2))  # (candidate, node, coordinate)
     op = spec.dyn.op

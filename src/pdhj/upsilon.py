@@ -116,18 +116,6 @@ class ChainRuleReport:
     kink_count: int
     exact: bool
 
-    def to_json_obj(self) -> dict:
-        return {
-            "functional": self.functional,
-            "t0": self.t0,
-            "t1": self.t1,
-            "levels": [list(level) for level in self.levels],
-            "observed_orders": list(self.observed_orders),
-            "order_estimate": self.order_estimate,
-            "kink_count": self.kink_count,
-            "exact": self.exact,
-        }
-
 
 def _functional_profile(name: str, x: Path, params: LyapunovParams):
     """Per-node (phi, d/dt phi, d/dx phi) arrays along the whole path."""

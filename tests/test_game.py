@@ -157,6 +157,15 @@ class TestStateLattice:
         plane = StateLattice(lo=(0.0, 0.0), hi=(1.0, 1.0), shape=(3, 3))
         assert plane.coverage_margins(np.array([[0.5, np.nan], [0.5, 0.5]])).tolist() == [np.inf, 0.0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_state_error_asks_for_no_margin(self, bad):
+        # no bounds cover a non-finite state, so the message names no margin to expand by
+        lat = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+        with pytest.raises(LatticeCoverageError) as err:
+            lat.interpolate_batch(np.arange(33.0), np.array([[bad], [0.0]]))
+        assert str(err.value) == "state is not finite; no lattice covers it"
+        assert err.value.margin == np.inf
+
     def test_axes_built_once_and_read_only(self):
         lat = StateLattice(lo=(-1.0, 0.0), hi=(1.0, 2.0), shape=(5, 3))
         assert lat.axes is lat.axes
@@ -287,8 +296,6 @@ class TestDpValue:
     def test_value_table_serializes(self):
         spec = constant_game()
         table = dp_value(spec, TimeGrid(0.0, 1.0, 2), small_lattice(n=5))
-        obj = table.to_json_obj()
-        assert "v_plus" in obj and "v_minus" in obj
         csv_text = table.to_csv()
         assert csv_text.startswith("t,s_1,v_minus,v_plus")
 

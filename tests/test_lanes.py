@@ -269,14 +269,14 @@ class TestCandidateSearch:
         spec, grid, table = desk
         t0, hist = _site(table, t_index, state)
         z = np.array([z])
-        labels, values, forcing = minimax._candidate_runs(spec, table, side, t0, hist, z,
-                                                          budget, 7)
+        labels, values, forcing, hams = minimax._candidate_runs(spec, table, side, t0, hist, z,
+                                                                budget, 7)
         want = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, 7)
         assert labels == [label for label, _ in want]
         _assert_lanes_equal(values, forcing, [rep for _, rep in want])
         u0 = table.interp(side, t0, hist.value_at(t0))
-        G, times = minimax._characteristic_functional(spec, table, side, hist.grid, values,
-                                                      forcing, z, t0, u0)
+        G, times = minimax._characteristic_functional(table, side, hist.grid, values, forcing,
+                                                      hams, z, t0, u0)
         for row, (_, rep) in zip(G, want):
             ref_G, ref_times = _characteristic_functional_reference(
                 spec, table, side, rep, z, t0, u0)
@@ -287,14 +287,34 @@ class TestCandidateSearch:
         spec, grid, table = desk
         calls = _count_lane_sets(monkeypatch)
         t0, hist = _site(table, 3, 0.4)
-        labels, values, forcing = minimax._candidate_runs(spec, table, "upper", t0, hist,
-                                                          np.array([0.3]), 32, 1)
+        labels, values, forcing, hams = minimax._candidate_runs(spec, table, "upper", t0, hist,
+                                                                np.array([0.3]), 32, 1)
         assert calls == [32]  # the 9 pairs, the 2 characteristics and 21 tube lanes
-        assert len(labels) == values.shape[1] == forcing.shape[1] == 32
+        assert len(labels) == values.shape[1] == forcing.shape[1] == hams.shape[1] == 32
         calls.clear()
         minimax_site = (t0, Path.constant(grid, [0.4]), np.array([0.3]))
         minimax.minimax_residual(table, spec, minimax_site, "sub", 0.25, 16, seed=2)
         assert calls == [16]
+
+    @pytest.mark.parametrize("callbacks", [False, True])
+    def test_one_lane_terms_call_per_step(self, desk, monkeypatch, callbacks):
+        # the solve takes every lane's stage terms once per step, and the
+        # functional reads the Hamiltonians it took
+        spec, grid, table = desk
+        if callbacks:
+            spec = dataclasses.replace(spec, markov_terms=None)
+        calls = []
+        original = GameSpec.lane_terms
+
+        def counted(self, t, states, path_of, played=None):
+            calls.append((t, len(states), played))
+            return original(self, t, states, path_of, played)
+
+        monkeypatch.setattr(GameSpec, "lane_terms", counted)
+        t0 = grid.nodes[3]
+        site = (t0, Path.constant(grid, [0.4]), np.array([0.3]))
+        minimax.minimax_residual(table, spec, site, "sub", 0.25, 16, seed=2)
+        assert calls == [(t, 16, None) for t in grid.nodes[3:7]]
 
     def test_markov_site_builds_no_path_report_or_scalar_read(self, desk, monkeypatch):
         # isaacs_game declares markov_terms: no lane reads a stopped path
@@ -364,42 +384,55 @@ def _edge_setup(cost_limit=None):
 
 
 class TestOffLatticeOrder:
-    """The residual layer's lockstep order: every Hamiltonian, node by node and
-    within a node candidate by candidate, before the table reads; a read names
+    """The residual layer's lockstep order: a site's stage terms raise during
+    its solve, at their step, in (lane, p, q) order over every lane's full
+    control grid; the functional then only reads the table, and a read names
     the largest margin of the first window node where some candidate leaves
     the lattice."""
 
-    # with a cost limit, the first node where some candidate's state passes
-    # it: candidates 2 and 4 (forcings 1.6 and 2.0) pass 0.55 and 0.59 at
-    # t=0.375, before candidate 1 (forcing 0.9) does at 0.4375 and 0.5
-    FUNCTIONAL_ERRORS = {
-        None: (LatticeCoverageError, "state leaves the lattice by 4.272212e-02; "
-                                     "expand bounds by at least that margin"),
-        0.45: (EvaluationError, "non-finite running cost at t=0.3125, p=0.0, q=0.0"),
-        0.55: (EvaluationError, "non-finite running cost at t=0.375, p=0.0, q=0.0"),
-        0.59: (EvaluationError, "non-finite running cost at t=0.375, p=0.0, q=0.0"),
+    # with a cost limit, the first step at which some lane's state passes it;
+    # the full-grid stage terms raise at that lane's first pair (p0, q0),
+    # whichever pair the lane plays
+    SITE_ERRORS = {
+        0.45: "non-finite running cost at t=0.3125, p=0.0, q=0.0",
+        0.55: "non-finite running cost at t=0.375, p=0.0, q=0.0",
+        0.59: "non-finite running cost at t=0.375, p=0.0, q=0.0",
     }
 
-    @pytest.mark.parametrize("cost_limit", [None, 0.45, 0.55, 0.59])
+    @pytest.mark.parametrize("cost_limit", sorted(SITE_ERRORS))
+    def test_site_raises_at_its_step(self, cost_limit):
+        spec, grid, table = _edge_setup(cost_limit)
+        t0, hist = _site(table, 4, 0.4, horizon=0.5)
+        z = np.array([0.5])
+        with pytest.raises(EvaluationError) as got:
+            minimax._candidate_runs(spec, table, "upper", t0, hist, z, 12, 0)
+        assert str(got.value) == self.SITE_ERRORS[cost_limit]
+        with pytest.raises(EvaluationError) as got:
+            minimax.minimax_residual(table, spec, (t0, Path.constant(grid, [0.4]), z), "sub",
+                                     0.5, 12, seed=0)
+        assert str(got.value) == self.SITE_ERRORS[cost_limit]
+
+    # a cost limit raises in the solve (test_site_raises_at_its_step), before
+    # the functional runs
+    @pytest.mark.parametrize("cost_limit", [None])
     def test_functional_raises_like_candidate_loop(self, cost_limit):
         spec, _, table = _edge_setup(cost_limit)
         t0, hist = _site(table, 4, 0.4, horizon=0.5)
-        # constant forcings on the game's operator: no policy calls the cost
         steps = hist.grid.n_steps
         reports = [solve_delay_evolution(spec.dyn.op, t0, hist, np.full((steps, 1), s),
                                          lipschitz_L=2.0) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
         values = np.stack([rep.path.values for rep in reports], axis=1)
         forcing = np.stack([rep.forcing_trace for rep in reports], axis=1)
-        error, message = self.FUNCTIONAL_ERRORS[cost_limit]
-        with pytest.raises(error) as got:
-            minimax._characteristic_functional(spec, table, "upper", hist.grid, values, forcing,
+        hams = np.zeros(forcing.shape[:2])
+        with pytest.raises(LatticeCoverageError) as got:
+            minimax._characteristic_functional(table, "upper", hist.grid, values, forcing, hams,
                                                np.array([0.5]), t0, 0.0)
-        assert str(got.value) == message
-        if error is LatticeCoverageError:
-            # candidate 4 alone leaves at the second window node; candidate 1,
-            # the first in candidate order to leave, does so by 1.168216e-02
-            # two nodes later
-            assert got.value.margin == 0.042722117280852845
+        assert str(got.value) == ("state leaves the lattice by 4.272212e-02; "
+                                  "expand bounds by at least that margin")
+        # candidate 4 alone leaves at the second window node; candidate 1,
+        # the first in candidate order to leave, does so by 1.168216e-02 two
+        # nodes later
+        assert got.value.margin == 0.042722117280852845
 
     def test_viscosity_scan_names_largest_margin_of_first_node(self):
         # constant[p1,q1] alone leaves at the second window node; constant[p0,q1],
@@ -492,16 +525,16 @@ class TestLaneSetAgainstTwoSolves:
         spec, table, (lo, hi) = game_desks[name]
         t0, hist = _site(table, t_index, lo + place * (hi - lo))
         z = np.array([z])
-        labels, values, forcing = minimax._candidate_runs(spec, table, side, t0, hist, z,
-                                                          budget, seed)
+        labels, values, forcing, hams = minimax._candidate_runs(spec, table, side, t0, hist, z,
+                                                                budget, seed)
         want = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed)
         assert labels == [label for label, _ in want]
         assert len(labels) == max(budget, spec.controls.n_p * spec.controls.n_q + 2)
         _assert_lanes_equal(values, forcing, [rep for _, rep in want])
         u0 = table.interp(side, t0, hist.value_at(t0))
         try:
-            G, times = minimax._characteristic_functional(spec, table, side, hist.grid, values,
-                                                          forcing, z, t0, u0)
+            G, times = minimax._characteristic_functional(table, side, hist.grid, values,
+                                                          forcing, hams, z, t0, u0)
         except LatticeCoverageError:  # the edge game's narrow lattice
             with pytest.raises(LatticeCoverageError):
                 for _, rep in want:

@@ -260,8 +260,8 @@ class TestConsumersMatchThePathForm:
             got, want = (viscosity_scan(table, form, site[:2], site[2], 0.25, search_budget=14,
                                         seed=k, side=side)
                          for form in (spec, _path_form(spec)))
-            assert [r.to_json_obj() for r in got["reports"]] == \
-                [r.to_json_obj() for r in want["reports"]]
+            assert [dataclasses.asdict(r) for r in got["reports"]] == \
+                [dataclasses.asdict(r) for r in want["reports"]]
 
     @pytest.mark.parametrize("name", ["isaacs", "bilinear", "planar"])
     def test_feedback_traces_and_random_draws(self, name):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -103,6 +104,29 @@ class TestMinimaxResidual:
         assert obj["certification"].startswith("sampled-evidence")
         assert obj["direction"] == "sub"
 
+    @pytest.mark.parametrize("direction,sign", [("sub", 1.0), ("super", -1.0)])
+    def test_ties_break_to_first_candidate_and_first_node(self, desk, monkeypatch, direction,
+                                                          sign):
+        # sub takes the first maximum over candidates of each candidate's
+        # first minimum over time; super mirrors it (sign flips G)
+        spec, grid, lattice, table = desk
+        original = minimax._characteristic_functional
+
+        def rigged(*args):
+            G, times = original(*args)
+            R = np.full(G.shape, -5.0 * sign)
+            R[1] = sign * np.array([1.0, -0.0, 0.0, 2.0])
+            R[2] = R[3] = sign * np.array([0.0, 3.0, 0.0, 1.0])
+            return R, times
+
+        monkeypatch.setattr(minimax, "_characteristic_functional", rigged)
+        site = (grid.nodes[2], Path.constant(grid, [0.3]), np.array([0.4]))
+        rep = minimax_residual(table, spec, site, direction, 0.25, 16, seed=1)
+        assert rep.best_candidate == "constant[p0,q1]"
+        assert rep.binding_time == grid.nodes[4]
+        assert rep.slack == 0.0 and np.copysign(1.0, rep.slack) == np.copysign(1.0, -sign)
+        assert rep.rhs == rep.lhs + rep.slack
+
 
 class TestViscosityResidual:
     def test_constant_game_zero_c_passes_both(self, const):
@@ -140,8 +164,10 @@ class TestViscosityResidual:
         x0 = Path.constant(grid, [0.0])
         (rep,) = viscosity_scan(table, spec, (0.0, x0), np.zeros(1), 0.25, c_values=(0.0,),
                                 search_budget=4, seed=2)["reports"]
-        obj = rep.to_json_obj()
-        assert "super" in obj and "sub" in obj
+        obj = json.loads(json.dumps(dataclasses.asdict(rep), allow_nan=False))
+        assert obj.keys() == {f.name for f in dataclasses.fields(rep)}
+        assert obj["certification"].startswith("sampled-evidence")
+        assert obj["super_verdict"] == obj["sub_verdict"] == "pass"
 
     def test_scan_clean_on_honest_table(self, desk):
         spec, grid, lattice, table = desk
@@ -188,7 +214,7 @@ def _viscosity_residual_reference(u, spec, site, z, c, horizon, *, search_budget
 
     sup_gap, inf_gap = 0.0, 0.0
     nodes = win_grid.nodes
-    _, paths, _ = minimax._candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)
+    paths = minimax._candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)[1]
     for values in paths.transpose(1, 0, 2):
         op = spec.dyn.op
         a_pair = np.array([float(op(t, values[k]) @ z)

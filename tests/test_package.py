@@ -31,7 +31,11 @@ DELETED = {"game": ("StrategyTrace", "play_pools"),
            "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing")}
 DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces",),
                    ("evolution", "DelayDynamics"): ("forced",),
-                   ("pathcore", "Path"): ("zero",)}
+                   ("pathcore", "Path"): ("zero",),
+                   # serializers no run writes
+                   ("game", "ValueTable"): ("to_json_obj",),
+                   ("minimax", "ViscosityReport"): ("to_json_obj",),
+                   ("upsilon", "ChainRuleReport"): ("to_json_obj",)}
 DELETED_PARAMETERS = {
     ("evolution", "solve_delay_evolution"): ("dyn", "forcing_algorithm"),
     ("evolution", "sample_reachable_set"): ("dyn",),
@@ -40,6 +44,7 @@ DELETED_PARAMETERS = {
     ("game", "greedy_adversary"): ("side", "lookahead"),
     ("game", "_GreedyLookahead"): ("side", "lookahead"),
     ("game", "step_rate_bound"): ("floor",),
+    ("minimax", "_characteristic_functional"): ("spec",),
 }
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from pdhj.errors import ContractError, ParameterError
 from pdhj.pathcore import Path, TimeGrid, kappa_constant
 from pdhj.upsilon import ZERO_BRANCH_TOL, LyapunovParams, surrogate_terms, verify_chain_rule
 from scalar_reference import lyapunov_nu, path_difference, penalty_psi, stop_path, sup_norm, \
-    to_json, upsilon
+    upsilon
 
 KAPPA = kappa_constant()
 
@@ -264,7 +265,10 @@ class TestChainRule:
         g = grid(16)
         x = Path(g, 2.0 - g.nodes)
         report = verify_chain_rule("upsilon", x, 0.0, 1.0)
-        obj = report.to_json_obj()
+        obj = json.loads(json.dumps(dataclasses.asdict(report), allow_nan=False))
+        assert obj.keys() == {f.name for f in dataclasses.fields(report)}
         assert obj["functional"] == "upsilon"
-        assert len(obj["levels"]) == len(report.levels)
-        assert json.loads(to_json(report)) == obj
+        assert tuple(map(tuple, obj["levels"])) == report.levels
+        assert tuple(obj["observed_orders"]) == report.observed_orders
+        for name in ("t0", "t1", "order_estimate", "kink_count", "exact"):
+            assert obj[name] == getattr(report, name)

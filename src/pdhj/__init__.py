@@ -14,7 +14,6 @@ from .errors import (
 )
 from .evolution import (
     AuditReport,
-    DelayDynamics,
     OperatorSpec,
     SolveReport,
     audit_hypotheses,

@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -136,7 +136,7 @@ def _dim(cfg: dict) -> int:
     """The state dimension of the config's game, or of its operator, which is
     not built here: p-laplacian-1d's build runs a sampled audit."""
     if "game" in cfg:
-        return _build_game(cfg["game"]).dyn.op.space.dim
+        return _build_game(cfg["game"]).op.space.dim
     operator = cfg["operator"]
     return operator["dim"] if operator["kind"] == "linear" else operator["nodes"]
 
@@ -331,7 +331,7 @@ def _run_game_value(cfg: dict, artifacts: dict):
     lattice = _build_lattice(cfg["lattice"])
     table = dp_value(spec, grid, lattice)
     artifacts["value_table.csv"] = table.to_csv()
-    probe = hamiltonian(spec, 0.0, Path.constant(grid, [0.0] * spec.dyn.op.space.dim),
+    probe = hamiltonian(spec, 0.0, Path.constant(grid, [0.0] * spec.op.space.dim),
                         np.asarray(cfg["probe_z"], dtype=float))
     gap_max = float(np.max(table.v_plus - table.v_minus))
     monotone = bool(np.all(table.v_minus <= table.v_plus + 1e-12))
@@ -351,7 +351,7 @@ def _run_isaacs_check(cfg: dict, artifacts: dict):
     samples, seed = cfg["samples"], cfg["seed"]
     rng = np.random.default_rng(seed)
     grid = TimeGrid(0.0, 1.0, 8)
-    dim = spec.dyn.op.space.dim
+    dim = spec.op.space.dim
     values, zs, times = np.empty((samples, 9, dim)), np.empty((samples, 1, dim)), np.empty(samples)
     for s in range(samples):  # draws in the order of one sample at a time: x, z, t
         values[s] = rng.standard_normal((9, dim))
@@ -401,7 +401,7 @@ def _run_feedback(cfg: dict, artifacts: dict):
     # on each partition
     calibration = adversary_pool(spec, table, cfg["calibration_budget"], seed + 1)
     pool = adversary_pool(spec, table, budget, seed + 2)
-    plays = [play_feedback_games(spec, strategy, calibration + pool
+    plays = [play_feedback_games(strategy, calibration + pool
                                  + adversary_pool(spec, table, min(budget, 16), seed + 2), part)
              for part in partitions]
     n_cal, n_est = len(calibration), len(pool)
@@ -422,7 +422,7 @@ def _run_feedback(cfg: dict, artifacts: dict):
         "game": spec.name,
         "epsilon": params.epsilon,
         "m_hat": m_hat,
-        "estimate": est.to_json_obj(),
+        "estimate": asdict(est),
         "value_at_start": v_site,
         "tolerance": tol,
         "lyapunov_stats": stats,
@@ -444,7 +444,7 @@ def _run_minimax_check(cfg: dict, artifacts: dict):
     for i in range(n_sites):
         k = int(rng.integers(0, max(grid.n_steps - 2, 1)))
         x0 = Path.constant(grid, _site_state(rng, lattice, 0.6))
-        z = rng.standard_normal(spec.dyn.op.space.dim)
+        z = rng.standard_normal(spec.op.space.dim)
         site = (grid.nodes[k], x0, z)
         sub = minimax_residual(table, spec, site, "sub", horizon, budget, seed=seed + 10 + i)
         sup = minimax_residual(table, spec, site, "super", horizon, budget, seed=seed + 500 + i)
@@ -454,7 +454,7 @@ def _run_minimax_check(cfg: dict, artifacts: dict):
     for j in range(3):
         k = int(rng.integers(0, max(grid.n_steps - 2, 1)))
         x0 = Path.constant(grid, _site_state(rng, lattice, 0.5))
-        z = rng.standard_normal(spec.dyn.op.space.dim) * 0.5
+        z = rng.standard_normal(spec.op.space.dim) * 0.5
         scan = viscosity_scan(table, spec, (grid.nodes[k], x0), z, horizon,
                               search_budget=budget, seed=seed + 900 + j)
         viscosity.append({"site_index": j,
@@ -469,7 +469,7 @@ def _run_minimax_check(cfg: dict, artifacts: dict):
         s_mid = tuple(n // 2 for n in lattice.shape)  # the entry at every axis's midpoint
         bumped = bump_table(table, k_mid, s_mid, 0.2, side="upper")
         x0 = Path.constant(grid, [float(axis[i]) for axis, i in zip(lattice.axes, s_mid)])
-        site = (grid.nodes[k_mid], x0, np.zeros(spec.dyn.op.space.dim))
+        site = (grid.nodes[k_mid], x0, np.zeros(spec.op.space.dim))
         mut = minimax_residual(bumped, spec, site, "sub", horizon, budget, seed=seed)
         mutation_detected = not mut.verdict
     rows = ["site,direction,slack,tolerance,verdict"]
@@ -504,7 +504,7 @@ def _run_stability(cfg: dict, artifacts: dict):
         passed = all(e <= 1e-12 for e in report.shift_exactness)
     else:
         passed = report.strictly_decreasing
-    return {"kind": "stability-run", **report.to_json_obj(), "passed": passed}
+    return {"kind": "stability-run", **asdict(report), "passed": passed}
 
 
 class Experiment(NamedTuple):

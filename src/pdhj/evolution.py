@@ -223,25 +223,6 @@ def audit_hypotheses(op: OperatorSpec, samples: int, seed: int,
 
 
 @dataclass(frozen=True, eq=False)
-class DelayDynamics:
-    """A game's dynamics x' + A(t, x) = rhs(t, stopped path, (p, q)).
-
-    rhs maps a time, the stopped path and a control pair to the drift f;
-    lipschitz_L is the L of the reachable-tube bound |f| <= L (1 + sup-norm
-    of the stopped path).  The forced solves (solve_delay_evolution and
-    sample_reachable_set) take the operator and L without it.
-    """
-
-    op: OperatorSpec
-    rhs: object
-    lipschitz_L: float
-
-    def __post_init__(self):
-        if self.lipschitz_L < 0:
-            raise DomainError("lipschitz_L must be >= 0")
-
-
-@dataclass(frozen=True, eq=False)
 class SolveReport:
     """One delay-evolution solve: path, applied forcing, and solver diagnostics."""
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import DelayDynamics, _drift_step, make_linear_operator, sample_reachable_set
+from .evolution import OperatorSpec, _drift_step, make_linear_operator, sample_reachable_set
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, pad_paths, \
     stopped_at, stopped_value_at, sup_norms, values_at
 from .upsilon import LyapunovParams, surrogate_terms
@@ -63,17 +63,18 @@ class ControlGrid:
     def n_q(self) -> int:
         return len(self.q_points)
 
-    def describe(self) -> str:
-        return f"P={list(self.p_points)!r} Q={list(self.q_points)!r}"
-
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Dynamics f, running cost, terminal cost, and control grids of one game.
+    """One game: dynamics x' + op(t, x) = rhs, running and terminal costs,
+    and control grids.
 
-    dyn.rhs is called as rhs(t, stopped path, (p, q)).  l_f is the growth
-    constant of |f| <= l_f (1 + sup-norm); lambda_L the Lipschitz constant of
-    (f, running cost) in the path sup-norm over the reachable tube.
+    rhs is called as rhs(t, stopped path, (p, q)) and gives the drift f.
+    l_f is the growth constant of |f| <= l_f (1 + sup-norm of the stopped
+    path), and so the tube constant of every lane solve the game makes; an
+    l_f that is not finite or is below 0 is refused (DomainError).  lambda_L
+    is the Lipschitz constant of (f, running cost) in the path sup-norm over
+    the reachable tube.
 
     markov_terms, when set, declares that the game reads the path only
     through x(t): markov_terms(t, states, p_points, q_points) returns the
@@ -84,7 +85,8 @@ class GameSpec:
     exact only for such games.
     """
 
-    dyn: DelayDynamics
+    op: OperatorSpec
+    rhs: object
     running_cost: object
     terminal_cost: object
     controls: ControlGrid
@@ -92,6 +94,10 @@ class GameSpec:
     lambda_L: float
     name: str = "game"
     markov_terms: object = None
+
+    def __post_init__(self):
+        if not (math.isfinite(self.l_f) and self.l_f >= 0):
+            raise DomainError(f"l_f must be finite and >= 0, got {self.l_f}")
 
     def final_cost(self, x: Path) -> float:
         val = float(self.terminal_cost(x))
@@ -117,7 +123,7 @@ class GameSpec:
         entry; entries not returned are not checked.
         """
         controls = self.controls
-        n, dim = len(states), self.dyn.op.space.dim
+        n, dim = len(states), self.op.space.dim
         grid_shape = (n, controls.n_p, controls.n_q)
         if self.markov_terms is not None:
             drift, cost = self.markov_terms(t, states, np.asarray(controls.p_points, dtype=float),
@@ -141,7 +147,7 @@ class GameSpec:
             if played is None else played
         drift = np.empty((len(entries[0]), dim))
         cost = np.empty(len(entries[0]))
-        rhs, running = self.dyn.rhs, self.running_cost
+        rhs, running = self.rhs, self.running_cost
         lane, x = None, None
         for e, (n_e, i, j) in enumerate(zip(*entries)):
             if n_e != lane:
@@ -152,17 +158,6 @@ class GameSpec:
         if played is None:
             return drift.reshape(grid_shape + (dim,)), cost.reshape(grid_shape)
         return drift, cost
-
-    def stage_terms(self, t: float, x: Path):
-        """(drift, cost) over the full control grid, shapes (n_p, n_q, dim) and
-        (n_p, n_q): lane_terms with the one lane x."""
-        drift, cost = self.lane_terms(t, x.value_at(t)[None], lambda _: x)
-        return drift[0], cost[0]
-
-    def stage_matrix(self, t: float, x: Path, z) -> np.ndarray:
-        """M[i, j] = cost(p_i, q_j) + (f(p_i, q_j), z) over the full control grid."""
-        drift, cost = self.stage_terms(t, x)
-        return cost + _row_dots(drift, np.atleast_1d(np.asarray(z, dtype=float)))
 
 
 def _nonfinite(term: str, t, p, q) -> EvaluationError:
@@ -187,14 +182,10 @@ def _finite_cost(c: float, t, p, q) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianEval:
-    """Lower/upper Hamiltonians at one (t, x, z) with argmin/argmax records."""
+    """Lower/upper Hamiltonians at one (t, x, z)."""
 
     f_minus: float
     f_plus: float
-    minus_q_index: int
-    minus_p_index: int
-    plus_p_index: int
-    plus_q_index: int
 
     @property
     def isaacs_gap(self) -> float:
@@ -202,16 +193,12 @@ class HamiltonianEval:
 
 
 def hamiltonian(spec: GameSpec, t: float, x: Path, z) -> HamiltonianEval:
-    """Exact enumeration of max_q min_p and min_p max_q of cost + (f, z).
-
-    Ties break to the smallest index; the one-matrix case of minimax_records.
-    """
-    records = minimax_records(spec.stage_matrix(t, x, z)[None])
-    f_minus, f_plus, minus_q, minus_p, plus_p, plus_q = (r[0] for r in records)
-    return HamiltonianEval(
-        f_minus=float(f_minus), f_plus=float(f_plus),
-        minus_q_index=int(minus_q), minus_p_index=int(minus_p),
-        plus_p_index=int(plus_p), plus_q_index=int(plus_q))
+    """Exact enumeration of max_q min_p and min_p max_q of cost + (f, z): one
+    lane_terms call on the lane x, reduced by minimax_records."""
+    drift, cost = spec.lane_terms(t, x.value_at(t)[None], lambda _: x)
+    f_minus, f_plus = minimax_records(
+        cost + _row_dots(drift, np.atleast_1d(np.asarray(z, dtype=float))))[:2]
+    return HamiltonianEval(f_minus=float(f_minus[0]), f_plus=float(f_plus[0]))
 
 
 def minimax_records(M: np.ndarray):
@@ -280,7 +267,7 @@ def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> Lips
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    dim = spec.dyn.op.space.dim
+    dim = spec.op.space.dim
     grids, kept = {}, []
     for _ in range(samples):
         n = int(rng.integers(4, 10))
@@ -331,6 +318,9 @@ class StateLattice:
             raise DomainError("lo, hi, shape must have matching lengths")
         if len(lo) > 2:
             raise DomainError("value lattice supports state dimension <= 2 (oracle only)")
+        for name, bound in (("lo", lo), ("hi", hi)):
+            if not all(map(math.isfinite, bound)):
+                raise DomainError(f"lattice {name} must be finite, got {bound}")
         if any(h <= l for l, h in zip(lo, hi)) or any(s < 2 for s in shape):
             raise DomainError("need hi > lo and at least 2 points per dimension")
         object.__setattr__(self, "lo", lo)
@@ -428,7 +418,6 @@ class ValueTable:
     lattice: StateLattice
     v_minus: np.ndarray
     v_plus: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def side_values(self, side: str) -> np.ndarray:
         if is_upper_side(side):
@@ -527,7 +516,7 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     if spec.markov_terms is None and k > 0:
         _require_markov(spec, grid, k, points, drift, cost)
     starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
-    succ, _, _ = _drift_step(spec.dyn.op, t_k1, dt, starts, drift.reshape(-1, dim),
+    succ, _, _ = _drift_step(spec.op, t_k1, dt, starts, drift.reshape(-1, dim),
                              STEP_SOLVE_TOL, k)
     margins = lattice.coverage_margins(succ)
     worst = int(np.argmax(margins))
@@ -642,15 +631,7 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
             v_minus[k] = m_k
         if want_plus:
             v_plus[k] = p_k
-    metadata = {
-        "game": spec.name,
-        "controls": spec.controls.describe(),
-        "lattice_spacing": list(lattice.spacing),
-        "mesh": grid.mesh,
-        "side": side,
-    }
-    return ValueTable(grid=grid, lattice=lattice, v_minus=v_minus, v_plus=v_plus,
-                      metadata=metadata)
+    return ValueTable(grid=grid, lattice=lattice, v_minus=v_minus, v_plus=v_plus)
 
 
 def recompute_slice(table: ValueTable, spec: GameSpec, k: int, side: str) -> np.ndarray:
@@ -829,7 +810,7 @@ def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
     hist = extend_history(x0, inner, t0)
     library = []
     if library_size > 0:
-        library = [rep.path for rep in sample_reachable_set(spec.dyn.op, t0, hist, library_size,
+        library = [rep.path for rep in sample_reachable_set(spec.op, t0, hist, library_size,
                                                             seed, lipschitz_L=spec.l_f)]
     return FeedbackStrategy(spec, params, value, t0, hist, library)
 
@@ -897,10 +878,11 @@ class FeedbackPlay:
                        **{name: getattr(self, name)[:, games] for name in columns})
 
 
-def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
+def play_feedback_games(strategy: FeedbackStrategy, adversaries,
                         partition: TimeGrid) -> FeedbackPlay:
-    """Play one game per adversary on one partition, all games in lockstep,
-    and return their FeedbackPlay record, games in adversary order.
+    """Play one game of strategy.spec per adversary on one partition, all
+    games in lockstep, and return their FeedbackPlay record, games in
+    adversary order.
 
     The strategy commits p per partition cell and the adversary answers q.  An
     adversary is any per-step policy (t, path_of, p_index) -> q_index, where
@@ -924,6 +906,7 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
     of the record are bit-identical to playing it alone.  Errors follow the
     lockstep rule of pdhj.evolution over these phases.
     """
+    spec = strategy.spec
     adversaries = list(adversaries)
     inner = strategy.x0.grid
     nodes = inner.nodes
@@ -961,7 +944,7 @@ def play_feedback_games(spec: GameSpec, strategy: FeedbackStrategy, adversaries,
             drift, cost = spec.lane_terms(
                 t_k, values[k], lambda g: stopped_at(inner, values[:, g], k), played)
             step_cost += dt * cost
-            values[k + 1], _, _ = _drift_step(spec.dyn.op, nodes[k + 1], dt, values[k], drift,
+            values[k + 1], _, _ = _drift_step(spec.op, nodes[k + 1], dt, values[k], drift,
                                               STEP_SOLVE_TOL, k)
         running += step_cost
         after = strategy.companion_minima(t_i1, values[: kb + 1])
@@ -1025,7 +1008,7 @@ class _GreedyLookahead:
         rows = np.repeat(np.arange(n), n_q)
         played = (rows, np.repeat(p_indices, n_q), np.tile(np.arange(n_q), n))
         drifts, costs = spec.lane_terms(t, states, path_of, played)
-        succ, _, _ = _drift_step(spec.dyn.op, t + dt, dt, states[rows], drifts, STEP_SOLVE_TOL, k)
+        succ, _, _ = _drift_step(spec.op, t + dt, dt, states[rows], drifts, STEP_SOLVE_TOL, k)
         ahead = value.interp_batch("upper", t + dt, succ)
         picks = np.zeros(n, dtype=int)
         for g, scores in enumerate((dt * costs + ahead).reshape(n, n_q)):
@@ -1115,15 +1098,6 @@ class GuaranteeEstimate:
                    per_partition=tuple(per_partition), budget=budget, seed=seed,
                    certificate=certificate)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "value": self.value,
-            "per_partition": [dict(p) for p in self.per_partition],
-            "budget": self.budget,
-            "seed": self.seed,
-            "certificate": dict(self.certificate),
-        }
-
 
 # ---------------------------------------------------------------------------
 # desk-scale game builders
@@ -1132,10 +1106,6 @@ class GuaranteeEstimate:
 def bilinear_game(scale: float = 1.0, levels=(-1.0, 1.0), gain: float = 1.0,
                   terminal: str = "abs") -> GameSpec:
     """dim-1 game with drift scale * p * q: the classic non-Isaacs example."""
-    op = make_linear_operator(dim=1, gain=gain)
-    dyn = DelayDynamics(op=op,
-                        rhs=lambda t, x, u: np.array([scale * u[0] * u[1]]),
-                        lipschitz_L=abs(scale) * max(abs(v) for v in levels) ** 2)
     h = (lambda x: float(np.linalg.norm(x.values[-1]))) if terminal == "abs" \
         else (lambda x: float(np.dot(x.values[-1], x.values[-1])))
 
@@ -1144,11 +1114,13 @@ def bilinear_game(scale: float = 1.0, levels=(-1.0, 1.0), gain: float = 1.0,
         shape = (len(states),) + drift.shape
         return np.broadcast_to(drift[..., None], shape + (1,)), np.zeros(shape)
 
-    return GameSpec(dyn=dyn,
+    return GameSpec(op=make_linear_operator(dim=1, gain=gain),
+                    rhs=lambda t, x, u: np.array([scale * u[0] * u[1]]),
                     running_cost=lambda t, x, p, q: 0.0,
                     terminal_cost=h,
                     controls=ControlGrid(p_points=levels, q_points=levels),
-                    l_f=dyn.lipschitz_L, lambda_L=0.1, name="bilinear", markov_terms=markov)
+                    l_f=abs(scale) * max(abs(v) for v in levels) ** 2, lambda_L=0.1,
+                    name="bilinear", markov_terms=markov)
 
 
 def isaacs_game(scale: float = 0.5, levels=(-1.0, 0.0, 1.0), gain: float = 1.0,
@@ -1158,11 +1130,7 @@ def isaacs_game(scale: float = 0.5, levels=(-1.0, 0.0, 1.0), gain: float = 1.0,
     The stage objective is separable in (p, q), so min-max equals max-min and
     the Isaacs gap vanishes identically.
     """
-    op = make_linear_operator(dim=1, gain=gain)
     level_max = max(abs(v) for v in levels)
-    dyn = DelayDynamics(op=op,
-                        rhs=lambda t, x, u: np.array([scale * (float(u[0]) + float(u[1]))]),
-                        lipschitz_L=2.0 * abs(scale) * level_max)
 
     def running(t, x, p, q):
         xt = x.value_at(t)
@@ -1182,22 +1150,22 @@ def isaacs_game(scale: float = 0.5, levels=(-1.0, 0.0, 1.0), gain: float = 1.0,
     # |x| <= ~1.5, so the sup-norm Lipschitz constant of the running cost is
     # cost_weight * 2 * 1.5
     lam = max(3.0 * cost_weight, 0.1)
-    return GameSpec(dyn=dyn, running_cost=running, terminal_cost=terminal,
+    return GameSpec(op=make_linear_operator(dim=1, gain=gain),
+                    rhs=lambda t, x, u: np.array([scale * (float(u[0]) + float(u[1]))]),
+                    running_cost=running, terminal_cost=terminal,
                     controls=ControlGrid(p_points=levels, q_points=levels),
-                    l_f=dyn.lipschitz_L, lambda_L=lam, name="isaacs-additive",
+                    l_f=2.0 * abs(scale) * level_max, lambda_L=lam, name="isaacs-additive",
                     markov_terms=markov)
 
 
 def constant_game(cost: float = 1.0, gain: float = 1.0) -> GameSpec:
     """Zero dynamics forcing, constant running cost: value is cost * (T - t)."""
-    op = make_linear_operator(dim=1, gain=gain)
-    dyn = DelayDynamics(op=op, rhs=lambda t, x, u: np.zeros(1), lipschitz_L=0.0)
-
     def markov(t, states, P, Q):
         shape = (len(states), len(P), len(Q))
         return np.zeros(shape + (1,)), np.full(shape, float(cost))
 
-    return GameSpec(dyn=dyn,
+    return GameSpec(op=make_linear_operator(dim=1, gain=gain),
+                    rhs=lambda t, x, u: np.zeros(1),
                     running_cost=lambda t, x, p, q: cost,
                     terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=(0.0,), q_points=(0.0,)),
@@ -1212,11 +1180,11 @@ def with_terminal_shift(spec: GameSpec, shift: float) -> GameSpec:
 
 def with_drift_perturbation(spec: GameSpec, magnitude: float) -> GameSpec:
     """Add a constant drift, perturbing the Hamiltonian z-dependently by (w, z)."""
-    dim = spec.dyn.op.space.dim
+    dim = spec.op.space.dim
     w = np.full(dim, magnitude)
 
     def rhs(t, x, u):
-        return np.atleast_1d(spec.dyn.rhs(t, x, u)) + w
+        return np.atleast_1d(spec.rhs(t, x, u)) + w
 
     markov = None
     if spec.markov_terms is not None:
@@ -1224,7 +1192,5 @@ def with_drift_perturbation(spec: GameSpec, magnitude: float) -> GameSpec:
             drift, cost = spec.markov_terms(t, states, P, Q)
             return drift + w, cost
 
-    dyn = DelayDynamics(op=spec.dyn.op, rhs=rhs,
-                        lipschitz_L=spec.dyn.lipschitz_L + abs(magnitude) * np.sqrt(dim))
-    return replace(spec, dyn=dyn, l_f=spec.l_f + abs(magnitude) * np.sqrt(dim),
+    return replace(spec, rhs=rhs, l_f=spec.l_f + abs(magnitude) * np.sqrt(dim),
                    name=f"{spec.name}-fdrift", markov_terms=markov)

@@ -92,9 +92,9 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
     the two characteristics and max(0, budget - n_p n_q - 2) random tube
     samples; values has shape (node, lane, dim) on hist.grid, and forcing
     (step, lane, dim) and hams, the side's Hamiltonian of (t_k, x(t_k), z),
-    (step, lane) from t0 on.  The game lanes take the tube constant
-    spec.dyn.lipschitz_L and the tube lanes spec.l_f.  Each step has four
-    phases, in this order for the lockstep rule of pdhj.evolution:
+    (step, lane) from t0 on.  Every lane takes the tube constant spec.l_f.
+    Each step has four phases, in this order for the lockstep rule of
+    pdhj.evolution:
 
     1. the characteristic aims: one ValueTable.gradient call;
     2. the stage terms: one full-grid lane_terms call over every lane, so a
@@ -120,7 +120,7 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
     p_idx = np.append(game[:n_pairs] // controls.n_q, [0, 0])
     q_idx = np.append(game[:n_pairs] % controls.n_q, [0, 0])
     chars = slice(n_pairs, n_game)
-    L = np.array([spec.dyn.lipschitz_L] * n_game + [spec.l_f] * n_random, dtype=float)
+    L = np.full(n_game + n_random, float(spec.l_f))
     streams = [np.random.default_rng([seed, i]) for i in range(n_random)]
     z = np.atleast_1d(np.asarray(z, dtype=float))
     upper = is_upper_side(side)
@@ -153,7 +153,7 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
         f[n_game:] = _ball_points(streams, hist.dim, bound[n_game:])
         return f
 
-    values, forcing, _, _ = _lockstep_solve(spec.dyn.op, t0, hist, L, step_forcing)
+    values, forcing, _, _ = _lockstep_solve(spec.op, t0, hist, L, step_forcing)
     return labels, values, forcing, hams
 
 
@@ -288,7 +288,7 @@ def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
     values = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)[1]
     nodes = win_grid.nodes
     paths = np.ascontiguousarray(values.transpose(1, 0, 2))  # (candidate, node, coordinate)
-    op = spec.dyn.op
+    op = spec.op
     a_pair = [_row_dots(op.batch(nodes[k], paths[:, k]), z)
               for k in range(k0, win_grid.n_steps + 1)]
     corr = np.zeros(len(paths))
@@ -342,16 +342,6 @@ class StabilityReport:
     side: str
     strictly_decreasing: bool
     shift_exactness: tuple
-
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.family,
-            "n_list": list(self.n_list),
-            "distances": list(self.distances),
-            "side": self.side,
-            "strictly_decreasing": self.strictly_decreasing,
-            "shift_exactness": list(self.shift_exactness),
-        }
 
 
 STABILITY_FAMILIES = {"h-shift": with_terminal_shift, "f-drift": with_drift_perturbation}
@@ -415,9 +405,4 @@ def bump_table(table: ValueTable, time_index: int, state_index, amount: float,
         raise DomainError(f"table holds no {side} values")
     idx = (time_index,) + tuple(np.atleast_1d(state_index))
     target[idx] += amount
-    meta = dict(table.metadata)
-    meta["mutation"] = {"time_index": time_index,
-                        "state_index": list(np.atleast_1d(state_index)),
-                        "amount": amount, "side": side}
-    return ValueTable(grid=table.grid, lattice=table.lattice, v_minus=v_minus,
-                      v_plus=v_plus, metadata=meta)
+    return ValueTable(grid=table.grid, lattice=table.lattice, v_minus=v_minus, v_plus=v_plus)

@@ -38,6 +38,9 @@ class TimeGrid:
     explicit_nodes: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
+        for name in ("t_start", "t_end"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.t_end > self.t_start):
             raise DomainError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
         if self.n_steps < 1:

@@ -21,7 +21,8 @@ the batches are checked against.
   characteristic aimed by value_gradient and picking its pair from one
   lane's stage terms.
 - drift and stage_cost: one (p, q) entry of GameSpec.lane_terms through the
-  path callbacks, with its finiteness check.
+  path callbacks, with its finiteness check; stage_matrix, cost + (f, z) of
+  one lane over the full control grid, one pair at a time.
 - game_audit: the growth and finiteness audit of a GameSpec on random
   paths, which no run calls.
 - stop_path, sup_norm and d_infinity: the one-path forms of the padded
@@ -426,7 +427,7 @@ def isaacs_samples(spec: GameSpec, samples: int, seed: int):
     """(max_isaacs_gap, order_violations) of the isaacs-check runner."""
     rng = np.random.default_rng(seed)
     grid = TimeGrid(0.0, 1.0, 8)
-    dim = spec.dyn.op.space.dim
+    dim = spec.op.space.dim
     worst_gap, violations = 0.0, 0
     for _ in range(samples):
         x = Path(grid, rng.standard_normal((9, dim)))
@@ -442,7 +443,7 @@ def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> Lips
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
-    dim = spec.dyn.op.space.dim
+    dim = spec.op.space.dim
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(4, 10))
@@ -503,8 +504,8 @@ def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):
 
     def policy(t, x_stop):
         zhat = value_gradient(table, side, t, x_stop.value_at(t))
-        drift, cost = spec.stage_terms(t, x_stop)  # both matrices from one lane_terms call
-        M_test, M_grad = cost + _row_dots(drift, z), cost + _row_dots(drift, zhat)
+        drift, cost = spec.lane_terms(t, x_stop.value_at(t)[None], lambda _: x_stop)
+        M_test, M_grad = cost[0] + _row_dots(drift[0], z), cost[0] + _row_dots(drift[0], zhat)
         if upper:
             commit, answer = (M_grad, M_test) if role == "super" else (M_test, M_grad)
             i = int(np.argmin(commit.max(axis=1)))
@@ -522,20 +523,19 @@ def _candidate_runs_reference(spec: GameSpec, table: ValueTable, side: str, t0: 
                               hist: Path, z, budget: int, seed: int) -> list:
     """(label, SolveReport) candidates, one sequential solve each: the constant
     pairs, the two characteristics and the random tube draws."""
-    dyn = spec.dyn
     runs = []
     for i, p in enumerate(spec.controls.p_points):
         for j, q in enumerate(spec.controls.q_points):
-            rep = _solve_reference(dyn.op, t0, hist, lambda t, x, pq=(p, q): pq,
-                                   lipschitz_L=dyn.lipschitz_L, rhs=dyn.rhs)
+            rep = _solve_reference(spec.op, t0, hist, lambda t, x, pq=(p, q): pq,
+                                   lipschitz_L=spec.l_f, rhs=spec.rhs)
             runs.append((f"constant[p{i},q{j}]", rep))
     for role in ("super", "sub"):
-        rep = _solve_reference(dyn.op, t0, hist, _char_policy(spec, table, side, role, z),
-                               lipschitz_L=dyn.lipschitz_L, rhs=dyn.rhs)
+        rep = _solve_reference(spec.op, t0, hist, _char_policy(spec, table, side, role, z),
+                               lipschitz_L=spec.l_f, rhs=spec.rhs)
         runs.append((f"characteristic[{role}]", rep))
     n_random = max(0, budget - len(runs))
     if n_random > 0:
-        for i, rep in enumerate(_sample_reference(dyn.op, t0, hist, n_random, seed,
+        for i, rep in enumerate(_sample_reference(spec.op, t0, hist, n_random, seed,
                                                   lipschitz_L=spec.l_f)):
             runs.append((f"random[{i}]", rep))
     return runs
@@ -543,7 +543,7 @@ def _candidate_runs_reference(spec: GameSpec, table: ValueTable, side: str, t0: 
 
 def drift(spec: GameSpec, t: float, x: Path, p, q) -> np.ndarray:
     """The drift of the control pair (p, q) at (t, x) from the game's rhs."""
-    return _finite_drift(np.atleast_1d(np.asarray(spec.dyn.rhs(t, x, (p, q)), dtype=float)),
+    return _finite_drift(np.atleast_1d(np.asarray(spec.rhs(t, x, (p, q)), dtype=float)),
                          t, p, q)
 
 
@@ -552,10 +552,21 @@ def stage_cost(spec: GameSpec, t: float, x: Path, p, q) -> float:
     return _finite_cost(float(spec.running_cost(t, x, p, q)), t, p, q)
 
 
+def stage_matrix(spec: GameSpec, t: float, x: Path, z) -> np.ndarray:
+    """M[i, j] = cost(p_i, q_j) + (f(p_i, q_j), z) over the full control grid,
+    one cost and one drift call per (p, q)."""
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    M = np.empty((spec.controls.n_p, spec.controls.n_q))
+    for i, p in enumerate(spec.controls.p_points):
+        for j, q in enumerate(spec.controls.q_points):
+            M[i, j] = stage_cost(spec, t, x, p, q) + float(drift(spec, t, x, p, q) @ z)
+    return M
+
+
 def game_audit(spec: GameSpec, samples: int, seed: int) -> dict:
     """Check |f| <= l_f (1 + sup) and finiteness of costs on random inputs."""
     rng = np.random.default_rng(seed)
-    dim = spec.dyn.op.space.dim
+    dim = spec.op.space.dim
     worst = 0.0
     for _ in range(samples):
         n = int(rng.integers(4, 12))
@@ -597,7 +608,7 @@ def calibrate_step_bound(spec: GameSpec, strategy: FeedbackStrategy, partitions,
                          calibration_budget: int, seed: int) -> float:
     """step_rate_bound of a calibration adversary pool played on each partition."""
     pool = adversary_pool(spec, strategy.value, calibration_budget, seed)
-    return step_rate_bound([play_feedback_games(spec, strategy, pool, partition)
+    return step_rate_bound([play_feedback_games(strategy, pool, partition)
                             for partition in partitions])
 
 
@@ -613,7 +624,7 @@ def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
         raise ConfigurationError("strategy history does not match the requested start state")
     pool = adversary_pool(spec, strategy.value, adversary_budget, seed)
     return GuaranteeEstimate.from_payoffs(
-        pool, partitions, [play_feedback_games(spec, strategy, pool, p).payoff for p in partitions],
+        pool, partitions, [play_feedback_games(strategy, pool, p).payoff for p in partitions],
         adversary_budget, seed)
 
 

@@ -245,7 +245,7 @@ def test_criterion_08_feedback_efficacy(desk_table):
 
     v_minus_site = table.interp("lower", 0.0, np.array([0.4]))
     pool = adversary_pool(spec, table, budget, 2000)
-    plays = [play_feedback_games(spec, strategy, pool, part) for part in partitions]
+    plays = [play_feedback_games(strategy, pool, part) for part in partitions]
     stats = lyapunov_violation_stats(plays, m_hat)
     ok = (est.value <= v_site + tol
           and est.value >= v_minus_site - tol

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pdhj import cli
 from pdhj.errors import EvaluationError
-from pdhj.evolution import DelayDynamics, make_linear_operator
+from pdhj.evolution import make_linear_operator
 from pdhj.game import (
     ControlGrid,
     GameSpec,
@@ -194,10 +194,9 @@ def _planar_game():
         cost = 0.05 * _row_dots(states, states)[:, None, None] + (0.1 * P[:, None]) * Q[None, :]
         return np.broadcast_to(drift, (len(states),) + drift.shape), cost
 
-    dyn = DelayDynamics(op=make_linear_operator(dim=2, gain=1.0),
-                        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-                        lipschitz_L=0.8)
-    return GameSpec(dyn=dyn, running_cost=running,
+    return GameSpec(op=make_linear_operator(dim=2, gain=1.0),
+                    rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
+                    running_cost=running,
                     terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
                     controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.5, 1.0)),
                     l_f=0.8, lambda_L=0.3, name="planar", markov_terms=markov)
@@ -209,9 +208,8 @@ def _delayed_game():
         past = x.value_at(max(t - 0.25, x.grid.t_start))
         return 0.1 * float(np.dot(past, past)) + 0.2 * p - 0.1 * q
 
-    return GameSpec(dyn=DelayDynamics(op=make_linear_operator(),
-                                      rhs=lambda t, x, u: np.array([0.5 * u[0] * u[1]]),
-                                      lipschitz_L=0.5),
+    return GameSpec(op=make_linear_operator(),
+                    rhs=lambda t, x, u: np.array([0.5 * u[0] * u[1]]),
                     running_cost=running, terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.0, 1.0)),
                     l_f=0.5, lambda_L=0.2, name="delayed")
@@ -251,7 +249,7 @@ class TestSampledHamiltonians:
     @given(data=st.data())
     def test_matches_hamiltonian_per_sample(self, name, data):
         spec = HAMILTONIAN_GAMES[name]()
-        samples = data.draw(_hamiltonian_samples(spec.dyn.op.space.dim))
+        samples = data.draw(_hamiltonian_samples(spec.op.space.dim))
         nodes, values = pad_paths([s[0].nodes for s in samples], [s[1] for s in samples])
         times = np.array([s[2] for s in samples])
         f_minus, f_plus = sampled_hamiltonians(

@@ -6,7 +6,6 @@ import pytest
 from pdhj import evolution
 from pdhj.errors import LatticeCoverageError, SolverError
 from pdhj.evolution import (
-    DelayDynamics,
     OperatorSpec,
     _implicit_step_batch,
     build_p_laplacian,
@@ -38,7 +37,7 @@ def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts
     points = lattice.points()
     out_minus = np.empty(len(points)) if v_minus_next is not None else None
     out_plus = np.empty(len(points)) if v_plus_next is not None else None
-    op = spec.dyn.op
+    op = spec.op
     for idx, (point, lift) in enumerate(zip(points, lifts)):
         obj_minus = np.empty((n_p, n_q)) if out_minus is not None else None
         obj_plus = np.empty((n_p, n_q)) if out_plus is not None else None
@@ -68,11 +67,9 @@ def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts
 
 
 def planar_game():
-    op = make_linear_operator(dim=2, gain=1.0)
-    dyn = DelayDynamics(op=op, rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-                        lipschitz_L=0.8)
     return GameSpec(
-        dyn=dyn,
+        op=make_linear_operator(dim=2, gain=1.0),
+        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
         running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
         terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
         controls=ControlGrid(p_points=(-1.0, 0.0, 1.0), q_points=(-1.0, 1.0)),
@@ -315,10 +312,9 @@ def test_greedy_adversary_reports_node_index():
     spec = isaacs_game()
     grid = TimeGrid(0.0, 1.0, 8)
     table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,)))
-    broken = OperatorSpec(space=spec.dyn.op.space, eval_fn=lambda t, v: np.full_like(v, np.nan),
+    broken = OperatorSpec(space=spec.op.space, eval_fn=lambda t, v: np.full_like(v, np.nan),
                           c1=1.0, c2=1.0)
-    bad = GameSpec(dyn=DelayDynamics(op=broken, rhs=spec.dyn.rhs,
-                                     lipschitz_L=spec.dyn.lipschitz_L),
+    bad = GameSpec(op=broken, rhs=spec.rhs,
                    running_cost=spec.running_cost, terminal_cost=spec.terminal_cost,
                    controls=spec.controls, l_f=spec.l_f, lambda_L=spec.lambda_L)
     policy = greedy_adversary(bad, table)

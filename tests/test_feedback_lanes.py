@@ -10,7 +10,6 @@ import pytest
 from pdhj import cli, evolution, game
 from pdhj.errors import DomainError, EvaluationError, LatticeCoverageError, SolverError
 from pdhj.evolution import (
-    DelayDynamics,
     OperatorSpec,
     make_linear_operator,
     sample_reachable_set,
@@ -42,7 +41,7 @@ from pdhj.game import (
 from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
 from scalar_reference import _implicit_step, calibrate_step_bound, drift, estimate_guaranteed_result, \
-    stage_cost
+    stage_cost, stage_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +106,7 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        p_idx = int(np.argmin(spec.stage_matrix(t_i, x_now, companion[3]).max(axis=1)))
+        p_idx = int(np.argmin(stage_matrix(spec, t_i, x_now, companion[3]).max(axis=1)))
         q_idx = int(adversary(t_i, lambda: x_now, p_idx))
         p = spec.controls.p_points[p_idx]
         q = spec.controls.q_points[q_idx]
@@ -119,7 +118,7 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
             step_cost += dt * stage_cost(spec, nodes[k], x_stop, p, q)
             target = values[k] + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(values[k])))
-            values[k + 1], _, _ = _implicit_step(spec.dyn.op, nodes[k + 1], dt,
+            values[k + 1], _, _ = _implicit_step(spec.op, nodes[k + 1], dt,
                                                  target, values[k], tol, k)
         running += step_cost
         x_next = stopped_at(inner, values, kb)
@@ -165,7 +164,7 @@ def _greedy_reference(spec, value):
             f = drift(spec, t, x, p, q)
             target = state + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
-            succ, _, _ = _implicit_step(spec.dyn.op, t + dt, dt, target, state, tol, k)
+            succ, _, _ = _implicit_step(spec.op, t + dt, dt, target, state, tol, k)
             val = dt * stage_cost(spec, t, x, p, q) + value.interp("upper", t + dt, succ)
             if val > best_val + 1e-15:
                 best_j, best_val = j, val
@@ -193,11 +192,9 @@ def _assert_game_equal(play, g, want):
 
 
 def _planar_game():
-    op = make_linear_operator(dim=2, gain=1.0)
-    dyn = DelayDynamics(op=op, rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-                        lipschitz_L=0.8)
     return GameSpec(
-        dyn=dyn,
+        op=make_linear_operator(dim=2, gain=1.0),
+        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
         running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
         terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
         controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
@@ -236,7 +233,7 @@ class TestPoolMatchesGameByGame:
         ref = adversary_pool(spec, table, spec.controls.n_q + 4, seed=17)
         kinds = set()
         for partition in partitions:
-            play = play_feedback_games(spec, strategy, lanes, partition)
+            play = play_feedback_games(strategy, lanes, partition)
             assert play.p.shape == (partition.n_steps, len(lanes))
             for g, adv in enumerate(ref):
                 _assert_game_equal(play, g,
@@ -249,13 +246,13 @@ class TestPoolMatchesGameByGame:
         n_q = spec.controls.n_q
         lanes = [random_adversary(s, n_q) for s in (3, 4, 5)]
         ref = [random_adversary(s, n_q) for s in (3, 4, 5)]
-        first = [play_feedback_games(spec, strategy, lanes, p) for p in partitions]
+        first = [play_feedback_games(strategy, lanes, p) for p in partitions]
         for partition, play in zip(partitions, first):
             for g, adv in enumerate(ref):
                 _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
                                                                          partition))
         # a fresh pool replays the first partition's choices, the carried one does not
-        fresh = play_feedback_games(spec, strategy,
+        fresh = play_feedback_games(strategy,
                                     [random_adversary(s, n_q) for s in (3, 4, 5)],
                                     partitions[1])
         assert not np.array_equal(fresh.q, first[1].q)
@@ -264,7 +261,7 @@ class TestPoolMatchesGameByGame:
         spec, table, strategy, partitions = _desk(1, 16)
         adv = greedy_adversary(spec, table)
         for partition in partitions:
-            _assert_plays_equal(play_feedback_games(spec, strategy, [adv], partition),
+            _assert_plays_equal(play_feedback_games(strategy, [adv], partition),
                                 _run_feedback_game_reference(spec, strategy, adv, partition))
 
     def test_mid_horizon_start(self):
@@ -278,7 +275,7 @@ class TestPoolMatchesGameByGame:
                                            library_size=8, seed=1)
         pool = adversary_pool(spec, table, 6, seed=2)
         ref = adversary_pool(spec, table, 6, seed=2)
-        play = play_feedback_games(spec, strategy, pool, partition)
+        play = play_feedback_games(strategy, pool, partition)
         for g, adv in enumerate(ref):
             _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
                                                                      partition))
@@ -293,13 +290,13 @@ class TestPoolMatchesGameByGame:
             return fallback(*args)
 
         monkeypatch.setattr(evolution, "_fallback_step", counted)
-        play_feedback_games(spec, strategy, adversary_pool(spec, table, 6, seed=1),
+        play_feedback_games(strategy, adversary_pool(spec, table, 6, seed=1),
                             partitions[1])
         assert calls == []
 
     def test_empty_pool(self):
         spec, table, strategy, partitions = _desk(1, 0)
-        play = play_feedback_games(spec, strategy, [], partitions[0])
+        play = play_feedback_games(strategy, [], partitions[0])
         assert play.p.shape == play.residual.shape == (partitions[0].n_steps, 0)
         assert play.values.shape == (len(strategy.x0.grid.nodes), 0, 1)
         assert play.payoff.shape == (0,)
@@ -366,7 +363,7 @@ class TestGreedyLanes:
             return answers(self, t, k, states, path_of, p_indices)
 
         monkeypatch.setattr(game._GreedyLookahead, "answers", spy)
-        play = play_feedback_games(spec, strategy, pool, partition)
+        play = play_feedback_games(strategy, pool, partition)
         assert batches == [2, 1] * partition.n_steps
         for g, adv in enumerate(ref):
             _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
@@ -384,7 +381,7 @@ class TestGreedyLanes:
 
         monkeypatch.setattr(game, "stopped_at", counted)
         pool = adversary_pool(spec, table, 6, seed=1)  # constants, greedy, random
-        play_feedback_games(spec, strategy, pool, partitions[0])
+        play_feedback_games(strategy, pool, partitions[0])
         # a Markov game reads none; a path-dependent one each lane's path once
         # per partition node (controls and greedy share it) and once per step
         assert len(built) == (0 if markov else len(pool) * (4 + 8))
@@ -420,16 +417,16 @@ class TestPoolsAsOneLaneSet:
 
         # one lane set per partition, as cli._run_feedback plays them
         calibration, pool, replays = pools()
-        played = [play_feedback_games(spec, strategy, calibration + pool + replay, part)
+        played = [play_feedback_games(strategy, calibration + pool + replay, part)
                   for part, replay in zip(partitions, replays)]
         pool_lanes = [slice(0, calibration_budget), slice(calibration_budget,
                                                           calibration_budget + budget),
                       slice(calibration_budget + budget, None)]
         # each pool in its own calls: calibration, then estimate, then replays
         calibration_ref, pool_ref, replays_ref = pools()
-        separate = [[play_feedback_games(spec, strategy, calibration_ref, p) for p in partitions],
-                    [play_feedback_games(spec, strategy, pool_ref, p) for p in partitions],
-                    [play_feedback_games(spec, strategy, r, p)
+        separate = [[play_feedback_games(strategy, calibration_ref, p) for p in partitions],
+                    [play_feedback_games(strategy, pool_ref, p) for p in partitions],
+                    [play_feedback_games(strategy, r, p)
                      for r, p in zip(replays_ref, partitions)]]
         for i in range(len(partitions)):
             for j in range(3):
@@ -448,7 +445,7 @@ class TestPoolsAsOneLaneSet:
                                              budget, seed + 2)
         want = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
                                           seed=seed + 2)
-        assert _json_bytes(est.to_json_obj()) == _json_bytes(want.to_json_obj())
+        assert _json_bytes(dataclasses.asdict(est)) == _json_bytes(dataclasses.asdict(want))
         assert lyapunov_violation_stats([play.lanes(pool_lanes[2]) for play in played], m_hat) \
             == lyapunov_violation_stats(separate[2], m_hat)
         states = _random_states([calibration, pool] + replays)
@@ -479,10 +476,10 @@ class TestPoolErrorOrder:
         with pytest.raises(RuntimeError, match="^calibration$"):
             for pool in (calibration, estimate):
                 for part in partitions:
-                    play_feedback_games(spec, strategy, pool, part)
+                    play_feedback_games(strategy, pool, part)
         with pytest.raises(RuntimeError, match="^estimate$"):
             for part in partitions:
-                play_feedback_games(spec, strategy, calibration + estimate, part)
+                play_feedback_games(strategy, calibration + estimate, part)
 
     def test_feedback_run_raises_the_coarser_partitions_error(self, monkeypatch):
         path = pathlib.Path(__file__).parents[1] / "bench" / "configs" / "feedback_short.json"
@@ -521,7 +518,7 @@ class TestCompanionTies:
                                            partition, value=table, library_size=64, seed=0)
         assert np.all(strategy._library_values == 0.0)
         pool = [constant_adversary(0), constant_adversary(0)]
-        play = play_feedback_games(spec, strategy, pool, partition)
+        play = play_feedback_games(strategy, pool, partition)
         assert np.all(play.values == 0.0)
         for g, adv in enumerate(pool):
             _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
@@ -593,11 +590,17 @@ def _raise_at(node):
     return policy
 
 
+def _playing(strategy, spec):
+    """strategy with the game spec in place of its own: the same value,
+    history, library and Lyapunov parameters."""
+    return FeedbackStrategy(spec, strategy.params, strategy.value, strategy.t0, strategy.x0,
+                            strategy.library)
+
+
 def _variant(base, op=None, q_points=None, running_cost=None):
     """base with its drift q (so each game's q moves its own state), and the given parts."""
-    dyn = DelayDynamics(op=op or base.dyn.op, rhs=lambda t, x, u: np.array([float(u[1])]),
-                        lipschitz_L=100.0)
-    return GameSpec(dyn=dyn, running_cost=running_cost or base.running_cost,
+    return GameSpec(op=op or base.op, rhs=lambda t, x, u: np.array([float(u[1])]),
+                    running_cost=running_cost or base.running_cost,
                     terminal_cost=base.terminal_cost,
                     controls=ControlGrid(p_points=base.controls.p_points,
                                          q_points=q_points or base.controls.q_points),
@@ -612,7 +615,7 @@ class TestPoolErrors:
 
     def _error(self, spec, strategy, pool):
         with pytest.raises(Exception) as info:
-            play_feedback_games(spec, strategy, pool, self.partition)
+            play_feedback_games(_playing(strategy, spec), pool, self.partition)
         return info.value
 
     def _strategy(self):
@@ -637,10 +640,12 @@ class TestPoolErrors:
             return np.inf if x.value_at(t)[0] > 0.8 else 0.1
 
         spec = _variant(base, q_points=(0.0, 1.5, 3.0), running_cost=running)
-        # game 1 (q = 1.5) crosses 0.8 later than game 2 (q = 3)
+        # game 1 (q = 1.5) crosses 0.8 later than game 2 (q = 3), which is past
+        # it at t = 0.25; the strategy's full-grid control pick at that node
+        # raises at game 2's first pair
         err = self._error(spec, strategy, [constant_adversary(j) for j in (0, 1, 2)])
         assert type(err) is EvaluationError
-        assert str(err) == "non-finite running cost at t=0.25, p=-1.0, q=3.0"
+        assert str(err) == "non-finite running cost at t=0.25, p=-1.0, q=0.0"
 
     def test_adversary_error_of_the_lower_game(self):
         base, strategy = self._strategy()
@@ -685,7 +690,7 @@ class TestGreedyBatch:
         spec = constant_game()
         grid = TimeGrid(0.0, 1.0, 4)
         table = dp_value(spec, grid, StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,)))
-        spec = GameSpec(dyn=spec.dyn, running_cost=spec.running_cost,
+        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
                         terminal_cost=spec.terminal_cost,
                         controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.0, 0.0)),
                         l_f=0.0, lambda_L=0.1)
@@ -699,8 +704,7 @@ class TestGreedyBatch:
         base = constant_game()
         grid = TimeGrid(0.0, 1.0, 4)
         table = dp_value(base, grid, StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,)))
-        spec = GameSpec(dyn=DelayDynamics(op=base.dyn.op, rhs=lambda t, x, u: np.zeros(1),
-                                          lipschitz_L=1.0),
+        spec = GameSpec(op=base.op, rhs=lambda t, x, u: np.zeros(1),
                         running_cost=lambda t, x, p, q: 4 * slope * q,
                         terminal_cost=base.terminal_cost,
                         controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.5, 1.0)),
@@ -729,7 +733,7 @@ class TestGreedyBatch:
         def running(t, x, p, q):
             return np.inf if q == 0.0 else 0.0
 
-        spec = GameSpec(dyn=DelayDynamics(op=make_linear_operator(), rhs=rhs, lipschitz_L=1.0),
+        spec = GameSpec(op=make_linear_operator(), rhs=rhs,
                         running_cost=running, terminal_cost=lambda x: 0.0,
                         controls=ControlGrid(p_points=(0.0,), q_points=(-1.0, 0.0, 1.0)),
                         l_f=1.0, lambda_L=1.0)
@@ -741,9 +745,7 @@ class TestGreedyBatch:
 
     def test_coverage_margin_of_the_first_q_off_the_lattice(self):
         _, table, _, _ = _desk(1, 0)
-        spec = GameSpec(dyn=DelayDynamics(op=make_linear_operator(),
-                                          rhs=lambda t, x, u: np.array([float(u[1])]),
-                                          lipschitz_L=100.0),
+        spec = GameSpec(op=make_linear_operator(), rhs=lambda t, x, u: np.array([float(u[1])]),
                         running_cost=lambda t, x, p, q: 0.0, terminal_cost=lambda x: 0.0,
                         controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 30.0, 60.0)),
                         l_f=100.0, lambda_L=1.0)
@@ -770,7 +772,7 @@ def test_wrong_shape_operator_raises_like_dp_value():
         (lambda: dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))), 297),
         (lambda: solve_delay_evolution(broken, 0.0, hist, lipschitz_L=1.0), 1),
         (lambda: sample_reachable_set(broken, 0.0, hist, 4, 0, lipschitz_L=1.0), 4),
-        (lambda: play_feedback_games(spec, strategy, [constant_adversary(0)] * 2,
+        (lambda: play_feedback_games(_playing(strategy, spec), [constant_adversary(0)] * 2,
                                      partitions[0]), 2),
     ]
     for call, rows in cases:

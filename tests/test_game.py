@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pdhj.errors import DomainError, EvaluationError, LatticeCoverageError
-from pdhj.evolution import DelayDynamics, make_linear_operator
+from pdhj.evolution import make_linear_operator
 from pdhj.game import (
     COMPANION_KINDS,
     STEP_RATE_FLOOR,
@@ -20,6 +22,7 @@ from pdhj.game import (
     extremal_shift_strategy,
     hamiltonian,
     audit_hamiltonian_lipschitz,
+    minimax_records,
     isaacs_game,
     lyapunov_violation_stats,
     play_feedback_games,
@@ -27,11 +30,12 @@ from pdhj.game import (
     recompute_slice,
     simulation_grid,
     step_rate_bound,
+    with_drift_perturbation,
 )
-from pdhj.pathcore import Path, TimeGrid, stopped_at
+from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at
 from pdhj.upsilon import LyapunovParams
 from scalar_reference import drift, estimate_guaranteed_result, game_audit, lyapunov_nu, \
-    measurable_selection, path_difference, scale_costs, stage_cost
+    measurable_selection, path_difference, scale_costs, stage_cost, stage_matrix
 
 
 def one_point_path(grid, value=0.0):
@@ -83,13 +87,9 @@ class TestHamiltonian:
         for _ in range(30):
             table = rng.standard_normal((3, 4))
             drift = rng.standard_normal((3, 4))
-            op = make_linear_operator()
-            dyn = DelayDynamics(
-                op=op,
-                rhs=lambda t, x, u, d=drift: np.array([d[int(u[0]), int(u[1])]]),
-                lipschitz_L=10.0)
             spec = GameSpec(
-                dyn=dyn,
+                op=make_linear_operator(),
+                rhs=lambda t, x, u, d=drift: np.array([d[int(u[0]), int(u[1])]]),
                 running_cost=lambda t, x, p, q, tb=table: float(tb[int(p), int(q)]),
                 terminal_cost=lambda x: 0.0,
                 controls=ControlGrid(p_points=(0, 1, 2), q_points=(0, 1, 2, 3)),
@@ -103,15 +103,30 @@ class TestHamiltonian:
             assert ev.f_minus <= ev.f_plus
 
     def test_nonfinite_ingredients_raise(self):
-        op = make_linear_operator()
-        dyn = DelayDynamics(op=op, rhs=lambda t, x, u: np.array([np.inf]), lipschitz_L=1.0)
-        spec = GameSpec(dyn=dyn, running_cost=lambda t, x, p, q: 0.0,
+        spec = GameSpec(op=make_linear_operator(), rhs=lambda t, x, u: np.array([np.inf]),
+                        running_cost=lambda t, x, p, q: 0.0,
                         terminal_cost=lambda x: 0.0,
                         controls=ControlGrid(p_points=(0,), q_points=(0,)),
                         l_f=1.0, lambda_L=1.0)
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(EvaluationError):
             hamiltonian(spec, 0.0, one_point_path(grid), np.array([1.0]))
+
+
+class TestGameSpec:
+    @pytest.mark.parametrize("l_f", [-1.0, np.nan, np.inf])
+    def test_refuses_growth_constant_not_finite_or_negative(self, l_f):
+        spec = isaacs_game()
+        with pytest.raises(DomainError, match="^l_f must be finite and >= 0"):
+            GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
+                     terminal_cost=spec.terminal_cost, controls=spec.controls, l_f=l_f,
+                     lambda_L=spec.lambda_L)
+        with pytest.raises(DomainError, match="^l_f must be finite and >= 0"):
+            dataclasses.replace(spec, l_f=l_f)
+
+    def test_drift_perturbation_adds_to_the_one_growth_constant(self):
+        spec = isaacs_game(scale=0.5)
+        assert with_drift_perturbation(spec, -0.25).l_f == spec.l_f + 0.25
 
 
 class TestLipschitzAudit:
@@ -179,6 +194,14 @@ class TestStateLattice:
         with pytest.raises(DomainError):
             StateLattice(lo=(0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0), shape=(3, 3, 3))
 
+    @pytest.mark.parametrize("lo,hi,name", [
+        ((-np.inf,), (2.0,), "lo"), ((0.0,), (np.inf,), "hi"), ((np.nan,), (1.0,), "lo"),
+        ((0.0, 0.0), (1.0, np.nan), "hi")])
+    def test_rejects_non_finite_bounds(self, lo, hi, name):
+        # an infinite bound would build a nan axis that reads fail to index
+        with pytest.raises(DomainError, match=f"^lattice {name} must be finite"):
+            StateLattice(lo=lo, hi=hi, shape=(5,) * len(lo))
+
     def test_2d_interpolation(self):
         lat = StateLattice(lo=(0.0, 0.0), hi=(1.0, 1.0), shape=(3, 3))
         field = np.add.outer(lat.axes[0], lat.axes[1])
@@ -207,7 +230,7 @@ def small_lattice(span=2.0, n=33):
 class TestDpValue:
     def test_zero_costs_zero_value(self):
         spec = isaacs_game(cost_weight=0.0)
-        spec = GameSpec(dyn=spec.dyn, running_cost=spec.running_cost,
+        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
                         terminal_cost=lambda x: 0.0, controls=spec.controls,
                         l_f=spec.l_f, lambda_L=spec.lambda_L, name="zero")
         table = dp_value(spec, TimeGrid(0.0, 1.0, 8), small_lattice())
@@ -406,7 +429,7 @@ class TestFeedbackStrategy:
                                            value=table, library_size=0, seed=0)
         gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[3][0]
         p_index = _select_one(strategy, 0.0, strategy.x0, gradient)
-        M = spec.stage_matrix(0.0, strategy.x0, np.zeros(1))
+        M = stage_matrix(spec, 0.0, strategy.x0, np.zeros(1))
         assert p_index == int(np.argmin(M.max(axis=1)))
 
     def test_select_agrees_with_hamiltonian_argmin(self):
@@ -417,8 +440,8 @@ class TestFeedbackStrategy:
                                            value=table, library_size=16, seed=1)
         gradient = strategy.companion_minima(0.0, strategy.x0.values[:1, None, :])[3][0]
         p_index = _select_one(strategy, 0.0, strategy.x0, gradient)
-        ev = hamiltonian(spec, 0.0, strategy.x0, gradient)
-        assert p_index == ev.plus_p_index
+        plus_p = minimax_records(stage_matrix(spec, 0.0, strategy.x0, gradient)[None])[4]
+        assert p_index == plus_p[0]
 
     def test_run_deterministic(self):
         spec, grid, lattice, table, params = desk_setup(n_time=8)
@@ -427,8 +450,8 @@ class TestFeedbackStrategy:
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=2)
         adv = constant_adversary(1)
-        first = play_feedback_games(spec, strategy, [adv], partition)
-        second = play_feedback_games(spec, strategy, [adv], partition)
+        first = play_feedback_games(strategy, [adv], partition)
+        second = play_feedback_games(strategy, [adv], partition)
         assert np.array_equal(first.p, second.p)
         assert np.array_equal(first.values, second.values)
         assert first.payoff == second.payoff
@@ -438,7 +461,7 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=8, seed=3)
-        play = play_feedback_games(spec, strategy, [random_adversary(5, spec.controls.n_q)],
+        play = play_feedback_games(strategy, [random_adversary(5, spec.controls.n_q)],
                                    partition)
         running = 0.0
         for cost in play.step_cost[:, 0]:  # the cells' costs, added in cell order
@@ -448,7 +471,7 @@ class TestFeedbackStrategy:
 
     def test_zero_cost_game_payoff_zero(self):
         spec = isaacs_game(cost_weight=0.0)
-        spec = GameSpec(dyn=spec.dyn, running_cost=spec.running_cost,
+        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
                         terminal_cost=lambda x: 0.0, controls=spec.controls,
                         l_f=spec.l_f, lambda_L=spec.lambda_L, name="zero-cost")
         grid = TimeGrid(0.0, 1.0, 8)
@@ -459,7 +482,7 @@ class TestFeedbackStrategy:
                                            partition, value=table, library_size=4, seed=4)
         for adv in (constant_adversary(0), constant_adversary(2),
                     random_adversary(1, 3)):
-            assert play_feedback_games(spec, strategy, [adv], partition).payoff[0] == 0.0
+            assert play_feedback_games(strategy, [adv], partition).payoff[0] == 0.0
 
     def test_simulation_grid_unions_nodes(self):
         value_grid = TimeGrid(0.0, 1.0, 32)
@@ -472,7 +495,7 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=4, seed=6)
-        play = play_feedback_games(spec, strategy, [constant_adversary(0), random_adversary(1, 3)],
+        play = play_feedback_games(strategy, [constant_adversary(0), random_adversary(1, 3)],
                                    partition)
         for name in ("p", "q", "step_cost", "u_before", "u_after", "kind", "index", "residual"):
             assert getattr(play, name).shape == (4, 2), name
@@ -493,7 +516,7 @@ class TestFeedbackStrategy:
 class TestGuaranteedResult:
     def test_zero_game_budget_one(self):
         spec = isaacs_game(cost_weight=0.0)
-        spec = GameSpec(dyn=spec.dyn, running_cost=spec.running_cost,
+        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
                         terminal_cost=lambda x: 0.0, controls=spec.controls,
                         l_f=spec.l_f, lambda_L=spec.lambda_L, name="zero-cost")
         grid = TimeGrid(0.0, 1.0, 8)
@@ -552,7 +575,7 @@ class TestGuaranteedResult:
         partition = TimeGrid.from_nodes([0.5, 0.75, 1.0])
         strategy = extremal_shift_strategy(spec, params, 0.5, hist, partition,
                                            value=table, library_size=8, seed=10)
-        play = play_feedback_games(spec, strategy, [constant_adversary(2)], partition)
+        play = play_feedback_games(strategy, [constant_adversary(2)], partition)
         sim = strategy.x0.grid
         k0 = sim.node_index(0.5)
         expected = np.array([hist.value_at(t) for t in sim.nodes[: k0 + 1]])
@@ -608,13 +631,9 @@ class TestPlayReductions:
 
 
 def planar_game():
-    op = make_linear_operator(dim=2, gain=1.0)
-    dyn = DelayDynamics(
-        op=op,
-        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-        lipschitz_L=0.8)
     return GameSpec(
-        dyn=dyn,
+        op=make_linear_operator(dim=2, gain=1.0),
+        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
         running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
         terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
         controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
@@ -642,7 +661,7 @@ class TestTwoDimensional:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=11)
-        play = play_feedback_games(spec, strategy, [constant_adversary(1)], partition)
+        play = play_feedback_games(strategy, [constant_adversary(1)], partition)
         assert np.all(np.isfinite(play.values))
         assert play.payoff[0] == play.running[0] + play.terminal[0]
 
@@ -732,7 +751,7 @@ class TestCompanionOncePerNode:
             return original(self, t, X)
 
         monkeypatch.setattr(FeedbackStrategy, "companion_minima", counted)
-        play = play_feedback_games(spec, strategy, pool, partition)
+        play = play_feedback_games(strategy, pool, partition)
         monkeypatch.undo()
         # n + 1 batched calls for n steps, each for the whole pool
         assert calls == [(t, len(pool)) for t in partition.nodes]
@@ -761,14 +780,10 @@ def _select_one(strategy, t, x, gradient):
     return int(p_indices[0])
 
 
-def _stage_matrix_reference(spec, t, x, z):
-    """The per-pair stage matrix loop: one cost and one drift call per (p, q)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    M = np.empty((spec.controls.n_p, spec.controls.n_q))
-    for i, p in enumerate(spec.controls.p_points):
-        for j, q in enumerate(spec.controls.q_points):
-            M[i, j] = stage_cost(spec, t, x, p, q) + float(drift(spec, t, x, p, q) @ z)
-    return M
+def _one_lane_terms(spec, t, x):
+    """GameSpec.lane_terms with the one lane x over the full control grid."""
+    f, cost = spec.lane_terms(t, x.value_at(t)[None], lambda _: x)
+    return f[0], cost[0]
 
 
 def _failing_game(bad):
@@ -779,7 +794,7 @@ def _failing_game(bad):
     def running(t, x, p, q):
         return np.inf if ("cost", p, q) in bad else 0.5 * p * q + float(x.value_at(t)[0])
 
-    return GameSpec(dyn=DelayDynamics(op=make_linear_operator(), rhs=rhs, lipschitz_L=1.0),
+    return GameSpec(op=make_linear_operator(), rhs=rhs,
                     running_cost=running, terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0, 2.0)),
                     l_f=1.0, lambda_L=1.0)
@@ -789,17 +804,17 @@ class TestStageSweep:
     @pytest.mark.parametrize("make", [isaacs_game, bilinear_game, planar_game])
     def test_stage_matrix_matches_per_pair_loop(self, make):
         spec = make()
-        dim = spec.dyn.op.space.dim
+        dim = spec.op.space.dim
         rng = np.random.default_rng(12)
         grid = TimeGrid(0.0, 1.0, 8)
         for _ in range(40):
             x = Path(grid, rng.standard_normal((9, dim)) * rng.choice([0.1, 1.0, 30.0]))
             t = float(rng.choice([grid.nodes[3], rng.uniform(0.0, 1.0)]))
             z = rng.standard_normal(dim) * rng.choice([1e-3, 1.0, 1e3])
-            got = spec.stage_matrix(t, x, z)
-            assert got.tobytes() == _stage_matrix_reference(spec, t, x, z).tobytes()
-            drift, cost = spec.stage_terms(t, x)
-            assert drift.shape == (spec.controls.n_p, spec.controls.n_q, dim)
+            f, cost = _one_lane_terms(spec, t, x)
+            got = cost + _row_dots(f, z)
+            assert got.tobytes() == stage_matrix(spec, t, x, z).tobytes()
+            assert f.shape == (spec.controls.n_p, spec.controls.n_q, dim)
             assert cost.tobytes() == np.array(
                 [[stage_cost(spec, t, x, p, q) for q in spec.controls.q_points]
                  for p in spec.controls.p_points]).tobytes()
@@ -812,8 +827,8 @@ class TestStageSweep:
         spec = _failing_game(bad)
         x = Path.constant(TimeGrid(0.0, 1.0, 4), [0.3])
         with pytest.raises(EvaluationError) as ref:
-            _stage_matrix_reference(spec, 0.5, x, [1.0])
-        for call in (lambda: spec.stage_matrix(0.5, x, [1.0]), lambda: spec.stage_terms(0.5, x),
+            stage_matrix(spec, 0.5, x, [1.0])
+        for call in (lambda: _one_lane_terms(spec, 0.5, x),
                      lambda: hamiltonian(spec, 0.5, x, [1.0])):
             with pytest.raises(EvaluationError) as got:
                 call()
@@ -825,4 +840,4 @@ class TestStageSweep:
         spec = _failing_game({("drift", 1.0, 0.0), ("cost", 1.0, 0.0)})
         x = Path.constant(TimeGrid(0.0, 1.0, 4), [0.3])
         with pytest.raises(EvaluationError, match="non-finite drift at t=0.5, p=1.0, q=0.0"):
-            spec.stage_matrix(0.5, x, [1.0])
+            _one_lane_terms(spec, 0.5, x)

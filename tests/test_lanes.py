@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from pdhj import evolution, minimax
 from pdhj.errors import ContractError, EvaluationError, LatticeCoverageError, SolverError
 from pdhj.evolution import (
-    DelayDynamics,
     OperatorSpec,
     SolveReport,
     build_p_laplacian,
@@ -371,8 +370,7 @@ def _edge_setup(cost_limit=None):
         xt = float(x.value_at(t)[0])
         return np.nan if cost_limit is not None and xt > cost_limit else 0.1 * xt * xt
 
-    spec = GameSpec(dyn=DelayDynamics(op=op, rhs=lambda t, x, u: np.array([u[0] + u[1]]),
-                                      lipschitz_L=2.0),
+    spec = GameSpec(op=op, rhs=lambda t, x, u: np.array([u[0] + u[1]]),
                     running_cost=running, terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0)),
                     l_f=2.0, lambda_L=0.2, name="edge")
@@ -419,8 +417,8 @@ class TestOffLatticeOrder:
         spec, _, table = _edge_setup(cost_limit)
         t0, hist = _site(table, 4, 0.4, horizon=0.5)
         steps = hist.grid.n_steps
-        reports = [solve_delay_evolution(spec.dyn.op, t0, hist, np.full((steps, 1), s),
-                                         lipschitz_L=2.0) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
+        reports = [solve_delay_evolution(spec.op, t0, hist, np.full((steps, 1), s),
+                                         lipschitz_L=spec.l_f) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
         values = np.stack([rep.path.values for rep in reports], axis=1)
         forcing = np.stack([rep.forcing_trace for rep in reports], axis=1)
         hams = np.zeros(forcing.shape[:2])
@@ -506,7 +504,8 @@ def game_desks():
         "bilinear": (bilinear, dp_value(bilinear, grid, lattice), (-1.5, 1.5)),
         "isaacs-callbacks": (dataclasses.replace(isaacs, markov_terms=None), isaacs_table,
                              (-1.5, 1.5)),
-        # a tube constant apart from the dynamics' own, as the tube lanes take it
+        # an l_f above the drift's own bound 2.0: every lane, game and tube,
+        # solves at 2.5
         "edge": (dataclasses.replace(edge, l_f=2.5), edge_table, (-0.9, 0.5)),
     }
 

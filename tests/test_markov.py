@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdhj.errors import ConfigurationError, DomainError, EvaluationError
-from pdhj.evolution import DelayDynamics, make_linear_operator
+from pdhj.evolution import make_linear_operator
 from pdhj.game import (
     ControlGrid,
     FeedbackPlay,
@@ -50,10 +50,9 @@ def _planar_game():
         cost = 0.05 * _row_dots(states, states)[:, None, None] + (0.1 * P[:, None]) * Q[None, :]
         return np.broadcast_to(drift, (len(states),) + drift.shape), cost
 
-    dyn = DelayDynamics(op=make_linear_operator(dim=2, gain=1.0),
-                        rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-                        lipschitz_L=0.8)
-    return GameSpec(dyn=dyn, running_cost=running,
+    return GameSpec(op=make_linear_operator(dim=2, gain=1.0),
+                    rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
+                    running_cost=running,
                     terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
                     controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.5, 1.0)),
                     l_f=0.8, lambda_L=0.3, name="planar", markov_terms=markov)
@@ -87,7 +86,7 @@ def _path_form(spec):
 def _callback_terms(spec, t, x):
     """The stage terms by one callback call per (p, q) pair."""
     P, Q = spec.controls.p_points, spec.controls.q_points
-    drift = np.array([[np.atleast_1d(spec.dyn.rhs(t, x, (p, q))) for q in Q] for p in P],
+    drift = np.array([[np.atleast_1d(spec.rhs(t, x, (p, q))) for q in Q] for p in P],
                      dtype=float)
     cost = np.array([[float(spec.running_cost(t, x, p, q)) for q in Q] for p in P])
     return drift, cost
@@ -103,7 +102,7 @@ class TestMarkovForm:
     @given(name=st.sampled_from(sorted(GAMES)), n_steps=st.integers(1, 8), data=st.data())
     def test_matches_path_callbacks_on_stopped_paths(self, name, n_steps, data):
         spec = GAMES[name]()
-        dim = spec.dyn.op.space.dim
+        dim = spec.op.space.dim
         grid = TimeGrid(0.0, 1.0, n_steps)
         coordinate = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
         values = np.array(data.draw(st.lists(
@@ -121,7 +120,7 @@ class TestMarkovForm:
     @pytest.mark.parametrize("name", sorted(GAMES))
     def test_lane_terms_match_the_path_branch(self, name):
         spec = GAMES[name]()
-        dim = spec.dyn.op.space.dim
+        dim = spec.op.space.dim
         grid = TimeGrid(0.0, 1.0, 6)
         rng = np.random.default_rng(4)
         values = rng.standard_normal((grid.n_steps + 1, 5, dim)) * 2.0
@@ -166,10 +165,8 @@ def _faulty_game(bad):
         cost = np.array([[[cost_of(s, p, q) for q in Q] for p in P] for s in states[:, 0]])
         return drift, cost
 
-    dyn = DelayDynamics(op=make_linear_operator(),
-                        rhs=lambda t, x, u: np.array([drift_of(float(x.value_at(t)[0]), *u)]),
-                        lipschitz_L=1.0)
-    return GameSpec(dyn=dyn,
+    return GameSpec(op=make_linear_operator(),
+                    rhs=lambda t, x, u: np.array([drift_of(float(x.value_at(t)[0]), *u)]),
                     running_cost=lambda t, x, p, q: cost_of(float(x.value_at(t)[0]), p, q),
                     terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=P, q_points=Q),
@@ -224,7 +221,7 @@ DESK_GAMES = ["isaacs", "bilinear", "constant", "scaled", "drift", "shifted", "c
 
 
 def _lattice(spec):
-    if spec.dyn.op.space.dim == 2:
+    if spec.op.space.dim == 2:
         return StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(9, 9))
     return StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,))
 
@@ -247,7 +244,7 @@ class TestConsumersMatchThePathForm:
     def test_residual_reports(self, name, side):
         spec = GAMES[name]()
         table, _ = _tables(spec, self.grid)
-        dim = spec.dyn.op.space.dim
+        dim = spec.op.space.dim
         rng = np.random.default_rng(11)
         for k in (1, 4):
             site = (self.grid.nodes[k], Path.constant(self.grid, rng.uniform(-0.6, 0.6, dim)),
@@ -270,14 +267,14 @@ class TestConsumersMatchThePathForm:
         n_q = spec.controls.n_q
         params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
         partition = TimeGrid(0.0, 1.0, 4)
-        x0 = Path.constant(self.grid, [0.3, -0.2][:spec.dyn.op.space.dim])
+        x0 = Path.constant(self.grid, [0.3, -0.2][:spec.op.space.dim])
         plays = []
         for form in (spec, _path_form(spec)):
             strategy = extremal_shift_strategy(form, params, 0.0, x0, partition, value=table,
                                                library_size=16, seed=3)
             # constants, the greedy lookahead, then three random adversaries
             pool = adversary_pool(form, table, n_q + 4, seed=21)
-            plays.append(play_feedback_games(form, strategy, pool, partition))
+            plays.append(play_feedback_games(strategy, pool, partition))
         got, want = plays
         for f in dataclasses.fields(FeedbackPlay)[1:]:
             assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
@@ -291,7 +288,7 @@ class TestConsumersMatchThePathForm:
     def test_greedy_picks(self, name):
         spec = GAMES[name]()
         table, _ = _tables(spec, self.grid)
-        dim = spec.dyn.op.space.dim
+        dim = spec.op.space.dim
         rng = np.random.default_rng(8)
         got, want = greedy_adversary(spec, table), greedy_adversary(_path_form(spec), table)
         for _ in range(30):
@@ -307,9 +304,8 @@ class TestConsumersMatchThePathForm:
 # ---------------------------------------------------------------------------
 
 def _past_reading_game(running, name):
-    return GameSpec(dyn=DelayDynamics(op=make_linear_operator(),
-                                      rhs=lambda t, x, u: np.array([0.5 * (u[0] + u[1])]),
-                                      lipschitz_L=1.0),
+    return GameSpec(op=make_linear_operator(),
+                    rhs=lambda t, x, u: np.array([0.5 * (u[0] + u[1])]),
                     running_cost=running, terminal_cost=lambda x: 0.0,
                     controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
                     l_f=1.0, lambda_L=0.2, name=name)

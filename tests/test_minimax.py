@@ -216,7 +216,7 @@ def _viscosity_residual_reference(u, spec, site, z, c, horizon, *, search_budget
     nodes = win_grid.nodes
     paths = minimax._candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)[1]
     for values in paths.transpose(1, 0, 2):
-        op = spec.dyn.op
+        op = spec.op
         a_pair = np.array([float(op(t, values[k]) @ z)
                            for k, t in enumerate(nodes)])
         corr = 0.0

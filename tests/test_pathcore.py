@@ -37,6 +37,16 @@ class TestTimeGrid:
         with pytest.raises(DomainError):
             TimeGrid(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("t_start,t_end,name", [
+        (0.0, np.inf, "t_end"), (np.nan, 1.0, "t_start"), (-np.inf, 0.0, "t_start"),
+        (0.0, np.nan, "t_end")])
+    def test_rejects_non_finite_span(self, t_start, t_end, name):
+        # linspace would build nan and inf nodes; the bound is named instead
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            TimeGrid(t_start, t_end, 4)
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            TimeGrid.from_nodes([t_start, 0.5 * (t_start + t_end), t_end])
+
     def test_non_uniform_partition(self):
         grid = TimeGrid.from_nodes([0.0, 0.1, 0.5, 1.0])
         assert grid.mesh == pytest.approx(0.5)

@@ -310,7 +310,7 @@ def _run_solve(cfg: dict, artifacts: dict):
         "kind": "solve",
         "residual_estimate": report.residual_estimate,
         "newton_total": report.newton_total,
-        "operator_audit": audit.to_json_obj(),
+        "operator_audit": asdict(audit),
         "final_state": [float(v) for v in report.path.values[-1]],
         "passed": audit.passed and report.residual_estimate < 1e-8,
     }
@@ -448,7 +448,7 @@ def _run_minimax_check(cfg: dict, artifacts: dict):
         site = (grid.nodes[k], x0, z)
         sub = minimax_residual(table, spec, site, "sub", horizon, budget, seed=seed + 10 + i)
         sup = minimax_residual(table, spec, site, "super", horizon, budget, seed=seed + 500 + i)
-        reports.append({"sub": sub.to_json_obj(), "super": sup.to_json_obj()})
+        reports.append({"sub": asdict(sub), "super": asdict(sup)})
         all_pass = all_pass and sub.verdict and sup.verdict
     viscosity = []
     for j in range(3):

@@ -60,6 +60,7 @@ NEWTON_MAX_ITER = 50
 STEP_TOL = 1e-10
 FORCING_BOUND_TOL = 1e-9
 FORCING_ALGORITHM = "ball-uniform-pcg64/v1"
+MONOTONICITY_TOL = 1e-12  # audit_hypotheses flags a pairing below -MONOTONICITY_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +82,6 @@ class OperatorSpec:
     c1: float
     c2: float
     a1_bound: float = 0.0
-    kind: str = "custom"
 
     def __post_init__(self):
         if self.c1 < 0 or self.a1_bound < 0:
@@ -112,7 +112,6 @@ def make_linear_operator(dim: int = 1, gain: float = 1.0) -> OperatorSpec:
         c1=abs(gain),
         c2=gain,
         a1_bound=0.0,
-        kind="linear",
     )
 
 
@@ -137,8 +136,7 @@ def build_p_laplacian(nodes: int, p_exp: float, audit_samples: int = 200, seed: 
         flux = np.abs(d) ** (p_exp - 2.0) * d
         return -np.diff(flux, axis=-1) / h
 
-    probe = OperatorSpec(space=space, eval_fn=eval_fn, c1=1.0, c2=1e-30,
-                         a1_bound=0.0, kind="p-laplacian-1d")
+    probe = OperatorSpec(space=space, eval_fn=eval_fn, c1=1.0, c2=1e-30, a1_bound=0.0)
     rng = np.random.default_rng(seed)
     coercivity, boundedness = [], []
     for _ in range(audit_samples):
@@ -152,12 +150,13 @@ def build_p_laplacian(nodes: int, p_exp: float, audit_samples: int = 200, seed: 
     if not c2_est > 0:
         raise AuditError("p-Laplacian calibration found a non-coercive sample")
     return OperatorSpec(space=space, eval_fn=eval_fn, c1=2.0 * max(boundedness),
-                        c2=c2_est, a1_bound=0.0, kind="p-laplacian-1d")
+                        c2=c2_est, a1_bound=0.0)
 
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Observed hypothesis extremes for an operator over seeded random samples."""
+    """Observed hypothesis extremes for an operator over seeded random samples;
+    passed is `not violations`.  The runner writes dataclasses.asdict of it."""
 
     samples: int
     seed: int
@@ -165,25 +164,10 @@ class AuditReport:
     coercivity_min: float
     boundedness_max: float
     violations: tuple
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "monotonicity_min": self.monotonicity_min,
-            "coercivity_min": self.coercivity_min,
-            "boundedness_max": self.boundedness_max,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
+    passed: bool
 
 
-def audit_hypotheses(op: OperatorSpec, samples: int, seed: int,
-                     monotonicity_tol: float = 1e-12) -> AuditReport:
+def audit_hypotheses(op: OperatorSpec, samples: int, seed: int) -> AuditReport:
     """Sample-based audit of monotonicity, coercivity, and boundedness.
 
     Reports the minimum monotonicity pairing <A(t,x)-A(t,y), x-y>, the minimum
@@ -211,15 +195,15 @@ def audit_hypotheses(op: OperatorSpec, samples: int, seed: int,
             if denom > 0:
                 bound_max = max(bound_max, op.space.dual_norm(ax) / denom)
     violations = []
-    if mono_min < -monotonicity_tol:
-        violations.append(f"monotonicity pairing {mono_min:.3e} < -{monotonicity_tol:g}")
+    if mono_min < -MONOTONICITY_TOL:
+        violations.append(f"monotonicity pairing {mono_min:.3e} < -{MONOTONICITY_TOL:g}")
     if coer_min < op.c2 - 1e-12:
         violations.append(f"coercivity ratio {coer_min:.3e} below declared c2 {op.c2:.3e}")
     if bound_max > 1.0 + 1e-9:
         violations.append(f"boundedness ratio {bound_max:.3e} exceeds declared envelope")
     return AuditReport(samples=samples, seed=seed, monotonicity_min=float(mono_min),
                        coercivity_min=float(coer_min), boundedness_max=float(bound_max),
-                       violations=tuple(violations))
+                       violations=tuple(violations), passed=not violations)
 
 
 @dataclass(frozen=True, eq=False)

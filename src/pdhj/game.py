@@ -29,7 +29,7 @@ from .errors import (
 )
 from .evolution import OperatorSpec, _drift_step, make_linear_operator, sample_reachable_set
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, pad_paths, \
-    stopped_at, stopped_value_at, sup_norms, values_at
+    stopped_at, stopped_sup_sq, stopped_value_at, values_at
 from .upsilon import LyapunovParams, surrogate_terms
 
 STEP_SOLVE_TOL = 1e-11  # kept apart from evolution.STEP_TOL: the shipped results pin both
@@ -290,7 +290,7 @@ def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> Lips
         f_minus, f_plus = sampled_hamiltonians(spec, times, values_at(nodes, values, times),
                                                lambda s: Path(grid_of[s], paths[s]),
                                                np.array(zs))
-        scale = (1.0 + sup_norms(nodes, values, times)) * np.array(dz)
+        scale = (1.0 + np.sqrt(stopped_sup_sq(nodes, values, times)[0])) * np.array(dz)
         for ratios in zip((np.abs(f_minus[:, 0] - f_minus[:, 1]) / scale).tolist(),
                           (np.abs(f_plus[:, 0] - f_plus[:, 1]) / scale).tolist()):
             worst = max(worst, *ratios)
@@ -842,20 +842,20 @@ class FeedbackPlay:
     """The record of N games played in lockstep on one partition.
 
     Shaped (step, game), one row per partition cell: p and q, the control
-    indices played; step_cost, the running cost of the cell; u_before and
-    u_after, the shifted value (the companion minimum) at the cell's two
-    nodes; kind, a code into COMPANION_KINDS, and index, the companion that
-    aimed the cell's control.  values, shaped (node, game, dim), holds the
-    states on the simulation grid (the strategy's x0.grid); running and
-    terminal, shaped (game,), each game's running and terminal cost.
+    indices played; step_cost, the running cost of the cell; kind, a code
+    into COMPANION_KINDS, and index, the companion that aimed the cell's
+    control.  u, shaped (partition node, game), holds the shifted value (the
+    companion minimum) at every partition node, so cell i runs from u[i] to
+    u[i + 1].  values, shaped (node, game, dim), holds the states on the
+    simulation grid (the strategy's x0.grid); running and terminal, shaped
+    (game,), each game's running and terminal cost.
     """
 
     partition: TimeGrid
     p: np.ndarray
     q: np.ndarray
     step_cost: np.ndarray
-    u_before: np.ndarray
-    u_after: np.ndarray
+    u: np.ndarray
     kind: np.ndarray
     index: np.ndarray
     values: np.ndarray
@@ -865,7 +865,7 @@ class FeedbackPlay:
     @property
     def residual(self) -> np.ndarray:
         """Cost plus shifted-value increment of each cell, shape (step, game)."""
-        return self.step_cost + self.u_after - self.u_before
+        return self.step_cost + self.u[1:] - self.u[:-1]
 
     @property
     def payoff(self) -> np.ndarray:
@@ -873,7 +873,7 @@ class FeedbackPlay:
 
     def lanes(self, games) -> "FeedbackPlay":
         """The record of the games that games (a slice or index array) selects."""
-        columns = ("p", "q", "step_cost", "u_before", "u_after", "kind", "index", "values")
+        columns = ("p", "q", "step_cost", "u", "kind", "index", "values")
         return replace(self, running=self.running[games], terminal=self.terminal[games],
                        **{name: getattr(self, name)[:, games] for name in columns})
 
@@ -899,12 +899,12 @@ def play_feedback_games(strategy: FeedbackStrategy, adversaries,
     random_adversary) sees the calls it sees when its games are played one
     at a time; then per simulation-grid step the stage terms at the played
     pairs (one lane_terms call) and one implicit step for all games; then the
-    companion minima (one companion_minima call, whose minimum is the cell's
-    u_after and aims the next control).  At a partition node a lane's stopped
-    path is built only if its game or its adversary reads it, and then once;
-    the full paths are built only for the terminal cost.  Each game's columns
-    of the record are bit-identical to playing it alone.  Errors follow the
-    lockstep rule of pdhj.evolution over these phases.
+    companion minima (one companion_minima call, whose minimum is u at the
+    cell's end node and aims the next control).  At a partition node a lane's
+    stopped path is built only if its game or its adversary reads it, and
+    then once; the full paths are built only for the terminal cost.  Each
+    game's columns of the record are bit-identical to playing it alone.
+    Errors follow the lockstep rule of pdhj.evolution over these phases.
     """
     spec = strategy.spec
     adversaries = list(adversaries)
@@ -923,7 +923,7 @@ def play_feedback_games(strategy: FeedbackStrategy, adversaries,
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, game, coordinate)
     totals, kinds, indices, gradients = strategy.companion_minima(
         part_nodes[0], values[: inner.node_index(part_nodes[0]) + 1])
-    cells = []
+    cells, u = [], [totals]
     running = np.zeros(m)
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
@@ -948,13 +948,14 @@ def play_feedback_games(strategy: FeedbackStrategy, adversaries,
                                               STEP_SOLVE_TOL, k)
         running += step_cost
         after = strategy.companion_minima(t_i1, values[: kb + 1])
-        cells.append((p_picks, q_picks, step_cost, totals, after[0], kinds, indices))
+        cells.append((p_picks, q_picks, step_cost, kinds, indices))
         totals, kinds, indices, gradients = after
+        u.append(totals)
 
-    p, q, step_cost, u_before, u_after, kind, index = (np.array(column) for column in zip(*cells))
+    p, q, step_cost, kind, index = (np.array(column) for column in zip(*cells))
     terminal = np.array([spec.final_cost(Path(inner, values[:, g])) for g in range(m)])
-    return FeedbackPlay(partition, p, q, step_cost, u_before, u_after, kind, index, values,
-                        running, terminal)
+    return FeedbackPlay(partition, p, q, step_cost, np.array(u), kind, index, values, running,
+                        terminal)
 
 
 # -- adversary policies -----------------------------------------------------
@@ -1103,11 +1104,9 @@ class GuaranteeEstimate:
 # desk-scale game builders
 # ---------------------------------------------------------------------------
 
-def bilinear_game(scale: float = 1.0, levels=(-1.0, 1.0), gain: float = 1.0,
-                  terminal: str = "abs") -> GameSpec:
-    """dim-1 game with drift scale * p * q: the classic non-Isaacs example."""
-    h = (lambda x: float(np.linalg.norm(x.values[-1]))) if terminal == "abs" \
-        else (lambda x: float(np.dot(x.values[-1], x.values[-1])))
+def bilinear_game(scale: float = 1.0, levels=(-1.0, 1.0), gain: float = 1.0) -> GameSpec:
+    """dim-1 game with drift scale * p * q and terminal cost |x(T)|: the
+    classic non-Isaacs example."""
 
     def markov(t, states, P, Q):
         drift = (scale * P[:, None]) * Q[None, :]
@@ -1117,7 +1116,7 @@ def bilinear_game(scale: float = 1.0, levels=(-1.0, 1.0), gain: float = 1.0,
     return GameSpec(op=make_linear_operator(dim=1, gain=gain),
                     rhs=lambda t, x, u: np.array([scale * u[0] * u[1]]),
                     running_cost=lambda t, x, p, q: 0.0,
-                    terminal_cost=h,
+                    terminal_cost=lambda x: float(np.linalg.norm(x.values[-1])),
                     controls=ControlGrid(p_points=levels, q_points=levels),
                     l_f=abs(scale) * max(abs(v) for v in levels) ** 2, lambda_L=0.1,
                     name="bilinear", markov_terms=markov)

@@ -36,11 +36,11 @@ def composite_tolerance(lattice_spacing: float, mesh: float, budget: int) -> flo
 
 @dataclass(frozen=True, eq=False)
 class ResidualReport:
-    """Outcome of one sub/super residual search at a site."""
+    """Outcome of one sub/super residual search at a site; site holds the
+    site's t0, state x0(t0) and test direction z, as JSON values.  The runner
+    writes dataclasses.asdict of it."""
 
-    site_t0: float
-    site_state: tuple
-    z: tuple
+    site: dict
     direction: str
     side: str
     slack: float
@@ -53,23 +53,6 @@ class ResidualReport:
     budget: int
     seed: int
     certification: str = CERTIFICATION_NOTE
-
-    def to_json_obj(self) -> dict:
-        return {
-            "site": {"t0": self.site_t0, "state": list(self.site_state), "z": list(self.z)},
-            "direction": self.direction,
-            "side": self.side,
-            "slack": self.slack,
-            "tolerance": self.tolerance,
-            "verdict": bool(self.verdict),
-            "best_candidate": self.best_candidate,
-            "binding_time": self.binding_time,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "budget": self.budget,
-            "seed": self.seed,
-            "certification": self.certification,
-        }
 
 
 def _window_grid(grid: TimeGrid, t0: float, horizon: float):
@@ -220,8 +203,9 @@ def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
 
     verdict = best_slack >= -tolerance if direction == "sub" else best_slack <= tolerance
     return ResidualReport(
-        site_t0=float(t0), site_state=tuple(float(v) for v in np.atleast_1d(x0.value_at(t0))),
-        z=tuple(float(v) for v in np.atleast_1d(z)), direction=direction, side=side,
+        site={"t0": float(t0), "state": [float(v) for v in np.atleast_1d(x0.value_at(t0))],
+              "z": [float(v) for v in np.atleast_1d(z)]},
+        direction=direction, side=side,
         slack=best_slack, tolerance=tolerance, verdict=bool(verdict),
         best_candidate=best_label, binding_time=best_time,
         lhs=u0, rhs=u0 + best_slack, budget=search_budget, seed=seed)

@@ -151,7 +151,7 @@ class Path:
         """Interpolate onto another grid covering a subset of this path's span."""
         if grid.t_start < self.grid.t_start - _NODE_TOL or grid.t_end > self.grid.t_end + _NODE_TOL:
             raise DomainError("resample target grid exceeds the path span")
-        return Path(grid, np.array([self.value_at(t) for t in grid.nodes]))
+        return Path(grid, values_at(self.grid.nodes[None], self.values[None], grid.nodes[None])[0])
 
     # -- serialization -------------------------------------------------------
 
@@ -264,15 +264,15 @@ def values_at(nodes: np.ndarray, values: np.ndarray, t) -> np.ndarray:
     return out[:, 0] if one else out
 
 
-def sup_norms(nodes: np.ndarray, values: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """max_{s <= t} |x(s)| of S padded paths at once, one time each: the
-    largest node norm up to t and the norm of x(t), exact for polylines
+def stopped_sup_sq(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):
+    """(max_{s <= t} |x(s)|^2, x(t)) of S padded paths at once, one time each:
+    the largest squared node norm up to t and |x(t)|^2, exact for polylines
     (|x(s)| is convex on each segment)."""
-    node_norms = np.where(nodes <= t[:, None] + _NODE_TOL, np.linalg.norm(values, axis=-1),
-                          -np.inf)
-    best = node_norms.max(axis=1)
-    cur = _row_norms(values_at(nodes, values, t))
-    return np.where(cur > best, cur, best)  # max(best, cur)
+    xt = values_at(nodes, values, t)
+    cur_sq = _row_dots(xt, xt)  # the bits of np.dot(xt, xt)
+    node_sq = np.where(nodes <= t[:, None] + _NODE_TOL, np.sum(values ** 2, axis=-1), -np.inf)
+    best = node_sq.max(axis=1)
+    return np.where(cur_sq > best, cur_sq, best), xt  # max(best, cur_sq)
 
 
 def stop_paths(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ParameterError
 from .pathcore import Path, TimeGrid, _row_dots, _row_norms, kappa_constant, pad_paths, \
-    stop_paths, sup_norms, values_at
+    stop_paths, stopped_sup_sq
 
 ZERO_BRANCH_TOL = 1e-14
 SMOOTHNESS_RATIO_BOUND = 1.2
@@ -136,7 +136,7 @@ def _functional_profile(name: str, x: Path, params: LyapunovParams):
     raise DomainError(f"unknown functional {name!r}")
 
 
-def _check_smooth_segment(x: Path, k0: int, k1: int, ratio_bound: float):
+def _check_smooth_segment(x: Path, k0: int, k1: int):
     nodes = x.grid.nodes
     if k1 - k0 < 2:
         return
@@ -145,29 +145,28 @@ def _check_smooth_segment(x: Path, k0: int, k1: int, ratio_bound: float):
     jumps = np.linalg.norm(np.diff(slopes, axis=0), axis=1)
     peak = float(np.max(np.linalg.norm(slopes, axis=1)))
     worst = float(np.max(jumps)) if len(jumps) else 0.0
-    if worst > 0.0 and worst / max(peak, 1e-12) > ratio_bound:
+    if worst > 0.0 and worst / max(peak, 1e-12) > SMOOTHNESS_RATIO_BOUND:
         raise ContractError(
             f"non-smooth segment: slope jump ratio {worst / max(peak, 1e-12):.3f} "
-            f"exceeds {ratio_bound}")
+            f"exceeds {SMOOTHNESS_RATIO_BOUND}")
 
 
 def verify_chain_rule(functional: str, x: Path, t0: float, t1: float, *,
-                      params: LyapunovParams = None, refinements: int = 3,
-                      smoothness_bound: float = SMOOTHNESS_RATIO_BOUND) -> ChainRuleReport:
+                      params: LyapunovParams = None, refinements: int = 3) -> ChainRuleReport:
     """Compare phi(t1,x) - phi(t0,x) against the chain-rule quadrature under refinement.
 
     The right-hand side integrates d/dt phi + (x', d/dx phi) by composite
     trapezoid on the path grid, with x' the per-interval polyline slope.
     Refinements resample the polyline (exact interpolation), so the gap
     isolates quadrature error; observed orders are log2 gap ratios.
-    A path whose slope jumps are large relative to the slope scale is
-    rejected as non-smooth.
+    A path whose slope jumps exceed SMOOTHNESS_RATIO_BOUND times the slope
+    scale is rejected as non-smooth.
     """
     grid = x.grid
     k0, k1 = grid.node_index(t0), grid.node_index(t1)
     if k1 <= k0:
         raise DomainError("need t1 > t0 on the grid")
-    _check_smooth_segment(x, k0, k1, smoothness_bound)
+    _check_smooth_segment(x, k0, k1)
 
     levels = []
     gaps = []
@@ -203,29 +202,25 @@ def verify_chain_rule(functional: str, x: Path, t0: float, t1: float, *,
 def _count_kinks(x: Path, k0: int, k1: int) -> int:
     """Regime switches of the running sup (attaining <-> frozen) strictly inside the window.
 
-    A switch right at the window start is not a kink: the integrand is smooth
+    The running sup is the stopped sup, taken from the path's first node.  A
+    switch right at the window start is not a kink: the integrand is smooth
     from t0 on when the regime settles immediately.
     """
-    cur_sq = np.sum(x.values[k0:k1 + 1] ** 2, axis=1)
-    sup_sq = np.maximum.accumulate(cur_sq)
-    attaining = cur_sq >= sup_sq * (1.0 - 1e-9)
+    cur_sq = np.sum(x.values ** 2, axis=1)
+    attaining = (cur_sq >= np.maximum.accumulate(cur_sq) * (1.0 - 1e-9))[k0:k1 + 1]
     switches = attaining[1:] != attaining[:-1]
     return int(np.sum(switches[1:]))
 
 
 def _surrogate_batch(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):
     """(value, factor, x(t)) of the surrogate on S paths in the padded layout of
-    pathcore.values_at, one time each.
+    pathcore.values_at, one time each, at the stopped sup of stopped_sup_sq.
 
-    The stopped sup is the maximum of the squared node norms up to t and of
-    |x(t)|^2.  On the difference x - y it gives the penalty Psi(t, x, y):
-    value, theta = factor, and gradient theta * (x(t) - y(t)).
+    On the difference x - y it gives the penalty Psi(t, x, y): value,
+    theta = factor, and gradient theta * (x(t) - y(t)).
     """
-    xt = values_at(nodes, values, t)
-    cur_sq = _row_dots(xt, xt)  # the bits of np.dot(xt, xt)
-    node_sq = np.where(nodes <= t[:, None] + 1e-12, np.sum(values ** 2, axis=-1), -np.inf)
-    best = node_sq.max(axis=1)
-    value, factor = surrogate_terms(np.where(cur_sq > best, cur_sq, best), cur_sq)
+    sup_sq, xt = stopped_sup_sq(nodes, values, t)
+    value, factor = surrogate_terms(sup_sq, _row_dots(xt, xt))
     return value, factor, xt
 
 
@@ -233,11 +228,12 @@ def _battery_terms(nodes: np.ndarray, x: np.ndarray, y: np.ndarray, t: np.ndarra
     """Per-sample quantities of the property battery for paths x and y of one
     dimension on the padded grids nodes, as arrays of shape (S,)."""
     diff = x - y
-    penalty, theta, _ = _surrogate_batch(nodes, diff, t)
+    sup_sq, diff_t = stopped_sup_sq(nodes, diff, t)
+    penalty, theta = surrogate_terms(sup_sq, _row_dots(diff_t, diff_t))
     value, factor, xt = _surrogate_batch(nodes, x, t)
     bound = 4.0 * _row_norms(xt)
     stopped_value = _surrogate_batch(*stop_paths(nodes, x, t), t)[0]
-    return {"penalty": penalty, "theta": theta, "sup": sup_norms(nodes, diff, t),
+    return {"penalty": penalty, "theta": theta, "sup": np.sqrt(sup_sq),
             "grad_excess": _row_norms(factor[:, None] * xt) - bound * (1.0 + 1e-12),
             "dt": np.zeros(len(t)),  # upsilon's d/dt, identically zero
             "na_gap": np.abs(value - stopped_value)}

@@ -26,7 +26,7 @@ the batches are checked against.
 - game_audit: the growth and finiteness audit of a GameSpec on random
   paths, which no run calls.
 - stop_path, sup_norm and d_infinity: the one-path forms of the padded
-  kernels pdhj.pathcore.stop_paths and sup_norms, and the pseudometric on
+  kernels pdhj.pathcore.stop_paths and stopped_sup_sq, and the pseudometric on
   (t, path) pairs; path_difference, the pointwise x - y of two paths.
 - path_from_csv, path_from_json_obj, path_from_json and to_json: reading
   Path.to_csv and Path.to_json_obj back, and the sorted-key JSON text of any

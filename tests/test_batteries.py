@@ -34,7 +34,7 @@ from pdhj.pathcore import (
     _row_dots,
     pad_paths,
     stop_paths,
-    sup_norms,
+    stopped_sup_sq,
     values_at,
 )
 from pdhj.upsilon import _battery_terms, _surrogate_batch, property_battery
@@ -120,7 +120,8 @@ class TestPaddedPathKernels:
         nodes, x, _, t = _padded(samples)
         got_xt = values_at(nodes, x, t)
         got_nodes, got_values = stop_paths(nodes, x, t)
-        got_sup = sup_norms(nodes, x, t)
+        got_sup_sq, got_xt_of_sup = stopped_sup_sq(nodes, x, t)
+        assert _bits(got_xt_of_sup) == _bits(got_xt)
         for s, (grid, xs, _, ts) in enumerate(samples):
             path = Path(grid, xs)
             assert _bits(got_xt[s]) == _bits(path.value_at(ts))
@@ -129,7 +130,7 @@ class TestPaddedPathKernels:
             assert _bits(got_nodes[s, :m]) == _bits(stopped.grid.nodes)
             assert np.all(np.isinf(got_nodes[s, m:]))
             assert _bits(got_values[s, :m]) == _bits(stopped.values)
-            assert _bits(got_sup[s]) == _bits(sup_norm(path, ts))
+            assert _bits(np.sqrt(got_sup_sq[s])) == _bits(sup_norm(path, ts))
 
     @given(_samples())
     def test_values_at_many_times_per_path(self, samples):

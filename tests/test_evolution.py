@@ -34,7 +34,7 @@ class TestAuditHypotheses:
 
     def test_negated_identity_flagged(self):
         bad = OperatorSpec(space=StateSpace(dim=2), eval_fn=lambda t, v: -v,
-                           c1=1.0, c2=1.0, kind="custom")
+                           c1=1.0, c2=1.0)
         report = audit_hypotheses(bad, 300, seed=2)
         assert not report.passed
         assert any("coercivity" in v for v in report.violations)
@@ -50,7 +50,7 @@ class TestAuditHypotheses:
     def test_nonfinite_output_raises_with_sample(self):
         bad = OperatorSpec(space=StateSpace(dim=1),
                            eval_fn=lambda t, v: np.full_like(v, np.inf) if abs(v[0]) > 0 else v,
-                           c1=1.0, c2=1.0, kind="custom")
+                           c1=1.0, c2=1.0)
         with pytest.raises(AuditError) as err:
             audit_hypotheses(bad, 50, seed=4)
         assert err.value.sample is not None
@@ -213,7 +213,7 @@ class TestSolveDelayEvolution:
         # A cancels the identity part and leaves a constant: g has no root
         bad = OperatorSpec(space=StateSpace(dim=2),
                            eval_fn=lambda t, v: -v / dt + np.array([1.0, 0.0]) / dt,
-                           c1=1.0, c2=1.0, kind="custom")
+                           c1=1.0, c2=1.0)
         with pytest.raises(SolverError) as err:
             solve_delay_evolution(bad, 0.0, Path.constant(grid, np.zeros(2)), lipschitz_L=0.0)
         assert err.value.step_index == 0

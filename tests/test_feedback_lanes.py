@@ -143,7 +143,8 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
 
     return FeedbackPlay(partition=partition, p=np.array(p_indices)[:, None],
                         q=np.array(q_indices)[:, None], step_cost=column("step_cost"),
-                        u_before=column("u_shifted_before"), u_after=column("u_shifted_after"),
+                        u=np.array([rec["u_shifted_before"] for rec in records]
+                                   + [records[-1]["u_shifted_after"]])[:, None],
                         kind=np.array([COMPANION_KINDS.index(rec["companion_kind"])
                                        for rec in records])[:, None],
                         index=column("companion_index"), values=values[:, None, :],

@@ -497,14 +497,14 @@ class TestFeedbackStrategy:
                                            partition, value=table, library_size=4, seed=6)
         play = play_feedback_games(strategy, [constant_adversary(0), random_adversary(1, 3)],
                                    partition)
-        for name in ("p", "q", "step_cost", "u_before", "u_after", "kind", "index", "residual"):
+        for name in ("p", "q", "step_cost", "kind", "index", "residual"):
             assert getattr(play, name).shape == (4, 2), name
+        assert play.u.shape == (5, 2)
         assert play.values.shape == (len(strategy.x0.grid.nodes), 2, 1)
         assert play.running.shape == play.terminal.shape == play.payoff.shape == (2,)
         assert np.all(play.q[:, 0] == 0)
-        # each cell starts at the shifted value the one before it ended at
-        assert np.array_equal(play.u_before[1:], play.u_after[:-1])
-        assert np.array_equal(play.residual, play.step_cost + play.u_after - play.u_before)
+        # each cell runs from the shifted value at its first node to the one at its last
+        assert np.array_equal(play.residual, play.step_cost + play.u[1:] - play.u[:-1])
         assert set(play.kind.ravel().tolist()) <= set(range(len(COMPANION_KINDS)))
         # one game's record is a lane slice, its arrays copied out
         second = play.lanes(slice(1, 2))
@@ -593,10 +593,9 @@ def _play_of_residuals(residual):
     """A hand-built record on the 4-cell partition of [0, 1] (dt = 0.25) whose
     residual is the given (step, game) array."""
     residual = np.asarray(residual, dtype=float)
-    zeros, codes, n = np.zeros_like(residual), np.zeros(residual.shape, dtype=int), \
-        residual.shape[1]
+    codes, n = np.zeros(residual.shape, dtype=int), residual.shape[1]
     return FeedbackPlay(partition=TimeGrid(0.0, 1.0, 4), p=codes, q=codes, step_cost=residual,
-                        u_before=zeros, u_after=zeros, kind=codes, index=codes,
+                        u=np.zeros((len(residual) + 1, n)), kind=codes, index=codes,
                         values=np.zeros((5, n, 1)), running=np.zeros(n), terminal=np.zeros(n))
 
 
@@ -766,9 +765,9 @@ class TestCompanionOncePerNode:
             t_i, t_i1 = partition.nodes[i], partition.nodes[i + 1]
             before = strategy.companion_minima(t_i, values[: sim.node_index(t_i) + 1, None, :])
             after = strategy.companion_minima(t_i1, values[: sim.node_index(t_i1) + 1, None, :])
-            assert (play.u_before[i, g], play.kind[i, g], play.index[i, g]) \
+            assert (play.u[i, g], play.kind[i, g], play.index[i, g]) \
                 == tuple(a[0] for a in before[:3])
-            assert play.u_after[i, g] == after[0][0]
+            assert play.u[i + 1, g] == after[0][0]
             assert play.p[i, g] == _select_one(
                 strategy, t_i, stopped_at(sim, values, sim.node_index(t_i)), before[3][0])
 

@@ -10,6 +10,7 @@ games that read their past.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -250,8 +251,8 @@ class TestConsumersMatchThePathForm:
             site = (self.grid.nodes[k], Path.constant(self.grid, rng.uniform(-0.6, 0.6, dim)),
                     rng.standard_normal(dim))
             for direction in ("sub", "super"):
-                got, want = (minimax_residual(table, form, site, direction, 0.25, 14, seed=k,
-                                              side=side).to_json_obj()
+                got, want = (json.dumps(dataclasses.asdict(minimax_residual(
+                    table, form, site, direction, 0.25, 14, seed=k, side=side)), allow_nan=False)
                              for form in (spec, _path_form(spec)))
                 assert got == want
             got, want = (viscosity_scan(table, form, site[:2], site[2], 0.25, search_budget=14,

@@ -100,9 +100,11 @@ class TestMinimaxResidual:
         spec, grid, lattice, table = const
         x0 = Path.constant(grid, [0.0])
         rep = minimax_residual(table, spec, (0.0, x0, np.zeros(1)), "sub", 0.25, 4, seed=1)
-        obj = rep.to_json_obj()
+        obj = json.loads(json.dumps(dataclasses.asdict(rep), allow_nan=False))
+        assert obj["site"] == {"t0": 0.0, "state": [0.0], "z": [0.0]}
         assert obj["certification"].startswith("sampled-evidence")
         assert obj["direction"] == "sub"
+        assert obj["verdict"] is rep.verdict
 
     @pytest.mark.parametrize("direction,sign", [("sub", 1.0), ("super", -1.0)])
     def test_ties_break_to_first_candidate_and_first_node(self, desk, monkeypatch, direction,

@@ -26,10 +26,12 @@ MOVED_METHODS = {
     ("game", "GameSpec"): ("drift", "stage_cost"),
 }
 # the per-game feedback records, the general-forcing adapter, the game's
-# second copy of its dynamics and the knobs no caller set, deleted outright
+# second copy of its dynamics, the second stopped-sup kernel and the knobs no
+# caller set, deleted outright
 DELETED = {"game": ("StrategyTrace", "play_pools"),
            "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing",
-                         "DelayDynamics")}
+                         "DelayDynamics"),
+           "pathcore": ("sup_norms",)}
 DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces", "to_json_obj"),
                    ("evolution", "DelayDynamics"): ("forced",),
                    ("pathcore", "Path"): ("zero",),
@@ -41,6 +43,8 @@ DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces", "to_json_obj")
                    ("game", "ControlGrid"): ("describe",),
                    ("minimax", "ViscosityReport"): ("to_json_obj",),
                    ("minimax", "StabilityReport"): ("to_json_obj",),
+                   ("minimax", "ResidualReport"): ("to_json_obj",),
+                   ("evolution", "AuditReport"): ("to_json_obj",),
                    ("upsilon", "ChainRuleReport"): ("to_json_obj",)}
 DELETED_PARAMETERS = {
     ("evolution", "solve_delay_evolution"): ("dyn", "forcing_algorithm"),
@@ -56,6 +60,14 @@ DELETED_PARAMETERS = {
     ("game", "HamiltonianEval"): ("minus_q_index", "minus_p_index", "plus_p_index",
                                   "plus_q_index"),
     ("game", "ValueTable"): ("metadata",),
+    # one JSON-valued site field, one shifted-value column, and constants
+    # where a parameter no caller set stood
+    ("minimax", "ResidualReport"): ("site_t0", "site_state", "z"),
+    ("game", "FeedbackPlay"): ("u_before", "u_after"),
+    ("evolution", "OperatorSpec"): ("kind",),
+    ("game", "bilinear_game"): ("terminal",),
+    ("evolution", "audit_hypotheses"): ("monotonicity_tol",),
+    ("upsilon", "verify_chain_rule"): ("smoothness_bound",),
 }
 
 

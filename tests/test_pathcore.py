@@ -153,6 +153,21 @@ class TestValueAt:
         assert out.flags.writeable and not np.shares_memory(out, path.values)
 
 
+class TestResample:
+    @given(_path_and_time(), st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2,
+                                      max_size=6, unique=True))
+    def test_matches_value_at_per_node(self, case, fractions):
+        path = case[0]
+        a, b = path.grid.t_start, path.grid.t_end
+        targets = [path.grid.refine(2), path.grid.refine(3)]
+        times = sorted(a + f * (b - a) for f in fractions)  # a sub-span, explicit nodes
+        if np.all(np.diff(times) > 0):
+            targets.append(TimeGrid.from_nodes(times))
+        for grid in targets:
+            want = np.array([path.value_at(t) for t in grid.nodes])
+            assert path.resample(grid).values.tobytes() == want.tobytes()
+
+
 class TestStoppedValueAt:
     @given(_path_and_time(), st.data())
     def test_matches_value_at_of_the_stopped_path(self, case, data):

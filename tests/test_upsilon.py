@@ -247,6 +247,14 @@ class TestChainRule:
         assert report.kink_count >= 1
         assert report.exact or report.order_estimate >= 0.9
 
+    def test_kinks_are_those_of_the_stopped_sup_from_the_first_node(self):
+        # |x| peaks at t = 0, so the stopped sup is frozen on all of [0, 1]; a
+        # running max begun at the window start would see it attained at 0.25
+        g = grid(16)
+        x = Path(g, 2.0 + (g.nodes - 0.6) ** 2)
+        for t0 in (0.0, 0.25):
+            assert verify_chain_rule("upsilon", x, t0, 1.0).kink_count == 0, t0
+
     def test_nu_chain_rule_orders(self):
         params = LyapunovParams.at_epsilon0(lambda_L=0.5, horizon=1.0)
         g = grid(16)

@@ -412,7 +412,10 @@ def is_upper_side(side: str) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ValueTable:
-    """Lower/upper game values on (time nodes) x (state lattice)."""
+    """Lower and upper game values on (time nodes) x (state lattice).
+
+    A table always holds both sides, as dp_value computes them; side_values
+    reads one by name ("upper" or "lower")."""
 
     grid: TimeGrid
     lattice: StateLattice
@@ -420,13 +423,7 @@ class ValueTable:
     v_plus: np.ndarray
 
     def side_values(self, side: str) -> np.ndarray:
-        if is_upper_side(side):
-            if self.v_plus is None:
-                raise ConfigurationError("table holds no upper values")
-            return self.v_plus
-        if self.v_minus is None:
-            raise ConfigurationError("table holds no lower values")
-        return self.v_minus
+        return self.v_plus if is_upper_side(side) else self.v_minus
 
     def interp(self, side: str, t: float, state) -> float:
         """interp_batch at a single state."""
@@ -480,9 +477,7 @@ class ValueTable:
                  + ",v_minus,v_plus"]
         points = self.lattice.points()
         for k, t in enumerate(self.grid.nodes):
-            vm = self.v_minus[k].ravel() if self.v_minus is not None else np.full(len(points), np.nan)
-            vp = self.v_plus[k].ravel() if self.v_plus is not None else np.full(len(points), np.nan)
-            for point, a, b in zip(points, vm, vp):
+            for point, a, b in zip(points, self.v_minus[k].ravel(), self.v_plus[k].ravel()):
                 coords = ",".join(f"{c:.17g}" for c in point)
                 lines.append(f"{t:.17g},{coords},{a:.17g},{b:.17g}")
         return "\n".join(lines) + "\n"
@@ -494,7 +489,8 @@ def _lift_paths(lattice: StateLattice, grid: TimeGrid) -> list:
 
 def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
               v_minus_next, v_plus_next, lifts):
-    """One backward step: returns (v_minus_k, v_plus_k) lattice arrays.
+    """One backward step of both sides: (v_minus_k, v_plus_k) lattice arrays
+    from the next node's v_minus_next and v_plus_next.
 
     The slice is one array program over its (point, p, q) cells: one
     lane_terms call over every lattice point (lane n's path is lifts[n]),
@@ -528,13 +524,12 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
             f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {err}",
             margin=err.margin)
     stage = dt * cost
-    out_minus = out_plus = None
-    if v_minus_next is not None:  # maximizer commits first: max over q of min over p
-        obj = stage + lattice.interpolate_batch(v_minus_next, succ).reshape(cells)
-        out_minus = obj.min(axis=1).max(axis=1).reshape(lattice.shape)
-    if v_plus_next is not None:  # minimizer commits first: min over p of max over q
-        obj = stage + lattice.interpolate_batch(v_plus_next, succ).reshape(cells)
-        out_plus = obj.max(axis=2).min(axis=1).reshape(lattice.shape)
+    # maximizer commits first: max over q of min over p
+    obj = stage + lattice.interpolate_batch(v_minus_next, succ).reshape(cells)
+    out_minus = obj.min(axis=1).max(axis=1).reshape(lattice.shape)
+    # minimizer commits first: min over p of max over q
+    obj = stage + lattice.interpolate_batch(v_plus_next, succ).reshape(cells)
+    out_plus = obj.max(axis=2).min(axis=1).reshape(lattice.shape)
     return out_minus, out_plus
 
 
@@ -587,9 +582,8 @@ def _require_markov_terminal(spec: GameSpec, grid: TimeGrid, points: np.ndarray,
                 f"through x(T)")
 
 
-def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
-             side: str = "both") -> ValueTable:
-    """Backward min-max recursion on the lattice.
+def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice) -> ValueTable:
+    """Backward min-max recursion on the lattice, both sides at once.
 
     Upper value: minimizer commits first each step (min over p of max over q);
     lower value: maximizer commits first (max over q of min over p).  Terminal
@@ -598,52 +592,24 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice,
     margin needed.
 
     A game that declares markov_terms is valued as it is.  Any other game is
-    probed at each node after the first, inside that node's slice (so
-    recompute_slice probes too): its stage terms on histories perturbed
-    before t must equal those on the constant lifts (_require_markov), or
-    dp_value raises ConfigurationError naming the game and the node, rather
-    than return a value that ignores the past.  Its terminal cost is probed
-    the same way on histories perturbed before T, before any slice
-    (_require_markov_terminal).
+    probed at each node after the first, inside that node's slice: its stage
+    terms on histories perturbed before t must equal those on the constant
+    lifts (_require_markov), or dp_value raises ConfigurationError naming the
+    game and the node, rather than return a value that ignores the past.  Its
+    terminal cost is probed the same way on histories perturbed before T,
+    before any slice (_require_markov_terminal).
     """
-    if side not in ("both", "lower", "upper"):
-        raise DomainError(f"unknown side {side!r}")
-    want_minus = side in ("both", "lower")
-    want_plus = side in ("both", "upper")
     lifts = _lift_paths(lattice, grid)
-    n_nodes = grid.n_steps + 1
-    shape = (n_nodes,) + lattice.shape
+    shape = (grid.n_steps + 1,) + lattice.shape
     terminal = np.array([spec.final_cost(lift) for lift in lifts])
     if spec.markov_terms is None:
         _require_markov_terminal(spec, grid, lattice.points(), terminal)
-    terminal = terminal.reshape(lattice.shape)
-    v_minus = np.empty(shape) if want_minus else None
-    v_plus = np.empty(shape) if want_plus else None
-    if want_minus:
-        v_minus[-1] = terminal
-    if want_plus:
-        v_plus[-1] = terminal
+    v_minus, v_plus = np.empty(shape), np.empty(shape)
+    v_minus[-1] = v_plus[-1] = terminal.reshape(lattice.shape)
     for k in range(grid.n_steps - 1, -1, -1):
-        m_next = v_minus[k + 1] if want_minus else None
-        p_next = v_plus[k + 1] if want_plus else None
-        m_k, p_k = _dp_slice(spec, grid, lattice, k, m_next, p_next, lifts)
-        if want_minus:
-            v_minus[k] = m_k
-        if want_plus:
-            v_plus[k] = p_k
+        v_minus[k], v_plus[k] = _dp_slice(spec, grid, lattice, k, v_minus[k + 1],
+                                          v_plus[k + 1], lifts)
     return ValueTable(grid=grid, lattice=lattice, v_minus=v_minus, v_plus=v_plus)
-
-
-def recompute_slice(table: ValueTable, spec: GameSpec, k: int, side: str) -> np.ndarray:
-    """Redo the backward step at time index k from slice k+1 (bit-exact check)."""
-    lifts = _lift_paths(table.lattice, table.grid)
-    if is_upper_side(side):
-        _, out = _dp_slice(spec, table.grid, table.lattice, k, None,
-                           table.v_plus[k + 1], lifts)
-    else:
-        out, _ = _dp_slice(spec, table.grid, table.lattice, k,
-                           table.v_minus[k + 1], None, lifts)
-    return out
 
 
 # ---------------------------------------------------------------------------

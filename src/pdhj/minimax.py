@@ -335,7 +335,9 @@ def stability_refusal(family: str, n_list):
     """(field, message) of the first stability_experiment input it refuses, or None.
 
     The family must be one of STABILITY_FAMILIES, and n_list a nonempty,
-    increasing list of n >= 1: an empty list would pass vacuously.
+    strictly increasing list of n >= 1: an empty list would pass vacuously,
+    and a repeated n gives two equal distances, which can never decrease
+    strictly.
     """
     if family not in STABILITY_FAMILIES:
         return "family", (f"unknown perturbation family {family!r}; expected one of "
@@ -344,14 +346,15 @@ def stability_refusal(family: str, n_list):
         return "n_list", "n_list must not be empty"
     if min(n_list) < 1:
         return "n_list", "n_list entries must be >= 1"
-    if sorted(n_list) != list(n_list):
+    if any(a >= b for a, b in zip(n_list[:-1], n_list[1:])):
         return "n_list", "n_list must be increasing (magnitudes 1/n decreasing)"
     return None
 
 
 def stability_experiment(spec: GameSpec, family: str, n_list, grid: TimeGrid,
-                         lattice: StateLattice, side: str = "upper") -> StabilityReport:
-    """Compute value tables under a 1/n perturbation family and their distances.
+                         lattice: StateLattice) -> StabilityReport:
+    """Compute upper value tables under a 1/n perturbation family and their
+    sup distances to the unperturbed upper value (report side "upper").
 
     'h-shift' adds 1/n to the terminal cost: the backward min/max recursion is
     shift-equivariant, so the distance equals 1/n exactly (up to rounding).
@@ -364,29 +367,24 @@ def stability_experiment(spec: GameSpec, family: str, n_list, grid: TimeGrid,
     refusal = stability_refusal(family, n_list)
     if refusal is not None:
         raise DomainError(refusal[1])
-    base = dp_value(spec, grid, lattice, side="both")
-    base_vals = base.side_values(side)
+    base_vals = dp_value(spec, grid, lattice).v_plus
     distances, exactness = [], []
     for n in n_list:
         spec_n = STABILITY_FAMILIES[family](spec, 1.0 / n)
-        table_n = dp_value(spec_n, grid, lattice, side=side)
-        dist = float(np.max(np.abs(table_n.side_values(side) - base_vals)))
+        dist = float(np.max(np.abs(dp_value(spec_n, grid, lattice).v_plus - base_vals)))
         distances.append(dist)
         exactness.append(abs(dist - 1.0 / n) if family == "h-shift" else None)
     decreasing = all(a > b for a, b in zip(distances[:-1], distances[1:]))
     return StabilityReport(family=family, n_list=n_list, distances=tuple(distances),
-                           side=side, strictly_decreasing=decreasing,
+                           side="upper", strictly_decreasing=decreasing,
                            shift_exactness=tuple(exactness))
 
 
 def bump_table(table: ValueTable, time_index: int, state_index, amount: float,
                side: str = "upper") -> ValueTable:
     """Corrupt one interior table entry (mutation testing of the residual checks)."""
-    v_minus = None if table.v_minus is None else table.v_minus.copy()
-    v_plus = None if table.v_plus is None else table.v_plus.copy()
+    v_minus, v_plus = table.v_minus.copy(), table.v_plus.copy()
     target = v_plus if is_upper_side(side) else v_minus
-    if target is None:
-        raise DomainError(f"table holds no {side} values")
     idx = (time_index,) + tuple(np.atleast_1d(state_index))
     target[idx] += amount
     return ValueTable(grid=table.grid, lattice=table.lattice, v_minus=v_minus, v_plus=v_plus)

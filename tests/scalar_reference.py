@@ -16,6 +16,8 @@ the batches are checked against.
   for a tube sample; sample_reachable_set as one such solve per sample.
 - _ball_point: the one-point tube draw of pdhj.evolution._ball_points.
 - value_gradient: the one-state ValueTable.gradient, 2·dim scalar reads.
+- recompute_slice: one backward DP step redone from a table's next node,
+  the bit-exact check of the dynamic programming principle.
 - _candidate_runs_reference and _char_policy: the residual candidates of
   pdhj.minimax._candidate_runs as one sequential solve per candidate, a
   characteristic aimed by value_gradient and picking its pair from one
@@ -59,8 +61,8 @@ from pdhj.errors import ConfigurationError, ContractError, DomainError, Evaluati
 from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_TOL, OperatorSpec, \
     SolveReport, _bisect_step
 from pdhj.game import FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, ValueTable, \
-    _finite_cost, _finite_drift, adversary_pool, hamiltonian, is_upper_side, \
-    play_feedback_games, step_rate_bound
+    _dp_slice, _finite_cost, _finite_drift, _lift_paths, adversary_pool, hamiltonian, \
+    is_upper_side, play_feedback_games, step_rate_bound
 from pdhj.pathcore import _NODE_TOL, Path, TimeGrid, _row_dots, kappa_constant, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
 
@@ -489,6 +491,15 @@ def value_gradient(table: ValueTable, side: str, t: float, state) -> np.ndarray:
             continue
         g[d] = (table.interp(side, t, up) - table.interp(side, t, dn)) / (up[d] - dn[d])
     return g
+
+
+def recompute_slice(table: ValueTable, spec: GameSpec, k: int, side: str) -> np.ndarray:
+    """Redo the backward step at time index k from slice k+1 of both sides and
+    return the named side's slice; an unknown side is refused (DomainError)."""
+    upper = is_upper_side(side)
+    m_k, p_k = _dp_slice(spec, table.grid, table.lattice, k, table.v_minus[k + 1],
+                         table.v_plus[k + 1], _lift_paths(table.lattice, table.grid))
+    return p_k if upper else m_k
 
 
 def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):

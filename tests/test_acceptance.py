@@ -28,14 +28,13 @@ from pdhj.game import (
     lyapunov_violation_stats,
     minimax_records,
     play_feedback_games,
-    recompute_slice,
 )
 from pdhj.minimax import bump_table, composite_tolerance, minimax_residual, \
     stability_experiment
 from pdhj.pathcore import Path, TimeGrid, kappa_constant
 from pdhj.upsilon import LyapunovParams, verify_chain_rule
 from scalar_reference import calibrate_step_bound, estimate_guaranteed_result, \
-    measurable_selection, path_difference, penalty_psi, sup_norm, upsilon
+    measurable_selection, path_difference, penalty_psi, recompute_slice, sup_norm, upsilon
 
 KAPPA = kappa_constant()
 

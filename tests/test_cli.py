@@ -449,9 +449,11 @@ class TestConfigRefusals:
         ([], "n_list must not be empty"),
         ([0, 2], "n_list entries must be >= 1"),
         ([4, 2], "n_list must be increasing (magnitudes 1/n decreasing)"),
-    ], ids=["empty", "below-one", "decreasing"])
+        ([2, 2, 4], "n_list must be increasing (magnitudes 1/n decreasing)"),
+    ], ids=["empty", "below-one", "decreasing", "repeated"])
     def test_stability_n_list_refused_while_building(self, tmp_path, capsys, n_list, message):
-        # an empty list used to pass vacuously (exit 0, "distances": [])
+        # an empty list used to pass vacuously (exit 0, "distances": []), and a
+        # repeated n ran to exit 1: its two equal distances never decrease
         cfg = shipped_config("stability_run.json")
         cfg["n_list"] = n_list
         self._refused(tmp_path, capsys, cfg, "n_list")

@@ -29,18 +29,18 @@ from scalar_reference import _implicit_step, drift, stage_cost
 
 
 def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts):
-    """The per-(point, p, q) loop that _dp_slice replaced, kept verbatim."""
+    """The per-(point, p, q) loop that _dp_slice replaced, both sides."""
     nodes = grid.nodes
     t_k, t_k1 = nodes[k], nodes[k + 1]
     dt = t_k1 - t_k
     n_p, n_q = spec.controls.n_p, spec.controls.n_q
     points = lattice.points()
-    out_minus = np.empty(len(points)) if v_minus_next is not None else None
-    out_plus = np.empty(len(points)) if v_plus_next is not None else None
+    out_minus = np.empty(len(points))
+    out_plus = np.empty(len(points))
     op = spec.op
     for idx, (point, lift) in enumerate(zip(points, lifts)):
-        obj_minus = np.empty((n_p, n_q)) if out_minus is not None else None
-        obj_plus = np.empty((n_p, n_q)) if out_plus is not None else None
+        obj_minus = np.empty((n_p, n_q))
+        obj_plus = np.empty((n_p, n_q))
         for i, p in enumerate(spec.controls.p_points):
             for j, q in enumerate(spec.controls.q_points):
                 f = drift(spec, t_k, lift, p, q)
@@ -49,21 +49,15 @@ def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts
                 succ, _, _ = _implicit_step(op, t_k1, dt, target, point, tol, k)
                 stage = dt * stage_cost(spec, t_k, lift, p, q)
                 try:
-                    if obj_minus is not None:
-                        obj_minus[i, j] = stage + lattice.interpolate_batch(v_minus_next, succ[None])[0]
-                    if obj_plus is not None:
-                        obj_plus[i, j] = stage + lattice.interpolate_batch(v_plus_next, succ[None])[0]
+                    obj_minus[i, j] = stage + lattice.interpolate_batch(v_minus_next, succ[None])[0]
+                    obj_plus[i, j] = stage + lattice.interpolate_batch(v_plus_next, succ[None])[0]
                 except LatticeCoverageError as err:
                     raise LatticeCoverageError(
                         f"successor left the lattice at time index {k} "
                         f"(state {point}, p={p!r}, q={q!r}): {err}", margin=err.margin)
-        if out_minus is not None:
-            out_minus[idx] = np.max(np.min(obj_minus, axis=0))
-        if out_plus is not None:
-            out_plus[idx] = np.min(np.max(obj_plus, axis=1))
-    shape = lattice.shape
-    return (out_minus.reshape(shape) if out_minus is not None else None,
-            out_plus.reshape(shape) if out_plus is not None else None)
+        out_minus[idx] = np.max(np.min(obj_minus, axis=0))
+        out_plus[idx] = np.min(np.max(obj_plus, axis=1))
+    return out_minus.reshape(lattice.shape), out_plus.reshape(lattice.shape)
 
 
 def planar_game():
@@ -98,21 +92,6 @@ class TestBatchedSlice:
                                                  random_field(lattice, k))
             assert np.array_equal(m, m_ref)
             assert np.array_equal(p, p_ref)
-
-    def test_one_side_only(self):
-        spec = isaacs_game()
-        grid = TimeGrid(0.0, 1.0, 4)
-        lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,))
-        lifts = _lift_paths(lattice, grid)
-        vals = random_field(lattice, 5)
-        m, p = _dp_slice(spec, grid, lattice, 1, vals, None, lifts)
-        assert p is None
-        assert np.array_equal(m, _dp_slice_reference(spec, grid, lattice, 1, vals, None,
-                                                     lifts)[0])
-        m, p = _dp_slice(spec, grid, lattice, 1, None, vals, lifts)
-        assert m is None
-        assert np.array_equal(p, _dp_slice_reference(spec, grid, lattice, 1, None, vals,
-                                                     lifts)[1])
 
     def test_2d_lattice_agrees(self):
         spec = planar_game()

@@ -344,7 +344,7 @@ class TestGreedyLanes:
         assert len(off) == (3 if explicit else 1)
         n_q = spec.controls.n_q
         # a maximizer of -u picks other q's than one of u
-        flipped = ValueTable(grid=table.grid, lattice=table.lattice, v_minus=None,
+        flipped = ValueTable(grid=table.grid, lattice=table.lattice, v_minus=-table.v_minus,
                              v_plus=-table.v_plus)
         # two equal greedy adversaries answer as one batch, each other one alone
         pool = [constant_adversary(2), greedy_adversary(spec, table),
@@ -526,6 +526,26 @@ class TestCompanionTies:
                                                                      partition))
         assert np.all(play.kind == COMPANION_KINDS.index("trace"))
 
+    def test_lattice_kind_wins_cells_on_the_bilinear_short_run(self, monkeypatch):
+        # on the isaacs feedback configs the lattice companion never wins a
+        # cell; on the bilinear game of the short run it wins 153 of 1,152 at
+        # seed 0, so the kind is live and must stay
+        path = pathlib.Path(__file__).parents[1] / "bench" / "configs" / "feedback_short.json"
+        cfg = cli.validate_config({**json.loads(path.read_text()), "seed": 0,
+                                   "game": {"kind": "bilinear"}, "epsilon_fraction": 1.0})
+        real, kinds = cli.play_feedback_games, []
+
+        def recording(strategy, adversaries, partition):
+            play = real(strategy, adversaries, partition)
+            kinds.append(play.kind.ravel())
+            return play
+
+        monkeypatch.setattr(cli, "play_feedback_games", recording)
+        cli._run_feedback(cfg, {})
+        kinds = np.concatenate(kinds)
+        assert len(kinds) == 1152
+        assert np.count_nonzero(kinds == COMPANION_KINDS.index("lattice")) >= 1
+
     def test_earlier_kind_and_smaller_index_win(self):
         # epsilon 1/8 makes every probe offset a binary fraction, so a probe
         # state - o and a lattice point are the same double
@@ -538,7 +558,7 @@ class TestCompanionTies:
         v_plus = table.v_plus.copy()
         v_plus[:, [j, j_hi]] = -1e3
         v_plus[:, j + 1:j_hi] = 1e3  # high ground between them
-        rigged = ValueTable(grid=grid, lattice=lattice, v_minus=None, v_plus=v_plus)
+        rigged = ValueTable(grid=grid, lattice=lattice, v_minus=table.v_minus, v_plus=v_plus)
         params = LyapunovParams(epsilon=0.125, lambda_L=spec.lambda_L, horizon=1.0)
         eps_sq = params.epsilon ** 2
         c, c_hi = points[j], points[j_hi]

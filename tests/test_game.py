@@ -27,7 +27,6 @@ from pdhj.game import (
     lyapunov_violation_stats,
     play_feedback_games,
     random_adversary,
-    recompute_slice,
     simulation_grid,
     step_rate_bound,
     with_drift_perturbation,
@@ -35,7 +34,8 @@ from pdhj.game import (
 from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at
 from pdhj.upsilon import LyapunovParams
 from scalar_reference import drift, estimate_guaranteed_result, game_audit, lyapunov_nu, \
-    measurable_selection, path_difference, scale_costs, stage_cost, stage_matrix
+    measurable_selection, path_difference, recompute_slice, scale_costs, stage_cost, \
+    stage_matrix
 
 
 def one_point_path(grid, value=0.0):
@@ -405,7 +405,7 @@ class TestFeedbackStrategy:
         c = lattice.points()[j]
         v_plus = table.v_plus.copy()
         v_plus[:, j] = -1e3
-        rigged = ValueTable(grid=grid, lattice=lattice, v_minus=None, v_plus=v_plus)
+        rigged = ValueTable(grid=grid, lattice=lattice, v_minus=table.v_minus, v_plus=v_plus)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.0),
                                            TimeGrid(0.0, 1.0, 4),
                                            value=rigged, library_size=4, seed=0)

@@ -328,7 +328,8 @@ class TestStability:
         ((), "n_list must not be empty"),
         ((0, 2), "n_list entries must be >= 1"),
         ((4, 2), "n_list must be increasing (magnitudes 1/n decreasing)"),
-    ], ids=["empty", "below-one", "decreasing"])
+        ((2, 2, 4), "n_list must be increasing (magnitudes 1/n decreasing)"),
+    ], ids=["empty", "below-one", "decreasing", "repeated"])
     def test_n_list_refused_before_any_table(self, desk, n_list, message, monkeypatch):
         spec, grid, lattice, _ = desk
         monkeypatch.setattr(minimax, "dp_value", None)  # any table would fail loudly

@@ -16,7 +16,7 @@ MOVED = {
     "upsilon": ("upsilon", "penalty_psi", "lyapunov_nu", "_stopped_sup_sq", "UpsilonEval",
                 "PenaltyEval", "NuEval"),
     "game": ("calibrate_step_bound", "scale_costs", "measurable_selection",
-             "estimate_guaranteed_result"),
+             "estimate_guaranteed_result", "recompute_slice"),
 }
 MOVED_METHODS = {
     ("pathcore", "Path"): ("from_csv", "from_json", "from_json_obj", "to_json", "__sub__"),
@@ -68,6 +68,9 @@ DELETED_PARAMETERS = {
     ("game", "bilinear_game"): ("terminal",),
     ("evolution", "audit_hypotheses"): ("monotonicity_tol",),
     ("upsilon", "verify_chain_rule"): ("smoothness_bound",),
+    # a value table always holds both sides
+    ("game", "dp_value"): ("side",),
+    ("minimax", "stability_experiment"): ("side",),
 }
 
 

@@ -52,8 +52,7 @@ from .game import (
     play_feedback_games,
     step_rate_bound,
 )
-from .minimax import bump_table, minimax_residual, stability_experiment, \
-    stability_refusal, viscosity_scan
+from .minimax import Site, bump_table, site_checks, stability_experiment, stability_refusal
 from .pathcore import Path, TimeGrid, values_at
 from .upsilon import LyapunovParams, property_battery
 
@@ -439,24 +438,24 @@ def _run_minimax_check(cfg: dict, artifacts: dict):
     n_sites, horizon, budget, seed = cfg["sites"], cfg["horizon"], cfg["budget"], cfg["seed"]
     table = dp_value(spec, grid, lattice)
     rng = np.random.default_rng(seed)
-    reports = []
-    all_pass = True
+    dim = spec.op.space.dim
+    sites = []  # every site is drawn before the one lane set solves them all
     for i in range(n_sites):
         k = int(rng.integers(0, max(grid.n_steps - 2, 1)))
         x0 = Path.constant(grid, _site_state(rng, lattice, 0.6))
-        z = rng.standard_normal(spec.op.space.dim)
-        site = (grid.nodes[k], x0, z)
-        sub = minimax_residual(table, spec, site, "sub", horizon, budget, seed=seed + 10 + i)
-        sup = minimax_residual(table, spec, site, "super", horizon, budget, seed=seed + 500 + i)
-        reports.append({"sub": asdict(sub), "super": asdict(sup)})
-        all_pass = all_pass and sub.verdict and sup.verdict
-    viscosity = []
+        z = rng.standard_normal(dim)
+        sites.append(Site(grid.nodes[k], x0, z,
+                          (("sub", seed + 10 + i), ("super", seed + 500 + i))))
     for j in range(3):
         k = int(rng.integers(0, max(grid.n_steps - 2, 1)))
         x0 = Path.constant(grid, _site_state(rng, lattice, 0.5))
-        z = rng.standard_normal(spec.op.space.dim) * 0.5
-        scan = viscosity_scan(table, spec, (grid.nodes[k], x0), z, horizon,
-                              search_budget=budget, seed=seed + 900 + j)
+        z = rng.standard_normal(dim) * 0.5
+        sites.append(Site(grid.nodes[k], x0, z, (("scan", seed + 900 + j),)))
+    checked = site_checks(table, spec, sites, horizon, budget)
+    reports = [{"sub": asdict(sub), "super": asdict(sup)} for sub, sup in checked[:n_sites]]
+    all_pass = all(sub.verdict and sup.verdict for sub, sup in checked[:n_sites])
+    viscosity = []
+    for j, (scan,) in enumerate(checked[n_sites:]):
         viscosity.append({"site_index": j,
                           "violation_found": scan["violation_found"],
                           "c_values": scan["c_values"],
@@ -469,8 +468,9 @@ def _run_minimax_check(cfg: dict, artifacts: dict):
         s_mid = tuple(n // 2 for n in lattice.shape)  # the entry at every axis's midpoint
         bumped = bump_table(table, k_mid, s_mid, 0.2, side="upper")
         x0 = Path.constant(grid, [float(axis[i]) for axis, i in zip(lattice.axes, s_mid)])
-        site = (grid.nodes[k_mid], x0, np.zeros(spec.op.space.dim))
-        mut = minimax_residual(bumped, spec, site, "sub", horizon, budget, seed=seed)
+        # the bumped table is its own one-site lane set
+        (mut,), = site_checks(bumped, spec, [Site(grid.nodes[k_mid], x0, np.zeros(dim),
+                                                   (("sub", seed),))], horizon, budget)
         mutation_detected = not mut.verdict
     rows = ["site,direction,slack,tolerance,verdict"]
     for i, pair in enumerate(reports):

@@ -5,21 +5,25 @@ each step is a strongly monotone root-finding problem handled by damped Newton
 with a safeguarded fallback.  Trajectories with forcing bounded by
 L * (1 + sup-norm of the stopped path) form the discrete reachable tube.
 
-Every lane solve runs the one step loop _lockstep_solve: at each step one
-batched forcing call gives every lane's f, one check refuses every |f| above
-L (1 + sup-norm) (the lowest failing lane's ContractError), and one
-_implicit_step_batch call moves every lane.  The forced solves call it
-directly: solve_delay_evolution with one lane whose f is a row of its forcing
-array, sample_reachable_set with one lane per tube draw and one _ball_points
-call per step.  A residual site of pdhj.minimax solves its candidates as one
-lane set, whose forcing phases per step are the characteristic aims (one
-batched gradient), the stage terms (one full-grid call over every lane,
-which gives the characteristic picks, the game drift and every lane's
-Hamiltonian) and the tube draws (one _ball_points call).
+Every lane solve runs the one step loop _lockstep_solve: each lane has its
+own start node, end node and history, and the steps run time-major over the
+grid's absolute nodes, each moving the lanes whose window covers it.  At
+each step one batched forcing call gives every active lane's f, one check
+refuses every |f| above L (1 + sup-norm) (the lowest failing lane's
+ContractError), and one _implicit_step_batch call moves every active lane.
+The forced solves call it directly with one window shared by every lane:
+solve_delay_evolution with one lane whose f is a row of its forcing array,
+sample_reachable_set with one lane per tube draw and one _ball_points call
+per step.  pdhj.minimax solves every site of a residual run as one lane
+set, each site's lanes over its own window, whose forcing phases per step
+are the characteristic aims (one batched gradient), the stage terms (one
+full-grid call over every active lane, which gives the characteristic
+picks, the game drift and every lane's Hamiltonian) and the tube draws (one
+_ball_points call).
 
 Lockstep loops (_lockstep_solve and its callers here and in
 pdhj.minimax; play_feedback_games, the greedy lookahead and the DP slice
-in pdhj.game; the characteristic functional and viscosity_scan in
+in pdhj.game; the table reads and operator pairings of site_checks in
 pdhj.minimax) raise the first error they meet, taking time steps in order
 and the phases of each step in the order their docstrings list.  A phase of
 per-lane callbacks (a feedback run's adversaries) runs lane by lane, so it
@@ -34,11 +38,13 @@ feedback cell picks every game's control in one batch and answers its
 greedy lanes with one batched lookahead before the other adversaries answer
 game by game; a feedback run plays its three pools as one lane set per
 partition, so an earlier partition's error wins whichever pool it is on; a
-residual site's tube lanes step with its game lanes, so the earlier step's
-error wins whichever lane it is on, and a non-finite stage term of any lane
-raises during the solve, at its step, in (lane, p, q) order (viscosity_scan
-too checks every lane's full control grid); the characteristic functional
-then has only its table-read phase.  The sampled Hamiltonians of
+residual run's sites step together, time-major, so the earlier step's error
+wins whichever site and lane it is on (a site by site order would raise the
+first site's error however late its step), and a non-finite stage term of
+any lane raises during the solve, at its step, in (lane, p, q) order (a
+viscosity scan's lanes too check their full control grid); the
+characteristic functional then has only its table-read phase, one batch per
+node over every site.  The sampled Hamiltonians of
 pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
 use) take them one time group at a time: the distinct sample times in order
 of first appearance, every sample at a time in one batch, so they raise the
@@ -386,8 +392,9 @@ def solve_delay_evolution(op: OperatorSpec, t0: float, x0: Path, forcing=None, *
     forcing = np.zeros(shape) if forcing is None else np.asarray(forcing, dtype=float)
     if forcing.shape != shape:
         raise DomainError(f"forcing has shape {forcing.shape}, expected {shape}")
-    solved = _lockstep_solve(op, t0, x0, np.array([float(lipschitz_L)]),
-                             lambda k, values, bound: forcing[k][None])
+    solved = _lockstep_solve(op, grid.nodes, x0.values[:, None, :].copy(), grid.node_index(t0),
+                             grid.n_steps, np.array([float(lipschitz_L)]),
+                             lambda k, lanes, values, bound: forcing[k][None])
     return _reports(x0, t0, solved)[0]
 
 
@@ -405,52 +412,67 @@ def _reports(x0: Path, t0: float, solved, forcing_algorithm: str = None) -> list
             for lane in range(values.shape[1])]
 
 
-def _lockstep_solve(op: OperatorSpec, t0: float, x0: Path, L: np.ndarray, step_forcing):
-    """The one step loop of every lane solve: m lanes of x' + A(t, x) = f from
-    the history x0 past t0, lane n with the tube constant L[n], L shape (m,).
+def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, start, end,
+                    L: np.ndarray, step_forcing):
+    """The one step loop of every lane solve: m lanes of x' + A(t, x) = f on
+    the grid nodes `nodes`, lane n from node start[n] to node end[n] with the
+    tube constant L[n], L shape (m,); start and end are ints shared by every
+    lane or arrays of shape (m,).
 
-    step_forcing(k, values, bound) returns every lane's forcing at t_k, shape
-    (m, dim); values is the (node, lane, coordinate) array, filled through
-    node k, and bound = L (1 + sup-norm of each lane's stopped path), shape
-    (m,).  Each step then checks |f| <= bound for all lanes (a non-finite
-    forcing fails the check; the ContractError names the lowest failing
-    lane) and moves every lane with one _implicit_step_batch call; an L below
-    0 is refused (DomainError) before the first step.  Returns
-    (values, trace, iters, res): the node values, shape (node, lane, dim),
-    and per step from t0 on the forcings, shape (step, lane, dim), the Newton
-    iterations and the step residuals, shapes (step, lane).
+    values, shape (node, lane, coordinate), holds each lane's history through
+    its start node; the solve fills lane n's nodes start[n] + 1 .. end[n] in
+    place and reads and writes no other entry, so a lane's nodes past its
+    end keep whatever they hold.  The steps run time-major over the absolute
+    nodes, each step moving the lanes whose window covers it (none: no step).
+    step_forcing(k, lanes, values, bound) returns the forcing of those lanes
+    at t_k, shape (len(lanes), dim), lanes being the active lanes'
+    increasing index array; values is the whole array, filled through node k
+    on the active lanes, and bound = L (1 + sup-norm of each active lane's
+    stopped path).  Each step then checks |f| <= bound (a non-finite forcing
+    fails the check; the ContractError names the lowest failing lane) and
+    moves the active lanes with one _implicit_step_batch call; an L below 0
+    is refused (DomainError) before the first step.  Returns
+    (values, trace, iters, res): the node values, and per step of each lane's
+    window, row j holding its step start + j, the forcings, shape
+    (step, lane, dim), the Newton iterations and the step residuals, shapes
+    (step, lane), zero past the lane's window.
     """
     if not np.all(L >= 0):
         raise DomainError("lipschitz_L must be >= 0")
-    grid = x0.grid
-    k0 = grid.node_index(t0)
-    nodes = grid.nodes
-    n = grid.n_steps
-    m, dim = len(L), x0.dim
+    m, dim = len(L), values.shape[2]
+    start = np.broadcast_to(np.asarray(start, dtype=int), (m,))
+    end = np.broadcast_to(np.asarray(end, dtype=int), (m,))
+    steps = int((end - start).max())
+    trace = np.zeros((steps, m, dim))
+    iters = np.zeros((steps, m), dtype=int)
+    res = np.zeros((steps, m))
+    # running max of the node norms up to t_k (np.linalg.norm over the coordinates)
+    node_sup = np.empty(m)
+    for k0 in np.unique(start):
+        held = start == k0
+        node_sup[held] = np.max(np.linalg.norm(values[: k0 + 1, held], axis=2), axis=0)
 
-    values = np.repeat(x0.values[:, None, :], m, axis=1)  # (node, lane, coordinate)
-    trace = np.zeros((n - k0, m, dim))
-    iters = np.zeros((n - k0, m), dtype=int)
-    res = np.zeros((n - k0, m))
-    # running max of the node norms up to t_k (np.linalg.norm over axis 1)
-    node_sup = np.full(m, np.max(np.linalg.norm(x0.values[: k0 + 1], axis=1)))
-
-    for k in range(k0, n):
+    for k in range(int(start.min()), int(end.max())):
+        lanes = np.flatnonzero((start <= k) & (k < end))
+        if not lanes.size:
+            continue
+        row = k - start[lanes]
         t_k1 = nodes[k + 1]
         dt = t_k1 - nodes[k]
-        x_k = values[k]
+        x_k = values[k, lanes]
         cur = _row_norms(x_k)  # |x(t_k)|, the stopped sup-norm's last term
-        bound = L * (1.0 + np.maximum(node_sup, cur))
-        f = step_forcing(k, values, bound)
+        bound = L[lanes] * (1.0 + np.maximum(node_sup[lanes], cur))
+        f = step_forcing(k, lanes, values, bound)
         fmag = _row_norms(f)
         over = np.flatnonzero(~(fmag <= bound + FORCING_BOUND_TOL * (1.0 + bound)))
         if over.size:
             lane = over[0]
             raise ContractError(f"forcing magnitude {fmag[lane]:.6e} exceeds L(1+sup) = "
                                 f"{bound[lane]:.6e} at step {k}")
-        values[k + 1], iters[k - k0], res[k - k0] = _drift_step(op, t_k1, dt, x_k, f, STEP_TOL, k)
-        node_sup = np.maximum(node_sup, np.linalg.norm(values[k + 1], axis=1))
-        trace[k - k0] = f
+        x_next, iters[row, lanes], res[row, lanes] = _drift_step(op, t_k1, dt, x_k, f, STEP_TOL, k)
+        values[k + 1, lanes] = x_next
+        node_sup[lanes] = np.maximum(node_sup[lanes], np.linalg.norm(x_next, axis=1))
+        trace[row, lanes] = f
     return values, trace, iters, res
 
 
@@ -495,6 +517,8 @@ def sample_reachable_set(op: OperatorSpec, t0: float, x0: Path, count: int, seed
     if count < 1:
         raise DomainError("count must be >= 1")
     streams = [np.random.default_rng([seed, i]) for i in range(count)]
-    solved = _lockstep_solve(op, t0, x0, np.full(count, float(lipschitz_L)),
-                             lambda k, values, bound: _ball_points(streams, x0.dim, bound))
+    grid = x0.grid
+    solved = _lockstep_solve(op, grid.nodes, np.repeat(x0.values[:, None, :], count, axis=1),
+                             grid.node_index(t0), grid.n_steps, np.full(count, float(lipschitz_L)),
+                             lambda k, lanes, values, bound: _ball_points(streams, x0.dim, bound))
     return _reports(x0, t0, solved, FORCING_ALGORITHM)

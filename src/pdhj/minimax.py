@@ -5,12 +5,27 @@ best-over-sampled-candidates search with a reported budget: a PASS is sampled
 evidence, not proof, and every report says so.  Candidates mix constant
 control pairs, two characteristic feedback constructions aimed along the value
 gradient, and random reachable-tube forcings.
+
+site_checks runs every residual search and viscosity scan of a run on one
+lane set: each site's game lanes (the constant pairs and the two
+characteristics) once, whatever checks read them, and one block of tube
+lanes per distinct seed of its checks, all stepping together on the value
+table's nodes, each site's lanes over its own window.  minimax_residual and
+viscosity_scan are its one-site case.  A run raises the first error in this
+order: each site's own reads (its window, the table at its state, the
+Hamiltonian F0 of a scan), site by site; then the lane solve, time-major
+across the sites, so the earlier step's error wins whichever site it is on
+(the phases of each step are _candidate_runs'); then the scans' operator
+pairings and then the table reads along the candidates, each one batch per
+node in time order over every site, a read naming the largest margin among
+the lanes of the first node where some candidate leaves the lattice.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,166 +70,6 @@ class ResidualReport:
     certification: str = CERTIFICATION_NOTE
 
 
-def _window_grid(grid: TimeGrid, t0: float, horizon: float):
-    """Sub-grid of table nodes spanning [t_start, min(t0+horizon, T)] with >= 1 step past t0."""
-    k0 = grid.node_index(t0)
-    if k0 >= grid.n_steps:
-        raise DomainError("site time t0 must lie strictly before the terminal node")
-    nodes = grid.nodes
-    t_end = min(t0 + horizon, grid.t_end)
-    k_end = int(np.searchsorted(nodes, t_end + 1e-12)) - 1
-    k_end = max(k_end, k0 + 1)
-    return TimeGrid.from_nodes(nodes[: k_end + 1]), k0, k_end
-
-
-def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, t0: float,
-                    hist: Path, z, budget: int, seed: int):
-    """(labels, values, forcing, hams) of a site's candidates, solved as one lane set.
-
-    The lanes are the constant control pairs (fixed p and q index arrays),
-    the two characteristics and max(0, budget - n_p n_q - 2) random tube
-    samples; values has shape (node, lane, dim) on hist.grid, and forcing
-    (step, lane, dim) and hams, the side's Hamiltonian of (t_k, x(t_k), z),
-    (step, lane) from t0 on.  Every lane takes the tube constant spec.l_f.
-    Each step has four phases, in this order for the lockstep rule of
-    pdhj.evolution:
-
-    1. the characteristic aims: one ValueTable.gradient call;
-    2. the stage terms: one full-grid lane_terms call over every lane, so a
-       non-finite entry of any lane raises here, at its step, in (lane, p, q)
-       order.  It gives the characteristics' stage matrices, the game lanes'
-       drift at their played pairs and every lane's Hamiltonian.  For the
-       upper Hamiltonian (min over p of max over q) the supersolution
-       characteristic commits p along the value gradient and lets q answer
-       the test direction z; the subsolution characteristic swaps the two
-       roles, and the lower Hamiltonian mirrors this with q committing
-       first.  Ties break to the smallest index;
-    3. the tube draws: one _ball_points call;
-    4. the forcing-bound check and the implicit step of _lockstep_solve.
-    """
-    controls = spec.controls
-    n_pairs = controls.n_p * controls.n_q
-    n_game = n_pairs + 2
-    n_random = max(0, budget - n_game)
-    labels = ([f"constant[p{i},q{j}]" for i in range(controls.n_p) for j in range(controls.n_q)]
-              + ["characteristic[super]", "characteristic[sub]"]
-              + [f"random[{i}]" for i in range(n_random)])
-    game = np.arange(n_game)
-    p_idx = np.append(game[:n_pairs] // controls.n_q, [0, 0])
-    q_idx = np.append(game[:n_pairs] % controls.n_q, [0, 0])
-    chars = slice(n_pairs, n_game)
-    L = np.full(n_game + n_random, float(spec.l_f))
-    streams = [np.random.default_rng([seed, i]) for i in range(n_random)]
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    upper = is_upper_side(side)
-    # the super lane commits along the gradient on the upper side, the sub lane on the lower
-    grad_commits = np.array([upper, not upper])[:, None, None]
-    rows = np.arange(2)
-    grid = hist.grid
-    nodes = grid.nodes
-    k0 = grid.node_index(t0)
-    hams = np.empty((grid.n_steps - k0, len(L)))
-
-    def step_forcing(k, values, bound):
-        t_k, x_k = nodes[k], values[k]
-        zhat = table.gradient(side, t_k, x_k[chars])
-        drift, cost = spec.lane_terms(t_k, x_k, lambda lane: stopped_at(grid, values[:, lane], k))
-        M_test = cost + _row_dots(drift, z)
-        f_minus, f_plus = minimax_records(M_test)[:2]
-        hams[k - k0] = f_plus if upper else f_minus
-        M_grad = cost[chars] + _row_dots(drift[chars], zhat[:, None, None, :])
-        commit = np.where(grad_commits, M_grad, M_test[chars])
-        answer = np.where(grad_commits, M_test[chars], M_grad)
-        if upper:
-            p_idx[chars] = np.argmin(commit.max(axis=2), axis=1)
-            q_idx[chars] = np.argmax(answer[rows, p_idx[chars], :], axis=1)
-        else:
-            q_idx[chars] = np.argmax(commit.min(axis=1), axis=1)
-            p_idx[chars] = np.argmin(answer[rows, :, q_idx[chars]], axis=1)
-        f = np.empty((len(L), hist.dim))
-        f[:n_game] = drift[game, p_idx, q_idx]
-        f[n_game:] = _ball_points(streams, hist.dim, bound[n_game:])
-        return f
-
-    values, forcing, _, _ = _lockstep_solve(spec.op, t0, hist, L, step_forcing)
-    return labels, values, forcing, hams
-
-
-def _window_values(table: ValueTable, side: str, nodes, states: np.ndarray) -> np.ndarray:
-    """u(nodes[m], states[c, m]) for states shaped (candidate, node, coordinate):
-    one interp_batch call per node reads every candidate, so a state off the
-    lattice raises the largest margin of the first node that has one."""
-    return np.stack([table.interp_batch(side, t, states[:, m]) for m, t in enumerate(nodes)],
-                    axis=1)
-
-
-def _characteristic_functional(table: ValueTable, side: str, grid: TimeGrid, values: np.ndarray,
-                               forcing: np.ndarray, hams: np.ndarray, z, t0: float, u0: float):
-    """G[c, m] = int_{t0}^{t_m} ((-f, z) + F(s, x, z)) ds + u(t_m, x(t_m)) - u0
-    per candidate c and window node t_m > t0; returns (G, times).
-
-    values, forcing and hams are the candidates of _candidate_runs, which
-    took the stage terms; the only phase here is the table reads of
-    _window_values.  The integral is summed node by node from zeros, not
-    with np.cumsum: the loop turns a leading -0.0 into +0.0, and that sign
-    can reach a printed slack.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    nodes = grid.nodes
-    k0 = grid.node_index(t0)
-    integral = np.empty((values.shape[1], grid.n_steps - k0))
-    acc = np.zeros(values.shape[1])
-    for k in range(k0, grid.n_steps):
-        acc = acc + (nodes[k + 1] - nodes[k]) * (-_row_dots(forcing[k - k0], z) + hams[k - k0])
-        integral[:, k - k0] = acc
-    times = nodes[k0 + 1:]
-    states = values[k0 + 1:].transpose(1, 0, 2)
-    return integral + _window_values(table, side, times, states) - u0, times
-
-
-def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
-                     horizon: float, search_budget: int, *, seed: int = 0,
-                     side: str = "upper", tolerance: float = None) -> ResidualReport:
-    """Search sampled reachable trajectories for the sub/super characteristic bound.
-
-    sub: slack = max over candidates of min over window times of G; passes when
-    slack >= -tol.  super: slack = min over candidates of max over times of G;
-    passes when slack <= tol.  G is the characteristic functional of the table.
-    """
-    if direction not in ("sub", "super"):
-        raise DomainError("direction must be 'sub' or 'super'")
-    t0, x0, z = site
-    win_grid, k0, _ = _window_grid(u.grid, t0, horizon)
-    hist = extend_history(x0, win_grid, t0)
-    u0 = u.interp(side, t0, hist.value_at(t0))
-    if tolerance is None:
-        tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
-
-    labels, values, forcing, hams = _candidate_runs(spec, u, side, t0, hist, z, search_budget,
-                                                    seed)
-    G, times = _characteristic_functional(u, side, win_grid, values, forcing, hams, z, t0, u0)
-    # each candidate's first extremum over time, then the first best candidate
-    over_time, over_candidates = (np.argmin, np.argmax) if direction == "sub" \
-        else (np.argmax, np.argmin)
-    m = over_time(G, axis=1)
-    extremes = G[np.arange(len(G)), m]
-    c = int(over_candidates(extremes))
-    best_slack, best_label, best_time = float(extremes[c]), labels[c], float(times[m[c]])
-
-    verdict = best_slack >= -tolerance if direction == "sub" else best_slack <= tolerance
-    return ResidualReport(
-        site={"t0": float(t0), "state": [float(v) for v in np.atleast_1d(x0.value_at(t0))],
-              "z": [float(v) for v in np.atleast_1d(z)]},
-        direction=direction, side=side,
-        slack=best_slack, tolerance=tolerance, verdict=bool(verdict),
-        best_candidate=best_label, binding_time=best_time,
-        lhs=u0, rhs=u0 + best_slack, budget=search_budget, seed=seed)
-
-
-# ---------------------------------------------------------------------------
-# viscosity residual with the canonical affine test pair
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True, eq=False)
 class ViscosityReport:
     """Extremum certificate and inequality slack for the canonical test pair."""
@@ -236,56 +91,327 @@ class ViscosityReport:
     certification: str = CERTIFICATION_NOTE
 
 
-def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
-                   c_values=None, search_budget: int = 24, seed: int = 0,
-                   side: str = "upper", tolerance: float = None) -> dict:
-    """Scan the canonical test pair over slope offsets c.
+class Site(NamedTuple):
+    """A site of site_checks and the checks to run there.
 
-    The pair is phi(t,x) = u0 + (t-t0)(c - F0) + (x(t)-x0(t0), z) plus the
-    operator correction integral of <A(s, x(s)), z>.  It tests the
-    supersolution inequality when phi + correction - u has a local max at the
-    site over the sampled window (then the inequality reduces to c <= 0), and
-    the subsolution inequality at a local min (c >= 0).  A failed extremum
-    certificate makes the test vacuous: recorded, not passed.
-
-    The candidate trajectories and every term of E = phi + correction - u
-    except (t - t0) c are computed once per site; each c only redoes the sum.
-    For an honest table every c yields pass or vacuous: a certified extremum
-    with |c| beyond tolerance is a witnessed sub/supersolution violation.
-    Returns the per-c reports and whether any violation was found.  A state
-    off the lattice raises from the table reads of _window_values.
+    x0 is the history, a Path on the value table's grid (in _candidate_runs,
+    on the site's window grid, a prefix of it), t0 a node of that grid
+    before its last, and z the test direction.  checks holds (kind, seed)
+    pairs: kind "sub" or "super" asks for that residual search
+    (minimax_residual), "scan" for the viscosity scan (viscosity_scan).  The
+    seed seeds the check's tube lanes, so two checks of a site with one seed
+    read the same lanes.
     """
-    t0, x0 = site
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    win_grid, k0, _ = _window_grid(u.grid, t0, horizon)
-    hist = extend_history(x0, win_grid, t0)
-    state0 = hist.value_at(t0)
-    u0 = u.interp(side, t0, state0)
-    F0 = hamiltonian(spec, t0, hist, z)
-    F0_val = F0.f_plus if is_upper_side(side) else F0.f_minus
+
+    t0: float
+    x0: Path
+    z: object
+    checks: tuple
+
+
+CHECK_KINDS = ("sub", "super", "scan")
+
+
+def _window_grid(grid: TimeGrid, t0: float, horizon: float):
+    """Sub-grid of table nodes spanning [t_start, min(t0+horizon, T)] with >= 1 step past t0."""
+    k0 = grid.node_index(t0)
+    if k0 >= grid.n_steps:
+        raise DomainError("site time t0 must lie strictly before the terminal node")
+    nodes = grid.nodes
+    t_end = min(t0 + horizon, grid.t_end)
+    k_end = int(np.searchsorted(nodes, t_end + 1e-12)) - 1
+    k_end = max(k_end, k0 + 1)
+    return TimeGrid.from_nodes(nodes[: k_end + 1]), k0, k_end
+
+
+class _Lanes(NamedTuple):
+    """The candidate lanes of _candidate_runs.
+
+    values, shape (node, lane, dim), on the table's nodes up to the last
+    window's end, NaN past each lane's own end; forcing (step, lane, dim) and
+    hams, the side's Hamiltonian of (t_k, x(t_k), z), (step, lane), per step
+    of each lane's window (row j holds step start + j, zero past the
+    window), as _lockstep_solve returns them; start and end, each
+    lane's window nodes, site its site's index and z its site's z, shape
+    (lane, dim); blocks[s][seed], the lanes of site s's candidates under that
+    seed, in the order of labels.
+    """
+
+    labels: list
+    values: np.ndarray
+    forcing: np.ndarray
+    hams: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    site: np.ndarray
+    z: np.ndarray
+    blocks: list
+
+
+_PAIR, _CHARACTERISTIC, _TUBE = 0, 1, 2
+
+
+def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget: int) -> _Lanes:
+    """The candidates of every site, solved as one lane set.
+
+    sites holds Site records whose x0 is the history on the site's window
+    grid, a prefix of the table's grid; only the seeds of their checks are
+    read.  A site's lanes are its game lanes, the constant control pairs
+    (fixed p and q index arrays) and the two characteristics, and then, per
+    distinct seed of its checks, max(0, budget - n_p n_q - 2)
+    random tube samples, sample i drawing from default_rng([seed, i]), a
+    stream that lives over its site's window only.  Every lane takes the
+    tube constant spec.l_f and steps from its site's t0 to the end of its
+    window.  Each step has four phases, in this order for the lockstep
+    rule of pdhj.evolution, each one call over the lanes of every site whose
+    window covers the step:
+
+    1. the characteristic aims: one ValueTable.gradient call;
+    2. the stage terms: one full-grid lane_terms call, so a non-finite entry
+       of any lane raises here, at its step, in (lane, p, q) order.  It gives
+       the characteristics' stage matrices, the game lanes' drift at their
+       played pairs and every lane's Hamiltonian.  For the upper Hamiltonian
+       (min over p of max over q) the supersolution characteristic commits p
+       along the value gradient and lets q answer the test direction z; the
+       subsolution characteristic swaps the two roles, and the lower
+       Hamiltonian mirrors this with q committing first.  Ties break to the
+       smallest index;
+    3. the tube draws: one _ball_points call;
+    4. the forcing-bound check and the implicit step of _lockstep_solve.
+
+    Each lane's arithmetic is row by row, so a site's lanes hold the bits
+    they hold when the site is solved alone.
+    """
+    controls = spec.controls
+    n_pairs = controls.n_p * controls.n_q
+    n_game = n_pairs + 2
+    n_random = max(0, budget - n_game)
+    labels = ([f"constant[p{i},q{j}]" for i in range(controls.n_p) for j in range(controls.n_q)]
+              + ["characteristic[super]", "characteristic[sub]"]
+              + [f"random[{i}]" for i in range(n_random)])
+    kinds, site_of, keys, blocks = [], [], [], []  # keys: (seed, sample index) per lane
+    for s, site in enumerate(sites):
+        first = len(kinds)
+        game = np.arange(first, first + n_game)
+        kinds += [_PAIR] * n_pairs + [_CHARACTERISTIC] * 2
+        keys += [(-1, -1)] * n_game
+        site_blocks = {}
+        for seed in dict.fromkeys(seed for _, seed in site.checks):
+            site_blocks[seed] = np.concatenate([game, np.arange(len(kinds), len(kinds) + n_random)])
+            kinds += [_TUBE] * n_random
+            keys += [(seed, i) for i in range(n_random)]
+        site_of += [s] * (len(kinds) - first)
+        blocks.append(site_blocks)
+    kind, site_of, keys = (np.array(a, dtype=int) for a in (kinds, site_of, keys))
+    m, dim = len(kind), spec.op.space.dim
+    grids = [site.x0.grid for site in sites]
+    start = np.array([grid.node_index(site.t0) for grid, site in zip(grids, sites)])[site_of]
+    end = np.array([grid.n_steps for grid in grids])[site_of]
+    z_lane = np.array([np.atleast_1d(np.asarray(site.z, dtype=float)) for site in sites])[site_of]
+    values = np.full((end.max() + 1, m, dim), np.nan)
+    for s, site in enumerate(sites):
+        values[: grids[s].n_steps + 1, site_of == s] = site.x0.values[:, None, :]
+    upper = is_upper_side(side)
+    p_idx, q_idx = np.zeros(m, dtype=int), np.zeros(m, dtype=int)
+    p_idx[kind == _PAIR] = np.tile(np.arange(n_pairs) // controls.n_q, len(sites))
+    q_idx[kind == _PAIR] = np.tile(np.arange(n_pairs) % controls.n_q, len(sites))
+    # the super lane commits along the gradient on the upper side, the sub lane on the lower
+    grad_commits = np.zeros(m, dtype=bool)
+    grad_commits[kind == _CHARACTERISTIC] = np.tile([upper, not upper], len(sites))
+    stream_of = np.empty(m, dtype=object)
+    nodes = table.grid.nodes
+    hams = np.zeros(((end - start).max(), m))
+
+    def step_forcing(k, act, values, bound):
+        t_k, x_k, kind_k = nodes[k], values[k, act], kind[act]
+        chars, tube = np.flatnonzero(kind_k == _CHARACTERISTIC), np.flatnonzero(kind_k == _TUBE)
+        game = np.flatnonzero(kind_k != _TUBE)
+        zhat = table.gradient(side, t_k, x_k[chars])
+        drift, cost = spec.lane_terms(t_k, x_k, lambda j: stopped_at(
+            grids[site_of[act[j]]], values[: end[act[j]] + 1, act[j]], k))
+        M_test = cost + _row_dots(drift, z_lane[act][:, None, None, :])
+        f_minus, f_plus = minimax_records(M_test)[:2]
+        hams[k - start[act], act] = f_plus if upper else f_minus
+        M_grad = cost[chars] + _row_dots(drift[chars], zhat[:, None, None, :])
+        commits = grad_commits[act[chars]][:, None, None]
+        commit = np.where(commits, M_grad, M_test[chars])
+        answer = np.where(commits, M_test[chars], M_grad)
+        rows, c = np.arange(len(chars)), act[chars]
+        if upper:
+            p_idx[c] = np.argmin(commit.max(axis=2), axis=1)
+            q_idx[c] = np.argmax(answer[rows, p_idx[c], :], axis=1)
+        else:
+            q_idx[c] = np.argmax(commit.min(axis=1), axis=1)
+            p_idx[c] = np.argmin(answer[rows, :, q_idx[c]], axis=1)
+        f = np.empty((len(act), dim))
+        f[game] = drift[game, p_idx[act[game]], q_idx[act[game]]]
+        tubes = act[tube]
+        for lane in tubes[start[tubes] == k]:  # a site's streams live over its window
+            stream_of[lane] = np.random.default_rng(keys[lane].tolist())
+        f[tube] = _ball_points(stream_of[tubes], dim, bound[tube])
+        stream_of[tubes[end[tubes] == k + 1]] = None
+        return f
+
+    values, forcing, _, _ = _lockstep_solve(spec.op, nodes, values, start, end,
+                                            np.full(m, float(spec.l_f)), step_forcing)
+    return _Lanes(labels, values, forcing, hams, start, end, site_of, z_lane, blocks)
+
+
+def _window_reads(table: ValueTable, side: str, nodes, values: np.ndarray, start, end):
+    """u(t_n, x(t_n)) of every lane at each window node t_n past its start,
+    shape (lane, step), node start + 1 + j in column j (0 past the window).
+
+    values has shape (node, lane, coordinate), and start and end, shape
+    (lane,), are each lane's window nodes.  One interp_batch call per node
+    reads every lane whose window holds it, so a state off the lattice raises
+    the largest margin among the lanes of the first node that has one."""
+    reads = np.zeros((values.shape[1], int((end - start).max())))
+    for n in range(int(start.min()) + 1, int(end.max()) + 1):
+        lanes = np.flatnonzero((start < n) & (n <= end))
+        if lanes.size:
+            reads[lanes, n - 1 - start[lanes]] = table.interp_batch(side, nodes[n],
+                                                                     values[n, lanes])
+    return reads
+
+
+def _characteristic_functional(nodes, runs: _Lanes, reads: np.ndarray,
+                               u0_lane: np.ndarray) -> np.ndarray:
+    """G[lane, j] = int_{t0}^{t_{k+1}} ((-f, z) + F(s, x, z)) ds
+    + u(t_{k+1}, x(t_{k+1})) - u0 per lane at its window step k = start + j
+    (0 past the window).
+
+    runs is the lane set of _candidate_runs, which took the stage terms, and
+    reads its table reads from _window_reads; u0_lane holds each lane's
+    site's u0.  The integral is summed step by step from zeros, not with
+    np.cumsum: the loop turns a leading -0.0 into +0.0, and that sign can
+    reach a printed slack.
+    """
+    start, end = runs.start, runs.end
+    G = np.zeros(reads.shape)
+    acc = np.zeros(len(start))
+    for k in range(int(start.min()), int(end.max())):
+        lanes = np.flatnonzero((start <= k) & (k < end))
+        j = k - start[lanes]
+        acc[lanes] = acc[lanes] + (nodes[k + 1] - nodes[k]) * (
+            -_row_dots(runs.forcing[j, lanes], runs.z[lanes]) + runs.hams[j, lanes])
+        G[lanes, j] = acc[lanes] + reads[lanes, j] - u0_lane[lanes]
+    return G
+
+
+def _operator_corrections(op, nodes, runs: _Lanes, lanes: np.ndarray):
+    """int_{t0}^{t_{k+1}} <A(s, x(s)), z> ds by the trapezoid rule for the
+    given lanes, shape (lane, step) as _characteristic_functional's G: one
+    op.batch call per node over those lanes whose window holds it."""
+    start, end = runs.start, runs.end
+    steps = int((end - start).max())
+    pairing = np.zeros((len(start), steps + 1))  # column j: node start + j
+    for k in range(int(start[lanes].min()), int(end[lanes].max()) + 1):
+        act = lanes[(start[lanes] <= k) & (k <= end[lanes])]
+        pairing[act, k - start[act]] = _row_dots(op.batch(nodes[k], runs.values[k, act]),
+                                                 runs.z[act])
+    corrs = np.zeros((len(start), steps))
+    corr = np.zeros(len(start))
+    for k in range(int(start[lanes].min()), int(end[lanes].max())):
+        act = lanes[(start[lanes] <= k) & (k < end[lanes])]
+        j = k - start[act]
+        corr[act] = corr[act] + 0.5 * (nodes[k + 1] - nodes[k]) * (pairing[act, j]
+                                                                   + pairing[act, j + 1])
+        corrs[act, j] = corr[act]
+    return corrs
+
+
+def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_budget: int, *,
+                side: str = "upper", tolerance: float = None, c_values=None) -> list:
+    """Run the checks of every Site in sites on one candidate lane set.
+
+    Returns, per site, its checks' results in order: a ResidualReport for
+    "sub" and "super" (see minimax_residual), the viscosity_scan dict for
+    "scan".  Each check searches search_budget candidates over its site's
+    window [t0, min(t0 + horizon, T)] of u's grid against tolerance
+    (composite_tolerance by default), and the scans test c_values (by default
+    -4, -1, 0, 1 and 4 times the tolerance).  An unknown check kind is
+    refused before any work; the other errors come in the module
+    docstring's order.
+    """
+    for site in sites:
+        for kind, _ in site.checks:
+            if kind not in CHECK_KINDS:
+                raise DomainError(f"check kind must be one of {CHECK_KINDS}, got {kind!r}")
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
     if c_values is None:
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
+    if not sites:
+        return []
+    windows, site_reads = [], []  # windows: each site with its history on its window grid
+    for t0, x0, z, checks in sites:
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        win_grid, _, _ = _window_grid(u.grid, t0, horizon)
+        hist = extend_history(x0, win_grid, t0)
+        state0 = hist.value_at(t0)
+        u0 = u.interp(side, t0, state0)
+        F0 = hamiltonian(spec, t0, hist, z) if any(kind == "scan" for kind, _ in checks) \
+            else None
+        windows.append(Site(t0, hist, z, checks))
+        site_reads.append((state0, u0, F0))
+    runs = _candidate_runs(spec, u, side, windows, search_budget)
+    nodes = u.grid.nodes
+    scans = [runs.blocks[s][seed] for s, site in enumerate(sites)
+             for kind, seed in site.checks if kind == "scan"]
+    if scans:
+        corrs = _operator_corrections(spec.op, nodes, runs, np.unique(np.concatenate(scans)))
+    reads = _window_reads(u, side, nodes, runs.values, runs.start, runs.end)
+    G = _characteristic_functional(nodes, runs, reads,
+                                   np.array([u0 for _, u0, _ in site_reads])[runs.site])
+    results = []
+    for s, (site, (t0, hist, z, _), (state0, u0, F0)) in enumerate(zip(sites, windows,
+                                                                       site_reads)):
+        k0, k_end = hist.grid.node_index(t0), hist.grid.n_steps
+        steps = k_end - k0
+        times = hist.grid.nodes[k0 + 1:]
+        out = []
+        for kind, seed in site.checks:
+            lanes = runs.blocks[s][seed]
+            if kind == "scan":
+                states = np.ascontiguousarray(
+                    runs.values[k0 + 1:k_end + 1, lanes].transpose(1, 0, 2))
+                out.append(_scan_result(
+                    t0, state0, z, u0, F0.f_plus if is_upper_side(side) else F0.f_minus, times,
+                    _row_dots(states - state0, z), corrs[lanes, :steps], reads[lanes, :steps],
+                    c_values, side, tolerance, search_budget, seed))
+            else:
+                out.append(_residual_report(
+                    kind, G[lanes, :steps], times, runs.labels, t0, site.x0, z, u0, side,
+                    tolerance, search_budget, seed))
+        results.append(out)
+    return results
 
-    # (candidate, window node t > t0) arrays: the correction, (x(t) - x0(t0), z), u(t, x(t))
-    values = _candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)[1]
-    nodes = win_grid.nodes
-    paths = np.ascontiguousarray(values.transpose(1, 0, 2))  # (candidate, node, coordinate)
-    op = spec.op
-    a_pair = [_row_dots(op.batch(nodes[k], paths[:, k]), z)
-              for k in range(k0, win_grid.n_steps + 1)]
-    corr = np.zeros(len(paths))
-    corrs = np.empty((len(paths), win_grid.n_steps - k0))
-    for k in range(k0, win_grid.n_steps):
-        dt = nodes[k + 1] - nodes[k]
-        corr = corr + 0.5 * dt * (a_pair[k - k0] + a_pair[k + 1 - k0])
-        corrs[:, k - k0] = corr
-    states = paths[:, k0 + 1:]
-    times = nodes[k0 + 1:]
-    dzs = _row_dots(states - state0, z)
-    u_vals = _window_values(u, side, times, states)
 
+def _residual_report(direction, G, times, labels, t0, x0, z, u0, side, tolerance, budget,
+                     seed) -> ResidualReport:
+    """The report of one residual search from its candidates' functional G,
+    shape (candidate, window node past t0)."""
+    # each candidate's first extremum over time, then the first best candidate
+    over_time, over_candidates = (np.argmin, np.argmax) if direction == "sub" \
+        else (np.argmax, np.argmin)
+    m = over_time(G, axis=1)
+    extremes = G[np.arange(len(G)), m]
+    c = int(over_candidates(extremes))
+    best_slack, best_label, best_time = float(extremes[c]), labels[c], float(times[m[c]])
+    verdict = best_slack >= -tolerance if direction == "sub" else best_slack <= tolerance
+    return ResidualReport(
+        site={"t0": float(t0), "state": [float(v) for v in np.atleast_1d(x0.value_at(t0))],
+              "z": [float(v) for v in z]},
+        direction=direction, side=side,
+        slack=best_slack, tolerance=tolerance, verdict=bool(verdict),
+        best_candidate=best_label, binding_time=best_time,
+        lhs=u0, rhs=u0 + best_slack, budget=budget, seed=seed)
+
+
+def _scan_result(t0, state0, z, u0, F0_val, times, dzs, corrs, u_vals, c_values, side,
+                 tolerance, budget, seed) -> dict:
+    """viscosity_scan's dict from its candidates' (candidate, window node
+    past t0) terms of E: (x(t) - x0(t0), z), the correction and u(t, x(t))."""
     cert_tol = 1e-9 * (1.0 + abs(u0))
     reports = []
     violation = False
@@ -306,10 +432,58 @@ def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
             super_verdict=super_verdict,
             sub_certificate_gap=inf_gap, sub_certificate_holds=bool(sub_holds),
             sub_verdict=sub_verdict, tolerance=tolerance,
-            budget=search_budget, seed=seed))
+            budget=budget, seed=seed))
         violation = violation or super_verdict == "fail" or sub_verdict == "fail"
     return {"reports": reports, "violation_found": violation,
             "c_values": [float(c) for c in c_values], "tolerance": tolerance}
+
+
+def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
+                     horizon: float, search_budget: int, *, seed: int = 0,
+                     side: str = "upper", tolerance: float = None) -> ResidualReport:
+    """Search sampled reachable trajectories for the sub/super characteristic bound.
+
+    sub: slack = max over candidates of min over window times of G; passes when
+    slack >= -tol.  super: slack = min over candidates of max over times of G;
+    passes when slack <= tol.  G is the characteristic functional of the table.
+    site is (t0, x0, z); this is site_checks at that one site.
+    """
+    if direction not in ("sub", "super"):
+        raise DomainError("direction must be 'sub' or 'super'")
+    t0, x0, z = site
+    (report,), = site_checks(u, spec, [Site(t0, x0, z, ((direction, seed),))], horizon,
+                             search_budget, side=side, tolerance=tolerance)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# viscosity residual with the canonical affine test pair
+# ---------------------------------------------------------------------------
+
+def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
+                   c_values=None, search_budget: int = 24, seed: int = 0,
+                   side: str = "upper", tolerance: float = None) -> dict:
+    """Scan the canonical test pair over slope offsets c.
+
+    The pair is phi(t,x) = u0 + (t-t0)(c - F0) + (x(t)-x0(t0), z) plus the
+    operator correction integral of <A(s, x(s)), z>.  It tests the
+    supersolution inequality when phi + correction - u has a local max at the
+    site over the sampled window (then the inequality reduces to c <= 0), and
+    the subsolution inequality at a local min (c >= 0).  A failed extremum
+    certificate makes the test vacuous: recorded, not passed.
+
+    The candidate trajectories and every term of E = phi + correction - u
+    except (t - t0) c are computed once per site; each c only redoes the sum.
+    For an honest table every c yields pass or vacuous: a certified extremum
+    with |c| beyond tolerance is a witnessed sub/supersolution violation.
+    Returns the per-c reports and whether any violation was found.  site is
+    (t0, x0); this is site_checks at that one site, so a state off the
+    lattice raises from its table reads, after the operator pairings.
+    """
+    t0, x0 = site
+    (scan,), = site_checks(u, spec, [Site(t0, x0, z, (("scan", seed),))], horizon,
+                           search_budget, side=side, tolerance=tolerance, c_values=c_values)
+    return scan
 
 
 # ---------------------------------------------------------------------------

@@ -622,23 +622,23 @@ class TestMinimaxSites:
 
     def test_dim_two_sites_draw_each_coordinate_in_its_own_range(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_build_game", _planar_game)
-        sites = []
+        calls = []
+        real = cli.site_checks
 
-        def recording(kind, real):
-            def call(table, spec, site, *args, **kwargs):
-                sites.append((kind, site[1].values[0]))
-                return real(table, spec, site, *args, **kwargs)
-            return call
+        def recording(table, spec, sites, *args, **kwargs):
+            calls.append(list(sites))
+            return real(table, spec, sites, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "minimax_residual", recording("residual", cli.minimax_residual))
-        monkeypatch.setattr(cli, "viscosity_scan", recording("viscosity", cli.viscosity_scan))
+        monkeypatch.setattr(cli, "site_checks", recording)
         lo, hi = [-2.0, -1.0], [2.0, 3.0]
         cfg = base_config("minimax-check", grid={"t_end": 1.0, "n_steps": 8},
                           lattice={"lo": lo, "hi": hi, "points": [9, 9]}, sites=4,
                           horizon=0.25, budget=4, mutation_control=False)
         run(cfg, str(tmp_path))
-        for kind, shrink, count in (("residual", 0.6, 8), ("viscosity", 0.5, 3)):
-            states = [state for k, state in sites if k == kind]
+        (sites,) = calls  # every site is drawn before the one call solves them all
+        for kinds, shrink, count in ((("sub", "super"), 0.6, 4), (("scan",), 0.5, 3)):
+            states = [site.x0.values[0] for site in sites
+                      if tuple(kind for kind, _ in site.checks) == kinds]
             assert len(states) == count
             assert not any(state[0] == state[1] for state in states)  # off the diagonal
             for state in states:
@@ -647,19 +647,19 @@ class TestMinimaxSites:
     def test_dim_two_mutation_bumps_one_entry_under_its_site(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_build_game", _planar_game)
         bumps, sites = [], []
-        real_bump, real_residual = cli.bump_table, cli.minimax_residual
+        real_bump, real_checks = cli.bump_table, cli.site_checks
 
         def bump(table, *args, **kwargs):
             bumps.append((table, real_bump(table, *args, **kwargs)))
             return bumps[-1][1]
 
-        def residual(table, spec, site, *args, **kwargs):
+        def checks(table, spec, site_list, *args, **kwargs):
             if any(table is bumped for _, bumped in bumps):
-                sites.append(site)
-            return real_residual(table, spec, site, *args, **kwargs)
+                sites.append(site_list)
+            return real_checks(table, spec, site_list, *args, **kwargs)
 
         monkeypatch.setattr(cli, "bump_table", bump)
-        monkeypatch.setattr(cli, "minimax_residual", residual)
+        monkeypatch.setattr(cli, "site_checks", checks)
         cfg = base_config("minimax-check", grid={"t_end": 1.0, "n_steps": 8},
                           lattice={"lo": [-2.0, -1.0], "hi": [2.0, 3.0], "points": [9, 9]},
                           sites=1, horizon=0.25, budget=4, mutation_control=True)
@@ -667,8 +667,9 @@ class TestMinimaxSites:
         (table, bumped), = bumps
         changed = np.argwhere(bumped.v_plus != table.v_plus)
         assert changed.tolist() == [[4, 4, 4]]  # time index 4, the midpoint of each axis
-        (t, x0, z), = sites
+        ((t, x0, z, site_checks),), = sites  # the bumped table's own one-site set
         assert t == 0.5 and x0.values.tolist() == [[0.0, 1.0]] * 9
+        assert z.tolist() == [0.0, 0.0] and site_checks == (("sub", cfg["seed"]),)
 
 
 def test_refused_config_leaves_no_run_directory(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """Every shipped experiment writes the reference result.json, byte for byte.
 
 The references are bench/reference/seed<n>/<stem>.json.  Every config runs at
-seed 0, feedback_run.json included (about 1.5 s).  bench/configs/feedback_short.json
-runs the same feedback code on a shorter grid, and also at seeds 1 and 2, whose
-adversary pools draw other random streams.  The DP and residual configs run at
+seed 0, feedback_run.json included (about 0.66 s in process on a 2-core x86-64
+host).  bench/configs/feedback_short.json runs the same feedback code on a
+shorter grid, and also at seeds 1 and 2, whose adversary pools draw other
+random streams.  The DP and residual configs run at
 seeds 1 and 2 too, which draw other residual sites, probes and samples, and the
 sampled batteries (upsilon_check, isaacs_check) at seeds 1 to 11.  The minimal
 config of each kind, every field defaulted, writes tests/data/defaults/<kind>.json.

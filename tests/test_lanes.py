@@ -1,13 +1,16 @@
 """The forced solves and the batched residual search against the loops they replace."""
 
 import dataclasses
+import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdhj import evolution, minimax
-from pdhj.errors import ContractError, EvaluationError, LatticeCoverageError, SolverError
+from pdhj import cli, evolution, minimax
+from pdhj.errors import ContractError, DomainError, EvaluationError, LatticeCoverageError, \
+    SolverError
 from pdhj.evolution import (
     OperatorSpec,
     SolveReport,
@@ -141,9 +144,12 @@ class TestLaneErrors:
     hist = Path.constant(grid, [0.5])
 
     def _error(self, op, L, forcing):
+        lanes = forcing.shape[1]
         with pytest.raises(Exception) as info:
-            evolution._lockstep_solve(op, 0.0, self.hist, np.full(forcing.shape[1], L),
-                                      lambda k, values, bound: forcing[k])
+            evolution._lockstep_solve(op, self.grid.nodes,
+                                      np.repeat(self.hist.values[:, None, :], lanes, axis=1), 0,
+                                      self.grid.n_steps, np.full(lanes, L),
+                                      lambda k, active, values, bound: forcing[k])
         return info.value
 
     def test_contract_error_of_the_lowest_lane(self):
@@ -203,6 +209,63 @@ class TestLaneErrors:
             solve_delay_evolution(op, 0.0, Path.constant(self.grid, [0.0]), forcing,
                                   lipschitz_L=1.0)
         assert str(info.value) == "forcing magnitude nan exceeds L(1+sup) = 1.000000e+00 at step 0"
+
+
+class TestStaggeredLanes:
+    """_lockstep_solve with a window per lane against one solve per window:
+    the lanes step time-major on the absolute nodes, each over its own
+    window, and every lane ends as its one-window solve ends."""
+
+    grid = TimeGrid(0.0, 1.0, 10)
+    # from node 0; up to T, where a window four steps long is cut short; one
+    # step alone; overlapping, nested and disjoint windows; and no lane
+    # active at node 5 of the second set
+    WINDOWS = [[(3, 7), (0, 4), (6, 10), (2, 10), (5, 6), (8, 10)],
+               [(0, 2), (1, 5), (6, 10), (7, 9)]]
+
+    def _forcing(self, kicks, ids, seen):
+        """step_forcing of the lanes ids: a kick per (lane, step), a pull back
+        on the lane's state and a push by its bound, recording the active
+        lanes of each step."""
+        def step_forcing(k, lanes, values, bound):
+            seen.append((k, lanes))
+            return kicks[ids[lanes], k] - 0.2 * values[k, lanes] + 0.05 * bound[:, None]
+        return step_forcing
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("stalled", [False, True])
+    @pytest.mark.parametrize("windows", [0, 1])
+    def test_lanes_match_one_window_solves(self, dim, stalled, windows, monkeypatch):
+        if stalled:  # no Newton iteration: every lane takes the fallback step
+            monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", 0)
+        windows = self.WINDOWS[windows]
+        op = make_linear_operator(dim=dim, gain=1.5)
+        nodes, n, m = self.grid.nodes, self.grid.n_steps, len(windows)
+        start, end = (np.array(ends) for ends in zip(*windows))
+        rng = np.random.default_rng(dim)
+        kicks = 0.3 * rng.standard_normal((m, n, dim))
+        history = np.full((n + 1, m, dim), np.nan)  # NaN past each lane's start
+        for lane, (a, _) in enumerate(windows):
+            history[: a + 1, lane] = 0.5 * rng.standard_normal((a + 1, dim))
+        seen = []
+        values, trace, iters, res = evolution._lockstep_solve(
+            op, nodes, history.copy(), start, end, np.full(m, 2.0),
+            self._forcing(kicks, np.arange(m), seen))
+        # each step sees exactly the lanes whose window covers it, and a step
+        # that no window covers is not taken
+        want = [(k, [lane for lane, (a, b) in enumerate(windows) if a <= k < b])
+                for k in range(start.min(), end.max())]
+        assert [(k, active.tolist()) for k, active in seen] == [w for w in want if w[1]]
+        for lane, (a, b) in enumerate(windows):
+            one = evolution._lockstep_solve(op, nodes, history[:, lane:lane + 1].copy(), a, b,
+                                            np.array([2.0]),
+                                            self._forcing(kicks, np.array([lane]), []))
+            assert values[:, lane].tobytes() == one[0][:, 0].tobytes()
+            assert np.isnan(values[b + 1:, lane]).all()  # nodes past the end stay untouched
+            # row j holds the lane's step a + j, as in the one-window solve
+            for got, alone in zip((trace, iters, res), one[1:]):
+                assert got[:b - a, lane].tobytes() == alone[:, 0].tobytes()
+                assert not got[b - a:, lane].any()
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +331,13 @@ class TestCandidateSearch:
         spec, grid, table = desk
         t0, hist = _site(table, t_index, state)
         z = np.array([z])
-        labels, values, forcing, hams = minimax._candidate_runs(spec, table, side, t0, hist, z,
-                                                                budget, 7)
+        runs = minimax._candidate_runs(spec, table, side,
+                                       [minimax.Site(t0, hist, z, (("sub", 7),))], budget)
         want = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, 7)
-        assert labels == [label for label, _ in want]
-        _assert_lanes_equal(values, forcing, [rep for _, rep in want])
+        assert runs.labels == [label for label, _ in want]
+        _assert_lanes_equal(runs.values, runs.forcing, [rep for _, rep in want])
         u0 = table.interp(side, t0, hist.value_at(t0))
-        G, times = minimax._characteristic_functional(table, side, hist.grid, values, forcing,
-                                                      hams, z, t0, u0)
+        G, times = _site_functional(table, side, runs, z, u0)
         for row, (_, rep) in zip(G, want):
             ref_G, ref_times = _characteristic_functional_reference(
                 spec, table, side, rep, z, t0, u0)
@@ -286,14 +348,24 @@ class TestCandidateSearch:
         spec, grid, table = desk
         calls = _count_lane_sets(monkeypatch)
         t0, hist = _site(table, 3, 0.4)
-        labels, values, forcing, hams = minimax._candidate_runs(spec, table, "upper", t0, hist,
-                                                                np.array([0.3]), 32, 1)
+        runs = minimax._candidate_runs(
+            spec, table, "upper", [minimax.Site(t0, hist, np.array([0.3]), (("sub", 1),))], 32)
         assert calls == [32]  # the 9 pairs, the 2 characteristics and 21 tube lanes
-        assert len(labels) == values.shape[1] == forcing.shape[1] == hams.shape[1] == 32
+        assert len(runs.labels) == runs.values.shape[1] == runs.forcing.shape[1] \
+            == runs.hams.shape[1] == 32
         calls.clear()
         minimax_site = (t0, Path.constant(grid, [0.4]), np.array([0.3]))
         minimax.minimax_residual(table, spec, minimax_site, "sub", 0.25, 16, seed=2)
         assert calls == [16]
+        # site_checks: one set for every site; a site's sub and super share its
+        # 11 game lanes and add 5 tube lanes per seed, a scan 5 more
+        calls.clear()
+        sites = [minimax.Site(t0, Path.constant(grid, [0.4]), np.array([0.3]),
+                              (("sub", 2), ("super", 3))),
+                 minimax.Site(grid.nodes[9], Path.constant(grid, [-0.2]), np.array([0.5]),
+                              (("scan", 4),))]
+        minimax.site_checks(table, spec, sites, 0.25, 16)
+        assert calls == [(11 + 5 + 5) + (11 + 5)]
 
     @pytest.mark.parametrize("callbacks", [False, True])
     def test_one_lane_terms_call_per_step(self, desk, monkeypatch, callbacks):
@@ -333,23 +405,40 @@ class TestCandidateSearch:
         monkeypatch.setattr(ValueTable, "interp", counting("interp", ValueTable.interp))
         for name in ("solve_delay_evolution", "sample_reachable_set"):
             monkeypatch.setattr(evolution, name, counting("forced_solves", getattr(evolution, name)))
-        minimax._candidate_runs(spec, table, "upper", t0, hist, np.array([0.3]), 32, 1)
+        minimax._candidate_runs(
+            spec, table, "upper", [minimax.Site(t0, hist, np.array([0.3]), (("sub", 1),))], 32)
         assert calls == [32]
         assert counts == {"paths": 0, "reports": 0, "interp": 0, "forced_solves": 0}
 
 
-def _count_lane_sets(monkeypatch):
-    """Record the lane count of every _lockstep_solve call."""
+def _count_lane_sets(monkeypatch, steps=None):
+    """Record the lane count of every _lockstep_solve call, and in steps, if
+    given, the lanes handed to each step_forcing call."""
     calls = []
     original = evolution._lockstep_solve
 
-    def counted(op, t0, x0, L, step_forcing):
+    def counted(op, nodes, values, start, end, L, step_forcing):
         calls.append(len(L))
-        return original(op, t0, x0, L, step_forcing)
+
+        def forcing(k, lanes, values, bound):
+            steps.append((k, lanes))
+            return step_forcing(k, lanes, values, bound)
+
+        return original(op, nodes, values, start, end, L,
+                        step_forcing if steps is None else forcing)
 
     monkeypatch.setattr(evolution, "_lockstep_solve", counted)
     monkeypatch.setattr(minimax, "_lockstep_solve", counted)
     return calls
+
+
+def _site_functional(table, side, runs, z, u0):
+    """(G, window times) of a one-site lane set of _candidate_runs, as
+    site_checks computes them."""
+    nodes = table.grid.nodes
+    reads = minimax._window_reads(table, side, nodes, runs.values, runs.start, runs.end)
+    G = minimax._characteristic_functional(nodes, runs, reads, np.full(runs.values.shape[1], u0))
+    return G, nodes[runs.start[0] + 1:runs.end[0] + 1]
 
 
 def _assert_lanes_equal(values, forcing, reports):
@@ -403,7 +492,8 @@ class TestOffLatticeOrder:
         t0, hist = _site(table, 4, 0.4, horizon=0.5)
         z = np.array([0.5])
         with pytest.raises(EvaluationError) as got:
-            minimax._candidate_runs(spec, table, "upper", t0, hist, z, 12, 0)
+            minimax._candidate_runs(spec, table, "upper",
+                                    [minimax.Site(t0, hist, z, (("sub", 0),))], 12)
         assert str(got.value) == self.SITE_ERRORS[cost_limit]
         with pytest.raises(EvaluationError) as got:
             minimax.minimax_residual(table, spec, (t0, Path.constant(grid, [0.4]), z), "sub",
@@ -421,10 +511,10 @@ class TestOffLatticeOrder:
                                          lipschitz_L=spec.l_f) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
         values = np.stack([rep.path.values for rep in reports], axis=1)
         forcing = np.stack([rep.forcing_trace for rep in reports], axis=1)
-        hams = np.zeros(forcing.shape[:2])
         with pytest.raises(LatticeCoverageError) as got:
-            minimax._characteristic_functional(table, "upper", hist.grid, values, forcing, hams,
-                                               np.array([0.5]), t0, 0.0)
+            minimax._window_reads(table, "upper", hist.grid.nodes, values,
+                                  np.full(5, hist.grid.node_index(t0)),
+                                  np.full(5, hist.grid.n_steps))
         assert str(got.value) == ("state leaves the lattice by 4.272212e-02; "
                                   "expand bounds by at least that margin")
         # candidate 4 alone leaves at the second window node; candidate 1,
@@ -524,16 +614,15 @@ class TestLaneSetAgainstTwoSolves:
         spec, table, (lo, hi) = game_desks[name]
         t0, hist = _site(table, t_index, lo + place * (hi - lo))
         z = np.array([z])
-        labels, values, forcing, hams = minimax._candidate_runs(spec, table, side, t0, hist, z,
-                                                                budget, seed)
+        runs = minimax._candidate_runs(spec, table, side,
+                                       [minimax.Site(t0, hist, z, (("sub", seed),))], budget)
         want = _candidate_runs_reference(spec, table, side, t0, hist, z, budget, seed)
-        assert labels == [label for label, _ in want]
-        assert len(labels) == max(budget, spec.controls.n_p * spec.controls.n_q + 2)
-        _assert_lanes_equal(values, forcing, [rep for _, rep in want])
+        assert runs.labels == [label for label, _ in want]
+        assert len(runs.labels) == max(budget, spec.controls.n_p * spec.controls.n_q + 2)
+        _assert_lanes_equal(runs.values, runs.forcing, [rep for _, rep in want])
         u0 = table.interp(side, t0, hist.value_at(t0))
         try:
-            G, times = minimax._characteristic_functional(table, side, hist.grid, values,
-                                                          forcing, hams, z, t0, u0)
+            G, times = _site_functional(table, side, runs, z, u0)
         except LatticeCoverageError:  # the edge game's narrow lattice
             with pytest.raises(LatticeCoverageError):
                 for _, rep in want:
@@ -544,3 +633,122 @@ class TestLaneSetAgainstTwoSolves:
                 spec, table, side, rep, z, t0, u0)
             assert row.tobytes() == ref_G.tobytes()
             assert times.tobytes() == ref_times.tobytes()
+
+
+MINIMAX_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "minimax_check.json")
+
+
+@pytest.fixture(scope="module")
+def shipped_minimax():
+    """minimax_check.json's resolved config, game and value table."""
+    with open(MINIMAX_CONFIG) as fh:
+        cfg = cli.validate_config(json.load(fh))
+    spec, grid = cli._build_game(cfg["game"]), cli._build_grid(cfg["grid"])
+    return cfg, spec, grid, dp_value(spec, grid, cli._build_lattice(cfg["lattice"]))
+
+
+def _assert_fields_identical(got, want):
+    """Two reports field by field, floats bit-equal (repr tells -0.0 from 0.0)."""
+    for f in dataclasses.fields(want):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b and repr(a) == repr(b), f"{f.name}: {a!r} != {b!r}"
+
+
+class TestSiteChecks:
+    """site_checks, every site's checks on one lane set, against the one-site
+    calls minimax_residual and viscosity_scan."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_reports_equal_one_site_calls(self, shipped_minimax, seed):
+        cfg, spec, grid, table = shipped_minimax
+        horizon, budget = cfg["horizon"], cfg["budget"]
+        rng = np.random.default_rng(seed)
+        sites = []
+        for i in range(cfg["sites"]):  # the runner's sites at this seed
+            k = int(rng.integers(0, grid.n_steps - 2))
+            x0 = Path.constant(grid, cli._site_state(rng, table.lattice, 0.6))
+            sites.append(minimax.Site(grid.nodes[k], x0, rng.standard_normal(1),
+                                      (("sub", seed + 10 + i), ("super", seed + 500 + i))))
+        # a site at node 0 and one whose window T cuts short, each with every
+        # check kind, and a site whose sub and super share their tube seed
+        for k, state in ((0, 0.3), (grid.n_steps - 3, -0.8)):
+            sites.append(minimax.Site(grid.nodes[k], Path.constant(grid, [state]),
+                                      np.array([-0.7]),
+                                      (("scan", seed + 3), ("sub", seed + 1), ("super", seed + 2))))
+        sites.append(minimax.Site(grid.nodes[7], Path.constant(grid, [0.1]), np.array([0.9]),
+                                  (("sub", seed), ("super", seed))))
+        checked = minimax.site_checks(table, spec, sites, horizon, budget)
+        assert [len(results) for results in checked] == [len(site.checks) for site in sites]
+        for site, results in zip(sites, checked):
+            for (kind, check_seed), got in zip(site.checks, results):
+                if kind == "scan":
+                    want = minimax.viscosity_scan(table, spec, (site.t0, site.x0), site.z, horizon,
+                                                  search_budget=budget, seed=check_seed)
+                    assert {key: got[key] for key in want if key != "reports"} == \
+                        {key: want[key] for key in want if key != "reports"}
+                    assert len(got["reports"]) == len(want["reports"]) == 5
+                    for a, b in zip(got["reports"], want["reports"]):
+                        _assert_fields_identical(a, b)
+                else:
+                    _assert_fields_identical(got, minimax.minimax_residual(
+                        table, spec, (site.t0, site.x0, site.z), kind, horizon, budget,
+                        seed=check_seed))
+
+    def test_the_earlier_step_wins_across_sites(self):
+        # the first site's stage terms go non-finite at t = 0.5625, the
+        # second's at t = 0.1875: site by site the first site's error would
+        # come first, time-major the second's does
+        spec, grid, table = _edge_setup(0.45)
+        z = np.array([0.5])
+        late = minimax.Site(grid.nodes[8], Path.constant(grid, [0.4]), z, (("sub", 0),))
+        early = minimax.Site(grid.nodes[2], Path.constant(grid, [0.4]), z, (("super", 1),))
+        errors = []
+        for site in (late, early):
+            with pytest.raises(EvaluationError) as got:
+                minimax.site_checks(table, spec, [site], 0.5, 12)
+            errors.append(str(got.value))
+        assert errors == ["non-finite running cost at t=0.5625, p=0.0, q=0.0",
+                          "non-finite running cost at t=0.1875, p=0.0, q=0.0"]
+        with pytest.raises(EvaluationError) as got:
+            minimax.site_checks(table, spec, [late, early], 0.5, 12)
+        assert str(got.value) == errors[1]
+
+    def test_a_path_dependent_lane_reads_its_own_stopped_window(self, desk):
+        # the isaacs callbacks alone: every lane's stage terms read path_of,
+        # which must give the lane's stopped path on its own site's window
+        spec, grid, table = desk
+        seen = []
+
+        def rhs(t, x, u):
+            k = x.grid.node_index(t)
+            assert (x.values[k + 1:] == x.values[k]).all()  # stopped at t
+            seen.append((round(t * grid.n_steps), x.grid.n_steps))
+            return desk[0].rhs(t, x, u)
+
+        spec = dataclasses.replace(spec, markov_terms=None, rhs=rhs)
+        # windows [2, 6] and [13, 16], the second cut short by T
+        sites = [minimax.Site(grid.nodes[k], Path.constant(grid, [state]), np.array([0.4]),
+                              (("sub", 1), ("super", 2)))
+                 for k, state in ((2, 0.3), (13, -0.5))]
+        minimax.site_checks(table, spec, sites, 0.25, 12)
+        assert sorted(set(seen)) == [(k, 6) for k in range(2, 6)] + [(k, 16) for k in (13, 14, 15)]
+
+    def test_unknown_check_kind_is_refused_before_any_work(self, desk, monkeypatch):
+        spec, grid, table = desk
+        calls = _count_lane_sets(monkeypatch)
+        site = minimax.Site(grid.nodes[2], Path.constant(grid, [0.1]), np.array([0.5]),
+                            (("sub", 0), ("sideways", 1)))
+        with pytest.raises(DomainError, match="check kind"):
+            minimax.site_checks(table, spec, [site], 0.25, 8)
+        assert calls == []
+
+    def test_minimax_check_run_is_two_lane_sets(self, tmp_path, monkeypatch):
+        # every site and scan in one set (20 sites of 11 game lanes and two
+        # 21-lane tube blocks, 3 scans of 32 lanes), the mutation control in
+        # its own; 32 nodes and the control's 4 steps at most
+        steps = []
+        calls = _count_lane_sets(monkeypatch, steps)
+        with open(MINIMAX_CONFIG) as fh:
+            assert cli.run(json.load(fh), str(tmp_path)) == 0
+        assert calls == [20 * (11 + 21 + 21) + 3 * 32, 32]
+        assert len(steps) <= 32 + 4

@@ -115,11 +115,11 @@ class TestMinimaxResidual:
         original = minimax._characteristic_functional
 
         def rigged(*args):
-            G, times = original(*args)
+            G = original(*args)  # (lane, step): the one site's 16 lanes over its 4 steps
             R = np.full(G.shape, -5.0 * sign)
             R[1] = sign * np.array([1.0, -0.0, 0.0, 2.0])
             R[2] = R[3] = sign * np.array([0.0, 3.0, 0.0, 1.0])
-            return R, times
+            return R
 
         monkeypatch.setattr(minimax, "_characteristic_functional", rigged)
         site = (grid.nodes[2], Path.constant(grid, [0.3]), np.array([0.4]))
@@ -216,7 +216,8 @@ def _viscosity_residual_reference(u, spec, site, z, c, horizon, *, search_budget
 
     sup_gap, inf_gap = 0.0, 0.0
     nodes = win_grid.nodes
-    paths = minimax._candidate_runs(spec, u, side, t0, hist, z, search_budget, seed)[1]
+    paths = minimax._candidate_runs(spec, u, side, [minimax.Site(t0, hist, z, (("sub", seed),))],
+                                    search_budget).values
     for values in paths.transpose(1, 0, 2):
         op = spec.op
         a_pair = np.array([float(op(t, values[k]) @ z)

@@ -31,7 +31,9 @@ MOVED_METHODS = {
 DELETED = {"game": ("StrategyTrace", "play_pools"),
            "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing",
                          "DelayDynamics"),
-           "pathcore": ("sup_norms",)}
+           "pathcore": ("sup_norms",),
+           # one table read per node over every site's candidates
+           "minimax": ("_window_values",)}
 DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces", "to_json_obj"),
                    ("evolution", "DelayDynamics"): ("forced",),
                    ("pathcore", "Path"): ("zero",),

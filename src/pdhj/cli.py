@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import NamedTuple
 
@@ -274,10 +274,12 @@ def _build_operator(block: dict):
 
 
 def _build_game(block: dict) -> GameSpec:
-    """The built-in game of the block's kind; its fields are the builder's arguments."""
-    params = {key: value for key, value in block.items() if key not in ("kind", "controls")}
-    return replace(_GAME_BUILDERS[block["kind"]](**params),
-                   controls=ControlGrid(**block["controls"]))
+    """The built-in game of the block's kind; its fields are the builder's
+    arguments, and the builder derives l_f from the control grid it gets.
+    `levels` only supplies the default `controls`."""
+    params = {key: value for key, value in block.items()
+              if key not in ("kind", "levels", "controls")}
+    return _GAME_BUILDERS[block["kind"]](**params, controls=ControlGrid(**block["controls"]))
 
 
 def _site_state(rng, lattice: StateLattice, shrink: float) -> np.ndarray:

@@ -31,12 +31,11 @@ raises its lowest failing lane's error.  A batched phase raises for its whole
 batch: the forcing-bound check and _implicit_step_batch the error of their
 lowest failing lane, a value-table read (the gradient's probes included)
 the batch's largest lattice margin (the one to expand by), and a game's
-stage terms (GameSpec.lane_terms, one call for all lanes whether the game
-answers with its Markov form or a callback sweep) the first non-finite entry
-in (lane, p, q) order, the drift before the cost of an entry.  So a
-feedback cell picks every game's control in one batch and answers its
-greedy lanes with one batched lookahead before the other adversaries answer
-game by game; a feedback run plays its three pools as one lane set per
+stage terms (GameSpec.lane_terms, one stage-function call for all lanes)
+the first non-finite entry in (lane, p, q) order, the drift before the
+cost of an entry.  So a feedback cell picks every game's control in one
+batch and answers its greedy lanes with one batched lookahead before the
+other adversaries answer game by game; a feedback run plays its three pools as one lane set per
 partition, so an earlier partition's error wins whichever pool it is on; a
 residual run's sites step together, time-major, so the earlier step's error
 wins whichever site and lane it is on (a site by site order would raise the

@@ -5,12 +5,15 @@ grids), the lower/upper Hamiltonians by exact enumeration, a brute-force
 backward dynamic-programming value oracle on a state lattice, and the
 extremal-shift feedback strategy driven by the decaying Lyapunov function.
 
-The DP oracle treats lattice states as constant-history paths; its values are
-exact for games whose path dependence collapses to the current state, which is
-the regime of every desk-scale example here.  Such a game may declare a Markov
-form (GameSpec.markov_terms) that answers for many states and the whole
-control grid in one call; dp_value probes any other game and refuses one that
-reads its past.
+A game states its drift and running cost once, as one batched stage function
+over many lanes and the whole control grid, and its terminal cost as one
+batched terminal function; each gets every lane's current state and a
+path_of callback for the lanes' stopped paths.  The DP oracle treats lattice
+states as constant-history paths; its values are exact for games whose path
+dependence collapses to the current state, which is the regime of every
+desk-scale example here.  A function that never calls path_of cannot read
+the past, so dp_value takes it as it is; it probes any function it sees call
+path_of and refuses one that reads its past.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     LatticeCoverageError,
 )
 from .evolution import OperatorSpec, _drift_step, make_linear_operator, sample_reachable_set
-from .pathcore import Path, TimeGrid, _row_dots, extend_history, pad_paths, \
+from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
     stopped_at, stopped_sup_sq, stopped_value_at, values_at
 from .upsilon import LyapunovParams, surrogate_terms
 
@@ -66,114 +69,89 @@ class ControlGrid:
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """One game: dynamics x' + op(t, x) = rhs, running and terminal costs,
-    and control grids.
+    """One game: dynamics x' + op(t, x) = f, running and terminal costs, and
+    control grids.
 
-    rhs is called as rhs(t, stopped path, (p, q)) and gives the drift f.
+    stage(t, states, path_of, P, Q) returns the drift f, shape
+    (N, n_p, n_q, dim), and the running cost, shape (N, n_p, n_q), of N
+    lanes at time t over the control arrays P (n_p,) and Q (n_q,): states,
+    shape (N, dim), holds each lane's x(t), and path_of(n) returns lane n's
+    stopped path.  terminal(states, path_of) returns the terminal cost of N
+    lanes, shape (N,), where states holds x(T) and path_of(n) lane n's full
+    path.  A function that reads only the current state never calls path_of,
+    and the DP oracle is exact only for games whose functions do not read
+    the past (see dp_value).
+
     l_f is the growth constant of |f| <= l_f (1 + sup-norm of the stopped
     path), and so the tube constant of every lane solve the game makes; an
     l_f that is not finite or is below 0 is refused (DomainError).  lambda_L
     is the Lipschitz constant of (f, running cost) in the path sup-norm over
     the reachable tube.
-
-    markov_terms, when set, declares that the game reads the path only
-    through x(t): markov_terms(t, states, p_points, q_points) returns the
-    drift, shape (N, n_p, n_q, dim), and the running cost, shape
-    (N, n_p, n_q), of the N states (rows of states, shape (N, dim)) over the
-    control arrays p_points (n_p,) and q_points (n_q,), each entry bit-equal
-    to the path callbacks on a path with that state at t.  The DP oracle is
-    exact only for such games.
     """
 
     op: OperatorSpec
-    rhs: object
-    running_cost: object
-    terminal_cost: object
+    stage: object
+    terminal: object
     controls: ControlGrid
     l_f: float
     lambda_L: float
     name: str = "game"
-    markov_terms: object = None
 
     def __post_init__(self):
         if not (math.isfinite(self.l_f) and self.l_f >= 0):
             raise DomainError(f"l_f must be finite and >= 0, got {self.l_f}")
 
-    def final_cost(self, x: Path) -> float:
-        val = float(self.terminal_cost(x))
-        if not np.isfinite(val):
+    def final_costs(self, states: np.ndarray, path_of) -> np.ndarray:
+        """Terminal cost of N lanes, shape (N,): states holds each lane's x(T)
+        and path_of(n) returns lane n's path.  A result of another shape
+        raises DomainError, a non-finite one EvaluationError."""
+        costs = np.asarray(self.terminal(states, path_of), dtype=float)
+        if costs.shape != (len(states),):
+            raise DomainError(f"terminal returned shape {costs.shape}, "
+                              f"expected {(len(states),)}")
+        if not np.isfinite(costs).all():
             raise EvaluationError("non-finite terminal cost")
-        return val
+        return costs
 
     def lane_terms(self, t: float, states: np.ndarray, path_of, played=None):
         """(drift, cost) of N lanes at time t: the one entry point to the stage terms.
 
         states, shape (N, dim), holds each lane's x(t); path_of(n) returns
-        lane n's stopped path, and only a path-dependent game calls it.
-        Without played the terms cover the full control grid, shapes
-        (N, n_p, n_q, dim) and (N, n_p, n_q).  played = (lanes, p_idx, q_idx),
-        index arrays of equal length E, asks for those entries alone, shapes
+        lane n's stopped path, and only a game whose stage function reads the
+        path calls it.  Without played the terms cover the full control grid,
+        shapes (N, n_p, n_q, dim) and (N, n_p, n_q).  played = (lanes, p_idx,
+        q_idx), index arrays of equal length E, selects those entries, shapes
         (E, dim) and (E,).
 
-        A Markov game answers with one markov_terms call on states; a
-        path-dependent game with one sweep of the callbacks over the entries,
-        the drift before the cost of each.  Either way the first non-finite
-        entry, in (lane, p, q) order for the full grid and in the given order
-        for played, raises EvaluationError, the drift before the cost of an
-        entry; entries not returned are not checked.
+        One stage call always computes the full grid of every lane, played
+        or not, so a stage function that reads paths is evaluated at every
+        control pair and can raise on a pair nobody plays; played only
+        selects and checks entries.  A result of another shape raises
+        DomainError.  The first non-finite entry returned, in (lane,
+        p, q) order for the full grid and in the given order for played,
+        raises EvaluationError, the drift before the cost of an entry;
+        entries not returned are not checked.
         """
         controls = self.controls
-        n, dim = len(states), self.op.space.dim
-        grid_shape = (n, controls.n_p, controls.n_q)
-        if self.markov_terms is not None:
-            drift, cost = self.markov_terms(t, states, np.asarray(controls.p_points, dtype=float),
-                                            np.asarray(controls.q_points, dtype=float))
-            drift, cost = np.asarray(drift, dtype=float), np.asarray(cost, dtype=float)
-            if drift.shape != grid_shape + (dim,) or cost.shape != grid_shape:
-                raise DomainError(f"markov_terms returned shapes {drift.shape} and {cost.shape}, "
-                                  f"expected {grid_shape + (dim,)} and {grid_shape}")
-            if played is not None:
-                drift, cost = drift[played], cost[played]
-            bad_drift = ~np.isfinite(drift).all(axis=-1)
-            bad = bad_drift | ~np.isfinite(cost)
-            if bad.any():
-                first = int(np.argmax(bad.ravel()))
-                entry = np.unravel_index(first, grid_shape) if played is None \
-                    else [index[first] for index in played]
-                raise _nonfinite("drift" if bad_drift.ravel()[first] else "running cost", t,
-                                 controls.p_points[entry[1]], controls.q_points[entry[2]])
-            return drift, cost
-        entries = np.unravel_index(np.arange(math.prod(grid_shape)), grid_shape) \
-            if played is None else played
-        drift = np.empty((len(entries[0]), dim))
-        cost = np.empty(len(entries[0]))
-        rhs, running = self.rhs, self.running_cost
-        lane, x = None, None
-        for e, (n_e, i, j) in enumerate(zip(*entries)):
-            if n_e != lane:
-                lane, x = n_e, path_of(n_e)
-            p, q = controls.p_points[i], controls.q_points[j]
-            drift[e] = _finite_drift(np.asarray(rhs(t, x, (p, q)), dtype=float), t, p, q)
-            cost[e] = _finite_cost(float(running(t, x, p, q)), t, p, q)
-        if played is None:
-            return drift.reshape(grid_shape + (dim,)), cost.reshape(grid_shape)
+        grid_shape, dim = (len(states), controls.n_p, controls.n_q), self.op.space.dim
+        drift, cost = self.stage(t, states, path_of, np.asarray(controls.p_points, dtype=float),
+                                 np.asarray(controls.q_points, dtype=float))
+        drift, cost = np.asarray(drift, dtype=float), np.asarray(cost, dtype=float)
+        if drift.shape != grid_shape + (dim,) or cost.shape != grid_shape:
+            raise DomainError(f"stage returned shapes {drift.shape} and {cost.shape}, "
+                              f"expected {grid_shape + (dim,)} and {grid_shape}")
+        if played is not None:
+            drift, cost = drift[played], cost[played]
+        bad_drift = ~np.isfinite(drift).all(axis=-1)
+        bad = bad_drift | ~np.isfinite(cost)
+        if bad.any():
+            first = int(np.argmax(bad.ravel()))
+            entry = np.unravel_index(first, grid_shape) if played is None \
+                else [index[first] for index in played]
+            raise EvaluationError(
+                f"non-finite {'drift' if bad_drift.ravel()[first] else 'running cost'} at "
+                f"t={t}, p={controls.p_points[entry[1]]!r}, q={controls.q_points[entry[2]]!r}")
         return drift, cost
-
-
-def _nonfinite(term: str, t, p, q) -> EvaluationError:
-    return EvaluationError(f"non-finite {term} at t={t}, p={p!r}, q={q!r}")
-
-
-def _finite_drift(f: np.ndarray, t, p, q) -> np.ndarray:
-    if not np.isfinite(f).all():
-        raise _nonfinite("drift", t, p, q)
-    return f
-
-
-def _finite_cost(c: float, t, p, q) -> float:
-    if not math.isfinite(c):
-        raise _nonfinite("running cost", t, p, q)
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +465,17 @@ def _lift_paths(lattice: StateLattice, grid: TimeGrid) -> list:
     return [Path.constant(grid, point) for point in lattice.points()]
 
 
+class _PathReads:
+    """path_of over a list of paths that records whether anyone called it."""
+
+    def __init__(self, paths):
+        self.paths, self.called = paths, False
+
+    def __call__(self, n):
+        self.called = True
+        return self.paths[n]
+
+
 def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
               v_minus_next, v_plus_next, lifts):
     """One backward step of both sides: (v_minus_k, v_plus_k) lattice arrays
@@ -495,11 +484,11 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     The slice is one array program over its (point, p, q) cells: one
     lane_terms call over every lattice point (lane n's path is lifts[n]),
     one batched implicit step, one interpolation per side, and the min/max as
-    axis reductions.  A game without a Markov form is probed at node k > 0
-    by _require_markov.  Errors follow the lockstep rule of pdhj.evolution;
-    the phases are the stage terms, the probe, the implicit step and the
-    table reads, and a successor off the lattice names the cell with the
-    largest margin (the first such cell on ties).
+    axis reductions.  At node k > 0 a game whose stage function called
+    path_of is probed by _require_markov.  Errors follow the lockstep rule of
+    pdhj.evolution; the phases are the stage terms, the probe, the implicit
+    step and the table reads, and a successor off the lattice names the cell
+    with the largest margin (the first such cell on ties).
     """
     nodes = grid.nodes
     t_k, t_k1 = nodes[k], nodes[k + 1]
@@ -508,8 +497,9 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     points = lattice.points()
     n_points, dim = points.shape
     cells = (n_points, controls.n_p, controls.n_q)
-    drift, cost = spec.lane_terms(t_k, points, lambda n: lifts[n])
-    if spec.markov_terms is None and k > 0:
+    reads = _PathReads(lifts)
+    drift, cost = spec.lane_terms(t_k, points, reads)
+    if reads.called and k > 0:
         _require_markov(spec, grid, k, points, drift, cost)
     starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
     succ, _, _ = _drift_step(spec.op, t_k1, dt, starts, drift.reshape(-1, dim),
@@ -535,7 +525,7 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
 
 def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray,
                     drift: np.ndarray, cost: np.ndarray):
-    """The oracle's probe of a game without a Markov form at node k > 0.
+    """The oracle's probe at node k > 0 of a game whose stage function read a path.
 
     drift and cost are the stage terms on the constant lifts of the lattice
     points.  Each point's history before t_k is pushed away from the origin
@@ -567,19 +557,22 @@ def _pushed_histories(grid: TimeGrid, k: int, points: np.ndarray) -> np.ndarray:
 
 def _require_markov_terminal(spec: GameSpec, grid: TimeGrid, points: np.ndarray,
                              terminal: np.ndarray):
-    """The oracle's probe of the terminal cost of a game without a Markov form.
+    """The oracle's probe of a terminal function that read a path.
 
-    terminal holds the terminal cost on the constant lifts of the lattice
-    points; on each point's history pushed away before T (as _require_markov
-    pushes it before t_k) it must be the same, or ConfigurationError.
+    terminal holds the terminal costs on the constant lifts of the lattice
+    points.  One final_costs call takes them on the points' histories pushed
+    away before T (as _require_markov pushes them before t_k); they must be
+    the same, or ConfigurationError names the first point that differs.  All
+    pushed costs are taken before any is compared, so a non-finite one raises
+    final_costs' EvaluationError even when an earlier point differs.
     """
     values = _pushed_histories(grid, grid.n_steps, points)
-    for n, point in enumerate(points):
-        if spec.final_cost(Path(grid, values[:, n])) != terminal[n]:
-            raise ConfigurationError(
-                f"game {spec.name!r} reads its path before T in its terminal cost (lattice "
-                f"state {point}): the DP oracle values only games that read the path "
-                f"through x(T)")
+    same = spec.final_costs(points, lambda n: Path(grid, values[:, n])) == terminal
+    if not same.all():
+        raise ConfigurationError(
+            f"game {spec.name!r} reads its path before T in its terminal cost (lattice "
+            f"state {points[int(np.argmin(same))]}): the DP oracle values only games that "
+            f"read the path through x(T)")
 
 
 def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice) -> ValueTable:
@@ -591,19 +584,23 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice) -> ValueTabl
     are one implicit-Euler step; leaving the lattice is an error that names the
     margin needed.
 
-    A game that declares markov_terms is valued as it is.  Any other game is
-    probed at each node after the first, inside that node's slice: its stage
-    terms on histories perturbed before t must equal those on the constant
-    lifts (_require_markov), or dp_value raises ConfigurationError naming the
-    game and the node, rather than return a value that ignores the past.  Its
-    terminal cost is probed the same way on histories perturbed before T,
-    before any slice (_require_markov_terminal).
+    Each lattice point's lane is its constant lift, handed to the game as
+    path_of.  A function that never calls it cannot read the past, and is
+    taken as it is.  A stage function seen to call it at a node after the
+    first is probed there, inside that node's slice: its stage terms on
+    histories perturbed before t must equal those on the constant lifts
+    (_require_markov), or dp_value raises ConfigurationError naming the game
+    and the node, rather than return a value that ignores the past.  A
+    terminal function seen to call it is probed the same way on histories
+    perturbed before T, before any slice (_require_markov_terminal).
     """
     lifts = _lift_paths(lattice, grid)
+    points = lattice.points()
     shape = (grid.n_steps + 1,) + lattice.shape
-    terminal = np.array([spec.final_cost(lift) for lift in lifts])
-    if spec.markov_terms is None:
-        _require_markov_terminal(spec, grid, lattice.points(), terminal)
+    reads = _PathReads(lifts)
+    terminal = spec.final_costs(points, reads)
+    if reads.called:
+        _require_markov_terminal(spec, grid, points, terminal)
     v_minus, v_plus = np.empty(shape), np.empty(shape)
     v_minus[-1] = v_plus[-1] = terminal.reshape(lattice.shape)
     for k in range(grid.n_steps - 1, -1, -1):
@@ -868,9 +865,10 @@ def play_feedback_games(strategy: FeedbackStrategy, adversaries,
     companion minima (one companion_minima call, whose minimum is u at the
     cell's end node and aims the next control).  At a partition node a lane's
     stopped path is built only if its game or its adversary reads it, and
-    then once; the full paths are built only for the terminal cost.  Each
-    game's columns of the record are bit-identical to playing it alone.
-    Errors follow the lockstep rule of pdhj.evolution over these phases.
+    then once; a game's full path is built only if its terminal function
+    reads it.  Each game's columns of the record are bit-identical to
+    playing it alone.  Errors follow the lockstep rule of pdhj.evolution
+    over these phases.
     """
     spec = strategy.spec
     adversaries = list(adversaries)
@@ -894,13 +892,14 @@ def play_feedback_games(strategy: FeedbackStrategy, adversaries,
     for i in range(partition.n_steps):
         t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
         ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
+        # keyed by the game as a Python int: an np.int64 key would miss an int's entry
         path_at = functools.cache(lambda g, k=ka: stopped_at(inner, values[:, g], k))
-        p_picks = strategy.select_controls(t_i, values[ka], path_at, gradients)
+        p_picks = strategy.select_controls(t_i, values[ka], lambda g: path_at(int(g)), gradients)
         q_picks = np.empty(m, dtype=int)
         states = stopped_value_at(inner, values, ka, t_i)
         for lanes in groups:
             q_picks[lanes] = adversaries[lanes[0]].answers(
-                t_i, ka, states[lanes], lambda n: path_at(lanes[n]), p_picks[lanes])
+                t_i, ka, states[lanes], lambda n: path_at(int(lanes[n])), p_picks[lanes])
         for g in others:
             q_picks[g] = int(adversaries[g](t_i, functools.partial(path_at, g), int(p_picks[g])))
         played = (games, p_picks, q_picks)
@@ -919,7 +918,7 @@ def play_feedback_games(strategy: FeedbackStrategy, adversaries,
         u.append(totals)
 
     p, q, step_cost, kind, index = (np.array(column) for column in zip(*cells))
-    terminal = np.array([spec.final_cost(Path(inner, values[:, g])) for g in range(m)])
+    terminal = spec.final_costs(values[-1], lambda g: Path(inner, values[:, g]))
     return FeedbackPlay(partition, p, q, step_cost, np.array(u), kind, index, values, running,
                         terminal)
 
@@ -1070,76 +1069,68 @@ class GuaranteeEstimate:
 # desk-scale game builders
 # ---------------------------------------------------------------------------
 
-def bilinear_game(scale: float = 1.0, levels=(-1.0, 1.0), gain: float = 1.0) -> GameSpec:
+def bilinear_game(scale: float = 1.0, gain: float = 1.0,
+                  controls: ControlGrid = ControlGrid((-1.0, 1.0), (-1.0, 1.0))) -> GameSpec:
     """dim-1 game with drift scale * p * q and terminal cost |x(T)|: the
-    classic non-Isaacs example."""
-
-    def markov(t, states, P, Q):
+    classic non-Isaacs example.  l_f bounds the drift on `controls`."""
+    def stage(t, states, path_of, P, Q):
         drift = (scale * P[:, None]) * Q[None, :]
         shape = (len(states),) + drift.shape
         return np.broadcast_to(drift[..., None], shape + (1,)), np.zeros(shape)
 
-    return GameSpec(op=make_linear_operator(dim=1, gain=gain),
-                    rhs=lambda t, x, u: np.array([scale * u[0] * u[1]]),
-                    running_cost=lambda t, x, p, q: 0.0,
-                    terminal_cost=lambda x: float(np.linalg.norm(x.values[-1])),
-                    controls=ControlGrid(p_points=levels, q_points=levels),
-                    l_f=abs(scale) * max(abs(v) for v in levels) ** 2, lambda_L=0.1,
-                    name="bilinear", markov_terms=markov)
+    return GameSpec(op=make_linear_operator(dim=1, gain=gain), stage=stage,
+                    terminal=lambda states, path_of: _row_norms(states), controls=controls,
+                    l_f=abs(scale) * (_largest(controls.p_points) * _largest(controls.q_points)),
+                    lambda_L=0.1, name="bilinear")
 
 
-def isaacs_game(scale: float = 0.5, levels=(-1.0, 0.0, 1.0), gain: float = 1.0,
-                cost_weight: float = 0.1) -> GameSpec:
-    """dim-1 Isaacs game: drift scale * (p + q), state-quadratic running cost.
+def isaacs_game(scale: float = 0.5, gain: float = 1.0, cost_weight: float = 0.1,
+                controls: ControlGrid = ControlGrid((-1.0, 0.0, 1.0),
+                                                    (-1.0, 0.0, 1.0))) -> GameSpec:
+    """dim-1 Isaacs game: drift scale * (p + q), state-quadratic running cost
+    and terminal cost |x(T)|^2.  l_f bounds the drift on `controls`.
 
     The stage objective is separable in (p, q), so min-max equals max-min and
     the Isaacs gap vanishes identically.
     """
-    level_max = max(abs(v) for v in levels)
-
-    def running(t, x, p, q):
-        xt = x.value_at(t)
-        return cost_weight * float(np.dot(xt, xt))
-
-    def markov(t, states, P, Q):
+    def stage(t, states, path_of, P, Q):
         drift = scale * (P[:, None] + Q[None, :])
         shape = (len(states),) + drift.shape
         cost = cost_weight * _row_dots(states, states)  # the bits of np.dot(xt, xt)
         return (np.broadcast_to(drift[..., None], shape + (1,)),
                 np.broadcast_to(cost[:, None, None], shape))
 
-    def terminal(x):
-        return float(np.dot(x.values[-1], x.values[-1]))
-
     # state bound on the tube from x0 ~ O(1): dissipative gain-1 drift keeps
     # |x| <= ~1.5, so the sup-norm Lipschitz constant of the running cost is
     # cost_weight * 2 * 1.5
     lam = max(3.0 * cost_weight, 0.1)
-    return GameSpec(op=make_linear_operator(dim=1, gain=gain),
-                    rhs=lambda t, x, u: np.array([scale * (float(u[0]) + float(u[1]))]),
-                    running_cost=running, terminal_cost=terminal,
-                    controls=ControlGrid(p_points=levels, q_points=levels),
-                    l_f=2.0 * abs(scale) * level_max, lambda_L=lam, name="isaacs-additive",
-                    markov_terms=markov)
+    return GameSpec(op=make_linear_operator(dim=1, gain=gain), stage=stage,
+                    terminal=lambda states, path_of: _row_dots(states, states),
+                    controls=controls,
+                    l_f=abs(scale) * (_largest(controls.p_points) + _largest(controls.q_points)),
+                    lambda_L=lam, name="isaacs-additive")
 
 
-def constant_game(cost: float = 1.0, gain: float = 1.0) -> GameSpec:
+def constant_game(cost: float = 1.0, gain: float = 1.0,
+                  controls: ControlGrid = ControlGrid((0.0,), (0.0,))) -> GameSpec:
     """Zero dynamics forcing, constant running cost: value is cost * (T - t)."""
-    def markov(t, states, P, Q):
+    def stage(t, states, path_of, P, Q):
         shape = (len(states), len(P), len(Q))
         return np.zeros(shape + (1,)), np.full(shape, float(cost))
 
-    return GameSpec(op=make_linear_operator(dim=1, gain=gain),
-                    rhs=lambda t, x, u: np.zeros(1),
-                    running_cost=lambda t, x, p, q: cost,
-                    terminal_cost=lambda x: 0.0,
-                    controls=ControlGrid(p_points=(0.0,), q_points=(0.0,)),
-                    l_f=0.0, lambda_L=0.1, name="constant", markov_terms=markov)
+    return GameSpec(op=make_linear_operator(dim=1, gain=gain), stage=stage,
+                    terminal=lambda states, path_of: np.zeros(len(states)),
+                    controls=controls,
+                    l_f=0.0, lambda_L=0.1, name="constant")
+
+
+def _largest(points) -> float:
+    return max(abs(v) for v in points)
 
 
 def with_terminal_shift(spec: GameSpec, shift: float) -> GameSpec:
     """Add a constant to the terminal cost (stability experiment family)."""
-    return replace(spec, terminal_cost=lambda x: spec.terminal_cost(x) + shift,
+    return replace(spec, terminal=lambda states, path_of: spec.terminal(states, path_of) + shift,
                    name=f"{spec.name}-hshift")
 
 
@@ -1148,14 +1139,9 @@ def with_drift_perturbation(spec: GameSpec, magnitude: float) -> GameSpec:
     dim = spec.op.space.dim
     w = np.full(dim, magnitude)
 
-    def rhs(t, x, u):
-        return np.atleast_1d(spec.rhs(t, x, u)) + w
+    def stage(t, states, path_of, P, Q):
+        drift, cost = spec.stage(t, states, path_of, P, Q)
+        return drift + w, cost
 
-    markov = None
-    if spec.markov_terms is not None:
-        def markov(t, states, P, Q):
-            drift, cost = spec.markov_terms(t, states, P, Q)
-            return drift + w, cost
-
-    return replace(spec, rhs=rhs, l_f=spec.l_f + abs(magnitude) * np.sqrt(dim),
-                   name=f"{spec.name}-fdrift", markov_terms=markov)
+    return replace(spec, stage=stage, l_f=spec.l_f + abs(magnitude) * np.sqrt(dim),
+                   name=f"{spec.name}-fdrift")

@@ -22,9 +22,16 @@ the batches are checked against.
   pdhj.minimax._candidate_runs as one sequential solve per candidate, a
   characteristic aimed by value_gradient and picking its pair from one
   lane's stage terms.
-- drift and stage_cost: one (p, q) entry of GameSpec.lane_terms through the
-  path callbacks, with its finiteness check; stage_matrix, cost + (f, z) of
-  one lane over the full control grid, one pair at a time.
+- callback_game: a GameSpec whose stage and terminal functions sweep
+  per-pair path callbacks (rhs, running_cost, terminal_cost), one lane and
+  one control pair at a time; reference_game, a built-in game in that
+  form, each formula written once more per control pair and per path: the
+  reference the built-ins' stage and terminal functions are checked
+  against; planar_game, a dim-2 test game in either form.
+- drift and stage_cost: one (p, q) entry of a game's stage terms at one lane,
+  from its stage function on the one-pair grid, with the finiteness checks
+  _finite_drift and _finite_cost; stage_matrix, cost + (f, z) of one lane
+  over the full control grid, one pair at a time.
 - game_audit: the growth and finiteness audit of a GameSpec on random
   paths, which no run calls.
 - stop_path, sup_norm and d_infinity: the one-path forms of the padded
@@ -48,6 +55,7 @@ the batches are checked against.
 """
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -59,10 +67,11 @@ from pdhj import evolution
 from pdhj.errors import ConfigurationError, ContractError, DomainError, EvaluationError, \
     SolverError
 from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_TOL, OperatorSpec, \
-    SolveReport, _bisect_step
-from pdhj.game import FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, ValueTable, \
-    _dp_slice, _finite_cost, _finite_drift, _lift_paths, adversary_pool, hamiltonian, \
-    is_upper_side, play_feedback_games, step_rate_bound
+    SolveReport, _bisect_step, make_linear_operator
+from pdhj.game import ControlGrid, FeedbackStrategy, GameSpec, GuaranteeEstimate, \
+    LipschitzReport, ValueTable, _dp_slice, _lift_paths, adversary_pool, bilinear_game, \
+    constant_game, hamiltonian, is_upper_side, isaacs_game, play_feedback_games, \
+    step_rate_bound
 from pdhj.pathcore import _NODE_TOL, Path, TimeGrid, _row_dots, kappa_constant, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
 
@@ -538,11 +547,11 @@ def _candidate_runs_reference(spec: GameSpec, table: ValueTable, side: str, t0: 
     for i, p in enumerate(spec.controls.p_points):
         for j, q in enumerate(spec.controls.q_points):
             rep = _solve_reference(spec.op, t0, hist, lambda t, x, pq=(p, q): pq,
-                                   lipschitz_L=spec.l_f, rhs=spec.rhs)
+                                   lipschitz_L=spec.l_f, rhs=_pair_rhs(spec))
             runs.append((f"constant[p{i},q{j}]", rep))
     for role in ("super", "sub"):
         rep = _solve_reference(spec.op, t0, hist, _char_policy(spec, table, side, role, z),
-                               lipschitz_L=spec.l_f, rhs=spec.rhs)
+                               lipschitz_L=spec.l_f, rhs=_pair_rhs(spec))
         runs.append((f"characteristic[{role}]", rep))
     n_random = max(0, budget - len(runs))
     if n_random > 0:
@@ -552,15 +561,43 @@ def _candidate_runs_reference(spec: GameSpec, table: ValueTable, side: str, t0: 
     return runs
 
 
+def _nonfinite(term: str, t, p, q) -> EvaluationError:
+    return EvaluationError(f"non-finite {term} at t={t}, p={p!r}, q={q!r}")
+
+
+def _finite_drift(f: np.ndarray, t, p, q) -> np.ndarray:
+    if not np.isfinite(f).all():
+        raise _nonfinite("drift", t, p, q)
+    return f
+
+
+def _finite_cost(c: float, t, p, q) -> float:
+    if not math.isfinite(c):
+        raise _nonfinite("running cost", t, p, q)
+    return c
+
+
+def _pair_terms(spec: GameSpec, t: float, x: Path, p, q):
+    """(drift, cost) of the control pair (p, q) at (t, x): the game's stage
+    function on the one lane x and the one-pair grid."""
+    f, c = spec.stage(t, x.value_at(t)[None], lambda _: x, np.array([p], dtype=float),
+                      np.array([q], dtype=float))
+    return np.asarray(f, dtype=float)[0, 0, 0], float(np.asarray(c)[0, 0, 0])
+
+
 def drift(spec: GameSpec, t: float, x: Path, p, q) -> np.ndarray:
-    """The drift of the control pair (p, q) at (t, x) from the game's rhs."""
-    return _finite_drift(np.atleast_1d(np.asarray(spec.rhs(t, x, (p, q)), dtype=float)),
-                         t, p, q)
+    """The drift of the control pair (p, q) at (t, x)."""
+    return _finite_drift(_pair_terms(spec, t, x, p, q)[0], t, p, q)
 
 
 def stage_cost(spec: GameSpec, t: float, x: Path, p, q) -> float:
     """The running cost of the control pair (p, q) at (t, x)."""
-    return _finite_cost(float(spec.running_cost(t, x, p, q)), t, p, q)
+    return _finite_cost(_pair_terms(spec, t, x, p, q)[1], t, p, q)
+
+
+def _pair_rhs(spec: GameSpec):
+    """The game's drift as an rhs(t, stopped path, (p, q)) of _solve_reference."""
+    return lambda t, x, u: drift(spec, t, x, *u)
 
 
 def stage_matrix(spec: GameSpec, t: float, x: Path, z) -> np.ndarray:
@@ -588,7 +625,7 @@ def game_audit(spec: GameSpec, samples: int, seed: int) -> dict:
         q = spec.controls.q_points[rng.integers(spec.controls.n_q)]
         f = drift(spec, t, x, p, q)
         stage_cost(spec, t, x, p, q)
-        spec.final_cost(x)
+        spec.final_costs(x.values[-1][None], lambda _: x)
         worst = max(worst, float(np.linalg.norm(f)) / (spec.l_f * (1.0 + sup_norm(x, t)) + 1e-300))
     return {"samples": samples, "seed": seed, "max_growth_ratio": worst,
             "passed": worst <= 1.0 + 1e-9}
@@ -641,13 +678,99 @@ def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
 
 def scale_costs(spec: GameSpec, factor: float) -> GameSpec:
     """Multiply running and terminal costs jointly by a positive factor."""
-    markov = None
-    if spec.markov_terms is not None:
-        def markov(t, states, P, Q):
-            drift, cost = spec.markov_terms(t, states, P, Q)
-            return drift, factor * cost
-    return replace(spec,
-                   running_cost=lambda t, x, p, q: factor * spec.running_cost(t, x, p, q),
-                   terminal_cost=lambda x: factor * spec.terminal_cost(x),
-                   lambda_L=spec.lambda_L * max(factor, 1e-12),
-                   name=f"{spec.name}-x{factor:g}", markov_terms=markov)
+    def stage(t, states, path_of, P, Q):
+        drift, cost = spec.stage(t, states, path_of, P, Q)
+        return drift, factor * cost
+    return replace(spec, stage=stage,
+                   terminal=lambda states, path_of: factor * spec.terminal(states, path_of),
+                   lambda_L=spec.lambda_L * max(factor, 1e-12), name=f"{spec.name}-x{factor:g}")
+
+
+# -- games in their callback form ----------------------------------------------
+
+def callback_game(op: OperatorSpec, rhs, running_cost, terminal_cost, controls, l_f: float,
+                  lambda_L: float, name: str = "game") -> GameSpec:
+    """A GameSpec that reads its lanes' paths, from per-pair callbacks.
+
+    rhs(t, stopped path, (p, q)) gives the drift and running_cost(t, stopped
+    path, p, q) the running cost of one control pair; the stage function
+    calls path_of once per lane and then both callbacks per (p, q) pair of
+    the grid it is given, in (p, q) order, the drift first.
+    terminal_cost(path) gives one lane's terminal cost from its full path.
+    The finiteness checks are GameSpec.lane_terms's and final_costs's.
+    """
+    def stage(t, states, path_of, P, Q):
+        drift = np.empty((len(states), len(P), len(Q), states.shape[1]))
+        cost = np.empty(drift.shape[:-1])
+        for n in range(len(states)):
+            x = path_of(n)
+            for i, p in enumerate(P.tolist()):
+                for j, q in enumerate(Q.tolist()):
+                    drift[n, i, j] = rhs(t, x, (p, q))
+                    cost[n, i, j] = running_cost(t, x, p, q)
+        return drift, cost
+
+    def terminal(states, path_of):
+        return np.array([float(terminal_cost(path_of(n))) for n in range(len(states))])
+
+    return GameSpec(op=op, stage=stage, terminal=terminal, controls=controls, l_f=l_f,
+                    lambda_L=lambda_L, name=name)
+
+
+def _bilinear_callbacks(scale, **_):
+    return (lambda t, x, u: np.array([scale * u[0] * u[1]]), lambda t, x, p, q: 0.0,
+            lambda x: float(np.linalg.norm(x.values[-1])))
+
+
+def _isaacs_callbacks(scale, cost_weight, **_):
+    def running(t, x, p, q):
+        xt = x.value_at(t)
+        return cost_weight * float(np.dot(xt, xt))
+
+    return (lambda t, x, u: np.array([scale * (float(u[0]) + float(u[1]))]), running,
+            lambda x: float(np.dot(x.values[-1], x.values[-1])))
+
+
+def _constant_callbacks(cost, **_):
+    return lambda t, x, u: np.zeros(1), lambda t, x, p, q: cost, lambda x: 0.0
+
+
+def planar_game(callbacks: bool = False) -> GameSpec:
+    """A dim-2 test game: drift 0.4 (p, q), running cost 0.05 |x(t)|^2 +
+    0.1 p q and terminal cost |x(T)|^2, with batched stage and terminal
+    functions, or in callback form."""
+    op, name = make_linear_operator(dim=2, gain=1.0), "planar"
+    controls = ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.5, 1.0))
+    if callbacks:
+        def running(t, x, p, q):
+            xt = x.value_at(t)
+            return 0.05 * float(np.dot(xt, xt)) + 0.1 * p * q
+
+        return callback_game(op, lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
+                             running, lambda x: float(np.dot(x.values[-1], x.values[-1])),
+                             controls, l_f=0.8, lambda_L=0.3, name=name)
+
+    def stage(t, states, path_of, P, Q):
+        drift = 0.4 * np.stack(np.broadcast_arrays(P[:, None], Q[None, :]), axis=-1)
+        cost = 0.05 * _row_dots(states, states)[:, None, None] + (0.1 * P[:, None]) * Q[None, :]
+        return np.broadcast_to(drift, (len(states),) + drift.shape), cost
+
+    return GameSpec(op=op, stage=stage, terminal=lambda states, path_of: _row_dots(states, states),
+                    controls=controls, l_f=0.8, lambda_L=0.3, name=name)
+
+
+_CALLBACKS = {bilinear_game: _bilinear_callbacks, isaacs_game: _isaacs_callbacks,
+              constant_game: _constant_callbacks}
+
+
+def reference_game(builder, **kwargs) -> GameSpec:
+    """The callback form of the built-in game builder(**kwargs): its operator,
+    controls, constants and name, with a stage and terminal function that
+    read every lane's path and evaluate the builder's formulas one control
+    pair and one lane at a time."""
+    spec = builder(**kwargs)
+    args = inspect.signature(builder).bind(**kwargs)
+    args.apply_defaults()
+    rhs, running, terminal = _CALLBACKS[builder](**args.arguments)
+    return callback_game(spec.op, rhs, running, terminal, spec.controls, spec.l_f,
+                         spec.lambda_L, spec.name)

@@ -18,6 +18,7 @@ from pdhj.evolution import (
     solve_delay_evolution,
 )
 from pdhj.game import (
+    ControlGrid,
     StateLattice,
     adversary_pool,
     bilinear_game,
@@ -34,7 +35,8 @@ from pdhj.minimax import bump_table, composite_tolerance, minimax_residual, \
 from pdhj.pathcore import Path, TimeGrid, kappa_constant
 from pdhj.upsilon import LyapunovParams, verify_chain_rule
 from scalar_reference import calibrate_step_bound, estimate_guaranteed_result, \
-    measurable_selection, path_difference, penalty_psi, recompute_slice, sup_norm, upsilon
+    measurable_selection, path_difference, penalty_psi, recompute_slice, reference_game, sup_norm, \
+    upsilon
 
 KAPPA = kappa_constant()
 
@@ -191,7 +193,8 @@ def test_criterion_06_hamiltonian_facts():
     grid = TimeGrid(0.0, 1.0, 4)
     x = Path.constant(grid, [0.0])
     pq = hamiltonian(bilinear_game(scale=1.0), 0.0, x, np.array([1.0]))
-    additive = hamiltonian(isaacs_game(scale=1.0, levels=(-1.0, 1.0), cost_weight=0.0),
+    additive = hamiltonian(isaacs_game(scale=1.0, cost_weight=0.0,
+                                       controls=ControlGrid((-1.0, 1.0), (-1.0, 1.0))),
                            0.0, x, np.array([1.0]))
     rng = np.random.default_rng(606)
     order_ok = True
@@ -216,8 +219,9 @@ def test_criterion_07_dp_coherence(desk_table):
         and np.array_equal(recompute_slice(table, spec, k, "lower"), table.v_minus[k])
         for k in range(grid.n_steps))
     ordered = bool(np.all(table.v_minus <= table.v_plus + 1e-12))
-    lifts = [Path.constant(grid, pt) for pt in lattice.points()]
-    terminal = np.array([spec.final_cost(p) for p in lifts])
+    points = lattice.points()
+    terminal = reference_game(isaacs_game, scale=0.5).final_costs(
+        points, lambda n: Path.constant(grid, points[n]))
     terminal_exact = (np.array_equal(table.v_plus[-1].ravel(), terminal)
                       and np.array_equal(table.v_minus[-1].ravel(), terminal))
     ok = bit_exact and ordered and terminal_exact and elapsed < 60.0

@@ -8,7 +8,6 @@ padded path kernels of pdhj.pathcore to Path.value_at and to stop_path and
 sup_norm there, and each battery's records to the verbatim loop there.
 """
 
-import dataclasses
 import json
 import math
 
@@ -21,7 +20,6 @@ from pdhj.errors import EvaluationError
 from pdhj.evolution import make_linear_operator
 from pdhj.game import (
     ControlGrid,
-    GameSpec,
     audit_hamiltonian_lipschitz,
     bilinear_game,
     hamiltonian,
@@ -31,7 +29,6 @@ from pdhj.game import (
 from pdhj.pathcore import (
     Path,
     TimeGrid,
-    _row_dots,
     pad_paths,
     stop_paths,
     stopped_sup_sq,
@@ -40,7 +37,8 @@ from pdhj.pathcore import (
 from pdhj.upsilon import _battery_terms, _surrogate_batch, property_battery
 
 import scalar_reference
-from scalar_reference import path_difference, penalty_psi, stop_path, sup_norm, upsilon
+from scalar_reference import callback_game, path_difference, penalty_psi, planar_game, \
+    reference_game, stop_path, sup_norm, upsilon
 
 _VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
                     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
@@ -184,44 +182,26 @@ class TestUpsilonBattery:
 # Hamiltonian batteries
 # ---------------------------------------------------------------------------
 
-def _planar_game():
-    """A dim-2 game: drift 0.4 (p, q), cost 0.05 |x(t)|^2 + 0.1 p q, with its Markov form."""
-    def running(t, x, p, q):
-        xt = x.value_at(t)
-        return 0.05 * float(np.dot(xt, xt)) + 0.1 * p * q
-
-    def markov(t, states, P, Q):
-        drift = 0.4 * np.stack(np.broadcast_arrays(P[:, None], Q[None, :]), axis=-1)
-        cost = 0.05 * _row_dots(states, states)[:, None, None] + (0.1 * P[:, None]) * Q[None, :]
-        return np.broadcast_to(drift, (len(states),) + drift.shape), cost
-
-    return GameSpec(op=make_linear_operator(dim=2, gain=1.0),
-                    rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-                    running_cost=running,
-                    terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
-                    controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.5, 1.0)),
-                    l_f=0.8, lambda_L=0.3, name="planar", markov_terms=markov)
+def _delayed_running(t, x, p, q):
+    past = x.value_at(max(t - 0.25, x.grid.t_start))
+    return 0.1 * float(np.dot(past, past)) + 0.2 * p - 0.1 * q
 
 
-def _delayed_game():
+def _delayed_game(running=_delayed_running, name="delayed"):
     """A path-dependent game: its running cost reads x a quarter before t."""
-    def running(t, x, p, q):
-        past = x.value_at(max(t - 0.25, x.grid.t_start))
-        return 0.1 * float(np.dot(past, past)) + 0.2 * p - 0.1 * q
-
-    return GameSpec(op=make_linear_operator(),
-                    rhs=lambda t, x, u: np.array([0.5 * u[0] * u[1]]),
-                    running_cost=running, terminal_cost=lambda x: 0.0,
-                    controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.0, 1.0)),
-                    l_f=0.5, lambda_L=0.2, name="delayed")
+    return callback_game(op=make_linear_operator(),
+                         rhs=lambda t, x, u: np.array([0.5 * u[0] * u[1]]),
+                         running_cost=running, terminal_cost=lambda x: 0.0,
+                         controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.0, 1.0)),
+                         l_f=0.5, lambda_L=0.2, name=name)
 
 
 HAMILTONIAN_GAMES = {
     "isaacs": lambda: isaacs_game(scale=0.5),
     "bilinear": bilinear_game,
-    "planar": _planar_game,
-    "isaacs-paths": lambda: dataclasses.replace(isaacs_game(scale=0.5), markov_terms=None),
-    "planar-paths": lambda: dataclasses.replace(_planar_game(), markov_terms=None),
+    "planar": planar_game,
+    "isaacs-paths": lambda: reference_game(isaacs_game, scale=0.5),
+    "planar-paths": lambda: planar_game(callbacks=True),
     "delayed": _delayed_game,
 }
 
@@ -285,7 +265,7 @@ class TestSampledHamiltonians:
         def running(t, x, p, q):
             return math.inf if x.values[0][0] > 1.0 else 0.0
 
-        spec = dataclasses.replace(_delayed_game(), running_cost=running, name="fragile")
+        spec = _delayed_game(running, "fragile")
         grid = TimeGrid(0.0, 1.0, 4)
         values = np.zeros((3, 5, 1))
         values[1:, 0] = 2.0

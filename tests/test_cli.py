@@ -10,7 +10,7 @@ from pdhj.cli import _site_state, emit_summary, main, run, validate_config
 from pdhj.errors import UsageError
 from pdhj.evolution import make_linear_operator
 from pdhj.pathcore import Path, TimeGrid
-from scalar_reference import _solve_reference
+from scalar_reference import _solve_reference, callback_game
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -315,6 +315,37 @@ class TestMain:
         assert (tmp_path / "envout" / "upsilon-check" / "result.json").is_file()
 
 
+class TestControlGrid:
+    """A game's growth constant l_f bounds the drift on the control grid the
+    config gives it, not on the builder's default grid."""
+
+    WIDE = {"p_points": [-2, 2], "q_points": [-2, 2]}
+
+    def test_isaacs_check_bounds_the_given_grid(self, tmp_path):
+        # the same game as controls or as levels; with controls l_f stayed at
+        # the levels' 1.0, and the run failed its Lipschitz audit (exit 1)
+        results = []
+        for name, game in (("controls", {"kind": "bilinear", "controls": self.WIDE}),
+                           ("levels", {"kind": "bilinear", "levels": [-2, 2]})):
+            cfg = base_config("isaacs-check", name=name, game=game, samples=200)
+            assert run(cfg, str(tmp_path)) == 0
+            results.append(json.loads((tmp_path / name / "result.json").read_text()))
+        assert results[0] == {**results[1], "name": "controls"}
+        assert results[0]["lipschitz_bound"] == 4.0 and results[0]["passed"]
+
+    def test_minimax_check_tube_covers_the_given_grid(self, tmp_path):
+        # with l_f from the levels, a constant lane at q = p = -4 broke the
+        # tube bound (ContractError, exit 3 after the manifest)
+        cfg = base_config("minimax-check",
+                          game={"kind": "isaacs-additive",
+                                "controls": {"p_points": [-4, 4], "q_points": [-4, 4]}},
+                          grid={"t_end": 1.0, "n_steps": 16},
+                          lattice={"lo": [-4.0], "hi": [4.0], "points": [33]},
+                          sites=4, horizon=0.125, budget=32)
+        assert run(cfg, str(tmp_path)) == 0
+        assert json.loads((tmp_path / "minimax-check" / "result.json").read_text())["passed"]
+
+
 def _write(tmp_path, cfg):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -599,14 +630,14 @@ def test_feedback_partitions_off_the_first_partition(tmp_path):
 
 def _planar_game(block):
     from pdhj.evolution import make_linear_operator
-    from pdhj.game import ControlGrid, GameSpec
-    return GameSpec(op=make_linear_operator(dim=2, gain=1.0),
-                    rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-                    running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t),
+    from pdhj.game import ControlGrid
+    return callback_game(op=make_linear_operator(dim=2, gain=1.0),
+                         rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
+                         running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t),
                                                                         x.value_at(t))),
-                    terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
-                    controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
-                    l_f=0.8, lambda_L=0.3, name="planar")
+                         terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
+                         controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
+                         l_f=0.8, lambda_L=0.3, name="planar")
 
 
 class TestMinimaxSites:

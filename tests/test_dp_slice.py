@@ -1,5 +1,7 @@
 """The batched DP slice and implicit step against the scalar loops they replace."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from pdhj.evolution import (
 from pdhj.game import (
     STEP_SOLVE_TOL,
     ControlGrid,
-    GameSpec,
     StateLattice,
     _dp_slice,
     _lift_paths,
@@ -25,7 +26,7 @@ from pdhj.game import (
     isaacs_game,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid
-from scalar_reference import _implicit_step, drift, stage_cost
+from scalar_reference import _implicit_step, callback_game, drift, stage_cost
 
 
 def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts):
@@ -61,7 +62,7 @@ def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts
 
 
 def planar_game():
-    return GameSpec(
+    return callback_game(
         op=make_linear_operator(dim=2, gain=1.0),
         rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
         running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
@@ -293,9 +294,7 @@ def test_greedy_adversary_reports_node_index():
     table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,)))
     broken = OperatorSpec(space=spec.op.space, eval_fn=lambda t, v: np.full_like(v, np.nan),
                           c1=1.0, c2=1.0)
-    bad = GameSpec(op=broken, rhs=spec.rhs,
-                   running_cost=spec.running_cost, terminal_cost=spec.terminal_cost,
-                   controls=spec.controls, l_f=spec.l_f, lambda_L=spec.lambda_L)
+    bad = dataclasses.replace(spec, op=broken)
     policy = greedy_adversary(bad, table)
     x = Path.constant(grid, [0.1])
     with pytest.raises(SolverError) as err:

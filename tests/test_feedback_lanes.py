@@ -22,7 +22,6 @@ from pdhj.game import (
     ControlGrid,
     FeedbackPlay,
     FeedbackStrategy,
-    GameSpec,
     GuaranteeEstimate,
     StateLattice,
     ValueTable,
@@ -40,8 +39,8 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
-from scalar_reference import _implicit_step, calibrate_step_bound, drift, estimate_guaranteed_result, \
-    stage_cost, stage_matrix
+from scalar_reference import _implicit_step, calibrate_step_bound, callback_game, drift, \
+    estimate_guaranteed_result, reference_game, stage_cost, stage_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +148,7 @@ def _run_feedback_game_reference(spec, strategy, adversary, partition):
                                        for rec in records])[:, None],
                         index=column("companion_index"), values=values[:, None, :],
                         running=np.array([running]),
-                        terminal=np.array([spec.final_cost(final_path)]))
+                        terminal=spec.final_costs(values[-1][None], lambda _: final_path))
 
 
 def _greedy_reference(spec, value):
@@ -193,7 +192,7 @@ def _assert_game_equal(play, g, want):
 
 
 def _planar_game():
-    return GameSpec(
+    return callback_game(
         op=make_linear_operator(dim=2, gain=1.0),
         rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
         running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
@@ -303,12 +302,10 @@ class TestPoolMatchesGameByGame:
         assert play.payoff.shape == (0,)
 
 
-def _isaacs_desk(markov, grid_steps=8, partition_steps=(4, 8)):
-    """The Isaacs game with or without its Markov form, its table, and a
+def _isaacs_desk(built_in, grid_steps=8, partition_steps=(4, 8)):
+    """The Isaacs game, built in or in its callback form, its table, and a
     strategy for the partitions."""
-    spec = isaacs_game(scale=0.5)
-    if not markov:
-        spec = dataclasses.replace(spec, markov_terms=None)
+    spec = isaacs_game(scale=0.5) if built_in else reference_game(isaacs_game, scale=0.5)
     grid = TimeGrid(0.0, 1.0, grid_steps)
     table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
     params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
@@ -326,20 +323,20 @@ def _greedy_reference_lane(spec, value):
 
 
 class TestGreedyLanes:
-    @pytest.mark.parametrize("markov", [True, False])
+    @pytest.mark.parametrize("built_in", [True, False])
     @pytest.mark.parametrize("explicit", [False, True])
-    def test_groups_match_the_per_q_loop_off_node(self, markov, explicit, monkeypatch):
+    def test_groups_match_the_per_q_loop_off_node(self, built_in, explicit, monkeypatch):
         # on a 15-step grid the 5-step partition's node 0.6000000000000001
         # is a hair past the simulation grid's node 0.6; an explicit
         # partition puts every inner node up to 7e-13 past the grid's
         if explicit:
-            spec, table, _, _, x0 = _isaacs_desk(markov)
+            spec, table, _, _, x0 = _isaacs_desk(built_in)
             partition = TimeGrid.from_nodes([0.0, 0.25 + 5e-13, 0.5 + 3e-13, 0.75 + 7e-13, 1.0])
             strategy = extremal_shift_strategy(
                 spec, LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0), 0.0, x0,
                 partition, value=table, library_size=16, seed=5)
         else:
-            spec, table, strategy, (partition,), _ = _isaacs_desk(markov, 15, (5,))
+            spec, table, strategy, (partition,), _ = _isaacs_desk(built_in, 15, (5,))
         off = [t for t in partition.nodes if t not in strategy.x0.grid.nodes]
         assert len(off) == (3 if explicit else 1)
         n_q = spec.controls.n_q
@@ -371,9 +368,9 @@ class TestGreedyLanes:
                                                                      partition))
         assert not np.array_equal(play.q[:, 2], play.q[:, 1])
 
-    @pytest.mark.parametrize("markov", [True, False])
-    def test_stopped_paths_built_only_when_read(self, markov, monkeypatch):
-        spec, table, strategy, partitions, _ = _isaacs_desk(markov)
+    @pytest.mark.parametrize("built_in", [True, False])
+    def test_stopped_paths_built_only_when_read(self, built_in, monkeypatch):
+        spec, table, strategy, partitions, _ = _isaacs_desk(built_in)
         built = []
 
         def counted(grid, values, k):
@@ -383,9 +380,9 @@ class TestGreedyLanes:
         monkeypatch.setattr(game, "stopped_at", counted)
         pool = adversary_pool(spec, table, 6, seed=1)  # constants, greedy, random
         play_feedback_games(strategy, pool, partitions[0])
-        # a Markov game reads none; a path-dependent one each lane's path once
+        # the built-in game reads none; the callback form each lane's path once
         # per partition node (controls and greedy share it) and once per step
-        assert len(built) == (0 if markov else len(pool) * (4 + 8))
+        assert len(built) == (0 if built_in else len(pool) * (4 + 8))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +403,9 @@ class TestPoolsAsOneLaneSet:
     set per partition, sliced by pool, against the pools played in separate
     calls."""
 
-    @pytest.mark.parametrize("markov", [True, False])
-    def test_matches_separate_passes(self, markov):
-        spec, table, strategy, partitions, x0 = _isaacs_desk(markov)
+    @pytest.mark.parametrize("built_in", [True, False])
+    def test_matches_separate_passes(self, built_in):
+        spec, table, strategy, partitions, x0 = _isaacs_desk(built_in)
         calibration_budget, budget, seed = 6, 9, 3
 
         def pools():
@@ -618,14 +615,20 @@ def _playing(strategy, spec):
                             strategy.library)
 
 
-def _variant(base, op=None, q_points=None, running_cost=None):
-    """base with its drift q (so each game's q moves its own state), and the given parts."""
-    return GameSpec(op=op or base.op, rhs=lambda t, x, u: np.array([float(u[1])]),
-                    running_cost=running_cost or base.running_cost,
-                    terminal_cost=base.terminal_cost,
-                    controls=ControlGrid(p_points=base.controls.p_points,
-                                         q_points=q_points or base.controls.q_points),
-                    l_f=100.0, lambda_L=base.lambda_L)
+def _isaacs_running(t, x, p, q):
+    """The running cost of isaacs_game at its default weight 0.1."""
+    return 0.1 * float(np.dot(x.value_at(t), x.value_at(t)))
+
+
+def _variant(base, op=None, q_points=None, running_cost=_isaacs_running):
+    """The Isaacs game base with its drift q (so each game's q moves its own
+    state), and the given parts."""
+    return callback_game(op=op or base.op, rhs=lambda t, x, u: np.array([float(u[1])]),
+                         running_cost=running_cost,
+                         terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
+                         controls=ControlGrid(p_points=base.controls.p_points,
+                                              q_points=q_points or base.controls.q_points),
+                         l_f=100.0, lambda_L=base.lambda_L)
 
 
 class TestPoolErrors:
@@ -711,10 +714,7 @@ class TestGreedyBatch:
         spec = constant_game()
         grid = TimeGrid(0.0, 1.0, 4)
         table = dp_value(spec, grid, StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,)))
-        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
-                        terminal_cost=spec.terminal_cost,
-                        controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.0, 0.0)),
-                        l_f=0.0, lambda_L=0.1)
+        spec = constant_game(controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.0, 0.0)))
         x = Path.constant(grid, [0.3])
         assert greedy_adversary(spec, table)(0.25, lambda: x, 0) == 0
 
@@ -725,11 +725,11 @@ class TestGreedyBatch:
         base = constant_game()
         grid = TimeGrid(0.0, 1.0, 4)
         table = dp_value(base, grid, StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,)))
-        spec = GameSpec(op=base.op, rhs=lambda t, x, u: np.zeros(1),
-                        running_cost=lambda t, x, p, q: 4 * slope * q,
-                        terminal_cost=base.terminal_cost,
-                        controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.5, 1.0)),
-                        l_f=1.0, lambda_L=0.1)
+        spec = callback_game(op=base.op, rhs=lambda t, x, u: np.zeros(1),
+                             running_cost=lambda t, x, p, q: 4 * slope * q,
+                             terminal_cost=lambda x: 0.0,
+                             controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.5, 1.0)),
+                             l_f=1.0, lambda_L=0.1)
         adversary = greedy_adversary(spec, table)
         xs = [Path.constant(grid, [v]) for v in (0.3, -0.2)]
         assert adversary(0.25, lambda: xs[0], 0) == pick
@@ -754,10 +754,10 @@ class TestGreedyBatch:
         def running(t, x, p, q):
             return np.inf if q == 0.0 else 0.0
 
-        spec = GameSpec(op=make_linear_operator(), rhs=rhs,
-                        running_cost=running, terminal_cost=lambda x: 0.0,
-                        controls=ControlGrid(p_points=(0.0,), q_points=(-1.0, 0.0, 1.0)),
-                        l_f=1.0, lambda_L=1.0)
+        spec = callback_game(op=make_linear_operator(), rhs=rhs,
+                             running_cost=running, terminal_cost=lambda x: 0.0,
+                             controls=ControlGrid(p_points=(0.0,), q_points=(-1.0, 0.0, 1.0)),
+                             l_f=1.0, lambda_L=1.0)
         # one sweep of the committed row, the drift before the cost of each q:
         # q = 0's cost, not q = 1's drift
         err = self._error(spec, table)
@@ -766,10 +766,10 @@ class TestGreedyBatch:
 
     def test_coverage_margin_of_the_first_q_off_the_lattice(self):
         _, table, _, _ = _desk(1, 0)
-        spec = GameSpec(op=make_linear_operator(), rhs=lambda t, x, u: np.array([float(u[1])]),
-                        running_cost=lambda t, x, p, q: 0.0, terminal_cost=lambda x: 0.0,
-                        controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 30.0, 60.0)),
-                        l_f=100.0, lambda_L=1.0)
+        spec = callback_game(op=make_linear_operator(), rhs=lambda t, x, u: np.array([float(u[1])]),
+                             running_cost=lambda t, x, p, q: 0.0, terminal_cost=lambda x: 0.0,
+                             controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 30.0, 60.0)),
+                             l_f=100.0, lambda_L=1.0)
         # one read of all successors: the largest margin, q = 60's (q = 30's is 1.42)
         err = self._error(spec, table)
         assert type(err) is LatticeCoverageError

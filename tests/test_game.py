@@ -33,9 +33,9 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at
 from pdhj.upsilon import LyapunovParams
-from scalar_reference import drift, estimate_guaranteed_result, game_audit, lyapunov_nu, \
-    measurable_selection, path_difference, recompute_slice, scale_costs, stage_cost, \
-    stage_matrix
+from scalar_reference import callback_game, drift, estimate_guaranteed_result, game_audit, \
+    lyapunov_nu, measurable_selection, path_difference, recompute_slice, reference_game, \
+    scale_costs, stage_cost, stage_matrix
 
 
 def one_point_path(grid, value=0.0):
@@ -57,7 +57,8 @@ def brute_hamiltonians(spec, t, x, z):
 
 class TestHamiltonian:
     def test_additive_game_has_zero_gap(self):
-        spec = isaacs_game(scale=1.0, levels=(-1.0, 1.0), cost_weight=0.0)
+        spec = isaacs_game(scale=1.0, cost_weight=0.0,
+                           controls=ControlGrid((-1.0, 1.0), (-1.0, 1.0)))
         grid = TimeGrid(0.0, 1.0, 4)
         x = one_point_path(grid, 0.0)
         ev = hamiltonian(spec, 0.0, x, np.array([1.0]))
@@ -87,7 +88,7 @@ class TestHamiltonian:
         for _ in range(30):
             table = rng.standard_normal((3, 4))
             drift = rng.standard_normal((3, 4))
-            spec = GameSpec(
+            spec = callback_game(
                 op=make_linear_operator(),
                 rhs=lambda t, x, u, d=drift: np.array([d[int(u[0]), int(u[1])]]),
                 running_cost=lambda t, x, p, q, tb=table: float(tb[int(p), int(q)]),
@@ -103,11 +104,11 @@ class TestHamiltonian:
             assert ev.f_minus <= ev.f_plus
 
     def test_nonfinite_ingredients_raise(self):
-        spec = GameSpec(op=make_linear_operator(), rhs=lambda t, x, u: np.array([np.inf]),
-                        running_cost=lambda t, x, p, q: 0.0,
-                        terminal_cost=lambda x: 0.0,
-                        controls=ControlGrid(p_points=(0,), q_points=(0,)),
-                        l_f=1.0, lambda_L=1.0)
+        spec = callback_game(op=make_linear_operator(), rhs=lambda t, x, u: np.array([np.inf]),
+                             running_cost=lambda t, x, p, q: 0.0,
+                             terminal_cost=lambda x: 0.0,
+                             controls=ControlGrid(p_points=(0,), q_points=(0,)),
+                             l_f=1.0, lambda_L=1.0)
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(EvaluationError):
             hamiltonian(spec, 0.0, one_point_path(grid), np.array([1.0]))
@@ -118,9 +119,8 @@ class TestGameSpec:
     def test_refuses_growth_constant_not_finite_or_negative(self, l_f):
         spec = isaacs_game()
         with pytest.raises(DomainError, match="^l_f must be finite and >= 0"):
-            GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
-                     terminal_cost=spec.terminal_cost, controls=spec.controls, l_f=l_f,
-                     lambda_L=spec.lambda_L)
+            GameSpec(op=spec.op, stage=spec.stage, terminal=spec.terminal,
+                     controls=spec.controls, l_f=l_f, lambda_L=spec.lambda_L)
         with pytest.raises(DomainError, match="^l_f must be finite and >= 0"):
             dataclasses.replace(spec, l_f=l_f)
 
@@ -223,6 +223,10 @@ class TestStateLattice:
             table.interp("upper", -0.5, np.array([0.0]))
 
 
+def _zero_terminal(states, path_of):
+    return np.zeros(len(states))
+
+
 def small_lattice(span=2.0, n=33):
     return StateLattice(lo=(-span,), hi=(span,), shape=(n,))
 
@@ -230,9 +234,7 @@ def small_lattice(span=2.0, n=33):
 class TestDpValue:
     def test_zero_costs_zero_value(self):
         spec = isaacs_game(cost_weight=0.0)
-        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
-                        terminal_cost=lambda x: 0.0, controls=spec.controls,
-                        l_f=spec.l_f, lambda_L=spec.lambda_L, name="zero")
+        spec = dataclasses.replace(spec, terminal=_zero_terminal, name="zero")
         table = dp_value(spec, TimeGrid(0.0, 1.0, 8), small_lattice())
         assert np.allclose(table.v_minus, 0.0, atol=1e-12)
         assert np.allclose(table.v_plus, 0.0, atol=1e-12)
@@ -255,8 +257,9 @@ class TestDpValue:
         spec = isaacs_game()
         lat = small_lattice()
         table = dp_value(spec, TimeGrid(0.0, 1.0, 4), lat)
-        expected = np.array([spec.final_cost(Path.constant(table.grid, pt))
-                             for pt in lat.points()])
+        points = lat.points()
+        expected = reference_game(isaacs_game).final_costs(
+            points, lambda n: Path.constant(table.grid, points[n]))
         assert np.array_equal(table.v_plus[-1], expected)
         assert np.array_equal(table.v_minus[-1], expected)
 
@@ -266,7 +269,8 @@ class TestDpValue:
         lat = small_lattice()
         table = dp_value(spec, grid, lat)
         axis = lat.axes[0]
-        h_slice = np.array([spec.final_cost(Path.constant(grid, [s])) for s in axis])
+        h_slice = reference_game(isaacs_game, scale=0.5).final_costs(
+            axis[:, None], lambda n: Path.constant(grid, [axis[n]]))
         dt = 0.25
         for idx, xi in enumerate(axis):
             lift = Path.constant(grid, [xi])
@@ -471,9 +475,7 @@ class TestFeedbackStrategy:
 
     def test_zero_cost_game_payoff_zero(self):
         spec = isaacs_game(cost_weight=0.0)
-        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
-                        terminal_cost=lambda x: 0.0, controls=spec.controls,
-                        l_f=spec.l_f, lambda_L=spec.lambda_L, name="zero-cost")
+        spec = dataclasses.replace(spec, terminal=_zero_terminal, name="zero-cost")
         grid = TimeGrid(0.0, 1.0, 8)
         table = dp_value(spec, grid, small_lattice())
         params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
@@ -516,9 +518,7 @@ class TestFeedbackStrategy:
 class TestGuaranteedResult:
     def test_zero_game_budget_one(self):
         spec = isaacs_game(cost_weight=0.0)
-        spec = GameSpec(op=spec.op, rhs=spec.rhs, running_cost=spec.running_cost,
-                        terminal_cost=lambda x: 0.0, controls=spec.controls,
-                        l_f=spec.l_f, lambda_L=spec.lambda_L, name="zero-cost")
+        spec = dataclasses.replace(spec, terminal=_zero_terminal, name="zero-cost")
         grid = TimeGrid(0.0, 1.0, 8)
         table = dp_value(spec, grid, small_lattice())
         params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
@@ -630,7 +630,7 @@ class TestPlayReductions:
 
 
 def planar_game():
-    return GameSpec(
+    return callback_game(
         op=make_linear_operator(dim=2, gain=1.0),
         rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
         running_cost=lambda t, x, p, q: 0.05 * float(np.dot(x.value_at(t), x.value_at(t))),
@@ -793,10 +793,10 @@ def _failing_game(bad):
     def running(t, x, p, q):
         return np.inf if ("cost", p, q) in bad else 0.5 * p * q + float(x.value_at(t)[0])
 
-    return GameSpec(op=make_linear_operator(), rhs=rhs,
-                    running_cost=running, terminal_cost=lambda x: 0.0,
-                    controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0, 2.0)),
-                    l_f=1.0, lambda_L=1.0)
+    return callback_game(op=make_linear_operator(), rhs=rhs,
+                         running_cost=running, terminal_cost=lambda x: 0.0,
+                         controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0, 2.0)),
+                         l_f=1.0, lambda_L=1.0)
 
 
 class TestStageSweep:

@@ -32,7 +32,7 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, extend_history, stopped_at
 from scalar_reference import _candidate_runs_reference, _sample_reference, _solve_reference, \
-    value_gradient
+    callback_game, reference_game, value_gradient
 
 
 def _assert_reports_equal(got, want):
@@ -373,7 +373,7 @@ class TestCandidateSearch:
         # functional reads the Hamiltonians it took
         spec, grid, table = desk
         if callbacks:
-            spec = dataclasses.replace(spec, markov_terms=None)
+            spec = reference_game(isaacs_game, scale=0.5)
         calls = []
         original = GameSpec.lane_terms
 
@@ -388,7 +388,7 @@ class TestCandidateSearch:
         assert calls == [(t, 16, None) for t in grid.nodes[3:7]]
 
     def test_markov_site_builds_no_path_report_or_scalar_read(self, desk, monkeypatch):
-        # isaacs_game declares markov_terms: no lane reads a stopped path
+        # isaacs_game's stage function reads no path: no lane builds a stopped path
         spec, grid, table = desk
         t0, hist = _site(table, 3, 0.4)
         calls = _count_lane_sets(monkeypatch)
@@ -459,10 +459,10 @@ def _edge_setup(cost_limit=None):
         xt = float(x.value_at(t)[0])
         return np.nan if cost_limit is not None and xt > cost_limit else 0.1 * xt * xt
 
-    spec = GameSpec(op=op, rhs=lambda t, x, u: np.array([u[0] + u[1]]),
-                    running_cost=running, terminal_cost=lambda x: 0.0,
-                    controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0)),
-                    l_f=2.0, lambda_L=0.2, name="edge")
+    spec = callback_game(op=op, rhs=lambda t, x, u: np.array([u[0] + u[1]]),
+                         running_cost=running, terminal_cost=lambda x: 0.0,
+                         controls=ControlGrid(p_points=(0.0, 1.0), q_points=(0.0, 1.0)),
+                         l_f=2.0, lambda_L=0.2, name="edge")
     grid = TimeGrid(0.0, 1.0, 16)
     lattice = StateLattice(lo=(-1.0,), hi=(0.6,), shape=(17,))
     values = np.add.outer(1.0 - grid.nodes, lattice.axes[0] ** 2)
@@ -581,8 +581,8 @@ class TestGradientStack:
 
 @pytest.fixture(scope="module")
 def game_desks():
-    """name -> (spec, table, state range): two Markov games, one game with
-    the isaacs callbacks alone, and the edge game with its narrow lattice."""
+    """name -> (spec, table, state range): two built-in games, the isaacs
+    game in callback form, and the edge game with its narrow lattice."""
     grid = TimeGrid(0.0, 1.0, 16)
     lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
     isaacs = isaacs_game(scale=0.5)
@@ -592,8 +592,7 @@ def game_desks():
     return {
         "isaacs": (isaacs, isaacs_table, (-1.5, 1.5)),
         "bilinear": (bilinear, dp_value(bilinear, grid, lattice), (-1.5, 1.5)),
-        "isaacs-callbacks": (dataclasses.replace(isaacs, markov_terms=None), isaacs_table,
-                             (-1.5, 1.5)),
+        "isaacs-callbacks": (reference_game(isaacs_game, scale=0.5), isaacs_table, (-1.5, 1.5)),
         # an l_f above the drift's own bound 2.0: every lane, game and tube,
         # solves at 2.5
         "edge": (dataclasses.replace(edge, l_f=2.5), edge_table, (-0.9, 0.5)),
@@ -719,13 +718,15 @@ class TestSiteChecks:
         spec, grid, table = desk
         seen = []
 
-        def rhs(t, x, u):
-            k = x.grid.node_index(t)
-            assert (x.values[k + 1:] == x.values[k]).all()  # stopped at t
-            seen.append((round(t * grid.n_steps), x.grid.n_steps))
-            return desk[0].rhs(t, x, u)
+        def stage(t, states, path_of, P, Q):
+            for n in range(len(states)):
+                x = path_of(n)
+                k = x.grid.node_index(t)
+                assert (x.values[k + 1:] == x.values[k]).all()  # stopped at t
+                seen.append((round(t * grid.n_steps), x.grid.n_steps))
+            return desk[0].stage(t, states, path_of, P, Q)
 
-        spec = dataclasses.replace(spec, markov_terms=None, rhs=rhs)
+        spec = dataclasses.replace(spec, stage=stage)
         # windows [2, 6] and [13, 16], the second cut short by T
         sites = [minimax.Site(grid.nodes[k], Path.constant(grid, [state]), np.array([0.4]),
                               (("sub", 1), ("super", 2)))

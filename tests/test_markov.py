@@ -1,21 +1,27 @@
-"""The Markov form of a game against the path callbacks it stands in for.
+"""A game's stage and terminal functions against the callback references they stand for.
 
-A game that reads its path only through x(t) may declare markov_terms; every
-consumer of stage terms then makes one batched call where the path callbacks
-sweep the (p, q) pairs.  These tests hold the form to the callbacks bit for
-bit: the form itself on sampled stopped paths, then each consumer run with
-and without it (dataclasses.replace(spec, markov_terms=None)).  They also pin
-the finiteness order of the batched answer and the DP oracle's refusal of
-games that read their past.
+Every built-in game states its drift and running cost once, as one batched
+stage function, and its terminal cost as one batched terminal function;
+neither reads a path.  Its reference is the same formulas as per-pair path
+callbacks (scalar_reference.reference_game, through callback_game).  These
+tests hold the two bit for bit: the functions themselves on sampled stopped
+paths, under a control-grid override and at extreme terminal states, then
+each consumer run with either form.  They also pin the finiteness order of
+GameSpec.lane_terms, and the DP oracle's probe: dp_value probes a slice, or
+the terminal cost, exactly when the game's function called path_of there,
+and refuses a game that reads its past.
 """
 
 import dataclasses
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdhj import cli
 from pdhj.errors import ConfigurationError, DomainError, EvaluationError
 from pdhj.evolution import make_linear_operator
 from pdhj.game import (
@@ -34,63 +40,49 @@ from pdhj.game import (
     with_drift_perturbation,
     with_terminal_shift,
 )
-from pdhj.minimax import minimax_residual, viscosity_scan
-from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at
+from pdhj.minimax import minimax_residual, stability_experiment, viscosity_scan
+from pdhj.pathcore import Path, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams
-from scalar_reference import scale_costs, sup_norm
+from scalar_reference import callback_game, planar_game, reference_game, scale_costs, sup_norm
 
 
-def _planar_game():
-    """A dim-2 game with a Markov form: drift 0.4 (p, q), cost 0.05 |x(t)|^2 + 0.1 p q."""
-    def running(t, x, p, q):
-        xt = x.value_at(t)
-        return 0.05 * float(np.dot(xt, xt)) + 0.1 * p * q
-
-    def markov(t, states, P, Q):
-        drift = 0.4 * np.stack(np.broadcast_arrays(P[:, None], Q[None, :]), axis=-1)
-        cost = 0.05 * _row_dots(states, states)[:, None, None] + (0.1 * P[:, None]) * Q[None, :]
-        return np.broadcast_to(drift, (len(states),) + drift.shape), cost
-
-    return GameSpec(op=make_linear_operator(dim=2, gain=1.0),
-                    rhs=lambda t, x, u: 0.4 * np.array([float(u[0]), float(u[1])]),
-                    running_cost=running,
-                    terminal_cost=lambda x: float(np.dot(x.values[-1], x.values[-1])),
-                    controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 0.5, 1.0)),
-                    l_f=0.8, lambda_L=0.3, name="planar", markov_terms=markov)
+def _built_in(builder, **kwargs):
+    return builder(**kwargs)
 
 
-# every built-in, each wrapper that carries the form, and control grids
-# replaced as the config runner replaces them (integer points included; at
-# (0.7, 0.7), (0.3 p) q and 0.3 (p q) differ in the last bit)
+# every built-in, each wrapper, and control grids given to the builder as the
+# config runner gives them (integer points included; at (0.7, 0.7), (0.3 p) q
+# and 0.3 (p q) differ in the last bit).  Each entry takes the form to build
+# a builder's game in: _built_in or reference_game.
 GAMES = {
-    "isaacs": lambda: isaacs_game(scale=0.5),
-    "isaacs-wide": lambda: isaacs_game(scale=0.7, levels=(-1.0, -0.25, 0.5, 1.0),
-                                       cost_weight=0.3),
-    "bilinear": lambda: bilinear_game(),
-    "constant": lambda: constant_game(cost=0.7),
-    "scaled": lambda: scale_costs(isaacs_game(), 2.5),
-    "drift": lambda: with_drift_perturbation(bilinear_game(), 1.0 / 3.0),
-    "shifted": lambda: with_terminal_shift(scale_costs(isaacs_game(), 0.3), 0.25),
-    "controls": lambda: dataclasses.replace(
-        isaacs_game(), controls=ControlGrid(p_points=(-2, 0.5, 1.5), q_points=(1, -1))),
-    "bilinear-controls": lambda: dataclasses.replace(
-        bilinear_game(scale=0.3),
+    "isaacs": lambda form: form(isaacs_game, scale=0.5),
+    "isaacs-wide": lambda form: form(isaacs_game, scale=0.7, cost_weight=0.3,
+                                     controls=ControlGrid((-1.0, -0.25, 0.5, 1.0),
+                                                          (-1.0, -0.25, 0.5, 1.0))),
+    "bilinear": lambda form: form(bilinear_game),
+    "constant": lambda form: form(constant_game, cost=0.7),
+    "scaled": lambda form: scale_costs(form(isaacs_game), 2.5),
+    "drift": lambda form: with_drift_perturbation(form(bilinear_game), 1.0 / 3.0),
+    "shifted": lambda form: with_terminal_shift(scale_costs(form(isaacs_game), 0.3), 0.25),
+    "controls": lambda form: form(
+        isaacs_game, controls=ControlGrid(p_points=(-2, 0.5, 1.5), q_points=(1, -1))),
+    "bilinear-controls": lambda form: form(
+        bilinear_game, scale=0.3,
         controls=ControlGrid(p_points=(-1, 0.7), q_points=(0.25, 0.7, -2))),
-    "planar": _planar_game,
+    "planar": lambda form: planar_game(callbacks=form is reference_game),
 }
 
 
-def _path_form(spec):
-    return dataclasses.replace(spec, markov_terms=None)
+def _game(name):
+    return GAMES[name](_built_in)
 
 
-def _callback_terms(spec, t, x):
-    """The stage terms by one callback call per (p, q) pair."""
-    P, Q = spec.controls.p_points, spec.controls.q_points
-    drift = np.array([[np.atleast_1d(spec.rhs(t, x, (p, q))) for q in Q] for p in P],
-                     dtype=float)
-    cost = np.array([[float(spec.running_cost(t, x, p, q)) for q in Q] for p in P])
-    return drift, cost
+def _path_form(name):
+    return GAMES[name](reference_game)
+
+
+def _unread(n):
+    raise AssertionError("a built-in game's function called path_of")
 
 
 def _control_arrays(spec):
@@ -98,11 +90,18 @@ def _control_arrays(spec):
             np.asarray(spec.controls.q_points, dtype=float))
 
 
+def _assert_bits_equal(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestMarkovForm:
+    """The built-ins' functions, which read x(t) alone, against their references."""
+
     @settings(deadline=None, max_examples=80)
     @given(name=st.sampled_from(sorted(GAMES)), n_steps=st.integers(1, 8), data=st.data())
     def test_matches_path_callbacks_on_stopped_paths(self, name, n_steps, data):
-        spec = GAMES[name]()
+        spec, reference = _game(name), _path_form(name)
         dim = spec.op.space.dim
         grid = TimeGrid(0.0, 1.0, n_steps)
         coordinate = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -112,15 +111,31 @@ class TestMarkovForm:
         k = data.draw(st.integers(0, n_steps))
         t = grid.nodes[k]
         x = stopped_at(grid, values, k)
-        drift, cost = spec.markov_terms(t, x.value_at(t)[None], *_control_arrays(spec))
-        want_drift, want_cost = _callback_terms(spec, t, x)
-        assert drift.shape == (1,) + want_drift.shape and cost.shape == (1,) + want_cost.shape
-        assert drift[0].tobytes() == want_drift.tobytes()
-        assert cost[0].tobytes() == want_cost.tobytes()
+        for got, want in zip(spec.stage(t, x.value_at(t)[None], _unread, *_control_arrays(spec)),
+                             reference.stage(t, x.value_at(t)[None], lambda _: x,
+                                             *_control_arrays(spec))):
+            _assert_bits_equal(got, want)
+        full = Path(grid, values)
+        _assert_bits_equal(spec.terminal(values[-1][None], _unread),
+                           reference.terminal(values[-1][None], lambda _: full))
+
+    @pytest.mark.parametrize("name", sorted(GAMES))
+    @pytest.mark.parametrize("magnitude", [1e-160, 3.7e-161, 1e150, 2.5e149])
+    def test_terminal_matches_at_extreme_states(self, name, magnitude):
+        # |x(T)|^2 is subnormal near 1e-160, so |x(T)| and sqrt(x . x) differ there
+        spec, reference = _game(name), _path_form(name)
+        grid = TimeGrid(0.0, 1.0, 2)
+        dim = spec.op.space.dim
+        states = magnitude * np.array([[1.0, 0.5], [-1.0, -0.75], [0.3, 1.0]])[:, :dim]
+        paths = [Path.constant(grid, state) for state in states]
+        got = spec.final_costs(states, _unread)
+        _assert_bits_equal(got, reference.final_costs(states, lambda n: paths[n]))
+        if name == "bilinear":
+            assert got.tolist() == [float(np.linalg.norm(x.values[-1])) for x in paths]
 
     @pytest.mark.parametrize("name", sorted(GAMES))
     def test_lane_terms_match_the_path_branch(self, name):
-        spec = GAMES[name]()
+        spec, reference = _game(name), _path_form(name)
         dim = spec.op.space.dim
         grid = TimeGrid(0.0, 1.0, 6)
         rng = np.random.default_rng(4)
@@ -129,30 +144,50 @@ class TestMarkovForm:
         played = (np.arange(5), rng.integers(n_p, size=5), rng.integers(n_q, size=5))
         for k in range(grid.n_steps + 1):
             for entries in (None, played):
-                got = spec.lane_terms(grid.nodes[k], values[k],
-                                      lambda n: stopped_at(grid, values[:, n], k), entries)
-                want = _path_form(spec).lane_terms(
+                got = spec.lane_terms(grid.nodes[k], values[k], _unread, entries)
+                want = reference.lane_terms(
                     grid.nodes[k], values[k], lambda n: stopped_at(grid, values[:, n], k), entries)
                 for a, b in zip(got, want):
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                    _assert_bits_equal(a, b)
 
-    def test_markov_terms_of_the_wrong_shape_raise(self):
+    def test_control_grid_sets_the_growth_constant(self):
+        wide = ControlGrid(p_points=(-2.0, 2.0), q_points=(-3.0, 1.0))
+        assert bilinear_game(controls=wide).l_f == 6.0
+        assert isaacs_game(scale=0.5, controls=wide).l_f == 2.5
+        # one level set on both axes: the constants the config's levels give
+        square = ControlGrid(p_points=(-1.5, 0.5), q_points=(-1.5, 0.5))
+        assert bilinear_game(scale=0.7, controls=square).l_f == 0.7 * 1.5 ** 2
+        assert isaacs_game(scale=0.3, controls=square).l_f == 2.0 * 0.3 * 1.5
+
+    def test_stage_of_the_wrong_shape_raises(self):
         spec = dataclasses.replace(isaacs_game(),
-                                   markov_terms=lambda t, s, P, Q: (np.zeros((1, 3, 3, 1)),
-                                                                    np.zeros((3, 3))))
+                                   stage=lambda t, s, path_of, P, Q: (np.zeros((1, 3, 3, 1)),
+                                                                      np.zeros((3, 3))))
         with pytest.raises(DomainError) as err:
             spec.lane_terms(0.5, np.zeros((1, 1)), None)
-        assert str(err.value) == ("markov_terms returned shapes (1, 3, 3, 1) and (3, 3), "
+        assert str(err.value) == ("stage returned shapes (1, 3, 3, 1) and (3, 3), "
                                   "expected (1, 3, 3, 1) and (1, 3, 3)")
 
+    def test_terminal_of_the_wrong_shape_raises(self):
+        spec = dataclasses.replace(isaacs_game(), terminal=lambda s, path_of: np.zeros((2, 1)))
+        with pytest.raises(DomainError) as err:
+            spec.final_costs(np.zeros((2, 1)), None)
+        assert str(err.value) == "terminal returned shape (2, 1), expected (2,)"
+
+    def test_non_finite_terminal_cost_raises(self):
+        spec = dataclasses.replace(isaacs_game(),
+                                   terminal=lambda s, path_of: np.array([0.0, np.nan]))
+        with pytest.raises(EvaluationError, match="^non-finite terminal cost$"):
+            spec.final_costs(np.zeros((2, 1)), None)
+
 
 # ---------------------------------------------------------------------------
-# the finiteness order of the batched answer
+# the finiteness order of lane_terms
 # ---------------------------------------------------------------------------
 
-def _faulty_game(bad):
-    """A 2x3 game, Markov and path forms alike, whose drift or cost is non-finite at
-    each ("drift" | "cost", x(t), p, q) in bad."""
+def _faulty_game(bad, callbacks=False):
+    """A 2x3 game, batched or in callback form, whose drift or cost is
+    non-finite at each ("drift" | "cost", x(t), p, q) in bad."""
     P, Q = (0.0, 1.0), (0.0, 1.0, 2.0)
 
     def drift_of(xt, p, q):
@@ -161,17 +196,19 @@ def _faulty_game(bad):
     def cost_of(xt, p, q):
         return np.inf if ("cost", xt, p, q) in bad else 0.5 * p * q + xt
 
-    def markov(t, states, P_arr, Q_arr):
+    op, controls = make_linear_operator(), ControlGrid(p_points=P, q_points=Q)
+    if callbacks:
+        return callback_game(op, lambda t, x, u: np.array([drift_of(float(x.value_at(t)[0]), *u)]),
+                             lambda t, x, p, q: cost_of(float(x.value_at(t)[0]), p, q),
+                             lambda x: 0.0, controls, l_f=1.0, lambda_L=1.0, name="faulty")
+
+    def stage(t, states, path_of, P_arr, Q_arr):
         drift = np.array([[[[drift_of(s, p, q)] for q in Q] for p in P] for s in states[:, 0]])
         cost = np.array([[[cost_of(s, p, q) for q in Q] for p in P] for s in states[:, 0]])
         return drift, cost
 
-    return GameSpec(op=make_linear_operator(),
-                    rhs=lambda t, x, u: np.array([drift_of(float(x.value_at(t)[0]), *u)]),
-                    running_cost=lambda t, x, p, q: cost_of(float(x.value_at(t)[0]), p, q),
-                    terminal_cost=lambda x: 0.0,
-                    controls=ControlGrid(p_points=P, q_points=Q),
-                    l_f=1.0, lambda_L=1.0, name="faulty", markov_terms=markov)
+    return GameSpec(op=op, stage=stage, terminal=lambda states, path_of: np.zeros(len(states)),
+                    controls=controls, l_f=1.0, lambda_L=1.0, name="faulty")
 
 
 class TestFiniteness:
@@ -196,14 +233,12 @@ class TestFiniteness:
          "non-finite running cost at t=0.5, p=1.0, q=2.0"),
     ])
     def test_first_entry_in_lane_p_q_order(self, bad, message):
-        spec = _faulty_game(bad)
-        assert self._raised(spec) == message
-        assert self._raised(_path_form(spec)) == message
+        assert self._raised(_faulty_game(bad)) == message
+        assert self._raised(_faulty_game(bad, callbacks=True)) == message
 
     def test_only_played_entries_are_checked(self):
-        spec = _faulty_game({("cost", 0.1, 0.0, 0.0), ("drift", 0.2, 1.0, 2.0),
-                             ("cost", 0.3, 0.0, 1.0)})
-        for form in (spec, _path_form(spec)):
+        bad = {("cost", 0.1, 0.0, 0.0), ("drift", 0.2, 1.0, 2.0), ("cost", 0.3, 0.0, 1.0)}
+        for form in (_faulty_game(bad), _faulty_game(bad, callbacks=True)):
             # each lane plays a finite pair: nothing raises
             drift, cost = form.lane_terms(0.5, self.states, lambda n: Path.constant(
                 TimeGrid(0.0, 1.0, 4), self.states[n]), (np.arange(3), [1, 0, 1], [0, 2, 1]))
@@ -214,7 +249,7 @@ class TestFiniteness:
 
 
 # ---------------------------------------------------------------------------
-# every consumer, with and without the Markov form
+# every consumer, with either form
 # ---------------------------------------------------------------------------
 
 DESK_GAMES = ["isaacs", "bilinear", "constant", "scaled", "drift", "shifted", "controls",
@@ -227,8 +262,9 @@ def _lattice(spec):
     return StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,))
 
 
-def _tables(spec, grid):
-    return dp_value(spec, grid, _lattice(spec)), dp_value(_path_form(spec), grid, _lattice(spec))
+def _tables(name, grid):
+    spec, reference = _game(name), _path_form(name)
+    return dp_value(spec, grid, _lattice(spec)), dp_value(reference, grid, _lattice(spec))
 
 
 class TestConsumersMatchThePathForm:
@@ -236,15 +272,15 @@ class TestConsumersMatchThePathForm:
 
     @pytest.mark.parametrize("name", DESK_GAMES)
     def test_dp_value(self, name):
-        markov, path = _tables(GAMES[name](), self.grid)
-        assert markov.v_minus.tobytes() == path.v_minus.tobytes()
-        assert markov.v_plus.tobytes() == path.v_plus.tobytes()
+        built, path = _tables(name, self.grid)
+        assert built.v_minus.tobytes() == path.v_minus.tobytes()
+        assert built.v_plus.tobytes() == path.v_plus.tobytes()
 
     @pytest.mark.parametrize("name", ["isaacs", "bilinear", "drift", "planar"])
     @pytest.mark.parametrize("side", ["upper", "lower"])
     def test_residual_reports(self, name, side):
-        spec = GAMES[name]()
-        table, _ = _tables(spec, self.grid)
+        spec, reference = _game(name), _path_form(name)
+        table, _ = _tables(name, self.grid)
         dim = spec.op.space.dim
         rng = np.random.default_rng(11)
         for k in (1, 4):
@@ -253,24 +289,24 @@ class TestConsumersMatchThePathForm:
             for direction in ("sub", "super"):
                 got, want = (json.dumps(dataclasses.asdict(minimax_residual(
                     table, form, site, direction, 0.25, 14, seed=k, side=side)), allow_nan=False)
-                             for form in (spec, _path_form(spec)))
+                             for form in (spec, reference))
                 assert got == want
             got, want = (viscosity_scan(table, form, site[:2], site[2], 0.25, search_budget=14,
                                         seed=k, side=side)
-                         for form in (spec, _path_form(spec)))
+                         for form in (spec, reference))
             assert [dataclasses.asdict(r) for r in got["reports"]] == \
                 [dataclasses.asdict(r) for r in want["reports"]]
 
     @pytest.mark.parametrize("name", ["isaacs", "bilinear", "planar"])
     def test_feedback_traces_and_random_draws(self, name):
-        spec = GAMES[name]()
-        table, _ = _tables(spec, self.grid)
+        spec = _game(name)
+        table, _ = _tables(name, self.grid)
         n_q = spec.controls.n_q
         params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
         partition = TimeGrid(0.0, 1.0, 4)
         x0 = Path.constant(self.grid, [0.3, -0.2][:spec.op.space.dim])
         plays = []
-        for form in (spec, _path_form(spec)):
+        for form in (spec, _path_form(name)):
             strategy = extremal_shift_strategy(form, params, 0.0, x0, partition, value=table,
                                                library_size=16, seed=3)
             # constants, the greedy lookahead, then three random adversaries
@@ -287,11 +323,11 @@ class TestConsumersMatchThePathForm:
 
     @pytest.mark.parametrize("name", ["isaacs", "bilinear-controls", "planar"])
     def test_greedy_picks(self, name):
-        spec = GAMES[name]()
-        table, _ = _tables(spec, self.grid)
+        spec = _game(name)
+        table, _ = _tables(name, self.grid)
         dim = spec.op.space.dim
         rng = np.random.default_rng(8)
-        got, want = greedy_adversary(spec, table), greedy_adversary(_path_form(spec), table)
+        got, want = greedy_adversary(spec, table), greedy_adversary(_path_form(name), table)
         for _ in range(30):
             k = int(rng.integers(self.grid.n_steps))
             x = stopped_at(self.grid, rng.uniform(-1.0, 1.0, (self.grid.n_steps + 1, dim)), k)
@@ -301,15 +337,37 @@ class TestConsumersMatchThePathForm:
 
 
 # ---------------------------------------------------------------------------
-# the oracle refuses games that read their past
+# the oracle probes what it sees read, and refuses games that read their past
 # ---------------------------------------------------------------------------
 
-def _past_reading_game(running, name):
-    return GameSpec(op=make_linear_operator(),
-                    rhs=lambda t, x, u: np.array([0.5 * (u[0] + u[1])]),
-                    running_cost=running, terminal_cost=lambda x: 0.0,
-                    controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
-                    l_f=1.0, lambda_L=0.2, name=name)
+def _past_reading_game(running, name, terminal_cost=lambda x: 0.0):
+    return callback_game(op=make_linear_operator(),
+                         rhs=lambda t, x, u: np.array([0.5 * (u[0] + u[1])]),
+                         running_cost=running, terminal_cost=terminal_cost,
+                         controls=ControlGrid(p_points=(-1.0, 1.0), q_points=(-1.0, 1.0)),
+                         l_f=1.0, lambda_L=0.2, name=name)
+
+
+def _count_reads(monkeypatch):
+    """Count the GameSpec.lane_terms calls and the path_of calls that the
+    stage and terminal functions make, from here on."""
+    counts = {"lane_terms": 0, "path_of": 0}
+    lane_terms, final_costs = GameSpec.lane_terms, GameSpec.final_costs
+
+    def counted(path_of):
+        def read(n):
+            counts["path_of"] += 1
+            return path_of(n)
+        return read
+
+    def spy_lane_terms(self, t, states, path_of, played=None):
+        counts["lane_terms"] += 1
+        return lane_terms(self, t, states, counted(path_of), played)
+
+    monkeypatch.setattr(GameSpec, "lane_terms", spy_lane_terms)
+    monkeypatch.setattr(GameSpec, "final_costs",
+                        lambda self, states, path_of: final_costs(self, states, counted(path_of)))
+    return counts
 
 
 class TestOracleProbe:
@@ -333,24 +391,36 @@ class TestOracleProbe:
             dp_value(spec, self.grid, self.lattice)
 
     def test_terminal_cost_reading_the_past_is_refused(self):
-        # the stage terms read x(t) only; the terminal cost reads x(0)
-        spec = dataclasses.replace(isaacs_game(), markov_terms=None,
-                                   terminal_cost=lambda x: float(x.values[0][0] ** 2))
+        # the stage function reads x(t) only; the terminal function reads x(0)
+        def terminal(states, path_of):
+            return np.array([float(path_of(n).values[0][0] ** 2) for n in range(len(states))])
+
+        spec = dataclasses.replace(isaacs_game(), terminal=terminal)
         with pytest.raises(ConfigurationError) as err:
             dp_value(spec, self.grid, self.lattice)
         assert str(err.value) == (
             "game 'isaacs-additive' reads its path before T in its terminal cost (lattice "
             "state [-1.]): the DP oracle values only games that read the path through x(T)")
 
+    def test_terminal_probe_takes_every_pushed_cost_before_comparing(self):
+        # the first point's pushed cost differs and the last one's is not
+        # finite: the probe's one final_costs call raises before any compare
+        def terminal(states, path_of):
+            starts = [float(path_of(n).values[0][0]) for n in range(len(states))]
+            return np.array([np.nan if x0 > 2.5 else x0 ** 2 for x0 in starts])
+
+        spec = dataclasses.replace(isaacs_game(), terminal=terminal)
+        with pytest.raises(EvaluationError, match="^non-finite terminal cost$"):
+            dp_value(spec, self.grid, self.lattice)
+
     def test_terminal_running_sup_is_refused(self):
-        spec = dataclasses.replace(_past_reading_game(lambda t, x, p, q: 0.0, "sup-end"),
-                                   terminal_cost=lambda x: sup_norm(x, x.grid.t_end))
+        spec = _past_reading_game(lambda t, x, p, q: 0.0, "sup-end",
+                                  terminal_cost=lambda x: sup_norm(x, x.grid.t_end))
         with pytest.raises(ConfigurationError, match="game 'sup-end' reads its path before T"):
             dp_value(spec, self.grid, self.lattice)
 
     def test_terminal_cost_of_x_at_the_horizon_passes(self):
-        spec = dataclasses.replace(isaacs_game(), markov_terms=None)
-        table = dp_value(spec, self.grid, self.lattice)
+        table = dp_value(reference_game(isaacs_game), self.grid, self.lattice)
         assert np.array_equal(table.v_plus, dp_value(isaacs_game(), self.grid,
                                                      self.lattice).v_plus)
 
@@ -359,9 +429,59 @@ class TestOracleProbe:
         table = dp_value(spec, self.grid, self.lattice)
         assert np.all(np.isfinite(table.v_plus))
 
-    def test_a_declared_markov_form_is_taken_at_its_word(self):
-        # the probe runs only on games without a Markov form
-        delayed = _past_reading_game(
-            lambda t, x, p, q: 0.1 * float(x.value_at(max(t - 0.25, 0.0))[0]) ** 2, "delayed")
-        spec = dataclasses.replace(delayed, markov_terms=isaacs_game(scale=0.5).markov_terms)
-        dp_value(spec, self.grid, self.lattice)
+    def test_the_shipped_game_is_never_probed(self, monkeypatch):
+        counts = _count_reads(monkeypatch)
+        built = dp_value(isaacs_game(scale=0.5), self.grid, self.lattice)
+        assert counts == {"lane_terms": self.grid.n_steps, "path_of": 0}
+        # the callback form reads every lift: each slice after the first and
+        # the terminal cost are probed, one more lane_terms call per slice
+        counts.update(lane_terms=0, path_of=0)
+        path = dp_value(reference_game(isaacs_game, scale=0.5), self.grid, self.lattice)
+        assert counts["lane_terms"] == 2 * self.grid.n_steps - 1
+        assert built.v_minus.tobytes() == path.v_minus.tobytes()
+        assert built.v_plus.tobytes() == path.v_plus.tobytes()
+
+    def test_probes_exactly_the_slices_that_read_a_path(self, monkeypatch):
+        # the isaacs stage function, which calls path_of from t = 0.5 on
+        # without using it: nodes 2 and 3 are probed, and pass
+        base = isaacs_game()
+        read_at = []
+
+        def stage(t, states, path_of, P, Q):
+            if t >= 0.5:
+                read_at.append(t)
+                for n in range(len(states)):
+                    path_of(n)
+            return base.stage(t, states, path_of, P, Q)
+
+        counts = _count_reads(monkeypatch)
+        table = dp_value(dataclasses.replace(base, stage=stage), self.grid, self.lattice)
+        assert read_at == [0.75, 0.75, 0.5, 0.5]  # each read slice, then its probe
+        assert counts["lane_terms"] == self.grid.n_steps + 2
+        assert table.v_plus.tobytes() == dp_value(base, self.grid, self.lattice).v_plus.tobytes()
+
+
+def _shipped_configs():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    paths = sorted(glob.glob(os.path.join(root, "configs", "*.json")))
+    paths.append(os.path.join(root, "bench", "configs", "feedback_short.json"))
+    configs = [cli.validate_config(json.load(open(path))) for path in paths]
+    return [pytest.param(cfg, id=os.path.basename(path))
+            for path, cfg in zip(paths, configs) if "game" in cfg]
+
+
+@pytest.mark.parametrize("cfg", _shipped_configs())
+def test_shipped_games_never_pay_for_the_probe(cfg, monkeypatch):
+    # a config without a value grid (isaacs-check) is valued on a small one
+    grid = cli._build_grid(cfg["grid"]) if "grid" in cfg else TimeGrid(0.0, 1.0, 8)
+    lattice = cli._build_lattice(cfg["lattice"]) if "lattice" in cfg else \
+        StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,))
+    spec = cli._build_game(cfg["game"])
+    counts = _count_reads(monkeypatch)
+    if cfg["kind"] == "stability-run":  # the base table and one per perturbed game
+        stability_experiment(spec, cfg["family"], cfg["n_list"], grid, lattice)
+        tables = 1 + len(cfg["n_list"])
+    else:
+        dp_value(spec, grid, lattice)
+        tables = 1
+    assert counts == {"lane_terms": tables * grid.n_steps, "path_of": 0}

@@ -16,6 +16,7 @@ from pdhj.minimax import (
     viscosity_scan,
 )
 from pdhj.pathcore import Path, TimeGrid, extend_history
+from scalar_reference import reference_game
 
 
 @pytest.fixture(scope="module")
@@ -340,7 +341,8 @@ class TestStability:
 
     def test_terminal_condition_exact(self, desk):
         spec, grid, lattice, table = desk
-        lifts = [Path.constant(grid, pt) for pt in lattice.points()]
-        expected = np.array([spec.final_cost(p) for p in lifts])
+        points = lattice.points()
+        expected = reference_game(isaacs_game, scale=0.5).final_costs(
+            points, lambda n: Path.constant(grid, points[n]))
         assert np.array_equal(table.v_plus[-1], expected)
         assert np.array_equal(table.v_minus[-1], expected)

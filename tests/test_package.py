@@ -16,7 +16,9 @@ MOVED = {
     "upsilon": ("upsilon", "penalty_psi", "lyapunov_nu", "_stopped_sup_sq", "UpsilonEval",
                 "PenaltyEval", "NuEval"),
     "game": ("calibrate_step_bound", "scale_costs", "measurable_selection",
-             "estimate_guaranteed_result", "recompute_slice"),
+             "estimate_guaranteed_result", "recompute_slice",
+             # the finiteness checks of the per-pair callback sweep
+             "_finite_drift", "_finite_cost"),
 }
 MOVED_METHODS = {
     ("pathcore", "Path"): ("from_csv", "from_json", "from_json_obj", "to_json", "__sub__"),
@@ -37,8 +39,9 @@ DELETED = {"game": ("StrategyTrace", "play_pools"),
 DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces", "to_json_obj"),
                    ("evolution", "DelayDynamics"): ("forced",),
                    ("pathcore", "Path"): ("zero",),
-                   # the one-lane wrappers of GameSpec.lane_terms
-                   ("game", "GameSpec"): ("stage_terms", "stage_matrix"),
+                   # the one-lane wrappers of GameSpec.lane_terms, and the
+                   # one-path terminal cost that final_costs replaced
+                   ("game", "GameSpec"): ("stage_terms", "stage_matrix", "final_cost"),
                    # serializers and metadata no run writes (the runners write
                    # dataclasses.asdict of the reports that only copy fields)
                    ("game", "ValueTable"): ("to_json_obj",),
@@ -57,7 +60,8 @@ DELETED_PARAMETERS = {
     ("game", "_GreedyLookahead"): ("side", "lookahead"),
     ("game", "step_rate_bound"): ("floor",),
     ("minimax", "_characteristic_functional"): ("spec",),
-    ("game", "GameSpec"): ("dyn",),
+    # one stage and one terminal function per game
+    ("game", "GameSpec"): ("dyn", "rhs", "running_cost", "terminal_cost", "markov_terms"),
     ("game", "play_feedback_games"): ("spec",),
     ("game", "HamiltonianEval"): ("minus_q_index", "minus_p_index", "plus_p_index",
                                   "plus_q_index"),
@@ -67,7 +71,9 @@ DELETED_PARAMETERS = {
     ("minimax", "ResidualReport"): ("site_t0", "site_state", "z"),
     ("game", "FeedbackPlay"): ("u_before", "u_after"),
     ("evolution", "OperatorSpec"): ("kind",),
-    ("game", "bilinear_game"): ("terminal",),
+    # a builder takes its control grid, and l_f comes from that grid alone
+    ("game", "bilinear_game"): ("terminal", "levels"),
+    ("game", "isaacs_game"): ("levels",),
     ("evolution", "audit_hypotheses"): ("monotonicity_tol",),
     ("upsilon", "verify_chain_rule"): ("smoothness_bound",),
     # a value table always holds both sides

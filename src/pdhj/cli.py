@@ -35,6 +35,7 @@ from .evolution import (
     solve_delay_evolution,
 )
 from .game import (
+    COVERAGE_TOL,
     ControlGrid,
     GameSpec,
     GuaranteeEstimate,
@@ -117,6 +118,14 @@ def _grid_node(v, cfg):
 def _above_lo(v, cfg):
     if not all(h > lo for lo, h in zip(cfg["lattice"]["lo"], v)):
         return f"must exceed lattice.lo entry by entry, got {v}"
+
+
+def _in_lattice(v, cfg):
+    """The runtime coverage rule at config time: a state farther than
+    COVERAGE_TOL outside the lattice box has no value to read."""
+    margin = _build_lattice(cfg["lattice"]).coverage_margins(np.array([v]))[0]
+    if margin > COVERAGE_TOL:
+        return f"must lie within lattice.lo and lattice.hi (to {COVERAGE_TOL:g}), got {v}"
 
 
 def _one_directory(v, cfg):
@@ -379,9 +388,9 @@ def _run_isaacs_check(cfg: dict, artifacts: dict):
 
 def _run_feedback(cfg: dict, artifacts: dict):
     """The extremal-shift strategy against three adversary pools, played as
-    one lane set per partition (one play_feedback_games call), whose record
-    is sliced by pool: the calibration lanes give m-hat (step_rate_bound),
-    the estimate lanes' payoffs the guaranteed result
+    one lane set for every partition (one play_feedback_games call), whose
+    records are sliced by pool: the calibration lanes give m-hat
+    (step_rate_bound), the estimate lanes' payoffs the guaranteed result
     (GuaranteeEstimate.from_payoffs), and the replay lanes the Lyapunov
     statistics against m-hat."""
     spec = _build_game(cfg["game"])
@@ -397,17 +406,20 @@ def _run_feedback(cfg: dict, artifacts: dict):
     partitions = [TimeGrid(0.0, grid.t_end, n) for n in cfg["partition_steps"]]
     strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions, value=table,
                                        library_size=cfg["library_size"], seed=seed)
-    # the calibration and estimate pools carry their generators across the
-    # partitions; the replays behind the Lyapunov statistics are a fresh pool
-    # on each partition
-    calibration = adversary_pool(spec, table, cfg["calibration_budget"], seed + 1)
-    pool = adversary_pool(spec, table, budget, seed + 2)
-    plays = [play_feedback_games(strategy, calibration + pool
-                                 + adversary_pool(spec, table, min(budget, 16), seed + 2), part)
-             for part in partitions]
-    n_cal, n_est = len(calibration), len(pool)
+    # the calibration and estimate pools are played on the partitions in
+    # turn: one table over all their cells, split by rows; the replays behind
+    # the Lyapunov statistics are a fresh pool on each partition
+    n_q, cells = spec.controls.n_q, cfg["partition_steps"]
+    rows = np.cumsum(cells)[:-1]
+    _, calibration = adversary_pool(n_q, cfg["calibration_budget"], seed + 1, sum(cells))
+    labels, estimate = adversary_pool(n_q, budget, seed + 2, sum(cells))
+    replays = [adversary_pool(n_q, min(budget, 16), seed + 2, n)[1] for n in cells]
+    plays = play_feedback_games(strategy, partitions, [
+        np.hstack(tables) for tables in zip(np.split(calibration, rows),
+                                            np.split(estimate, rows), replays)])
+    n_cal, n_est = cfg["calibration_budget"], budget  # a pool has budget lanes
     m_hat = step_rate_bound([play.lanes(slice(n_cal)) for play in plays])
-    est = GuaranteeEstimate.from_payoffs(pool, partitions,
+    est = GuaranteeEstimate.from_payoffs(labels, partitions,
                                          [play.payoff[n_cal:n_cal + n_est] for play in plays],
                                          budget, seed + 2)
     stats = lyapunov_violation_stats([play.lanes(slice(n_cal + n_est, None)) for play in plays],
@@ -531,7 +543,7 @@ EXPERIMENTS = {
     "feedback-run": Experiment(_run_feedback, "m_hat", {
         **_GAME_BLOCKS,
         "partition_steps": Field([int], [8, 16, 32], (_nonempty, _entries_at_least(1))),
-        "budget": Field(int, 50, (_COUNT,)), "x0": _coordinates(0.4),
+        "budget": Field(int, 50, (_COUNT,)), "x0": _coordinates(0.4, _in_lattice),
         "library_size": Field(int, 64, (_at_least(0),)),
         "epsilon_fraction": Field(float, 1.0, (_fraction,)),
         "calibration_budget": Field(int, 12, (_COUNT,))}),

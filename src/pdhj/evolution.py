@@ -25,25 +25,25 @@ Lockstep loops (_lockstep_solve and its callers here and in
 pdhj.minimax; play_feedback_games, the greedy lookahead and the DP slice
 in pdhj.game; the table reads and operator pairings of site_checks in
 pdhj.minimax) raise the first error they meet, taking time steps in order
-and the phases of each step in the order their docstrings list.  A phase of
-per-lane callbacks (a feedback run's adversaries) runs lane by lane, so it
-raises its lowest failing lane's error.  A batched phase raises for its whole
-batch: the forcing-bound check and _implicit_step_batch the error of their
-lowest failing lane, a value-table read (the gradient's probes included)
-the batch's largest lattice margin (the one to expand by), and a game's
-stage terms (GameSpec.lane_terms, one stage-function call for all lanes)
-the first non-finite entry in (lane, p, q) order, the drift before the
-cost of an entry.  So a feedback cell picks every game's control in one
-batch and answers its greedy lanes with one batched lookahead before the
-other adversaries answer game by game; a feedback run plays its three pools as one lane set per
-partition, so an earlier partition's error wins whichever pool it is on; a
-residual run's sites step together, time-major, so the earlier step's error
-wins whichever site and lane it is on (a site by site order would raise the
-first site's error however late its step), and a non-finite stage term of
-any lane raises during the solve, at its step, in (lane, p, q) order (a
-viscosity scan's lanes too check their full control grid); the
-characteristic functional then has only its table-read phase, one batch per
-node over every site.  The sampled Hamiltonians of
+and the phases of each step in the order their docstrings list.  Every
+phase is batched, and raises for its whole batch: the forcing-bound check
+and _implicit_step_batch the error of their lowest failing lane, a
+value-table read (the gradient's probes included) the batch's largest
+lattice margin (the one to expand by), and a game's stage terms
+(GameSpec.lane_terms, one stage-function call for all lanes) the first
+non-finite entry in (lane, p, q) order, the drift before the cost of an
+entry.  So at a simulation node a feedback run picks the controls of the
+lanes deciding there in one batch and answers their greedy lanes with one
+batched lookahead; it plays every partition and pool as one lane set,
+time-major, so an earlier step's error wins whichever partition and pool it
+is on (partition by partition, the first partition's error came first
+however late its step); a residual run's sites step together, time-major,
+so the earlier step's error wins whichever site and lane it is on (a site by
+site order would raise the first site's error however late its step), and a
+non-finite stage term of any lane raises during the solve, at its step, in
+(lane, p, q) order (a viscosity scan's lanes too check their full control
+grid); the characteristic functional then has only its table-read phase,
+one batch per node over every site.  The sampled Hamiltonians of
 pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
 use) take them one time group at a time: the distinct sample times in order
 of first appearance, every sample at a time in one batch, so they raise the

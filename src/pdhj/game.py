@@ -802,7 +802,7 @@ def simulation_grid(value_grid: TimeGrid, *partitions: TimeGrid) -> TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class FeedbackPlay:
-    """The record of N games played in lockstep on one partition.
+    """The record of N games played on one partition.
 
     Shaped (step, game), one row per partition cell: p and q, the control
     indices played; step_cost, the running cost of the cell; kind, a code
@@ -841,167 +841,146 @@ class FeedbackPlay:
                        **{name: getattr(self, name)[:, games] for name in columns})
 
 
-def play_feedback_games(strategy: FeedbackStrategy, adversaries,
-                        partition: TimeGrid) -> FeedbackPlay:
-    """Play one game of strategy.spec per adversary on one partition, all
-    games in lockstep, and return their FeedbackPlay record, games in
-    adversary order.
+GREEDY = -1  # the q-table entry of a cell the greedy lookahead answers
 
-    The strategy commits p per partition cell and the adversary answers q.  An
-    adversary is any per-step policy (t, path_of, p_index) -> q_index, where
-    path_of() builds its game's path stopped at t; it sees the committed p,
-    consistent with the upper-value commit order.  Both controls are held on
-    the cell while the state integrates on the finer simulation grid.
 
-    The phases of a partition cell, each one batch unless said otherwise:
-    the controls (one strategy.select_controls call, one lane_terms call over
-    the full control grid, each game aimed by its own companion gradient);
-    the greedy adversaries (one lookahead step per group of greedy_adversary
-    lanes with the same game and table); the other adversaries, game by
-    game, so an adversary that keeps state (the generator of a
-    random_adversary) sees the calls it sees when its games are played one
-    at a time; then per simulation-grid step the stage terms at the played
-    pairs (one lane_terms call) and one implicit step for all games; then the
-    companion minima (one companion_minima call, whose minimum is u at the
-    cell's end node and aims the next control).  At a partition node a lane's
-    stopped path is built only if its game or its adversary reads it, and
-    then once; a game's full path is built only if its terminal function
-    reads it.  Each game's columns of the record are bit-identical to
-    playing it alone.  Errors follow the lockstep rule of pdhj.evolution
-    over these phases.
+def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> list:
+    """Play strategy.spec against q tables, one lane set for every partition,
+    and return one FeedbackPlay per partition, games in its table's column order.
+
+    q_tables[j], shape (partitions[j].n_steps, games), holds each game's q
+    index per cell, or GREEDY where greedy_lookahead answers the p committed
+    in the cell (the upper-value commit order).  Each table's distinct
+    columns are played once, in order of first appearance, and their records
+    scattered back to its columns; every partition spans [strategy.t0, T].
+
+    All lanes step together on the simulation grid (strategy.x0.grid, which
+    holds every partition's nodes), and a lane changes its controls only at
+    its own partition's nodes.  At a simulation node the lanes whose
+    partition has it get, per distinct partition time there (one wherever
+    the partitions' nodes are bit-equal), one companion_minima call (u at the
+    node, and the gradient that aims the next control), one select_controls
+    call and one greedy_lookahead batch over their GREEDY lanes.  Each
+    simulation step then makes one lane_terms call at the held pairs and one
+    implicit step for all lanes.  A stopped path is built only if the game
+    reads it, and once per node.  Each lane is bit-identical to its game
+    played alone.  Errors follow the lockstep rule of pdhj.evolution over
+    these phases, time-major: the earliest node's error wins, whichever
+    partition its lane is on.  A table of another shape, or a partition that
+    does not span [t0, T], raises DomainError.
     """
-    spec = strategy.spec
-    adversaries = list(adversaries)
-    inner = strategy.x0.grid
-    nodes = inner.nodes
-    part_nodes = partition.nodes
-    m = len(adversaries)
-    games = np.arange(m)
-    groups, others = {}, []  # greedy lanes by equal adversary, then the rest
-    for g, adversary in enumerate(adversaries):
-        if isinstance(adversary, _GreedyLookahead):
-            groups.setdefault(adversary, []).append(g)
-        else:
-            others.append(g)
-    groups = [np.array(lanes) for lanes in groups.values()]
-    values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, game, coordinate)
-    totals, kinds, indices, gradients = strategy.companion_minima(
-        part_nodes[0], values[: inner.node_index(part_nodes[0]) + 1])
-    cells, u = [], [totals]
-    running = np.zeros(m)
-    for i in range(partition.n_steps):
-        t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
-        ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        # keyed by the game as a Python int: an np.int64 key would miss an int's entry
-        path_at = functools.cache(lambda g, k=ka: stopped_at(inner, values[:, g], k))
-        p_picks = strategy.select_controls(t_i, values[ka], lambda g: path_at(int(g)), gradients)
-        q_picks = np.empty(m, dtype=int)
-        states = stopped_value_at(inner, values, ka, t_i)
-        for lanes in groups:
-            q_picks[lanes] = adversaries[lanes[0]].answers(
-                t_i, ka, states[lanes], lambda n: path_at(int(lanes[n])), p_picks[lanes])
-        for g in others:
-            q_picks[g] = int(adversaries[g](t_i, functools.partial(path_at, g), int(p_picks[g])))
-        played = (games, p_picks, q_picks)
-        step_cost = np.zeros(m)
-        for k in range(ka, kb):
-            t_k, dt = nodes[k], nodes[k + 1] - nodes[k]
+    spec, inner = strategy.spec, strategy.x0.grid
+    nodes, n_last = inner.nodes, inner.n_steps
+    columns, inverses = [], []
+    for partition, table in zip(partitions, q_tables):
+        if np.ndim(table) != 2 or len(table) != partition.n_steps:
+            raise DomainError(f"q table of shape {np.shape(table)} for {partition.n_steps} cells")
+        _, first, inverse = np.unique(table, axis=1, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        columns.append(np.asarray(table, dtype=int)[:, first[order]])
+        inverses.append(np.argsort(order)[inverse.reshape(-1)])
+    bounds = np.cumsum([0] + [column.shape[1] for column in columns])
+    m, n_max = bounds[-1], max(map(len, columns), default=0)
+    p, q, kind, index = (np.zeros((n_max + 1, m), dtype=int) for _ in range(4))
+    at = np.full((n_last + 1, m), np.nan)  # each lane's partition time at its nodes
+    for partition, column, lo, hi in zip(partitions, columns, bounds, bounds[1:]):
+        q[: len(column), lo:hi] = column  # GREEDY entries are answered in play
+        at[[inner.node_index(t) for t in partition.nodes], lo:hi] = partition.nodes[:, None]
+    k0 = inner.node_index(strategy.t0)
+    if np.isnan(at[[k0, n_last]]).any():
+        raise DomainError("partition must span [t0, T]")
+
+    lanes = np.arange(m)
+    values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, lane, coordinate)
+    step_cost, u = np.zeros((n_max, m)), np.zeros((n_max + 1, m))
+    cell = np.zeros(m, dtype=int)  # the partition node each lane reaches next
+    for k in range(k0, n_last + 1):
+        for t in np.unique(at[k][~np.isnan(at[k])]):
+            group = np.flatnonzero(at[k] == t)
+            i = cell[group]
+            u[i, group], kind[i, group], index[i, group], gradients = \
+                strategy.companion_minima(t, values[: k + 1, group])
+            if k == n_last:
+                continue
+            # keyed by the lane as a Python int: an np.int64 key would miss an int's entry
+            path_at = functools.cache(
+                lambda n, k=k, group=group: stopped_at(inner, values[:, group[n]], k))
+            p[i, group] = strategy.select_controls(t, values[k, group], lambda n: path_at(int(n)),
+                                                   gradients)
+            greedy = np.flatnonzero(q[i, group] == GREEDY)
+            if greedy.size:
+                cells = (i[greedy], group[greedy])
+                states = stopped_value_at(inner, values, k, t)[cells[1]]
+                q[cells] = greedy_lookahead(spec, strategy.value, t, k, states,
+                                            lambda n: path_at(int(greedy[n])), p[cells])
+            cell[group] += 1
+        if k < n_last:
+            dt, held = nodes[k + 1] - nodes[k], (lanes, p[cell - 1, lanes], q[cell - 1, lanes])
             drift, cost = spec.lane_terms(
-                t_k, values[k], lambda g: stopped_at(inner, values[:, g], k), played)
-            step_cost += dt * cost
+                nodes[k], values[k], lambda g: stopped_at(inner, values[:, g], k), held)
+            step_cost[cell - 1, lanes] += dt * cost
             values[k + 1], _, _ = _drift_step(spec.op, nodes[k + 1], dt, values[k], drift,
                                               STEP_SOLVE_TOL, k)
-        running += step_cost
-        after = strategy.companion_minima(t_i1, values[: kb + 1])
-        cells.append((p_picks, q_picks, step_cost, kinds, indices))
-        totals, kinds, indices, gradients = after
-        u.append(totals)
 
-    p, q, step_cost, kind, index = (np.array(column) for column in zip(*cells))
+    running = sum(step_cost, np.zeros(m))  # cell by cell, in the order they were played
     terminal = spec.final_costs(values[-1], lambda g: Path(inner, values[:, g]))
-    return FeedbackPlay(partition, p, q, step_cost, np.array(u), kind, index, values, running,
-                        terminal)
+    return [FeedbackPlay(partition, p[:n, lo:hi], q[:n, lo:hi], step_cost[:n, lo:hi],
+                         u[: n + 1, lo:hi], kind[:n, lo:hi], index[:n, lo:hi], values[:, lo:hi],
+                         running[lo:hi], terminal[lo:hi]).lanes(inverse)
+            for partition, inverse, lo, hi, n in zip(partitions, inverses, bounds, bounds[1:],
+                                                     map(len, columns))]
 
 
-# -- adversary policies -----------------------------------------------------
+def greedy_lookahead(spec: GameSpec, value: ValueTable, t: float, k: int, states: np.ndarray,
+                     path_of, p_indices) -> np.ndarray:
+    """The greedy adversary's q index for each of N games at node k (time t):
+    the one-step lookahead maximizer of dt * cost + upper value at the
+    successor against the committed p, dt one value-grid mesh (cut at T).
+    states (N, dim) and path_of are as in GameSpec.lane_terms, p_indices (N,)
+    the committed p's.  The q's are scanned in order and a score must beat
+    the best so far by more than 1e-15, so ties keep the first q.
 
-def constant_adversary(q_index: int):
-    def policy(t, path_of, p_index):
-        return q_index
-    policy.describe = f"constant[{q_index}]"
-    return policy
-
-
-def random_adversary(seed: int, n_q: int):
-    """A uniform q index per call, drawn from the policy's own generator."""
-    rng = np.random.default_rng(seed)
-
-    def policy(t, path_of, p_index):
-        return int(rng.integers(n_q))
-    policy.describe = f"random[{seed}]"
-    policy.generator = rng
-    return policy
-
-
-@dataclass(frozen=True)
-class _GreedyLookahead:
-    """One-step lookahead maximizer of the upper value against the committed
-    p, one value-grid mesh ahead; ties keep the first q.  Equal ones (the same
-    game and table) answer as one batch in play_feedback_games."""
-
-    spec: GameSpec
-    value: ValueTable
-    describe = "greedy-lookahead"
-
-    def __call__(self, t, path_of, p_index):
-        x = path_of()
-        return int(self.answers(t, x.grid.node_index(t), x.value_at(t)[None], lambda _: x,
-                                np.array([p_index]))[0])
-
-    def answers(self, t: float, k: int, states: np.ndarray, path_of, p_indices) -> np.ndarray:
-        """The q index of each of N games at node k (time t); states (N, dim)
-        and path_of as in GameSpec.lane_terms, p_indices (N,) the committed p's.
-
-        The (game, q) pairs are the lanes of one lockstep step (errors as
-        pdhj.evolution states): one lane_terms call for the committed rows (in
-        game, then q order), one batched implicit step, one read of the
-        successors.  Each game's pick is the one it gets alone.
-        """
-        spec, value = self.spec, self.value
-        n_q = spec.controls.n_q
-        dt = min(value.grid.mesh, value.grid.t_end - t)
-        n = len(states)
-        rows = np.repeat(np.arange(n), n_q)
-        played = (rows, np.repeat(p_indices, n_q), np.tile(np.arange(n_q), n))
-        drifts, costs = spec.lane_terms(t, states, path_of, played)
-        succ, _, _ = _drift_step(spec.op, t + dt, dt, states[rows], drifts, STEP_SOLVE_TOL, k)
-        ahead = value.interp_batch("upper", t + dt, succ)
-        picks = np.zeros(n, dtype=int)
-        for g, scores in enumerate((dt * costs + ahead).reshape(n, n_q)):
-            best = -np.inf
-            for j, val in enumerate(scores):
-                if val > best + 1e-15:
-                    picks[g], best = j, val
-        return picks
+    The (game, q) pairs are the lanes of one lockstep step (errors as
+    pdhj.evolution states): one lane_terms call for the committed rows (in
+    game, then q order), one batched implicit step, one read of the
+    successors.  Each game's pick is the one it gets alone.
+    """
+    n_q = spec.controls.n_q
+    dt = min(value.grid.mesh, value.grid.t_end - t)
+    n = len(states)
+    rows = np.repeat(np.arange(n), n_q)
+    played = (rows, np.repeat(p_indices, n_q), np.tile(np.arange(n_q), n))
+    drifts, costs = spec.lane_terms(t, states, path_of, played)
+    succ, _, _ = _drift_step(spec.op, t + dt, dt, states[rows], drifts, STEP_SOLVE_TOL, k)
+    scores = (dt * costs + value.interp_batch("upper", t + dt, succ)).reshape(n, n_q)
+    picks, best = np.zeros(n, dtype=int), np.full(n, -np.inf)
+    for j in range(n_q):
+        better = scores[:, j] > best + 1e-15
+        picks[better], best[better] = j, scores[better, j]
+    return picks
 
 
-def greedy_adversary(spec: GameSpec, value: ValueTable):
-    """The greedy lookahead adversary: called alone it reads its game's
-    stopped path; play_feedback_games answers its greedy lanes in batches."""
-    return _GreedyLookahead(spec, value)
+def adversary_pool(n_q: int, budget: int, seed: int, cells: int):
+    """The deterministic nested pool of budget adversaries as (labels, q):
+    the constants, the greedy lookahead, then seeded random adversaries.
 
-
-def adversary_pool(spec: GameSpec, value: ValueTable, budget: int, seed: int) -> list:
-    """Deterministic nested pool: constants, greedy lookahead, then seeded random."""
+    q, shape (cells, budget), holds each adversary's q index per cell:
+    constant[j] plays j, greedy-lookahead is GREEDY, and random[s] is one
+    draw integers(n_q, size=cells) from default_rng(s), the same values as
+    one integers(n_q) per cell.  A pool played on several partitions in turn
+    is one table over their cells, split by rows; a fresh pool per partition
+    is one table each.
+    """
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    pool = [constant_adversary(j) for j in range(spec.controls.n_q)]
-    pool.append(greedy_adversary(spec, value))
+    labels = [f"constant[{j}]" for j in range(n_q)] + ["greedy-lookahead"]
+    columns = [np.full(cells, j) for j in range(n_q)] + [np.full(cells, GREEDY)]
     i = 0
-    while len(pool) < budget:
-        pool.append(random_adversary(seed + i, spec.controls.n_q))
+    while len(labels) < budget:
+        labels.append(f"random[{seed + i}]")
+        columns.append(np.random.default_rng(seed + i).integers(n_q, size=cells))
         i += 1
-    return pool[:budget]
+    return labels[:budget], np.stack(columns[:budget], axis=1)
 
 
 # -- reductions over feedback plays -----------------------------------------
@@ -1044,20 +1023,22 @@ class GuaranteeEstimate:
     certificate: dict
 
     @classmethod
-    def from_payoffs(cls, pool, partitions, payoffs, budget: int, seed: int) -> "GuaranteeEstimate":
+    def from_payoffs(cls, labels, partitions, payoffs, budget: int,
+                     seed: int) -> "GuaranteeEstimate":
         """The worst payoff per partition and overall, with its certificate:
-        payoffs[i] holds the payoff of each of the pool's games on
-        partitions[i], in pool order, and a tie keeps the earlier adversary."""
+        labels names the pool's adversaries (adversary_pool's labels), and
+        payoffs[i] holds the payoff of each of their games on partitions[i],
+        in label order; a tie keeps the earlier adversary."""
         per_partition = []
         for partition, payoff in zip(partitions, payoffs):
             worst = int(np.argmax(payoff))
             per_partition.append({"n_steps": partition.n_steps, "mesh": partition.mesh,
                                   "worst_payoff": payoff[worst],
-                                  "worst_adversary": getattr(pool[worst], "describe", "?")})
+                                  "worst_adversary": labels[worst]})
         certificate = {
             "seed": seed,
             "budget": budget,
-            "pool": [getattr(a, "describe", "?") for a in pool],
+            "pool": list(labels),
             "partition_meshes": [p.mesh for p in partitions],
         }
         return cls(value=float(max(p["worst_payoff"] for p in per_partition)),

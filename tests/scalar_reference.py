@@ -48,9 +48,20 @@ the batches are checked against.
   battery and FeedbackStrategy.companion_minima evaluate in batches.
 - measurable_selection: the smallest-index selection rule that
   pdhj.game.minimax_records applies to every control pick.
-- calibrate_step_bound and estimate_guaranteed_result: one adversary pool
-  played on each partition, then reduced as the feedback-run runner reduces
-  the slices of its lane set (step_rate_bound, GuaranteeEstimate.from_payoffs).
+- carried_tables, calibrate_step_bound and estimate_guaranteed_result: one
+  adversary pool played on the partitions in turn (one q table over their
+  cells, split by rows), then reduced as the feedback-run runner reduces the
+  slices of its lane set (step_rate_bound, GuaranteeEstimate.from_payoffs).
+- constant_adversary, random_adversary and greedy_reference: the lanes of an
+  adversary_pool q table as the callables they replaced, policies (t,
+  path_of, p_index) -> q index called once per cell; a random one draws one
+  integers(n_q) per call from a generator carried across calls, the greedy
+  one steps and reads the table once per q.  reference_pool lists them in
+  adversary_pool's order.
+- run_feedback_game_reference and companion_minimum_reference: one game
+  against one such policy with its own scalar step loop, and the one-game
+  companion minimum it aims by: the reference every lane of
+  play_feedback_games is checked against, bit for bit.
 - scale_costs: a game with its running and terminal costs scaled jointly.
 """
 
@@ -68,10 +79,10 @@ from pdhj.errors import ConfigurationError, ContractError, DomainError, Evaluati
     SolverError
 from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_TOL, OperatorSpec, \
     SolveReport, _bisect_step, make_linear_operator
-from pdhj.game import ControlGrid, FeedbackStrategy, GameSpec, GuaranteeEstimate, \
-    LipschitzReport, ValueTable, _dp_slice, _lift_paths, adversary_pool, bilinear_game, \
-    constant_game, hamiltonian, is_upper_side, isaacs_game, play_feedback_games, \
-    step_rate_bound
+from pdhj.game import COMPANION_KINDS, COVERAGE_TOL, STEP_SOLVE_TOL, ControlGrid, \
+    FeedbackPlay, FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, ValueTable, \
+    _dp_slice, _lift_paths, adversary_pool, bilinear_game, constant_game, hamiltonian, \
+    is_upper_side, isaacs_game, play_feedback_games, step_rate_bound
 from pdhj.pathcore import _NODE_TOL, Path, TimeGrid, _row_dots, kappa_constant, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
 
@@ -652,12 +663,19 @@ def measurable_selection(h_grid: np.ndarray, epsilon: float) -> np.ndarray:
     return np.argmax(H == row_max[:, None], axis=1)
 
 
+def carried_tables(n_q: int, budget: int, seed: int, partitions):
+    """adversary_pool played on the partitions in turn: (labels, one q table
+    per partition), the rows of one table over all their cells."""
+    cells = [partition.n_steps for partition in partitions]
+    labels, q = adversary_pool(n_q, budget, seed, sum(cells))
+    return labels, np.split(q, np.cumsum(cells)[:-1])
+
+
 def calibrate_step_bound(spec: GameSpec, strategy: FeedbackStrategy, partitions,
                          calibration_budget: int, seed: int) -> float:
     """step_rate_bound of a calibration adversary pool played on each partition."""
-    pool = adversary_pool(spec, strategy.value, calibration_budget, seed)
-    return step_rate_bound([play_feedback_games(strategy, pool, partition)
-                            for partition in partitions])
+    _, tables = carried_tables(spec.controls.n_q, calibration_budget, seed, partitions)
+    return step_rate_bound(play_feedback_games(strategy, partitions, tables))
 
 
 def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
@@ -670,10 +688,165 @@ def estimate_guaranteed_result(spec: GameSpec, strategy: FeedbackStrategy,
             f"strategy was built for t0={strategy.t0}, estimate asked for t0={t0}")
     if np.linalg.norm(strategy.x0.value_at(t0) - x0.value_at(min(t0, x0.grid.t_end))) > 1e-9:
         raise ConfigurationError("strategy history does not match the requested start state")
-    pool = adversary_pool(spec, strategy.value, adversary_budget, seed)
+    labels, tables = carried_tables(spec.controls.n_q, adversary_budget, seed, partitions)
     return GuaranteeEstimate.from_payoffs(
-        pool, partitions, [play_feedback_games(strategy, pool, p).payoff for p in partitions],
+        labels, partitions,
+        [play.payoff for play in play_feedback_games(strategy, partitions, tables)],
         adversary_budget, seed)
+
+
+# -- adversaries as per-cell policies, and the one-game loop that plays them ----
+
+def constant_adversary(q_index: int):
+    """The constant[j] lane of a q table as a policy (t, path_of, p_index) -> q."""
+    def policy(t, path_of, p_index):
+        return q_index
+    return policy
+
+
+def random_adversary(seed: int, n_q: int):
+    """The random[s] lane as a policy: one integers(n_q) per call, from a
+    generator of its own that one call carries to the next, and so from one
+    partition to the next."""
+    rng = np.random.default_rng(seed)
+
+    def policy(t, path_of, p_index):
+        return int(rng.integers(n_q))
+    return policy
+
+
+def greedy_reference(spec: GameSpec, value: ValueTable):
+    """The greedy lookahead as a policy: one implicit step and one table read
+    per q, the path_of() path's state at t as the start."""
+
+    def policy(t, path_of, p_index):
+        x = path_of()
+        p = spec.controls.p_points[p_index]
+        dt = min(value.grid.mesh, value.grid.t_end - t)
+        state = x.value_at(t)
+        k = x.grid.node_index(t)
+        best_j, best_val = 0, -np.inf
+        for j, q in enumerate(spec.controls.q_points):
+            f = drift(spec, t, x, p, q)
+            target = state + dt * f
+            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
+            succ, _, _ = _implicit_step(spec.op, t + dt, dt, target, state, tol, k)
+            val = dt * stage_cost(spec, t, x, p, q) + value.interp("upper", t + dt, succ)
+            if val > best_val + 1e-15:
+                best_j, best_val = j, val
+        return best_j
+    return policy
+
+
+def reference_pool(spec: GameSpec, value: ValueTable, budget: int, seed: int) -> list:
+    """adversary_pool's lanes as policies, in its order."""
+    n_q = spec.controls.n_q
+    pool = [constant_adversary(j) for j in range(n_q)] + [greedy_reference(spec, value)]
+    pool += [random_adversary(seed + i, n_q) for i in range(max(budget - n_q - 1, 0))]
+    return pool[:budget]
+
+
+def _probe_candidates_reference(strategy: FeedbackStrategy, t: float, state: np.ndarray):
+    """The one-state probe read: (kept indices, offsets, values)."""
+    offsets = strategy._probe_offsets(t, len(state))
+    probes = state - offsets
+    kept = np.flatnonzero(strategy.value.lattice.coverage_margins(probes) <= COVERAGE_TOL)
+    u_vals = strategy.value.interp_batch("upper", t, probes[kept]) if kept.size \
+        else np.empty(0)
+    return kept.tolist(), offsets[kept], u_vals
+
+
+def companion_minimum_reference(strategy: FeedbackStrategy, t: float, x: Path):
+    """The one-game companion minimum that companion_minima replaced."""
+    k = x.grid.node_index(t)
+    X = x.values[: k + 1]
+    alpha = strategy.params.alpha(t)
+    eps4 = strategy.params.epsilon ** 4
+    trace_state = X[-1]
+    best = (float(strategy.value.interp("upper", t, trace_state) + alpha * np.sqrt(eps4)),
+            "trace", 0, np.zeros(x.dim))
+
+    def consider(kind, indices, diffs, u_vals):
+        nonlocal best
+        sq = np.sum(diffs ** 2, axis=2)
+        ups, factor = surrogate_terms(sq.max(axis=0), sq[-1])
+        beta = np.sqrt(eps4 + ups)
+        total = u_vals + alpha * beta
+        i = int(np.argmin(total))
+        if total[i] < best[0]:
+            best = (float(total[i]), kind, indices[i],
+                    (alpha / (2.0 * beta[i])) * factor[i] * diffs[-1, i])
+
+    kept, offsets, u_vals = _probe_candidates_reference(strategy, t, trace_state)
+    if kept:
+        consider("probe", kept, offsets[None, :, :], u_vals)
+    points = strategy._lattice_points
+    consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
+             strategy.value.interp_batch("upper", t, points))
+    if strategy._library_values is not None:
+        lib = strategy._library_values[: k + 1]
+        consider("library", range(lib.shape[1]), X[:, None, :] - lib,
+                 strategy.value.interp_batch("upper", t, lib[-1]))
+    return best
+
+
+def run_feedback_game_reference(spec: GameSpec, strategy: FeedbackStrategy, adversary,
+                                partition: TimeGrid) -> FeedbackPlay:
+    """One game of spec against the policy adversary on one partition, with
+    its own scalar step loop, as the one-game FeedbackPlay record: the
+    reference every lane of play_feedback_games is checked against."""
+    inner = strategy.x0.grid
+    nodes = inner.nodes
+    values = strategy.x0.values.copy()
+    part_nodes = partition.nodes
+    p_indices, q_indices, records = [], [], []
+    running = 0.0
+    x_now = stopped_at(inner, values, inner.node_index(part_nodes[0]))
+    companion = companion_minimum_reference(strategy, part_nodes[0], x_now)
+    for i in range(partition.n_steps):
+        t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
+        ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
+        p_idx = int(np.argmin(stage_matrix(spec, t_i, x_now, companion[3]).max(axis=1)))
+        q_idx = int(adversary(t_i, lambda: x_now, p_idx))
+        p = spec.controls.p_points[p_idx]
+        q = spec.controls.q_points[q_idx]
+        step_cost = 0.0
+        for k in range(ka, kb):
+            dt = nodes[k + 1] - nodes[k]
+            x_stop = stopped_at(inner, values, k)
+            f = drift(spec, nodes[k], x_stop, p, q)
+            step_cost += dt * stage_cost(spec, nodes[k], x_stop, p, q)
+            target = values[k] + dt * f
+            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(values[k])))
+            values[k + 1], _, _ = _implicit_step(spec.op, nodes[k + 1], dt,
+                                                 target, values[k], tol, k)
+        running += step_cost
+        x_next = stopped_at(inner, values, kb)
+        after = companion_minimum_reference(strategy, t_i1, x_next)
+        records.append({
+            "step_cost": step_cost,
+            "u_shifted_before": companion[0],
+            "u_shifted_after": after[0],
+            "companion_kind": companion[1],
+            "companion_index": companion[2],
+        })
+        x_now, companion = x_next, after
+        p_indices.append(p_idx)
+        q_indices.append(q_idx)
+    final_path = Path(inner, values)
+
+    def column(key):
+        return np.array([rec[key] for rec in records])[:, None]
+
+    return FeedbackPlay(partition=partition, p=np.array(p_indices)[:, None],
+                        q=np.array(q_indices)[:, None], step_cost=column("step_cost"),
+                        u=np.array([rec["u_shifted_before"] for rec in records]
+                                   + [records[-1]["u_shifted_after"]])[:, None],
+                        kind=np.array([COMPANION_KINDS.index(rec["companion_kind"])
+                                       for rec in records])[:, None],
+                        index=column("companion_index"), values=values[:, None, :],
+                        running=np.array([running]),
+                        terminal=spec.final_costs(values[-1][None], lambda _: final_path))
 
 
 def scale_costs(spec: GameSpec, factor: float) -> GameSpec:

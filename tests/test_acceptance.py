@@ -20,7 +20,6 @@ from pdhj.evolution import (
 from pdhj.game import (
     ControlGrid,
     StateLattice,
-    adversary_pool,
     bilinear_game,
     dp_value,
     extremal_shift_strategy,
@@ -34,7 +33,7 @@ from pdhj.minimax import bump_table, composite_tolerance, minimax_residual, \
     stability_experiment
 from pdhj.pathcore import Path, TimeGrid, kappa_constant
 from pdhj.upsilon import LyapunovParams, verify_chain_rule
-from scalar_reference import calibrate_step_bound, estimate_guaranteed_result, \
+from scalar_reference import calibrate_step_bound, carried_tables, estimate_guaranteed_result, \
     measurable_selection, path_difference, penalty_psi, recompute_slice, reference_game, sup_norm, \
     upsilon
 
@@ -247,8 +246,8 @@ def test_criterion_08_feedback_efficacy(desk_table):
     weakly_decreasing = all(b <= a + 0.005 for a, b in zip(worst[:-1], worst[1:]))
 
     v_minus_site = table.interp("lower", 0.0, np.array([0.4]))
-    pool = adversary_pool(spec, table, budget, 2000)
-    plays = [play_feedback_games(strategy, pool, part) for part in partitions]
+    plays = play_feedback_games(strategy, partitions,
+                                carried_tables(spec.controls.n_q, budget, 2000, partitions)[1])
     stats = lyapunov_violation_stats(plays, m_hat)
     ok = (est.value <= v_site + tol
           and est.value >= v_minus_site - tol

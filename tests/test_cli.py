@@ -399,6 +399,22 @@ class TestVectorLengths:
         cfg["x0"] = [0.4, 0.1]
         self._refused(tmp_path, capsys, cfg, "x0")
 
+    @pytest.mark.parametrize("x0", [[5.0], [-2.0 - 2e-9]])
+    def test_feedback_x0_off_the_lattice(self, tmp_path, capsys, x0):
+        # the runtime coverage rule, at config time: no manifest, no run directory
+        cfg = {**shipped_config("feedback_run.json"), "x0": x0}
+        self._refused(tmp_path, capsys, cfg, "x0")
+        assert not (tmp_path / cfg["name"]).exists()
+
+    @pytest.mark.parametrize("x0", [[2.0], [-2.0], [2.0 + 5e-10]])
+    def test_feedback_x0_on_the_lattice_edge_runs(self, tmp_path, x0):
+        # within COVERAGE_TOL of the box; no library, whose tube samples
+        # from the edge would leave the lattice
+        cfg = {**shipped_config("feedback_run.json"), "x0": x0, "library_size": 0,
+               "partition_steps": [8], "budget": 6, "grid": {"t_end": 1.0, "n_steps": 8}}
+        assert run(cfg, str(tmp_path)) in (0, 1)
+        assert (tmp_path / cfg["name"] / "result.json").exists()
+
     @pytest.mark.parametrize("steps", [[], [8, 0], [8, 2.5]])
     def test_feedback_partition_steps(self, tmp_path, capsys, steps):
         cfg = shipped_config("feedback_run.json")

@@ -22,7 +22,7 @@ from pdhj.game import (
     bilinear_game,
     constant_game,
     dp_value,
-    greedy_adversary,
+    greedy_lookahead,
     isaacs_game,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid
@@ -295,8 +295,8 @@ def test_greedy_adversary_reports_node_index():
     broken = OperatorSpec(space=spec.op.space, eval_fn=lambda t, v: np.full_like(v, np.nan),
                           c1=1.0, c2=1.0)
     bad = dataclasses.replace(spec, op=broken)
-    policy = greedy_adversary(bad, table)
     x = Path.constant(grid, [0.1])
     with pytest.raises(SolverError) as err:
-        policy(grid.nodes[3], lambda: x, 0)
+        greedy_lookahead(bad, table, grid.nodes[3], 3, x.values[3][None], lambda _: x,
+                         np.array([0]))
     assert err.value.step_index == 3

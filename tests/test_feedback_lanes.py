@@ -1,4 +1,4 @@
-"""The adversary pool played as lanes, against the game-by-game loop it replaced."""
+"""The adversary pools played as one lane set, against the game-by-game loop it replaced."""
 
 import dataclasses
 import json
@@ -17,8 +17,7 @@ from pdhj.evolution import (
 )
 from pdhj.game import (
     COMPANION_KINDS,
-    COVERAGE_TOL,
-    STEP_SOLVE_TOL,
+    GREEDY,
     ControlGrid,
     FeedbackPlay,
     FeedbackStrategy,
@@ -26,150 +25,21 @@ from pdhj.game import (
     StateLattice,
     ValueTable,
     adversary_pool,
-    constant_adversary,
     constant_game,
     dp_value,
     extremal_shift_strategy,
-    greedy_adversary,
+    greedy_lookahead,
     isaacs_game,
     lyapunov_violation_stats,
     play_feedback_games,
-    random_adversary,
     step_rate_bound,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid, stopped_at
-from pdhj.upsilon import LyapunovParams, surrogate_terms
-from scalar_reference import _implicit_step, calibrate_step_bound, callback_game, drift, \
-    estimate_guaranteed_result, reference_game, stage_cost, stage_matrix
-
-
-# ---------------------------------------------------------------------------
-# references: the one-game loops, kept verbatim
-# ---------------------------------------------------------------------------
-
-def _probe_candidates_reference(strategy, t, state):
-    """The one-state probe read: (kept indices, offsets, values)."""
-    offsets = strategy._probe_offsets(t, len(state))
-    probes = state - offsets
-    kept = np.flatnonzero(strategy.value.lattice.coverage_margins(probes) <= COVERAGE_TOL)
-    u_vals = strategy.value.interp_batch("upper", t, probes[kept]) if kept.size \
-        else np.empty(0)
-    return kept.tolist(), offsets[kept], u_vals
-
-
-def _companion_minimum_reference(strategy, t, x):
-    """The one-game companion minimum that companion_minima replaced."""
-    k = x.grid.node_index(t)
-    X = x.values[: k + 1]
-    alpha = strategy.params.alpha(t)
-    eps4 = strategy.params.epsilon ** 4
-    trace_state = X[-1]
-    best = (float(strategy.value.interp("upper", t, trace_state) + alpha * np.sqrt(eps4)),
-            "trace", 0, np.zeros(x.dim))
-
-    def consider(kind, indices, diffs, u_vals):
-        nonlocal best
-        sq = np.sum(diffs ** 2, axis=2)
-        ups, factor = surrogate_terms(sq.max(axis=0), sq[-1])
-        beta = np.sqrt(eps4 + ups)
-        total = u_vals + alpha * beta
-        i = int(np.argmin(total))
-        if total[i] < best[0]:
-            best = (float(total[i]), kind, indices[i],
-                    (alpha / (2.0 * beta[i])) * factor[i] * diffs[-1, i])
-
-    kept, offsets, u_vals = _probe_candidates_reference(strategy, t, trace_state)
-    if kept:
-        consider("probe", kept, offsets[None, :, :], u_vals)
-    points = strategy._lattice_points
-    consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
-             strategy.value.interp_batch("upper", t, points))
-    if strategy._library_values is not None:
-        lib = strategy._library_values[: k + 1]
-        consider("library", range(lib.shape[1]), X[:, None, :] - lib,
-                 strategy.value.interp_batch("upper", t, lib[-1]))
-    return best
-
-
-def _run_feedback_game_reference(spec, strategy, adversary, partition):
-    """The one-game loop with its own scalar step loop that play_feedback_games
-    replaced, its per-step records stacked into a one-game FeedbackPlay."""
-    inner = strategy.x0.grid
-    nodes = inner.nodes
-    values = strategy.x0.values.copy()
-    part_nodes = partition.nodes
-    p_indices, q_indices, records = [], [], []
-    running = 0.0
-    x_now = stopped_at(inner, values, inner.node_index(part_nodes[0]))
-    companion = _companion_minimum_reference(strategy, part_nodes[0], x_now)
-    for i in range(partition.n_steps):
-        t_i, t_i1 = part_nodes[i], part_nodes[i + 1]
-        ka, kb = inner.node_index(t_i), inner.node_index(t_i1)
-        p_idx = int(np.argmin(stage_matrix(spec, t_i, x_now, companion[3]).max(axis=1)))
-        q_idx = int(adversary(t_i, lambda: x_now, p_idx))
-        p = spec.controls.p_points[p_idx]
-        q = spec.controls.q_points[q_idx]
-        step_cost = 0.0
-        for k in range(ka, kb):
-            dt = nodes[k + 1] - nodes[k]
-            x_stop = stopped_at(inner, values, k)
-            f = drift(spec, nodes[k], x_stop, p, q)
-            step_cost += dt * stage_cost(spec, nodes[k], x_stop, p, q)
-            target = values[k] + dt * f
-            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(values[k])))
-            values[k + 1], _, _ = _implicit_step(spec.op, nodes[k + 1], dt,
-                                                 target, values[k], tol, k)
-        running += step_cost
-        x_next = stopped_at(inner, values, kb)
-        after = _companion_minimum_reference(strategy, t_i1, x_next)
-        records.append({
-            "t": float(t_i),
-            "dt": float(t_i1 - t_i),
-            "step_cost": step_cost,
-            "u_shifted_before": companion[0],
-            "u_shifted_after": after[0],
-            "residual": step_cost + after[0] - companion[0],
-            "companion_kind": companion[1],
-            "companion_index": companion[2],
-        })
-        x_now, companion = x_next, after
-        p_indices.append(p_idx)
-        q_indices.append(q_idx)
-    final_path = Path(inner, values)
-
-    def column(key):
-        return np.array([rec[key] for rec in records])[:, None]
-
-    return FeedbackPlay(partition=partition, p=np.array(p_indices)[:, None],
-                        q=np.array(q_indices)[:, None], step_cost=column("step_cost"),
-                        u=np.array([rec["u_shifted_before"] for rec in records]
-                                   + [records[-1]["u_shifted_after"]])[:, None],
-                        kind=np.array([COMPANION_KINDS.index(rec["companion_kind"])
-                                       for rec in records])[:, None],
-                        index=column("companion_index"), values=values[:, None, :],
-                        running=np.array([running]),
-                        terminal=spec.final_costs(values[-1][None], lambda _: final_path))
-
-
-def _greedy_reference(spec, value):
-    """The per-q lookahead loop that the batched greedy adversary replaced."""
-
-    def policy(t, x, p_index):
-        p = spec.controls.p_points[p_index]
-        dt = min(value.grid.mesh, value.grid.t_end - t)
-        state = x.value_at(t)
-        k = x.grid.node_index(t)
-        best_j, best_val = 0, -np.inf
-        for j, q in enumerate(spec.controls.q_points):
-            f = drift(spec, t, x, p, q)
-            target = state + dt * f
-            tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
-            succ, _, _ = _implicit_step(spec.op, t + dt, dt, target, state, tol, k)
-            val = dt * stage_cost(spec, t, x, p, q) + value.interp("upper", t + dt, succ)
-            if val > best_val + 1e-15:
-                best_j, best_val = j, val
-        return best_j
-    return policy
+from pdhj.upsilon import LyapunovParams
+from scalar_reference import calibrate_step_bound, callback_game, carried_tables, \
+    companion_minimum_reference, constant_adversary, estimate_guaranteed_result, \
+    greedy_reference, random_adversary, reference_game, reference_pool, \
+    run_feedback_game_reference
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +61,14 @@ def _assert_game_equal(play, g, want):
     _assert_plays_equal(play.lanes([g]), want)
 
 
+def _assert_lanes_match(spec, strategy, play, pool):
+    """Every lane of play against its policy in pool, played alone."""
+    assert play.p.shape[1] == len(pool)
+    for g, adversary in enumerate(pool):
+        _assert_game_equal(play, g, run_feedback_game_reference(spec, strategy, adversary,
+                                                                play.partition))
+
+
 def _planar_game():
     return callback_game(
         op=make_linear_operator(dim=2, gain=1.0),
@@ -201,7 +79,9 @@ def _planar_game():
         l_f=0.8, lambda_L=0.3, name="planar")
 
 
-def _desk(dim, library_size):
+def _desk(dim, library_size, partition_steps=(4, 8)):
+    """A game, its table on an 8-step value grid, and a strategy for the
+    partitions of [0, 1] with the given step counts."""
     if dim == 1:
         spec, x0 = isaacs_game(scale=0.5), [0.4]
         lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
@@ -211,11 +91,27 @@ def _desk(dim, library_size):
     grid = TimeGrid(0.0, 1.0, 8)
     table = dp_value(spec, grid, lattice)
     params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
-    partitions = [TimeGrid(0.0, 1.0, 4), TimeGrid(0.0, 1.0, 8)]
+    partitions = [TimeGrid(0.0, 1.0, n) for n in partition_steps]
     strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, x0),
-                                       partitions[0], value=table,
+                                       partitions, value=table,
                                        library_size=library_size, seed=5)
     return spec, table, strategy, partitions
+
+
+def _companion_widths(monkeypatch):
+    """The number of games of each companion_minima call, recorded."""
+    widths, real = [], FeedbackStrategy.companion_minima
+
+    def counted(self, t, X):
+        widths.append(X.shape[1])
+        return real(self, t, X)
+
+    monkeypatch.setattr(FeedbackStrategy, "companion_minima", counted)
+    return widths
+
+
+def _distinct(table):
+    return np.unique(table, axis=1).shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -225,44 +121,53 @@ def _desk(dim, library_size):
 class TestPoolMatchesGameByGame:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("library_size", [0, 64])
-    def test_every_adversary_kind(self, dim, library_size):
-        spec, table, strategy, partitions = _desk(dim, library_size)
-        # constants, the greedy lookahead, then random adversaries; one pool for
-        # both partitions, so the random generators carry their state across
-        lanes = adversary_pool(spec, table, spec.controls.n_q + 4, seed=17)
-        ref = adversary_pool(spec, table, spec.controls.n_q + 4, seed=17)
+    def test_every_adversary_kind(self, dim, library_size, monkeypatch):
+        # partitions of 3, 4 and 8 steps on the 8-step value grid; 3 and 4 do not nest
+        spec, table, strategy, partitions = _desk(dim, library_size, (3, 4, 8))
+        n_q, budget = spec.controls.n_q, spec.controls.n_q + 4
+        # constants, the greedy lookahead, then random lanes: one pool played on
+        # the partitions in turn (its random draws carry across), and a fresh
+        # pool of the same seed on each
+        _, carried = carried_tables(n_q, budget, 17, partitions)
+        tables = [np.hstack([rows, adversary_pool(n_q, budget, 17, len(rows))[1]])
+                  for rows in carried]
+        widths = _companion_widths(monkeypatch)
+        plays = play_feedback_games(strategy, partitions, tables)
+        monkeypatch.undo()
+        # the distinct columns reach the companion minima once: the first
+        # partition's fresh pool repeats its carried one, and every table's
+        # greedy columns are one
+        assert widths[0] == sum(map(_distinct, tables)) < sum(t.shape[1] for t in tables)
+        assert _distinct(tables[0]) == _distinct(tables[0][:, :budget])
+        carried_pool = reference_pool(spec, table, budget, 17)
         kinds = set()
-        for partition in partitions:
-            play = play_feedback_games(strategy, lanes, partition)
-            assert play.p.shape == (partition.n_steps, len(lanes))
-            for g, adv in enumerate(ref):
-                _assert_game_equal(play, g,
-                                   _run_feedback_game_reference(spec, strategy, adv, partition))
+        for play in plays:
+            _assert_lanes_match(spec, strategy, play,
+                                carried_pool + reference_pool(spec, table, budget, 17))
             kinds.update(play.kind.ravel().tolist())
         assert len(kinds) > 1  # the games' minima come from several kinds
 
     def test_random_generators_carry_across_partitions(self):
         spec, table, strategy, partitions = _desk(1, 8)
         n_q = spec.controls.n_q
-        lanes = [random_adversary(s, n_q) for s in (3, 4, 5)]
-        ref = [random_adversary(s, n_q) for s in (3, 4, 5)]
-        first = [play_feedback_games(strategy, lanes, p) for p in partitions]
-        for partition, play in zip(partitions, first):
-            for g, adv in enumerate(ref):
-                _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
-                                                                         partition))
+        _, tables = carried_tables(n_q, n_q + 4, 3, partitions)
+        randoms = slice(n_q + 1, None)  # random[3], random[4] and random[5]
+        plays = play_feedback_games(strategy, partitions, [t[:, randoms] for t in tables])
+        pool = [random_adversary(s, n_q) for s in (3, 4, 5)]
+        for play in plays:
+            _assert_lanes_match(spec, strategy, play, pool)
         # a fresh pool replays the first partition's choices, the carried one does not
-        fresh = play_feedback_games(strategy,
-                                    [random_adversary(s, n_q) for s in (3, 4, 5)],
-                                    partitions[1])
-        assert not np.array_equal(fresh.q, first[1].q)
+        fresh = adversary_pool(n_q, n_q + 4, 3, partitions[1].n_steps)[1]
+        assert np.array_equal(fresh[: partitions[0].n_steps], tables[0])
+        assert not np.array_equal(fresh, tables[1])
 
     def test_pool_of_one_is_the_one_game_case(self):
         spec, table, strategy, partitions = _desk(1, 16)
-        adv = greedy_adversary(spec, table)
-        for partition in partitions:
-            _assert_plays_equal(play_feedback_games(strategy, [adv], partition),
-                                _run_feedback_game_reference(spec, strategy, adv, partition))
+        plays = play_feedback_games(strategy, partitions,
+                                    [np.full((p.n_steps, 1), GREEDY) for p in partitions])
+        for play in plays:
+            _assert_plays_equal(play, run_feedback_game_reference(
+                spec, strategy, greedy_reference(spec, table), play.partition))
 
     def test_mid_horizon_start(self):
         spec = isaacs_game(scale=0.5)
@@ -273,12 +178,9 @@ class TestPoolMatchesGameByGame:
         partition = TimeGrid(0.5, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.5, x0, partition, value=table,
                                            library_size=8, seed=1)
-        pool = adversary_pool(spec, table, 6, seed=2)
-        ref = adversary_pool(spec, table, 6, seed=2)
-        play = play_feedback_games(strategy, pool, partition)
-        for g, adv in enumerate(ref):
-            _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
-                                                                     partition))
+        _, q = adversary_pool(spec.controls.n_q, 6, 2, partition.n_steps)
+        play, = play_feedback_games(strategy, [partition], [q])
+        _assert_lanes_match(spec, strategy, play, reference_pool(spec, table, 6, 2))
 
     def test_no_scalar_step_on_the_normal_path(self, monkeypatch):
         spec, table, strategy, partitions = _desk(1, 8)
@@ -290,16 +192,37 @@ class TestPoolMatchesGameByGame:
             return fallback(*args)
 
         monkeypatch.setattr(evolution, "_fallback_step", counted)
-        play_feedback_games(strategy, adversary_pool(spec, table, 6, seed=1),
-                            partitions[1])
+        play_feedback_games(strategy, partitions[1:],
+                            [adversary_pool(spec.controls.n_q, 6, 1, partitions[1].n_steps)[1]])
         assert calls == []
 
     def test_empty_pool(self):
         spec, table, strategy, partitions = _desk(1, 0)
-        play = play_feedback_games(strategy, [], partitions[0])
+        play, = play_feedback_games(strategy, partitions[:1],
+                                    [np.zeros((partitions[0].n_steps, 0), dtype=int)])
         assert play.p.shape == play.residual.shape == (partitions[0].n_steps, 0)
         assert play.values.shape == (len(strategy.x0.grid.nodes), 0, 1)
         assert play.payoff.shape == (0,)
+
+    def test_tables_and_partitions_are_checked(self):
+        spec, table, strategy, partitions = _desk(1, 0)
+        with pytest.raises(DomainError, match="q table of shape"):
+            play_feedback_games(strategy, partitions, [np.zeros((4, 1), dtype=int)] * 2)
+        with pytest.raises(DomainError, match="must span"):
+            play_feedback_games(strategy, [TimeGrid(0.5, 1.0, 4)],
+                                [np.zeros((4, 1), dtype=int)])
+
+
+def test_one_draw_is_the_per_cell_draws():
+    # a random lane's column is one integers(n_q, size=n) draw: the values and
+    # the generator state of n draws integers(n_q), as random_adversary makes them
+    for seed in range(50):
+        for n_q in (2, 3, 5):
+            for n in (1, 8, 16, 33):
+                whole, single = np.random.default_rng(seed), np.random.default_rng(seed)
+                drawn = whole.integers(n_q, size=n)
+                assert drawn.tolist() == [int(single.integers(n_q)) for _ in range(n)]
+                assert whole.bit_generator.state == single.bit_generator.state
 
 
 def _isaacs_desk(built_in, grid_steps=8, partition_steps=(4, 8)):
@@ -314,12 +237,6 @@ def _isaacs_desk(built_in, grid_steps=8, partition_steps=(4, 8)):
     strategy = extremal_shift_strategy(spec, params, 0.0, x0, partitions, value=table,
                                        library_size=16, seed=5)
     return spec, table, strategy, partitions, x0
-
-
-def _greedy_reference_lane(spec, value):
-    """_greedy_reference as a lane policy (t, path_of, p_index)."""
-    policy = _greedy_reference(spec, value)
-    return lambda t, path_of, p_index: policy(t, path_of(), p_index)
 
 
 class TestGreedyLanes:
@@ -339,34 +256,45 @@ class TestGreedyLanes:
             spec, table, strategy, (partition,), _ = _isaacs_desk(built_in, 15, (5,))
         off = [t for t in partition.nodes if t not in strategy.x0.grid.nodes]
         assert len(off) == (3 if explicit else 1)
-        n_q = spec.controls.n_q
-        # a maximizer of -u picks other q's than one of u
-        flipped = ValueTable(grid=table.grid, lattice=table.lattice, v_minus=-table.v_minus,
-                             v_plus=-table.v_plus)
-        # two equal greedy adversaries answer as one batch, each other one alone
-        pool = [constant_adversary(2), greedy_adversary(spec, table),
-                greedy_adversary(spec, flipped), random_adversary(4, n_q),
-                greedy_adversary(spec, table)]
-        assert pool[1] == pool[4] and pool[1] != pool[2]
-        ref = [constant_adversary(2), _greedy_reference_lane(spec, table),
-               _greedy_reference_lane(spec, flipped), random_adversary(4, n_q),
-               _greedy_reference_lane(spec, table)]
+        n, n_q = partition.n_steps, spec.controls.n_q
+        # the two greedy lanes are one distinct column, answered as one batch
+        q = np.stack([np.full(n, 2), np.full(n, GREEDY),
+                      np.random.default_rng(4).integers(n_q, size=n), np.full(n, GREEDY)], axis=1)
+        pool = [constant_adversary(2), greedy_reference(spec, table), random_adversary(4, n_q),
+                greedy_reference(spec, table)]
         # each batch reads the x(t) of the stopped path its lanes read alone
-        answers, batches = game._GreedyLookahead.answers, []
+        lookahead, batches = game.greedy_lookahead, []
 
-        def spy(self, t, k, states, path_of, p_indices):
-            for n, state in enumerate(states):
-                assert state.tobytes() == path_of(n).value_at(t).tobytes()
+        def spy(spec, value, t, k, states, path_of, p_indices):
+            for m, state in enumerate(states):
+                assert state.tobytes() == path_of(m).value_at(t).tobytes()
             batches.append(len(states))
-            return answers(self, t, k, states, path_of, p_indices)
+            return lookahead(spec, value, t, k, states, path_of, p_indices)
 
-        monkeypatch.setattr(game._GreedyLookahead, "answers", spy)
-        play = play_feedback_games(strategy, pool, partition)
-        assert batches == [2, 1] * partition.n_steps
-        for g, adv in enumerate(ref):
-            _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
-                                                                     partition))
-        assert not np.array_equal(play.q[:, 2], play.q[:, 1])
+        monkeypatch.setattr(game, "greedy_lookahead", spy)
+        play, = play_feedback_games(strategy, [partition], [q])
+        assert batches == [1] * n
+        _assert_lanes_match(spec, strategy, play, pool)
+        assert np.array_equal(play.q[:, 1], play.q[:, 3])
+
+    def test_one_call_per_partition_time_at_a_node(self, monkeypatch):
+        # the explicit partition's inner nodes lie up to 7e-13 past the regular
+        # one's, on the same simulation nodes: there each time is its own group
+        spec, table, _, _, x0 = _isaacs_desk(True)
+        partitions = [TimeGrid(0.0, 1.0, 4),
+                      TimeGrid.from_nodes([0.0, 0.25 + 5e-13, 0.5 + 3e-13, 0.75 + 7e-13, 1.0])]
+        strategy = extremal_shift_strategy(
+            spec, LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0), 0.0, x0,
+            partitions, value=table, library_size=16, seed=5)
+        assert strategy.x0.grid.n_steps == 8
+        _, q = adversary_pool(spec.controls.n_q, 6, 1, 4)
+        widths = _companion_widths(monkeypatch)
+        plays = play_feedback_games(strategy, partitions, [q, q])
+        monkeypatch.undo()
+        n = _distinct(q)
+        assert widths == [2 * n] + [n, n] * 3 + [2 * n]
+        for play in plays:
+            _assert_lanes_match(spec, strategy, play, reference_pool(spec, table, 6, 1))
 
     @pytest.mark.parametrize("built_in", [True, False])
     def test_stopped_paths_built_only_when_read(self, built_in, monkeypatch):
@@ -378,123 +306,139 @@ class TestGreedyLanes:
             return stopped_at(grid, values, k)
 
         monkeypatch.setattr(game, "stopped_at", counted)
-        pool = adversary_pool(spec, table, 6, seed=1)  # constants, greedy, random
-        play_feedback_games(strategy, pool, partitions[0])
-        # the built-in game reads none; the callback form each lane's path once
-        # per partition node (controls and greedy share it) and once per step
-        assert len(built) == (0 if built_in else len(pool) * (4 + 8))
+        _, q = adversary_pool(spec.controls.n_q, 6, 1, 4)  # constants, greedy, random
+        play_feedback_games(strategy, partitions[:1], [q])
+        # the built-in game reads none; the callback form each distinct lane's
+        # path once per partition node (controls and greedy share it) and
+        # once per step
+        assert len(built) == (0 if built_in else _distinct(q) * (4 + 8))
 
 
 # ---------------------------------------------------------------------------
-# the feedback run's pools as one lane set per partition
+# the feedback run's pools as one lane set
 # ---------------------------------------------------------------------------
 
 def _json_bytes(obj):
     return json.dumps(obj, sort_keys=True).encode()
 
 
-def _random_states(pools):
-    return [adv.generator.bit_generator.state for pool in pools for adv in pool
-            if hasattr(adv, "generator")]
+def _short_config(**changes):
+    path = pathlib.Path(__file__).parents[1] / "bench" / "configs" / "feedback_short.json"
+    return cli.validate_config({**json.loads(path.read_text()), "seed": 0, **changes})
 
 
 class TestPoolsAsOneLaneSet:
     """cli._run_feedback's calibration, estimate and replay pools as one lane
-    set per partition, sliced by pool, against the pools played in separate
-    calls."""
+    set, sliced by pool, against the pools played in separate calls."""
 
     @pytest.mark.parametrize("built_in", [True, False])
     def test_matches_separate_passes(self, built_in):
         spec, table, strategy, partitions, x0 = _isaacs_desk(built_in)
         calibration_budget, budget, seed = 6, 9, 3
-
-        def pools():
-            return (adversary_pool(spec, table, calibration_budget, seed + 1),
-                    adversary_pool(spec, table, budget, seed + 2),
-                    [adversary_pool(spec, table, min(budget, 16), seed + 2) for _ in partitions])
-
-        # one lane set per partition, as cli._run_feedback plays them
-        calibration, pool, replays = pools()
-        played = [play_feedback_games(strategy, calibration + pool + replay, part)
-                  for part, replay in zip(partitions, replays)]
+        n_q = spec.controls.n_q
+        # the tables cli._run_feedback plays: the calibration and estimate
+        # pools carried across the partitions, a fresh replay pool on each
+        _, calibration = carried_tables(n_q, calibration_budget, seed + 1, partitions)
+        labels, estimate = carried_tables(n_q, budget, seed + 2, partitions)
+        replays = [adversary_pool(n_q, min(budget, 16), seed + 2, p.n_steps)[1]
+                   for p in partitions]
+        played = play_feedback_games(strategy, partitions,
+                                     [np.hstack(t) for t in zip(calibration, estimate, replays)])
         pool_lanes = [slice(0, calibration_budget), slice(calibration_budget,
                                                           calibration_budget + budget),
                       slice(calibration_budget + budget, None)]
-        # each pool in its own calls: calibration, then estimate, then replays
-        calibration_ref, pool_ref, replays_ref = pools()
-        separate = [[play_feedback_games(strategy, calibration_ref, p) for p in partitions],
-                    [play_feedback_games(strategy, pool_ref, p) for p in partitions],
-                    [play_feedback_games(strategy, r, p)
-                     for r, p in zip(replays_ref, partitions)]]
+        # each pool in its own call
+        separate = [play_feedback_games(strategy, partitions, tables)
+                    for tables in (calibration, estimate, replays)]
         for i in range(len(partitions)):
             for j in range(3):
                 _assert_plays_equal(played[i].lanes(pool_lanes[j]), separate[j][i])
         # the first partition's replays repeat the estimate's first lanes
         _assert_plays_equal(played[0].lanes(pool_lanes[2]),
                             played[0].lanes(slice(calibration_budget,
-                                                  calibration_budget + len(replays[0]))))
+                                                  calibration_budget + replays[0].shape[1])))
 
         m_hat = step_rate_bound([play.lanes(pool_lanes[0]) for play in played])
         assert m_hat == step_rate_bound(separate[0])
         assert m_hat == calibrate_step_bound(spec, strategy, partitions, calibration_budget,
                                              seed + 1)
-        est = GuaranteeEstimate.from_payoffs(pool, partitions,
+        est = GuaranteeEstimate.from_payoffs(labels, partitions,
                                              [play.payoff[pool_lanes[1]] for play in played],
                                              budget, seed + 2)
         want = estimate_guaranteed_result(spec, strategy, 0.0, x0, budget, partitions,
                                           seed=seed + 2)
         assert _json_bytes(dataclasses.asdict(est)) == _json_bytes(dataclasses.asdict(want))
+        assert est.certificate["pool"] == ["constant[0]", "constant[1]", "constant[2]",
+                                           "greedy-lookahead"] + \
+            [f"random[{seed + 2 + i}]" for i in range(5)]
         assert lyapunov_violation_stats([play.lanes(pool_lanes[2]) for play in played], m_hat) \
             == lyapunov_violation_stats(separate[2], m_hat)
-        states = _random_states([calibration, pool] + replays)
-        assert len(states) == 2 + 5 + 2 * 5
-        assert states == _random_states([calibration_ref, pool_ref] + replays_ref)
+
+    def test_feedback_run_plays_one_lane_set(self, monkeypatch):
+        real, calls = cli.play_feedback_games, []
+
+        def recording(strategy, partitions, tables):
+            calls.append(([p.n_steps for p in partitions], [t.shape[1] for t in tables]))
+            return real(strategy, partitions, tables)
+
+        monkeypatch.setattr(cli, "play_feedback_games", recording)
+        widths = _companion_widths(monkeypatch)
+        cli._run_feedback(_short_config(), {})
+        # one call: the 8 + 24 + 16 lanes of each partition, 96 in all; 62 of
+        # them distinct, each in the one companion_minima call per node
+        assert calls == [([8, 16], [48, 48])]
+        assert len(widths) == 17 and widths[0] == 62
 
 
-def _raise_at_time(t_fail, name):
-    def policy(t, path_of, p_index):
-        if abs(t - t_fail) < 1e-12:
-            raise RuntimeError(name)
-        return 0
-    return policy
+def _capped():
+    """A dim-1 operator that is NaN past |x| = 1: a lane kicked by q = 40
+    fails the implicit step of the cell it is kicked in."""
+    return OperatorSpec(space=StateSpace(dim=1), c1=1.0, c2=1.0,
+                        eval_fn=lambda t, v: np.where(np.abs(v) > 1.0, np.nan, v))
+
+
+def _kicked(partition, t_kick):
+    """A one-lane q table on partition: q index 2 in the cell that starts at
+    t_kick, if one does, and 0 elsewhere."""
+    return (np.abs(partition.nodes[:-1] - t_kick) < 1e-12).astype(int)[:, None] * 2
 
 
 class TestPoolErrorOrder:
-    """With one lane set per partition a partition's error wins whichever
-    pool it is on; played pool by pool, every calibration error came first."""
+    """All partitions step together, so the earliest step's error wins
+    whichever partition its lane is on; played partition by partition, the
+    first partition's error came first."""
 
     @pytest.mark.parametrize("t_calibration, t_estimate", [
         (0.125, 0.75),  # calibration fails on the finer partition only
         (0.75, 0.25),   # both fail on the coarser one, the estimate earlier
     ])
     def test_the_earlier_error_of_the_lane_set(self, t_calibration, t_estimate):
-        spec, _, strategy, partitions, _ = _isaacs_desk(True)
-        calibration = [constant_adversary(0), _raise_at_time(t_calibration, "calibration")]
-        estimate = [_raise_at_time(t_estimate, "estimate"), constant_adversary(1)]
-        with pytest.raises(RuntimeError, match="^calibration$"):
-            for pool in (calibration, estimate):
-                for part in partitions:
-                    play_feedback_games(strategy, pool, part)
-        with pytest.raises(RuntimeError, match="^estimate$"):
-            for part in partitions:
-                play_feedback_games(strategy, calibration + estimate, part)
+        base, _, strategy, partitions, _ = _isaacs_desk(True)
+        playing = _playing(strategy, _variant(base, op=_capped(), q_points=(0.0, 1.0, 40.0)))
+        tables = [np.hstack([np.zeros((p.n_steps, 1), dtype=int), _kicked(p, t_calibration),
+                             _kicked(p, t_estimate)]) for p in partitions]
+        with pytest.raises(SolverError) as err:
+            play_feedback_games(playing, partitions, tables)
+        # the simulation grid has 8 steps, so the kick at t fails step 8 t
+        assert err.value.step_index == 8 * min(t_calibration, t_estimate)
+        with pytest.raises(SolverError) as coarse:
+            play_feedback_games(playing, partitions[:1], tables[:1])
+        assert coarse.value.step_index == (6 if t_calibration == 0.125 else 2)
 
-    def test_feedback_run_raises_the_coarser_partitions_error(self, monkeypatch):
-        path = pathlib.Path(__file__).parents[1] / "bench" / "configs" / "feedback_short.json"
-        cfg = cli.validate_config({**json.loads(path.read_text()), "seed": 0, "budget": 20})
-        real = cli.adversary_pool
+    def test_feedback_run_raises_the_earliest_steps_error(self, monkeypatch):
+        real = cli.play_feedback_games
 
-        def with_raiser(spec, value, budget, seed):
-            pool = real(spec, value, budget, seed)
-            if (budget, seed) == (cfg["calibration_budget"], 1):
-                pool.append(_raise_at_time(0.0625, "calibration"))  # a 16-step node only
-            elif (budget, seed) == (20, 2):
-                pool.append(_raise_at_time(0.75, "estimate"))
-            return pool
+        def kicked(strategy, partitions, tables):
+            spec = _variant(strategy.spec, op=_capped(), q_points=(0.0, 1.0, 40.0))
+            tables = [np.zeros_like(table) for table in tables]
+            tables[0][6, 8] = 2  # the estimate's first lane, t = 0.75 on 8 steps: step 12
+            tables[1][1, 0] = 2  # the calibration's first lane, t = 0.0625 on 16 steps: step 1
+            return real(_playing(strategy, spec), partitions, tables)
 
-        monkeypatch.setattr(cli, "adversary_pool", with_raiser)
-        with pytest.raises(RuntimeError, match="^estimate$"):
-            cli._run_feedback(cfg, {})
+        monkeypatch.setattr(cli, "play_feedback_games", kicked)
+        with pytest.raises(SolverError) as err:
+            cli._run_feedback(_short_config(budget=20), {})
+        assert err.value.step_index == 1
 
 
 # ---------------------------------------------------------------------------
@@ -515,27 +459,23 @@ class TestCompanionTies:
         strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.0]),
                                            partition, value=table, library_size=64, seed=0)
         assert np.all(strategy._library_values == 0.0)
-        pool = [constant_adversary(0), constant_adversary(0)]
-        play = play_feedback_games(strategy, pool, partition)
+        play, = play_feedback_games(strategy, [partition],
+                                    [np.zeros((partition.n_steps, 2), dtype=int)])
         assert np.all(play.values == 0.0)
-        for g, adv in enumerate(pool):
-            _assert_game_equal(play, g, _run_feedback_game_reference(spec, strategy, adv,
-                                                                     partition))
+        _assert_lanes_match(spec, strategy, play, [constant_adversary(0)] * 2)
         assert np.all(play.kind == COMPANION_KINDS.index("trace"))
 
     def test_lattice_kind_wins_cells_on_the_bilinear_short_run(self, monkeypatch):
         # on the isaacs feedback configs the lattice companion never wins a
         # cell; on the bilinear game of the short run it wins 153 of 1,152 at
         # seed 0, so the kind is live and must stay
-        path = pathlib.Path(__file__).parents[1] / "bench" / "configs" / "feedback_short.json"
-        cfg = cli.validate_config({**json.loads(path.read_text()), "seed": 0,
-                                   "game": {"kind": "bilinear"}, "epsilon_fraction": 1.0})
+        cfg = _short_config(game={"kind": "bilinear"}, epsilon_fraction=1.0)
         real, kinds = cli.play_feedback_games, []
 
-        def recording(strategy, adversaries, partition):
-            play = real(strategy, adversaries, partition)
-            kinds.append(play.kind.ravel())
-            return play
+        def recording(strategy, partitions, tables):
+            plays = real(strategy, partitions, tables)
+            kinds.extend(play.kind.ravel() for play in plays)
+            return plays
 
         monkeypatch.setattr(cli, "play_feedback_games", recording)
         cli._run_feedback(cfg, {})
@@ -582,7 +522,7 @@ class TestCompanionTies:
                 (float, int, int, (3, 1))
             for g in range(3):
                 x = Path(grid, np.concatenate([X[:, g], np.repeat(X[-1:, g], 8 - k, axis=0)]))
-                want = _companion_minimum_reference(strategy, t, x)
+                want = companion_minimum_reference(strategy, t, x)
                 assert (totals[g], COMPANION_KINDS[kinds[g]], indices[g]) == want[:3]
                 assert gradients[g].tobytes() == np.asarray(want[3], dtype=float).tobytes()
             if expect is not None:
@@ -594,18 +534,9 @@ class TestCompanionTies:
 # ---------------------------------------------------------------------------
 
 def _kick(node, big=2):
-    """An adversary playing q index `big` at partition node `node` (of 4), else 0."""
-    def policy(t, path_of, p_index):
-        return big if int(round(t * 4)) == node else 0
-    return policy
-
-
-def _raise_at(node):
-    def policy(t, path_of, p_index):
-        if int(round(t * 4)) >= node:
-            raise RuntimeError(f"adversary failed at node {node}")
-        return 0
-    return policy
+    """The q column of an adversary playing q index `big` in cell `node` (of
+    4), else 0; node None never kicks."""
+    return np.array([big if i == node else 0 for i in range(4)])
 
 
 def _playing(strategy, spec):
@@ -637,9 +568,10 @@ class TestPoolErrors:
 
     partition = TimeGrid(0.0, 1.0, 4)
 
-    def _error(self, spec, strategy, pool):
+    def _error(self, spec, strategy, *columns):
         with pytest.raises(Exception) as info:
-            play_feedback_games(_playing(strategy, spec), pool, self.partition)
+            play_feedback_games(_playing(strategy, spec), [self.partition],
+                                [np.stack(columns, axis=1)])
         return info.value
 
     def _strategy(self):
@@ -652,8 +584,7 @@ class TestPoolErrors:
                           eval_fn=lambda t, v: np.where(np.abs(v) > 1.0, np.nan, v))
         spec = _variant(base, op=op, q_points=(0.0, 1.0, 40.0))
         # game 1 fails at node 3 (step 6), game 2 earlier, at node 1 (step 2)
-        err = self._error(spec, strategy,
-                          [constant_adversary(0), _kick(3), _kick(1), constant_adversary(0)])
+        err = self._error(spec, strategy, _kick(None), _kick(3), _kick(1), _kick(None))
         assert type(err) is SolverError
         assert str(err) == "bisection failed to converge at step 2" and err.step_index == 2
 
@@ -667,28 +598,35 @@ class TestPoolErrors:
         # game 1 (q = 1.5) crosses 0.8 later than game 2 (q = 3), which is past
         # it at t = 0.25; the strategy's full-grid control pick at that node
         # raises at game 2's first pair
-        err = self._error(spec, strategy, [constant_adversary(j) for j in (0, 1, 2)])
+        err = self._error(spec, strategy, *np.full((3, 4), [[0], [1], [2]]))
         assert type(err) is EvaluationError
         assert str(err) == "non-finite running cost at t=0.25, p=-1.0, q=0.0"
 
     def test_adversary_error_of_the_lower_game(self):
         base, strategy = self._strategy()
-        err = self._error(base, strategy,
-                          [constant_adversary(0), _raise_at(3), _raise_at(1)])
-        assert type(err) is RuntimeError and str(err) == "adversary failed at node 1"
+
+        def running(t, x, p, q):
+            return np.inf if x.value_at(t)[0] > 0.8 else 0.1
+
+        spec = _variant(base, q_points=(0.0, 1.5, 8.0), running_cost=running)
+        # the kick of game 2's adversary in cell 1 takes its state past 0.8 one
+        # step later, before game 1's kick in cell 3: the played pair's cost
+        err = self._error(spec, strategy, _kick(None), _kick(3), _kick(1))
+        assert type(err) is EvaluationError
+        assert str(err) == "non-finite running cost at t=0.375, p=-1.0, q=8.0"
 
     def test_coverage_error_names_the_lower_games_margin(self):
         base, strategy = self._strategy()
         spec = _variant(base, q_points=(0.0, 4.0, 8.0))
         # game 1 leaves [-2, 2] later and by less than game 2; the companion
         # read after game 2 leaves reports game 2's margin
-        err = self._error(spec, strategy, [constant_adversary(j) for j in (0, 1, 2)])
+        err = self._error(spec, strategy, *np.full((3, 4), [[0], [1], [2]]))
         assert type(err) is LatticeCoverageError
         assert str(err) == ("state leaves the lattice by 1.255357e+00; "
                             "expand bounds by at least that margin")
         assert err.margin == 1.2553574150281963
         with pytest.raises(LatticeCoverageError) as alone:
-            _run_feedback_game_reference(spec, strategy, constant_adversary(2), self.partition)
+            run_feedback_game_reference(spec, strategy, constant_adversary(2), self.partition)
         assert alone.value.margin == err.margin
 
 
@@ -696,19 +634,26 @@ class TestPoolErrors:
 # the greedy lookahead as one batched step
 # ---------------------------------------------------------------------------
 
+def _greedy_one(spec, table, t, x, p_index):
+    """greedy_lookahead for the one game whose path is x, at its node t."""
+    picks = greedy_lookahead(spec, table, t, x.grid.node_index(t), x.value_at(t)[None],
+                             lambda _: x, np.array([p_index]))
+    assert picks.shape == (1,)
+    return int(picks[0])
+
+
 class TestGreedyBatch:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_per_q_loop(self, dim):
         spec, table, strategy, _ = _desk(dim, 0)
         rng = np.random.default_rng(dim)
         sim = strategy.x0.grid
-        got = greedy_adversary(spec, table)
-        want = _greedy_reference(spec, table)
+        want = greedy_reference(spec, table)
         for _ in range(40):
             x = Path(sim, 0.4 * rng.standard_normal((sim.n_steps + 1, dim)))
             t = float(sim.nodes[rng.integers(sim.n_steps + 1)])
             for p in range(spec.controls.n_p):
-                assert got(t, lambda: x, p) == want(t, x, p)
+                assert _greedy_one(spec, table, t, x, p) == want(t, lambda: x, p)
 
     def test_ties_keep_the_first_q(self):
         spec = constant_game()
@@ -716,7 +661,7 @@ class TestGreedyBatch:
         table = dp_value(spec, grid, StateLattice(lo=(-1.0,), hi=(1.0,), shape=(5,)))
         spec = constant_game(controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.0, 0.0)))
         x = Path.constant(grid, [0.3])
-        assert greedy_adversary(spec, table)(0.25, lambda: x, 0) == 0
+        assert _greedy_one(spec, table, 0.25, x, 0) == 0
 
     @pytest.mark.parametrize("slope, pick", [(8e-16, 0), (1e-14, 2)])
     def test_scores_within_1e_15_tie(self, slope, pick):
@@ -730,19 +675,18 @@ class TestGreedyBatch:
                              terminal_cost=lambda x: 0.0,
                              controls=ControlGrid(p_points=(0.0,), q_points=(0.0, 0.5, 1.0)),
                              l_f=1.0, lambda_L=0.1)
-        adversary = greedy_adversary(spec, table)
         xs = [Path.constant(grid, [v]) for v in (0.3, -0.2)]
-        assert adversary(0.25, lambda: xs[0], 0) == pick
+        assert _greedy_one(spec, table, 0.25, xs[0], 0) == pick
         # two games in one batch pick as each does alone
-        picks = adversary.answers(0.25, 1, np.array([[0.3], [-0.2]]), lambda n: xs[n],
-                                  np.array([0, 0]))
+        picks = greedy_lookahead(spec, table, 0.25, 1, np.array([[0.3], [-0.2]]),
+                                 lambda n: xs[n], np.array([0, 0]))
         assert picks.tolist() == [pick, pick]
 
     def _error(self, spec, table, t=0.25, state=0.1):
         # the table's grid has mesh 0.125, the lookahead step
         x = Path.constant(table.grid, [state])
         with pytest.raises(Exception) as info:
-            greedy_adversary(spec, table)(t, lambda: x, 0)
+            _greedy_one(spec, table, t, x, 0)
         return info.value
 
     def test_cost_of_an_earlier_q_before_a_later_drift(self):
@@ -793,8 +737,8 @@ def test_wrong_shape_operator_raises_like_dp_value():
         (lambda: dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))), 297),
         (lambda: solve_delay_evolution(broken, 0.0, hist, lipschitz_L=1.0), 1),
         (lambda: sample_reachable_set(broken, 0.0, hist, 4, 0, lipschitz_L=1.0), 4),
-        (lambda: play_feedback_games(_playing(strategy, spec), [constant_adversary(0)] * 2,
-                                     partitions[0]), 2),
+        (lambda: play_feedback_games(_playing(strategy, spec), partitions[:1],
+                                     [np.tile([0, 1], (partitions[0].n_steps, 1))]), 2),
     ]
     for call, rows in cases:
         with pytest.raises(DomainError) as err:

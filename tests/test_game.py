@@ -16,7 +16,6 @@ from pdhj.game import (
     StateLattice,
     ValueTable,
     bilinear_game,
-    constant_adversary,
     constant_game,
     dp_value,
     extremal_shift_strategy,
@@ -26,7 +25,6 @@ from pdhj.game import (
     isaacs_game,
     lyapunov_violation_stats,
     play_feedback_games,
-    random_adversary,
     simulation_grid,
     step_rate_bound,
     with_drift_perturbation,
@@ -453,9 +451,9 @@ class TestFeedbackStrategy:
         x0 = one_point_path(grid, 0.4)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=2)
-        adv = constant_adversary(1)
-        first = play_feedback_games(strategy, [adv], partition)
-        second = play_feedback_games(strategy, [adv], partition)
+        q = np.ones((partition.n_steps, 1), dtype=int)
+        first, = play_feedback_games(strategy, [partition], [q])
+        second, = play_feedback_games(strategy, [partition], [q])
         assert np.array_equal(first.p, second.p)
         assert np.array_equal(first.values, second.values)
         assert first.payoff == second.payoff
@@ -465,8 +463,8 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=8, seed=3)
-        play = play_feedback_games(strategy, [random_adversary(5, spec.controls.n_q)],
-                                   partition)
+        play, = play_feedback_games(strategy, [partition], [
+            np.random.default_rng(5).integers(spec.controls.n_q, size=(partition.n_steps, 1))])
         running = 0.0
         for cost in play.step_cost[:, 0]:  # the cells' costs, added in cell order
             running += cost
@@ -482,9 +480,11 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.2),
                                            partition, value=table, library_size=4, seed=4)
-        for adv in (constant_adversary(0), constant_adversary(2),
-                    random_adversary(1, 3)):
-            assert play_feedback_games(strategy, [adv], partition).payoff[0] == 0.0
+        # constant[0], constant[2] and random[1]
+        q = np.stack([np.zeros(4, dtype=int), np.full(4, 2),
+                      np.random.default_rng(1).integers(3, size=4)], axis=1)
+        play, = play_feedback_games(strategy, [partition], [q])
+        assert play.payoff.tolist() == [0.0, 0.0, 0.0]
 
     def test_simulation_grid_unions_nodes(self):
         value_grid = TimeGrid(0.0, 1.0, 32)
@@ -497,8 +497,9 @@ class TestFeedbackStrategy:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=4, seed=6)
-        play = play_feedback_games(strategy, [constant_adversary(0), random_adversary(1, 3)],
-                                   partition)
+        q = np.stack([np.zeros(4, dtype=int), np.random.default_rng(1).integers(3, size=4)],
+                     axis=1)  # constant[0] and random[1]
+        play, = play_feedback_games(strategy, [partition], [q])
         for name in ("p", "q", "step_cost", "kind", "index", "residual"):
             assert getattr(play, name).shape == (4, 2), name
         assert play.u.shape == (5, 2)
@@ -575,7 +576,7 @@ class TestGuaranteedResult:
         partition = TimeGrid.from_nodes([0.5, 0.75, 1.0])
         strategy = extremal_shift_strategy(spec, params, 0.5, hist, partition,
                                            value=table, library_size=8, seed=10)
-        play = play_feedback_games(strategy, [constant_adversary(2)], partition)
+        play, = play_feedback_games(strategy, [partition], [np.full((2, 1), 2)])
         sim = strategy.x0.grid
         k0 = sim.node_index(0.5)
         expected = np.array([hist.value_at(t) for t in sim.nodes[: k0 + 1]])
@@ -618,10 +619,10 @@ class TestPlayReductions:
         assert lyapunov_violation_stats([], 2.0)["fraction_within"] == 1.0
 
     def test_worst_payoff_tie_keeps_the_earlier_adversary(self):
-        pool = [constant_adversary(j) for j in range(4)]
+        labels = [f"constant[{j}]" for j in range(4)]
         partitions = [TimeGrid(0.0, 1.0, 4), TimeGrid(0.0, 1.0, 8)]
         est = GuaranteeEstimate.from_payoffs(
-            pool, partitions, [np.array([1.0, 3.0, 3.0, 2.0]), np.array([0.5, 0.5, 0.0, 0.5])],
+            labels, partitions, [np.array([1.0, 3.0, 3.0, 2.0]), np.array([0.5, 0.5, 0.0, 0.5])],
             budget=4, seed=0)
         assert [(p["worst_payoff"], p["worst_adversary"]) for p in est.per_partition] == \
             [(3.0, "constant[1]"), (0.5, "constant[0]")]
@@ -660,7 +661,7 @@ class TestTwoDimensional:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, x0, partition,
                                            value=table, library_size=8, seed=11)
-        play = play_feedback_games(strategy, [constant_adversary(1)], partition)
+        play, = play_feedback_games(strategy, [partition], [np.ones((4, 1), dtype=int)])
         assert np.all(np.isfinite(play.values))
         assert play.payoff[0] == play.running[0] + play.terminal[0]
 
@@ -740,8 +741,10 @@ class TestCompanionOncePerNode:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
                                            partition, value=table, library_size=8, seed=2)
-        pool = [random_adversary(3, spec.controls.n_q), constant_adversary(0),
-                random_adversary(4, spec.controls.n_q)]
+        # random[3], constant[0] and random[4]
+        q = np.stack([np.random.default_rng(3).integers(spec.controls.n_q, size=4),
+                      np.zeros(4, dtype=int),
+                      np.random.default_rng(4).integers(spec.controls.n_q, size=4)], axis=1)
         calls = []
         original = FeedbackStrategy.companion_minima
 
@@ -750,12 +753,12 @@ class TestCompanionOncePerNode:
             return original(self, t, X)
 
         monkeypatch.setattr(FeedbackStrategy, "companion_minima", counted)
-        play = play_feedback_games(strategy, pool, partition)
+        play, = play_feedback_games(strategy, [partition], [q])
         monkeypatch.undo()
         # n + 1 batched calls for n steps, each for the whole pool
-        assert calls == [(t, len(pool)) for t in partition.nodes]
+        assert calls == [(t, 3) for t in partition.nodes]
         # each cell holds the companion minimum on the path stopped at its nodes
-        for g in range(len(pool)):
+        for g in range(3):
             self._check_cells(strategy, partition, play, g)
 
     @staticmethod

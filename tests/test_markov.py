@@ -34,7 +34,7 @@ from pdhj.game import (
     constant_game,
     dp_value,
     extremal_shift_strategy,
-    greedy_adversary,
+    greedy_lookahead,
     isaacs_game,
     play_feedback_games,
     with_drift_perturbation,
@@ -310,8 +310,8 @@ class TestConsumersMatchThePathForm:
             strategy = extremal_shift_strategy(form, params, 0.0, x0, partition, value=table,
                                                library_size=16, seed=3)
             # constants, the greedy lookahead, then three random adversaries
-            pool = adversary_pool(form, table, n_q + 4, seed=21)
-            plays.append(play_feedback_games(strategy, pool, partition))
+            _, q = adversary_pool(n_q, n_q + 4, 21, partition.n_steps)
+            plays.extend(play_feedback_games(strategy, [partition], [q]))
         got, want = plays
         for f in dataclasses.fields(FeedbackPlay)[1:]:
             assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
@@ -327,13 +327,15 @@ class TestConsumersMatchThePathForm:
         table, _ = _tables(name, self.grid)
         dim = spec.op.space.dim
         rng = np.random.default_rng(8)
-        got, want = greedy_adversary(spec, table), greedy_adversary(_path_form(name), table)
         for _ in range(30):
             k = int(rng.integers(self.grid.n_steps))
             x = stopped_at(self.grid, rng.uniform(-1.0, 1.0, (self.grid.n_steps + 1, dim)), k)
-            for p in range(spec.controls.n_p):
-                assert got(self.grid.nodes[k], lambda: x, p) == \
-                    want(self.grid.nodes[k], lambda: x, p)
+            p = np.arange(spec.controls.n_p)
+            states = np.repeat(x.values[k][None], len(p), axis=0)
+            got, want = (greedy_lookahead(form, table, self.grid.nodes[k], k, states,
+                                          lambda _: x, p)
+                         for form in (spec, _path_form(name)))
+            assert got.tolist() == want.tolist()
 
 
 # ---------------------------------------------------------------------------

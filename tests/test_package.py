@@ -3,6 +3,7 @@ references that live in tests/scalar_reference.py are names of neither the
 package nor the modules they came from, and the names and parameters that
 were deleted stay deleted."""
 
+import functools
 import importlib
 import inspect
 import types
@@ -30,7 +31,10 @@ MOVED_METHODS = {
 # the per-game feedback records, the general-forcing adapter, the game's
 # second copy of its dynamics, the second stopped-sup kernel and the knobs no
 # caller set, deleted outright
-DELETED = {"game": ("StrategyTrace", "play_pools"),
+DELETED = {"game": ("StrategyTrace", "play_pools",
+                    # adversaries are q tables: the callables and the lookahead class
+                    "constant_adversary", "random_adversary", "greedy_adversary",
+                    "_GreedyLookahead"),
            "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing",
                          "DelayDynamics"),
            "pathcore": ("sup_norms",),
@@ -56,13 +60,16 @@ DELETED_PARAMETERS = {
     ("evolution", "sample_reachable_set"): ("dyn",),
     ("game", "FeedbackStrategy"): ("side",),
     ("game", "extremal_shift_strategy"): ("side",),
+    # the owner went too (listed in DELETED), and its parameters with it
     ("game", "greedy_adversary"): ("side", "lookahead"),
     ("game", "_GreedyLookahead"): ("side", "lookahead"),
     ("game", "step_rate_bound"): ("floor",),
     ("minimax", "_characteristic_functional"): ("spec",),
     # one stage and one terminal function per game
     ("game", "GameSpec"): ("dyn", "rhs", "running_cost", "terminal_cost", "markov_terms"),
-    ("game", "play_feedback_games"): ("spec",),
+    # one call plays every partition's q table
+    ("game", "play_feedback_games"): ("spec", "adversaries", "partition"),
+    ("game", "GuaranteeEstimate.from_payoffs"): ("pool",),
     ("game", "HamiltonianEval"): ("minus_q_index", "minus_p_index", "plus_p_index",
                                   "plus_q_index"),
     ("game", "ValueTable"): ("metadata",),
@@ -118,6 +125,10 @@ def test_deleted_methods_are_gone(module, cls, name):
                                                for (m, o), names in DELETED_PARAMETERS.items()
                                                for n in names])
 def test_deleted_parameters_are_gone(module, owner, name):
-    params = inspect.signature(getattr(importlib.import_module(f"pdhj.{module}"), owner)).parameters
+    if owner in DELETED.get(module, ()):  # the owner went, and its parameters with it
+        assert not hasattr(importlib.import_module(f"pdhj.{module}"), owner)
+        return
+    owner = functools.reduce(getattr, owner.split("."), importlib.import_module(f"pdhj.{module}"))
+    params = inspect.signature(owner).parameters
     assert params  # the owner still takes its other parameters
     assert name not in params

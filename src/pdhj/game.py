@@ -621,13 +621,16 @@ class FeedbackStrategy:
     control index achieving min over p of max over q of
     cost + (f, grad nu(t, x - companion)).
 
-    Candidates: the trace itself (zero difference), lattice states lifted to
-    constant-history paths, a seeded library of reachable-tube samples, and
-    directional probe companions -- the trace with a small terminal offset
-    reachable by diverting forcing slack since t0.  The probes realize the
-    penalty's cone geometry near zero difference: the exact minimizer over the
-    tube sits a tiny value-downhill offset from the trace, and its gradient is
-    what aims the control.
+    Candidates: the trace itself (zero difference), directional probe
+    companions -- the trace with a small terminal offset reachable by
+    diverting forcing slack since t0 -- and the path candidates: the lattice
+    states as constant-history paths, then a seeded library of
+    reachable-tube samples, held as one (node, candidate, coordinate) array
+    on the simulation grid.  The probes realize the penalty's cone geometry
+    near zero difference: the exact minimizer over the tube sits a tiny
+    value-downhill offset from the trace, and its gradient is what aims the
+    control.  A probe or path end off the lattice has no upper value and is
+    dropped.
     """
 
     # fraction of the forcing envelope assumed divertible to companion drift
@@ -644,10 +647,14 @@ class FeedbackStrategy:
         self.t0 = t0
         self.x0 = x0
         self.library = list(library)
-        self._lattice_points = value.lattice.points()
-        # (node, sample, coordinate): a node prefix is one contiguous slice
-        self._library_values = np.stack([y.values for y in self.library], axis=1) \
-            if self.library else None
+        points = value.lattice.points()
+        # (node, candidate, coordinate): a node prefix is one contiguous slice
+        self._paths = np.concatenate([np.broadcast_to(points, (len(x0.values),) + points.shape)]
+                                     + [y.values[:, None] for y in self.library], axis=1)
+        sizes = (len(points), len(self.library))
+        self._path_kinds = np.repeat([COMPANION_KINDS.index(k) for k in ("lattice", "library")],
+                                     sizes)
+        self._path_indices = np.concatenate([np.arange(n) for n in sizes])
 
     def _probe_offsets(self, t: float, dim: int) -> np.ndarray:
         """Admissible terminal offsets, shape (n, dim): +/- scaled eps^2 steps per
@@ -662,22 +669,14 @@ class FeedbackStrategy:
             offsets[:, d, 1, d] = -steps
         return offsets.reshape(-1, dim)
 
-    def _probe_candidates(self, t: float, states: np.ndarray):
-        """(offsets, kept, values) of the probes state - offset for each row of
-        states, shape (game, dim).
-
-        offsets is _probe_offsets(t, dim); kept, shape (game, offset), marks the
-        probes interpolate_batch would accept, and values holds theirs, read with
-        one interp_batch call (+inf where a probe is dropped).
-        """
-        offsets = self._probe_offsets(t, states.shape[1])
-        probes = (states[:, None, :] - offsets[None, :, :]).reshape(-1, states.shape[1])
-        kept = self.value.lattice.coverage_margins(probes) <= COVERAGE_TOL
-        u_vals = np.full(len(probes), np.inf)
+    def _masked_upper(self, t: float, states: np.ndarray) -> np.ndarray:
+        """Upper value at each row of states, read with one interp_batch call;
+        +inf for a row interpolate_batch would refuse (off the lattice)."""
+        kept = self.value.lattice.coverage_margins(states) <= COVERAGE_TOL
+        u_vals = np.full(len(states), np.inf)
         if kept.any():
-            u_vals[kept] = self.value.interp_batch("upper", t, probes[kept])
-        shape = (len(states), len(offsets))
-        return offsets, kept.reshape(shape), u_vals.reshape(shape)
+            u_vals[kept] = self.value.interp_batch("upper", t, states[kept])
+        return u_vals
 
     def companion_minima(self, t: float, X: np.ndarray):
         """Approximate argmin of u + nu for many games at one node, as arrays
@@ -687,59 +686,48 @@ class FeedbackStrategy:
         the gradient d/dx nu(t, x - companion) that aims the control.
 
         X holds each game's node values up to t, shape (node, game,
-        coordinate), on the simulation grid.  The trace (zero difference,
-        gradient 0) is each game's first candidate.  Each further kind is
-        scored by one surrogate_terms call over its (game, candidate) pairs,
-        whose difference paths are (node, game, candidate, coordinate) arrays
-        ending at t.  The traces, the probes kept per game, and the lattice and
-        library candidates shared by all games are each read with one
-        interp_batch call.  A candidate replaces a game's best only when
-        strictly smaller, so ties keep the earlier kind and the smaller index.
-        Each game's entries are bit-identical to a call with that game alone.
-        A failed read raises for the batch as a whole.
+        coordinate), on the simulation grid.  Each game's candidates are its
+        trace (zero difference, gradient 0), whose read must succeed, its
+        probes, then the path candidates.  The probes and the path ends are
+        read with one masked read: a candidate off the lattice reads +inf and
+        is dropped.  One scan over the nodes carries each (game, path
+        candidate) pair's running maximum of |x - y|^2 and its last
+        difference, and one surrogate_terms call scores every candidate.  The
+        first minimum wins, so ties keep the earlier kind and the smaller
+        index.  Each game's entries are bit-identical to a call with that
+        game alone.
         """
         n_games, dim = X.shape[1], X.shape[2]
-        alpha = self.params.alpha(t)
-        eps4 = self.params.epsilon ** 4
         states = X[-1]
-        totals = self.value.interp_batch("upper", t, states) + alpha * np.sqrt(eps4)
-        kinds = np.zeros(n_games, dtype=int)  # the trace
-        indices = np.zeros(n_games, dtype=int)
-        gradients = np.zeros((n_games, dim))
-        rows = np.arange(n_games)
-
-        def consider(kind, diffs, u_vals):
-            sq = np.sum(diffs ** 2, axis=3)
-            ups, factor = surrogate_terms(sq.max(axis=0), sq[-1])
-            beta = np.sqrt(eps4 + ups)
-            total = u_vals + alpha * beta  # (game, candidate)
-            i = np.argmin(total, axis=1)
-            better = total[rows, i] < totals
-            if not better.any():
-                return
-            g, i = rows[better], i[better]
-            totals[g] = total[g, i]
-            kinds[g] = COMPANION_KINDS.index(kind)
-            indices[g] = i
-            beta, factor = (np.broadcast_to(a, total.shape)[g, i] for a in (beta, factor))
-            last = np.broadcast_to(diffs[-1], total.shape + (dim,))[g, i]
-            gradients[g] = ((alpha / (2.0 * beta)) * factor)[:, None] * last
-
-        # probes: trace plus a gradual drift to offset o; the difference path
-        # rises to |o| at time t, so its last row alone carries sup = cur = |o|
-        offsets, kept, u_vals = self._probe_candidates(t, states)
-        if kept.any():
-            consider("probe", offsets[None, None, :, :], u_vals)
-
-        points = self._lattice_points
-        consider("lattice", X[:, :, None, :] - points[None, None, :, :],
-                 self.value.interp_batch("upper", t, points))
-
-        if self._library_values is not None:
-            lib = self._library_values[: X.shape[0]]
-            consider("library", X[:, :, None, :] - lib[:, None, :, :],
-                     self.value.interp_batch("upper", t, lib[-1]))
-        return totals, kinds, indices, gradients
+        offsets = self._probe_offsets(t, dim)
+        paths = self._paths[: len(X)]
+        probes = (states[:, None, :] - offsets).reshape(-1, dim)
+        ends = self._masked_upper(t, np.concatenate([probes, paths[-1]]))
+        # columns: the trace, the probes, then the path candidates
+        u_vals = np.hstack([self.value.interp_batch("upper", t, states)[:, None],
+                            ends[: len(probes)].reshape(n_games, len(offsets)),
+                            np.broadcast_to(ends[len(probes):], (n_games, paths.shape[1]))])
+        sup_sq = np.zeros((n_games, paths.shape[1]))  # exact: squared sums are >= +0.0
+        for x, y in zip(X, paths):
+            diff = x[:, None, :] - y
+            sq = np.sum(diff ** 2, axis=-1)
+            np.maximum(sup_sq, sq, out=sup_sq)
+        # the trace's difference is 0; a probe's rises to its offset o at time
+        # t, so its last row alone carries sup = cur = |o|^2
+        fixed = np.concatenate([np.zeros((1, dim)), offsets])
+        fixed_sq = np.broadcast_to(np.sum(fixed ** 2, axis=-1), (n_games, len(fixed)))
+        last = np.concatenate([np.broadcast_to(fixed, (n_games,) + fixed.shape), diff], axis=1)
+        ups, factor = surrogate_terms(np.hstack([fixed_sq, sup_sq]), np.hstack([fixed_sq, sq]))
+        alpha = self.params.alpha(t)
+        beta = np.sqrt(self.params.epsilon ** 4 + ups)
+        total = u_vals + alpha * beta  # (game, candidate)
+        rows, i = np.arange(n_games), np.argmin(total, axis=1)  # the first minimum
+        kinds = np.concatenate([[COMPANION_KINDS.index("trace")],
+                                np.full(len(offsets), COMPANION_KINDS.index("probe")),
+                                self._path_kinds])
+        indices = np.concatenate([[0], np.arange(len(offsets)), self._path_indices])
+        gradients = ((alpha / (2.0 * beta[rows, i])) * factor[rows, i])[:, None] * last[rows, i]
+        return total[rows, i], kinds[i], indices[i], gradients
 
     def select_controls(self, t: float, states: np.ndarray, path_of, gradients) -> np.ndarray:
         """Control index of each game at node t, aimed by its companion

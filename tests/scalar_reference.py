@@ -60,8 +60,10 @@ the batches are checked against.
   adversary_pool's order.
 - run_feedback_game_reference and companion_minimum_reference: one game
   against one such policy with its own scalar step loop, and the one-game
-  companion minimum it aims by: the reference every lane of
-  play_feedback_games is checked against, bit for bit.
+  companion minimum it aims by, one kind after another over the lattice
+  points and strategy.library, a probe or library end off the lattice
+  dropped: the reference every lane of play_feedback_games is checked
+  against, bit for bit.
 - scale_costs: a game with its running and terminal costs scaled jointly.
 """
 
@@ -780,12 +782,15 @@ def companion_minimum_reference(strategy: FeedbackStrategy, t: float, x: Path):
     kept, offsets, u_vals = _probe_candidates_reference(strategy, t, trace_state)
     if kept:
         consider("probe", kept, offsets[None, :, :], u_vals)
-    points = strategy._lattice_points
+    points = strategy.value.lattice.points()
     consider("lattice", range(len(points)), X[:, None, :] - points[None, :, :],
              strategy.value.interp_batch("upper", t, points))
-    if strategy._library_values is not None:
-        lib = strategy._library_values[: k + 1]
-        consider("library", range(lib.shape[1]), X[:, None, :] - lib,
+    # a library sample whose end lies off the lattice has no upper value: dropped
+    kept = [i for i, y in enumerate(strategy.library)
+            if strategy.value.lattice.coverage_margins(y.values[k][None])[0] <= COVERAGE_TOL]
+    if kept:
+        lib = np.stack([strategy.library[i].values[: k + 1] for i in kept], axis=1)
+        consider("library", kept, X[:, None, :] - lib,
                  strategy.value.interp_batch("upper", t, lib[-1]))
     return best
 

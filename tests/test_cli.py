@@ -415,6 +415,15 @@ class TestVectorLengths:
         assert run(cfg, str(tmp_path)) in (0, 1)
         assert (tmp_path / cfg["name"] / "result.json").exists()
 
+    def test_feedback_x0_on_the_lattice_edge_with_a_library_runs(self, tmp_path):
+        # the library's tube samples from the edge end off the lattice; they
+        # have no upper value and are dropped, as off-lattice probes are
+        with open(os.path.join(CONFIG_DIR, os.pardir, "bench", "configs",
+                               "feedback_short.json")) as fh:
+            cfg = {**json.load(fh), "x0": [-2.0], "library_size": 8}
+        assert run(cfg, str(tmp_path)) == 0
+        assert (tmp_path / cfg["name"] / "result.json").exists()
+
     @pytest.mark.parametrize("steps", [[], [8, 0], [8, 2.5]])
     def test_feedback_partition_steps(self, tmp_path, capsys, steps):
         cfg = shipped_config("feedback_run.json")

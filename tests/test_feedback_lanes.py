@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,26 @@ class TestPoolMatchesGameByGame:
         partition = TimeGrid(0.5, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.5, x0, partition, value=table,
                                            library_size=8, seed=1)
+        _, q = adversary_pool(spec.controls.n_q, 6, 2, partition.n_steps)
+        play, = play_feedback_games(strategy, [partition], [q])
+        _assert_lanes_match(spec, strategy, play, reference_pool(spec, table, 6, 2))
+
+    def test_library_samples_off_the_lattice_are_dropped(self):
+        # from x0 on the lattice edge the tube samples leave the lattice; a
+        # sample whose end is off it at a partition node has no upper value
+        spec = isaacs_game(scale=0.5)
+        grid = TimeGrid(0.0, 1.0, 8)
+        lattice = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))
+        table = dp_value(spec, grid, lattice)
+        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        partition = TimeGrid(0.0, 1.0, 8)
+        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [-2.0]),
+                                           partition, value=table, library_size=8, seed=0)
+        sim = strategy.x0.grid
+        ends = np.stack([y.values[[sim.node_index(t) for t in partition.nodes]]
+                         for y in strategy.library], axis=1).reshape(-1, 1)
+        off = lattice.coverage_margins(ends) > game.COVERAGE_TOL
+        assert 0 < off.sum() < off.size
         _, q = adversary_pool(spec.controls.n_q, 6, 2, partition.n_steps)
         play, = play_feedback_games(strategy, [partition], [q])
         _assert_lanes_match(spec, strategy, play, reference_pool(spec, table, 6, 2))
@@ -458,7 +479,7 @@ class TestCompanionTies:
         partition = TimeGrid(0.0, 1.0, 4)
         strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.0]),
                                            partition, value=table, library_size=64, seed=0)
-        assert np.all(strategy._library_values == 0.0)
+        assert all(np.all(y.values == 0.0) for y in strategy.library)
         play, = play_feedback_games(strategy, [partition],
                                     [np.zeros((partition.n_steps, 2), dtype=int)])
         assert np.all(play.values == 0.0)
@@ -527,6 +548,34 @@ class TestCompanionTies:
                 assert gradients[g].tobytes() == np.asarray(want[3], dtype=float).tobytes()
             if expect is not None:
                 assert (COMPANION_KINDS[kinds[0]], indices[0]) == expect
+
+
+class TestCompanionMemory:
+    @staticmethod
+    def _peak(n_steps):
+        """The tracemalloc peak of one companion_minima call over every node
+        of an n_steps simulation grid: 100 games, 64 lattice points and 64
+        library samples."""
+        spec = isaacs_game(scale=0.5)
+        table = dp_value(spec, TimeGrid(0.0, 1.0, 16),
+                         StateLattice(lo=(-2.0,), hi=(2.0,), shape=(64,)))
+        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        sim = TimeGrid(0.0, 1.0, n_steps)
+        rng = np.random.default_rng(0)
+        library = [Path(sim, rng.uniform(-1.0, 1.0, (n_steps + 1, 1))) for _ in range(64)]
+        strategy = FeedbackStrategy(spec, params, table, 0.0, Path.constant(sim, [0.0]), library)
+        X = rng.uniform(-1.0, 1.0, (n_steps + 1, 100, 1))
+        strategy.companion_minima(1.0, X)
+        tracemalloc.start()
+        try:
+            strategy.companion_minima(1.0, X)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_transient_memory_does_not_grow_with_the_node_count(self):
+        # the scan holds (game, candidate) arrays, never a node axis beside them
+        assert self._peak(64) <= 1.2 * self._peak(16)
 
 
 # ---------------------------------------------------------------------------

@@ -720,19 +720,19 @@ class TestCompanionOncePerNode:
             steps = [abs(o).max() for o in _probe_offsets_reference(strategy, t, dim)]
             # the smallest probe leaves the box by 5e-10, inside COVERAGE_TOL: kept
             near = [hi - min(steps) + 5e-10] if steps else []
-            # every state is one game of a single batched call
-            offsets, kept, u_vals = strategy._probe_candidates(t, np.array(states + near))
+            # every probe of every state in one masked read
+            offsets = strategy._probe_offsets(t, dim)
             n_all = len(_probe_offsets_reference(strategy, t, dim))
             assert offsets.shape == (n_all, dim)
-            assert kept.shape == u_vals.shape == (len(states + near), n_all)
-            assert strategy._probe_offsets(t, dim).tobytes() == offsets.tobytes()
+            probes = (np.array(states + near)[:, None, :] - offsets).reshape(-1, dim)
+            u_vals = strategy._masked_upper(t, probes).reshape(len(states + near), n_all)
+            kept = u_vals < np.inf  # a dropped probe reads +inf
             for g, state in enumerate(states + near):
                 ref_kept, ref_offsets, ref_u = _probe_candidates_reference(strategy, t, state)
                 assert np.flatnonzero(kept[g]).tolist() == ref_kept
                 assert offsets[kept[g]].tobytes() == \
                     np.array(ref_offsets, dtype=float).reshape(-1, dim).tobytes()
                 assert u_vals[g, kept[g]].tobytes() == np.array(ref_u, dtype=float).tobytes()
-                assert np.all(u_vals[g, ~kept[g]] == np.inf)
                 partial += 0 < len(ref_kept) < n_all
         assert partial > 0
 

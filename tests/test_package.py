@@ -8,9 +8,13 @@ import importlib
 import inspect
 import types
 
+import numpy as np
 import pytest
 
 import pdhj
+from pdhj.game import FeedbackStrategy, StateLattice, ValueTable, constant_game
+from pdhj.pathcore import Path, TimeGrid
+from pdhj.upsilon import LyapunovParams
 
 MOVED = {
     "pathcore": ("d_infinity", "stop_path", "sup_norm", "_grid_from_nodes"),
@@ -55,6 +59,9 @@ DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces", "to_json_obj")
                    ("minimax", "ResidualReport"): ("to_json_obj",),
                    ("evolution", "AuditReport"): ("to_json_obj",),
                    ("upsilon", "ChainRuleReport"): ("to_json_obj",)}
+# the per-kind candidate arrays and the probe-only read that the one path
+# array and the one masked read of FeedbackStrategy replaced
+DELETED_STRATEGY_STATE = ("_lattice_points", "_library_values", "_probe_candidates")
 DELETED_PARAMETERS = {
     ("evolution", "solve_delay_evolution"): ("dyn", "forcing_algorithm"),
     ("evolution", "sample_reachable_set"): ("dyn",),
@@ -132,3 +139,13 @@ def test_deleted_parameters_are_gone(module, owner, name):
     params = inspect.signature(owner).parameters
     assert params  # the owner still takes its other parameters
     assert name not in params
+
+
+@pytest.mark.parametrize("name", DELETED_STRATEGY_STATE)
+def test_deleted_strategy_state_is_gone(name):
+    grid, lattice = TimeGrid(0.0, 1.0, 2), StateLattice(lo=(-1.0,), hi=(1.0,), shape=(3,))
+    zeros = np.zeros((3, 3))
+    table = ValueTable(grid=grid, lattice=lattice, v_minus=zeros, v_plus=zeros)
+    strategy = FeedbackStrategy(constant_game(), LyapunovParams.at_epsilon0(0.1, 1.0), table,
+                                0.0, Path.constant(grid, [0.0]), [Path.constant(grid, [0.5])])
+    assert not hasattr(strategy, name)

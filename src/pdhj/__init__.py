@@ -41,9 +41,7 @@ from .minimax import (
     ResidualReport,
     StabilityReport,
     ViscosityReport,
-    minimax_residual,
     stability_experiment,
-    viscosity_scan,
 )
 from .pathcore import Path, StateSpace, TimeGrid, kappa_constant
 from .upsilon import ChainRuleReport, LyapunovParams, verify_chain_rule

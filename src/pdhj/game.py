@@ -854,18 +854,27 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     reads it, and once per node.  Each lane is bit-identical to its game
     played alone.  Errors follow the lockstep rule of pdhj.evolution over
     these phases, time-major: the earliest node's error wins, whichever
-    partition its lane is on.  A table of another shape, or a partition that
-    does not span [t0, T], raises DomainError.
+    partition its lane is on.  A table of another shape, of a dtype that is
+    not an integer, or with an entry other than GREEDY or 0..n_q - 1 raises
+    DomainError before any play, and so does a partition that does not span
+    [t0, T].
     """
     spec, inner = strategy.spec, strategy.x0.grid
     nodes, n_last = inner.nodes, inner.n_steps
     columns, inverses = [], []
-    for partition, table in zip(partitions, q_tables):
-        if np.ndim(table) != 2 or len(table) != partition.n_steps:
-            raise DomainError(f"q table of shape {np.shape(table)} for {partition.n_steps} cells")
+    for j, (partition, table) in enumerate(zip(partitions, q_tables)):
+        table = np.asarray(table)
+        if table.ndim != 2 or len(table) != partition.n_steps:
+            raise DomainError(f"q table of shape {table.shape} for {partition.n_steps} cells")
+        if table.dtype.kind not in "iu":
+            raise DomainError(f"q table of partition {j} has dtype {table.dtype}, not an integer")
+        bad = table[(table != GREEDY) & ((table < 0) | (table >= spec.controls.n_q))]
+        if bad.size:
+            raise DomainError(f"q table of partition {j} holds {bad[0]}, neither GREEDY "
+                              f"({GREEDY}) nor a q index in 0..{spec.controls.n_q - 1}")
         _, first, inverse = np.unique(table, axis=1, return_index=True, return_inverse=True)
         order = np.argsort(first)
-        columns.append(np.asarray(table, dtype=int)[:, first[order]])
+        columns.append(table[:, first[order]])
         inverses.append(np.argsort(order)[inverse.reshape(-1)])
     bounds = np.cumsum([0] + [column.shape[1] for column in columns])
     m, n_max = bounds[-1], max(map(len, columns), default=0)

@@ -6,19 +6,22 @@ evidence, not proof, and every report says so.  Candidates mix constant
 control pairs, two characteristic feedback constructions aimed along the value
 gradient, and random reachable-tube forcings.
 
-site_checks runs every residual search and viscosity scan of a run on one
-lane set: each site's game lanes (the constant pairs and the two
-characteristics) once, whatever checks read them, and one block of tube
-lanes per distinct seed of its checks, all stepping together on the value
-table's nodes, each site's lanes over its own window.  minimax_residual and
-viscosity_scan are its one-site case.  A run raises the first error in this
-order: each site's own reads (its window, the table at its state, the
-Hamiltonian F0 of a scan), site by site; then the lane solve, time-major
+site_checks is the residual layer's one entry point.  It runs every residual
+search and viscosity scan of a run on one lane set: each site's game lanes
+(the constant pairs and the two characteristics) once, whatever checks read
+them, and one block of tube lanes per distinct seed of its checks, all
+stepping together on the value table's nodes, each site's lanes over its own
+window.  A run raises the first error in this order: a check kind or a site
+dimension it refuses, before any work; each site's own reads (its window and
+the table at its state), site by site; then the lane solve, time-major
 across the sites, so the earlier step's error wins whichever site it is on
-(the phases of each step are _candidate_runs'); then the scans' operator
-pairings and then the table reads along the candidates, each one batch per
-node in time order over every site, a read naming the largest margin among
-the lanes of the first node where some candidate leaves the lattice.
+(the phases of each step are _candidate_runs').  A scan's Hamiltonian F0 at
+(t0, x0(t0)) is its lanes' first stage terms, so a non-finite stage term
+there raises at its step of the solve, as the sub/super functional's do.
+Then come the scans' operator pairings and then the table reads along the
+candidates, each one batch per node in time order over every site, a read
+naming the largest margin among the lanes of the first node where some
+candidate leaves the lattice.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import numpy as np
 
 from .errors import DomainError
 from .evolution import _ball_points, _lockstep_solve
-from .game import GameSpec, StateLattice, ValueTable, dp_value, hamiltonian, is_upper_side, \
-    minimax_records, with_drift_perturbation, with_terminal_shift
+from .game import GameSpec, StateLattice, ValueTable, dp_value, is_upper_side, minimax_records, \
+    with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
@@ -96,11 +99,26 @@ class Site(NamedTuple):
 
     x0 is the history, a Path on the value table's grid (in _candidate_runs,
     on the site's window grid, a prefix of it), t0 a node of that grid
-    before its last, and z the test direction.  checks holds (kind, seed)
-    pairs: kind "sub" or "super" asks for that residual search
-    (minimax_residual), "scan" for the viscosity scan (viscosity_scan).  The
-    seed seeds the check's tube lanes, so two checks of a site with one seed
-    read the same lanes.
+    before its last, and z the test direction, each of the game's dimension.
+    checks holds (kind, seed) pairs; the seed seeds the check's tube lanes,
+    so two checks of a site with one seed read the same lanes.
+
+    "sub" and "super" search the candidates for the sub/super characteristic
+    bound on G, the characteristic functional of the table: sub's slack is
+    the max over candidates of the min over window times of G, and passes
+    when slack >= -tol; super's is the min over candidates of the max over
+    times, and passes when slack <= tol.
+
+    "scan" scans the canonical test pair over slope offsets c: phi(t, x) =
+    u0 + (t - t0)(c - F0) + (x(t) - x0(t0), z) plus the operator correction
+    integral of <A(s, x(s)), z>.  It tests the supersolution inequality when
+    E = phi + correction - u has a local max at the site over the sampled
+    window (then the inequality reduces to c <= 0), and the subsolution
+    inequality at a local min (c >= 0).  A failed extremum certificate makes
+    the test vacuous: recorded, not passed.  Every term of E but (t - t0) c
+    is computed once per scan; each c only redoes the sum.  For an honest
+    table every c yields pass or vacuous: a certified extremum with |c|
+    beyond tolerance is a witnessed sub/supersolution violation.
     """
 
     t0: float
@@ -257,45 +275,34 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
     return _Lanes(labels, values, forcing, hams, start, end, site_of, z_lane, blocks)
 
 
-def _window_reads(table: ValueTable, side: str, nodes, values: np.ndarray, start, end):
-    """u(t_n, x(t_n)) of every lane at each window node t_n past its start,
-    shape (lane, step), node start + 1 + j in column j (0 past the window).
+def _characteristic_functional(table: ValueTable, side: str, nodes, runs: _Lanes,
+                               u0_lane: np.ndarray):
+    """(G, reads), each shape (lane, step): reads[lane, j] = u(t_{k+1},
+    x(t_{k+1})) and G[lane, j] = int_{t0}^{t_{k+1}} ((-f, z) + F(s, x, z)) ds
+    + reads[lane, j] - u0 per lane at its window step k = start + j (0 past
+    the window).
 
-    values has shape (node, lane, coordinate), and start and end, shape
-    (lane,), are each lane's window nodes.  One interp_batch call per node
-    reads every lane whose window holds it, so a state off the lattice raises
-    the largest margin among the lanes of the first node that has one."""
-    reads = np.zeros((values.shape[1], int((end - start).max())))
-    for n in range(int(start.min()) + 1, int(end.max()) + 1):
-        lanes = np.flatnonzero((start < n) & (n <= end))
-        if lanes.size:
-            reads[lanes, n - 1 - start[lanes]] = table.interp_batch(side, nodes[n],
-                                                                     values[n, lanes])
-    return reads
-
-
-def _characteristic_functional(nodes, runs: _Lanes, reads: np.ndarray,
-                               u0_lane: np.ndarray) -> np.ndarray:
-    """G[lane, j] = int_{t0}^{t_{k+1}} ((-f, z) + F(s, x, z)) ds
-    + u(t_{k+1}, x(t_{k+1})) - u0 per lane at its window step k = start + j
-    (0 past the window).
-
-    runs is the lane set of _candidate_runs, which took the stage terms, and
-    reads its table reads from _window_reads; u0_lane holds each lane's
-    site's u0.  The integral is summed step by step from zeros, not with
+    runs is the lane set of _candidate_runs, which took the stage terms;
+    u0_lane holds each lane's site's u0.  One interp_batch call per node
+    reads every lane whose window holds it, so a state off the lattice
+    raises the largest margin among the lanes of the first node that has
+    one.  The integral is summed step by step from zeros, not with
     np.cumsum: the loop turns a leading -0.0 into +0.0, and that sign can
     reach a printed slack.
     """
     start, end = runs.start, runs.end
-    G = np.zeros(reads.shape)
+    G, reads = np.zeros((2, len(start), int((end - start).max())))
     acc = np.zeros(len(start))
     for k in range(int(start.min()), int(end.max())):
         lanes = np.flatnonzero((start <= k) & (k < end))
+        if not lanes.size:
+            continue
         j = k - start[lanes]
+        reads[lanes, j] = table.interp_batch(side, nodes[k + 1], runs.values[k + 1, lanes])
         acc[lanes] = acc[lanes] + (nodes[k + 1] - nodes[k]) * (
             -_row_dots(runs.forcing[j, lanes], runs.z[lanes]) + runs.hams[j, lanes])
         G[lanes, j] = acc[lanes] + reads[lanes, j] - u0_lane[lanes]
-    return G
+    return G, reads
 
 
 def _operator_corrections(op, nodes, runs: _Lanes, lanes: np.ndarray):
@@ -303,20 +310,16 @@ def _operator_corrections(op, nodes, runs: _Lanes, lanes: np.ndarray):
     given lanes, shape (lane, step) as _characteristic_functional's G: one
     op.batch call per node over those lanes whose window holds it."""
     start, end = runs.start, runs.end
-    steps = int((end - start).max())
-    pairing = np.zeros((len(start), steps + 1))  # column j: node start + j
+    corrs = np.zeros((len(start), int((end - start).max())))
+    corr, last = np.zeros(len(start)), np.zeros(len(start))  # last: the pairing at node k - 1
     for k in range(int(start[lanes].min()), int(end[lanes].max()) + 1):
-        act = lanes[(start[lanes] <= k) & (k <= end[lanes])]
-        pairing[act, k - start[act]] = _row_dots(op.batch(nodes[k], runs.values[k, act]),
-                                                 runs.z[act])
-    corrs = np.zeros((len(start), steps))
-    corr = np.zeros(len(start))
-    for k in range(int(start[lanes].min()), int(end[lanes].max())):
-        act = lanes[(start[lanes] <= k) & (k < end[lanes])]
-        j = k - start[act]
-        corr[act] = corr[act] + 0.5 * (nodes[k + 1] - nodes[k]) * (pairing[act, j]
-                                                                   + pairing[act, j + 1])
-        corrs[act, j] = corr[act]
+        held = lanes[(start[lanes] <= k) & (k <= end[lanes])]
+        pairing = _row_dots(op.batch(nodes[k], runs.values[k, held]), runs.z[held])
+        past = start[held] < k
+        act = held[past]
+        corr[act] = corr[act] + 0.5 * (nodes[k] - nodes[k - 1]) * (last[act] + pairing[past])
+        corrs[act, k - 1 - start[act]] = corr[act]
+        last[held] = pairing
     return corrs
 
 
@@ -325,47 +328,47 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
     """Run the checks of every Site in sites on one candidate lane set.
 
     Returns, per site, its checks' results in order: a ResidualReport for
-    "sub" and "super" (see minimax_residual), the viscosity_scan dict for
-    "scan".  Each check searches search_budget candidates over its site's
-    window [t0, min(t0 + horizon, T)] of u's grid against tolerance
-    (composite_tolerance by default), and the scans test c_values (by default
-    -4, -1, 0, 1 and 4 times the tolerance).  An unknown check kind is
-    refused before any work; the other errors come in the module
-    docstring's order.
+    "sub" and "super", for "scan" a dict of the per-c ViscosityReports
+    ("reports"), whether any c witnessed a violation ("violation_found"),
+    "c_values" and "tolerance".  Each check searches search_budget
+    candidates over its site's window [t0, min(t0 + horizon, T)] of u's grid
+    against tolerance (composite_tolerance by default), and the scans test
+    c_values (by default -4, -1, 0, 1 and 4 times the tolerance).  An
+    unknown check kind, or a site whose history or z is not of the game's
+    dimension, is refused before any work; the other errors come in the
+    module docstring's order.
     """
-    for site in sites:
+    dim = spec.op.space.dim
+    for s, site in enumerate(sites):
         for kind, _ in site.checks:
             if kind not in CHECK_KINDS:
                 raise DomainError(f"check kind must be one of {CHECK_KINDS}, got {kind!r}")
+        z_shape = np.shape(np.atleast_1d(site.z))
+        if site.x0.dim != dim or z_shape != (dim,):
+            raise DomainError(f"site {s}: history of dimension {site.x0.dim} and z of shape "
+                              f"{z_shape}, where the game has dimension {dim}")
     if tolerance is None:
         tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
     if c_values is None:
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
     if not sites:
         return []
-    windows, site_reads = [], []  # windows: each site with its history on its window grid
+    windows, states0, u0s = [], [], []  # windows: each site with its history on its window grid
     for t0, x0, z, checks in sites:
-        z = np.atleast_1d(np.asarray(z, dtype=float))
         win_grid, _, _ = _window_grid(u.grid, t0, horizon)
         hist = extend_history(x0, win_grid, t0)
-        state0 = hist.value_at(t0)
-        u0 = u.interp(side, t0, state0)
-        F0 = hamiltonian(spec, t0, hist, z) if any(kind == "scan" for kind, _ in checks) \
-            else None
-        windows.append(Site(t0, hist, z, checks))
-        site_reads.append((state0, u0, F0))
+        windows.append(Site(t0, hist, np.atleast_1d(np.asarray(z, dtype=float)), checks))
+        states0.append(hist.value_at(t0))
+        u0s.append(u.interp(side, t0, states0[-1]))
     runs = _candidate_runs(spec, u, side, windows, search_budget)
     nodes = u.grid.nodes
     scans = [runs.blocks[s][seed] for s, site in enumerate(sites)
              for kind, seed in site.checks if kind == "scan"]
     if scans:
         corrs = _operator_corrections(spec.op, nodes, runs, np.unique(np.concatenate(scans)))
-    reads = _window_reads(u, side, nodes, runs.values, runs.start, runs.end)
-    G = _characteristic_functional(nodes, runs, reads,
-                                   np.array([u0 for _, u0, _ in site_reads])[runs.site])
+    G, reads = _characteristic_functional(u, side, nodes, runs, np.array(u0s)[runs.site])
     results = []
-    for s, (site, (t0, hist, z, _), (state0, u0, F0)) in enumerate(zip(sites, windows,
-                                                                       site_reads)):
+    for s, (site, (t0, hist, z, _), state0, u0) in enumerate(zip(sites, windows, states0, u0s)):
         k0, k_end = hist.grid.node_index(t0), hist.grid.n_steps
         steps = k_end - k0
         times = hist.grid.nodes[k0 + 1:]
@@ -375,8 +378,9 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
             if kind == "scan":
                 states = np.ascontiguousarray(
                     runs.values[k0 + 1:k_end + 1, lanes].transpose(1, 0, 2))
+                # row 0 of hams: the side's Hamiltonian at (t0, x0(t0), z), F0
                 out.append(_scan_result(
-                    t0, state0, z, u0, F0.f_plus if is_upper_side(side) else F0.f_minus, times,
+                    t0, state0, z, u0, float(runs.hams[0, lanes[0]]), times,
                     _row_dots(states - state0, z), corrs[lanes, :steps], reads[lanes, :steps],
                     c_values, side, tolerance, search_budget, seed))
             else:
@@ -410,8 +414,8 @@ def _residual_report(direction, G, times, labels, t0, x0, z, u0, side, tolerance
 
 def _scan_result(t0, state0, z, u0, F0_val, times, dzs, corrs, u_vals, c_values, side,
                  tolerance, budget, seed) -> dict:
-    """viscosity_scan's dict from its candidates' (candidate, window node
-    past t0) terms of E: (x(t) - x0(t0), z), the correction and u(t, x(t))."""
+    """A scan's dict from its candidates' (candidate, window node past t0)
+    terms of E: (x(t) - x0(t0), z), the correction and u(t, x(t))."""
     cert_tol = 1e-9 * (1.0 + abs(u0))
     reports = []
     violation = False
@@ -436,54 +440,6 @@ def _scan_result(t0, state0, z, u0, F0_val, times, dzs, corrs, u_vals, c_values,
         violation = violation or super_verdict == "fail" or sub_verdict == "fail"
     return {"reports": reports, "violation_found": violation,
             "c_values": [float(c) for c in c_values], "tolerance": tolerance}
-
-
-def minimax_residual(u: ValueTable, spec: GameSpec, site, direction: str,
-                     horizon: float, search_budget: int, *, seed: int = 0,
-                     side: str = "upper", tolerance: float = None) -> ResidualReport:
-    """Search sampled reachable trajectories for the sub/super characteristic bound.
-
-    sub: slack = max over candidates of min over window times of G; passes when
-    slack >= -tol.  super: slack = min over candidates of max over times of G;
-    passes when slack <= tol.  G is the characteristic functional of the table.
-    site is (t0, x0, z); this is site_checks at that one site.
-    """
-    if direction not in ("sub", "super"):
-        raise DomainError("direction must be 'sub' or 'super'")
-    t0, x0, z = site
-    (report,), = site_checks(u, spec, [Site(t0, x0, z, ((direction, seed),))], horizon,
-                             search_budget, side=side, tolerance=tolerance)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# viscosity residual with the canonical affine test pair
-# ---------------------------------------------------------------------------
-
-def viscosity_scan(u: ValueTable, spec: GameSpec, site, z, horizon: float, *,
-                   c_values=None, search_budget: int = 24, seed: int = 0,
-                   side: str = "upper", tolerance: float = None) -> dict:
-    """Scan the canonical test pair over slope offsets c.
-
-    The pair is phi(t,x) = u0 + (t-t0)(c - F0) + (x(t)-x0(t0), z) plus the
-    operator correction integral of <A(s, x(s)), z>.  It tests the
-    supersolution inequality when phi + correction - u has a local max at the
-    site over the sampled window (then the inequality reduces to c <= 0), and
-    the subsolution inequality at a local min (c >= 0).  A failed extremum
-    certificate makes the test vacuous: recorded, not passed.
-
-    The candidate trajectories and every term of E = phi + correction - u
-    except (t - t0) c are computed once per site; each c only redoes the sum.
-    For an honest table every c yields pass or vacuous: a certified extremum
-    with |c| beyond tolerance is a witnessed sub/supersolution violation.
-    Returns the per-c reports and whether any violation was found.  site is
-    (t0, x0); this is site_checks at that one site, so a state off the
-    lattice raises from its table reads, after the operator pairings.
-    """
-    t0, x0 = site
-    (scan,), = site_checks(u, spec, [Site(t0, x0, z, (("scan", seed),))], horizon,
-                           search_budget, side=side, tolerance=tolerance, c_values=c_values)
-    return scan
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from pdhj.game import (
     minimax_records,
     play_feedback_games,
 )
-from pdhj.minimax import bump_table, composite_tolerance, minimax_residual, \
+from pdhj.minimax import Site, bump_table, composite_tolerance, site_checks, \
     stability_experiment
 from pdhj.pathcore import Path, TimeGrid, kappa_constant
 from pdhj.upsilon import LyapunovParams, verify_chain_rule
@@ -301,22 +301,21 @@ def test_criterion_10_minimax_residuals(desk_table):
     horizon = 4.0 * grid.mesh
     budget = 32
     tol = composite_tolerance(max(lattice.spacing), grid.mesh, budget)
-    failures = []
+    sites = []
     for i in range(20):
         k = int(rng.integers(0, grid.n_steps - 4))
         state = float(rng.uniform(-1.2, 1.2))
         z = rng.standard_normal(1) * 0.8
         x0 = Path.constant(grid, [state])
-        site = (grid.nodes[k], x0, z)
-        sub = minimax_residual(table, spec, site, "sub", horizon, budget, seed=3000 + i)
-        sup = minimax_residual(table, spec, site, "super", horizon, budget, seed=4000 + i)
-        if not (sub.verdict and sup.verdict):
-            failures.append((i, sub.slack, sup.slack))
+        sites.append(Site(grid.nodes[k], x0, z, (("sub", 3000 + i), ("super", 4000 + i))))
+    failures = [(i, sub.slack, sup.slack)
+                for i, (sub, sup) in enumerate(site_checks(table, spec, sites, horizon, budget))
+                if not (sub.verdict and sup.verdict)]
     k_mid, s_mid = grid.n_steps // 2, 32
     bumped = bump_table(table, k_mid, s_mid, 0.2, side="upper")
     x0 = Path.constant(grid, [float(lattice.axes[0][s_mid])])
-    mut = minimax_residual(bumped, spec, (grid.nodes[k_mid], x0, np.zeros(1)),
-                           "sub", horizon, budget, seed=5000)
+    (mut,), = site_checks(bumped, spec, [Site(grid.nodes[k_mid], x0, np.zeros(1),
+                                              (("sub", 5000),))], horizon, budget)
     ok = not failures and not mut.verdict
     report(10, "minimax residuals", ok,
            f"20 random sites pass sub+super at composite tol {tol:.4f} "

@@ -233,6 +233,28 @@ class TestPoolMatchesGameByGame:
             play_feedback_games(strategy, [TimeGrid(0.5, 1.0, 4)],
                                 [np.zeros((4, 1), dtype=int)])
 
+    @pytest.mark.parametrize("entry,dtype", [(-2, int), (None, int), (7, int), (0, float),
+                                             (1, bool)])
+    def test_q_entries_are_checked_before_any_play(self, monkeypatch, entry, dtype):
+        # a q entry must be GREEDY or a q index: -2 would otherwise play index
+        # n_q - 2 through negative indexing, and n_q would raise IndexError
+        spec, table, strategy, partitions = _desk(1, 0)
+        n_q = spec.controls.n_q
+        entry = n_q if entry is None else entry
+        calls = _companion_widths(monkeypatch)
+        good = np.full((partitions[0].n_steps, 2), GREEDY)
+        bad = np.zeros((partitions[1].n_steps, 3), dtype=dtype)
+        bad[5, 2] = entry
+        with pytest.raises(DomainError) as err:
+            play_feedback_games(strategy, partitions, [good, bad])
+        if dtype is int:
+            assert str(err.value) == (f"q table of partition 1 holds {entry}, neither GREEDY "
+                                      f"(-1) nor a q index in 0..{n_q - 1}")
+        else:
+            assert str(err.value) == (f"q table of partition 1 has dtype {np.dtype(dtype)}, "
+                                      f"not an integer")
+        assert calls == []
+
 
 def test_one_draw_is_the_per_cell_draws():
     # a random lane's column is one integers(n_q, size=n) draw: the values and

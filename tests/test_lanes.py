@@ -354,8 +354,8 @@ class TestCandidateSearch:
         assert len(runs.labels) == runs.values.shape[1] == runs.forcing.shape[1] \
             == runs.hams.shape[1] == 32
         calls.clear()
-        minimax_site = (t0, Path.constant(grid, [0.4]), np.array([0.3]))
-        minimax.minimax_residual(table, spec, minimax_site, "sub", 0.25, 16, seed=2)
+        _one_check(table, spec, (t0, Path.constant(grid, [0.4]), np.array([0.3])), "sub", 16,
+                   seed=2)
         assert calls == [16]
         # site_checks: one set for every site; a site's sub and super share its
         # 11 game lanes and add 5 tube lanes per seed, a scan 5 more
@@ -384,7 +384,7 @@ class TestCandidateSearch:
         monkeypatch.setattr(GameSpec, "lane_terms", counted)
         t0 = grid.nodes[3]
         site = (t0, Path.constant(grid, [0.4]), np.array([0.3]))
-        minimax.minimax_residual(table, spec, site, "sub", 0.25, 16, seed=2)
+        _one_check(table, spec, site, "sub", 16, seed=2)
         assert calls == [(t, 16, None) for t in grid.nodes[3:7]]
 
     def test_markov_site_builds_no_path_report_or_scalar_read(self, desk, monkeypatch):
@@ -436,9 +436,16 @@ def _site_functional(table, side, runs, z, u0):
     """(G, window times) of a one-site lane set of _candidate_runs, as
     site_checks computes them."""
     nodes = table.grid.nodes
-    reads = minimax._window_reads(table, side, nodes, runs.values, runs.start, runs.end)
-    G = minimax._characteristic_functional(nodes, runs, reads, np.full(runs.values.shape[1], u0))
+    G, _ = minimax._characteristic_functional(table, side, nodes, runs,
+                                              np.full(runs.values.shape[1], u0))
     return G, nodes[runs.start[0] + 1:runs.end[0] + 1]
+
+
+def _one_check(table, spec, site, kind, budget, seed=0, horizon=0.25, **kwargs):
+    """The result of site_checks at one Site with one check."""
+    (result,), = minimax.site_checks(table, spec, [minimax.Site(*site, ((kind, seed),))],
+                                     horizon, budget, **kwargs)
+    return result
 
 
 def _assert_lanes_equal(values, forcing, reports):
@@ -496,8 +503,7 @@ class TestOffLatticeOrder:
                                     [minimax.Site(t0, hist, z, (("sub", 0),))], 12)
         assert str(got.value) == self.SITE_ERRORS[cost_limit]
         with pytest.raises(EvaluationError) as got:
-            minimax.minimax_residual(table, spec, (t0, Path.constant(grid, [0.4]), z), "sub",
-                                     0.5, 12, seed=0)
+            _one_check(table, spec, (t0, Path.constant(grid, [0.4]), z), "sub", 12, horizon=0.5)
         assert str(got.value) == self.SITE_ERRORS[cost_limit]
 
     # a cost limit raises in the solve (test_site_raises_at_its_step), before
@@ -511,10 +517,11 @@ class TestOffLatticeOrder:
                                          lipschitz_L=spec.l_f) for s in (0.0, 0.9, 1.6, 0.5, 2.0)]
         values = np.stack([rep.path.values for rep in reports], axis=1)
         forcing = np.stack([rep.forcing_trace for rep in reports], axis=1)
+        runs = minimax._Lanes([], values, forcing, np.zeros((steps, 5)),
+                              np.full(5, hist.grid.node_index(t0)), np.full(5, steps),
+                              np.zeros(5, dtype=int), np.zeros((5, 1)), [])
         with pytest.raises(LatticeCoverageError) as got:
-            minimax._window_reads(table, "upper", hist.grid.nodes, values,
-                                  np.full(5, hist.grid.node_index(t0)),
-                                  np.full(5, hist.grid.n_steps))
+            minimax._characteristic_functional(table, "upper", hist.grid.nodes, runs, np.zeros(5))
         assert str(got.value) == ("state leaves the lattice by 4.272212e-02; "
                                   "expand bounds by at least that margin")
         # candidate 4 alone leaves at the second window node; candidate 1,
@@ -527,10 +534,9 @@ class TestOffLatticeOrder:
         # the first in candidate order to leave, does so by 3.629637e-02 two
         # nodes later
         spec, grid, table = _edge_setup()
-        site = (grid.nodes[4], Path.constant(grid, [0.4]))
+        site = (grid.nodes[4], Path.constant(grid, [0.4]), np.array([0.5]))
         with pytest.raises(LatticeCoverageError) as got:
-            minimax.viscosity_scan(table, spec, site, np.array([0.5]), 0.5,
-                                   search_budget=12, seed=0)
+            _one_check(table, spec, site, "scan", 12, horizon=0.5)
         assert str(got.value) == ("state leaves the lattice by 4.272212e-02; "
                                   "expand bounds by at least that margin")
         assert got.value.margin == 0.042722117280852845
@@ -654,8 +660,8 @@ def _assert_fields_identical(got, want):
 
 
 class TestSiteChecks:
-    """site_checks, every site's checks on one lane set, against the one-site
-    calls minimax_residual and viscosity_scan."""
+    """site_checks, every site's checks on one lane set, against its calls at
+    one site with one check each."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_reports_equal_one_site_calls(self, shipped_minimax, seed):
@@ -680,18 +686,15 @@ class TestSiteChecks:
         assert [len(results) for results in checked] == [len(site.checks) for site in sites]
         for site, results in zip(sites, checked):
             for (kind, check_seed), got in zip(site.checks, results):
+                want = _one_check(table, spec, site[:3], kind, budget, check_seed, horizon)
                 if kind == "scan":
-                    want = minimax.viscosity_scan(table, spec, (site.t0, site.x0), site.z, horizon,
-                                                  search_budget=budget, seed=check_seed)
                     assert {key: got[key] for key in want if key != "reports"} == \
                         {key: want[key] for key in want if key != "reports"}
                     assert len(got["reports"]) == len(want["reports"]) == 5
                     for a, b in zip(got["reports"], want["reports"]):
                         _assert_fields_identical(a, b)
                 else:
-                    _assert_fields_identical(got, minimax.minimax_residual(
-                        table, spec, (site.t0, site.x0, site.z), kind, horizon, budget,
-                        seed=check_seed))
+                    _assert_fields_identical(got, want)
 
     def test_the_earlier_step_wins_across_sites(self):
         # the first site's stage terms go non-finite at t = 0.5625, the
@@ -743,6 +746,26 @@ class TestSiteChecks:
             minimax.site_checks(table, spec, [site], 0.25, 8)
         assert calls == []
 
+    @pytest.mark.parametrize("state,z,shapes", [
+        ([0.1], np.array([0.5, 0.2]), "history of dimension 1 and z of shape (2,)"),
+        ([0.1, 0.3], np.array([0.5]), "history of dimension 2 and z of shape (1,)"),
+        ([0.1], np.zeros((1, 1)), "history of dimension 1 and z of shape (1, 1)"),
+    ], ids=["z-too-wide", "history-too-wide", "z-a-matrix"])
+    def test_a_site_of_another_dimension_is_refused_before_any_work(self, desk, monkeypatch,
+                                                                     state, z, shapes):
+        # numpy would otherwise raise a bare ValueError mid-run
+        spec, grid, table = desk
+        calls = _count_lane_sets(monkeypatch)
+        read = []
+        monkeypatch.setattr(ValueTable, "interp", lambda *args: read.append(args))
+        good = minimax.Site(grid.nodes[2], Path.constant(grid, [0.1]), np.array([0.5]),
+                            (("sub", 0),))
+        bad = minimax.Site(grid.nodes[4], Path.constant(grid, state), z, (("scan", 1),))
+        with pytest.raises(DomainError) as err:
+            minimax.site_checks(table, spec, [good, good, bad], 0.25, 8)
+        assert str(err.value) == f"site 2: {shapes}, where the game has dimension 1"
+        assert calls == [] and read == []
+
     def test_minimax_check_run_is_two_lane_sets(self, tmp_path, monkeypatch):
         # every site and scan in one set (20 sites of 11 game lanes and two
         # 21-lane tube blocks, 3 scans of 32 lanes), the mutation control in
@@ -753,3 +776,27 @@ class TestSiteChecks:
             assert cli.run(json.load(fh), str(tmp_path)) == 0
         assert calls == [20 * (11 + 21 + 21) + 3 * 32, 32]
         assert len(steps) <= 32 + 4
+
+    def test_minimax_check_run_takes_stage_terms_once_per_step(self, tmp_path, monkeypatch):
+        # inside site_checks, lane_terms is called by the lane solve's steps
+        # alone: a scan's F0 is its lanes' first Hamiltonian, not a call of its own
+        steps, terms, inside = [], [], []
+        _count_lane_sets(monkeypatch, steps)
+        lane_terms, site_checks = GameSpec.lane_terms, minimax.site_checks
+
+        def counted_terms(self, *args):
+            terms.append(bool(inside))
+            return lane_terms(self, *args)
+
+        def within(*args, **kwargs):
+            inside.append(True)
+            try:
+                return site_checks(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(GameSpec, "lane_terms", counted_terms)
+        monkeypatch.setattr(cli, "site_checks", within)
+        with open(MINIMAX_CONFIG) as fh:
+            assert cli.run(json.load(fh), str(tmp_path)) == 0
+        assert terms.count(True) == len(steps) == 33

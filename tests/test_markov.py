@@ -40,7 +40,7 @@ from pdhj.game import (
     with_drift_perturbation,
     with_terminal_shift,
 )
-from pdhj.minimax import minimax_residual, stability_experiment, viscosity_scan
+from pdhj.minimax import Site, site_checks, stability_experiment
 from pdhj.pathcore import Path, TimeGrid, stopped_at
 from pdhj.upsilon import LyapunovParams
 from scalar_reference import callback_game, planar_game, reference_game, scale_costs, sup_norm
@@ -284,18 +284,16 @@ class TestConsumersMatchThePathForm:
         dim = spec.op.space.dim
         rng = np.random.default_rng(11)
         for k in (1, 4):
-            site = (self.grid.nodes[k], Path.constant(self.grid, rng.uniform(-0.6, 0.6, dim)),
-                    rng.standard_normal(dim))
-            for direction in ("sub", "super"):
-                got, want = (json.dumps(dataclasses.asdict(minimax_residual(
-                    table, form, site, direction, 0.25, 14, seed=k, side=side)), allow_nan=False)
-                             for form in (spec, reference))
-                assert got == want
-            got, want = (viscosity_scan(table, form, site[:2], site[2], 0.25, search_budget=14,
-                                        seed=k, side=side)
-                         for form in (spec, reference))
-            assert [dataclasses.asdict(r) for r in got["reports"]] == \
-                [dataclasses.asdict(r) for r in want["reports"]]
+            site = Site(self.grid.nodes[k], Path.constant(self.grid, rng.uniform(-0.6, 0.6, dim)),
+                        rng.standard_normal(dim), (("sub", k), ("super", k), ("scan", k)))
+            (sub, sup, scan), (ref_sub, ref_sup, ref_scan) = (
+                site_checks(table, form, [site], 0.25, 14, side=side)[0]
+                for form in (spec, reference))
+            for got, want in ((sub, ref_sub), (sup, ref_sup)):
+                assert json.dumps(dataclasses.asdict(got), allow_nan=False) == \
+                    json.dumps(dataclasses.asdict(want), allow_nan=False)
+            assert [dataclasses.asdict(r) for r in scan["reports"]] == \
+                [dataclasses.asdict(r) for r in ref_scan["reports"]]
 
     @pytest.mark.parametrize("name", ["isaacs", "bilinear", "planar"])
     def test_feedback_traces_and_random_draws(self, name):

@@ -8,12 +8,12 @@ from pdhj import minimax
 from pdhj.errors import DomainError
 from pdhj.game import StateLattice, constant_game, dp_value, hamiltonian, isaacs_game
 from pdhj.minimax import (
+    Site,
     ViscosityReport,
     bump_table,
     composite_tolerance,
-    minimax_residual,
+    site_checks,
     stability_experiment,
-    viscosity_scan,
 )
 from pdhj.pathcore import Path, TimeGrid, extend_history
 from scalar_reference import reference_game
@@ -37,13 +37,19 @@ def const():
     return spec, grid, lattice, table
 
 
+def _one_check(table, spec, site, kind, budget, seed=0, horizon=0.25, **kwargs):
+    """The result of site_checks at one Site with one check."""
+    (result,), = site_checks(table, spec, [Site(*site, ((kind, seed),))], horizon, budget,
+                             **kwargs)
+    return result
+
+
 class TestMinimaxResidual:
     def test_constant_game_zero_slack_both_directions(self, const):
         spec, grid, lattice, table = const
         x0 = Path.constant(grid, [0.0])
-        site = (0.25, x0, np.zeros(1))
-        sub = minimax_residual(table, spec, site, "sub", 0.25, 8, seed=0)
-        sup = minimax_residual(table, spec, site, "super", 0.25, 8, seed=0)
+        (sub, sup), = site_checks(table, spec, [Site(0.25, x0, np.zeros(1),
+                                                     (("sub", 0), ("super", 0)))], 0.25, 8)
         assert abs(sub.slack) <= 1e-10
         assert abs(sup.slack) <= 1e-10
         assert sub.verdict and sup.verdict
@@ -56,8 +62,8 @@ class TestMinimaxResidual:
             x0 = Path.constant(grid, [float(rng.uniform(-1.0, 1.0))])
             z = rng.standard_normal(1) * 0.8
             site = (grid.nodes[k], x0, z)
-            sub = minimax_residual(table, spec, site, "sub", 0.25, 24, seed=50 + i)
-            sup = minimax_residual(table, spec, site, "super", 0.25, 24, seed=90 + i)
+            sub = _one_check(table, spec, site, "sub", 24, seed=50 + i)
+            sup = _one_check(table, spec, site, "super", 24, seed=90 + i)
             assert sub.verdict, f"sub failed at site {i}: slack {sub.slack}"
             assert sup.verdict, f"super failed at site {i}: slack {sup.slack}"
 
@@ -67,7 +73,7 @@ class TestMinimaxResidual:
         state = lattice.axes[0][16]
         x0 = Path.constant(grid, [float(state)])
         site = (grid.nodes[8], x0, np.zeros(1))
-        sub = minimax_residual(bumped, spec, site, "sub", 0.25, 24, seed=3)
+        sub = _one_check(bumped, spec, site, "sub", 24, seed=3)
         assert not sub.verdict
         assert sub.slack < -sub.tolerance
 
@@ -76,31 +82,31 @@ class TestMinimaxResidual:
         x0 = Path.constant(grid, [0.5])
         site = (grid.nodes[2], x0, np.array([0.7]))
         tol = composite_tolerance(max(lattice.spacing), grid.mesh, 16)
-        small = minimax_residual(table, spec, site, "sub", 0.25, 16, seed=4, tolerance=tol)
-        large = minimax_residual(table, spec, site, "sub", 0.25, 32, seed=4, tolerance=tol)
+        small = _one_check(table, spec, site, "sub", 16, seed=4, tolerance=tol)
+        large = _one_check(table, spec, site, "sub", 32, seed=4, tolerance=tol)
         assert large.slack >= small.slack - 1e-12
-        small_sup = minimax_residual(table, spec, site, "super", 0.25, 16, seed=4, tolerance=tol)
-        large_sup = minimax_residual(table, spec, site, "super", 0.25, 32, seed=4, tolerance=tol)
+        small_sup = _one_check(table, spec, site, "super", 16, seed=4, tolerance=tol)
+        large_sup = _one_check(table, spec, site, "super", 32, seed=4, tolerance=tol)
         assert large_sup.slack <= small_sup.slack + 1e-12
 
     def test_lower_side_passes_on_isaacs_table(self, desk):
         spec, grid, lattice, table = desk
         x0 = Path.constant(grid, [0.3])
         site = (grid.nodes[1], x0, np.array([0.4]))
-        sub = minimax_residual(table, spec, site, "sub", 0.25, 16, seed=8, side="lower")
-        sup = minimax_residual(table, spec, site, "super", 0.25, 16, seed=8, side="lower")
+        sub = _one_check(table, spec, site, "sub", 16, seed=8, side="lower")
+        sup = _one_check(table, spec, site, "super", 16, seed=8, side="lower")
         assert sub.verdict and sup.verdict
 
     def test_direction_validated(self, desk):
         spec, grid, lattice, table = desk
         x0 = Path.constant(grid, [0.0])
         with pytest.raises(DomainError):
-            minimax_residual(table, spec, (0.0, x0, np.zeros(1)), "sideways", 0.25, 4)
+            _one_check(table, spec, (0.0, x0, np.zeros(1)), "sideways", 4)
 
     def test_report_serializes(self, const):
         spec, grid, lattice, table = const
         x0 = Path.constant(grid, [0.0])
-        rep = minimax_residual(table, spec, (0.0, x0, np.zeros(1)), "sub", 0.25, 4, seed=1)
+        rep = _one_check(table, spec, (0.0, x0, np.zeros(1)), "sub", 4, seed=1)
         obj = json.loads(json.dumps(dataclasses.asdict(rep), allow_nan=False))
         assert obj["site"] == {"t0": 0.0, "state": [0.0], "z": [0.0]}
         assert obj["certification"].startswith("sampled-evidence")
@@ -116,15 +122,15 @@ class TestMinimaxResidual:
         original = minimax._characteristic_functional
 
         def rigged(*args):
-            G = original(*args)  # (lane, step): the one site's 16 lanes over its 4 steps
+            G, reads = original(*args)  # (lane, step): the one site's 16 lanes over its 4 steps
             R = np.full(G.shape, -5.0 * sign)
             R[1] = sign * np.array([1.0, -0.0, 0.0, 2.0])
             R[2] = R[3] = sign * np.array([0.0, 3.0, 0.0, 1.0])
-            return R
+            return R, reads
 
         monkeypatch.setattr(minimax, "_characteristic_functional", rigged)
         site = (grid.nodes[2], Path.constant(grid, [0.3]), np.array([0.4]))
-        rep = minimax_residual(table, spec, site, direction, 0.25, 16, seed=1)
+        rep = _one_check(table, spec, site, direction, 16, seed=1)
         assert rep.best_candidate == "constant[p0,q1]"
         assert rep.binding_time == grid.nodes[4]
         assert rep.slack == 0.0 and np.copysign(1.0, rep.slack) == np.copysign(1.0, -sign)
@@ -135,8 +141,8 @@ class TestViscosityResidual:
     def test_constant_game_zero_c_passes_both(self, const):
         spec, grid, lattice, table = const
         x0 = Path.constant(grid, [0.0])
-        (rep,) = viscosity_scan(table, spec, (0.25, x0), np.zeros(1), 0.25, c_values=(0.0,),
-                                search_budget=4, seed=0)["reports"]
+        (rep,) = _one_check(table, spec, (0.25, x0, np.zeros(1)), "scan", 4, seed=0,
+                            c_values=(0.0,))["reports"]
         assert rep.super_certificate_holds and rep.sub_certificate_holds
         assert rep.super_verdict == "pass"
         assert rep.sub_verdict == "pass"
@@ -144,8 +150,8 @@ class TestViscosityResidual:
     def test_large_positive_c_is_vacuous_for_super(self, desk):
         spec, grid, lattice, table = desk
         x0 = Path.constant(grid, [0.4])
-        (rep,) = viscosity_scan(table, spec, (0.25, x0), np.array([0.5]), 0.25,
-                                c_values=(5.0,), search_budget=16, seed=1)["reports"]
+        (rep,) = _one_check(table, spec, (0.25, x0, np.array([0.5])), "scan", 16, seed=1,
+                            c_values=(5.0,))["reports"]
         # E grows like c*(t - t0) for large c: no local max at the site
         assert not rep.super_certificate_holds
         assert rep.super_verdict == "vacuous"
@@ -157,16 +163,16 @@ class TestViscosityResidual:
             k = int(rng.integers(0, 10))
             x0 = Path.constant(grid, [float(rng.uniform(-0.8, 0.8))])
             z = rng.standard_normal(1) * 0.5
-            (rep,) = viscosity_scan(table, spec, (grid.nodes[k], x0), z, 0.25, c_values=(0.0,),
-                                    search_budget=16, seed=30 + i)["reports"]
+            (rep,) = _one_check(table, spec, (grid.nodes[k], x0, z), "scan", 16, seed=30 + i,
+                                c_values=(0.0,))["reports"]
             assert rep.super_verdict in ("pass", "vacuous")
             assert rep.sub_verdict in ("pass", "vacuous")
 
     def test_report_serializes(self, const):
         spec, grid, lattice, table = const
         x0 = Path.constant(grid, [0.0])
-        (rep,) = viscosity_scan(table, spec, (0.0, x0), np.zeros(1), 0.25, c_values=(0.0,),
-                                search_budget=4, seed=2)["reports"]
+        (rep,) = _one_check(table, spec, (0.0, x0, np.zeros(1)), "scan", 4, seed=2,
+                            c_values=(0.0,))["reports"]
         obj = json.loads(json.dumps(dataclasses.asdict(rep), allow_nan=False))
         assert obj.keys() == {f.name for f in dataclasses.fields(rep)}
         assert obj["certification"].startswith("sampled-evidence")
@@ -175,8 +181,7 @@ class TestViscosityResidual:
     def test_scan_clean_on_honest_table(self, desk):
         spec, grid, lattice, table = desk
         x0 = Path.constant(grid, [0.5])
-        scan = viscosity_scan(table, spec, (grid.nodes[2], x0), np.array([0.4]), 0.25,
-                              search_budget=16, seed=5)
+        scan = _one_check(table, spec, (grid.nodes[2], x0, np.array([0.4])), "scan", 16, seed=5)
         assert not scan["violation_found"]
 
     def test_bump_table_side_aliases_and_unknown_side(self, desk):
@@ -196,8 +201,7 @@ class TestViscosityResidual:
         spec, grid, lattice, table = desk
         bumped = bump_table(table, 8, 16, 0.2, side="upper")
         x0 = Path.constant(grid, [float(lattice.axes[0][16])])
-        scan = viscosity_scan(bumped, spec, (grid.nodes[8], x0), np.zeros(1), 0.25,
-                              search_budget=16, seed=6)
+        scan = _one_check(bumped, spec, (grid.nodes[8], x0, np.zeros(1)), "scan", 16, seed=6)
         assert scan["violation_found"]
 
 
@@ -269,14 +273,14 @@ class TestViscosityScanOnePass:
         site = (grid.nodes[t_index], Path.constant(grid, [state]))
         tol = composite_tolerance(max(lattice.spacing), grid.mesh, 8)
         c_values = (-5.0, -4.0 * tol, -tol, 0.0, tol, 4.0 * tol, 5.0)
-        scan = viscosity_scan(table, spec, site, np.array([z]), 0.25, c_values=c_values,
-                              search_budget=8, seed=3)
+        scan = _one_check(table, spec, (*site, np.array([z])), "scan", 8, seed=3,
+                          c_values=c_values)
         for c, rep in zip(c_values, scan["reports"]):
             ref = _viscosity_residual_reference(table, spec, site, np.array([z]), c, 0.25,
                                                 search_budget=8, seed=3)
             _assert_reports_identical(rep, ref)
-        (single,) = viscosity_scan(table, spec, site, np.array([z]), 0.25, c_values=(tol,),
-                                   search_budget=8, seed=3)["reports"]
+        (single,) = _one_check(table, spec, (*site, np.array([z])), "scan", 8, seed=3,
+                               c_values=(tol,))["reports"]
         _assert_reports_identical(single, _viscosity_residual_reference(
             table, spec, site, np.array([z]), tol, 0.25, search_budget=8, seed=3))
 
@@ -290,8 +294,8 @@ class TestViscosityScanOnePass:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(minimax, "_candidate_runs", counted)
-        scan = viscosity_scan(table, spec, (grid.nodes[2], Path.constant(grid, [0.5])),
-                              np.array([0.4]), 0.25, search_budget=8, seed=5)
+        scan = _one_check(table, spec, (grid.nodes[2], Path.constant(grid, [0.5]),
+                                        np.array([0.4])), "scan", 8, seed=5)
         assert len(scan["reports"]) == 5
         assert len(calls) == 1
 

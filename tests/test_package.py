@@ -1,11 +1,13 @@
 """The package namespace: submodules resolve to modules, the scalar
 references that live in tests/scalar_reference.py are names of neither the
-package nor the modules they came from, and the names and parameters that
-were deleted stay deleted."""
+package nor the modules they came from, the names and parameters that
+were deleted stay deleted, and every export is used inside the package."""
 
+import ast
 import functools
 import importlib
 import inspect
+import pathlib
 import types
 
 import numpy as np
@@ -42,8 +44,10 @@ DELETED = {"game": ("StrategyTrace", "play_pools",
            "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing",
                          "DelayDynamics"),
            "pathcore": ("sup_norms",),
-           # one table read per node over every site's candidates
-           "minimax": ("_window_values",)}
+           # one table read per node over every site's candidates, folded
+           # into the functional's loop; the one-site wrappers of site_checks
+           "minimax": ("_window_values", "_window_reads", "minimax_residual",
+                       "viscosity_scan")}
 DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces", "to_json_obj"),
                    ("evolution", "DelayDynamics"): ("forced",),
                    ("pathcore", "Path"): ("zero",),
@@ -149,3 +153,25 @@ def test_deleted_strategy_state_is_gone(name):
     strategy = FeedbackStrategy(constant_game(), LyapunovParams.at_epsilon0(0.1, 1.0), table,
                                 0.0, Path.constant(grid, [0.0]), [Path.constant(grid, [0.5])])
     assert not hasattr(strategy, name)
+
+
+def _names_used_in_package():
+    """Every ast.Name id and ast.Attribute attr in the package's modules
+    other than __init__."""
+    used = set()
+    for source in pathlib.Path(pdhj.__file__).parent.glob("*.py"):
+        if source.name != "__init__.py":
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    return used
+
+
+def test_every_export_is_used_inside_the_package():
+    # an export that only tests call is a helper to delete, not to export
+    exports = sorted(name for name, obj in vars(pdhj).items() if not name.startswith("_")
+                     and (inspect.isclass(obj) or inspect.isfunction(obj)))
+    assert exports
+    assert [name for name in exports if name not in _names_used_in_package()] == []

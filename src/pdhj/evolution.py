@@ -43,7 +43,9 @@ site order would raise the first site's error however late its step), and a
 non-finite stage term of any lane raises during the solve, at its step, in
 (lane, p, q) order (a viscosity scan's lanes too check their full control
 grid); the characteristic functional then has only its table-read phase,
-one batch per node over every site.  The sampled Hamiltonians of
+one batch per node over every site.  A DP slice's phases are its stage
+terms, its Markov probe, its implicit step and one table read of both
+sides.  The sampled Hamiltonians of
 pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
 use) take them one time group at a time: the distinct sample times in order
 of first appearance, every sample at a time in one batch, so they raise the

@@ -171,12 +171,12 @@ class HamiltonianEval:
 
 
 def hamiltonian(spec: GameSpec, t: float, x: Path, z) -> HamiltonianEval:
-    """Exact enumeration of max_q min_p and min_p max_q of cost + (f, z): one
-    lane_terms call on the lane x, reduced by minimax_records."""
-    drift, cost = spec.lane_terms(t, x.value_at(t)[None], lambda _: x)
-    f_minus, f_plus = minimax_records(
-        cost + _row_dots(drift, np.atleast_1d(np.asarray(z, dtype=float))))[:2]
-    return HamiltonianEval(f_minus=float(f_minus[0]), f_plus=float(f_plus[0]))
+    """Exact enumeration of max_q min_p and min_p max_q of cost + (f, z): the
+    one-sample call of sampled_hamiltonians on the lane x."""
+    f_minus, f_plus = sampled_hamiltonians(spec, np.array([t], dtype=float), x.value_at(t)[None],
+                                           lambda _: x,
+                                           np.atleast_1d(np.asarray(z, dtype=float))[None, None])
+    return HamiltonianEval(f_minus=float(f_minus[0, 0]), f_plus=float(f_plus[0, 0]))
 
 
 def minimax_records(M: np.ndarray):
@@ -217,11 +217,11 @@ def sampled_hamiltonians(spec: GameSpec, times: np.ndarray, states: np.ndarray, 
     call per distinct time (equal bits), in order of first appearance, over
     every sample at that time, so an error is the first non-finite entry in
     that order; one minimax_records call then reduces all S * Z stage
-    matrices.  Returns (f_minus, f_plus), each of shape (S, Z), entry (s, j)
-    bit-equal to hamiltonian(spec, times[s], path_of(s), zs[s, j]).
+    matrices.  Returns (f_minus, f_plus), each of shape (S, Z); entry (s, j)
+    is hamiltonian(spec, times[s], path_of(s), zs[s, j]), its one-sample call.
     """
     controls = spec.controls
-    n_s, n_z, dim = zs.shape
+    (n_s, n_z), dim = zs.shape[:2], spec.op.space.dim
     drift = np.empty((n_s, controls.n_p, controls.n_q, dim))
     cost = np.empty((n_s, controls.n_p, controls.n_q))
     _, first, group = np.unique(times.view(np.int64), return_index=True, return_inverse=True)
@@ -340,6 +340,9 @@ class StateLattice:
     def interpolate_batch(self, values: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Multilinear interpolation of a lattice field at many states.
 
+        values has shape lattice.shape + tail and the result (N,) + tail: one
+        set of bases and weights, and one coverage check, reads every field
+        stacked on the trailing axes, each as it is read alone.
         Out-of-lattice states raise LatticeCoverageError with the margin needed
         (silent clamping would corrupt value comparisons).
         """
@@ -348,6 +351,7 @@ class StateLattice:
         if worst > COVERAGE_TOL:
             raise _coverage_error(worst)
         axes = self.axes
+        tail = (slice(None),) + (None,) * (np.ndim(values) - self.dim)
         idx = []
         wts = []
         for d in range(self.dim):
@@ -355,7 +359,7 @@ class StateLattice:
             pos = np.clip((states[:, d] - axis[0]) / (axis[1] - axis[0]), 0.0, self.shape[d] - 1)
             base = np.minimum(pos.astype(int), self.shape[d] - 2)
             idx.append(base)
-            wts.append(pos - base)
+            wts.append((pos - base)[tail])
         if self.dim == 1:
             b, w = idx[0], wts[0]
             out = values[b] * (1.0 - w) + values[b + 1] * w
@@ -408,7 +412,8 @@ class ValueTable:
         return float(self.interp_batch(side, t, np.atleast_1d(state)[None, :])[0])
 
     def interp_batch(self, side: str, t: float, states: np.ndarray) -> np.ndarray:
-        """Time-linear, state-multilinear interpolation; exact at table nodes."""
+        """Time-linear, state-multilinear interpolation; exact at table nodes.
+        Off the nodes, one interpolate_batch call reads both bracketing slices."""
         vals = self.side_values(side)
         self.grid.require_contains(t)
         nodes = self.grid.nodes
@@ -418,8 +423,7 @@ class ValueTable:
         k = int(np.searchsorted(nodes, t, side="right")) - 1
         k = min(max(k, 0), len(nodes) - 2)
         w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-        a = self.lattice.interpolate_batch(vals[k], states)
-        b = self.lattice.interpolate_batch(vals[k + 1], states)
+        a, b = self.lattice.interpolate_batch(np.moveaxis(vals[k:k + 2], 0, -1), states).T
         return a + w * (b - a)
 
     def gradient(self, side: str, t: float, states: np.ndarray) -> np.ndarray:
@@ -477,18 +481,20 @@ class _PathReads:
 
 
 def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
-              v_minus_next, v_plus_next, lifts):
-    """One backward step of both sides: (v_minus_k, v_plus_k) lattice arrays
-    from the next node's v_minus_next and v_plus_next.
+              next_values: np.ndarray, lifts) -> np.ndarray:
+    """One backward step of both sides: node k's values from next_values,
+    the next node's lower and upper values stacked on a last axis (shape
+    lattice.shape + (2,)), returned in the same shape.
 
     The slice is one array program over its (point, p, q) cells: one
     lane_terms call over every lattice point (lane n's path is lifts[n]),
-    one batched implicit step, one interpolation per side, and the min/max as
-    axis reductions.  At node k > 0 a game whose stage function called
-    path_of is probed by _require_markov.  Errors follow the lockstep rule of
-    pdhj.evolution; the phases are the stage terms, the probe, the implicit
-    step and the table reads, and a successor off the lattice names the cell
-    with the largest margin (the first such cell on ties).
+    one batched implicit step, one interpolate_batch call that reads both
+    sides, and the min/max as axis reductions.  At node k > 0 a game whose
+    stage function called path_of is probed by _require_markov.  Errors
+    follow the lockstep rule of pdhj.evolution; the phases are the stage
+    terms, the probe, the implicit step and the table read, and a successor
+    off the lattice names the cell with the largest margin (the first such
+    cell on ties), whose margins are taken only on that error path.
     """
     nodes = grid.nodes
     t_k, t_k1 = nodes[k], nodes[k + 1]
@@ -500,79 +506,60 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     reads = _PathReads(lifts)
     drift, cost = spec.lane_terms(t_k, points, reads)
     if reads.called and k > 0:
-        _require_markov(spec, grid, k, points, drift, cost)
+        _require_markov(spec, grid, k, points, (drift, cost))
     starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
     succ, _, _ = _drift_step(spec.op, t_k1, dt, starts, drift.reshape(-1, dim),
                              STEP_SOLVE_TOL, k)
-    margins = lattice.coverage_margins(succ)
-    worst = int(np.argmax(margins))
-    if margins[worst] > COVERAGE_TOL:
+    try:
+        read = lattice.interpolate_batch(next_values, succ)
+    except LatticeCoverageError:
+        margins = lattice.coverage_margins(succ)
+        worst = int(np.argmax(margins))
         idx, i, j = np.unravel_index(worst, cells)
         err = _coverage_error(float(margins[worst]))
         raise LatticeCoverageError(
             f"successor left the lattice at time index {k} (state {points[idx]}, "
             f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {err}",
-            margin=err.margin)
-    stage = dt * cost
-    # maximizer commits first: max over q of min over p
-    obj = stage + lattice.interpolate_batch(v_minus_next, succ).reshape(cells)
-    out_minus = obj.min(axis=1).max(axis=1).reshape(lattice.shape)
-    # minimizer commits first: min over p of max over q
-    obj = stage + lattice.interpolate_batch(v_plus_next, succ).reshape(cells)
-    out_plus = obj.max(axis=2).min(axis=1).reshape(lattice.shape)
-    return out_minus, out_plus
+            margin=err.margin) from None
+    obj = (dt * cost)[..., None] + read.reshape(cells + (2,))
+    # lower: the maximizer commits first, max over q of min over p; upper: the
+    # minimizer commits first, min over p of max over q
+    return np.stack([obj[..., 0].min(axis=1).max(axis=1), obj[..., 1].max(axis=2).min(axis=1)],
+                    axis=-1).reshape(lattice.shape + (2,))
 
 
-def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray,
-                    drift: np.ndarray, cost: np.ndarray):
-    """The oracle's probe at node k > 0 of a game whose stage function read a path.
+def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray, lifted):
+    """The oracle's probe at node k > 0 of a function seen to read a path: the
+    stage function at a slice's node k < n_steps, the terminal function at
+    k = n_steps.
 
-    drift and cost are the stage terms on the constant lifts of the lattice
-    points.  Each point's history before t_k is pushed away from the origin
-    (x -> x + sign(x)(1 + |x|) per coordinate, so every node norm grows) while
-    x(t_k) stays; the stage terms on these histories must equal those on the
-    lifts bit for bit, or the game reads its past and the DP value, which
-    sees only constant lifts, would be wrong: ConfigurationError.
+    lifted holds its terms on the constant lifts of the lattice points: the
+    slice's (drift, cost), or (terminal,).  Each point's history before t_k
+    is pushed away from the origin (x -> x + sign(x)(1 + |x|) per
+    coordinate, so every node norm grows) while x(t_k) stays, and one call
+    takes every term on these histories before any is compared.  Each must
+    equal its lifted term bit for bit, or the game reads its past and the DP
+    value, which sees only constant lifts, would be wrong: ConfigurationError
+    names the first point that differs.
     """
-    t_k = grid.nodes[k]
-    values = _pushed_histories(grid, k, points)
-    drift_h, cost_h = spec.lane_terms(t_k, points, lambda n: Path(grid, values[:, n]))
-    same = (drift_h == drift).all(axis=(1, 2, 3)) & (cost_h == cost).all(axis=(1, 2))
-    if not same.all():
-        n = int(np.argmin(same))
-        raise ConfigurationError(
-            f"game {spec.name!r} reads its path before t at time node {k} (t={t_k}, lattice "
-            f"state {points[n]}): the DP oracle values only games that read the path "
-            f"through x(t)")
-
-
-def _pushed_histories(grid: TimeGrid, k: int, points: np.ndarray) -> np.ndarray:
-    """Node values, shape (n_steps + 1, N, dim), of the N points' histories
-    pushed away from the origin before t_k (x -> x + sign(x)(1 + |x|) per
-    coordinate) and equal to the point from t_k on."""
+    t_k, terminal = grid.nodes[k], k == grid.n_steps
     values = np.repeat(points[None], grid.n_steps + 1, axis=0)
     values[:k] = points + np.copysign(1.0 + np.abs(points), points)
-    return values
 
+    def pushed_of(n):
+        return Path(grid, values[:, n])
 
-def _require_markov_terminal(spec: GameSpec, grid: TimeGrid, points: np.ndarray,
-                             terminal: np.ndarray):
-    """The oracle's probe of a terminal function that read a path.
-
-    terminal holds the terminal costs on the constant lifts of the lattice
-    points.  One final_costs call takes them on the points' histories pushed
-    away before T (as _require_markov pushes them before t_k); they must be
-    the same, or ConfigurationError names the first point that differs.  All
-    pushed costs are taken before any is compared, so a non-finite one raises
-    final_costs' EvaluationError even when an earlier point differs.
-    """
-    values = _pushed_histories(grid, grid.n_steps, points)
-    same = spec.final_costs(points, lambda n: Path(grid, values[:, n])) == terminal
+    pushed = (spec.final_costs(points, pushed_of),) if terminal \
+        else spec.lane_terms(t_k, points, pushed_of)
+    same = np.ones(len(points), dtype=bool)
+    for a, b in zip(pushed, lifted):
+        same &= (a == b).reshape(len(points), -1).all(axis=1)
     if not same.all():
-        raise ConfigurationError(
-            f"game {spec.name!r} reads its path before T in its terminal cost (lattice "
-            f"state {points[int(np.argmin(same))]}): the DP oracle values only games that "
-            f"read the path through x(T)")
+        state = f"lattice state {points[int(np.argmin(same))]}"
+        where, now = ((f"before T in its terminal cost ({state})", "x(T)") if terminal
+                      else (f"before t at time node {k} (t={t_k}, {state})", "x(t)"))
+        raise ConfigurationError(f"game {spec.name!r} reads its path {where}: the DP oracle "
+                                 f"values only games that read the path through {now}")
 
 
 def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice) -> ValueTable:
@@ -582,31 +569,30 @@ def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice) -> ValueTabl
     lower value: maximizer commits first (max over q of min over p).  Terminal
     slice is the terminal cost evaluated exactly at lattice points.  Successors
     are one implicit-Euler step; leaving the lattice is an error that names the
-    margin needed.
+    margin needed.  The two sides share one working array, so each slice
+    reads both with one interpolation (_dp_slice).
 
     Each lattice point's lane is its constant lift, handed to the game as
     path_of.  A function that never calls it cannot read the past, and is
-    taken as it is.  A stage function seen to call it at a node after the
-    first is probed there, inside that node's slice: its stage terms on
-    histories perturbed before t must equal those on the constant lifts
-    (_require_markov), or dp_value raises ConfigurationError naming the game
-    and the node, rather than return a value that ignores the past.  A
-    terminal function seen to call it is probed the same way on histories
-    perturbed before T, before any slice (_require_markov_terminal).
+    taken as it is.  A function seen to call it is probed by _require_markov:
+    the stage function at a node after the first, inside that node's slice,
+    on histories perturbed before t, and the terminal function, before any
+    slice, on histories perturbed before T.  Its terms there must equal those
+    on the constant lifts, or dp_value raises ConfigurationError naming the
+    game (and the node), rather than return a value that ignores the past.
     """
     lifts = _lift_paths(lattice, grid)
     points = lattice.points()
-    shape = (grid.n_steps + 1,) + lattice.shape
     reads = _PathReads(lifts)
     terminal = spec.final_costs(points, reads)
     if reads.called:
-        _require_markov_terminal(spec, grid, points, terminal)
-    v_minus, v_plus = np.empty(shape), np.empty(shape)
-    v_minus[-1] = v_plus[-1] = terminal.reshape(lattice.shape)
+        _require_markov(spec, grid, grid.n_steps, points, (terminal,))
+    values = np.empty((grid.n_steps + 1,) + lattice.shape + (2,))  # (lower, upper)
+    values[-1] = terminal.reshape(lattice.shape)[..., None]
     for k in range(grid.n_steps - 1, -1, -1):
-        v_minus[k], v_plus[k] = _dp_slice(spec, grid, lattice, k, v_minus[k + 1],
-                                          v_plus[k + 1], lifts)
-    return ValueTable(grid=grid, lattice=lattice, v_minus=v_minus, v_plus=v_plus)
+        values[k] = _dp_slice(spec, grid, lattice, k, values[k + 1], lifts)
+    return ValueTable(grid=grid, lattice=lattice, v_minus=np.ascontiguousarray(values[..., 0]),
+                      v_plus=np.ascontiguousarray(values[..., 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DomainError
 
 _NODE_TOL = 1e-12
+_NODE_INDEX_TOL = 1e-9  # node_index's match tolerance
 
 
 @dataclass(frozen=True)
@@ -82,11 +83,12 @@ class TimeGrid:
         if not self.contains(t):
             raise DomainError(f"{what}={t} outside grid span [{self.t_start}, {self.t_end}]")
 
-    def node_index(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the node equal to t, or DomainError if t is not a node."""
+    def node_index(self, t: float) -> int:
+        """Index of the node equal to t within _NODE_INDEX_TOL, relative to
+        max(1, |t_end|), or DomainError if t is not a node."""
         nodes = self.nodes
         k = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[k] - t) > tol * max(1.0, abs(self.t_end)):
+        if abs(nodes[k] - t) > _NODE_INDEX_TOL * max(1.0, abs(self.t_end)):
             raise DomainError(f"t={t} is not a grid node")
         return k
 

@@ -24,6 +24,7 @@ from .pathcore import Path, TimeGrid, _row_dots, _row_norms, kappa_constant, pad
 
 ZERO_BRANCH_TOL = 1e-14
 SMOOTHNESS_RATIO_BOUND = 1.2
+CHAIN_RULE_REFINEMENTS = 3  # grid halvings after the path's own grid
 
 
 def surrogate_terms(sup_sq, cur_sq):
@@ -152,13 +153,14 @@ def _check_smooth_segment(x: Path, k0: int, k1: int):
 
 
 def verify_chain_rule(functional: str, x: Path, t0: float, t1: float, *,
-                      params: LyapunovParams = None, refinements: int = 3) -> ChainRuleReport:
+                      params: LyapunovParams = None) -> ChainRuleReport:
     """Compare phi(t1,x) - phi(t0,x) against the chain-rule quadrature under refinement.
 
     The right-hand side integrates d/dt phi + (x', d/dx phi) by composite
     trapezoid on the path grid, with x' the per-interval polyline slope.
-    Refinements resample the polyline (exact interpolation), so the gap
-    isolates quadrature error; observed orders are log2 gap ratios.
+    CHAIN_RULE_REFINEMENTS halvings of the grid resample the polyline (exact
+    interpolation), so the gap isolates quadrature error; observed orders are
+    log2 gap ratios.
     A path whose slope jumps exceed SMOOTHNESS_RATIO_BOUND times the slope
     scale is rejected as non-smooth.
     """
@@ -172,7 +174,7 @@ def verify_chain_rule(functional: str, x: Path, t0: float, t1: float, *,
     gaps = []
     current = x
     c0, c1 = k0, k1
-    for _ in range(refinements + 1):
+    for _ in range(CHAIN_RULE_REFINEMENTS + 1):
         phi, dphi_dt, dphi_dx = _functional_profile(functional, current, params)
         nodes = current.grid.nodes
         lhs = phi[c1] - phi[c0]
@@ -310,7 +312,7 @@ def property_battery(samples: int = 500, seed: int = 0) -> dict:
             ("chain-rule-smooth", falling, "upsilon", {}, 1.9),
             ("chain-rule-kink", peaked, "upsilon", {}, 0.9),
             ("chain-rule-nu", falling, "nu", {"params": params}, 1.9)):
-        rep = verify_chain_rule(functional, path, 0.0, 1.0, refinements=3, **kwargs)
+        rep = verify_chain_rule(functional, path, 0.0, 1.0, **kwargs)
         checks.append({"name": name,
                        "value": rep.order_estimate if not rep.exact else "exact",
                        "passed": rep.exact or rep.order_estimate >= floor})

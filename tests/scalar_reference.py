@@ -519,9 +519,10 @@ def recompute_slice(table: ValueTable, spec: GameSpec, k: int, side: str) -> np.
     """Redo the backward step at time index k from slice k+1 of both sides and
     return the named side's slice; an unknown side is refused (DomainError)."""
     upper = is_upper_side(side)
-    m_k, p_k = _dp_slice(spec, table.grid, table.lattice, k, table.v_minus[k + 1],
-                         table.v_plus[k + 1], _lift_paths(table.lattice, table.grid))
-    return p_k if upper else m_k
+    next_values = np.stack([table.v_minus[k + 1], table.v_plus[k + 1]], axis=-1)
+    both = _dp_slice(spec, table.grid, table.lattice, k, next_values,
+                     _lift_paths(table.lattice, table.grid))
+    return both[..., int(upper)]
 
 
 def _char_policy(spec: GameSpec, table: ValueTable, side: str, role: str, z):

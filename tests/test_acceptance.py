@@ -113,7 +113,7 @@ def test_criterion_02_chain_rule_orders():
     failures = []
     for idx, path in enumerate(_smooth_path_suite(rng, 100)):
         for functional, kwargs in (("upsilon", {}), ("nu", {"params": params})):
-            rep = verify_chain_rule(functional, path, 0.0, 1.0, refinements=3, **kwargs)
+            rep = verify_chain_rule(functional, path, 0.0, 1.0, **kwargs)
             floor = 0.9 if rep.kink_count >= 1 else 1.9
             if not (rep.exact or rep.order_estimate >= floor):
                 failures.append((idx, functional, rep.kink_count, rep.order_estimate))

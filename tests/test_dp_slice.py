@@ -1,11 +1,13 @@
 """The batched DP slice and implicit step against the scalar loops they replace."""
 
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from pdhj import evolution
+from pdhj import cli, evolution
 from pdhj.errors import LatticeCoverageError, SolverError
 from pdhj.evolution import (
     OperatorSpec,
@@ -74,7 +76,8 @@ def planar_game():
 def both_slices(spec, grid, lattice, k, next_values):
     """(batched, reference) slices at k from next_values, both sides."""
     lifts = _lift_paths(lattice, grid)
-    return (_dp_slice(spec, grid, lattice, k, next_values, next_values, lifts),
+    both = _dp_slice(spec, grid, lattice, k, np.stack([next_values, next_values], axis=-1), lifts)
+    return ((both[..., 0], both[..., 1]),
             _dp_slice_reference(spec, grid, lattice, k, next_values, next_values, lifts))
 
 
@@ -131,6 +134,36 @@ class TestBatchedSlice:
             assert np.array_equal(table.v_plus[k], p_ref)
 
 
+class TestOneReadPerSlice:
+    def test_game_value_config_reads_each_slice_once(self, monkeypatch):
+        # one interpolate_batch call reads both sides of a slice, and no
+        # coverage margins are taken outside it
+        config = pathlib.Path(__file__).parent.parent / "configs" / "game_value.json"
+        cfg = cli.validate_config(json.loads(config.read_text()))
+        grid, lattice = cli._build_grid(cfg["grid"]), cli._build_lattice(cfg["lattice"])
+        calls = {"reads": 0, "margins_outside": 0}
+        inside = []
+        read, margins = StateLattice.interpolate_batch, StateLattice.coverage_margins
+
+        def spy_read(self, values, states):
+            calls["reads"] += 1
+            inside.append(True)
+            try:
+                return read(self, values, states)
+            finally:
+                inside.pop()
+
+        def spy_margins(self, states):
+            calls["margins_outside"] += not inside
+            return margins(self, states)
+
+        monkeypatch.setattr(StateLattice, "interpolate_batch", spy_read)
+        monkeypatch.setattr(StateLattice, "coverage_margins", spy_margins)
+        table = dp_value(cli._build_game(cfg["game"]), grid, lattice)
+        assert calls == {"reads": grid.n_steps, "margins_outside": 0}
+        assert table.v_minus.flags.c_contiguous and table.v_plus.flags.c_contiguous
+
+
 class TestCoverageError:
     """A successor off the lattice names the cell with the largest margin, the
     first such cell on ties (the per-cell reference names its first offending
@@ -147,11 +180,11 @@ class TestCoverageError:
         grid = TimeGrid(0.0, 1.0, 4)
         tight = StateLattice(lo=(lo,), hi=(hi,), shape=(5,))
         lifts = _lift_paths(tight, grid)
-        terminal = np.zeros(tight.shape)
+        terminal = np.zeros(tight.shape + (2,))
         want = (f"successor left the lattice at time index 3 ({cell}): state leaves the "
                 f"lattice by 1.590000e+00; expand bounds by at least that margin")
         with pytest.raises(LatticeCoverageError) as got:
-            _dp_slice(spec, grid, tight, 3, terminal, terminal, lifts)
+            _dp_slice(spec, grid, tight, 3, terminal, lifts)
         assert str(got.value) == want
         assert got.value.margin == 1.5899999999999996
         with pytest.raises(LatticeCoverageError) as whole:

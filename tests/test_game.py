@@ -25,6 +25,7 @@ from pdhj.game import (
     isaacs_game,
     lyapunov_violation_stats,
     play_feedback_games,
+    sampled_hamiltonians,
     simulation_grid,
     step_rate_bound,
     with_drift_perturbation,
@@ -110,6 +111,15 @@ class TestHamiltonian:
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(EvaluationError):
             hamiltonian(spec, 0.0, one_point_path(grid), np.array([1.0]))
+
+    def test_z_of_another_dimension_is_refused(self):
+        # a 1-D game's drift is not broadcast across the coordinates of a 2-D z
+        spec, x = bilinear_game(), one_point_path(TimeGrid(0.0, 1.0, 4), 0.5)
+        with pytest.raises(ValueError):
+            hamiltonian(spec, 0.5, x, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            sampled_hamiltonians(spec, np.array([0.5]), x.value_at(0.5)[None], lambda _: x,
+                                 np.ones((1, 1, 2)))
 
 
 class TestGameSpec:
@@ -204,6 +214,39 @@ class TestStateLattice:
         lat = StateLattice(lo=(0.0, 0.0), hi=(1.0, 1.0), shape=(3, 3))
         field = np.add.outer(lat.axes[0], lat.axes[1])
         assert lat.interpolate_batch(field, np.array([[0.3, 0.7]]))[0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("lat", [StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)),
+                                     StateLattice(lo=(-1.5, 0.0), hi=(1.5, 2.0), shape=(7, 9))],
+                             ids=["1d", "2d"])
+    def test_stacked_fields_read_as_each_field_alone(self, lat):
+        rng = np.random.default_rng(4)
+        fields = rng.standard_normal(lat.shape + (2, 3))
+        states = rng.uniform(lat.lo, lat.hi, (11, lat.dim))
+        got = lat.interpolate_batch(fields, states)
+        assert got.shape == (11, 2, 3)
+        for i in range(2):
+            for j in range(3):
+                want = lat.interpolate_batch(np.ascontiguousarray(fields[..., i, j]), states)
+                assert got[:, i, j].tobytes() == want.tobytes()
+        off = np.concatenate([states, np.array(lat.hi)[None] + 0.25])
+        with pytest.raises(LatticeCoverageError) as stacked:
+            lat.interpolate_batch(fields, off)
+        with pytest.raises(LatticeCoverageError) as alone:
+            lat.interpolate_batch(fields[..., 0, 0], off)
+        assert stacked.value.margin == alone.value.margin == 0.25
+        assert str(stacked.value) == str(alone.value)
+
+    def test_off_node_read_is_one_lattice_read(self, monkeypatch):
+        table = dp_value(isaacs_game(), TimeGrid(0.0, 1.0, 4), small_lattice(n=9))
+        states = np.array([[-0.7], [0.1], [1.3]])
+        calls = []
+        read = StateLattice.interpolate_batch
+        monkeypatch.setattr(StateLattice, "interpolate_batch",
+                            lambda self, values, s: calls.append(1) or read(self, values, s))
+        got = table.interp_batch("upper", 0.375, states)
+        assert len(calls) == 1
+        a, b = (read(table.lattice, table.v_plus[k], states) for k in (1, 2))
+        assert got.tobytes() == (a + 0.5 * (b - a)).tobytes()
 
     def test_value_table_time_interpolation(self):
         spec = constant_game(cost=2.0)

@@ -40,7 +40,9 @@ MOVED_METHODS = {
 DELETED = {"game": ("StrategyTrace", "play_pools",
                     # adversaries are q tables: the callables and the lookahead class
                     "constant_adversary", "random_adversary", "greedy_adversary",
-                    "_GreedyLookahead"),
+                    "_GreedyLookahead",
+                    # one Markov probe serves the stage and the terminal function
+                    "_require_markov_terminal", "_pushed_histories"),
            "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing",
                          "DelayDynamics"),
            "pathcore": ("sup_norms",),
@@ -93,7 +95,8 @@ DELETED_PARAMETERS = {
     ("game", "bilinear_game"): ("terminal", "levels"),
     ("game", "isaacs_game"): ("levels",),
     ("evolution", "audit_hypotheses"): ("monotonicity_tol",),
-    ("upsilon", "verify_chain_rule"): ("smoothness_bound",),
+    ("upsilon", "verify_chain_rule"): ("smoothness_bound", "refinements"),
+    ("pathcore", "TimeGrid.node_index"): ("tol",),
     # a value table always holds both sides
     ("game", "dp_value"): ("side",),
     ("minimax", "stability_experiment"): ("side",),

@@ -232,7 +232,7 @@ class TestChainRule:
     def test_decreasing_path_second_order(self):
         g = grid(16)
         x = Path(g, 2.0 - g.nodes)
-        report = verify_chain_rule("upsilon", x, 0.0, 1.0, refinements=3)
+        report = verify_chain_rule("upsilon", x, 0.0, 1.0)
         assert report.levels[0][1] == pytest.approx(-3.75)
         assert report.kink_count == 0
         assert not report.exact
@@ -243,7 +243,7 @@ class TestChainRule:
     def test_peak_path_has_kink_and_order(self):
         g = grid(16)
         x = Path(g, 1.0 + 4.0 * g.nodes * (1.0 - g.nodes))
-        report = verify_chain_rule("upsilon", x, 0.0, 1.0, refinements=3)
+        report = verify_chain_rule("upsilon", x, 0.0, 1.0)
         assert report.kink_count >= 1
         assert report.exact or report.order_estimate >= 0.9
 
@@ -259,7 +259,7 @@ class TestChainRule:
         params = LyapunovParams.at_epsilon0(lambda_L=0.5, horizon=1.0)
         g = grid(16)
         x = Path(g, 1.0 + g.nodes)
-        report = verify_chain_rule("nu", x, 0.0, 1.0, params=params, refinements=3)
+        report = verify_chain_rule("nu", x, 0.0, 1.0, params=params)
         assert not report.exact
         assert report.order_estimate >= 1.9
 

@@ -50,7 +50,11 @@ class LatticeCoverageError(PdhjError, RuntimeError):
     ----------
     margin : float
         How far outside the lattice the offending state landed.
+    margins : numpy.ndarray or None
+        Every row's margin (0 inside), when a lattice read refused its rows.
     """
+
+    margins = None
 
     def __init__(self, message, margin=0.0):
         super().__init__(message)

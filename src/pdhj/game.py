@@ -342,45 +342,42 @@ class StateLattice:
 
         values has shape lattice.shape + tail and the result (N,) + tail: one
         set of bases and weights, and one coverage check, reads every field
-        stacked on the trailing axes, each as it is read alone.
-        Out-of-lattice states raise LatticeCoverageError with the margin needed
-        (silent clamping would corrupt value comparisons).
+        stacked on the trailing axes, each as it is read alone.  States off
+        the lattice raise LatticeCoverageError with the largest margin needed
+        (silent clamping would corrupt value comparisons) and every row's
+        margins, for a caller that needs per-row answers.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
-        worst = float(np.max(self.coverage_margins(states), initial=0.0))
-        if worst > COVERAGE_TOL:
-            raise _coverage_error(worst)
-        axes = self.axes
+        margins = self.coverage_margins(states)
+        if np.max(margins, initial=0.0) > COVERAGE_TOL:
+            raise _coverage_error(margins)
         tail = (slice(None),) + (None,) * (np.ndim(values) - self.dim)
-        idx = []
-        wts = []
-        for d in range(self.dim):
-            axis = axes[d]
-            pos = np.clip((states[:, d] - axis[0]) / (axis[1] - axis[0]), 0.0, self.shape[d] - 1)
-            base = np.minimum(pos.astype(int), self.shape[d] - 2)
+        idx, wts = [], []
+        for axis, n, x in zip(self.axes, self.shape, states.T):
+            pos = np.clip((x - axis[0]) / (axis[1] - axis[0]), 0.0, n - 1)
+            base = np.minimum(pos.astype(int), n - 2)
             idx.append(base)
             wts.append((pos - base)[tail])
         if self.dim == 1:
-            b, w = idx[0], wts[0]
-            out = values[b] * (1.0 - w) + values[b + 1] * w
-        else:
-            b0, w0 = idx[0], wts[0]
-            b1, w1 = idx[1], wts[1]
-            out = (values[b0, b1] * (1.0 - w0) * (1.0 - w1)
-                   + values[b0 + 1, b1] * w0 * (1.0 - w1)
-                   + values[b0, b1 + 1] * (1.0 - w0) * w1
-                   + values[b0 + 1, b1 + 1] * w0 * w1)
-        return out
+            (b,), (w,) = idx, wts
+            return values[b] * (1.0 - w) + values[b + 1] * w
+        (b0, b1), (w0, w1) = idx, wts
+        return (values[b0, b1] * (1.0 - w0) * (1.0 - w1)
+                + values[b0 + 1, b1] * w0 * (1.0 - w1)
+                + values[b0, b1 + 1] * (1.0 - w0) * w1
+                + values[b0 + 1, b1 + 1] * w0 * w1)
 
 
-def _coverage_error(margin: float) -> LatticeCoverageError:
-    """The error for a state past the lattice by margin; margin +inf marks a
-    state that is not finite, which no bounds can cover."""
-    if margin == math.inf:
-        return LatticeCoverageError("state is not finite; no lattice covers it", margin=margin)
-    return LatticeCoverageError(
+def _coverage_error(margins: np.ndarray) -> LatticeCoverageError:
+    """The refusal, carrying margins, of states that lie margins past the
+    lattice: it names the largest, +inf for a state not finite (none covers it)."""
+    margin = float(np.max(margins))
+    err = LatticeCoverageError(
+        "state is not finite; no lattice covers it" if margin == math.inf else
         f"state leaves the lattice by {margin:.6e}; expand bounds by at least that margin",
         margin=margin)
+    err.margins = margins
+    return err
 
 
 def is_upper_side(side: str) -> bool:
@@ -412,13 +409,14 @@ class ValueTable:
         return float(self.interp_batch(side, t, np.atleast_1d(state)[None, :])[0])
 
     def interp_batch(self, side: str, t: float, states: np.ndarray) -> np.ndarray:
-        """Time-linear, state-multilinear interpolation; exact at table nodes.
-        Off the nodes, one interpolate_batch call reads both bracketing slices."""
+        """Time-linear, state-multilinear interpolation: a t that
+        TimeGrid.nearest_node puts on node k reads slice k alone, any other t
+        both bracketing slices with one interpolate_batch call."""
         vals = self.side_values(side)
         self.grid.require_contains(t)
         nodes = self.grid.nodes
-        k = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[k] - t) <= 1e-9 * max(1.0, abs(self.grid.t_end)):
+        k, on_node = self.grid.nearest_node(t)
+        if on_node:
             return self.lattice.interpolate_batch(vals[k], states)
         k = int(np.searchsorted(nodes, t, side="right")) - 1
         k = min(max(k, 0), len(nodes) - 2)
@@ -494,10 +492,9 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
     follow the lockstep rule of pdhj.evolution; the phases are the stage
     terms, the probe, the implicit step and the table read, and a successor
     off the lattice names the cell with the largest margin (the first such
-    cell on ties), whose margins are taken only on that error path.
+    cell on ties), found in the margins the refused read carries.
     """
-    nodes = grid.nodes
-    t_k, t_k1 = nodes[k], nodes[k + 1]
+    t_k, t_k1 = grid.nodes[k:k + 2]
     dt = t_k1 - t_k
     controls = spec.controls
     points = lattice.points()
@@ -512,15 +509,12 @@ def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
                              STEP_SOLVE_TOL, k)
     try:
         read = lattice.interpolate_batch(next_values, succ)
-    except LatticeCoverageError:
-        margins = lattice.coverage_margins(succ)
-        worst = int(np.argmax(margins))
-        idx, i, j = np.unravel_index(worst, cells)
-        err = _coverage_error(float(margins[worst]))
+    except LatticeCoverageError as refused:
+        idx, i, j = np.unravel_index(int(np.argmax(refused.margins)), cells)
         raise LatticeCoverageError(
             f"successor left the lattice at time index {k} (state {points[idx]}, "
-            f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {err}",
-            margin=err.margin) from None
+            f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {refused}",
+            margin=refused.margin) from None
     obj = (dt * cost)[..., None] + read.reshape(cells + (2,))
     # lower: the maximizer commits first, max over q of min over p; upper: the
     # minimizer commits first, min over p of max over q
@@ -655,15 +649,6 @@ class FeedbackStrategy:
             offsets[:, d, 1, d] = -steps
         return offsets.reshape(-1, dim)
 
-    def _masked_upper(self, t: float, states: np.ndarray) -> np.ndarray:
-        """Upper value at each row of states, read with one interp_batch call;
-        +inf for a row interpolate_batch would refuse (off the lattice)."""
-        kept = self.value.lattice.coverage_margins(states) <= COVERAGE_TOL
-        u_vals = np.full(len(states), np.inf)
-        if kept.any():
-            u_vals[kept] = self.value.interp_batch("upper", t, states[kept])
-        return u_vals
-
     def companion_minima(self, t: float, X: np.ndarray):
         """Approximate argmin of u + nu for many games at one node, as arrays
         (totals, kinds, indices, gradients) of shapes (game,), (game,), (game,)
@@ -674,9 +659,11 @@ class FeedbackStrategy:
         X holds each game's node values up to t, shape (node, game,
         coordinate), on the simulation grid.  Each game's candidates are its
         trace (zero difference, gradient 0), whose read must succeed, its
-        probes, then the path candidates.  The probes and the path ends are
-        read with one masked read: a candidate off the lattice reads +inf and
-        is dropped.  One scan over the nodes carries each (game, path
+        probes, then the path candidates.  One interp_batch call reads the
+        traces, the probes and the path ends.  If it is refused, a trace off
+        the lattice raises the error its own read would; otherwise the rows
+        on the lattice are read again, and the others read +inf and are
+        dropped.  One scan over the nodes carries each (game, path
         candidate) pair's running maximum of |x - y|^2 and its last
         difference, and one surrogate_terms call scores every candidate.  The
         first minimum wins, so ties keep the earlier kind and the smaller
@@ -684,23 +671,30 @@ class FeedbackStrategy:
         game alone.
         """
         n_games, dim = X.shape[1], X.shape[2]
-        states = X[-1]
-        offsets = self._probe_offsets(t, dim)
+        # the trace is the zero offset; a probe's difference rises to its
+        # offset o at time t, so its last row alone carries sup = cur = |o|^2
+        fixed = np.concatenate([np.zeros((1, dim)), self._probe_offsets(t, dim)])
         paths = self._paths[: len(X)]
-        probes = (states[:, None, :] - offsets).reshape(-1, dim)
-        ends = self._masked_upper(t, np.concatenate([probes, paths[-1]]))
+        # every candidate's end at t: each game's trace and probes, then the paths'
+        ends = np.concatenate([(X[-1][:, None, :] - fixed).reshape(-1, dim), paths[-1]])
+        n_own = n_games * len(fixed)
+        try:
+            u_ends = self.value.interp_batch("upper", t, ends)
+        except LatticeCoverageError as refused:
+            traces = refused.margins[:n_own:len(fixed)]
+            if np.max(traces, initial=0.0) > COVERAGE_TOL:
+                raise _coverage_error(traces) from None
+            kept = refused.margins <= COVERAGE_TOL
+            u_ends = np.full(len(ends), np.inf)
+            u_ends[kept] = self.value.interp_batch("upper", t, ends[kept])
         # columns: the trace, the probes, then the path candidates
-        u_vals = np.hstack([self.value.interp_batch("upper", t, states)[:, None],
-                            ends[: len(probes)].reshape(n_games, len(offsets)),
-                            np.broadcast_to(ends[len(probes):], (n_games, paths.shape[1]))])
+        u_vals = np.hstack([u_ends[:n_own].reshape(n_games, len(fixed)),
+                            np.broadcast_to(u_ends[n_own:], (n_games, paths.shape[1]))])
         sup_sq = np.zeros((n_games, paths.shape[1]))  # exact: squared sums are >= +0.0
         for x, y in zip(X, paths):
             diff = x[:, None, :] - y
             sq = np.sum(diff ** 2, axis=-1)
             np.maximum(sup_sq, sq, out=sup_sq)
-        # the trace's difference is 0; a probe's rises to its offset o at time
-        # t, so its last row alone carries sup = cur = |o|^2
-        fixed = np.concatenate([np.zeros((1, dim)), offsets])
         fixed_sq = np.broadcast_to(np.sum(fixed ** 2, axis=-1), (n_games, len(fixed)))
         last = np.concatenate([np.broadcast_to(fixed, (n_games,) + fixed.shape), diff], axis=1)
         ups, factor = surrogate_terms(np.hstack([fixed_sq, sup_sq]), np.hstack([fixed_sq, sq]))
@@ -709,9 +703,9 @@ class FeedbackStrategy:
         total = u_vals + alpha * beta  # (game, candidate)
         rows, i = np.arange(n_games), np.argmin(total, axis=1)  # the first minimum
         kinds = np.concatenate([[COMPANION_KINDS.index("trace")],
-                                np.full(len(offsets), COMPANION_KINDS.index("probe")),
+                                np.full(len(fixed) - 1, COMPANION_KINDS.index("probe")),
                                 self._path_kinds])
-        indices = np.concatenate([[0], np.arange(len(offsets)), self._path_indices])
+        indices = np.concatenate([[0], np.arange(len(fixed) - 1), self._path_indices])
         gradients = ((alpha / (2.0 * beta[rows, i])) * factor[rows, i])[:, None] * last[rows, i]
         return total[rows, i], kinds[i], indices[i], gradients
 
@@ -732,17 +726,16 @@ def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
     """Build the extremal-shift strategy with its companion library.
 
     partition is the TimeGrid the games are played on, or a sequence of such
-    grids.  x0 is the history path; it is resampled onto the simulation grid
-    (the value grid refined with the nodes of every partition), so the games
-    can be played on each partition.  The library holds reachable-tube
-    samples started at (t0, x0).
+    grids, each of which require_span must accept.  x0 is the history path;
+    it is resampled onto the simulation grid (the value grid refined with the
+    nodes of every partition), so the games can be played on each partition.
+    The library holds reachable-tube samples started at (t0, x0).
     """
     if library_size < 0:
         raise ConfigurationError("library_size must be >= 0")
     partitions = [partition] if isinstance(partition, TimeGrid) else list(partition)
     for part in partitions:
-        if abs(part.t_start - t0) > 1e-9 or abs(part.t_end - value.grid.t_end) > 1e-9:
-            raise DomainError("partition must span [t0, T]")
+        require_span(part, t0, value.grid)
     inner = simulation_grid(value.grid, *partitions)
     hist = extend_history(x0, inner, t0)
     library = []
@@ -752,16 +745,19 @@ def extremal_shift_strategy(spec: GameSpec, params: LyapunovParams, t0: float,
     return FeedbackStrategy(spec, params, value, t0, hist, library)
 
 
-def simulation_grid(value_grid: TimeGrid, *partitions: TimeGrid) -> TimeGrid:
-    """Union of the value-grid nodes and the nodes of every partition.
+def require_span(partition: TimeGrid, t0: float, grid: TimeGrid):
+    """The one partition rule, of the builder on the value grid and of play on the
+    simulation grid (both end at T): nodes t0, in grid, to T bit for bit, or DomainError."""
+    grid.require_contains(t0, "t0")
+    span, horizon = [float(partition.nodes[0]), float(partition.nodes[-1])], grid.t_end
+    if span != [t0, horizon]:
+        raise DomainError(f"partition must span [t0, T] = [{float(t0)!r}, {float(horizon)!r}], "
+                          f"not {span}")
 
-    Each partition covers [t0, T] for some t0 at or after the value grid's
-    start; all must end at the same horizon.
-    """
-    for partition in partitions:
-        if partition.t_start < value_grid.t_start - 1e-12 or \
-                abs(value_grid.t_end - partition.t_end) > 1e-12:
-            raise DomainError("partition must lie within the value grid span and end at T")
+
+def simulation_grid(value_grid: TimeGrid, *partitions: TimeGrid) -> TimeGrid:
+    """Union of the value-grid nodes and the nodes of every partition, each
+    one that require_span accepts (the builder checks)."""
     nodes = np.unique(np.concatenate([value_grid.nodes] + [p.nodes for p in partitions]))
     keep = [nodes[0]]
     for t in nodes[1:]:
@@ -826,7 +822,7 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     index per cell, or GREEDY where greedy_lookahead answers the p committed
     in the cell (the upper-value commit order).  Each table's distinct
     columns are played once, in order of first appearance, and their records
-    scattered back to its columns; every partition spans [strategy.t0, T].
+    scattered back to its columns.
 
     All lanes step together on the simulation grid (strategy.x0.grid, which
     holds every partition's nodes), and a lane changes its controls only at
@@ -842,8 +838,8 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     these phases, time-major: the earliest node's error wins, whichever
     partition its lane is on.  A table of another shape, of a dtype that is
     not an integer, or with an entry other than GREEDY or 0..n_q - 1 raises
-    DomainError before any play, and so does a partition that does not span
-    [t0, T].
+    DomainError before any play, and so does a partition that require_span
+    refuses.
     """
     spec, inner = strategy.spec, strategy.x0.grid
     nodes, n_last = inner.nodes, inner.n_steps
@@ -867,11 +863,10 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     p, q, kind, index = (np.zeros((n_max + 1, m), dtype=int) for _ in range(4))
     at = np.full((n_last + 1, m), np.nan)  # each lane's partition time at its nodes
     for partition, column, lo, hi in zip(partitions, columns, bounds, bounds[1:]):
+        require_span(partition, strategy.t0, inner)
         q[: len(column), lo:hi] = column  # GREEDY entries are answered in play
         at[[inner.node_index(t) for t in partition.nodes], lo:hi] = partition.nodes[:, None]
     k0 = inner.node_index(strategy.t0)
-    if np.isnan(at[[k0, n_last]]).any():
-        raise DomainError("partition must span [t0, T]")
 
     lanes = np.arange(m)
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, lane, coordinate)

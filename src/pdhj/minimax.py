@@ -324,7 +324,7 @@ def _operator_corrections(op, nodes, runs: _Lanes, lanes: np.ndarray):
 
 
 def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_budget: int, *,
-                side: str = "upper", tolerance: float = None, c_values=None) -> list:
+                side: str = "upper", c_values=None) -> list:
     """Run the checks of every Site in sites on one candidate lane set.
 
     Returns, per site, its checks' results in order: a ResidualReport for
@@ -332,8 +332,9 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
     ("reports"), whether any c witnessed a violation ("violation_found"),
     "c_values" and "tolerance".  Each check searches search_budget
     candidates over its site's window [t0, min(t0 + horizon, T)] of u's grid
-    against tolerance (composite_tolerance by default), and the scans test
-    c_values (by default -4, -1, 0, 1 and 4 times the tolerance).  An
+    against the tolerance, composite_tolerance of u's lattice spacing and
+    mesh and search_budget, and the scans test c_values (by default -4, -1,
+    0, 1 and 4 times the tolerance).  An
     unknown check kind, or a site whose history or z is not of the game's
     dimension, is refused before any work; the other errors come in the
     module docstring's order.
@@ -347,8 +348,7 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
         if site.x0.dim != dim or z_shape != (dim,):
             raise DomainError(f"site {s}: history of dimension {site.x0.dim} and z of shape "
                               f"{z_shape}, where the game has dimension {dim}")
-    if tolerance is None:
-        tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
+    tolerance = composite_tolerance(max(u.lattice.spacing), u.grid.mesh, search_budget)
     if c_values is None:
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
     if not sites:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError
 
 _NODE_TOL = 1e-12
-_NODE_INDEX_TOL = 1e-9  # node_index's match tolerance
+_NODE_INDEX_TOL = 1e-9  # nearest_node's match tolerance
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,16 @@ class TimeGrid:
         if not self.contains(t):
             raise DomainError(f"{what}={t} outside grid span [{self.t_start}, {self.t_end}]")
 
+    def nearest_node(self, t: float) -> tuple:
+        """(k, on_node): the node nearest t, and whether t equals it within
+        _NODE_INDEX_TOL * max(1, |t_end|); node_index and table reads use it."""
+        k = int(np.argmin(np.abs(self.nodes - t)))
+        return k, bool(abs(self.nodes[k] - t) <= _NODE_INDEX_TOL * max(1.0, abs(self.t_end)))
+
     def node_index(self, t: float) -> int:
-        """Index of the node equal to t within _NODE_INDEX_TOL, relative to
-        max(1, |t_end|), or DomainError if t is not a node."""
-        nodes = self.nodes
-        k = int(np.argmin(np.abs(nodes - t)))
-        if abs(nodes[k] - t) > _NODE_INDEX_TOL * max(1.0, abs(self.t_end)):
+        """Index of the node nearest_node matches t to, else DomainError."""
+        k, on_node = self.nearest_node(t)
+        if not on_node:
             raise DomainError(f"t={t} is not a grid node")
         return k
 
@@ -194,10 +198,7 @@ def stopped_value_at(grid: TimeGrid, values: np.ndarray, k: int, t: float) -> np
     t = min(max(t, nodes[0]), nodes[-1])
     j = min(max(bisect_right(nodes, t) - 1, 0), len(nodes) - 2)
     w = (t - nodes[j]) / (nodes[j + 1] - nodes[j])
-    here, after = values[min(j, k)], values[min(j + 1, k)]
-    if w == 0.0:  # at a node (1 - w) * x is x; w * next keeps the blend's zero signs
-        return here + w * after
-    return (1.0 - w) * here + w * after
+    return (1.0 - w) * values[min(j, k)] + w * values[min(j + 1, k)]
 
 
 def extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:

@@ -191,6 +191,43 @@ class TestCoverageError:
             dp_value(spec, grid, tight)
         assert str(whole.value) == want
 
+    @pytest.mark.parametrize("lo,hi,cell", [
+        (-0.05, 0.05, "state [-0.05], p=-1.0, q=-1.0"),
+        (-0.2, 0.05, "state [0.05], p=1.0, q=1.0"),
+    ], ids=["-0.05-0.05", "-0.2-0.05"])
+    def test_cell_is_named_from_the_refused_reads_margins(self, monkeypatch, lo, hi, cell):
+        # the margins are taken once, inside the one read, and the cell found in them
+        spec = isaacs_game(scale=4.0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        tight = StateLattice(lo=(lo,), hi=(hi,), shape=(5,))
+        lifts = _lift_paths(tight, grid)
+        calls = {"reads": 0, "margins": 0, "margins_outside": 0}
+        inside = []
+        read, margins = StateLattice.interpolate_batch, StateLattice.coverage_margins
+
+        def spy_read(self, values, states):
+            calls["reads"] += 1
+            inside.append(True)
+            try:
+                return read(self, values, states)
+            finally:
+                inside.pop()
+
+        def spy_margins(self, states):
+            calls["margins"] += 1
+            calls["margins_outside"] += not inside
+            return margins(self, states)
+
+        monkeypatch.setattr(StateLattice, "interpolate_batch", spy_read)
+        monkeypatch.setattr(StateLattice, "coverage_margins", spy_margins)
+        with pytest.raises(LatticeCoverageError) as got:
+            _dp_slice(spec, grid, tight, 3, np.zeros(tight.shape + (2,)), lifts)
+        assert calls == {"reads": 1, "margins": 1, "margins_outside": 0}
+        assert str(got.value) == (f"successor left the lattice at time index 3 ({cell}): state "
+                                  f"leaves the lattice by 1.590000e+00; expand bounds by at "
+                                  f"least that margin")
+        assert got.value.margin == 1.5899999999999996
+
 
 class TestImplicitStepBatch:
     @pytest.mark.parametrize("op", [make_linear_operator(1, 1.0),

@@ -3,10 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pdhj import pathcore
 from pdhj.errors import DomainError, EvaluationError, LatticeCoverageError
 from pdhj.evolution import make_linear_operator
 from pdhj.game import (
     COMPANION_KINDS,
+    COVERAGE_TOL,
     STEP_RATE_FLOOR,
     ControlGrid,
     FeedbackPlay,
@@ -32,9 +34,9 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, TimeGrid, _row_dots, stopped_at
 from pdhj.upsilon import LyapunovParams
-from scalar_reference import callback_game, drift, estimate_guaranteed_result, game_audit, \
-    lyapunov_nu, measurable_selection, path_difference, recompute_slice, reference_game, \
-    scale_costs, stage_cost, stage_matrix
+from scalar_reference import callback_game, companion_minimum_reference, drift, \
+    estimate_guaranteed_result, game_audit, lyapunov_nu, measurable_selection, path_difference, \
+    recompute_slice, reference_game, scale_costs, stage_cost, stage_matrix
 
 
 def one_point_path(grid, value=0.0):
@@ -180,6 +182,26 @@ class TestStateLattice:
         plane = StateLattice(lo=(0.0, 0.0), hi=(1.0, 1.0), shape=(3, 3))
         assert plane.coverage_margins(np.array([[0.5, np.nan], [0.5, 0.5]])).tolist() == [np.inf, 0.0]
 
+    @pytest.mark.parametrize("lat", [StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)),
+                                     StateLattice(lo=(-1.5, 0.0), hi=(1.5, 2.0), shape=(7, 9))],
+                             ids=["1d", "2d"])
+    def test_refusal_carries_the_margins_it_took(self, lat):
+        # a caller that needs per-row answers takes them from the refusal
+        rng = np.random.default_rng(5)
+        states = np.concatenate([rng.uniform(lat.lo, lat.hi, (6, lat.dim)),
+                                 np.array(lat.hi)[None] + [[0.25], [1e-10], [3.0]],
+                                 np.full((1, lat.dim), np.nan)])
+        mixed = states[[0, 1, 6, 2, 7, 9, 3]]  # inside, past hi and not finite, interleaved
+        with pytest.raises(LatticeCoverageError) as err:
+            lat.interpolate_batch(np.zeros(lat.shape), mixed)
+        want = lat.coverage_margins(mixed)
+        assert err.value.margins.tobytes() == want.tobytes()
+        assert err.value.margin == np.max(want) == np.inf
+        with pytest.raises(LatticeCoverageError) as err:
+            lat.interpolate_batch(np.zeros(lat.shape), states[:8])
+        assert err.value.margins.tobytes() == lat.coverage_margins(states[:8]).tobytes()
+        assert err.value.margin == 0.25
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_state_error_asks_for_no_margin(self, bad):
         # no bounds cover a non-finite state, so the message names no margin to expand by
@@ -247,6 +269,18 @@ class TestStateLattice:
         assert len(calls) == 1
         a, b = (read(table.lattice, table.v_plus[k], states) for k in (1, 2))
         assert got.tobytes() == (a + 0.5 * (b - a)).tobytes()
+
+    def test_table_read_matches_nodes_as_node_index_does(self, monkeypatch):
+        # one node match: widened, it puts a read 1e-4 past node 2 on that node
+        table = dp_value(isaacs_game(), TimeGrid(0.0, 1.0, 4), small_lattice(n=9))
+        states = np.array([[-0.7], [0.1], [1.3]])
+        t = table.grid.nodes[2] + 1e-4
+        blended = table.interp_batch("upper", t, states)
+        monkeypatch.setattr(pathcore, "_NODE_INDEX_TOL", 1e-3)
+        assert table.grid.node_index(t) == 2
+        got = table.interp_batch("upper", t, states)
+        assert got.tobytes() == table.lattice.interpolate_batch(table.v_plus[2], states).tobytes()
+        assert got.tobytes() != blended.tobytes()
 
     def test_value_table_time_interpolation(self):
         spec = constant_game(cost=2.0)
@@ -632,6 +666,39 @@ class TestGuaranteedResult:
             extremal_shift_strategy(spec, params, 0.5, one_point_path(grid, 0.0),
                                     TimeGrid(0.0, 1.0, 4), value=table, library_size=2)
 
+    @pytest.mark.parametrize("nodes", [[5e-10, 0.5, 1.0], [0.0, 0.5, 1.0 + 5e-10]],
+                             ids=["start-5e-10", "end-5e-10"])
+    def test_builder_refuses_the_partitions_play_refuses(self, nodes):
+        # one span rule: a partition a hair off [t0, T] is refused by the
+        # builder with the message play refuses it with
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        bad = TimeGrid.from_nodes(nodes)
+        with pytest.raises(DomainError) as built:
+            extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4), bad,
+                                    value=table, library_size=2)
+        assert str(built.value) == (f"partition must span [t0, T] = [0.0, 1.0], "
+                                    f"not [{nodes[0]!r}, {nodes[-1]!r}]")
+        strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
+                                           TimeGrid(0.0, 1.0, 2), value=table, library_size=2)
+        with pytest.raises(DomainError) as played:
+            play_feedback_games(strategy, [bad], [np.zeros((2, 1), dtype=int)])
+        assert str(played.value) == str(built.value)
+
+    def test_play_refuses_a_partition_short_of_the_simulation_grid(self):
+        # play applies the rule on the grid it steps on: a hand-built strategy
+        # whose simulation grid runs past T would leave its last node unplayed
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        strategy = FeedbackStrategy(spec, params, table, 0.0,
+                                    Path.constant(TimeGrid(0.0, 1.5, 12), [0.4]), [])
+        with pytest.raises(DomainError, match=r"^partition must span \[t0, T\] = \[0.0, 1.5\]"):
+            play_feedback_games(strategy, [TimeGrid(0.0, 1.0, 4)], [np.zeros((4, 1), dtype=int)])
+
+    def test_t0_before_the_value_grid_is_refused(self):
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        with pytest.raises(DomainError, match=r"^t0=-0.5 outside grid span \[0.0, 1.0\]$"):
+            extremal_shift_strategy(spec, params, -0.5, one_point_path(grid, 0.4),
+                                    TimeGrid(-0.5, 1.0, 3), value=table, library_size=2)
+
 
 def _play_of_residuals(residual):
     """A hand-built record on the 4-cell partition of [0, 1] (dt = 0.25) whose
@@ -741,9 +808,62 @@ def _probe_candidates_reference(strategy, t, state):
     return kept, offsets, u_vals
 
 
+def _companion_reads(monkeypatch, strategy, t, X):
+    """The table reads of companion_minima(t, X) as (ends, u), shaped (game,
+    own candidate, coordinate) and (game, own candidate): the states of each
+    game's trace and probes in its first read, and their upper values, +inf
+    where that read was refused and a second read left the row out."""
+    calls, read = [], ValueTable.interp_batch
+
+    def spy(self, side, t, states):
+        try:
+            calls.append((states, read(self, side, t, states)))
+        except LatticeCoverageError as refused:
+            calls.append((states, refused))
+            raise
+        return calls[-1][1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ValueTable, "interp_batch", spy)
+        strategy.companion_minima(t, X)
+    (ends, u), *second = calls
+    if isinstance(u, LatticeCoverageError):
+        kept = u.margins <= COVERAGE_TOL
+        (kept_ends, kept_u), = second
+        assert kept_ends.tobytes() == ends[kept].tobytes()
+        u = np.full(len(ends), np.inf)
+        u[kept] = kept_u
+    else:
+        assert second == []
+    n_games, dim = X.shape[1:]
+    n_own = n_games * (1 + len(strategy._probe_offsets(t, dim)))
+    return ends[:n_own].reshape(n_games, -1, dim), u[:n_own].reshape(n_games, -1)
+
+
+def _lattice_spies(monkeypatch):
+    """Record every StateLattice read as (states, refused) and count the
+    coverage_margins calls; returns (reads, margin_calls)."""
+    reads, margin_calls = [], []
+    read, margins = StateLattice.interpolate_batch, StateLattice.coverage_margins
+
+    def spy_read(self, values, states):
+        try:
+            out = read(self, values, states)
+        except LatticeCoverageError:
+            reads.append((states, True))
+            raise
+        reads.append((states, False))
+        return out
+
+    monkeypatch.setattr(StateLattice, "interpolate_batch", spy_read)
+    monkeypatch.setattr(StateLattice, "coverage_margins",
+                        lambda self, states: margin_calls.append(1) or margins(self, states))
+    return reads, margin_calls
+
+
 class TestCompanionOncePerNode:
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_batched_probes_match_per_offset_loop(self, dim):
+    def test_batched_probes_match_per_offset_loop(self, dim, monkeypatch):
         if dim == 1:
             spec, grid, lattice, table, params = desk_setup(n_time=8)
         else:
@@ -763,12 +883,16 @@ class TestCompanionOncePerNode:
             steps = [abs(o).max() for o in _probe_offsets_reference(strategy, t, dim)]
             # the smallest probe leaves the box by 5e-10, inside COVERAGE_TOL: kept
             near = [hi - min(steps) + 5e-10] if steps else []
-            # every probe of every state in one masked read
+            # every probe of every state in companion_minima's one read
             offsets = strategy._probe_offsets(t, dim)
             n_all = len(_probe_offsets_reference(strategy, t, dim))
             assert offsets.shape == (n_all, dim)
-            probes = (np.array(states + near)[:, None, :] - offsets).reshape(-1, dim)
-            u_vals = strategy._masked_upper(t, probes).reshape(len(states + near), n_all)
+            X = np.array(states + near)[None]
+            ends, u = _companion_reads(monkeypatch, strategy, t, X)
+            # the trace is the zero offset, then each probe its state less its offset
+            assert ends.tobytes() == (X[0][:, None, :] - np.concatenate(
+                [np.zeros((1, dim)), offsets])).tobytes()
+            u_vals = u[:, 1:]
             kept = u_vals < np.inf  # a dropped probe reads +inf
             for g, state in enumerate(states + near):
                 ref_kept, ref_offsets, ref_u = _probe_candidates_reference(strategy, t, state)
@@ -778,6 +902,67 @@ class TestCompanionOncePerNode:
                 assert u_vals[g, kept[g]].tobytes() == np.array(ref_u, dtype=float).tobytes()
                 partial += 0 < len(ref_kept) < n_all
         assert partial > 0
+
+    @staticmethod
+    def _games(strategy, t, shifts):
+        """Node values up to t of one game per shift: the history moved by it."""
+        k = strategy.x0.grid.node_index(t)
+        return strategy.x0.values[: k + 1, None, :] + np.asarray(shifts)[:, None]
+
+    def test_candidates_on_the_lattice_take_one_read(self, monkeypatch):
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
+                                           TimeGrid(0.0, 1.0, 4), value=table, library_size=8,
+                                           seed=2)
+        X = self._games(strategy, 0.5, [0.0, 0.3, -0.5])
+        offsets = strategy._probe_offsets(0.5, 1)
+        ends = np.concatenate([(X[-1][:, None] - offsets).reshape(-1, 1),
+                               strategy._paths[len(X) - 1]])
+        assert len(offsets) and lattice.coverage_margins(ends).max() <= COVERAGE_TOL
+        reads, margin_calls = _lattice_spies(monkeypatch)
+        strategy.companion_minima(0.5, X)
+        assert [refused for _, refused in reads] == [False]
+        assert len(margin_calls) == 1
+
+    def test_refused_rows_are_never_interpolated(self, monkeypatch):
+        # from x0 on the lattice edge, probes and library ends leave the lattice
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, -2.0),
+                                           TimeGrid(0.0, 1.0, 4), value=table, library_size=8,
+                                           seed=0)
+        t = 0.125
+        X = self._games(strategy, t, [0.0, 1e-3, 2.0])
+        off = lattice.coverage_margins(strategy._paths[len(X) - 1]) > COVERAGE_TOL
+        assert off.any() and not off.all()
+        reads, margin_calls = _lattice_spies(monkeypatch)
+        totals, kinds, indices, gradients = strategy.companion_minima(t, X)
+        monkeypatch.undo()
+        # the one read is refused, and the second reads only the kept rows
+        assert [refused for _, refused in reads] == [True, False]
+        assert len(margin_calls) == 2
+        assert lattice.coverage_margins(reads[1][0]).max() <= COVERAGE_TOL
+        assert len(reads[1][0]) < len(reads[0][0])
+        sim = strategy.x0.grid
+        for g in range(X.shape[1]):
+            x = Path(sim, np.concatenate([X[:, g], np.repeat(X[-1:, g], sim.n_steps + 1 - len(X),
+                                                             axis=0)]))
+            want = companion_minimum_reference(strategy, t, x)
+            assert (totals[g], COMPANION_KINDS[kinds[g]], indices[g]) == want[:3]
+            assert gradients[g].tobytes() == np.asarray(want[3], dtype=float).tobytes()
+
+    def test_trace_off_the_lattice_raises_its_own_reads_error(self):
+        spec, grid, lattice, table, params = desk_setup(n_time=8)
+        strategy = extremal_shift_strategy(spec, params, 0.0, one_point_path(grid, 0.4),
+                                           TimeGrid(0.0, 1.0, 4), value=table, library_size=8,
+                                           seed=2)
+        X = np.array([[[0.4], [2.5], [2.25], [-2.75], [1.9]]])
+        with pytest.raises(LatticeCoverageError) as got:
+            strategy.companion_minima(0.5, X)
+        with pytest.raises(LatticeCoverageError) as own:
+            table.interp_batch("upper", 0.5, X[-1])
+        assert str(got.value) == str(own.value) == (
+            "state leaves the lattice by 7.500000e-01; expand bounds by at least that margin")
+        assert got.value.margin == own.value.margin == 0.75
 
     def test_one_companion_minimum_per_partition_node(self, monkeypatch):
         spec, grid, lattice, table, params = desk_setup(n_time=8)

@@ -81,12 +81,11 @@ class TestMinimaxResidual:
         spec, grid, lattice, table = desk
         x0 = Path.constant(grid, [0.5])
         site = (grid.nodes[2], x0, np.array([0.7]))
-        tol = composite_tolerance(max(lattice.spacing), grid.mesh, 16)
-        small = _one_check(table, spec, site, "sub", 16, seed=4, tolerance=tol)
-        large = _one_check(table, spec, site, "sub", 32, seed=4, tolerance=tol)
+        small = _one_check(table, spec, site, "sub", 16, seed=4)
+        large = _one_check(table, spec, site, "sub", 32, seed=4)
         assert large.slack >= small.slack - 1e-12
-        small_sup = _one_check(table, spec, site, "super", 16, seed=4, tolerance=tol)
-        large_sup = _one_check(table, spec, site, "super", 32, seed=4, tolerance=tol)
+        small_sup = _one_check(table, spec, site, "super", 16, seed=4)
+        large_sup = _one_check(table, spec, site, "super", 32, seed=4)
         assert large_sup.slack <= small_sup.slack + 1e-12
 
     def test_lower_side_passes_on_isaacs_table(self, desk):

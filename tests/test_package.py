@@ -64,7 +64,9 @@ DELETED_METHODS = {("game", "GuaranteeEstimate"): ("from_traces", "to_json_obj")
                    ("minimax", "StabilityReport"): ("to_json_obj",),
                    ("minimax", "ResidualReport"): ("to_json_obj",),
                    ("evolution", "AuditReport"): ("to_json_obj",),
-                   ("upsilon", "ChainRuleReport"): ("to_json_obj",)}
+                   ("upsilon", "ChainRuleReport"): ("to_json_obj",),
+                   # one read of every companion's end takes the masked read's place
+                   ("game", "FeedbackStrategy"): ("_masked_upper",)}
 # the per-kind candidate arrays and the probe-only read that the one path
 # array and the one masked read of FeedbackStrategy replaced
 DELETED_STRATEGY_STATE = ("_lattice_points", "_library_values", "_probe_candidates")
@@ -97,6 +99,7 @@ DELETED_PARAMETERS = {
     ("evolution", "audit_hypotheses"): ("monotonicity_tol",),
     ("upsilon", "verify_chain_rule"): ("smoothness_bound", "refinements"),
     ("pathcore", "TimeGrid.node_index"): ("tol",),
+    ("minimax", "site_checks"): ("tolerance",),
     # a value table always holds both sides
     ("game", "dp_value"): ("side",),
     ("minimax", "stability_experiment"): ("side",),

@@ -19,13 +19,17 @@ set, each site's lanes over its own window, whose forcing phases per step
 are the characteristic aims (one batched gradient), the stage terms (one
 full-grid call over every active lane, which gives the characteristic
 picks, the game drift and every lane's Hamiltonian) and the tube draws (one
-_ball_points call).
+_ball_points call).  pdhj.game plays every feedback game of a run as one
+lane set, at STEP_SOLVE_TOL, whose forcing phases per step are the node's
+decisions (the companion minima, the control picks and the greedy answers)
+and the held pairs' stage terms (one lane_terms call); so play, too, is
+refused a drift above L (1 + sup-norm).
 
-Lockstep loops (_lockstep_solve and its callers here and in
-pdhj.minimax; play_feedback_games, the greedy lookahead and the DP slice
-in pdhj.game; the table reads and operator pairings of site_checks in
-pdhj.minimax) raise the first error they meet, taking time steps in order
-and the phases of each step in the order their docstrings list.  Every
+Lockstep loops (_lockstep_solve and its callers here, in pdhj.minimax and
+in pdhj.game; the greedy lookahead and the DP slice in pdhj.game; the
+table reads and operator pairings of site_checks in pdhj.minimax) raise
+the first error they meet, taking time steps in order and the phases of
+each step in the order their docstrings list.  Every
 phase is batched, and raises for its whole batch: the forcing-bound check
 and _implicit_step_batch the error of their lowest failing lane, a
 value-table read (the gradient's probes included) the batch's largest
@@ -34,7 +38,8 @@ lattice margin (the one to expand by), and a game's stage terms
 non-finite entry in (lane, p, q) order, the drift before the cost of an
 entry.  So at a simulation node a feedback run picks the controls of the
 lanes deciding there in one batch and answers their greedy lanes with one
-batched lookahead; it plays every partition and pool as one lane set,
+batched lookahead, before the step's stage terms, its forcing-bound check
+and its implicit step; it plays every partition and pool as one lane set,
 time-major, so an earlier step's error wins whichever partition and pool it
 is on (partition by partition, the first partition's error came first
 however late its step); a residual run's sites step together, time-major,
@@ -64,7 +69,13 @@ from .errors import AuditError, ContractError, DomainError, SolverError
 from .pathcore import Path, StateSpace, _row_norms
 
 NEWTON_MAX_ITER = 50
+# Two implicit-step tolerances, each relative (tol (1 + |x_k|) per row).  STEP_TOL
+# serves the forced solve, the tube and the residual lanes; STEP_SOLVE_TOL the
+# value-table lanes: the DP slice, the feedback games and the greedy lookahead.
+# They are not merged yet: with 1e-11 everywhere, minimax_check's result moves by
+# up to 1.8e-10 (seed 0), and the benchmark's reference results pin those bits.
 STEP_TOL = 1e-10
+STEP_SOLVE_TOL = 1e-11
 FORCING_BOUND_TOL = 1e-9
 FORCING_ALGORITHM = "ball-uniform-pcg64/v1"
 MONOTONICITY_TOL = 1e-12  # audit_hypotheses flags a pairing below -MONOTONICITY_TOL
@@ -394,7 +405,7 @@ def solve_delay_evolution(op: OperatorSpec, t0: float, x0: Path, forcing=None, *
     if forcing.shape != shape:
         raise DomainError(f"forcing has shape {forcing.shape}, expected {shape}")
     solved = _lockstep_solve(op, grid.nodes, x0.values[:, None, :].copy(), grid.node_index(t0),
-                             grid.n_steps, np.array([float(lipschitz_L)]),
+                             grid.n_steps, np.array([float(lipschitz_L)]), STEP_TOL,
                              lambda k, lanes, values, bound: forcing[k][None])
     return _reports(x0, t0, solved)[0]
 
@@ -414,11 +425,12 @@ def _reports(x0: Path, t0: float, solved, forcing_algorithm: str = None) -> list
 
 
 def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, start, end,
-                    L: np.ndarray, step_forcing):
+                    L: np.ndarray, rel_tol: float, step_forcing):
     """The one step loop of every lane solve: m lanes of x' + A(t, x) = f on
     the grid nodes `nodes`, lane n from node start[n] to node end[n] with the
     tube constant L[n], L shape (m,); start and end are ints shared by every
-    lane or arrays of shape (m,).
+    lane or arrays of shape (m,).  Each step solves to rel_tol as _drift_step
+    does; m = 0 takes no step.
 
     values, shape (node, lane, coordinate), holds each lane's history through
     its start node; the solve fills lane n's nodes start[n] + 1 .. end[n] in
@@ -443,7 +455,7 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
     m, dim = len(L), values.shape[2]
     start = np.broadcast_to(np.asarray(start, dtype=int), (m,))
     end = np.broadcast_to(np.asarray(end, dtype=int), (m,))
-    steps = int((end - start).max())
+    steps = int((end - start).max(initial=0))
     trace = np.zeros((steps, m, dim))
     iters = np.zeros((steps, m), dtype=int)
     res = np.zeros((steps, m))
@@ -453,7 +465,7 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
         held = start == k0
         node_sup[held] = np.max(np.linalg.norm(values[: k0 + 1, held], axis=2), axis=0)
 
-    for k in range(int(start.min()), int(end.max())):
+    for k in range(int(start.min(initial=0)), int(end.max(initial=0))):
         lanes = np.flatnonzero((start <= k) & (k < end))
         if not lanes.size:
             continue
@@ -470,7 +482,7 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
             lane = over[0]
             raise ContractError(f"forcing magnitude {fmag[lane]:.6e} exceeds L(1+sup) = "
                                 f"{bound[lane]:.6e} at step {k}")
-        x_next, iters[row, lanes], res[row, lanes] = _drift_step(op, t_k1, dt, x_k, f, STEP_TOL, k)
+        x_next, iters[row, lanes], res[row, lanes] = _drift_step(op, t_k1, dt, x_k, f, rel_tol, k)
         values[k + 1, lanes] = x_next
         node_sup[lanes] = np.maximum(node_sup[lanes], np.linalg.norm(x_next, axis=1))
         trace[row, lanes] = f
@@ -521,5 +533,6 @@ def sample_reachable_set(op: OperatorSpec, t0: float, x0: Path, count: int, seed
     grid = x0.grid
     solved = _lockstep_solve(op, grid.nodes, np.repeat(x0.values[:, None, :], count, axis=1),
                              grid.node_index(t0), grid.n_steps, np.full(count, float(lipschitz_L)),
+                             STEP_TOL,
                              lambda k, lanes, values, bound: _ball_points(streams, x0.dim, bound))
     return _reports(x0, t0, solved, FORCING_ALGORITHM)

@@ -30,12 +30,12 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import OperatorSpec, _drift_step, make_linear_operator, sample_reachable_set
+from .evolution import STEP_SOLVE_TOL, OperatorSpec, _drift_step, _lockstep_solve, \
+    make_linear_operator, sample_reachable_set
 from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
     stopped_at, stopped_sup_sq, stopped_value_at, values_at
 from .upsilon import LyapunovParams, surrogate_terms
 
-STEP_SOLVE_TOL = 1e-11  # kept apart from evolution.STEP_TOL: the shipped results pin both
 COVERAGE_TOL = 1e-9  # states farther than this outside the lattice box are refused
 STEP_RATE_FLOOR = 1e-6  # the step-rate bound m-hat is floored away from zero
 COMPANION_KINDS = ("trace", "probe", "lattice", "library")  # in the order they are tried
@@ -830,13 +830,17 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     partition has it get, per distinct partition time there (one wherever
     the partitions' nodes are bit-equal), one companion_minima call (u at the
     node, and the gradient that aims the next control), one select_controls
-    call and one greedy_lookahead batch over their GREEDY lanes.  Each
-    simulation step then makes one lane_terms call at the held pairs and one
-    implicit step for all lanes.  A stopped path is built only if the game
-    reads it, and once per node.  Each lane is bit-identical to its game
-    played alone.  Errors follow the lockstep rule of pdhj.evolution over
-    these phases, time-major: the earliest node's error wins, whichever
-    partition its lane is on.  A table of another shape, of a dtype that is
+    call and one greedy_lookahead batch over their GREEDY lanes.  The
+    simulation steps are one _lockstep_solve call over all lanes at
+    STEP_SOLVE_TOL: each step makes one lane_terms call at the held pairs,
+    refuses a drift above l_f (1 + sup-norm of the stopped path) with
+    ContractError, and takes one implicit step for all lanes; the terminal
+    node's companion minima run after the solve.  A stopped path is built
+    only if the game reads it, and once per node, where the control picks,
+    the greedy answers and the step share it.  Each lane is bit-identical
+    to its game played alone.  Errors follow the lockstep rule of
+    pdhj.evolution over these phases, time-major: the earliest node's error
+    wins, whichever partition its lane is on.  A table of another shape, of a dtype that is
     not an integer, or with an entry other than GREEDY or 0..n_q - 1 raises
     DomainError before any play, and so does a partition that require_span
     refuses.
@@ -868,11 +872,15 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
         at[[inner.node_index(t) for t in partition.nodes], lo:hi] = partition.nodes[:, None]
     k0 = inner.node_index(strategy.t0)
 
-    lanes = np.arange(m)
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, lane, coordinate)
     step_cost, u = np.zeros((n_max, m)), np.zeros((n_max + 1, m))
     cell = np.zeros(m, dtype=int)  # the partition node each lane reaches next
-    for k in range(k0, n_last + 1):
+
+    def decide(k):
+        """Node k's companion minima and, before T, its control picks and greedy
+        answers; returns the node's stopped paths, built on first read and keyed
+        by the lane as a Python int (an np.int64 key would miss an int's entry)."""
+        path_at = functools.cache(lambda g: stopped_at(inner, values[:, g], k))
         for t in np.unique(at[k][~np.isnan(at[k])]):
             group = np.flatnonzero(at[k] == t)
             i = cell[group]
@@ -880,25 +888,27 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
                 strategy.companion_minima(t, values[: k + 1, group])
             if k == n_last:
                 continue
-            # keyed by the lane as a Python int: an np.int64 key would miss an int's entry
-            path_at = functools.cache(
-                lambda n, k=k, group=group: stopped_at(inner, values[:, group[n]], k))
-            p[i, group] = strategy.select_controls(t, values[k, group], lambda n: path_at(int(n)),
-                                                   gradients)
+            p[i, group] = strategy.select_controls(
+                t, values[k, group], lambda n: path_at(int(group[n])), gradients)
             greedy = np.flatnonzero(q[i, group] == GREEDY)
             if greedy.size:
                 cells = (i[greedy], group[greedy])
                 states = stopped_value_at(inner, values, k, t)[cells[1]]
                 q[cells] = greedy_lookahead(spec, strategy.value, t, k, states,
-                                            lambda n: path_at(int(greedy[n])), p[cells])
+                                            lambda n: path_at(int(cells[1][n])), p[cells])
             cell[group] += 1
-        if k < n_last:
-            dt, held = nodes[k + 1] - nodes[k], (lanes, p[cell - 1, lanes], q[cell - 1, lanes])
-            drift, cost = spec.lane_terms(
-                nodes[k], values[k], lambda g: stopped_at(inner, values[:, g], k), held)
-            step_cost[cell - 1, lanes] += dt * cost
-            values[k + 1], _, _ = _drift_step(spec.op, nodes[k + 1], dt, values[k], drift,
-                                              STEP_SOLVE_TOL, k)
+        return path_at
+
+    def step_forcing(k, lanes, values, bound):
+        path_at = decide(k)
+        held = (lanes, p[cell[lanes] - 1, lanes], q[cell[lanes] - 1, lanes])
+        drift, cost = spec.lane_terms(nodes[k], values[k], lambda g: path_at(int(g)), held)
+        step_cost[cell[lanes] - 1, lanes] += (nodes[k + 1] - nodes[k]) * cost
+        return drift
+
+    _lockstep_solve(spec.op, nodes, values, k0, n_last, np.full(m, float(spec.l_f)),
+                    STEP_SOLVE_TOL, step_forcing)
+    decide(n_last)  # the terminal node's companion minima
 
     running = sum(step_cost, np.zeros(m))  # cell by cell, in the order they were played
     terminal = spec.final_costs(values[-1], lambda g: Path(inner, values[:, g]))

@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .evolution import _ball_points, _lockstep_solve
+from .evolution import STEP_TOL, _ball_points, _lockstep_solve
 from .game import GameSpec, StateLattice, ValueTable, dp_value, is_upper_side, minimax_records, \
     with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
@@ -271,7 +271,7 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
         return f
 
     values, forcing, _, _ = _lockstep_solve(spec.op, nodes, values, start, end,
-                                            np.full(m, float(spec.l_f)), step_forcing)
+                                            np.full(m, float(spec.l_f)), STEP_TOL, step_forcing)
     return _Lanes(labels, values, forcing, hams, start, end, site_of, z_lane, blocks)
 
 

@@ -79,9 +79,9 @@ import numpy as np
 from pdhj import evolution
 from pdhj.errors import ConfigurationError, ContractError, DomainError, EvaluationError, \
     SolverError
-from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_TOL, OperatorSpec, \
-    SolveReport, _bisect_step, make_linear_operator
-from pdhj.game import COMPANION_KINDS, COVERAGE_TOL, STEP_SOLVE_TOL, ControlGrid, \
+from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_SOLVE_TOL, STEP_TOL, \
+    OperatorSpec, SolveReport, _bisect_step, make_linear_operator
+from pdhj.game import COMPANION_KINDS, COVERAGE_TOL, ControlGrid, \
     FeedbackPlay, FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, ValueTable, \
     _dp_slice, _lift_paths, adversary_pool, bilinear_game, constant_game, hamiltonian, \
     is_upper_side, isaacs_game, play_feedback_games, step_rate_bound

@@ -10,13 +10,13 @@ import pytest
 from pdhj import cli, evolution
 from pdhj.errors import LatticeCoverageError, SolverError
 from pdhj.evolution import (
+    STEP_SOLVE_TOL,
     OperatorSpec,
     _implicit_step_batch,
     build_p_laplacian,
     make_linear_operator,
 )
 from pdhj.game import (
-    STEP_SOLVE_TOL,
     ControlGrid,
     StateLattice,
     _dp_slice,

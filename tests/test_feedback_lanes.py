@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from pdhj import cli, evolution, game
-from pdhj.errors import DomainError, EvaluationError, LatticeCoverageError, SolverError
+from pdhj.errors import ContractError, DomainError, EvaluationError, LatticeCoverageError, \
+    SolverError
 from pdhj.evolution import (
     OperatorSpec,
     make_linear_operator,
@@ -352,9 +353,9 @@ class TestGreedyLanes:
         _, q = adversary_pool(spec.controls.n_q, 6, 1, 4)  # constants, greedy, random
         play_feedback_games(strategy, partitions[:1], [q])
         # the built-in game reads none; the callback form each distinct lane's
-        # path once per partition node (controls and greedy share it) and
-        # once per step
-        assert len(built) == (0 if built_in else _distinct(q) * (4 + 8))
+        # path once per simulation node, which the controls, the greedy
+        # answers and the step share
+        assert len(built) == (0 if built_in else _distinct(q) * 8)
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +700,22 @@ class TestPoolErrors:
         with pytest.raises(LatticeCoverageError) as alone:
             run_feedback_game_reference(spec, strategy, constant_adversary(2), self.partition)
         assert alone.value.margin == err.margin
+
+    def test_drift_above_the_growth_bound_is_refused(self):
+        # play steps on the one lane loop of pdhj.evolution, which refuses a
+        # drift above l_f (1 + sup-norm of the stopped path): here |f| = 1
+        # against 0.1 (1 + 0.4) at the first step
+        spec = dataclasses.replace(isaacs_game(), l_f=0.1)
+        grid = TimeGrid(0.0, 1.0, 8)
+        table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
+        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.4]),
+                                           self.partition, value=table, library_size=16, seed=5)
+        _, q = adversary_pool(3, 6, 1, 4)
+        with pytest.raises(ContractError) as err:
+            play_feedback_games(strategy, [self.partition], [q])
+        assert str(err.value) == ("forcing magnitude 1.000000e+00 exceeds L(1+sup) = "
+                                  "1.400000e-01 at step 0")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pdhj import cli, evolution, minimax
+from pdhj import cli, evolution, game, minimax
 from pdhj.errors import ContractError, DomainError, EvaluationError, LatticeCoverageError, \
     SolverError
 from pdhj.evolution import (
@@ -148,7 +148,7 @@ class TestLaneErrors:
         with pytest.raises(Exception) as info:
             evolution._lockstep_solve(op, self.grid.nodes,
                                       np.repeat(self.hist.values[:, None, :], lanes, axis=1), 0,
-                                      self.grid.n_steps, np.full(lanes, L),
+                                      self.grid.n_steps, np.full(lanes, L), evolution.STEP_TOL,
                                       lambda k, active, values, bound: forcing[k])
         return info.value
 
@@ -249,7 +249,7 @@ class TestStaggeredLanes:
             history[: a + 1, lane] = 0.5 * rng.standard_normal((a + 1, dim))
         seen = []
         values, trace, iters, res = evolution._lockstep_solve(
-            op, nodes, history.copy(), start, end, np.full(m, 2.0),
+            op, nodes, history.copy(), start, end, np.full(m, 2.0), evolution.STEP_TOL,
             self._forcing(kicks, np.arange(m), seen))
         # each step sees exactly the lanes whose window covers it, and a step
         # that no window covers is not taken
@@ -258,7 +258,7 @@ class TestStaggeredLanes:
         assert [(k, active.tolist()) for k, active in seen] == [w for w in want if w[1]]
         for lane, (a, b) in enumerate(windows):
             one = evolution._lockstep_solve(op, nodes, history[:, lane:lane + 1].copy(), a, b,
-                                            np.array([2.0]),
+                                            np.array([2.0]), evolution.STEP_TOL,
                                             self._forcing(kicks, np.array([lane]), []))
             assert values[:, lane].tobytes() == one[0][:, 0].tobytes()
             assert np.isnan(values[b + 1:, lane]).all()  # nodes past the end stay untouched
@@ -266,6 +266,16 @@ class TestStaggeredLanes:
             for got, alone in zip((trace, iters, res), one[1:]):
                 assert got[:b - a, lane].tobytes() == alone[:, 0].tobytes()
                 assert not got[b - a:, lane].any()
+
+    def test_no_lanes_take_no_step(self):
+        seen = []
+        values, trace, iters, res = evolution._lockstep_solve(
+            make_linear_operator(), self.grid.nodes, np.zeros((self.grid.n_steps + 1, 0, 1)), 0,
+            self.grid.n_steps, np.zeros(0), evolution.STEP_TOL,
+            lambda k, lanes, values, bound: seen.append(k))
+        assert seen == []
+        assert values.shape == (self.grid.n_steps + 1, 0, 1) and trace.shape == (0, 0, 1)
+        assert iters.shape == res.shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +427,18 @@ def _count_lane_sets(monkeypatch, steps=None):
     calls = []
     original = evolution._lockstep_solve
 
-    def counted(op, nodes, values, start, end, L, step_forcing):
+    def counted(op, nodes, values, start, end, L, rel_tol, step_forcing):
         calls.append(len(L))
 
         def forcing(k, lanes, values, bound):
             steps.append((k, lanes))
             return step_forcing(k, lanes, values, bound)
 
-        return original(op, nodes, values, start, end, L,
+        return original(op, nodes, values, start, end, L, rel_tol,
                         step_forcing if steps is None else forcing)
 
-    monkeypatch.setattr(evolution, "_lockstep_solve", counted)
-    monkeypatch.setattr(minimax, "_lockstep_solve", counted)
+    for module in (evolution, game, minimax):
+        monkeypatch.setattr(module, "_lockstep_solve", counted)
     return calls
 
 
@@ -641,6 +651,9 @@ class TestLaneSetAgainstTwoSolves:
 
 
 MINIMAX_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "minimax_check.json")
+FEEDBACK_CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs", "feedback_run.json")
+FEEDBACK_SHORT_CONFIG = os.path.join(os.path.dirname(__file__), "..", "bench", "configs",
+                                     "feedback_short.json")
 
 
 @pytest.fixture(scope="module")
@@ -776,6 +789,22 @@ class TestSiteChecks:
             assert cli.run(json.load(fh), str(tmp_path)) == 0
         assert calls == [20 * (11 + 21 + 21) + 3 * 32, 32]
         assert len(steps) <= 32 + 4
+
+    @pytest.mark.parametrize("config,library,games,n", [
+        (FEEDBACK_SHORT_CONFIG, 64, 62, 16),
+        (FEEDBACK_CONFIG, 64, 624, 32),
+    ], ids=["feedback_short", "feedback_run"])
+    def test_feedback_run_is_two_lane_sets(self, tmp_path, monkeypatch, config, library, games,
+                                           n):
+        # the companion library, then every distinct game of every partition
+        # and pool, each set stepping its lanes together over the whole grid
+        steps = []
+        calls = _count_lane_sets(monkeypatch, steps)
+        with open(config) as fh:
+            assert cli.run({**json.load(fh), "seed": 0}, str(tmp_path)) == 0
+        assert calls == [library, games]
+        assert [(k, len(lanes)) for k, lanes in steps] \
+            == [(k, library) for k in range(n)] + [(k, games) for k in range(n)]
 
     def test_minimax_check_run_takes_stage_terms_once_per_step(self, tmp_path, monkeypatch):
         # inside site_checks, lane_terms is called by the lane solve's steps

@@ -33,6 +33,7 @@ from .game import (
     ValueTable,
     audit_hamiltonian_lipschitz,
     dp_value,
+    dp_values,
     extremal_shift_strategy,
     hamiltonian,
     play_feedback_games,

@@ -26,7 +26,7 @@ and the held pairs' stage terms (one lane_terms call); so play, too, is
 refused a drift above L (1 + sup-norm).
 
 Lockstep loops (_lockstep_solve and its callers here, in pdhj.minimax and
-in pdhj.game; the greedy lookahead and the DP slice in pdhj.game; the
+in pdhj.game; the greedy lookahead and the DP oracle in pdhj.game; the
 table reads and operator pairings of site_checks in pdhj.minimax) raise
 the first error they meet, taking time steps in order and the phases of
 each step in the order their docstrings list.  Every
@@ -48,9 +48,21 @@ site order would raise the first site's error however late its step), and a
 non-finite stage term of any lane raises during the solve, at its step, in
 (lane, p, q) order (a viscosity scan's lanes too check their full control
 grid); the characteristic functional then has only its table-read phase,
-one batch per node over every site.  A DP slice's phases are its stage
-terms, its Markov probe, its implicit step and one table read of both
-sides.  The sampled Hamiltonians of
+one batch per node over every site.  The DP oracle (pdhj.game.dp_values)
+solves every slice's successors before its recursion reads any, so its
+phases span the slices: every slice's stage terms and Markov probe, in
+recursion order (k = n_steps - 1 first), then one growth-bound check of
+every cell (|f| <= l_f (1 + |x|) on the constant lifts, the rule of
+_over_growth_bound; ContractError names the first cell in recursion
+order), then one _implicit_step_batch call over every (slice, point, p, q)
+cell, each row at its slice's time and step (the lowest failing row's
+SolverError, naming its slice's k), then one table read of both sides per
+slice in recursion order.  So every stage-term or probe error comes before
+any step error, and every step error before any coverage error; a coverage
+error names the first slice in recursion order with a successor off the
+lattice, and the cell with the largest margin in it.  (Slice by slice, a
+slice's step and read came before the next slice's stage terms.)  The
+sampled Hamiltonians of
 pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
 use) take them one time group at a time: the distinct sample times in order
 of first appearance, every sample at a time in one batch, so they raise the
@@ -71,7 +83,7 @@ from .pathcore import Path, StateSpace, _row_norms
 NEWTON_MAX_ITER = 50
 # Two implicit-step tolerances, each relative (tol (1 + |x_k|) per row).  STEP_TOL
 # serves the forced solve, the tube and the residual lanes; STEP_SOLVE_TOL the
-# value-table lanes: the DP slice, the feedback games and the greedy lookahead.
+# value-table lanes: the DP oracle, the feedback games and the greedy lookahead.
 # They are not merged yet: with 1e-11 everywhere, minimax_check's result moves by
 # up to 1.8e-10 (seed 0), and the benchmark's reference results pin those bits.
 STEP_TOL = 1e-10
@@ -88,7 +100,10 @@ class OperatorSpec:
     eval_fn maps (t, V) -> A(t, V) (V*-vectors as H-arrays through the
     Euclidean pairing) for a stack of states V of shape (..., dim), returning
     the same shape, each row computed as it would be alone; it is the one
-    entry point, used for single states and stacks alike.  Declared
+    entry point, used for single states and stacks alike.  t is a float, or,
+    from the batched implicit step, a column of shape (M, 1) holding the
+    time of each of the M rows of V, so eval_fn must broadcast it against V
+    as it would a float (both built-in operators ignore t).  Declared
     constants feed the hypothesis audit:
     boundedness  ||A(t,x)||_* <= a1_bound + c1 ||x||^(p-1),
     coercivity   <A(t,x), x>  >= c2 ||x||^p.
@@ -250,31 +265,37 @@ class SolveReport:
         }
 
 
-def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np.ndarray,
-                         guesses: np.ndarray, tols: np.ndarray, step_index: int):
+def _implicit_step_batch(op: OperatorSpec, t_next, dt, targets: np.ndarray,
+                         guesses: np.ndarray, tols: np.ndarray, step_index):
     """Solve g(xi) = xi + dt*A(t_next, xi) - target = 0 for each row of targets
     and guesses, shape (M, dim); returns (xi, iters, res) with shapes
     (M, dim), (M,), (M,).
 
-    A masked damped Newton runs all lanes: a finite-difference Jacobian per
+    t_next, dt and step_index are per row, shape (M,), and a scalar stands
+    for every row; op.batch gets the rows' t_next as a column (M, 1).  A
+    masked damped Newton runs all lanes: a finite-difference Jacobian per
     lane, one batched solve, and one line-search schedule for all lanes with
     the same acceptance test, so each lane's arithmetic does not depend on
     the other lanes.  A lane that stalls (a singular Jacobian, an exhausted
     line search, or NEWTON_MAX_ITER iterations) keeps its iteration count and
-    goes to _fallback_step.  Stalled lanes fall back in lane order, so the
-    SolverError a batch raises is its lowest stalled lane's.
+    goes to _fallback_step with its own row's t_next, dt and step_index.
+    Stalled lanes fall back in lane order, so the SolverError a batch raises
+    is its lowest stalled lane's, naming that lane's step.
     """
     targets = np.asarray(targets, dtype=float)
     guesses = np.asarray(guesses, dtype=float)
     m, dim = targets.shape
     xi = guesses.copy()
     tols = np.broadcast_to(np.asarray(tols, dtype=float), (m,))
+    t_col = np.broadcast_to(np.asarray(t_next, dtype=float), (m,))[:, None]
+    dt_col = np.broadcast_to(np.asarray(dt, dtype=float), (m,))[:, None]
+    step_index = np.broadcast_to(np.asarray(step_index, dtype=int), (m,))
     iters = np.zeros(m, dtype=int)
     res = np.zeros(m)
     stalled = []
 
     def g(X, lanes):
-        return X + dt * op.batch(t_next, X) - targets[lanes]
+        return X + dt_col[lanes] * op.batch(t_col[lanes], X) - targets[lanes]
 
     lanes = np.arange(m)
     gx = g(xi, lanes)
@@ -320,17 +341,20 @@ def _implicit_step_batch(op: OperatorSpec, t_next: float, dt: float, targets: np
         lanes, gx = lanes[moved], gx[moved]
     stalled.extend(lanes)
     for n in sorted(stalled):
-        xi[n], iters[n], res[n] = _fallback_step(op, t_next, dt, targets[n], guesses[n],
-                                                 float(tols[n]), step_index, int(iters[n]))
+        xi[n], iters[n], res[n] = _fallback_step(op, float(t_col[n, 0]), float(dt_col[n, 0]),
+                                                 targets[n], guesses[n], float(tols[n]),
+                                                 int(step_index[n]), int(iters[n]))
     return xi, iters, res
 
 
-def _drift_step(op: OperatorSpec, t_next: float, dt: float, x: np.ndarray, drift: np.ndarray,
-                rel_tol: float, step_index: int):
+def _drift_step(op: OperatorSpec, t_next, dt, x: np.ndarray, drift: np.ndarray,
+                rel_tol: float, step_index):
     """One implicit-Euler step of each row of x, shape (M, dim), under its
     drift: _implicit_step_batch with target x + dt*drift, guess x and
-    tolerance rel_tol (1 + |x|) per row."""
-    return _implicit_step_batch(op, t_next, dt, x + dt * drift, x,
+    tolerance rel_tol (1 + |x|) per row; t_next, dt and step_index are per
+    row or shared, as there."""
+    dt_col = np.broadcast_to(np.asarray(dt, dtype=float), (len(x),))[:, None]
+    return _implicit_step_batch(op, t_next, dt, x + dt_col * drift, x,
                                 rel_tol * (1.0 + _row_norms(x)), step_index)
 
 
@@ -424,6 +448,14 @@ def _reports(x0: Path, t0: float, solved, forcing_algorithm: str = None) -> list
             for lane in range(values.shape[1])]
 
 
+def _over_growth_bound(fmag: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """The flat indices, increasing, of the forcing magnitudes fmag that break
+    their growth bound L (1 + sup-norm), given as bound (broadcast against
+    fmag), with FORCING_BOUND_TOL relative slack; a magnitude that is not
+    finite breaks it.  The lane solve and the DP oracle share this rule."""
+    return np.flatnonzero(~(fmag <= bound + FORCING_BOUND_TOL * (1.0 + bound)))
+
+
 def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, start, end,
                     L: np.ndarray, rel_tol: float, step_forcing):
     """The one step loop of every lane solve: m lanes of x' + A(t, x) = f on
@@ -477,7 +509,7 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
         bound = L[lanes] * (1.0 + np.maximum(node_sup[lanes], cur))
         f = step_forcing(k, lanes, values, bound)
         fmag = _row_norms(f)
-        over = np.flatnonzero(~(fmag <= bound + FORCING_BOUND_TOL * (1.0 + bound)))
+        over = _over_growth_bound(fmag, bound)
         if over.size:
             lane = over[0]
             raise ContractError(f"forcing magnitude {fmag[lane]:.6e} exceeds L(1+sup) = "

@@ -13,7 +13,8 @@ states as constant-history paths; its values are exact for games whose path
 dependence collapses to the current state, which is the regime of every
 desk-scale example here.  A function that never calls path_of cannot read
 the past, so dp_value takes it as it is; it probes any function it sees call
-path_of and refuses one that reads its past.
+path_of and refuses one that reads its past.  Games that differ only in
+their terminal cost share one solve of their successors (dp_values).
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    ContractError,
     DomainError,
     EvaluationError,
     LatticeCoverageError,
 )
 from .evolution import STEP_SOLVE_TOL, OperatorSpec, _drift_step, _lockstep_solve, \
-    make_linear_operator, sample_reachable_set
+    _over_growth_bound, make_linear_operator, sample_reachable_set
 from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
     stopped_at, stopped_sup_sq, stopped_value_at, values_at
 from .upsilon import LyapunovParams, surrogate_terms
@@ -80,7 +82,10 @@ class GameSpec:
     lanes, shape (N,), where states holds x(T) and path_of(n) lane n's full
     path.  A function that reads only the current state never calls path_of,
     and the DP oracle is exact only for games whose functions do not read
-    the past (see dp_value).
+    the past (see dp_value).  Both functions must be pure (the same
+    arguments give the same result, with no hidden state): the tables of
+    dp_values share one stage call per slice among games that share their
+    stage function.
 
     l_f is the growth constant of |f| <= l_f (1 + sup-norm of the stopped
     path), and so the tube constant of every lane solve the game makes; an
@@ -478,50 +483,6 @@ class _PathReads:
         return self.paths[n]
 
 
-def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
-              next_values: np.ndarray, lifts) -> np.ndarray:
-    """One backward step of both sides: node k's values from next_values,
-    the next node's lower and upper values stacked on a last axis (shape
-    lattice.shape + (2,)), returned in the same shape.
-
-    The slice is one array program over its (point, p, q) cells: one
-    lane_terms call over every lattice point (lane n's path is lifts[n]),
-    one batched implicit step, one interpolate_batch call that reads both
-    sides, and the min/max as axis reductions.  At node k > 0 a game whose
-    stage function called path_of is probed by _require_markov.  Errors
-    follow the lockstep rule of pdhj.evolution; the phases are the stage
-    terms, the probe, the implicit step and the table read, and a successor
-    off the lattice names the cell with the largest margin (the first such
-    cell on ties), found in the margins the refused read carries.
-    """
-    t_k, t_k1 = grid.nodes[k:k + 2]
-    dt = t_k1 - t_k
-    controls = spec.controls
-    points = lattice.points()
-    n_points, dim = points.shape
-    cells = (n_points, controls.n_p, controls.n_q)
-    reads = _PathReads(lifts)
-    drift, cost = spec.lane_terms(t_k, points, reads)
-    if reads.called and k > 0:
-        _require_markov(spec, grid, k, points, (drift, cost))
-    starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
-    succ, _, _ = _drift_step(spec.op, t_k1, dt, starts, drift.reshape(-1, dim),
-                             STEP_SOLVE_TOL, k)
-    try:
-        read = lattice.interpolate_batch(next_values, succ)
-    except LatticeCoverageError as refused:
-        idx, i, j = np.unravel_index(int(np.argmax(refused.margins)), cells)
-        raise LatticeCoverageError(
-            f"successor left the lattice at time index {k} (state {points[idx]}, "
-            f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {refused}",
-            margin=refused.margin) from None
-    obj = (dt * cost)[..., None] + read.reshape(cells + (2,))
-    # lower: the maximizer commits first, max over q of min over p; upper: the
-    # minimizer commits first, min over p of max over q
-    return np.stack([obj[..., 0].min(axis=1).max(axis=1), obj[..., 1].max(axis=2).min(axis=1)],
-                    axis=-1).reshape(lattice.shape + (2,))
-
-
 def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray, lifted):
     """The oracle's probe at node k > 0 of a function seen to read a path: the
     stage function at a slice's node k < n_steps, the terminal function at
@@ -556,37 +517,134 @@ def _require_markov(spec: GameSpec, grid: TimeGrid, k: int, points: np.ndarray, 
                                  f"values only games that read the path through {now}")
 
 
+def _require_growth_bound(spec: GameSpec, points: np.ndarray, order: np.ndarray,
+                          drift: np.ndarray):
+    """Refuse a DP cell whose drift breaks the growth bound l_f (1 + |x|) of
+    its lattice point's constant lift, whose stopped sup-norm is |x|.
+
+    drift has shape (row, point, p, q, dim), row r holding slice order[r];
+    ContractError names the first failing cell in that order.
+    """
+    fmag = _row_norms(drift)
+    bound = spec.l_f * (1.0 + _row_norms(points))
+    over = _over_growth_bound(fmag, bound[:, None, None])
+    if over.size:
+        row, idx, i, j = np.unravel_index(over[0], fmag.shape)
+        controls = spec.controls
+        raise ContractError(
+            f"drift magnitude {fmag[row, idx, i, j]:.6e} exceeds l_f(1+sup) = {bound[idx]:.6e} "
+            f"at time index {order[row]} (state {points[idx]}, p={controls.p_points[i]!r}, "
+            f"q={controls.q_points[j]!r})")
+
+
 def dp_value(spec: GameSpec, grid: TimeGrid, lattice: StateLattice) -> ValueTable:
-    """Backward min-max recursion on the lattice, both sides at once.
+    """Backward min-max recursion on the lattice, both sides at once: the
+    one table of dp_values([spec], grid, lattice).
 
     Upper value: minimizer commits first each step (min over p of max over q);
     lower value: maximizer commits first (max over q of min over p).  Terminal
     slice is the terminal cost evaluated exactly at lattice points.  Successors
     are one implicit-Euler step; leaving the lattice is an error that names the
-    margin needed.  The two sides share one working array, so each slice
-    reads both with one interpolation (_dp_slice).
+    margin needed, and a drift above the growth bound l_f (1 + |x|) a
+    ContractError.
 
     Each lattice point's lane is its constant lift, handed to the game as
     path_of.  A function that never calls it cannot read the past, and is
     taken as it is.  A function seen to call it is probed by _require_markov:
-    the stage function at a node after the first, inside that node's slice,
-    on histories perturbed before t, and the terminal function, before any
-    slice, on histories perturbed before T.  Its terms there must equal those
-    on the constant lifts, or dp_value raises ConfigurationError naming the
-    game (and the node), rather than return a value that ignores the past.
+    the stage function at every node after the first, on histories perturbed
+    before t, and the terminal function, before any stage term, on histories
+    perturbed before T.  Its terms there must equal those on the constant
+    lifts, or dp_value raises ConfigurationError naming the game (and the
+    node), rather than return a value that ignores the past.
     """
+    return dp_values([spec], grid, lattice)[0]
+
+
+def dp_values(specs, grid: TimeGrid, lattice: StateLattice) -> list:
+    """The ValueTable of each of specs, games that differ only in their
+    terminal cost (and name), computed as dp_value computes one.
+
+    Specs that do not share op, stage, controls and l_f are refused
+    (DomainError naming the first field that differs), as is an empty list.
+    The successors depend only on the dynamics, the grid and the lattice, so
+    the recursion runs in two phases.  The first is the dynamics':
+    each slice's stage terms (one lane_terms call over every lattice point)
+    and Markov probe, in recursion order (k = n_steps - 1 first), one
+    growth-bound check of every cell, and one implicit step of every
+    (slice, point, p, q) cell with its own slice's time and step.  The
+    second is the per-slice recursion: one interpolate_batch call reads both
+    sides of every table at slice k + 1 (stacked on the trailing axes), then
+    the min/max as axis reductions.  Each table is bit for bit the one the
+    spec gets alone.
+
+    Errors follow the lockstep rule of pdhj.evolution, with the DP's phases:
+    the terminal costs and their probes in spec order, the stage terms and
+    probes, the growth-bound check (the first cell in recursion order), the
+    implicit step (its lowest failing row's SolverError, naming that slice's
+    k) and the table reads.  A successor off the lattice names the first
+    slice in recursion order that has one, and in it the cell with the
+    largest margin (the first such cell on ties), found in the margins the
+    refused read carries.
+    """
+    if not specs:
+        raise DomainError("dp_values needs at least one game")
+    first = specs[0]
+    for spec in specs[1:]:
+        field = next((f for f in ("op", "stage", "controls", "l_f")
+                      if getattr(spec, f) != getattr(first, f)), None)
+        if field is not None:
+            raise DomainError(f"dp_values shares one set of dynamics, but game {spec.name!r} "
+                              f"differs from {first.name!r} in {field}")
     lifts = _lift_paths(lattice, grid)
     points = lattice.points()
-    reads = _PathReads(lifts)
-    terminal = spec.final_costs(points, reads)
-    if reads.called:
-        _require_markov(spec, grid, grid.n_steps, points, (terminal,))
-    values = np.empty((grid.n_steps + 1,) + lattice.shape + (2,))  # (lower, upper)
-    values[-1] = terminal.reshape(lattice.shape)[..., None]
-    for k in range(grid.n_steps - 1, -1, -1):
-        values[k] = _dp_slice(spec, grid, lattice, k, values[k + 1], lifts)
-    return ValueTable(grid=grid, lattice=lattice, v_minus=np.ascontiguousarray(values[..., 0]),
-                      v_plus=np.ascontiguousarray(values[..., 1]))
+    tables = len(specs)
+    terminals = np.empty((len(points), tables))
+    for s, spec in enumerate(specs):
+        reads = _PathReads(lifts)
+        terminals[:, s] = costs = spec.final_costs(points, reads)
+        if reads.called:
+            _require_markov(spec, grid, grid.n_steps, points, (costs,))
+
+    nodes, controls = grid.nodes, first.controls
+    n_points, dim = points.shape
+    cells = (n_points, controls.n_p, controls.n_q)
+    order = np.arange(grid.n_steps - 1, -1, -1)  # the recursion's slices, k = n_steps - 1 first
+    dt = nodes[order + 1] - nodes[order]
+    drift = np.empty((len(order),) + cells + (dim,))
+    cost = np.empty((len(order),) + cells)
+    for row, k in enumerate(order):
+        reads = _PathReads(lifts)
+        drift[row], cost[row] = first.lane_terms(nodes[k], points, reads)
+        if reads.called and k > 0:
+            _require_markov(first, grid, k, points, (drift[row], cost[row]))
+    _require_growth_bound(first, points, order, drift)
+    per_slice = math.prod(cells)
+    starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
+    succ, _, _ = _drift_step(first.op, np.repeat(nodes[order + 1], per_slice),
+                             np.repeat(dt, per_slice), starts, drift.reshape(-1, dim),
+                             STEP_SOLVE_TOL, np.repeat(order, per_slice))
+    succ = succ.reshape(len(order), per_slice, dim)
+
+    values = np.empty((grid.n_steps + 1,) + lattice.shape + (tables, 2))  # (lower, upper)
+    values[-1] = terminals.reshape(lattice.shape + (tables,))[..., None]
+    for row, k in enumerate(order):
+        try:
+            read = lattice.interpolate_batch(values[k + 1], succ[row])
+        except LatticeCoverageError as refused:
+            idx, i, j = np.unravel_index(int(np.argmax(refused.margins)), cells)
+            raise LatticeCoverageError(
+                f"successor left the lattice at time index {k} (state {points[idx]}, "
+                f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {refused}",
+                margin=refused.margin) from None
+        obj = (dt[row] * cost[row])[..., None, None] + read.reshape(cells + (tables, 2))
+        # lower: the maximizer commits first, max over q of min over p; upper: the
+        # minimizer commits first, min over p of max over q
+        values[k] = np.stack([obj[..., 0].min(axis=1).max(axis=1),
+                              obj[..., 1].max(axis=2).min(axis=1)],
+                             axis=-1).reshape(lattice.shape + (tables, 2))
+    return [ValueTable(grid=grid, lattice=lattice, v_minus=np.ascontiguousarray(values[..., s, 0]),
+                       v_plus=np.ascontiguousarray(values[..., s, 1]))
+            for s in range(tables)]
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ import numpy as np
 
 from .errors import DomainError
 from .evolution import STEP_TOL, _ball_points, _lockstep_solve
-from .game import GameSpec, StateLattice, ValueTable, dp_value, is_upper_side, minimax_records, \
-    with_drift_perturbation, with_terminal_shift
+from .game import GameSpec, StateLattice, ValueTable, dp_value, dp_values, is_upper_side, \
+    minimax_records, with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
@@ -488,20 +488,25 @@ def stability_experiment(spec: GameSpec, family: str, n_list, grid: TimeGrid,
 
     'h-shift' adds 1/n to the terminal cost: the backward min/max recursion is
     shift-equivariant, so the distance equals 1/n exactly (up to rounding).
-    'f-drift' adds a constant drift of magnitude 1/n, perturbing the
-    Hamiltonian z-dependently.  shift_exactness, |distance - 1/n|, is None
-    for f-drift, where no exact distance is known.  Inputs that stability_refusal names raise
+    Its games share their dynamics, so one dp_values call computes the base
+    table and the family's together.  'f-drift' adds a constant drift of
+    magnitude 1/n, perturbing the Hamiltonian z-dependently; each of its
+    games has its own stage function and so its own dp_value call.
+    shift_exactness, |distance - 1/n|, is None for f-drift, where no exact
+    distance is known.  Inputs that stability_refusal names raise
     DomainError before any table is computed.
     """
     n_list = tuple(int(n) for n in n_list)
     refusal = stability_refusal(family, n_list)
     if refusal is not None:
         raise DomainError(refusal[1])
-    base_vals = dp_value(spec, grid, lattice).v_plus
+    games = [spec] + [STABILITY_FAMILIES[family](spec, 1.0 / n) for n in n_list]
+    tables = dp_values(games, grid, lattice) if family == "h-shift" \
+        else [dp_value(game, grid, lattice) for game in games]
+    base_vals = tables[0].v_plus
     distances, exactness = [], []
-    for n in n_list:
-        spec_n = STABILITY_FAMILIES[family](spec, 1.0 / n)
-        dist = float(np.max(np.abs(dp_value(spec_n, grid, lattice).v_plus - base_vals)))
+    for n, table in zip(n_list, tables[1:]):
+        dist = float(np.max(np.abs(table.v_plus - base_vals)))
         distances.append(dist)
         exactness.append(abs(dist - 1.0 / n) if family == "h-shift" else None)
     decreasing = all(a > b for a, b in zip(distances[:-1], distances[1:]))

@@ -16,8 +16,13 @@ the batches are checked against.
   for a tube sample; sample_reachable_set as one such solve per sample.
 - _ball_point: the one-point tube draw of pdhj.evolution._ball_points.
 - value_gradient: the one-state ValueTable.gradient, 2·dim scalar reads.
-- recompute_slice: one backward DP step redone from a table's next node,
-  the bit-exact check of the dynamic programming principle.
+- _dp_slice and dp_value_reference: one backward DP step of both sides as
+  its own array program (its stage terms, its probe, its implicit step and
+  one table read), and the recursion as one such step per slice: the
+  per-slice program that pdhj.game.dp_values splits into a dynamics phase
+  shared by every slice and a per-slice recursion; recompute_slice: one
+  backward DP step redone from a table's next node, the bit-exact check of
+  the dynamic programming principle.
 - _candidate_runs_reference and _char_policy: the residual candidates of
   pdhj.minimax._candidate_runs as one sequential solve per candidate, a
   characteristic aimed by value_gradient and picking its pair from one
@@ -59,7 +64,8 @@ the batches are checked against.
   one steps and reads the table once per q.  reference_pool lists them in
   adversary_pool's order.
 - run_feedback_game_reference and companion_minimum_reference: one game
-  against one such policy with its own scalar step loop, and the one-game
+  against one such policy with its own scalar step loop (which refuses a
+  drift above l_f (1 + sup-norm) as _solve_reference does), and the one-game
   companion minimum it aims by, one kind after another over the lattice
   points and strategy.library, a probe or library end off the lattice
   dropped: the reference every lane of play_feedback_games is checked
@@ -78,13 +84,14 @@ import numpy as np
 
 from pdhj import evolution
 from pdhj.errors import ConfigurationError, ContractError, DomainError, EvaluationError, \
-    SolverError
+    LatticeCoverageError, SolverError
 from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_SOLVE_TOL, STEP_TOL, \
-    OperatorSpec, SolveReport, _bisect_step, make_linear_operator
+    OperatorSpec, SolveReport, _bisect_step, _drift_step, make_linear_operator
 from pdhj.game import COMPANION_KINDS, COVERAGE_TOL, ControlGrid, \
-    FeedbackPlay, FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, ValueTable, \
-    _dp_slice, _lift_paths, adversary_pool, bilinear_game, constant_game, hamiltonian, \
-    is_upper_side, isaacs_game, play_feedback_games, step_rate_bound
+    FeedbackPlay, FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, \
+    StateLattice, ValueTable, _lift_paths, _PathReads, _require_markov, adversary_pool, \
+    bilinear_game, constant_game, hamiltonian, is_upper_side, isaacs_game, \
+    play_feedback_games, step_rate_bound
 from pdhj.pathcore import _NODE_TOL, Path, TimeGrid, _row_dots, kappa_constant, stopped_at
 from pdhj.upsilon import LyapunovParams, surrogate_terms
 
@@ -515,6 +522,63 @@ def value_gradient(table: ValueTable, side: str, t: float, state) -> np.ndarray:
     return g
 
 
+def _dp_slice(spec: GameSpec, grid: TimeGrid, lattice: StateLattice, k: int,
+              next_values: np.ndarray, lifts) -> np.ndarray:
+    """One backward step of both sides: node k's values from next_values,
+    the next node's lower and upper values stacked on a last axis (shape
+    lattice.shape + (2,)), returned in the same shape.
+
+    The slice is one array program over its (point, p, q) cells: one
+    lane_terms call over every lattice point (lane n's path is lifts[n]),
+    one batched implicit step, one interpolate_batch call that reads both
+    sides, and the min/max as axis reductions.  At node k > 0 a game whose
+    stage function called path_of is probed by _require_markov.  Its phases
+    are the stage terms, the probe, the implicit step and the table read,
+    and a successor off the lattice names the cell with the largest margin
+    (the first such cell on ties), found in the margins the refused read
+    carries.  It checks no growth bound.
+    """
+    t_k, t_k1 = grid.nodes[k:k + 2]
+    dt = t_k1 - t_k
+    controls = spec.controls
+    points = lattice.points()
+    n_points, dim = points.shape
+    cells = (n_points, controls.n_p, controls.n_q)
+    reads = _PathReads(lifts)
+    drift, cost = spec.lane_terms(t_k, points, reads)
+    if reads.called and k > 0:
+        _require_markov(spec, grid, k, points, (drift, cost))
+    starts = np.broadcast_to(points[:, None, None, :], drift.shape).reshape(-1, dim)
+    succ, _, _ = _drift_step(spec.op, t_k1, dt, starts, drift.reshape(-1, dim),
+                             STEP_SOLVE_TOL, k)
+    try:
+        read = lattice.interpolate_batch(next_values, succ)
+    except LatticeCoverageError as refused:
+        idx, i, j = np.unravel_index(int(np.argmax(refused.margins)), cells)
+        raise LatticeCoverageError(
+            f"successor left the lattice at time index {k} (state {points[idx]}, "
+            f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {refused}",
+            margin=refused.margin) from None
+    obj = (dt * cost)[..., None] + read.reshape(cells + (2,))
+    # lower: the maximizer commits first, max over q of min over p; upper: the
+    # minimizer commits first, min over p of max over q
+    return np.stack([obj[..., 0].min(axis=1).max(axis=1), obj[..., 1].max(axis=2).min(axis=1)],
+                    axis=-1).reshape(lattice.shape + (2,))
+
+
+def dp_value_reference(spec: GameSpec, grid: TimeGrid, lattice: StateLattice) -> ValueTable:
+    """The backward recursion as one _dp_slice call per slice, k = n_steps - 1
+    first, from the terminal cost at the lattice points."""
+    lifts = _lift_paths(lattice, grid)
+    values = np.empty((grid.n_steps + 1,) + lattice.shape + (2,))
+    values[-1] = spec.final_costs(lattice.points(), lifts.__getitem__).reshape(
+        lattice.shape)[..., None]
+    for k in range(grid.n_steps - 1, -1, -1):
+        values[k] = _dp_slice(spec, grid, lattice, k, values[k + 1], lifts)
+    return ValueTable(grid=grid, lattice=lattice, v_minus=values[..., 0].copy(),
+                      v_plus=values[..., 1].copy())
+
+
 def recompute_slice(table: ValueTable, spec: GameSpec, k: int, side: str) -> np.ndarray:
     """Redo the backward step at time index k from slice k+1 of both sides and
     return the named side's slice; an unknown side is refused (DomainError)."""
@@ -822,6 +886,11 @@ def run_feedback_game_reference(spec: GameSpec, strategy: FeedbackStrategy, adve
             x_stop = stopped_at(inner, values, k)
             f = drift(spec, nodes[k], x_stop, p, q)
             step_cost += dt * stage_cost(spec, nodes[k], x_stop, p, q)
+            bound = spec.l_f * (1.0 + sup_norm(x_stop, nodes[k]))
+            fmag = float(np.linalg.norm(f))
+            if fmag > bound + FORCING_BOUND_TOL * (1.0 + bound):
+                raise ContractError(
+                    f"forcing magnitude {fmag:.6e} exceeds L(1+sup) = {bound:.6e} at step {k}")
             target = values[k] + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(values[k])))
             values[k + 1], _, _ = _implicit_step(spec.op, nodes[k + 1], dt,

@@ -1,4 +1,6 @@
-"""The batched DP slice and implicit step against the scalar loops they replace."""
+"""dp_value, which solves every slice's successors in one implicit step,
+against the per-slice program it replaced, and the batched implicit step
+against the scalar loops it replaced."""
 
 import dataclasses
 import json
@@ -7,8 +9,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from pdhj import cli, evolution
-from pdhj.errors import LatticeCoverageError, SolverError
+from pdhj import cli, evolution, game
+from pdhj.errors import ContractError, DomainError, LatticeCoverageError, SolverError
 from pdhj.evolution import (
     STEP_SOLVE_TOL,
     OperatorSpec,
@@ -19,16 +21,19 @@ from pdhj.evolution import (
 from pdhj.game import (
     ControlGrid,
     StateLattice,
-    _dp_slice,
     _lift_paths,
     bilinear_game,
     constant_game,
     dp_value,
+    dp_values,
     greedy_lookahead,
     isaacs_game,
+    with_drift_perturbation,
+    with_terminal_shift,
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid
-from scalar_reference import _implicit_step, callback_game, drift, stage_cost
+from scalar_reference import _dp_slice, _implicit_step, callback_game, dp_value_reference, \
+    drift, stage_cost
 
 
 def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts):
@@ -134,6 +139,104 @@ class TestBatchedSlice:
             assert np.array_equal(table.v_plus[k], p_ref)
 
 
+def timed(spec):
+    """spec with A(t, x) = (1 + t) x, an operator that reads its time."""
+    op = OperatorSpec(space=spec.op.space, eval_fn=lambda t, v: (1.0 + t) * v, c1=2.0, c2=1.0)
+    return dataclasses.replace(spec, op=op)
+
+
+LATTICE_1D = StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,))
+LATTICE_2D = StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5), shape=(7, 9))
+
+
+def assert_tables_identical(got, want):
+    assert got.v_minus.tobytes() == want.v_minus.tobytes()
+    assert got.v_plus.tobytes() == want.v_plus.tobytes()
+
+
+class TestAgainstTheSliceProgram:
+    """dp_value, one implicit step for every slice's cells, against the
+    per-slice program it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("make,lattice", [
+        (isaacs_game, LATTICE_1D), (bilinear_game, LATTICE_1D), (constant_game, LATTICE_1D),
+        (planar_game, LATTICE_2D),
+        (lambda: timed(isaacs_game()), LATTICE_1D), (lambda: timed(planar_game()), LATTICE_2D),
+    ], ids=["isaacs", "bilinear", "constant", "planar-2d", "timed-isaacs", "timed-planar-2d"])
+    def test_bit_identical(self, make, lattice):
+        grid = TimeGrid(0.0, 1.0, 8)
+        assert_tables_identical(dp_value(make(), grid, lattice),
+                                dp_value_reference(make(), grid, lattice))
+
+    def test_scalar_fallback_lanes(self, monkeypatch):
+        # every lane stalls and falls back with its own slice's time and step
+        monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", 0)
+        grid = TimeGrid(0.0, 1.0, 4)
+        for spec, lattice in [
+                (timed(isaacs_game()), StateLattice(lo=(-2.0,), hi=(2.0,), shape=(9,))),
+                (timed(planar_game()), StateLattice(lo=(-1.5, -1.5), hi=(1.5, 1.5),
+                                                    shape=(5, 5)))]:
+            assert_tables_identical(dp_value(spec, grid, lattice),
+                                    dp_value_reference(spec, grid, lattice))
+
+
+class TestSharedDynamics:
+    def test_h_shift_family_is_one_step(self, monkeypatch):
+        spec, grid = isaacs_game(), TimeGrid(0.0, 1.0, 8)
+        family = [spec] + [with_terminal_shift(spec, 1.0 / n) for n in (2, 4, 8)]
+        alone = [dp_value(member, grid, LATTICE_1D) for member in family]
+        calls = {"steps": 0, "lane_terms": 0, "reads": 0}
+        step, terms, read = game._drift_step, game.GameSpec.lane_terms, \
+            StateLattice.interpolate_batch
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(game, "_drift_step", spy("steps", step))
+        monkeypatch.setattr(game.GameSpec, "lane_terms", spy("lane_terms", terms))
+        monkeypatch.setattr(StateLattice, "interpolate_batch", spy("reads", read))
+        tables = dp_values(family, grid, LATTICE_1D)
+        assert calls == {"steps": 1, "lane_terms": grid.n_steps, "reads": grid.n_steps}
+        assert len(tables) == len(family)
+        for got, want in zip(tables, alone):
+            assert_tables_identical(got, want)
+
+    @pytest.mark.parametrize("field", ["op", "stage", "controls", "l_f"])
+    def test_other_dynamics_are_refused(self, field):
+        spec = isaacs_game()
+        other = {"op": dataclasses.replace(spec, op=make_linear_operator(1, 2.0)),
+                 "stage": with_drift_perturbation(spec, 0.5),
+                 "controls": dataclasses.replace(spec, controls=ControlGrid((0.0,), (0.0,))),
+                 "l_f": dataclasses.replace(spec, l_f=2.0)}[field]
+        with pytest.raises(DomainError) as err:
+            dp_values([spec, with_terminal_shift(spec, 0.5), other], TimeGrid(0.0, 1.0, 4),
+                      LATTICE_1D)
+        assert str(err.value) == (f"dp_values shares one set of dynamics, but game "
+                                  f"{other.name!r} differs from {spec.name!r} in {field}")
+
+    def test_no_games_are_refused(self):
+        with pytest.raises(DomainError):
+            dp_values([], TimeGrid(0.0, 1.0, 4), LATTICE_1D)
+
+
+class TestGrowthBound:
+    def test_drift_above_the_bound_is_refused_before_the_step(self, monkeypatch):
+        # |f| = 1 against 0.1 (1 + |x|): the first cell in recursion order is
+        # named, and no successor is solved
+        spec = dataclasses.replace(isaacs_game(), l_f=0.1)
+        steps = []
+        monkeypatch.setattr(game, "_drift_step", lambda *args: steps.append(args))
+        with pytest.raises(ContractError) as err:
+            dp_value(spec, TimeGrid(0.0, 1.0, 8), StateLattice(lo=(-2.0,), hi=(2.0,),
+                                                               shape=(33,)))
+        assert str(err.value) == ("drift magnitude 1.000000e+00 exceeds l_f(1+sup) = "
+                                  "3.000000e-01 at time index 7 (state [-2.], p=-1.0, q=-1.0)")
+        assert steps == []
+
+
 class TestOneReadPerSlice:
     def test_game_value_config_reads_each_slice_once(self, monkeypatch):
         # one interpolate_batch call reads both sides of a slice, and no
@@ -179,17 +282,32 @@ class TestCoverageError:
         spec = isaacs_game(scale=4.0)
         grid = TimeGrid(0.0, 1.0, 4)
         tight = StateLattice(lo=(lo,), hi=(hi,), shape=(5,))
-        lifts = _lift_paths(tight, grid)
-        terminal = np.zeros(tight.shape + (2,))
         want = (f"successor left the lattice at time index 3 ({cell}): state leaves the "
                 f"lattice by 1.590000e+00; expand bounds by at least that margin")
         with pytest.raises(LatticeCoverageError) as got:
-            _dp_slice(spec, grid, tight, 3, terminal, lifts)
+            dp_value(spec, grid, tight)
         assert str(got.value) == want
         assert got.value.margin == 1.5899999999999996
-        with pytest.raises(LatticeCoverageError) as whole:
+        # the per-slice program names the same cell
+        with pytest.raises(LatticeCoverageError) as sliced:
+            _dp_slice(spec, grid, tight, 3, np.zeros(tight.shape + (2,)),
+                      _lift_paths(tight, grid))
+        assert str(sliced.value) == want
+
+    def test_a_step_error_comes_before_any_coverage_error(self):
+        # slice 3's successors leave the lattice, and slice 0's step fails
+        # (A is not finite at its t_next = 0.25): every successor is solved
+        # before any slice is read
+        spec = isaacs_game(scale=4.0)
+        spec = dataclasses.replace(spec, op=OperatorSpec(
+            space=spec.op.space, c1=1.0, c2=1.0, eval_fn=lambda t, v: np.where(t > 0.3, v, np.nan)))
+        grid = TimeGrid(0.0, 1.0, 4)
+        tight = StateLattice(lo=(-0.05,), hi=(0.05,), shape=(5,))
+        with pytest.raises(SolverError) as err:
             dp_value(spec, grid, tight)
-        assert str(whole.value) == want
+        assert str(err.value) == "bisection failed to converge at step 0"
+        with pytest.raises(LatticeCoverageError):  # the per-slice order read slice 3 first
+            dp_value_reference(spec, grid, tight)
 
     @pytest.mark.parametrize("lo,hi,cell", [
         (-0.05, 0.05, "state [-0.05], p=-1.0, q=-1.0"),
@@ -200,7 +318,6 @@ class TestCoverageError:
         spec = isaacs_game(scale=4.0)
         grid = TimeGrid(0.0, 1.0, 4)
         tight = StateLattice(lo=(lo,), hi=(hi,), shape=(5,))
-        lifts = _lift_paths(tight, grid)
         calls = {"reads": 0, "margins": 0, "margins_outside": 0}
         inside = []
         read, margins = StateLattice.interpolate_batch, StateLattice.coverage_margins
@@ -221,7 +338,7 @@ class TestCoverageError:
         monkeypatch.setattr(StateLattice, "interpolate_batch", spy_read)
         monkeypatch.setattr(StateLattice, "coverage_margins", spy_margins)
         with pytest.raises(LatticeCoverageError) as got:
-            _dp_slice(spec, grid, tight, 3, np.zeros(tight.shape + (2,)), lifts)
+            dp_value(spec, grid, tight)  # the first slice read, k = 3, is refused
         assert calls == {"reads": 1, "margins": 1, "margins_outside": 0}
         assert str(got.value) == (f"successor left the lattice at time index 3 ({cell}): state "
                                   f"leaves the lattice by 1.590000e+00; expand bounds by at "
@@ -247,6 +364,38 @@ class TestImplicitStepBatch:
             assert np.array_equal(xi[n], x_ref)
             assert iters[n] == it_ref
             assert res[n] == res_ref
+
+    @pytest.mark.parametrize("max_iter", [evolution.NEWTON_MAX_ITER, 0],
+                             ids=["newton", "fallback"])
+    def test_per_row_times_match_the_per_group_calls(self, monkeypatch, max_iter):
+        # three groups of rows, each with its own t_next, dt and step index,
+        # in one call against one scalar-time call per group
+        monkeypatch.setattr(evolution, "NEWTON_MAX_ITER", max_iter)
+        op = timed(isaacs_game()).op
+        rng = np.random.default_rng(3)
+        groups = [(0.5, 0.125, 3), (0.25, 0.25, 0), (1.0, 0.0625, 15)]
+        targets = rng.standard_normal((12, 1))
+        guesses = rng.standard_normal((12, 1))
+        tols = STEP_SOLVE_TOL * (1.0 + np.abs(guesses[:, 0]))
+        t_next, dt, step = (np.repeat([g[i] for g in groups], 4) for i in range(3))
+        got = _implicit_step_batch(op, t_next, dt, targets, guesses, tols, step)
+        for n, (t, h, k) in enumerate(groups):
+            rows = slice(4 * n, 4 * n + 4)
+            want = _implicit_step_batch(op, t, h, targets[rows], guesses[rows], tols[rows], k)
+            for a, b in zip(got, want):
+                assert a[rows].tobytes() == b.tobytes()
+
+    def test_stalled_row_names_its_own_step(self):
+        # A is not finite before t = 0.3: row 0 converges, and row 1 falls
+        # back at its own time and fails naming its own step
+        broken = OperatorSpec(space=StateSpace(dim=1, p_exp=2.0), c1=1.0, c2=1.0,
+                              eval_fn=lambda t, v: np.where(t > 0.3, v, np.nan))
+        with pytest.raises(SolverError) as err:
+            _implicit_step_batch(broken, np.array([0.5, 0.25]), np.array([0.125, 0.25]),
+                                 np.ones((2, 1)), np.zeros((2, 1)), np.full(2, 1e-11),
+                                 np.array([6, 2]))
+        assert str(err.value) == "bisection failed to converge at step 2"
+        assert err.value.step_index == 2
 
     def test_stalled_lane_raises_scalar_solver_error(self):
         space = StateSpace(dim=1, p_exp=2.0)

@@ -701,21 +701,37 @@ class TestPoolErrors:
             run_feedback_game_reference(spec, strategy, constant_adversary(2), self.partition)
         assert alone.value.margin == err.margin
 
+    def _growth_bound_game(self):
+        """isaacs_game with l_f = 0.1, whose drift breaks the growth bound,
+        aiming by the table of isaacs_game (the DP refuses the broken game)."""
+        spec = dataclasses.replace(isaacs_game(), l_f=0.1)
+        grid = TimeGrid(0.0, 1.0, 8)
+        table = dp_value(isaacs_game(), grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
+        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        return spec, extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.4]),
+                                             self.partition, value=table, library_size=16,
+                                             seed=5)
+
     def test_drift_above_the_growth_bound_is_refused(self):
         # play steps on the one lane loop of pdhj.evolution, which refuses a
         # drift above l_f (1 + sup-norm of the stopped path): here |f| = 1
         # against 0.1 (1 + 0.4) at the first step
-        spec = dataclasses.replace(isaacs_game(), l_f=0.1)
-        grid = TimeGrid(0.0, 1.0, 8)
-        table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,)))
-        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
-        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(grid, [0.4]),
-                                           self.partition, value=table, library_size=16, seed=5)
+        _, strategy = self._growth_bound_game()
         _, q = adversary_pool(3, 6, 1, 4)
         with pytest.raises(ContractError) as err:
             play_feedback_games(strategy, [self.partition], [q])
         assert str(err.value) == ("forcing magnitude 1.000000e+00 exceeds L(1+sup) = "
                                   "1.400000e-01 at step 0")
+
+    def test_reference_play_refuses_the_same_drift(self):
+        spec, strategy = self._growth_bound_game()
+        with pytest.raises(ContractError) as lanes:
+            play_feedback_games(strategy, [self.partition],
+                                [np.zeros((self.partition.n_steps, 1), dtype=int)])
+        with pytest.raises(ContractError) as alone:
+            run_feedback_game_reference(spec, strategy, constant_adversary(0), self.partition)
+        assert str(alone.value) == str(lanes.value)
+        assert str(lanes.value).startswith("forcing magnitude 1.000000e+00 exceeds")
 
 
 # ---------------------------------------------------------------------------
@@ -822,7 +838,8 @@ def test_wrong_shape_operator_raises_like_dp_value():
     grid = TimeGrid(0.0, 1.0, 8)
     hist = Path.constant(grid, [0.5])
     cases = [
-        (lambda: dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))), 297),
+        # the DP steps every slice's cells at once: 8 slices of 297
+        (lambda: dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(33,))), 2376),
         (lambda: solve_delay_evolution(broken, 0.0, hist, lipschitz_L=1.0), 1),
         (lambda: sample_reachable_set(broken, 0.0, hist, 4, 0, lipschitz_L=1.0), 4),
         (lambda: play_feedback_games(_playing(strategy, spec), partitions[:1],

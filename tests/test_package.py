@@ -42,7 +42,10 @@ DELETED = {"game": ("StrategyTrace", "play_pools",
                     "constant_adversary", "random_adversary", "greedy_adversary",
                     "_GreedyLookahead",
                     # one Markov probe serves the stage and the terminal function
-                    "_require_markov_terminal", "_pushed_histories"),
+                    "_require_markov_terminal", "_pushed_histories",
+                    # the per-slice program: dp_values solves every slice's
+                    # successors in one step (it is the test reference now)
+                    "_dp_slice"),
            "evolution": ("solve_delay_lanes", "_lane_forcing", "_control_as_forcing",
                          "DelayDynamics"),
            "pathcore": ("sup_norms",),

@@ -366,7 +366,7 @@ def _run_isaacs_check(cfg: dict, artifacts: dict):
     for s in range(samples):  # draws in the order of one sample at a time: x, z, t
         values[s] = rng.standard_normal((9, dim))
         zs[s, 0] = rng.standard_normal(dim)
-        times[s] = float(rng.choice(grid.nodes))
+        times[s] = float(grid.nodes[rng.integers(0, len(grid.nodes))])  # rng.choice's bits
     nodes = np.broadcast_to(grid.nodes, (samples, 9))
     f_minus, f_plus = sampled_hamiltonians(spec, times, values_at(nodes, values, times),
                                            lambda s: Path(grid, values[s]), zs)

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AuditError, ContractError, DomainError, SolverError
-from .pathcore import Path, StateSpace, _row_norms
+from .pathcore import Path, StateSpace, _row_dots, _row_norms
 
 NEWTON_MAX_ITER = 50
 # Two implicit-step tolerances, each relative (tol (1 + |x_k|) per row).  STEP_TOL
@@ -173,7 +173,7 @@ def build_p_laplacian(nodes: int, p_exp: float, audit_samples: int = 200, seed: 
     rng = np.random.default_rng(seed)
     coercivity, boundedness = [], []
     for _ in range(audit_samples):
-        x = rng.standard_normal(nodes) * rng.choice([0.1, 1.0, 3.0])
+        x = rng.standard_normal(nodes) * (0.1, 1.0, 3.0)[rng.integers(0, 3)]  # rng.choice's bits
         ax = probe(0.0, x)
         nv = space.norm_v(x)
         if nv > 0:
@@ -206,27 +206,40 @@ def audit_hypotheses(op: OperatorSpec, samples: int, seed: int) -> AuditReport:
     Reports the minimum monotonicity pairing <A(t,x)-A(t,y), x-y>, the minimum
     coercivity ratio <A(t,x), x> / ||x||^p, and the maximum boundedness ratio
     against the declared constants; any violation is flagged.
+
+    The samples (t, scale, x, y) are drawn one at a time and then evaluated
+    at once: one op.batch call per side, with each sample's t as a column,
+    and the pairings by _row_dots; the ratios reduce in draw order, with
+    norm_v and dual_norm one sample at a time.  The first sample in draw
+    order with a non-finite operator output raises AuditError.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     dim, p = op.space.dim, op.space.p_exp
-    mono_min, coer_min, bound_max = np.inf, np.inf, 0.0
+    scales = (0.05, 0.5, 1.0, 5.0)
+    t, X, Y = np.empty(samples), np.empty((samples, dim)), np.empty((samples, dim))
     for i in range(samples):
-        t = rng.uniform(0.0, 1.0)
-        scale = rng.choice([0.05, 0.5, 1.0, 5.0])
-        x = rng.standard_normal(dim) * scale
-        y = rng.standard_normal(dim) * scale
-        ax, ay = op(t, x), op(t, y)
-        if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
-            raise AuditError("non-finite operator output", sample={"t": t, "x": x, "y": y})
-        mono_min = min(mono_min, float(np.dot(ax - ay, x - y)))
-        nv = op.space.norm_v(x)
+        t[i] = rng.random()
+        scale = scales[rng.integers(0, len(scales))]
+        X[i] = rng.standard_normal(dim) * scale
+        Y[i] = rng.standard_normal(dim) * scale
+    AX, AY = op.batch(t[:, None], X), op.batch(t[:, None], Y)
+    finite = np.isfinite(AX).all(axis=1) & np.isfinite(AY).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise AuditError("non-finite operator output",
+                         sample={"t": float(t[i]), "x": X[i].copy(), "y": Y[i].copy()})
+    mono_min, coer_min, bound_max = np.inf, np.inf, 0.0
+    for i, (mono, coer) in enumerate(zip(_row_dots(AX - AY, X - Y).tolist(),
+                                         _row_dots(AX, X).tolist())):
+        mono_min = min(mono_min, mono)
+        nv = op.space.norm_v(X[i])
         if nv > 1e-12:
-            coer_min = min(coer_min, float(np.dot(ax, x)) / nv ** p)
+            coer_min = min(coer_min, coer / nv ** p)
             denom = op.a1_bound + op.c1 * nv ** (p - 1.0)
             if denom > 0:
-                bound_max = max(bound_max, op.space.dual_norm(ax) / denom)
+                bound_max = max(bound_max, op.space.dual_norm(AX[i]) / denom)
     violations = []
     if mono_min < -MONOTONICITY_TOL:
         violations.append(f"monotonicity pairing {mono_min:.3e} < -{MONOTONICITY_TOL:g}")
@@ -271,79 +284,101 @@ def _implicit_step_batch(op: OperatorSpec, t_next, dt, targets: np.ndarray,
     and guesses, shape (M, dim); returns (xi, iters, res) with shapes
     (M, dim), (M,), (M,).
 
-    t_next, dt and step_index are per row, shape (M,), and a scalar stands
-    for every row; op.batch gets the rows' t_next as a column (M, 1).  A
-    masked damped Newton runs all lanes: a finite-difference Jacobian per
-    lane, one batched solve, and one line-search schedule for all lanes with
-    the same acceptance test, so each lane's arithmetic does not depend on
-    the other lanes.  A lane that stalls (a singular Jacobian, an exhausted
-    line search, or NEWTON_MAX_ITER iterations) keeps its iteration count and
-    goes to _fallback_step with its own row's t_next, dt and step_index.
-    Stalled lanes fall back in lane order, so the SolverError a batch raises
-    is its lowest stalled lane's, naming that lane's step.
+    t_next, dt and step_index are per row, shape (M,), or a scalar shared by
+    every row; op.batch gets a shared t_next as the float and per-row times
+    as a column (M, 1).  A masked damped Newton runs all lanes: a
+    finite-difference Jacobian per lane, one batched solve, and one
+    line-search schedule for all lanes with the same acceptance test, so each
+    lane's arithmetic does not depend on the other lanes.  While every row is
+    live the kernel indexes no rows.  In dimension 1 the Newton step is the
+    quotient -g/J, the bits np.linalg.solve gives there, and a row with J = 0
+    is singular, as np.linalg.solve finds it.  A lane that stalls (a singular
+    Jacobian, an exhausted line search, or NEWTON_MAX_ITER iterations) keeps
+    its iteration count and goes to _fallback_step with its own row's t_next,
+    dt and step_index.  Stalled lanes fall back in lane order, so the
+    SolverError a batch raises is its lowest stalled lane's, naming that
+    lane's step.
     """
     targets = np.asarray(targets, dtype=float)
     guesses = np.asarray(guesses, dtype=float)
     m, dim = targets.shape
     xi = guesses.copy()
     tols = np.broadcast_to(np.asarray(tols, dtype=float), (m,))
-    t_col = np.broadcast_to(np.asarray(t_next, dtype=float), (m,))[:, None]
-    dt_col = np.broadcast_to(np.asarray(dt, dtype=float), (m,))[:, None]
-    step_index = np.broadcast_to(np.asarray(step_index, dtype=int), (m,))
+    t_next, dt = (float(v) if np.ndim(v) == 0 else np.asarray(v, dtype=float)[:, None]
+                  for v in (t_next, dt))
     iters = np.zeros(m, dtype=int)
     res = np.zeros(m)
     stalled = []
 
-    def g(X, lanes):
-        return X + dt_col[lanes] * op.batch(t_col[lanes], X) - targets[lanes]
+    def g(X, lanes):  # lanes None: every row
+        if lanes is None:
+            return X + dt * op.batch(t_next, X) - targets
+        t_rows, dt_rows = (v if isinstance(v, float) else v[lanes] for v in (t_next, dt))
+        return X + dt_rows * op.batch(t_rows, X) - targets[lanes]
 
-    lanes = np.arange(m)
-    gx = g(xi, lanes)
-    for _ in range(NEWTON_MAX_ITER):
+    live = None  # the live rows' indices, None while every row is live
+    gx = g(xi, None)
+    for _ in range(NEWTON_MAX_ITER if m else 0):
         r = _row_norms(gx)
-        done = r <= tols[lanes]
-        res[lanes[done]] = r[done]
-        lanes, gx, r = lanes[~done], gx[~done], r[~done]
-        if not lanes.size:
-            break
-        iters[lanes] += 1
-        X = xi[lanes]
+        done = r <= (tols if live is None else tols[live])
+        if done.any():
+            rows = np.arange(m) if live is None else live
+            res[rows[done]] = r[done]
+            live, gx, r = rows[~done], gx[~done], r[~done]
+            if not live.size:
+                break
+        if live is None:
+            iters += 1
+            X = xi  # updated in place
+        else:
+            iters[live] += 1
+            X = xi[live]
         fd = 1e-7 * (1.0 + _row_norms(X))
-        jac = np.empty((len(lanes), dim, dim))
-        for j in range(dim):
-            e = np.zeros_like(X)
-            e[:, j] = fd
-            jac[:, :, j] = (g(X + e, lanes) - gx) / fd[:, None]
-        ok = np.ones(len(lanes), dtype=bool)
-        try:
-            step = np.linalg.solve(jac, -gx[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:  # find the singular lanes one by one
-            step = np.zeros_like(X)
-            for n in range(len(lanes)):
-                try:
-                    step[n] = np.linalg.solve(jac[n], -gx[n])
-                except np.linalg.LinAlgError:
-                    ok[n] = False
+        if dim == 1:
+            jac = (g(X + fd[:, None], live) - gx) / fd[:, None]
+            ok = jac[:, 0] != 0.0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+                step = -gx / jac
+        else:
+            jac = np.empty((len(X), dim, dim))
+            for j in range(dim):
+                e = np.zeros_like(X)
+                e[:, j] = fd
+                jac[:, :, j] = (g(X + e, live) - gx) / fd[:, None]
+            ok = np.ones(len(X), dtype=bool)
+            try:
+                step = np.linalg.solve(jac, -gx[:, :, None])[:, :, 0]
+            except np.linalg.LinAlgError:  # find the singular lanes one by one
+                step = np.zeros_like(X)
+                for n in range(len(X)):
+                    try:
+                        step[n] = np.linalg.solve(jac[n], -gx[n])
+                    except np.linalg.LinAlgError:
+                        ok[n] = False
         pending = ok.copy()
         lam = 1.0
         while lam >= 1e-6 and pending.any():
             idx = np.flatnonzero(pending)
             trial = X[idx] + lam * step[idx]
-            gt = g(trial, lanes[idx])
+            gt = g(trial, idx if live is None else live[idx])
             accept = _row_norms(gt) <= (1.0 - 0.25 * lam) * r[idx]
             X[idx[accept]] = trial[accept]
             gx[idx[accept]] = gt[accept]
             pending[idx[accept]] = False
             lam *= 0.5
-        xi[lanes] = X
+        if live is not None:
+            xi[live] = X
         moved = ok & ~pending
-        stalled.extend(lanes[~moved])
-        lanes, gx = lanes[moved], gx[moved]
-    stalled.extend(lanes)
+        if not moved.all():
+            rows = np.arange(m) if live is None else live
+            stalled.extend(rows[~moved])
+            live, gx = rows[moved], gx[moved]
+    stalled.extend(range(m) if live is None else live)
     for n in sorted(stalled):
-        xi[n], iters[n], res[n] = _fallback_step(op, float(t_col[n, 0]), float(dt_col[n, 0]),
-                                                 targets[n], guesses[n], float(tols[n]),
-                                                 int(step_index[n]), int(iters[n]))
+        t_n, dt_n = (v if isinstance(v, float) else float(v[n, 0]) for v in (t_next, dt))
+        k_n = int(step_index if np.ndim(step_index) == 0 else step_index[n])
+        xi[n], iters[n], res[n] = _fallback_step(op, t_n, dt_n, targets[n], guesses[n],
+                                                 float(tols[n]), k_n, int(iters[n]))
     return xi, iters, res
 
 
@@ -353,8 +388,8 @@ def _drift_step(op: OperatorSpec, t_next, dt, x: np.ndarray, drift: np.ndarray,
     drift: _implicit_step_batch with target x + dt*drift, guess x and
     tolerance rel_tol (1 + |x|) per row; t_next, dt and step_index are per
     row or shared, as there."""
-    dt_col = np.broadcast_to(np.asarray(dt, dtype=float), (len(x),))[:, None]
-    return _implicit_step_batch(op, t_next, dt, x + dt_col * drift, x,
+    dt_rows = dt if np.ndim(dt) == 0 else np.asarray(dt, dtype=float)[:, None]
+    return _implicit_step_batch(op, t_next, dt, x + dt_rows * drift, x,
                                 rel_tol * (1.0 + _row_norms(x)), step_index)
 
 
@@ -521,31 +556,51 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
     return values, trace, iters, res
 
 
-def _ball_points(streams, dim: int, radii: np.ndarray) -> np.ndarray:
-    """One point uniform in the ball of radius radii[n] from each stream n,
-    shape (len(streams), dim).
+def _tube_draws(keys, steps, dim: int, L: np.ndarray):
+    """Every tube lane's window of ball draws, taken when its stream is built.
 
-    The streams draw in order, each as a one-point draw does: a radius <= 0
-    draws nothing and gives the zero point; otherwise the stream draws
-    standard_normal(dim), then uniform() only when that direction's norm is
-    not zero (a zero norm gives the zero point).  The drawn directions are
-    scaled in one array step, direction / |direction| * radius * u^(1/dim),
-    bit for bit the one-point arithmetic.
+    Lane n draws from default_rng(keys[n]) (keys[n] None: no stream) at each
+    of its steps[n] window steps, as a one-point draw does: standard_normal(dim),
+    then random() only when that direction's square is not 0.  A lane with
+    L[n] = 0 draws nothing, since its radius L (1 + sup-norm) is then 0 at
+    every step; with L[n] > 0 the radius stays above 0.  Returns (unit,
+    shrink, drawn), shapes (lane, step, dim), (lane, step) and (lane, step):
+    each draw's direction / |direction| and random() ** (1/dim), and whether
+    the step drew a point (else the zero point), all 0 past a lane's window.
     """
-    directions = np.zeros((len(streams), dim))
-    shrink = np.zeros(len(streams))
-    drawn = np.zeros(len(streams), dtype=bool)
-    for n, (rng, radius) in enumerate(zip(streams, radii)):
-        if radius <= 0.0:
+    width = int(max(steps, default=0))
+    directions = np.zeros((len(keys), width, dim))
+    shrink = np.zeros((len(keys), width))
+    drawn = np.zeros((len(keys), width), dtype=bool)
+    size = None if dim == 1 else dim  # standard_normal() is standard_normal(1)[0], bit for bit
+    for n, (key, count, lane_L) in enumerate(zip(keys, steps, L)):
+        if key is None:
             continue
-        direction = directions[n] = rng.standard_normal(dim)
-        if direction @ direction != 0.0:  # the one-point draw's |direction| != 0
-            drawn[n] = True
-            shrink[n] = rng.uniform() ** (1.0 / dim)
-    points = np.zeros((len(streams), dim))
-    rows = np.flatnonzero(drawn)
-    d = directions[rows]
-    points[rows] = d / _row_norms(d)[:, None] * radii[rows, None] * shrink[rows, None]
+        rng = np.random.default_rng(key)
+        if not lane_L > 0:
+            continue
+        normal, uniform = rng.standard_normal, rng.random
+        for j in range(count):
+            direction = directions[n, j] = normal(size)
+            # the one-point draw's |direction| != 0: a sum of squares is 0
+            # exactly when every square is, whatever the order of the sum
+            if (direction * direction if size is None else direction.dot(direction)) != 0.0:
+                drawn[n, j] = True
+                shrink[n, j] = uniform() ** (1.0 / dim)
+    d = directions[drawn]
+    unit = np.zeros_like(directions)
+    unit[drawn] = d / _row_norms(d)[:, None]
+    return unit, shrink, drawn
+
+
+def _ball_points(draws, lanes: np.ndarray, rows: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """One point uniform in the ball of radius radii[i] for each lane
+    lanes[i] at its window step rows[i], from the _tube_draws result draws,
+    shape (len(lanes), dim): unit * radius * shrink, bit for bit the
+    one-point arithmetic, and the zero point where the step drew none."""
+    unit, shrink, drawn = draws
+    points = unit[lanes, rows] * radii[:, None] * shrink[lanes, rows, None]
+    points[~drawn[lanes, rows]] = 0.0
     return points
 
 
@@ -555,16 +610,24 @@ def sample_reachable_set(op: OperatorSpec, t0: float, x0: Path, count: int, seed
 
     Each sample draws its forcing piecewise-constant, uniformly in the ball of
     radius lipschitz_L (1 + sup-norm of the stopped path) at every step, from
-    its own PRNG stream derived from (seed, sample index).  The samples are
-    the lanes of one _lockstep_solve call, each step's draws one _ball_points
-    call.
+    its own PRNG stream default_rng([seed, sample index]), whose whole window
+    of draws _tube_draws takes before the first step.  The samples are the
+    lanes of one _lockstep_solve call, each step's points one _ball_points
+    call.  A count below 1 or a seed below 0 is refused (DomainError) before
+    any work.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    streams = [np.random.default_rng([seed, i]) for i in range(count)]
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     grid = x0.grid
+    k0 = grid.node_index(t0)
+    L = np.full(count, float(lipschitz_L))
+    draws = _tube_draws([[seed, i] for i in range(count)], [grid.n_steps - k0] * count,
+                        x0.dim, L)
+    lanes = np.arange(count)
     solved = _lockstep_solve(op, grid.nodes, np.repeat(x0.values[:, None, :], count, axis=1),
-                             grid.node_index(t0), grid.n_steps, np.full(count, float(lipschitz_L)),
-                             STEP_TOL,
-                             lambda k, lanes, values, bound: _ball_points(streams, x0.dim, bound))
+                             k0, grid.n_steps, L, STEP_TOL,
+                             lambda k, act, values, bound: _ball_points(draws, lanes, k - k0,
+                                                                        bound))
     return _reports(x0, t0, solved, FORCING_ALGORITHM)

@@ -242,8 +242,9 @@ def sampled_hamiltonians(spec: GameSpec, times: np.ndarray, states: np.ndarray, 
 def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> LipschitzReport:
     """Max of |F(z1) - F(z2)| / ((1 + sup)|z1 - z2|) over both Hamiltonians.
 
-    The samples are drawn one at a time; a pair with |z1 - z2| < 1e-12 is
-    drawn and skipped.  The kept samples are evaluated at once: one
+    The samples are drawn one at a time, each choice among a few values
+    as seq[integers(0, len(seq))] (the bits of Generator.choice(seq)); a
+    pair with |z1 - z2| < 1e-12 is drawn and skipped.  The kept samples are evaluated at once: one
     sampled_hamiltonians call takes each sample's stage terms once for both
     z1 and z2, and the ratios reduce in draw order.
     """
@@ -257,10 +258,10 @@ def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> Lips
         if n not in grids:
             grids[n] = TimeGrid(0.0, 1.0, n)
         grid = grids[n]
-        values = rng.standard_normal((n + 1, dim)) * rng.choice([0.3, 1.0, 2.0])
-        t = float(rng.choice(grid.nodes))
-        z1 = rng.standard_normal(dim) * rng.choice([0.5, 2.0])
-        z2 = rng.standard_normal(dim) * rng.choice([0.5, 2.0])
+        values = rng.standard_normal((n + 1, dim)) * (0.3, 1.0, 2.0)[rng.integers(0, 3)]
+        t = float(grid.nodes[rng.integers(0, n + 1)])
+        z1 = rng.standard_normal(dim) * (0.5, 2.0)[rng.integers(0, 2)]
+        z2 = rng.standard_normal(dim) * (0.5, 2.0)[rng.integers(0, 2)]
         dz = float(np.linalg.norm(z1 - z2))
         if dz < 1e-12:
             continue
@@ -888,8 +889,9 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     partition has it get, per distinct partition time there (one wherever
     the partitions' nodes are bit-equal), one companion_minima call (u at the
     node, and the gradient that aims the next control), one select_controls
-    call and one greedy_lookahead batch over their GREEDY lanes.  The
-    simulation steps are one _lockstep_solve call over all lanes at
+    call and one greedy_lookahead batch over their GREEDY lanes, which
+    refuses a scored (game, q) drift above l_f (1 + sup-norm of the stopped
+    path) with ContractError.  The simulation steps are one _lockstep_solve call over all lanes at
     STEP_SOLVE_TOL: each step makes one lane_terms call at the held pairs,
     refuses a drift above l_f (1 + sup-norm of the stopped path) with
     ContractError, and takes one implicit step for all lanes; the terminal
@@ -934,10 +936,13 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     step_cost, u = np.zeros((n_max, m)), np.zeros((n_max + 1, m))
     cell = np.zeros(m, dtype=int)  # the partition node each lane reaches next
 
-    def decide(k):
+    def decide(k, bound=None):
         """Node k's companion minima and, before T, its control picks and greedy
-        answers; returns the node's stopped paths, built on first read and keyed
-        by the lane as a Python int (an np.int64 key would miss an int's entry)."""
+        answers, the greedy lanes checked against their growth bound (bound,
+        per lane: every lane steps at every node, so _lockstep_solve's
+        active lanes are all lanes); returns the node's stopped paths, built
+        on first read and keyed by the lane as a Python int (an np.int64 key
+        would miss an int's entry)."""
         path_at = functools.cache(lambda g: stopped_at(inner, values[:, g], k))
         for t in np.unique(at[k][~np.isnan(at[k])]):
             group = np.flatnonzero(at[k] == t)
@@ -953,12 +958,13 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
                 cells = (i[greedy], group[greedy])
                 states = stopped_value_at(inner, values, k, t)[cells[1]]
                 q[cells] = greedy_lookahead(spec, strategy.value, t, k, states,
-                                            lambda n: path_at(int(cells[1][n])), p[cells])
+                                            lambda n: path_at(int(cells[1][n])), p[cells],
+                                            bound[cells[1]])
             cell[group] += 1
         return path_at
 
     def step_forcing(k, lanes, values, bound):
-        path_at = decide(k)
+        path_at = decide(k, bound)
         held = (lanes, p[cell[lanes] - 1, lanes], q[cell[lanes] - 1, lanes])
         drift, cost = spec.lane_terms(nodes[k], values[k], lambda g: path_at(int(g)), held)
         step_cost[cell[lanes] - 1, lanes] += (nodes[k + 1] - nodes[k]) * cost
@@ -978,18 +984,22 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
 
 
 def greedy_lookahead(spec: GameSpec, value: ValueTable, t: float, k: int, states: np.ndarray,
-                     path_of, p_indices) -> np.ndarray:
+                     path_of, p_indices, bounds) -> np.ndarray:
     """The greedy adversary's q index for each of N games at node k (time t):
     the one-step lookahead maximizer of dt * cost + upper value at the
     successor against the committed p, dt one value-grid mesh (cut at T).
     states (N, dim) and path_of are as in GameSpec.lane_terms, p_indices (N,)
-    the committed p's.  The q's are scanned in order and a score must beat
-    the best so far by more than 1e-15, so ties keep the first q.
+    the committed p's, and bounds (N,) each game's growth bound l_f (1 +
+    sup-norm of its stopped path), the one _lockstep_solve hands the step.
+    The q's are scanned in order and a score must beat the best so far by
+    more than 1e-15, so ties keep the first q.
 
     The (game, q) pairs are the lanes of one lockstep step (errors as
     pdhj.evolution states): one lane_terms call for the committed rows (in
-    game, then q order), one batched implicit step, one read of the
-    successors.  Each game's pick is the one it gets alone.
+    game, then q order), one growth-bound check (_over_growth_bound, with
+    _lockstep_solve's message for the first failing row, so a q the
+    lookahead scores but never picks is refused too), one batched implicit
+    step, one read of the successors.  Each game's pick is the one it gets alone.
     """
     n_q = spec.controls.n_q
     dt = min(value.grid.mesh, value.grid.t_end - t)
@@ -997,6 +1007,12 @@ def greedy_lookahead(spec: GameSpec, value: ValueTable, t: float, k: int, states
     rows = np.repeat(np.arange(n), n_q)
     played = (rows, np.repeat(p_indices, n_q), np.tile(np.arange(n_q), n))
     drifts, costs = spec.lane_terms(t, states, path_of, played)
+    fmag, bound = _row_norms(drifts), np.asarray(bounds, dtype=float)[rows]
+    over = _over_growth_bound(fmag, bound)
+    if over.size:
+        row = over[0]
+        raise ContractError(f"forcing magnitude {fmag[row]:.6e} exceeds L(1+sup) = "
+                            f"{bound[row]:.6e} at step {k}")
     succ, _, _ = _drift_step(spec.op, t + dt, dt, states[rows], drifts, STEP_SOLVE_TOL, k)
     scores = (dt * costs + value.interp_batch("upper", t + dt, succ)).reshape(n, n_q)
     picks, best = np.zeros(n, dtype=int), np.full(n, -np.inf)

@@ -11,9 +11,9 @@ search and viscosity scan of a run on one lane set: each site's game lanes
 (the constant pairs and the two characteristics) once, whatever checks read
 them, and one block of tube lanes per distinct seed of its checks, all
 stepping together on the value table's nodes, each site's lanes over its own
-window.  A run raises the first error in this order: a check kind or a site
-dimension it refuses, before any work; each site's own reads (its window and
-the table at its state), site by site; then the lane solve, time-major
+window.  A run raises the first error in this order: a check kind, a check
+seed or a site dimension it refuses, before any work; each site's own reads
+(its window and the table at its state), site by site; then the lane solve, time-major
 across the sites, so the earlier step's error wins whichever site it is on
 (the phases of each step are _candidate_runs').  A scan's Hamiltonian F0 at
 (t0, x0(t0)) is its lanes' first stage terms, so a non-finite stage term
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .evolution import STEP_TOL, _ball_points, _lockstep_solve
+from .evolution import STEP_TOL, _ball_points, _lockstep_solve, _tube_draws
 from .game import GameSpec, StateLattice, ValueTable, dp_value, dp_values, is_upper_side, \
     minimax_records, with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
@@ -177,8 +177,8 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
     read.  A site's lanes are its game lanes, the constant control pairs
     (fixed p and q index arrays) and the two characteristics, and then, per
     distinct seed of its checks, max(0, budget - n_p n_q - 2)
-    random tube samples, sample i drawing from default_rng([seed, i]), a
-    stream that lives over its site's window only.  Every lane takes the
+    random tube samples, sample i drawing from default_rng([seed, i]) over
+    its site's window only.  Every lane takes the
     tube constant spec.l_f and steps from its site's t0 to the end of its
     window.  Each step has four phases, in this order for the lockstep
     rule of pdhj.evolution, each one call over the lanes of every site whose
@@ -194,7 +194,9 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
        subsolution characteristic swaps the two roles, and the lower
        Hamiltonian mirrors this with q committing first.  Ties break to the
        smallest index;
-    3. the tube draws: one _ball_points call;
+    3. the tube points: one _ball_points call, on the windows of draws that
+       _tube_draws takes for every tube lane when the lane set is built, in
+       the order a one-point draw per step takes them;
     4. the forcing-bound check and the implicit step of _lockstep_solve.
 
     Each lane's arithmetic is row by row, so a site's lanes hold the bits
@@ -207,20 +209,20 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
     labels = ([f"constant[p{i},q{j}]" for i in range(controls.n_p) for j in range(controls.n_q)]
               + ["characteristic[super]", "characteristic[sub]"]
               + [f"random[{i}]" for i in range(n_random)])
-    kinds, site_of, keys, blocks = [], [], [], []  # keys: (seed, sample index) per lane
+    kinds, site_of, keys, blocks = [], [], [], []  # keys: [seed, sample index] per tube lane
     for s, site in enumerate(sites):
         first = len(kinds)
         game = np.arange(first, first + n_game)
         kinds += [_PAIR] * n_pairs + [_CHARACTERISTIC] * 2
-        keys += [(-1, -1)] * n_game
+        keys += [None] * n_game
         site_blocks = {}
         for seed in dict.fromkeys(seed for _, seed in site.checks):
             site_blocks[seed] = np.concatenate([game, np.arange(len(kinds), len(kinds) + n_random)])
             kinds += [_TUBE] * n_random
-            keys += [(seed, i) for i in range(n_random)]
+            keys += [[seed, i] for i in range(n_random)]
         site_of += [s] * (len(kinds) - first)
         blocks.append(site_blocks)
-    kind, site_of, keys = (np.array(a, dtype=int) for a in (kinds, site_of, keys))
+    kind, site_of = (np.array(a, dtype=int) for a in (kinds, site_of))
     m, dim = len(kind), spec.op.space.dim
     grids = [site.x0.grid for site in sites]
     start = np.array([grid.node_index(site.t0) for grid, site in zip(grids, sites)])[site_of]
@@ -236,7 +238,8 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
     # the super lane commits along the gradient on the upper side, the sub lane on the lower
     grad_commits = np.zeros(m, dtype=bool)
     grad_commits[kind == _CHARACTERISTIC] = np.tile([upper, not upper], len(sites))
-    stream_of = np.empty(m, dtype=object)
+    L = np.full(m, float(spec.l_f))
+    draws = _tube_draws(keys, end - start, dim, L)
     nodes = table.grid.nodes
     hams = np.zeros(((end - start).max(), m))
 
@@ -264,14 +267,11 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
         f = np.empty((len(act), dim))
         f[game] = drift[game, p_idx[act[game]], q_idx[act[game]]]
         tubes = act[tube]
-        for lane in tubes[start[tubes] == k]:  # a site's streams live over its window
-            stream_of[lane] = np.random.default_rng(keys[lane].tolist())
-        f[tube] = _ball_points(stream_of[tubes], dim, bound[tube])
-        stream_of[tubes[end[tubes] == k + 1]] = None
+        f[tube] = _ball_points(draws, tubes, k - start[tubes], bound[tube])
         return f
 
-    values, forcing, _, _ = _lockstep_solve(spec.op, nodes, values, start, end,
-                                            np.full(m, float(spec.l_f)), STEP_TOL, step_forcing)
+    values, forcing, _, _ = _lockstep_solve(spec.op, nodes, values, start, end, L, STEP_TOL,
+                                            step_forcing)
     return _Lanes(labels, values, forcing, hams, start, end, site_of, z_lane, blocks)
 
 
@@ -335,15 +335,17 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
     against the tolerance, composite_tolerance of u's lattice spacing and
     mesh and search_budget, and the scans test c_values (by default -4, -1,
     0, 1 and 4 times the tolerance).  An
-    unknown check kind, or a site whose history or z is not of the game's
-    dimension, is refused before any work; the other errors come in the
-    module docstring's order.
+    unknown check kind, a check seed below 0, or a site whose history or z
+    is not of the game's dimension, is refused before any work; the other
+    errors come in the module docstring's order.
     """
     dim = spec.op.space.dim
     for s, site in enumerate(sites):
-        for kind, _ in site.checks:
+        for kind, seed in site.checks:
             if kind not in CHECK_KINDS:
                 raise DomainError(f"check kind must be one of {CHECK_KINDS}, got {kind!r}")
+            if seed < 0:
+                raise DomainError(f"site {s}: check seed {seed} must be >= 0")
         z_shape = np.shape(np.atleast_1d(site.z))
         if site.x0.dim != dim or z_shape != (dim,):
             raise DomainError(f"site {s}: history of dimension {site.x0.dim} and z of shape "

@@ -202,11 +202,20 @@ def stopped_value_at(grid: TimeGrid, values: np.ndarray, k: int, t: float) -> np
 
 
 def extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:
-    """The history x0 on `grid`: x0 up to t0, frozen at x0(t0) after."""
+    """The history x0 on `grid`: x0 up to t0, frozen at x0(t0) after.
+
+    The nodes up to t0 are read with one values_at call, bit for bit
+    x0.value_at at each; one outside x0's span raises as value_at does.
+    """
     vals = np.empty((grid.n_steps + 1, x0.dim))
     xt0 = x0.value_at(min(t0, x0.grid.t_end))
-    for i, t in enumerate(grid.nodes):
-        vals[i] = x0.value_at(t) if t <= t0 + 1e-12 else xt0
+    past = grid.nodes <= t0 + 1e-12
+    times = grid.nodes[past]
+    outside = (times < x0.grid.t_start - _NODE_TOL) | (times > x0.grid.t_end + _NODE_TOL)
+    if outside.any():
+        x0.grid.require_contains(float(times[outside][0]))
+    vals[past] = values_at(x0.grid.nodes[None], x0.values[None], times[None])[0]
+    vals[~past] = xt0
     return Path(grid, vals)
 
 

@@ -266,7 +266,7 @@ def property_battery(samples: int = 500, seed: int = 0) -> dict:
         dim = int(rng.integers(1, 4))
         x = rng.standard_normal((n + 1, dim))
         y = rng.standard_normal((n + 1, dim))
-        draws.append((grids[n].nodes, dim, x, y, rng.uniform(0.0, 1.0)))
+        draws.append((grids[n].nodes, dim, x, y, rng.random()))  # the bits of uniform(0.0, 1.0)
     terms = {}
     for dim in sorted({draw[1] for draw in draws}):
         idx = [i for i, draw in enumerate(draws) if draw[1] == dim]

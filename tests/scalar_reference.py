@@ -784,7 +784,8 @@ def random_adversary(seed: int, n_q: int):
 
 def greedy_reference(spec: GameSpec, value: ValueTable):
     """The greedy lookahead as a policy: one implicit step and one table read
-    per q, the path_of() path's state at t as the start."""
+    per q, the path_of() path's state at t as the start; a q whose drift
+    breaks l_f (1 + sup-norm) raises ContractError before its step."""
 
     def policy(t, path_of, p_index):
         x = path_of()
@@ -793,8 +794,13 @@ def greedy_reference(spec: GameSpec, value: ValueTable):
         state = x.value_at(t)
         k = x.grid.node_index(t)
         best_j, best_val = 0, -np.inf
+        bound = spec.l_f * (1.0 + sup_norm(x, t))
         for j, q in enumerate(spec.controls.q_points):
             f = drift(spec, t, x, p, q)
+            fmag = float(np.linalg.norm(f))
+            if fmag > bound + FORCING_BOUND_TOL * (1.0 + bound):
+                raise ContractError(f"forcing magnitude {fmag:.6e} exceeds L(1+sup) = "
+                                    f"{bound:.6e} at step {k}")
             target = state + dt * f
             tol = STEP_SOLVE_TOL * (1.0 + float(np.linalg.norm(state)))
             succ, _, _ = _implicit_step(spec.op, t + dt, dt, target, state, tol, k)

@@ -33,7 +33,7 @@ from pdhj.game import (
 )
 from pdhj.pathcore import Path, StateSpace, TimeGrid
 from scalar_reference import _dp_slice, _implicit_step, callback_game, dp_value_reference, \
-    drift, stage_cost
+    drift, stage_cost, sup_norm
 
 
 def _dp_slice_reference(spec, grid, lattice, k, v_minus_next, v_plus_next, lifts):
@@ -517,5 +517,5 @@ def test_greedy_adversary_reports_node_index():
     x = Path.constant(grid, [0.1])
     with pytest.raises(SolverError) as err:
         greedy_lookahead(bad, table, grid.nodes[3], 3, x.values[3][None], lambda _: x,
-                         np.array([0]))
+                         np.array([0]), [spec.l_f * (1.0 + sup_norm(x, grid.nodes[3]))])
     assert err.value.step_index == 3

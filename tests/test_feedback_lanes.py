@@ -41,7 +41,7 @@ from pdhj.upsilon import LyapunovParams
 from scalar_reference import calibrate_step_bound, callback_game, carried_tables, \
     companion_minimum_reference, constant_adversary, estimate_guaranteed_result, \
     greedy_reference, random_adversary, reference_game, reference_pool, \
-    run_feedback_game_reference
+    run_feedback_game_reference, sup_norm
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +309,11 @@ class TestGreedyLanes:
         # each batch reads the x(t) of the stopped path its lanes read alone
         lookahead, batches = game.greedy_lookahead, []
 
-        def spy(spec, value, t, k, states, path_of, p_indices):
+        def spy(spec, value, t, k, states, path_of, p_indices, bounds):
             for m, state in enumerate(states):
                 assert state.tobytes() == path_of(m).value_at(t).tobytes()
             batches.append(len(states))
-            return lookahead(spec, value, t, k, states, path_of, p_indices)
+            return lookahead(spec, value, t, k, states, path_of, p_indices, bounds)
 
         monkeypatch.setattr(game, "greedy_lookahead", spy)
         play, = play_feedback_games(strategy, [partition], [q])
@@ -733,6 +733,26 @@ class TestPoolErrors:
         assert str(alone.value) == str(lanes.value)
         assert str(lanes.value).startswith("forcing magnitude 1.000000e+00 exceeds")
 
+    def test_greedy_lookahead_checks_the_growth_bound(self):
+        # the drift is q: q = -3 breaks l_f (1 + sup) = 1.4 at the first node,
+        # and only the greedy lane scores it, never picking it (its successor
+        # scores below q = 0.5's); the played pairs keep the bound
+        base, strategy = self._strategy()
+        table = strategy.value
+        loose = _variant(base, q_points=(0.0, 0.5, -3.0))
+        q = np.stack([_kick(None), np.full(4, GREEDY)], axis=1)
+        play, = play_feedback_games(_playing(strategy, loose), [self.partition], [q])
+        assert 2 not in play.q.tolist()
+        spec = dataclasses.replace(loose, l_f=1.0)
+        with pytest.raises(ContractError) as lanes:
+            play_feedback_games(_playing(strategy, spec), [self.partition], [q])
+        assert str(lanes.value) == ("forcing magnitude 3.000000e+00 exceeds L(1+sup) = "
+                                    "1.400000e+00 at step 0")
+        with pytest.raises(ContractError) as alone:
+            run_feedback_game_reference(spec, _playing(strategy, spec),
+                                        greedy_reference(spec, table), self.partition)
+        assert str(alone.value) == str(lanes.value)
+
 
 # ---------------------------------------------------------------------------
 # the greedy lookahead as one batched step
@@ -741,7 +761,8 @@ class TestPoolErrors:
 def _greedy_one(spec, table, t, x, p_index):
     """greedy_lookahead for the one game whose path is x, at its node t."""
     picks = greedy_lookahead(spec, table, t, x.grid.node_index(t), x.value_at(t)[None],
-                             lambda _: x, np.array([p_index]))
+                             lambda _: x, np.array([p_index]),
+                             [spec.l_f * (1.0 + sup_norm(x, t))])
     assert picks.shape == (1,)
     return int(picks[0])
 
@@ -783,7 +804,8 @@ class TestGreedyBatch:
         assert _greedy_one(spec, table, 0.25, xs[0], 0) == pick
         # two games in one batch pick as each does alone
         picks = greedy_lookahead(spec, table, 0.25, 1, np.array([[0.3], [-0.2]]),
-                                 lambda n: xs[n], np.array([0, 0]))
+                                 lambda n: xs[n], np.array([0, 0]),
+                                 [spec.l_f * (1.0 + sup_norm(x, 0.25)) for x in xs])
         assert picks.tolist() == [pick, pick]
 
     def _error(self, spec, table, t=0.25, state=0.1):

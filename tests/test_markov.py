@@ -330,8 +330,9 @@ class TestConsumersMatchThePathForm:
             x = stopped_at(self.grid, rng.uniform(-1.0, 1.0, (self.grid.n_steps + 1, dim)), k)
             p = np.arange(spec.controls.n_p)
             states = np.repeat(x.values[k][None], len(p), axis=0)
+            bounds = np.full(len(p), spec.l_f * (1.0 + sup_norm(x, self.grid.nodes[k])))
             got, want = (greedy_lookahead(form, table, self.grid.nodes[k], k, states,
-                                          lambda _: x, p)
+                                          lambda _: x, p, bounds)
                          for form in (spec, _path_form(name)))
             assert got.tolist() == want.tolist()
 

@@ -13,17 +13,23 @@ refuses every |f| above L (1 + sup-norm) (the lowest failing lane's
 ContractError), and one _implicit_step_batch call moves every active lane.
 The forced solves call it directly with one window shared by every lane:
 solve_delay_evolution with one lane whose f is a row of its forcing array,
-sample_reachable_set with one lane per tube draw and one _ball_points call
-per step.  pdhj.minimax solves every site of a residual run as one lane
-set, each site's lanes over its own window, whose forcing phases per step
-are the characteristic aims (one batched gradient), the stage terms (one
-full-grid call over every active lane, which gives the characteristic
-picks, the game drift and every lane's Hamiltonian) and the tube draws (one
-_ball_points call).  pdhj.game plays every feedback game of a run as one
+sample_reachable_set with one lane per tube sample and one _ball_points call
+per step.  A tube lane's stream takes its whole window of draws when it is
+built (_tube_draws), in the order one draw per step takes them, since its
+radius L (1 + sup-norm) is above 0 at every step when L > 0 and a lane
+with L = 0 draws nothing; so _ball_points is array arithmetic, and a seed
+below 0 is refused before any work.  pdhj.minimax solves every site of a
+residual run as one lane set, each site's lanes over its own window, whose
+forcing phases per step are the characteristic aims (one batched
+gradient), the stage terms (one full-grid call over every active lane,
+which gives the characteristic picks, the game drift and every lane's
+Hamiltonian) and the tube points (one _ball_points call on the pre-drawn
+windows).  pdhj.game plays every feedback game of a run as one
 lane set, at STEP_SOLVE_TOL, whose forcing phases per step are the node's
-decisions (the companion minima, the control picks and the greedy answers)
-and the held pairs' stage terms (one lane_terms call); so play, too, is
-refused a drift above L (1 + sup-norm).
+decisions (the companion minima, the control picks and the greedy answers,
+whose (game, q) drifts are checked against the same bound before their
+lookahead step) and the held pairs' stage terms (one lane_terms call); so
+play, too, is refused a drift above L (1 + sup-norm).
 
 Lockstep loops (_lockstep_solve and its callers here, in pdhj.minimax and
 in pdhj.game; the greedy lookahead and the DP oracle in pdhj.game; the
@@ -100,10 +106,12 @@ class OperatorSpec:
     eval_fn maps (t, V) -> A(t, V) (V*-vectors as H-arrays through the
     Euclidean pairing) for a stack of states V of shape (..., dim), returning
     the same shape, each row computed as it would be alone; it is the one
-    entry point, used for single states and stacks alike.  t is a float, or,
-    from the batched implicit step, a column of shape (M, 1) holding the
-    time of each of the M rows of V, so eval_fn must broadcast it against V
-    as it would a float (both built-in operators ignore t).  Declared
+    entry point, used for single states and stacks alike.  t is a float
+    (the batched implicit step passes a time its rows share as the float),
+    or, from the batched implicit step and the hypothesis audit, a column
+    of shape (M, 1) holding the time of each of the M rows of V, so eval_fn
+    must broadcast it against V as it would a float (both built-in
+    operators ignore t).  Declared
     constants feed the hypothesis audit:
     boundedness  ||A(t,x)||_* <= a1_bound + c1 ||x||^(p-1),
     coercivity   <A(t,x), x>  >= c2 ||x||^p.
@@ -334,27 +342,12 @@ def _implicit_step_batch(op: OperatorSpec, t_next, dt, targets: np.ndarray,
             iters[live] += 1
             X = xi[live]
         fd = 1e-7 * (1.0 + _row_norms(X))
-        if dim == 1:
-            jac = (g(X + fd[:, None], live) - gx) / fd[:, None]
-            ok = jac[:, 0] != 0.0
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-                step = -gx / jac
-        else:
-            jac = np.empty((len(X), dim, dim))
-            for j in range(dim):
-                e = np.zeros_like(X)
-                e[:, j] = fd
-                jac[:, :, j] = (g(X + e, live) - gx) / fd[:, None]
-            ok = np.ones(len(X), dtype=bool)
-            try:
-                step = np.linalg.solve(jac, -gx[:, :, None])[:, :, 0]
-            except np.linalg.LinAlgError:  # find the singular lanes one by one
-                step = np.zeros_like(X)
-                for n in range(len(X)):
-                    try:
-                        step[n] = np.linalg.solve(jac[n], -gx[n])
-                    except np.linalg.LinAlgError:
-                        ok[n] = False
+        jac = np.empty((len(X), dim, dim))
+        for j in range(dim):
+            e = np.zeros_like(X)
+            e[:, j] = fd
+            jac[:, :, j] = (g(X + e, live) - gx) / fd[:, None]
+        step, ok = _newton_steps(jac, gx)
         pending = ok.copy()
         lam = 1.0
         while lam >= 1e-6 and pending.any():
@@ -380,6 +373,32 @@ def _implicit_step_batch(op: OperatorSpec, t_next, dt, targets: np.ndarray,
         xi[n], iters[n], res[n] = _fallback_step(op, t_n, dt_n, targets[n], guesses[n],
                                                  float(tols[n]), k_n, int(iters[n]))
     return xi, iters, res
+
+
+def _newton_steps(jac: np.ndarray, gx: np.ndarray):
+    """(step, ok): each row's Newton step, the solution of jac[n] step = -gx[n]
+    for jac (M, dim, dim) and gx (M, dim), and whether jac[n] is nonsingular
+    (a singular row's step is not used).
+
+    One np.linalg.solve call for the batch; if it finds a singular matrix,
+    one call per row marks which.  In dimension 1 the step is the quotient
+    -g/J, the bits of np.linalg.solve there (which marks a row singular
+    exactly when J = 0), without its per-call cost.
+    """
+    if jac.shape[1] == 1:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
+            return -gx / jac[:, :, 0], jac[:, 0, 0] != 0.0
+    ok = np.ones(len(gx), dtype=bool)
+    try:
+        return np.linalg.solve(jac, -gx[:, :, None])[:, :, 0], ok
+    except np.linalg.LinAlgError:  # find the singular rows one by one
+        step = np.zeros_like(gx)
+        for n in range(len(gx)):
+            try:
+                step[n] = np.linalg.solve(jac[n], -gx[n])
+            except np.linalg.LinAlgError:
+                ok[n] = False
+        return step, ok
 
 
 def _drift_step(op: OperatorSpec, t_next, dt, x: np.ndarray, drift: np.ndarray,
@@ -562,8 +581,9 @@ def _tube_draws(keys, steps, dim: int, L: np.ndarray):
     Lane n draws from default_rng(keys[n]) (keys[n] None: no stream) at each
     of its steps[n] window steps, as a one-point draw does: standard_normal(dim),
     then random() only when that direction's square is not 0.  A lane with
-    L[n] = 0 draws nothing, since its radius L (1 + sup-norm) is then 0 at
-    every step; with L[n] > 0 the radius stays above 0.  Returns (unit,
+    L[n] = 0 builds no stream and draws nothing, since its radius
+    L (1 + sup-norm) is then 0 at every step; with L[n] > 0 the radius stays
+    above 0.  Returns (unit,
     shrink, drawn), shapes (lane, step, dim), (lane, step) and (lane, step):
     each draw's direction / |direction| and random() ** (1/dim), and whether
     the step drew a point (else the zero point), all 0 past a lane's window.
@@ -574,11 +594,9 @@ def _tube_draws(keys, steps, dim: int, L: np.ndarray):
     drawn = np.zeros((len(keys), width), dtype=bool)
     size = None if dim == 1 else dim  # standard_normal() is standard_normal(1)[0], bit for bit
     for n, (key, count, lane_L) in enumerate(zip(keys, steps, L)):
-        if key is None:
+        if key is None or not lane_L > 0:
             continue
         rng = np.random.default_rng(key)
-        if not lane_L > 0:
-            continue
         normal, uniform = rng.standard_normal, rng.random
         for j in range(count):
             direction = directions[n, j] = normal(size)

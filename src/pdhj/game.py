@@ -244,9 +244,10 @@ def audit_hamiltonian_lipschitz(spec: GameSpec, samples: int, seed: int) -> Lips
 
     The samples are drawn one at a time, each choice among a few values
     as seq[integers(0, len(seq))] (the bits of Generator.choice(seq)); a
-    pair with |z1 - z2| < 1e-12 is drawn and skipped.  The kept samples are evaluated at once: one
-    sampled_hamiltonians call takes each sample's stage terms once for both
-    z1 and z2, and the ratios reduce in draw order.
+    pair with |z1 - z2| < 1e-12 is drawn and skipped.  The kept samples are
+    evaluated at once: one sampled_hamiltonians call takes each sample's
+    stage terms once for both z1 and z2, and the ratios reduce in draw
+    order.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -891,8 +892,8 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     node, and the gradient that aims the next control), one select_controls
     call and one greedy_lookahead batch over their GREEDY lanes, which
     refuses a scored (game, q) drift above l_f (1 + sup-norm of the stopped
-    path) with ContractError.  The simulation steps are one _lockstep_solve call over all lanes at
-    STEP_SOLVE_TOL: each step makes one lane_terms call at the held pairs,
+    path) with ContractError.  The simulation steps are one _lockstep_solve
+    call over all lanes at STEP_SOLVE_TOL: each step makes one lane_terms call at the held pairs,
     refuses a drift above l_f (1 + sup-norm of the stopped path) with
     ContractError, and takes one implicit step for all lanes; the terminal
     node's companion minima run after the solve.  A stopped path is built

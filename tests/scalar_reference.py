@@ -14,7 +14,13 @@ the batches are checked against.
   is None, an array indexed by grid interval or a callable (t_k, stopped
   path) -> control fed through an optional game rhs; one ball draw per step
   for a tube sample; sample_reachable_set as one such solve per sample.
-- _ball_point: the one-point tube draw of pdhj.evolution._ball_points.
+- _ball_point: the one-point tube draw of pdhj.evolution._ball_points,
+  whose draws pdhj.evolution._tube_draws takes a whole window at a time.
+- newton_steps_solve: the Newton step of pdhj.evolution._newton_steps by
+  np.linalg.solve in every dimension (its dimension-1 quotient is checked
+  against it).
+- audit_hypotheses_reference: the one-sample loop of
+  pdhj.evolution.audit_hypotheses, one operator call per sample and side.
 - value_gradient: the one-state ValueTable.gradient, 2·dim scalar reads.
 - _dp_slice and dp_value_reference: one backward DP step of both sides as
   its own array program (its stage terms, its probe, its implicit step and
@@ -61,8 +67,9 @@ the batches are checked against.
   adversary_pool q table as the callables they replaced, policies (t,
   path_of, p_index) -> q index called once per cell; a random one draws one
   integers(n_q) per call from a generator carried across calls, the greedy
-  one steps and reads the table once per q.  reference_pool lists them in
-  adversary_pool's order.
+  one steps and reads the table once per q (refusing a q whose drift breaks
+  l_f (1 + sup-norm), as the greedy lookahead does).  reference_pool lists
+  them in adversary_pool's order.
 - run_feedback_game_reference and companion_minimum_reference: one game
   against one such policy with its own scalar step loop (which refuses a
   drift above l_f (1 + sup-norm) as _solve_reference does), and the one-game
@@ -83,10 +90,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from pdhj import evolution
-from pdhj.errors import ConfigurationError, ContractError, DomainError, EvaluationError, \
-    LatticeCoverageError, SolverError
-from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, STEP_SOLVE_TOL, STEP_TOL, \
-    OperatorSpec, SolveReport, _bisect_step, _drift_step, make_linear_operator
+from pdhj.errors import AuditError, ConfigurationError, ContractError, DomainError, \
+    EvaluationError, LatticeCoverageError, SolverError
+from pdhj.evolution import FORCING_ALGORITHM, FORCING_BOUND_TOL, MONOTONICITY_TOL, \
+    STEP_SOLVE_TOL, STEP_TOL, AuditReport, OperatorSpec, SolveReport, _bisect_step, _drift_step, \
+    make_linear_operator
 from pdhj.game import COMPANION_KINDS, COVERAGE_TOL, ControlGrid, \
     FeedbackPlay, FeedbackStrategy, GameSpec, GuaranteeEstimate, LipschitzReport, \
     StateLattice, ValueTable, _lift_paths, _PathReads, _require_markov, adversary_pool, \
@@ -384,6 +392,55 @@ def _solve_reference(op: OperatorSpec, t0: float, x0: Path, forcing=None, *, lip
                        step_count=n - k0, residual_estimate=worst_res,
                        newton_total=newton_total, newton_max=newton_max,
                        forcing_algorithm=forcing_algorithm)
+
+
+def newton_steps_solve(jac: np.ndarray, gx: np.ndarray):
+    """(step, ok) of pdhj.evolution._newton_steps by np.linalg.solve alone:
+    one call for the batch, then, if it finds a singular matrix, one per row."""
+    ok = np.ones(len(gx), dtype=bool)
+    try:
+        return np.linalg.solve(jac, -gx[:, :, None])[:, :, 0], ok
+    except np.linalg.LinAlgError:
+        step = np.zeros_like(gx)
+        for n in range(len(gx)):
+            try:
+                step[n] = np.linalg.solve(jac[n], -gx[n])
+            except np.linalg.LinAlgError:
+                ok[n] = False
+        return step, ok
+
+
+def audit_hypotheses_reference(op: OperatorSpec, samples: int, seed: int) -> AuditReport:
+    """audit_hypotheses as one loop over the samples, drawing and evaluating
+    each in turn with Generator.uniform and Generator.choice."""
+    rng = np.random.default_rng(seed)
+    p = op.space.p_exp
+    mono_min, coer_min, bound_max = np.inf, np.inf, 0.0
+    for _ in range(samples):
+        t = rng.uniform(0.0, 1.0)
+        scale = rng.choice([0.05, 0.5, 1.0, 5.0])
+        x = rng.standard_normal(op.space.dim) * scale
+        y = rng.standard_normal(op.space.dim) * scale
+        ax, ay = op(t, x), op(t, y)
+        if not (np.all(np.isfinite(ax)) and np.all(np.isfinite(ay))):
+            raise AuditError("non-finite operator output", sample={"t": t, "x": x, "y": y})
+        mono_min = min(mono_min, float(np.dot(ax - ay, x - y)))
+        nv = op.space.norm_v(x)
+        if nv > 1e-12:
+            coer_min = min(coer_min, float(np.dot(ax, x)) / nv ** p)
+            denom = op.a1_bound + op.c1 * nv ** (p - 1.0)
+            if denom > 0:
+                bound_max = max(bound_max, op.space.dual_norm(ax) / denom)
+    violations = []
+    if mono_min < -MONOTONICITY_TOL:
+        violations.append(f"monotonicity pairing {mono_min:.3e} < -{MONOTONICITY_TOL:g}")
+    if coer_min < op.c2 - 1e-12:
+        violations.append(f"coercivity ratio {coer_min:.3e} below declared c2 {op.c2:.3e}")
+    if bound_max > 1.0 + 1e-9:
+        violations.append(f"boundedness ratio {bound_max:.3e} exceeds declared envelope")
+    return AuditReport(samples=samples, seed=seed, monotonicity_min=float(mono_min),
+                       coercivity_min=float(coer_min), boundedness_max=float(bound_max),
+                       violations=tuple(violations), passed=not violations)
 
 
 def _tube_draw_reference(lipschitz_L: float, dim: int, seed: int, i: int):

@@ -715,7 +715,8 @@ class TestPoolErrors:
     def test_drift_above_the_growth_bound_is_refused(self):
         # play steps on the one lane loop of pdhj.evolution, which refuses a
         # drift above l_f (1 + sup-norm of the stopped path): here |f| = 1
-        # against 0.1 (1 + 0.4) at the first step
+        # against 0.1 (1 + 0.4) at the first step (the pool's greedy lanes,
+        # which check the same bound with the same message, meet it first)
         _, strategy = self._growth_bound_game()
         _, q = adversary_pool(3, 6, 1, 4)
         with pytest.raises(ContractError) as err:

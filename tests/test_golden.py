@@ -6,7 +6,9 @@ host).  bench/configs/feedback_short.json runs the same feedback code on a
 shorter grid, and also at seeds 1 and 2, whose adversary pools draw other
 random streams.  The DP and residual configs run at
 seeds 1 and 2 too, which draw other residual sites, probes and samples, and the
-sampled batteries (upsilon_check, isaacs_check) at seeds 1 to 11.  The minimal
+sampled batteries (upsilon_check, isaacs_check) at seeds 1 to 11; the solver,
+residual and DP configs (solve, minimax_check, stability_run, game_value) also
+run at seeds 3 to 11.  The minimal
 config of each kind, every field defaulted, writes tests/data/defaults/<kind>.json.
 """
 
@@ -42,6 +44,12 @@ def test_residual_layer_other_seeds(stem, seed, tmp_path):
 @pytest.mark.parametrize("seed", range(1, 12))
 @pytest.mark.parametrize("stem", ["upsilon_check", "isaacs_check"])
 def test_sampled_batteries_other_seeds(stem, seed, tmp_path):
+    _check(ROOT / "configs" / f"{stem}.json", seed, tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(3, 12))
+@pytest.mark.parametrize("stem", ["solve", "minimax_check", "stability_run", "game_value"])
+def test_solver_and_residual_layers_later_seeds(stem, seed, tmp_path):
     _check(ROOT / "configs" / f"{stem}.json", seed, tmp_path)
 
 

@@ -466,7 +466,8 @@ def _run_minimax_check(cfg: dict, artifacts: dict):
         z = rng.standard_normal(dim) * 0.5
         sites.append(Site(grid.nodes[k], x0, z, (("scan", seed + 900 + j),)))
     checked = site_checks(table, spec, sites, horizon, budget)
-    reports = [{"sub": asdict(sub), "super": asdict(sup)} for sub, sup in checked[:n_sites]]
+    # the reports' fields are JSON values already, so a shallow copy serializes as asdict does
+    reports = [{"sub": dict(vars(sub)), "super": dict(vars(sup))} for sub, sup in checked[:n_sites]]
     all_pass = all(sub.verdict and sup.verdict for sub, sup in checked[:n_sites])
     viscosity = []
     for j, (scan,) in enumerate(checked[n_sites:]):

@@ -6,25 +6,33 @@ with a safeguarded fallback.  Trajectories with forcing bounded by
 L * (1 + sup-norm of the stopped path) form the discrete reachable tube.
 
 Every lane solve runs the one step loop _lockstep_solve: each lane has its
-own start node, end node and history, and the steps run time-major over the
-grid's absolute nodes, each moving the lanes whose window covers it.  At
-each step one batched forcing call gives every active lane's f, one check
-refuses every |f| above L (1 + sup-norm) (the lowest failing lane's
-ContractError), and one _implicit_step_batch call moves every active lane.
+own start node, end node and history, and the steps run window-major: step j
+moves every lane whose window holds a j-th step, each at its own node start +
+j, so a lane set takes as many steps as its longest window (lanes that share
+a start step through the grid's nodes in order).  At each step one
+batched forcing call gives every active lane's f, one check refuses every
+|f| above L (1 + sup-norm), and one _implicit_step_batch call moves every
+active lane, each row at its own node's time and step.
 The forced solves call it directly with one window shared by every lane:
 solve_delay_evolution with one lane whose f is a row of its forcing array,
 sample_reachable_set with one lane per tube sample and one _ball_points call
-per step.  A tube lane's stream takes its whole window of draws when it is
-built (_tube_draws), in the order one draw per step takes them, since its
+per step.  A tube lane's stream takes its whole window of draws before the
+first step (_tube_draws), in the order one draw per step takes them, since its
 radius L (1 + sup-norm) is above 0 at every step when L > 0 and a lane
-with L = 0 draws nothing; so _ball_points is array arithmetic, and a seed
-below 0 is refused before any work.  pdhj.minimax solves every site of a
+with L = 0 draws nothing; so _ball_points is array arithmetic.  Every keyed
+stream (a tube lane's default_rng([seed, i]), and pdhj.game's adversary
+pools) gets its PCG64 state from one array pass that reproduces
+SeedSequence's seeding (_pcg64_seeds), and draws from one shared Generator
+set to that state (_keyed_streams), so no Generator is built per key and the
+bits are default_rng's; a seed that is not an integer, or is below 0, is
+refused before any work.  pdhj.minimax solves every site of a
 residual run as one lane set, each site's lanes over its own window, whose
 forcing phases per step are the characteristic aims (one batched
-gradient), the stage terms (one full-grid call over every active lane,
-which gives the characteristic picks, the game drift and every lane's
-Hamiltonian) and the tube points (one _ball_points call on the pre-drawn
-windows).  pdhj.game plays every feedback game of a run as one
+gradient, each row at its node's time), the stage terms (one full-grid
+lane_terms call per distinct node of the step, in node order, which gives
+the characteristic picks, the game drift and every lane's Hamiltonian) and
+the tube points (one _ball_points call on the pre-drawn windows).
+pdhj.game plays every feedback game of a run as one
 lane set, at STEP_SOLVE_TOL, whose forcing phases per step are the node's
 decisions (the companion minima, the control picks and the greedy answers,
 whose (game, q) drifts are checked against the same bound before their
@@ -34,28 +42,32 @@ play, too, is refused a drift above L (1 + sup-norm).
 Lockstep loops (_lockstep_solve and its callers here, in pdhj.minimax and
 in pdhj.game; the greedy lookahead and the DP oracle in pdhj.game; the
 table reads and operator pairings of site_checks in pdhj.minimax) raise
-the first error they meet, taking time steps in order and the phases of
+the first error they meet, taking steps in order and the phases of
 each step in the order their docstrings list.  Every
 phase is batched, and raises for its whole batch: the forcing-bound check
-and _implicit_step_batch the error of their lowest failing lane, a
+and _implicit_step_batch the error of their first failing lane in the
+step's order (by node, then by lane), a
 value-table read (the gradient's probes included) the batch's largest
 lattice margin (the one to expand by), and a game's stage terms
-(GameSpec.lane_terms, one stage-function call for all lanes) the first
-non-finite entry in (lane, p, q) order, the drift before the cost of an
+(GameSpec.lane_terms, one stage-function call for all lanes at a time) the
+first non-finite entry in (lane, p, q) order, the drift before the cost of an
 entry.  So at a simulation node a feedback run picks the controls of the
 lanes deciding there in one batch and answers their greedy lanes with one
 batched lookahead, before the step's stage terms, its forcing-bound check
 and its implicit step; it plays every partition and pool as one lane set,
-time-major, so an earlier step's error wins whichever partition and pool it
-is on (partition by partition, the first partition's error came first
-however late its step); a residual run's sites step together, time-major,
-so the earlier step's error wins whichever site and lane it is on (a site by
-site order would raise the first site's error however late its step), and a
+time-major (its lanes share a start), so an earlier step's error wins
+whichever partition and pool it is on (partition by partition, the first
+partition's error came first however late its step).  A residual run's
+sites step together, window-major, so the earliest window step's error
+wins, then the earliest time's, then the lowest lane's, whichever site it
+is on (time-major, the earliest time won; site by site, the first site's
+error would come first however late its step), and a
 non-finite stage term of any lane raises during the solve, at its step, in
 (lane, p, q) order (a viscosity scan's lanes too check their full control
 grid); the characteristic functional then has only its table-read phase,
-one batch per node over every site.  The DP oracle (pdhj.game.dp_values)
-solves every slice's successors before its recursion reads any, so its
+one read of every site's rows, which names the largest margin among the
+rows of the first window step with a state off the lattice.  The DP oracle
+(pdhj.game.dp_values) solves every slice's successors before its recursion reads any, so its
 phases span the slices: every slice's stage terms and Markov probe, in
 recursion order (k = n_steps - 1 first), then one growth-bound check of
 every cell (|f| <= l_f (1 + |x|) on the constant lifts, the rule of
@@ -79,6 +91,7 @@ Lanes that succeed do not depend on this order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -521,27 +534,32 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
     values, shape (node, lane, coordinate), holds each lane's history through
     its start node; the solve fills lane n's nodes start[n] + 1 .. end[n] in
     place and reads and writes no other entry, so a lane's nodes past its
-    end keep whatever they hold.  The steps run time-major over the absolute
-    nodes, each step moving the lanes whose window covers it (none: no step).
+    end keep whatever they hold.  The steps run window-major: step j moves
+    every lane whose window holds a j-th step, each at its own node
+    k = start[n] + j, so the loop takes as many steps as the longest window.
     step_forcing(k, lanes, values, bound) returns the forcing of those lanes
-    at t_k, shape (len(lanes), dim), lanes being the active lanes'
-    increasing index array; values is the whole array, filled through node k
-    on the active lanes, and bound = L (1 + sup-norm of each active lane's
+    at t_k, shape (len(lanes), dim).  lanes holds the active lanes ordered
+    by node, then by index (increasing when start is shared), and k is the
+    shared int node when start is an int, else each active lane's node,
+    shape (len(lanes),); values is the whole array, filled through node k on
+    the active lanes, and bound = L (1 + sup-norm of each active lane's
     stopped path).  Each step then checks |f| <= bound (a non-finite forcing
-    fails the check; the ContractError names the lowest failing lane) and
-    moves the active lanes with one _implicit_step_batch call; an L below 0
-    is refused (DomainError) before the first step.  Returns
-    (values, trace, iters, res): the node values, and per step of each lane's
-    window, row j holding its step start + j, the forcings, shape
+    fails the check; the ContractError names the first failing lane in that
+    order, so the earliest node, then the lowest lane) and moves the active
+    lanes with one _implicit_step_batch call, each row at its own node; an L
+    below 0 is refused (DomainError) before the first step.  Returns
+    (values, trace, iters, res): the node values, and per step of each
+    lane's window, row j holding its step start + j, the forcings, shape
     (step, lane, dim), the Newton iterations and the step residuals, shapes
     (step, lane), zero past the lane's window.
     """
     if not np.all(L >= 0):
         raise DomainError("lipschitz_L must be >= 0")
     m, dim = len(L), values.shape[2]
+    shared = np.ndim(start) == 0
     start = np.broadcast_to(np.asarray(start, dtype=int), (m,))
-    end = np.broadcast_to(np.asarray(end, dtype=int), (m,))
-    steps = int((end - start).max(initial=0))
+    length = np.broadcast_to(np.asarray(end, dtype=int), (m,)) - start
+    steps = int(length.max(initial=0))
     trace = np.zeros((steps, m, dim))
     iters = np.zeros((steps, m), dtype=int)
     res = np.zeros((steps, m))
@@ -551,11 +569,10 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
         held = start == k0
         node_sup[held] = np.max(np.linalg.norm(values[: k0 + 1, held], axis=2), axis=0)
 
-    for k in range(int(start.min(initial=0)), int(end.max(initial=0))):
-        lanes = np.flatnonzero((start <= k) & (k < end))
-        if not lanes.size:
-            continue
-        row = k - start[lanes]
+    order = np.arange(m) if shared else np.argsort(start, kind="stable")  # by node, then lane
+    for j in range(steps):
+        lanes = order[length[order] > j]
+        k = int(start[0]) + j if shared else start[lanes] + j
         t_k1 = nodes[k + 1]
         dt = t_k1 - nodes[k]
         x_k = values[k, lanes]
@@ -567,46 +584,169 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
         if over.size:
             lane = over[0]
             raise ContractError(f"forcing magnitude {fmag[lane]:.6e} exceeds L(1+sup) = "
-                                f"{bound[lane]:.6e} at step {k}")
-        x_next, iters[row, lanes], res[row, lanes] = _drift_step(op, t_k1, dt, x_k, f, rel_tol, k)
+                                f"{bound[lane]:.6e} at step {k if shared else k[lane]}")
+        x_next, iters[j, lanes], res[j, lanes] = _drift_step(op, t_k1, dt, x_k, f, rel_tol, k)
         values[k + 1, lanes] = x_next
         node_sup[lanes] = np.maximum(node_sup[lanes], np.linalg.norm(x_next, axis=1))
-        trace[row, lanes] = f
+        trace[j, lanes] = f
     return values, trace, iters, res
 
 
-def _tube_draws(keys, steps, dim: int, L: np.ndarray):
-    """Every tube lane's window of ball draws, taken when its stream is built.
+# numpy's SeedSequence (a pool of four 32-bit words, hashed with these
+# constants) and the multiplier of its PCG64 (O'Neill's 128-bit LCG)
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    Lane n draws from default_rng(keys[n]) (keys[n] None: no stream) at each
-    of its steps[n] window steps, as a one-point draw does: standard_normal(dim),
-    then random() only when that direction's square is not 0.  A lane with
-    L[n] = 0 builds no stream and draws nothing, since its radius
-    L (1 + sup-norm) is then 0 at every step; with L[n] > 0 the radius stays
-    above 0.  Returns (unit,
-    shrink, drawn), shapes (lane, step, dim), (lane, step) and (lane, step):
-    each draw's direction / |direction| and random() ** (1/dim), and whether
-    the step drew a point (else the zero point), all 0 past a lane's window.
+
+def _seed_problem(seed):
+    """Why seed cannot key a random stream, or None: it must be an integer
+    (a Python or numpy integer) and not below 0."""
+    if not isinstance(seed, (int, np.integer)):
+        return "must be an integer"
+    if seed < 0:
+        return "must be >= 0"
+    return None
+
+
+def _ragged_index(counts: np.ndarray):
+    """(row, j): the index arrays of entry j < counts[row] of every row, row
+    by row, for rows that hold counts[row] entries each."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _words(value) -> list:
+    """The little-endian 32-bit words SeedSequence takes from one integer
+    entropy element (0 is one word); one below 0 is refused, as there."""
+    value = int(value)
+    if value < 0:
+        raise DomainError(f"a stream key must be >= 0, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _pcg64_seeds(keys):
+    """(state, inc) of PCG64(SeedSequence(key)).state for each key in turn,
+    an integer or a sequence of integers, each at least 0, from one array
+    pass.
+
+    The keys' entropy words are mixed into SeedSequence's four-word pool in
+    uint64 arrays (every product is reduced mod 2**32, as the uint32
+    arithmetic of SeedSequence), words past the fourth with the extra
+    mixing loop of the keys that have them; the pool's eight output words
+    are PCG64's 128-bit seed and stream, whose seeding then takes two LCG
+    steps, in Python integers, one key at a time.
+    """
+    memo, flat, lens = {}, array("Q"), array("q")  # memo: the words of each distinct element
+    for key in keys:
+        first = len(flat)
+        for v in (key,) if isinstance(key, (int, np.integer)) else key:
+            words = memo.get(v)
+            if words is None:
+                words = memo[v] = _words(v)
+            flat.extend(words)
+        lens.append(len(flat) - first)
+    lens = np.frombuffer(lens, dtype=np.int64)
+    entropy = np.zeros((len(lens), max(_POOL, int(lens.max(initial=0)))), dtype=np.uint64)
+    entropy[_ragged_index(lens)] = np.frombuffer(flat, dtype=np.uint64)
+    mask, shift = np.uint64(_MASK32), np.uint64(16)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint64(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * np.uint64(hash_const)) & mask
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & mask
+        return result ^ (result >> shift)
+
+    pool = [hashmix(entropy[:, i]) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL, entropy.shape[1]):
+        more = lens > src
+        for dst in range(_POOL):
+            pool[dst] = np.where(more, mix(pool[dst], hashmix(entropy[:, src])), pool[dst])
+    hash_const = _INIT_B
+    out = []
+    for i in range(2 * _POOL):  # generate_state(4, np.uint64): eight words, the pool cycled
+        value = pool[i % _POOL] ^ np.uint64(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * np.uint64(hash_const)) & mask
+        out.append(value ^ (value >> shift))
+    halves = ((out[2 * i] | (out[2 * i + 1] << np.uint64(32))).tolist() for i in range(4))
+    for s_hi, s_lo, q_hi, q_lo in zip(*halves):
+        inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _MASK128
+        yield (((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT) + inc) & _MASK128, inc
+
+
+def _keyed_streams(keys):
+    """For each key in turn, one shared Generator set to default_rng(key)'s
+    fresh state: the bits of default_rng(key) without building a Generator
+    per key.  A key's draws must be taken before the next key is reached."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    seeded = {"bit_generator": "PCG64", "state": None, "has_uint32": 0, "uinteger": 0}
+    for state, inc in _pcg64_seeds(keys):
+        seeded["state"] = {"state": state, "inc": inc}
+        rng.bit_generator.state = seeded
+        yield rng
+
+
+def _tube_draws(keys, steps, dim: int, L: np.ndarray):
+    """Every tube lane's window of ball draws, taken key by key.
+
+    Lane n draws from the stream of default_rng(keys[n]) (keys[n] None: no
+    stream), which _keyed_streams gives it in one shared Generator, at each
+    of its steps[n] window steps, as a one-point draw does:
+    standard_normal(dim), then random() only when that direction's square is
+    not 0.  A lane with L[n] = 0 has no stream and draws nothing, since its
+    radius L (1 + sup-norm) is then 0 at every step; with L[n] > 0 the
+    radius stays above 0.  Returns (unit, shrink, drawn), shapes
+    (lane, step, dim), (lane, step) and (lane, step): each draw's direction
+    / |direction| and random() ** (1/dim), and whether the step drew a point
+    (else the zero point), all 0 past a lane's window.
     """
     width = int(max(steps, default=0))
-    directions = np.zeros((len(keys), width, dim))
-    shrink = np.zeros((len(keys), width))
-    drawn = np.zeros((len(keys), width), dtype=bool)
     size = None if dim == 1 else dim  # standard_normal() is standard_normal(1)[0], bit for bit
-    for n, (key, count, lane_L) in enumerate(zip(keys, steps, L)):
-        if key is None or not lane_L > 0:
-            continue
-        rng = np.random.default_rng(key)
+    power = 1.0 / dim
+    lanes = np.array([n for n, (key, lane_L) in enumerate(zip(keys, L))
+                      if key is not None and lane_L > 0], dtype=int)
+    # every drawing lane's window, lane by lane, as C doubles; NaN: no uniform
+    normals, shrinks = array("d"), array("d")
+    for n, rng in zip(lanes.tolist(), _keyed_streams([keys[n] for n in lanes])):
         normal, uniform = rng.standard_normal, rng.random
-        for j in range(count):
-            direction = directions[n, j] = normal(size)
+        for _ in range(steps[n]):
+            direction = normal(size)
+            if size is None:
+                normals.append(direction)
+            else:
+                normals.frombytes(direction.tobytes())
             # the one-point draw's |direction| != 0: a sum of squares is 0
             # exactly when every square is, whatever the order of the sum
-            if (direction * direction if size is None else direction.dot(direction)) != 0.0:
-                drawn[n, j] = True
-                shrink[n, j] = uniform() ** (1.0 / dim)
-    d = directions[drawn]
-    unit = np.zeros_like(directions)
+            square = direction * direction if size is None else direction.dot(direction)
+            shrinks.append(uniform() ** power if square != 0.0 else np.nan)
+    lane_of, j = _ragged_index(np.asarray(steps, dtype=int)[lanes])
+    rows = (lanes[lane_of], j)
+    shrink = np.zeros((len(keys), width))
+    shrink[rows] = np.frombuffer(shrinks)
+    drawn = np.zeros((len(keys), width), dtype=bool)
+    drawn[rows] = ~np.isnan(shrink[rows])
+    shrink[~drawn] = 0.0
+    d = np.frombuffer(normals).reshape(-1, dim)[drawn[rows]]
+    unit = np.zeros((len(keys), width, dim))
     unit[drawn] = d / _row_norms(d)[:, None]
     return unit, shrink, drawn
 
@@ -631,13 +771,14 @@ def sample_reachable_set(op: OperatorSpec, t0: float, x0: Path, count: int, seed
     its own PRNG stream default_rng([seed, sample index]), whose whole window
     of draws _tube_draws takes before the first step.  The samples are the
     lanes of one _lockstep_solve call, each step's points one _ball_points
-    call.  A count below 1 or a seed below 0 is refused (DomainError) before
-    any work.
+    call.  A count below 1, or a seed that _seed_problem refuses (not an
+    integer, or below 0), is refused (DomainError) before any work.
     """
     if count < 1:
         raise DomainError("count must be >= 1")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    problem = _seed_problem(seed)
+    if problem is not None:
+        raise DomainError(f"seed {problem}, got {seed}")
     grid = x0.grid
     k0 = grid.node_index(t0)
     L = np.full(count, float(lipschitz_L))

@@ -32,8 +32,9 @@ from .errors import (
     EvaluationError,
     LatticeCoverageError,
 )
-from .evolution import STEP_SOLVE_TOL, OperatorSpec, _drift_step, _lockstep_solve, \
-    _over_growth_bound, make_linear_operator, sample_reachable_set
+from .evolution import STEP_SOLVE_TOL, OperatorSpec, _drift_step, _keyed_streams, \
+    _lockstep_solve, _over_growth_bound, _seed_problem, make_linear_operator, \
+    sample_reachable_set
 from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
     stopped_at, stopped_sup_sq, stopped_value_at, values_at
 from .upsilon import LyapunovParams, surrogate_terms
@@ -344,35 +345,43 @@ class StateLattice:
         margins[np.isnan(margins)] = np.inf
         return margins
 
-    def interpolate_batch(self, values: np.ndarray, states: np.ndarray) -> np.ndarray:
+    def interpolate_batch(self, values: np.ndarray, states: np.ndarray,
+                          slices=None) -> np.ndarray:
         """Multilinear interpolation of a lattice field at many states.
 
         values has shape lattice.shape + tail and the result (N,) + tail: one
         set of bases and weights, and one coverage check, reads every field
-        stacked on the trailing axes, each as it is read alone.  States off
-        the lattice raise LatticeCoverageError with the largest margin needed
-        (silent clamping would corrupt value comparisons) and every row's
-        margins, for a caller that needs per-row answers.
+        stacked on the trailing axes, each as it is read alone.  With slices,
+        an integer array of shape (N,) or (N, E), values has a leading slice
+        axis, shape (S,) + lattice.shape + tail, row n reads slice slices[n]
+        (each of slices[n, :]), and the result has shape slices.shape + tail,
+        each entry as that slice alone reads it.  States off the lattice raise LatticeCoverageError
+        with the largest margin needed (silent clamping would corrupt value
+        comparisons) and every row's margins, for a caller that needs per-row
+        answers.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         margins = self.coverage_margins(states)
         if np.max(margins, initial=0.0) > COVERAGE_TOL:
             raise _coverage_error(margins)
-        tail = (slice(None),) + (None,) * (np.ndim(values) - self.dim)
+        lead, extra = ((), 0) if slices is None else ((slices,), np.ndim(slices) - 1)
+        rows = (slice(None),) + (None,) * extra
+        tail = rows + (None,) * (np.ndim(values) - len(lead) - self.dim)
         idx, wts = [], []
         for axis, n, x in zip(self.axes, self.shape, states.T):
-            pos = np.clip((x - axis[0]) / (axis[1] - axis[0]), 0.0, n - 1)
+            # clamped to [0, n - 1]; finite, since the coverage check refused the rest
+            pos = np.minimum(np.maximum((x - axis[0]) / (axis[1] - axis[0]), 0.0), n - 1)
             base = np.minimum(pos.astype(int), n - 2)
-            idx.append(base)
+            idx.append(base[rows])
             wts.append((pos - base)[tail])
         if self.dim == 1:
             (b,), (w,) = idx, wts
-            return values[b] * (1.0 - w) + values[b + 1] * w
+            return values[lead + (b,)] * (1.0 - w) + values[lead + (b + 1,)] * w
         (b0, b1), (w0, w1) = idx, wts
-        return (values[b0, b1] * (1.0 - w0) * (1.0 - w1)
-                + values[b0 + 1, b1] * w0 * (1.0 - w1)
-                + values[b0, b1 + 1] * (1.0 - w0) * w1
-                + values[b0 + 1, b1 + 1] * w0 * w1)
+        return (values[lead + (b0, b1)] * (1.0 - w0) * (1.0 - w1)
+                + values[lead + (b0 + 1, b1)] * w0 * (1.0 - w1)
+                + values[lead + (b0, b1 + 1)] * (1.0 - w0) * w1
+                + values[lead + (b0 + 1, b1 + 1)] * w0 * w1)
 
 
 def _coverage_error(margins: np.ndarray) -> LatticeCoverageError:
@@ -415,32 +424,58 @@ class ValueTable:
         """interp_batch at a single state."""
         return float(self.interp_batch(side, t, np.atleast_1d(state)[None, :])[0])
 
-    def interp_batch(self, side: str, t: float, states: np.ndarray) -> np.ndarray:
-        """Time-linear, state-multilinear interpolation: a t that
-        TimeGrid.nearest_node puts on node k reads slice k alone, any other t
-        both bracketing slices with one interpolate_batch call."""
-        vals = self.side_values(side)
-        self.grid.require_contains(t)
-        nodes = self.grid.nodes
-        k, on_node = self.grid.nearest_node(t)
-        if on_node:
-            return self.lattice.interpolate_batch(vals[k], states)
-        k = int(np.searchsorted(nodes, t, side="right")) - 1
-        k = min(max(k, 0), len(nodes) - 2)
-        w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
-        a, b = self.lattice.interpolate_batch(np.moveaxis(vals[k:k + 2], 0, -1), states).T
-        return a + w * (b - a)
+    def interp_batch(self, side: str, t, states: np.ndarray) -> np.ndarray:
+        """Time-linear, state-multilinear interpolation of each row of states
+        at t, one time for every row or one per row, shape (N,).
 
-    def gradient(self, side: str, t: float, states: np.ndarray) -> np.ndarray:
+        A row whose time TimeGrid.nearest_node puts on node k reads slice k
+        alone, any other row both bracketing slices, each row as it is read
+        alone at its own time.  Every row goes through one
+        StateLattice.interpolate_batch call, so a row off the lattice raises
+        the batch's largest margin, with every row's margins; a time outside
+        the grid's span raises DomainError naming the first such row's.
+        """
+        vals, grid = self.side_values(side), self.grid
+        nodes = grid.nodes
+        if np.ndim(t) == 0:
+            grid.require_contains(t)
+            k, on_node = grid.nearest_node(t)
+            if on_node:
+                return self.lattice.interpolate_batch(vals[k], states)
+            k = min(max(int(np.searchsorted(nodes, t, side="right")) - 1, 0), len(nodes) - 2)
+            w = (t - nodes[k]) / (nodes[k + 1] - nodes[k])
+            a, b = self.lattice.interpolate_batch(np.moveaxis(vals[k:k + 2], 0, -1), states).T
+            return a + w * (b - a)
+        t = np.asarray(t, dtype=float)
+        outside = ~grid.contains(t)
+        if outside.any():
+            grid.require_contains(t[outside][0])
+        k, on_node = grid.nearest_node(t)
+        if on_node.all():
+            return self.lattice.interpolate_batch(vals, states, k)
+        off = np.flatnonzero(~on_node)
+        below = np.searchsorted(nodes, t[off], side="right") - 1
+        k[off] = np.minimum(np.maximum(below, 0), len(nodes) - 2)
+        # the bracketing slices k and k + 1 of each row; a row on its node reads slice k twice
+        pair = np.stack([k, k], axis=1)
+        pair[off, 1] += 1
+        a, b = self.lattice.interpolate_batch(vals, states, pair).T
+        w = (t[off] - nodes[k[off]]) / (nodes[k[off] + 1] - nodes[k[off]])
+        a[off] += w * (b[off] - a[off])
+        return a
+
+    def gradient(self, side: str, t, states: np.ndarray) -> np.ndarray:
         """Central-difference lattice gradients of the value at (t, x) for each
-        row x of states, shape (N, dim) -> (N, dim).
+        row x of states, shape (N, dim) -> (N, dim), at one time t for every
+        row or one per row, shape (N,).
 
         Coordinate d of a row differences the value between the probes
         x + spacing_d e_d and x - spacing_d e_d, each clipped to the lattice
         box in coordinate d.  A coordinate whose clipped probes lie less than
         1e-300 apart (a state more than one spacing past an edge) reads
         nothing and is 0.  The probes that are read go in one interp_batch
-        call, so a probe off the lattice raises the batch's largest margin.
+        call, each at its row's time, so a probe off the lattice raises the
+        batch's largest margin.
         """
         states = np.atleast_2d(np.asarray(states, dtype=float))
         lattice = self.lattice
@@ -453,6 +488,8 @@ class ValueTable:
         read = ~(width < 1e-300)
         g = np.zeros(states.shape)
         if read.any():
+            if np.ndim(t) > 0:  # each probe at its row's time
+                t = np.tile(np.repeat(np.asarray(t, dtype=float), lattice.dim)[read.ravel()], 2)
             up_vals, dn_vals = np.split(
                 self.interp_batch(side, t, np.concatenate([up[read], dn[read]])), 2)
             g[read] = (up_vals - dn_vals) / width[read]
@@ -629,6 +666,8 @@ def dp_values(specs, grid: TimeGrid, lattice: StateLattice) -> list:
 
     values = np.empty((grid.n_steps + 1,) + lattice.shape + (tables, 2))  # (lower, upper)
     values[-1] = terminals.reshape(lattice.shape + (tables,))[..., None]
+    sides = values.reshape(grid.n_steps + 1, n_points, tables, 2)  # a view of values
+    running = dt[:, None, None, None] * cost
     for row, k in enumerate(order):
         try:
             read = lattice.interpolate_batch(values[k + 1], succ[row])
@@ -638,12 +677,11 @@ def dp_values(specs, grid: TimeGrid, lattice: StateLattice) -> list:
                 f"successor left the lattice at time index {k} (state {points[idx]}, "
                 f"p={controls.p_points[i]!r}, q={controls.q_points[j]!r}): {refused}",
                 margin=refused.margin) from None
-        obj = (dt[row] * cost[row])[..., None, None] + read.reshape(cells + (tables, 2))
+        obj = running[row][..., None, None] + read.reshape(cells + (tables, 2))
         # lower: the maximizer commits first, max over q of min over p; upper: the
         # minimizer commits first, min over p of max over q
-        values[k] = np.stack([obj[..., 0].min(axis=1).max(axis=1),
-                              obj[..., 1].max(axis=2).min(axis=1)],
-                             axis=-1).reshape(lattice.shape + (tables, 2))
+        obj[..., 0].min(axis=1).max(axis=1, out=sides[k, :, :, 0])
+        obj[..., 1].max(axis=2).min(axis=1, out=sides[k, :, :, 1])
     return [ValueTable(grid=grid, lattice=lattice, v_minus=np.ascontiguousarray(values[..., s, 0]),
                        v_plus=np.ascontiguousarray(values[..., s, 1]))
             for s in range(tables)]
@@ -1029,20 +1067,24 @@ def adversary_pool(n_q: int, budget: int, seed: int, cells: int):
 
     q, shape (cells, budget), holds each adversary's q index per cell:
     constant[j] plays j, greedy-lookahead is GREEDY, and random[s] is one
-    draw integers(n_q, size=cells) from default_rng(s), the same values as
-    one integers(n_q) per cell.  A pool played on several partitions in turn
-    is one table over their cells, split by rows; a fresh pool per partition
-    is one table each.
+    draw integers(n_q, size=cells) from the stream of default_rng(s), the
+    same values as one integers(n_q) per cell; the streams come from one
+    seeding pass and one shared Generator (evolution._keyed_streams).  A
+    pool played on several partitions in turn is one table over their
+    cells, split by rows; a fresh pool per partition is one table each.  A
+    budget below 1, or a seed that is not an integer or is below 0, is
+    refused (DomainError).
     """
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    labels = [f"constant[{j}]" for j in range(n_q)] + ["greedy-lookahead"]
-    columns = [np.full(cells, j) for j in range(n_q)] + [np.full(cells, GREEDY)]
-    i = 0
-    while len(labels) < budget:
-        labels.append(f"random[{seed + i}]")
-        columns.append(np.random.default_rng(seed + i).integers(n_q, size=cells))
-        i += 1
+    problem = _seed_problem(seed)
+    if problem is not None:
+        raise DomainError(f"seed {problem}, got {seed}")
+    randoms = range(seed, seed + max(budget - n_q - 1, 0))
+    labels = ([f"constant[{j}]" for j in range(n_q)] + ["greedy-lookahead"]
+              + [f"random[{s}]" for s in randoms])
+    columns = ([np.full(cells, j) for j in range(n_q)] + [np.full(cells, GREEDY)]
+               + [rng.integers(n_q, size=cells) for rng in _keyed_streams(randoms)])
     return labels[:budget], np.stack(columns[:budget], axis=1)
 
 

@@ -10,18 +10,22 @@ site_checks is the residual layer's one entry point.  It runs every residual
 search and viscosity scan of a run on one lane set: each site's game lanes
 (the constant pairs and the two characteristics) once, whatever checks read
 them, and one block of tube lanes per distinct seed of its checks, all
-stepping together on the value table's nodes, each site's lanes over its own
-window.  A run raises the first error in this order: a check kind, a check
-seed or a site dimension it refuses, before any work; each site's own reads
-(its window and the table at its state), site by site; then the lane solve, time-major
-across the sites, so the earlier step's error wins whichever site it is on
-(the phases of each step are _candidate_runs').  A scan's Hamiltonian F0 at
-(t0, x0(t0)) is its lanes' first stage terms, so a non-finite stage term
-there raises at its step of the solve, as the sub/super functional's do.
-Then come the scans' operator pairings and then the table reads along the
-candidates, each one batch per node in time order over every site, a read
-naming the largest margin among the lanes of the first node where some
-candidate leaves the lattice.
+stepping together window-major on the value table's nodes, each site's
+lanes over its own window: step j moves every lane at its own site's node
+t0 + j.  A run raises the first error in this order: a check kind, a check
+seed (not an integer, or below 0) or a site dimension it refuses, before
+any work; each site's window and history, site by site; one read of the
+table at every site's state (the largest margin among the sites); then the
+lane solve, window-major across the sites, so the earliest window step's
+error wins, then the earliest time's, then the lowest lane's, whichever
+site it is on (the phases of each step are _candidate_runs').  A scan's
+Hamiltonian F0 at (t0, x0(t0)) is its lanes' first stage terms, so a
+non-finite stage term there raises at its step of the solve, as the
+sub/super functional's do.  Then come the scans' operator pairings, one
+batch over every scan lane's window nodes, and then the table reads along
+the candidates, one batch over every site, a read naming the largest margin
+among the lanes of the first window step where some candidate leaves the
+lattice.
 """
 
 from __future__ import annotations
@@ -32,10 +36,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
-from .evolution import STEP_TOL, _ball_points, _lockstep_solve, _tube_draws
-from .game import GameSpec, StateLattice, ValueTable, dp_value, dp_values, is_upper_side, \
-    minimax_records, with_drift_perturbation, with_terminal_shift
+from .errors import DomainError, LatticeCoverageError
+from .evolution import STEP_TOL, _ball_points, _lockstep_solve, _ragged_index, _seed_problem, \
+    _tube_draws
+from .game import COVERAGE_TOL, GameSpec, StateLattice, ValueTable, _coverage_error, dp_value, \
+    dp_values, is_upper_side, minimax_records, with_drift_perturbation, with_terminal_shift
 from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
@@ -56,7 +61,8 @@ def composite_tolerance(lattice_spacing: float, mesh: float, budget: int) -> flo
 class ResidualReport:
     """Outcome of one sub/super residual search at a site; site holds the
     site's t0, state x0(t0) and test direction z, as JSON values.  The runner
-    writes dataclasses.asdict of it."""
+    writes a copy of its fields (every one a JSON value, so the copy
+    serializes as dataclasses.asdict of it does)."""
 
     site: dict
     direction: str
@@ -130,8 +136,11 @@ class Site(NamedTuple):
 CHECK_KINDS = ("sub", "super", "scan")
 
 
-def _window_grid(grid: TimeGrid, t0: float, horizon: float):
-    """Sub-grid of table nodes spanning [t_start, min(t0+horizon, T)] with >= 1 step past t0."""
+def _window_grid(grid: TimeGrid, t0: float, horizon: float, built=None):
+    """(window grid, k0, k_end): the sub-grid of table nodes spanning
+    [t_start, min(t0+horizon, T)] with >= 1 step past t0, and the nodes of
+    t0 and of the window's end.  built, a dict, keeps the grid of each end
+    node for the next call, so sites that share an end share one grid."""
     k0 = grid.node_index(t0)
     if k0 >= grid.n_steps:
         raise DomainError("site time t0 must lie strictly before the terminal node")
@@ -139,7 +148,10 @@ def _window_grid(grid: TimeGrid, t0: float, horizon: float):
     t_end = min(t0 + horizon, grid.t_end)
     k_end = int(np.searchsorted(nodes, t_end + 1e-12)) - 1
     k_end = max(k_end, k0 + 1)
-    return TimeGrid.from_nodes(nodes[: k_end + 1]), k0, k_end
+    built = {} if built is None else built
+    if k_end not in built:
+        built[k_end] = TimeGrid.from_nodes(nodes[: k_end + 1])
+    return built[k_end], k0, k_end
 
 
 class _Lanes(NamedTuple):
@@ -180,15 +192,20 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
     random tube samples, sample i drawing from default_rng([seed, i]) over
     its site's window only.  Every lane takes the
     tube constant spec.l_f and steps from its site's t0 to the end of its
-    window.  Each step has four phases, in this order for the lockstep
-    rule of pdhj.evolution, each one call over the lanes of every site whose
-    window covers the step:
+    window; the lanes step window-major (_lockstep_solve), so window step j
+    moves the lanes of every site whose window holds a j-th step, each at its
+    own node.  Each step has four phases, in this order for the lockstep
+    rule of pdhj.evolution, each over those lanes, which come ordered by
+    node, then by lane:
 
-    1. the characteristic aims: one ValueTable.gradient call;
-    2. the stage terms: one full-grid lane_terms call, so a non-finite entry
-       of any lane raises here, at its step, in (lane, p, q) order.  It gives
-       the characteristics' stage matrices, the game lanes' drift at their
-       played pairs and every lane's Hamiltonian.  For the upper Hamiltonian
+    1. the characteristic aims: one ValueTable.gradient call, each row at
+       its node's time;
+    2. the stage terms: one full-grid lane_terms call per distinct node of
+       the step, in node order, each at that node's float time, so a
+       non-finite entry of any lane raises here, at its step, in (lane, p,
+       q) order within its node.  They give the characteristics' stage
+       matrices, the game lanes' drift at their played pairs and every
+       lane's Hamiltonian.  For the upper Hamiltonian
        (min over p of max over q) the supersolution characteristic commits p
        along the value gradient and lets q answer the test direction z; the
        subsolution characteristic swaps the two roles, and the lower
@@ -243,13 +260,22 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
     nodes = table.grid.nodes
     hams = np.zeros(((end - start).max(), m))
 
+    def stage_terms(k, act, x_k, values):
+        """One full-grid lane_terms call per distinct node of k, in node order
+        (act is ordered by node), each at its node's float time."""
+        cuts = np.flatnonzero(np.diff(k)) + 1
+        terms = [spec.lane_terms(nodes[k[lo]], x_k[lo:hi], lambda j, lanes=act[lo:hi], node=k[lo]:
+                                 stopped_at(grids[site_of[lanes[j]]],
+                                            values[: end[lanes[j]] + 1, lanes[j]], node))
+                 for lo, hi in zip([0, *cuts], [*cuts, len(act)])]
+        return terms[0] if len(terms) == 1 else [np.concatenate(a) for a in zip(*terms)]
+
     def step_forcing(k, act, values, bound):
-        t_k, x_k, kind_k = nodes[k], values[k, act], kind[act]
+        x_k, kind_k = values[k, act], kind[act]
         chars, tube = np.flatnonzero(kind_k == _CHARACTERISTIC), np.flatnonzero(kind_k == _TUBE)
         game = np.flatnonzero(kind_k != _TUBE)
-        zhat = table.gradient(side, t_k, x_k[chars])
-        drift, cost = spec.lane_terms(t_k, x_k, lambda j: stopped_at(
-            grids[site_of[act[j]]], values[: end[act[j]] + 1, act[j]], k))
+        zhat = table.gradient(side, nodes[k[chars]], x_k[chars])
+        drift, cost = stage_terms(k, act, x_k, values)
         M_test = cost + _row_dots(drift, z_lane[act][:, None, None, :])
         f_minus, f_plus = minimax_records(M_test)[:2]
         hams[k - start[act], act] = f_plus if upper else f_minus
@@ -267,12 +293,24 @@ def _candidate_runs(spec: GameSpec, table: ValueTable, side: str, sites, budget:
         f = np.empty((len(act), dim))
         f[game] = drift[game, p_idx[act[game]], q_idx[act[game]]]
         tubes = act[tube]
-        f[tube] = _ball_points(draws, tubes, k - start[tubes], bound[tube])
+        f[tube] = _ball_points(draws, tubes, k[tube] - start[tubes], bound[tube])
         return f
 
     values, forcing, _, _ = _lockstep_solve(spec.op, nodes, values, start, end, L, STEP_TOL,
                                             step_forcing)
     return _Lanes(labels, values, forcing, hams, start, end, site_of, z_lane, blocks)
+
+
+def _read_rows(table: ValueTable, side: str, times, states, steps: np.ndarray):
+    """table.interp_batch of every row at its own time in one call.  A
+    refusal names the largest margin among the rows of the first window step
+    (steps, per row) that has a row off the lattice, as one read per window
+    step would."""
+    try:
+        return table.interp_batch(side, times, states)
+    except LatticeCoverageError as refused:
+        first = steps[refused.margins > COVERAGE_TOL].min()
+        raise _coverage_error(refused.margins[steps == first]) from None
 
 
 def _characteristic_functional(table: ValueTable, side: str, nodes, runs: _Lanes,
@@ -283,43 +321,48 @@ def _characteristic_functional(table: ValueTable, side: str, nodes, runs: _Lanes
     the window).
 
     runs is the lane set of _candidate_runs, which took the stage terms;
-    u0_lane holds each lane's site's u0.  One interp_batch call per node
-    reads every lane whose window holds it, so a state off the lattice
-    raises the largest margin among the lanes of the first node that has
-    one.  The integral is summed step by step from zeros, not with
-    np.cumsum: the loop turns a leading -0.0 into +0.0, and that sign can
-    reach a printed slack.
+    u0_lane holds each lane's site's u0.  One interp_batch call reads every
+    (lane, window step), each at its node's time, so a state off the
+    lattice raises the largest margin among the lanes of the first window
+    step that has one (_read_rows).  The integrands are formed for every
+    row at once, and the integral is summed window step by window step from
+    zeros, not with np.cumsum: the loop turns a leading -0.0 into +0.0, and
+    that sign can reach a printed slack.
     """
-    start, end = runs.start, runs.end
-    G, reads = np.zeros((2, len(start), int((end - start).max())))
+    start, length = runs.start, runs.end - runs.start
+    lanes, steps = _ragged_index(length)
+    k = start[lanes] + steps
+    G, reads, terms = np.zeros((3, len(start), int(length.max())))
+    reads[lanes, steps] = _read_rows(table, side, nodes[k + 1], runs.values[k + 1, lanes], steps)
+    terms[lanes, steps] = (nodes[k + 1] - nodes[k]) * (
+        -_row_dots(runs.forcing[steps, lanes], runs.z[lanes]) + runs.hams[steps, lanes])
     acc = np.zeros(len(start))
-    for k in range(int(start.min()), int(end.max())):
-        lanes = np.flatnonzero((start <= k) & (k < end))
-        if not lanes.size:
-            continue
-        j = k - start[lanes]
-        reads[lanes, j] = table.interp_batch(side, nodes[k + 1], runs.values[k + 1, lanes])
-        acc[lanes] = acc[lanes] + (nodes[k + 1] - nodes[k]) * (
-            -_row_dots(runs.forcing[j, lanes], runs.z[lanes]) + runs.hams[j, lanes])
-        G[lanes, j] = acc[lanes] + reads[lanes, j] - u0_lane[lanes]
+    for j in range(G.shape[1]):
+        held = np.flatnonzero(length > j)
+        acc[held] = acc[held] + terms[held, j]
+        G[held, j] = acc[held] + reads[held, j] - u0_lane[held]
     return G, reads
 
 
 def _operator_corrections(op, nodes, runs: _Lanes, lanes: np.ndarray):
     """int_{t0}^{t_{k+1}} <A(s, x(s)), z> ds by the trapezoid rule for the
     given lanes, shape (lane, step) as _characteristic_functional's G: one
-    op.batch call per node over those lanes whose window holds it."""
-    start, end = runs.start, runs.end
-    corrs = np.zeros((len(start), int((end - start).max())))
-    corr, last = np.zeros(len(start)), np.zeros(len(start))  # last: the pairing at node k - 1
-    for k in range(int(start[lanes].min()), int(end[lanes].max()) + 1):
-        held = lanes[(start[lanes] <= k) & (k <= end[lanes])]
-        pairing = _row_dots(op.batch(nodes[k], runs.values[k, held]), runs.z[held])
-        past = start[held] < k
-        act = held[past]
-        corr[act] = corr[act] + 0.5 * (nodes[k] - nodes[k - 1]) * (last[act] + pairing[past])
-        corrs[act, k - 1 - start[act]] = corr[act]
-        last[held] = pairing
+    op.batch call over every window node of those lanes, each row at its
+    node's time (a column), then the sums window step by window step."""
+    start, length = runs.start, runs.end - runs.start
+    rows, j = _ragged_index(length[lanes] + 1)  # window nodes start .. end
+    rows = lanes[rows]
+    k = start[rows] + j
+    pairing = np.zeros((len(start), int(length[lanes].max()) + 1))
+    pairing[rows, j] = _row_dots(op.batch(nodes[k][:, None], runs.values[k, rows]), runs.z[rows])
+    corrs = np.zeros((len(start), int(length.max())))
+    corr = np.zeros(len(start))
+    for step in range(1, pairing.shape[1]):
+        held = lanes[length[lanes] >= step]
+        k = start[held] + step
+        corr[held] = corr[held] + 0.5 * (nodes[k] - nodes[k - 1]) * (
+            pairing[held, step - 1] + pairing[held, step])
+        corrs[held, step - 1] = corr[held]
     return corrs
 
 
@@ -335,17 +378,19 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
     against the tolerance, composite_tolerance of u's lattice spacing and
     mesh and search_budget, and the scans test c_values (by default -4, -1,
     0, 1 and 4 times the tolerance).  An
-    unknown check kind, a check seed below 0, or a site whose history or z
-    is not of the game's dimension, is refused before any work; the other
-    errors come in the module docstring's order.
+    unknown check kind, a check seed that is not an integer (a Python or
+    numpy integer) or is below 0, or a site whose history or z is not of the
+    game's dimension, is refused (DomainError naming the site) before any
+    work; the other errors come in the module docstring's order.
     """
     dim = spec.op.space.dim
     for s, site in enumerate(sites):
         for kind, seed in site.checks:
             if kind not in CHECK_KINDS:
                 raise DomainError(f"check kind must be one of {CHECK_KINDS}, got {kind!r}")
-            if seed < 0:
-                raise DomainError(f"site {s}: check seed {seed} must be >= 0")
+            problem = _seed_problem(seed)
+            if problem is not None:
+                raise DomainError(f"site {s}: check seed {seed} {problem}")
         z_shape = np.shape(np.atleast_1d(site.z))
         if site.x0.dim != dim or z_shape != (dim,):
             raise DomainError(f"site {s}: history of dimension {site.x0.dim} and z of shape "
@@ -355,13 +400,14 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
     if not sites:
         return []
-    windows, states0, u0s = [], [], []  # windows: each site with its history on its window grid
+    windows, states0, grids = [], [], {}  # windows: each site with its history on its window grid
     for t0, x0, z, checks in sites:
-        win_grid, _, _ = _window_grid(u.grid, t0, horizon)
+        win_grid, _, _ = _window_grid(u.grid, t0, horizon, grids)
         hist = extend_history(x0, win_grid, t0)
         windows.append(Site(t0, hist, np.atleast_1d(np.asarray(z, dtype=float)), checks))
         states0.append(hist.value_at(t0))
-        u0s.append(u.interp(side, t0, states0[-1]))
+    u0s = u.interp_batch(side, np.array([site.t0 for site in sites], dtype=float),
+                         np.array(states0)).tolist()
     runs = _candidate_runs(spec, u, side, windows, search_budget)
     nodes = u.grid.nodes
     scans = [runs.blocks[s][seed] for s, site in enumerate(sites)

@@ -76,18 +76,27 @@ class TimeGrid:
         """Maximum step size."""
         return float(np.max(np.diff(self.nodes)))
 
-    def contains(self, t: float) -> bool:
-        return self.t_start - _NODE_TOL <= t <= self.t_end + _NODE_TOL
+    def contains(self, t):
+        """Whether t lies in the grid's span, with _NODE_TOL slack; for an
+        array of times, an array of answers."""
+        return (self.t_start - _NODE_TOL <= t) & (t <= self.t_end + _NODE_TOL)
 
     def require_contains(self, t: float, what: str = "t"):
         if not self.contains(t):
             raise DomainError(f"{what}={t} outside grid span [{self.t_start}, {self.t_end}]")
 
-    def nearest_node(self, t: float) -> tuple:
+    def nearest_node(self, t) -> tuple:
         """(k, on_node): the node nearest t, and whether t equals it within
-        _NODE_INDEX_TOL * max(1, |t_end|); node_index and table reads use it."""
+        _NODE_INDEX_TOL * max(1, |t_end|); node_index and table reads use it.
+        For an array of times, shape (N,), k and on_node are arrays of shape
+        (N,), each entry the answer for that time alone."""
+        tol = _NODE_INDEX_TOL * max(1.0, abs(self.t_end))
+        if np.ndim(t):  # each distinct time once
+            times, inverse = np.unique(t, return_inverse=True)
+            k = np.argmin(np.abs(self.nodes - times[:, None]), axis=1)
+            return k[inverse], (np.abs(self.nodes[k] - times) <= tol)[inverse]
         k = int(np.argmin(np.abs(self.nodes - t)))
-        return k, bool(abs(self.nodes[k] - t) <= _NODE_INDEX_TOL * max(1.0, abs(self.t_end)))
+        return k, bool(abs(self.nodes[k] - t) <= tol)
 
     def node_index(self, t: float) -> int:
         """Index of the node nearest_node matches t to, else DomainError."""

@@ -1,18 +1,22 @@
 """The checks-path kernels against the code they replaced, bit for bit: the
 dimension-1 Newton step against np.linalg.solve, the pre-drawn tube windows
-against the one-point draw per step, the array form of audit_hypotheses
-against its one-sample loop; and the Generator equivalences the samplers
-rely on, so that a numpy upgrade that breaks one fails here instead of
-moving results."""
+against the one-point draw per step, the seeding pass of the keyed streams
+against PCG64(SeedSequence(key)), the per-row table reads against one read
+per row, the array form of audit_hypotheses against its one-sample loop;
+and the Generator equivalences the samplers rely on, so that a numpy
+upgrade that breaks one fails here instead of moving results."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from pdhj import evolution, minimax
-from pdhj.errors import AuditError, DomainError
-from pdhj.evolution import OperatorSpec, _ball_points, _implicit_step_batch, _newton_steps, \
-    _tube_draws, audit_hypotheses, build_p_laplacian, make_linear_operator, sample_reachable_set
-from pdhj.game import StateLattice, dp_value, isaacs_game
+from pdhj.errors import AuditError, DomainError, LatticeCoverageError
+from pdhj.evolution import OperatorSpec, _ball_points, _implicit_step_batch, _keyed_streams, \
+    _newton_steps, _pcg64_seeds, _tube_draws, audit_hypotheses, build_p_laplacian, \
+    make_linear_operator, sample_reachable_set
+from pdhj.game import StateLattice, ValueTable, adversary_pool, dp_value, isaacs_game
 from pdhj.minimax import Site, site_checks
 from pdhj.pathcore import Path, StateSpace, TimeGrid
 from scalar_reference import _ball_point, _sample_reference, audit_hypotheses_reference, \
@@ -172,6 +176,106 @@ def test_samples_are_the_sequential_solves(L, n_steps):
         assert rep.forcing_trace.tobytes() == want.forcing_trace.tobytes()
 
 
+class _ZeroNormals:
+    """A generator whose standard_normal gives the zero direction at the
+    draws (counted from 0) that zero_at holds, counting the uniforms taken."""
+
+    def __init__(self, rng, zero_at):
+        self.rng, self.zero_at, self.normals, self.uniforms = rng, zero_at, 0, 0
+
+    def standard_normal(self, size=None):
+        drawn = self.rng.standard_normal(size)
+        self.normals += 1
+        if self.normals - 1 in self.zero_at:
+            return 0.0 if size is None else np.zeros(size)
+        return drawn
+
+    def random(self):
+        self.uniforms += 1
+        return self.rng.random()
+
+    def uniform(self):  # the reference's call
+        self.uniforms += 1
+        return self.rng.uniform()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_zero_direction_takes_no_uniform(dim, monkeypatch):
+    # lane 0's second direction is zero, lane 1's first and third: those
+    # steps draw the zero point and no uniform, as the one-point draw does
+    keys, steps, zero_at = [[3, 0], [3, 1]], [4, 3], ({1}, {0, 2})
+    made, keyed = [], evolution._keyed_streams
+
+    def patched(keys):
+        for n, rng in enumerate(keyed(keys)):
+            made.append(_ZeroNormals(rng, zero_at[n]))
+            yield made[-1]
+
+    monkeypatch.setattr(evolution, "_keyed_streams", patched)
+    draws = _tube_draws(keys, steps, dim, np.ones(2))
+    refs = [_ZeroNormals(np.random.default_rng(key), zeros) for key, zeros in zip(keys, zero_at)]
+    for n, ref in enumerate(refs):
+        for j in range(steps[n]):
+            got = _ball_points(draws, np.array([n]), np.array([j]), np.array([1.5]))[0]
+            assert got.tobytes() == _ball_point(ref, dim, 1.5).tobytes()
+    assert [gen.uniforms for gen in made] == [ref.uniforms for ref in refs] == [3, 1]
+    assert draws[2].tolist() == [[True, False, True, True], [False, True, False, False]]
+
+
+# ---------------------------------------------------------------------------
+# the keyed streams
+# ---------------------------------------------------------------------------
+
+EDGE_SEEDS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5)
+
+
+def _stream_keys() -> list:
+    """Over 10,000 keys: [seed, i] pairs and plain integers, with the edge
+    values of the words SeedSequence splits an integer into, and keys of
+    more than four 32-bit words (SeedSequence's extra mixing loop)."""
+    rng = np.random.default_rng(16)
+    keys = [[seed, i] for seed in EDGE_SEEDS + (7, 12345) for i in range(1_300)]
+    keys += [[i, seed] for i in (0, 3) for seed in EDGE_SEEDS]
+    keys += list(EDGE_SEEDS) + list(range(1_000)) + rng.integers(0, 2 ** 63, 1_000).tolist()
+    keys += [rng.integers(0, 2 ** 32, n).tolist() for n in (5, 6, 7, 9) for _ in range(50)]
+    keys += [2 ** 200 + 7, [2 ** 64 + 5, 2 ** 96, 3], [2 ** 32 - 1] * 6,
+             [np.int64(3), np.uint32(7)], np.uint64(2 ** 63)]
+    return keys
+
+
+def test_seeding_pass_is_seed_sequence():
+    keys = _stream_keys()
+    assert len(keys) >= N_DRAWS
+    assert sum(isinstance(key, list) and len(key) > 4 for key in keys) > 200
+    want = [(state["state"]["state"], state["state"]["inc"]) for state in
+            (np.random.PCG64(np.random.SeedSequence(key)).state for key in keys)]
+    assert list(_pcg64_seeds(keys)) == want
+
+
+def test_keyed_streams_draw_as_default_rng():
+    keys = [[5, i] for i in range(40)] + list(EDGE_SEEDS) + [[2 ** 64 + 5, 1, 2, 3, 4]]
+    for key, rng in zip(keys, _keyed_streams(keys)):
+        fresh = np.random.default_rng(key)
+        # a normal, a uniform, and a uint32 half left over for the next key to drop
+        got, want = ([gen.standard_normal(3), gen.random(), gen.integers(5, size=3)]
+                     for gen in (rng, fresh))
+        for a, b in zip(got, want):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize("n_q,budget,seed,cells", [
+    (3, 12, 0, 16), (2, 9, 2 ** 32 - 1, 5), (4, 7, 2 ** 64 + 5, 3), (3, 3, 1, 4)])
+def test_adversary_pool_columns_are_default_rng(n_q, budget, seed, cells):
+    labels, q = adversary_pool(n_q, budget, seed, cells)
+    assert q.shape == (cells, budget)
+    randoms = range(budget - n_q - 1)
+    assert labels[n_q + 1:] == [f"random[{seed + i}]" for i in randoms]
+    for i in randoms:
+        want = np.random.default_rng(seed + i).integers(n_q, size=cells)
+        assert q[:, n_q + 1 + i].tobytes() == want.tobytes()
+
+
 def _no_solve(*args, **kwargs):
     raise AssertionError("a lane solve started")
 
@@ -226,3 +330,114 @@ def test_audit_raises_the_first_non_finite_sample(name):
     assert got.sample["t"] == want.sample["t"]
     assert got.sample["x"].tobytes() == want.sample["x"].tobytes()
     assert got.sample["y"].tobytes() == want.sample["y"].tobytes()
+
+
+def test_non_integer_seeds_are_refused_before_any_work(monkeypatch):
+    spec, grid = isaacs_game(), TimeGrid(0.0, 1.0, 8)
+    table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,)))
+    for module in (evolution, minimax):
+        monkeypatch.setattr(module, "_lockstep_solve", _no_solve)
+    monkeypatch.setattr(ValueTable, "interp_batch", _no_solve)  # no site reads its table
+    site = Site(grid.nodes[2], Path.constant(grid, [0.2]), [1.0], (("sub", 4), ("sub", 1.5)))
+    with pytest.raises(DomainError, match=r"^site 1: check seed 1.5 must be an integer$"):
+        site_checks(table, spec, [site._replace(checks=(("scan", 0),)), site], 0.25, 16)
+    hist = Path.constant(TimeGrid(0.0, 1.0, 4), [0.3])
+    with pytest.raises(DomainError, match=r"^seed must be an integer, got 1.5$"):
+        sample_reachable_set(make_linear_operator(), 0.0, hist, 4, 1.5, lipschitz_L=1.0)
+    with pytest.raises(DomainError, match=r"^seed must be an integer, got 2.0$"):
+        adversary_pool(3, 8, np.float64(2.0), 4)
+    with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+        adversary_pool(3, 8, -1, 4)
+
+
+def test_numpy_integer_seeds_are_accepted():
+    hist = Path.constant(TimeGrid(0.0, 1.0, 4), [0.3])
+    op = make_linear_operator()
+    for got, want in zip(sample_reachable_set(op, 0.0, hist, 3, np.uint16(9), lipschitz_L=1.0),
+                         sample_reachable_set(op, 0.0, hist, 3, 9, lipschitz_L=1.0)):
+        assert got.path.values.tobytes() == want.path.values.tobytes()
+    got, want = adversary_pool(3, 8, np.int32(5), 4), adversary_pool(3, 8, 5, 4)
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+    spec, grid = isaacs_game(), TimeGrid(0.0, 1.0, 8)
+    table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,)))
+    site = Site(grid.nodes[2], Path.constant(grid, [0.2]), [1.0], (("sub", np.int64(4)),))
+    (got,), = site_checks(table, spec, [site], 0.25, 16)
+    (want,), = site_checks(table, spec, [site._replace(checks=(("sub", 4),))], 0.25, 16)
+    assert type(got.seed) is np.int64  # the report keeps the seed it was given
+    assert repr(dataclasses.replace(got, seed=4)) == repr(want)
+
+
+# ---------------------------------------------------------------------------
+# table reads with one time per row
+# ---------------------------------------------------------------------------
+
+def _table(dim: int) -> ValueTable:
+    grid = TimeGrid(0.0, 1.0, 8)
+    lattice = StateLattice(lo=(-1.0,), hi=(0.6,), shape=(17,)) if dim == 1 \
+        else StateLattice(lo=(-1.0, -0.5), hi=(1.0, 0.5), shape=(9, 5))
+    rng = np.random.default_rng(17 + dim)
+    shape = (grid.n_steps + 1,) + lattice.shape
+    return ValueTable(grid=grid, lattice=lattice, v_minus=rng.standard_normal(shape),
+                      v_plus=rng.standard_normal(shape))
+
+
+def _rows(table: ValueTable, n: int, seed: int, pad: float = 0.0):
+    """n times, on nodes (some within the node match's tolerance) and off
+    them, the grid's ends included, and n states in the lattice box widened
+    by pad per side."""
+    rng = np.random.default_rng(seed)
+    nodes = table.grid.nodes
+    times = np.concatenate([nodes[rng.integers(0, len(nodes), n // 2)],
+                            rng.uniform(0.0, 1.0, n - n // 2 - 4),
+                            [0.0, 1.0, nodes[3] + 1e-12, nodes[5] - 1e-13]])
+    lo, hi = np.array(table.lattice.lo) - pad, np.array(table.lattice.hi) + pad
+    states = lo + (hi - lo) * rng.uniform(0.0, 1.0, (n, table.lattice.dim))
+    states[:4] = [lo, hi, lo, hi]
+    return rng.permutation(times), states
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_per_row_reads_are_the_row_by_row_reads(dim, side):
+    table = _table(dim)
+    times, states = _rows(table, 60, dim)
+    for rows in (slice(None), np.isin(times, table.grid.nodes)):  # mixed, and all on a node
+        got = table.interp_batch(side, times[rows], states[rows])
+        want = [table.interp_batch(side, float(t), state[None])[0]
+                for t, state in zip(times[rows], states[rows])]
+        assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_per_row_gradients_are_the_row_by_row_gradients(dim, side):
+    # in 1-D, states up to two spacings past the box: some probes clip, and
+    # some rows read nothing (a 2-D probe keeps the other coordinate, which
+    # must lie in the box)
+    table = _table(dim)
+    pad = 2.0 * table.lattice.spacing[0] if dim == 1 else 0.0
+    times, states = _rows(table, 60, 10 + dim, pad=pad)
+    got = table.gradient(side, times, states)
+    assert (got == 0.0).any() == (dim == 1)
+    for row, t, state in zip(got, times, states):
+        assert row.tobytes() == table.gradient(side, float(t), state[None])[0].tobytes()
+
+
+def test_a_per_row_read_is_refused_as_the_one_time_read():
+    # rows 1 and 2 leave the box [-1, 0.6], row 2 by the most; the refusal
+    # carries every row's margins, whatever each row's time
+    table = _table(1)
+    states = np.array([[0.0], [0.7], [-1.3], [0.6]])
+    errors = []
+    for t in (np.array([0.25, 0.3, 0.5, 1.0]), 0.3):
+        with pytest.raises(LatticeCoverageError) as err:
+            table.interp_batch("upper", t, states)
+        errors.append(err.value)
+    got, want = errors
+    assert str(got) == str(want) == ("state leaves the lattice by 3.000000e-01; "
+                                     "expand bounds by at least that margin")
+    assert got.margin == want.margin == table.lattice.coverage_margins(states).max()
+    assert got.margins.tobytes() == want.margins.tobytes() \
+        == table.lattice.coverage_margins(states).tobytes()
+    with pytest.raises(DomainError, match=r"^t=1.5 outside grid span \[0.0, 1.0\]$"):
+        table.interp_batch("upper", np.array([0.5, 1.5, -1.0, 0.25]), states)

@@ -251,11 +251,15 @@ class TestStaggeredLanes:
         values, trace, iters, res = evolution._lockstep_solve(
             op, nodes, history.copy(), start, end, np.full(m, 2.0), evolution.STEP_TOL,
             self._forcing(kicks, np.arange(m), seen))
-        # each step sees exactly the lanes whose window covers it, and a step
-        # that no window covers is not taken
-        want = [(k, [lane for lane, (a, b) in enumerate(windows) if a <= k < b])
-                for k in range(start.min(), end.max())]
-        assert [(k, active.tolist()) for k, active in seen] == [w for w in want if w[1]]
+        # step j sees exactly the lanes whose window holds a j-th step, each
+        # at its own node a + j, ordered by node and then by lane; the loop
+        # takes as many steps as the longest window
+        order = sorted(range(m), key=lambda lane: (windows[lane][0], lane))
+        length = [b - a for a, b in windows]
+        want = [([windows[lane][0] + j for lane in order if j < length[lane]],
+                 [lane for lane in order if j < length[lane]])
+                for j in range(max(length))]
+        assert [(k.tolist(), active.tolist()) for k, active in seen] == want
         for lane, (a, b) in enumerate(windows):
             one = evolution._lockstep_solve(op, nodes, history[:, lane:lane + 1].copy(), a, b,
                                             np.array([2.0]), evolution.STEP_TOL,
@@ -266,6 +270,33 @@ class TestStaggeredLanes:
             for got, alone in zip((trace, iters, res), one[1:]):
                 assert got[:b - a, lane].tobytes() == alone[:, 0].tobytes()
                 assert not got[b - a:, lane].any()
+
+    @pytest.mark.parametrize("kicks,message", [
+        # lane 0 breaks the bound at its window step 0 (node 3), lane 1 at its
+        # window step 1 (node 1): the earlier window step wins, however late its node
+        ({(0, 3): 9.0, (1, 1): 7.0}, "forcing magnitude 9.000000e+00 exceeds L(1+sup) = "
+                                     "1.500000e+00 at step 3"),
+        # both break it at window step 0: the earlier node wins, though its lane is higher
+        ({(0, 3): 9.0, (1, 0): 7.0}, "forcing magnitude 7.000000e+00 exceeds L(1+sup) = "
+                                     "1.500000e+00 at step 0"),
+        # lanes 0 and 2 at node 3 in window step 0: the lower lane
+        ({(2, 3): 8.0, (0, 3): 9.0}, "forcing magnitude 9.000000e+00 exceeds L(1+sup) = "
+                                     "1.500000e+00 at step 3"),
+    ], ids=["earlier-window-step", "earlier-node", "lower-lane"])
+    def test_the_earliest_window_step_then_node_then_lane_raises(self, kicks, message):
+        start, end = np.array([3, 0, 3]), np.array([7, 4, 5])
+        history = np.full((self.grid.n_steps + 1, 3, 1), 0.5)
+        forcing = np.zeros((3, self.grid.n_steps, 1))
+        for (lane, k), size in kicks.items():
+            forcing[lane, k] = size
+
+        def step_forcing(k, lanes, values, bound):
+            return forcing[lanes, k]
+
+        with pytest.raises(ContractError) as err:
+            evolution._lockstep_solve(make_linear_operator(), self.grid.nodes, history, start, end,
+                                      np.ones(3), evolution.STEP_TOL, step_forcing)
+        assert str(err.value) == message
 
     def test_no_lanes_take_no_step(self):
         seen = []
@@ -539,6 +570,22 @@ class TestOffLatticeOrder:
         # nodes later
         assert got.value.margin == 0.042722117280852845
 
+    def test_a_read_names_the_first_window_step_off_the_lattice(self):
+        # window step 1 leaves the box [-1, 0.6] by 0.1 and 0.05, step 2 by
+        # 0.5: one read of every row names step 1's largest margin, with its
+        # rows' margins, as one read per window step would
+        _, grid, table = _edge_setup()
+        steps = np.array([0, 0, 1, 1, 2, 2])
+        states = np.array([[0.0], [0.5], [0.65], [0.7], [-1.5], [0.0]])
+        with pytest.raises(LatticeCoverageError) as got:
+            minimax._read_rows(table, "upper", grid.nodes[[3, 5, 4, 6, 5, 7]], states, steps)
+        with pytest.raises(LatticeCoverageError) as want:
+            table.interp_batch("upper", grid.nodes[4], states[2:4])
+        assert str(got.value) == str(want.value) == (
+            "state leaves the lattice by 1.000000e-01; expand bounds by at least that margin")
+        assert got.value.margin == want.value.margin
+        assert got.value.margins.tobytes() == want.value.margins.tobytes()
+
     def test_viscosity_scan_names_largest_margin_of_first_node(self):
         # constant[p1,q1] alone leaves at the second window node; constant[p0,q1],
         # the first in candidate order to leave, does so by 3.629637e-02 two
@@ -728,6 +775,27 @@ class TestSiteChecks:
             minimax.site_checks(table, spec, [late, early], 0.5, 12)
         assert str(got.value) == errors[1]
 
+    def test_the_earlier_window_step_wins_across_sites(self):
+        # the early site (window from node 4) goes non-finite at its window
+        # step 2 (t = 0.375), the late one (from node 8, past the cost limit
+        # from the start) at its window step 0 (t = 0.5): time-major the early
+        # site's error would come first, window-major the late one's does
+        spec, grid, table = _edge_setup(0.55)
+        z = np.array([0.5])
+        late = minimax.Site(grid.nodes[8], Path.constant(grid, [0.58]), z, (("super", 1),))
+        early = minimax.Site(grid.nodes[4], Path.constant(grid, [0.4]), z, (("sub", 0),))
+        errors = []
+        for site in (late, early):
+            with pytest.raises(EvaluationError) as got:
+                minimax.site_checks(table, spec, [site], 0.5, 12)
+            errors.append(str(got.value))
+        assert errors == ["non-finite running cost at t=0.5, p=0.0, q=0.0",
+                          "non-finite running cost at t=0.375, p=0.0, q=0.0"]
+        for sites in ([late, early], [early, late]):
+            with pytest.raises(EvaluationError) as got:
+                minimax.site_checks(table, spec, sites, 0.5, 12)
+            assert str(got.value) == errors[0]
+
     def test_a_path_dependent_lane_reads_its_own_stopped_window(self, desk):
         # the isaacs callbacks alone: every lane's stage terms read path_of,
         # which must give the lane's stopped path on its own site's window
@@ -770,7 +838,7 @@ class TestSiteChecks:
         spec, grid, table = desk
         calls = _count_lane_sets(monkeypatch)
         read = []
-        monkeypatch.setattr(ValueTable, "interp", lambda *args: read.append(args))
+        monkeypatch.setattr(ValueTable, "interp_batch", lambda *args: read.append(args))
         good = minimax.Site(grid.nodes[2], Path.constant(grid, [0.1]), np.array([0.5]),
                             (("sub", 0),))
         bad = minimax.Site(grid.nodes[4], Path.constant(grid, state), z, (("scan", 1),))
@@ -808,7 +876,9 @@ class TestSiteChecks:
 
     def test_minimax_check_run_takes_stage_terms_once_per_step(self, tmp_path, monkeypatch):
         # inside site_checks, lane_terms is called by the lane solve's steps
-        # alone: a scan's F0 is its lanes' first Hamiltonian, not a call of its own
+        # alone, once per (window step, distinct time): a scan's F0 is its
+        # lanes' first Hamiltonian, not a call of its own.  The main set and
+        # the mutation control take 4 window steps each
         steps, terms, inside = [], [], []
         _count_lane_sets(monkeypatch, steps)
         lane_terms, site_checks = GameSpec.lane_terms, minimax.site_checks
@@ -828,4 +898,5 @@ class TestSiteChecks:
         monkeypatch.setattr(cli, "site_checks", within)
         with open(MINIMAX_CONFIG) as fh:
             assert cli.run(json.load(fh), str(tmp_path)) == 0
-        assert terms.count(True) == len(steps) == 33
+        assert len(steps) == 8
+        assert terms.count(True) == sum(len(np.unique(k)) for k, _ in steps) == 64

@@ -56,12 +56,10 @@ lanes deciding there in one batch and answers their greedy lanes with one
 batched lookahead, before the step's stage terms, its forcing-bound check
 and its implicit step; it plays every partition and pool as one lane set,
 time-major (its lanes share a start), so an earlier step's error wins
-whichever partition and pool it is on (partition by partition, the first
-partition's error came first however late its step).  A residual run's
+whichever partition and pool it is on.  A residual run's
 sites step together, window-major, so the earliest window step's error
 wins, then the earliest time's, then the lowest lane's, whichever site it
-is on (time-major, the earliest time won; site by site, the first site's
-error would come first however late its step), and a
+is on, and a
 non-finite stage term of any lane raises during the solve, at its step, in
 (lane, p, q) order (a viscosity scan's lanes too check their full control
 grid); the characteristic functional then has only its table-read phase,
@@ -78,8 +76,7 @@ SolverError, naming its slice's k), then one table read of both sides per
 slice in recursion order.  So every stage-term or probe error comes before
 any step error, and every step error before any coverage error; a coverage
 error names the first slice in recursion order with a successor off the
-lattice, and the cell with the largest margin in it.  (Slice by slice, a
-slice's step and read came before the next slice's stage terms.)  The
+lattice, and the cell with the largest margin in it.  The
 sampled Hamiltonians of
 pdhj.game (sampled_hamiltonians, which isaacs-check and the Lipschitz audit
 use) take them one time group at a time: the distinct sample times in order
@@ -311,9 +308,13 @@ def _implicit_step_batch(op: OperatorSpec, t_next, dt, targets: np.ndarray,
     finite-difference Jacobian per lane, one batched solve, and one
     line-search schedule for all lanes with the same acceptance test, so each
     lane's arithmetic does not depend on the other lanes.  While every row is
-    live the kernel indexes no rows.  In dimension 1 the Newton step is the
-    quotient -g/J, the bits np.linalg.solve gives there, and a row with J = 0
-    is singular, as np.linalg.solve finds it.  A lane that stalls (a singular
+    live the kernel indexes no rows.  In dimension 1 the Jacobian is the one
+    column (g(X + fd) - g) / fd, the Newton step the quotient -g/J, the bits
+    np.linalg.solve gives there, and a row with J = 0 is singular, as
+    np.linalg.solve finds it.  When no live row is singular, the full step
+    (lambda = 1) is tried on every row at once, and the rows that reject it
+    go on halving from lambda = 1/2, so each row accepts the lambda the
+    schedule gives it alone.  A lane that stalls (a singular
     Jacobian, an exhausted line search, or NEWTON_MAX_ITER iterations) keeps
     its iteration count and goes to _fallback_step with its own row's t_next,
     dt and step_index.  Stalled lanes fall back in lane order, so the
@@ -355,14 +356,29 @@ def _implicit_step_batch(op: OperatorSpec, t_next, dt, targets: np.ndarray,
             iters[live] += 1
             X = xi[live]
         fd = 1e-7 * (1.0 + _row_norms(X))
-        jac = np.empty((len(X), dim, dim))
-        for j in range(dim):
-            e = np.zeros_like(X)
-            e[:, j] = fd
-            jac[:, :, j] = (g(X + e, live) - gx) / fd[:, None]
-        step, ok = _newton_steps(jac, gx)
-        pending = ok.copy()
+        if dim == 1:  # the Jacobian is one column, the step the quotient
+            jac = (g(X + fd[:, None], live) - gx) / fd[:, None]
+            step, ok = _newton_steps(jac[:, :, None], gx)
+        else:
+            jac = np.empty((len(X), dim, dim))
+            for j in range(dim):
+                e = np.zeros_like(X)
+                e[:, j] = fd
+                jac[:, :, j] = (g(X + e, live) - gx) / fd[:, None]
+            step, ok = _newton_steps(jac, gx)
         lam = 1.0
+        if ok.all():  # the full step on every row at once
+            trial = X + step
+            gt = g(trial, live)
+            accept = _row_norms(gt) <= 0.75 * r
+            pending = ~accept
+            if pending.any():
+                X[accept], gx[accept] = trial[accept], gt[accept]
+            else:  # every row took it
+                X[...], gx = trial, gt
+            lam = 0.5
+        else:
+            pending = ok.copy()
         while lam >= 1e-6 and pending.any():
             idx = np.flatnonzero(pending)
             trial = X[idx] + lam * step[idx]
@@ -563,11 +579,13 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
     trace = np.zeros((steps, m, dim))
     iters = np.zeros((steps, m), dtype=int)
     res = np.zeros((steps, m))
-    # running max of the node norms up to t_k (np.linalg.norm over the coordinates)
+    # running max of the node norms up to t_k (np.linalg.norm over the coordinates,
+    # whose bits _row_norms gives in dimension 1)
+    node_norms = _row_norms if dim == 1 else lambda V: np.linalg.norm(V, axis=-1)
     node_sup = np.empty(m)
     for k0 in np.unique(start):
         held = start == k0
-        node_sup[held] = np.max(np.linalg.norm(values[: k0 + 1, held], axis=2), axis=0)
+        node_sup[held] = np.max(node_norms(values[: k0 + 1, held]), axis=0)
 
     order = np.arange(m) if shared else np.argsort(start, kind="stable")  # by node, then lane
     for j in range(steps):
@@ -587,7 +605,7 @@ def _lockstep_solve(op: OperatorSpec, nodes: np.ndarray, values: np.ndarray, sta
                                 f"{bound[lane]:.6e} at step {k if shared else k[lane]}")
         x_next, iters[j, lanes], res[j, lanes] = _drift_step(op, t_k1, dt, x_k, f, rel_tol, k)
         values[k + 1, lanes] = x_next
-        node_sup[lanes] = np.maximum(node_sup[lanes], np.linalg.norm(x_next, axis=1))
+        node_sup[lanes] = np.maximum(node_sup[lanes], node_norms(x_next))
         trace[j, lanes] = f
     return values, trace, iters, res
 

@@ -35,8 +35,8 @@ from .errors import (
 from .evolution import STEP_SOLVE_TOL, OperatorSpec, _drift_step, _keyed_streams, \
     _lockstep_solve, _over_growth_bound, _seed_problem, make_linear_operator, \
     sample_reachable_set
-from .pathcore import Path, TimeGrid, _row_dots, _row_norms, extend_history, pad_paths, \
-    stopped_at, stopped_sup_sq, stopped_value_at, values_at
+from .pathcore import Path, TimeGrid, _row_dots, _row_norms, _sum_sq, extend_history, \
+    pad_paths, stopped_at, stopped_sup_sq, stopped_value_at, values_at
 from .upsilon import LyapunovParams, surrogate_terms
 
 COVERAGE_TOL = 1e-9  # states farther than this outside the lattice box are refused
@@ -148,7 +148,7 @@ class GameSpec:
                               f"expected {grid_shape + (dim,)} and {grid_shape}")
         if played is not None:
             drift, cost = drift[played], cost[played]
-        bad_drift = ~np.isfinite(drift).all(axis=-1)
+        bad_drift = ~(np.isfinite(drift[..., 0]) if dim == 1 else np.isfinite(drift).all(axis=-1))
         bad = bad_drift | ~np.isfinite(cost)
         if bad.any():
             first = int(np.argmax(bad.ravel()))
@@ -340,8 +340,12 @@ class StateLattice:
         """How far each row of states lies outside the lattice box (0 inside);
         +inf for a row with a non-finite entry, which no lattice covers."""
         # a coordinate lies past at most one bound; NaN propagates to its row
-        margins = np.maximum(np.max(np.maximum(states - np.asarray(self.hi),
-                                               np.asarray(self.lo) - states), axis=1), 0.0)
+        if states.shape[1] == 1 == self.dim:  # the one coordinate, the max over it
+            x = states[:, 0]
+            margins = np.maximum(np.maximum(x - self.hi[0], self.lo[0] - x), 0.0)
+        else:
+            margins = np.maximum(np.max(np.maximum(states - np.asarray(self.hi),
+                                                   np.asarray(self.lo) - states), axis=1), 0.0)
         margins[np.isnan(margins)] = np.inf
         return margins
 
@@ -747,7 +751,7 @@ class FeedbackStrategy:
             offsets[:, d, 1, d] = -steps
         return offsets.reshape(-1, dim)
 
-    def companion_minima(self, t: float, X: np.ndarray):
+    def companion_minima(self, t: float, X: np.ndarray, carried=None):
         """Approximate argmin of u + nu for many games at one node, as arrays
         (totals, kinds, indices, gradients) of shapes (game,), (game,), (game,)
         and (game, dim): the shifted value u_a(t, x), the winning kind as a
@@ -761,12 +765,20 @@ class FeedbackStrategy:
         traces, the probes and the path ends.  If it is refused, a trace off
         the lattice raises the error its own read would; otherwise the rows
         on the lattice are read again, and the others read +inf and are
-        dropped.  One scan over the nodes carries each (game, path
-        candidate) pair's running maximum of |x - y|^2 and its last
-        difference, and one surrogate_terms call scores every candidate.  The
-        first minimum wins, so ties keep the earlier kind and the smaller
-        index.  Each game's entries are bit-identical to a call with that
-        game alone.
+        dropped.  A scan over the nodes, one np.maximum per node, carries
+        each (game, path candidate) pair's running maximum of |x - y|^2 and
+        takes its last difference, and one surrogate_terms call scores every
+        candidate.  The first minimum wins, so ties keep the earlier kind and
+        the smaller index.  Each game's entries are bit-identical to a call
+        with that game alone.
+
+        carried = (sup_sq, covered) resumes the scan: sup_sq, shape (game,
+        path candidate), holds each pair's maximum over the game's nodes up
+        to covered[game] (-1: none), and is updated in place through the
+        last node; the scan folds in only the nodes from the earliest
+        covered node onward.  The maximum is exact and folding a node twice
+        changes nothing, so the result is the full scan's, bit for bit.
+        Without carried every node is scanned.
         """
         n_games, dim = X.shape[1], X.shape[2]
         # the trace is the zero offset; a probe's difference rises to its
@@ -788,12 +800,16 @@ class FeedbackStrategy:
         # columns: the trace, the probes, then the path candidates
         u_vals = np.hstack([u_ends[:n_own].reshape(n_games, len(fixed)),
                             np.broadcast_to(u_ends[n_own:], (n_games, paths.shape[1]))])
-        sup_sq = np.zeros((n_games, paths.shape[1]))  # exact: squared sums are >= +0.0
-        for x, y in zip(X, paths):
+        if carried is None:
+            sup_sq, first = np.zeros((n_games, paths.shape[1])), 0  # exact: squares are >= +0.0
+        else:
+            sup_sq, covered = carried
+            first = min(int(covered.min(initial=len(X))) + 1, len(X) - 1)
+        for x, y in zip(X[first:], paths[first:]):
             diff = x[:, None, :] - y
-            sq = np.sum(diff ** 2, axis=-1)
+            sq = _sum_sq(diff)
             np.maximum(sup_sq, sq, out=sup_sq)
-        fixed_sq = np.broadcast_to(np.sum(fixed ** 2, axis=-1), (n_games, len(fixed)))
+        fixed_sq = np.broadcast_to(_sum_sq(fixed), (n_games, len(fixed)))
         last = np.concatenate([np.broadcast_to(fixed, (n_games,) + fixed.shape), diff], axis=1)
         ups, factor = surrogate_terms(np.hstack([fixed_sq, sup_sq]), np.hstack([fixed_sq, sq]))
         alpha = self.params.alpha(t)
@@ -927,8 +943,11 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     its own partition's nodes.  At a simulation node the lanes whose
     partition has it get, per distinct partition time there (one wherever
     the partitions' nodes are bit-equal), one companion_minima call (u at the
-    node, and the gradient that aims the next control), one select_controls
-    call and one greedy_lookahead batch over their GREEDY lanes, which
+    node, and the gradient that aims the next control; each lane carries its
+    scan's running maxima from its previous partition node, so a call folds
+    in only the nodes since), one
+    select_controls call and one greedy_lookahead batch over their GREEDY
+    lanes, which
     refuses a scored (game, q) drift above l_f (1 + sup-norm of the stopped
     path) with ContractError.  The simulation steps are one _lockstep_solve
     call over all lanes at STEP_SOLVE_TOL: each step makes one lane_terms call at the held pairs,
@@ -974,6 +993,10 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
     values = np.repeat(strategy.x0.values[:, None, :], m, axis=1)  # (node, lane, coordinate)
     step_cost, u = np.zeros((n_max, m)), np.zeros((n_max + 1, m))
     cell = np.zeros(m, dtype=int)  # the partition node each lane reaches next
+    # the companion scan's carry: each (lane, path candidate)'s running maximum of
+    # |x - y|^2 over the lane's nodes up to covered[lane] (-1: none yet)
+    sup_sq = np.zeros((m, strategy._paths.shape[1]))
+    covered = np.full(m, -1)
 
     def decide(k, bound=None):
         """Node k's companion minima and, before T, its control picks and greedy
@@ -986,8 +1009,10 @@ def play_feedback_games(strategy: FeedbackStrategy, partitions, q_tables) -> lis
         for t in np.unique(at[k][~np.isnan(at[k])]):
             group = np.flatnonzero(at[k] == t)
             i = cell[group]
+            carry = sup_sq[group]
             u[i, group], kind[i, group], index[i, group], gradients = \
-                strategy.companion_minima(t, values[: k + 1, group])
+                strategy.companion_minima(t, values[: k + 1, group], (carry, covered[group]))
+            sup_sq[group], covered[group] = carry, k
             if k == n_last:
                 continue
             p[i, group] = strategy.select_controls(

@@ -14,8 +14,10 @@ stepping together window-major on the value table's nodes, each site's
 lanes over its own window: step j moves every lane at its own site's node
 t0 + j.  A run raises the first error in this order: a check kind, a check
 seed (not an integer, or below 0) or a site dimension it refuses, before
-any work; each site's window and history, site by site; one read of the
-table at every site's state (the largest margin among the sites); then the
+any work; each site's window and the span of its history (a time outside
+its x0's span), site by site; the histories' values, built in one values_at
+call and validated site by site; one read of the table at every site's
+state (the largest margin among the sites); then the
 lane solve, window-major across the sites, so the earliest window step's
 error wins, then the earliest time's, then the lowest lane's, whichever
 site it is on (the phases of each step are _candidate_runs').  A scan's
@@ -41,7 +43,8 @@ from .evolution import STEP_TOL, _ball_points, _lockstep_solve, _ragged_index, _
     _tube_draws
 from .game import COVERAGE_TOL, GameSpec, StateLattice, ValueTable, _coverage_error, dp_value, \
     dp_values, is_upper_side, minimax_records, with_drift_perturbation, with_terminal_shift
-from .pathcore import Path, TimeGrid, _row_dots, extend_history, stopped_at
+from .pathcore import Path, TimeGrid, _row_dots, extend_histories, history_reads, \
+    pad_paths, stopped_at, values_at
 
 CERTIFICATION_NOTE = "sampled-evidence: pass certifies the searched candidate set only"
 
@@ -400,14 +403,17 @@ def site_checks(u: ValueTable, spec: GameSpec, sites, horizon: float, search_bud
         c_values = (-4.0 * tolerance, -tolerance, 0.0, tolerance, 4.0 * tolerance)
     if not sites:
         return []
-    windows, states0, grids = [], [], {}  # windows: each site with its history on its window grid
-    for t0, x0, z, checks in sites:
-        win_grid, _, _ = _window_grid(u.grid, t0, horizon, grids)
-        hist = extend_history(x0, win_grid, t0)
-        windows.append(Site(t0, hist, np.atleast_1d(np.asarray(z, dtype=float)), checks))
-        states0.append(hist.value_at(t0))
-    u0s = u.interp_batch(side, np.array([site.t0 for site in sites], dtype=float),
-                         np.array(states0)).tolist()
+    win_grids, reads, built = [], [], {}  # each site's window grid and history reads
+    for t0, x0, _, _ in sites:
+        win_grids.append(_window_grid(u.grid, t0, horizon, built)[0])
+        reads.append(history_reads(x0, win_grids[-1], t0))
+    hists = extend_histories([site.x0 for site in sites], win_grids, reads)
+    t0s = np.array([site.t0 for site in sites], dtype=float)
+    states0 = values_at(*pad_paths([grid.nodes for grid in win_grids],
+                                   [hist.values for hist in hists]), t0s)
+    windows = [Site(t0, hist, np.atleast_1d(np.asarray(z, dtype=float)), checks)
+               for (t0, _, z, checks), hist in zip(sites, hists)]
+    u0s = u.interp_batch(side, t0s, states0).tolist()
     runs = _candidate_runs(spec, u, side, windows, search_budget)
     nodes = u.grid.nodes
     scans = [runs.blocks[s][seed] for s, site in enumerate(sites)

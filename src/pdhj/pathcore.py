@@ -17,6 +17,7 @@ from .errors import DomainError
 
 _NODE_TOL = 1e-12
 _NODE_INDEX_TOL = 1e-9  # nearest_node's match tolerance
+_READ_ENTRIES = 1 << 22  # extend_histories' bound on one values_at bisect
 
 
 @dataclass(frozen=True)
@@ -216,16 +217,47 @@ def extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:
     The nodes up to t0 are read with one values_at call, bit for bit
     x0.value_at at each; one outside x0's span raises as value_at does.
     """
-    vals = np.empty((grid.n_steps + 1, x0.dim))
-    xt0 = x0.value_at(min(t0, x0.grid.t_end))
-    past = grid.nodes <= t0 + 1e-12
-    times = grid.nodes[past]
-    outside = (times < x0.grid.t_start - _NODE_TOL) | (times > x0.grid.t_end + _NODE_TOL)
+    return extend_histories([x0], [grid], [history_reads(x0, grid, t0)])[0]
+
+
+def history_reads(x0: Path, grid: TimeGrid, t0: float) -> tuple:
+    """(times, frozen): the nodes of `grid` up to t0, where extend_history
+    reads x0, and x0's value at min(t0, its end), which it holds after
+    them.  A time outside x0's span raises DomainError as value_at does,
+    the frozen value's first."""
+    frozen = x0.value_at(min(t0, x0.grid.t_end))
+    times = grid.nodes[grid.nodes <= t0 + 1e-12]
+    outside = ~x0.grid.contains(times)
     if outside.any():
         x0.grid.require_contains(float(times[outside][0]))
-    vals[past] = values_at(x0.grid.nodes[None], x0.values[None], times[None])[0]
-    vals[~past] = xt0
-    return Path(grid, vals)
+    return times, frozen
+
+
+def extend_histories(x0s, grids, reads) -> list:
+    """extend_history of each (x0, grid) in turn, paths of one dimension,
+    from its history_reads result: values_at calls over the padded x0s read
+    every history's nodes, as many rows at once as keep values_at's
+    (rows, times, nodes) bisect within _READ_ENTRIES entries (one row at
+    least), so the memory is one history's on fine grids.  The histories
+    are built in order, so a non-finite one raises (DomainError) before the
+    next is built."""
+    if not reads:
+        return []
+    at = np.zeros((len(reads), max(len(times) for times, _ in reads)))
+    for row, (x0, (times, _)) in enumerate(zip(x0s, reads)):
+        at[row] = x0.grid.t_start  # padding, at a time in the path's span
+        at[row, :len(times)] = times
+    nodes, values = pad_paths([x0.grid.nodes for x0 in x0s], [x0.values for x0 in x0s])
+    rows = max(1, _READ_ENTRIES // (at.shape[1] * nodes.shape[1]))
+    read = np.concatenate([values_at(nodes[r:r + rows], values[r:r + rows], at[r:r + rows])
+                           for r in range(0, len(at), rows)])
+    paths = []
+    for grid, (times, frozen), row in zip(grids, reads, read):
+        vals = np.empty((grid.n_steps + 1, len(frozen)))
+        vals[:len(times)] = row[:len(times)]
+        vals[len(times):] = frozen
+        paths.append(Path(grid, vals))
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +273,15 @@ def extend_history(x0: Path, grid: TimeGrid, t0: float) -> Path:
 def _row_dots(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot product of each row of X (shape (..., d)) with y (shape (..., d) or
     (d,)), as the one-row product x @ y computes it: a stack of (1, d) @ (d, 1)
-    products matches it bit for bit, where (X * y).sum(-1) and X @ y need not."""
+    products matches it bit for bit, where (X * y).sum(-1) and X @ y need not.
+
+    When d is 1 for both, the result is the one product plus the +0.0 the
+    stacked product's sum starts from (so a -0.0 product reads +0.0), with
+    no reduction over the length-1 axis: the same bits, NaN included.  Last
+    axes that differ go to the stacked product, which refuses them.
+    """
+    if X.shape[-1] == 1 and y.shape[-1] == 1:
+        return X[..., 0] * y[..., 0] + 0.0
     return (X[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
@@ -249,6 +289,15 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of X, equal to the one-row np.linalg.norm
     (np.linalg.norm(X, axis=1) sums the squares another way)."""
     return np.sqrt(_row_dots(X, X))
+
+
+def _sum_sq(X: np.ndarray) -> np.ndarray:
+    """np.sum(X ** 2, axis=-1), the squared norm of each row of X as the
+    pairwise sum takes it; in dimension 1 the one square, the bits that sum
+    gives, without a reduction over the length-1 axis."""
+    if X.shape[-1] == 1:
+        return X[..., 0] ** 2
+    return np.sum(X ** 2, axis=-1)
 
 
 def pad_paths(node_rows, value_rows):
@@ -291,7 +340,7 @@ def stopped_sup_sq(nodes: np.ndarray, values: np.ndarray, t: np.ndarray):
     (|x(s)| is convex on each segment)."""
     xt = values_at(nodes, values, t)
     cur_sq = _row_dots(xt, xt)  # the bits of np.dot(xt, xt)
-    node_sq = np.where(nodes <= t[:, None] + _NODE_TOL, np.sum(values ** 2, axis=-1), -np.inf)
+    node_sq = np.where(nodes <= t[:, None] + _NODE_TOL, _sum_sq(values), -np.inf)
     best = node_sq.max(axis=1)
     return np.where(cur_sq > best, cur_sq, best), xt  # max(best, cur_sq)
 

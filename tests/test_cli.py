@@ -728,6 +728,32 @@ class TestMinimaxSites:
         assert z.tolist() == [0.0, 0.0] and site_checks == (("sub", cfg["seed"]),)
 
 
+
+class TestPlanarPins:
+    """The result.json of two planar runs, pinned by sha256: the 2-D paths of
+    the DP, the residual lanes and the feedback play (the general row
+    kernels, the multi-column Newton step and the carried companion scan in
+    two dimensions), which no shipped config takes."""
+
+    @pytest.mark.parametrize("kind, extra, code, digest", [
+        ("minimax-check",
+         dict(lattice={"lo": [-2.0, -1.0], "hi": [2.0, 3.0], "points": [9, 9]}, sites=4,
+              horizon=0.25, budget=4),
+         1, "9b42f37379464e293649aebe37cc0e0a5e958db8163bc89ff580306e1a4b209f"),
+        ("feedback-run",
+         dict(lattice={"lo": [-2.0, -2.0], "hi": [2.0, 2.0], "points": [9, 9]},
+              partition_steps=[4, 8], budget=8, x0=[0.4, -0.2], library_size=8,
+              calibration_budget=4),
+         0, "05ee4f6fd549b00cba4278ca1a6d367e484deabec4066d07cc23998d077473d8"),
+    ], ids=["minimax-check", "feedback-run"])
+    def test_result_is_pinned(self, kind, extra, code, digest, tmp_path, monkeypatch):
+        import hashlib
+        monkeypatch.setattr(cli, "_build_game", _planar_game)
+        cfg = base_config(kind, grid={"t_end": 1.0, "n_steps": 8}, **extra)
+        assert run(cfg, str(tmp_path)) == code
+        result, = tmp_path.rglob("result.json")
+        assert hashlib.sha256(result.read_bytes()).hexdigest() == digest
+
 def test_refused_config_leaves_no_run_directory(tmp_path, capsys):
     # bilinear does not read cost_weight: the schema refuses it before the run
     cfg = shipped_config("isaacs_check.json")

@@ -104,9 +104,9 @@ def _companion_widths(monkeypatch):
     """The number of games of each companion_minima call, recorded."""
     widths, real = [], FeedbackStrategy.companion_minima
 
-    def counted(self, t, X):
+    def counted(self, t, X, *rest):
         widths.append(X.shape[1])
-        return real(self, t, X)
+        return real(self, t, X, *rest)
 
     monkeypatch.setattr(FeedbackStrategy, "companion_minima", counted)
     return widths
@@ -599,6 +599,64 @@ class TestCompanionMemory:
     def test_transient_memory_does_not_grow_with_the_node_count(self):
         # the scan holds (game, candidate) arrays, never a node axis beside them
         assert self._peak(64) <= 1.2 * self._peak(16)
+
+
+class TestCarriedScan:
+    """Play's companion scan, carried from node to node, against the full
+    rescan of every node at every call."""
+
+    @staticmethod
+    def _partitions():
+        """A 16-step, a 4-step and an 8-step partition whose node 3 sits one
+        ulp past 0.375: at t = 0.125 the 16- and 8-step lanes (the first and
+        the third block) decide together, and at t = 0.375 the 16-step lanes
+        and the nudged ones decide apart, at one simulation node."""
+        nodes = np.linspace(0.0, 1.0, 9)
+        nodes[3] = np.nextafter(0.375, 1.0)
+        return [TimeGrid(0.0, 1.0, 16), TimeGrid(0.0, 1.0, 4), TimeGrid.from_nodes(nodes)]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_play_is_the_full_rescan(self, dim, monkeypatch):
+        spec, table, _, _ = _desk(dim, 8)
+        partitions = self._partitions()
+        params = LyapunovParams.at_epsilon0(lambda_L=spec.lambda_L, horizon=1.0)
+        x0 = [0.4] if dim == 1 else [0.3, -0.2]
+        strategy = extremal_shift_strategy(spec, params, 0.0, Path.constant(table.grid, x0),
+                                           partitions, value=table, library_size=8, seed=5)
+        tables = [adversary_pool(spec.controls.n_q, 6, 1, p.n_steps)[1] for p in partitions]
+        carried = play_feedback_games(strategy, partitions, tables)
+        real, calls = FeedbackStrategy.companion_minima, []
+
+        def rescan(self, t, X, carry):
+            calls.append((t, carry[1].copy()))
+            return real(self, t, X)
+
+        monkeypatch.setattr(FeedbackStrategy, "companion_minima", rescan)
+        rescanned = play_feedback_games(strategy, partitions, tables)
+        for got, want in zip(carried, rescanned):
+            _assert_plays_equal(got, want)
+        times, covers = zip(*calls)
+        assert times.count(0.375) == times.count(np.nextafter(0.375, 1.0)) == 1
+        # a group whose lanes' carries cover different nodes: folded from the earliest
+        assert any(len(set(covered.tolist())) > 1 for covered in covers)
+
+    def test_a_resumed_scan_is_the_full_scan(self):
+        _, _, strategy, _ = _desk(1, 8)
+        nodes = strategy.x0.grid.nodes
+        X = np.random.default_rng(3).uniform(-1.5, 1.5, (len(nodes), 5, 1))
+        k, covered = 6, np.array([-1, 0, 3, 5, 2])
+        sup_sq = np.zeros((5, strategy._paths.shape[1]))
+        for g, c in enumerate(covered):  # each game's carry through its own node
+            if c >= 0:
+                strategy.companion_minima(nodes[c], X[: c + 1, g:g + 1],
+                                          (sup_sq[g:g + 1], np.array([-1])))
+        got = strategy.companion_minima(nodes[k], X[: k + 1], (sup_sq, covered))
+        want = strategy.companion_minima(nodes[k], X[: k + 1])
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        full = np.zeros_like(sup_sq)
+        strategy.companion_minima(nodes[k], X[: k + 1], (full, np.full(5, -1)))
+        assert sup_sq.tobytes() == full.tobytes()
 
 
 # ---------------------------------------------------------------------------

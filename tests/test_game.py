@@ -976,9 +976,9 @@ class TestCompanionOncePerNode:
         calls = []
         original = FeedbackStrategy.companion_minima
 
-        def counted(self, t, X):
+        def counted(self, t, X, *rest):
             calls.append((t, X.shape[1]))
-            return original(self, t, X)
+            return original(self, t, X, *rest)
 
         monkeypatch.setattr(FeedbackStrategy, "companion_minima", counted)
         play, = play_feedback_games(strategy, [partition], [q])

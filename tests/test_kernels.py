@@ -1,26 +1,32 @@
-"""The checks-path kernels against the code they replaced, bit for bit: the
-dimension-1 Newton step against np.linalg.solve, the pre-drawn tube windows
-against the one-point draw per step, the seeding pass of the keyed streams
-against PCG64(SeedSequence(key)), the per-row table reads against one read
-per row, the array form of audit_hypotheses against its one-sample loop;
-and the Generator equivalences the samplers rely on, so that a numpy
-upgrade that breaks one fails here instead of moving results."""
+"""The kernels against the code they replaced, bit for bit: the
+dimension-1 row kernels against the stacked product and the axis
+reductions, the dimension-1 Newton step against np.linalg.solve and the
+scalar step, the pre-drawn tube windows against the one-point draw per
+step, the seeding pass of the keyed streams against PCG64(SeedSequence(key)),
+the per-row table reads against one read per row, the batched histories
+against one extend_history per path, the array form of audit_hypotheses
+against its one-sample loop; and the Generator equivalences the samplers
+rely on, so that a numpy upgrade that breaks one fails here instead of
+moving results."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdhj import evolution, minimax
-from pdhj.errors import AuditError, DomainError, LatticeCoverageError
+from pdhj.errors import AuditError, DomainError, EvaluationError, LatticeCoverageError
 from pdhj.evolution import OperatorSpec, _ball_points, _implicit_step_batch, _keyed_streams, \
     _newton_steps, _pcg64_seeds, _tube_draws, audit_hypotheses, build_p_laplacian, \
     make_linear_operator, sample_reachable_set
-from pdhj.game import StateLattice, ValueTable, adversary_pool, dp_value, isaacs_game
+from pdhj.game import ControlGrid, GameSpec, StateLattice, ValueTable, adversary_pool, \
+    dp_value, isaacs_game
 from pdhj.minimax import Site, site_checks
-from pdhj.pathcore import Path, StateSpace, TimeGrid
-from scalar_reference import _ball_point, _sample_reference, audit_hypotheses_reference, \
-    newton_steps_solve
+from pdhj.pathcore import Path, StateSpace, TimeGrid, _row_dots, _row_norms, _sum_sq, \
+    extend_histories, extend_history, history_reads
+from scalar_reference import _ball_point, _implicit_step, _sample_reference, \
+    audit_hypotheses_reference, newton_steps_solve
 
 N_DRAWS = 10_000
 
@@ -60,6 +66,118 @@ def test_scalar_standard_normal_is_the_one_element_draw():
     got = [b.standard_normal() for _ in range(N_DRAWS)]
     assert _bits(got) == _bits(want)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# the dimension-1 row kernels
+# ---------------------------------------------------------------------------
+
+ROW_SPECIAL = (0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               2.2e-308, 1e200, -1e200, 1e-200, -1e-200)
+
+
+def _stacked_dots(X, y):
+    """The general form of _row_dots: a stack of (1, d) @ (d, 1) products."""
+    return (X[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _row_stacks():
+    """(X, y) pairs of dimension 1: every pair of ROW_SPECIAL, and stacks of
+    1, 2 and 10,000 rows, 2-D to 5-D, with special values strewn in, each
+    against y of X's shape, y broadcast over the leading axis, and y (1,)."""
+    x, y = (a.reshape(-1, 1) for a in np.meshgrid(ROW_SPECIAL, ROW_SPECIAL))
+    yield x, y
+    rng = np.random.default_rng(30)
+    for shape in [(1, 1), (2, 1), (10_000, 1), (3, 4, 1), (2, 3, 5, 1), (2, 2, 3, 4, 1)]:
+        X = rng.standard_normal(shape) * np.exp(rng.uniform(-300.0, 300.0, shape))
+        X.flat[rng.integers(0, X.size, X.size // 4 + 1)] = rng.choice(ROW_SPECIAL, X.size // 4 + 1)
+        for y in (X[::-1].copy(), X[0], np.array([-0.0]), np.array([np.inf])):
+            yield X, y
+
+
+def test_dimension_1_row_dots_are_the_stacked_product():
+    with np.errstate(all="ignore"):
+        for X, y in _row_stacks():
+            want = _stacked_dots(X, y)
+            got = _row_dots(X, y)
+            assert got.shape == want.shape and _bits(got) == _bits(want)
+            assert _bits(_row_dots(X, X)) == _bits(_stacked_dots(X, X))
+
+
+def test_dimension_1_row_norms_and_squares_are_the_general_forms():
+    # _row_norms is also _lockstep_solve's node norm in dimension 1, there
+    # replacing np.linalg.norm over the coordinates
+    with np.errstate(all="ignore"):
+        for X, _ in _row_stacks():
+            norms = _row_norms(X)
+            assert _bits(norms) == _bits(np.sqrt(_stacked_dots(X, X)))
+            assert _bits(norms) == _bits(np.linalg.norm(X, axis=-1))
+            assert _bits(_sum_sq(X)) == _bits(np.sum(X ** 2, axis=-1))
+
+
+def test_other_dimensions_take_the_general_forms():
+    rng = np.random.default_rng(31)
+    X, y = rng.standard_normal((50, 3)), rng.standard_normal(3)
+    assert _bits(_row_dots(X, y)) == _bits(_stacked_dots(X, y))
+    assert _bits(_sum_sq(X)) == _bits(np.sum(X ** 2, axis=-1))
+    # last axes that differ are refused, as the stacked product refuses them
+    for a, b in ((np.ones((3, 1)), np.ones((3, 2))), (np.ones((3, 2)), np.ones(1))):
+        with pytest.raises(ValueError):
+            _row_dots(a, b)
+
+
+def test_an_invalid_dimension_1_product_still_raises():
+    # inf * 0: the stacked product raised naming matmul; the one product names multiply
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError, match="invalid value encountered in multiply"):
+            _row_dots(np.array([[np.inf]]), np.array([[0.0]]))
+        with pytest.raises(FloatingPointError, match="invalid value encountered in matmul"):
+            _row_dots(np.array([[np.inf, 1.0]]), np.array([[0.0, 1.0]]))
+
+
+def test_dimension_1_coverage_margins_are_the_general_form():
+    lattice = StateLattice(lo=(-1.0,), hi=(0.6,), shape=(5,))
+    with np.errstate(all="ignore"):
+        for X, _ in _row_stacks():
+            states = X.reshape(-1, 1)
+            want = np.maximum(np.max(np.maximum(states - np.asarray(lattice.hi),
+                                                np.asarray(lattice.lo) - states), axis=1), 0.0)
+            want[np.isnan(want)] = np.inf
+            assert _bits(lattice.coverage_margins(states)) == _bits(want)
+    # two coordinates against a 1-D lattice still take the general form
+    states = np.array([[0.0, 2.0], [-3.0, 0.0]])
+    assert lattice.coverage_margins(states).tolist() == [2.0 - 0.6, 2.0]
+
+
+@pytest.mark.parametrize("played", [False, True], ids=["full-grid", "played"])
+def test_dimension_1_finiteness_check_is_the_general_form(played):
+    # stage terms with non-finite drifts and costs strewn in: the first entry
+    # the general check flags, the drift before the cost, is the one named
+    rng = np.random.default_rng(32)
+    controls = ControlGrid((-1.0, 0.0, 1.0), (-1.0, 1.0))
+    for trial in range(40):
+        drift = rng.standard_normal((4, 3, 2, 1))
+        cost = rng.standard_normal((4, 3, 2))
+        drift.flat[rng.integers(0, drift.size, 2)] = rng.choice([np.nan, np.inf, -np.inf], 2)
+        cost.flat[rng.integers(0, cost.size, 1)] = rng.choice([np.nan, np.inf, 1.0])
+        spec = GameSpec(op=make_linear_operator(1), controls=controls, l_f=1.0, lambda_L=0.1,
+                        stage=lambda t, states, path_of, P, Q: (drift, cost),
+                        terminal=lambda states, path_of: np.zeros(len(states)))
+        index = (np.array([3, 0, 2, 1]), np.array([2, 0, 1, 1]), np.array([1, 1, 0, 0])) \
+            if played else None
+        d, c = (drift[index], cost[index]) if played else (drift, cost)
+        bad_drift = ~np.isfinite(d).all(axis=-1)
+        bad = (bad_drift | ~np.isfinite(c)).ravel()
+        if not bad.any():
+            spec.lane_terms(0.5, np.zeros((4, 1)), None, index)
+            continue
+        first = int(np.argmax(bad))
+        entry = [i[first] for i in index] if played else np.unravel_index(first, c.shape)
+        term = "drift" if bad_drift.ravel()[first] else "running cost"
+        with pytest.raises(EvaluationError) as err:
+            spec.lane_terms(0.5, np.zeros((4, 1)), None, index)
+        assert str(err.value) == (f"non-finite {term} at t=0.5, p={controls.p_points[entry[1]]!r}, "
+                                  f"q={controls.q_points[entry[2]]!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +258,58 @@ def test_dimension_1_kernel_is_the_solve_path(marked, monkeypatch):
         assert got[0][[3, 8], 0].tolist() == [1.5, 0.75]
     else:
         assert bisected == []
+
+
+def _cubic():
+    """A(t, v) = v^3 (t ignored): with dt = 1, the full Newton step from a
+    guess of 0 to a target c > 1 lands near c, where |g| is about c^3, so
+    the line search rejects lambda = 1 and halves."""
+    return OperatorSpec(space=StateSpace(dim=1), eval_fn=lambda t, v: v * v * v, c1=1.0, c2=1.0)
+
+
+def _full_step_rejected(op, t_next, dt, targets, guesses):
+    """Whether each row's first Newton step fails the test at lambda = 1,
+    by the scalar step's own arithmetic."""
+    def g(x):
+        return x + dt * op.batch(t_next, x) - targets
+    gx = g(guesses)
+    fd = 1e-7 * (1.0 + np.abs(guesses))
+    step = -gx / ((g(guesses + fd) - gx) / fd)
+    return np.abs(g(guesses + step))[:, 0] > 0.75 * np.abs(gx)[:, 0]
+
+
+@pytest.mark.parametrize("times", ["shared", "per-row"])
+def test_dimension_1_kernel_is_the_scalar_step_when_full_steps_fail(times):
+    # rows that reject lambda = 1 beside rows that take it, and a row already
+    # at its root (it leaves the live set before the first step)
+    op = _cubic()
+    rng = np.random.default_rng(33)
+    targets = np.concatenate([rng.uniform(1.5, 40.0, 10), rng.uniform(-0.5, 0.5, 9), [0.0]])
+    targets = targets[rng.permutation(20)][:, None]
+    guesses = np.where(targets == 0.0, 0.0, 0.1 * rng.standard_normal((20, 1)))
+    tols = 1e-11 * (1.0 + np.abs(guesses[:, 0]))
+    if times == "shared":
+        t_next, dt, step = 0.5, 1.0, 7
+        rows_t, rows_dt, rows_k = [t_next] * 20, [dt] * 20, [step] * 20
+    else:
+        t_next, dt, step = rng.uniform(0.0, 1.0, 20), rng.uniform(0.5, 1.5, 20), np.arange(20)
+        rows_t, rows_dt, rows_k = t_next, dt, step
+    rejected = _full_step_rejected(op, 0.5, np.asarray(rows_dt, dtype=float)[:, None], targets,
+                                   guesses)
+    assert 0 < rejected.sum() < 20
+    xi, iters, res = _implicit_step_batch(op, t_next, dt, targets, guesses, tols, step)
+    for n in range(20):
+        want = _implicit_step(op, float(rows_t[n]), float(rows_dt[n]), targets[n], guesses[n],
+                              float(tols[n]), int(rows_k[n]))
+        assert xi[n].tobytes() == want[0].tobytes()
+        assert (iters[n], res[n]) == want[1:]
+    # every row rejecting lambda = 1
+    far = np.linspace(2.0, 30.0, 6)[:, None]
+    xi, iters, res = _implicit_step_batch(op, 0.5, 1.0, far, np.zeros((6, 1)), 1e-11, 3)
+    assert _full_step_rejected(op, 0.5, 1.0, far, np.zeros((6, 1))).all()
+    for n in range(6):
+        want = _implicit_step(op, 0.5, 1.0, far[n], np.zeros(1), 1e-11, 3)
+        assert xi[n].tobytes() == want[0].tobytes() and (iters[n], res[n]) == want[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +464,90 @@ def test_negative_check_seed_is_refused_before_any_work(monkeypatch):
     site = Site(grid.nodes[2], Path.constant(grid, [0.2]), [1.0], (("sub", 4), ("super", -3)))
     with pytest.raises(DomainError, match=r"^site 1: check seed -3 must be >= 0$"):
         site_checks(table, spec, [site._replace(checks=(("scan", 0),)), site], 0.25, 16)
+
+
+# ---------------------------------------------------------------------------
+# the batched histories
+# ---------------------------------------------------------------------------
+
+def _history_one_read_per_node(x0: Path, grid: TimeGrid, t0: float) -> np.ndarray:
+    """extend_history's values by one x0.value_at call per node."""
+    past = grid.nodes <= t0 + 1e-12
+    vals = np.empty((grid.n_steps + 1, x0.dim))
+    vals[past] = [x0.value_at(t) for t in grid.nodes[past]]
+    vals[~past] = x0.value_at(min(t0, x0.grid.t_end))
+    return vals
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_histories_are_the_reads_node_by_node(dim):
+    # x0 on coarser, finer and non-uniform grids, some spanning less than the
+    # target grid, signed zeros among the values, and t0 on and off the nodes
+    rng = np.random.default_rng(34)
+    grids = [TimeGrid(0.0, 1.0, 8), TimeGrid(0.0, 0.75, 6), TimeGrid.from_nodes([0.0, 0.3, 1.0])]
+    cases = []
+    for x0_grid in (TimeGrid(0.0, 1.0, 3), TimeGrid(0.0, 1.0, 32),
+                    TimeGrid.from_nodes([0.0, 0.1, 0.45, 0.5]), TimeGrid(-0.5, 1.5, 7)):
+        values = rng.standard_normal((x0_grid.n_steps + 1, dim))
+        values[rng.integers(0, len(values))] = -0.0
+        x0 = Path(x0_grid, values)
+        for grid in grids:
+            for t0 in (0.0, grid.nodes[1], 0.3, 0.45 + 1e-13, grid.t_end):
+                if t0 <= x0.grid.t_end and t0 <= grid.t_end:
+                    cases.append((x0, grid, t0))
+    x0s, grids_of, t0s = zip(*cases)
+    reads = [history_reads(x0, grid, t0) for x0, grid, t0 in cases]
+    got = extend_histories(list(x0s), grids_of, reads)
+    for hist, (x0, grid, t0) in zip(got, cases):
+        want = _history_one_read_per_node(x0, grid, t0)
+        assert hist.grid is grid and hist.values.tobytes() == want.tobytes()
+        assert extend_history(x0, grid, t0).values.tobytes() == want.tobytes()
+
+
+def test_batched_histories_hold_one_bisect_at_a_time_on_a_fine_grid():
+    # one history on a 2048-step grid fills the read bound, so twelve read one
+    # at a time and peak near one history's memory (one read of all twelve
+    # would hold twelve times its bisect)
+    grid = TimeGrid(0.0, 1.0, 2048)
+    x0 = Path.constant(grid, [0.5])
+
+    def peak(n):
+        reads = [history_reads(x0, grid, grid.t_end)] * n
+        tracemalloc.start()
+        try:
+            extend_histories([x0] * n, [grid] * n, reads)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(12) <= 2 * peak(1)
+
+
+def test_a_history_outside_its_path_is_refused_as_value_at_refuses():
+    x0 = Path.constant(TimeGrid(0.25, 0.75, 4), [0.5])
+    grid = TimeGrid(0.0, 1.0, 8)
+    with pytest.raises(DomainError, match=r"^t=0.125 outside grid span \[0.25, 0.75\]$"):
+        extend_history(x0, grid, 0.125)  # the frozen value's time first
+    with pytest.raises(DomainError, match=r"^t=0.0 outside grid span \[0.25, 0.75\]$"):
+        extend_history(x0, grid, 0.5)  # then the first node before x0's start
+    with pytest.raises(DomainError, match=r"^t=0.875 outside grid span \[0.0, 0.75\]$"):
+        extend_history(Path.constant(TimeGrid(0.0, 0.75, 3), [0.5]), grid, 0.875)
+
+
+def test_sites_refuse_their_windows_and_histories_site_by_site(monkeypatch):
+    # site 1's history leaves its path and site 2's time is no node: site 1's
+    # refusal comes first, and without it site 2's, before any table read
+    spec, grid = isaacs_game(), TimeGrid(0.0, 1.0, 8)
+    table = dp_value(spec, grid, StateLattice(lo=(-2.0,), hi=(2.0,), shape=(17,)))
+    monkeypatch.setattr(minimax, "_lockstep_solve", _no_solve)
+    monkeypatch.setattr(ValueTable, "interp_batch", _no_solve)
+    good = Site(grid.nodes[2], Path.constant(grid, [0.2]), [1.0], (("sub", 4),))
+    short = good._replace(x0=Path.constant(TimeGrid(0.125, 1.0, 7), [0.2]))
+    off_node = good._replace(t0=0.3)
+    with pytest.raises(DomainError, match=r"^t=0.0 outside grid span \[0.125, 1.0\]$"):
+        site_checks(table, spec, [good, short, off_node], 0.25, 16)
+    with pytest.raises(DomainError, match=r"^t=0.3 is not a grid node$"):
+        site_checks(table, spec, [good, off_node, short], 0.25, 16)
 
 
 # ---------------------------------------------------------------------------
